@@ -1,0 +1,6 @@
+"""Make the harness modules importable (they are scripts, not a package)."""
+
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
