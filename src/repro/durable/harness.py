@@ -98,7 +98,7 @@ class _Bookkeeper:
                 query.name,
                 qid,
                 query.business_value,
-                assignment.plan.rates,
+                assignment.rates,
                 submitted_at=self.session.workload.arrival_of(qid),
                 begin=assignment.begin,
                 completed_at=now,

@@ -396,7 +396,7 @@ def _completion_entry(
         query.name,
         qid,
         query.business_value,
-        assignment.plan.rates,
+        assignment.rates,
         submitted_at=session.workload.arrival_of(qid),
         begin=assignment.begin,
         completed_at=completed_at,

@@ -20,17 +20,23 @@ The driver runs three arrival schedules per sweep:
 * ``pressure`` — sustained overload against a small pending bound,
   exercising the defer/requeue admission path end to end.
 
-Each schedule's pipeline: derive every query's execution range through
-one :class:`~repro.mqo.evaluator.WorkloadEvaluator` (reported as
-``ranges_per_sec``), maintain groups with
-:class:`~repro.mqo.conflict.IncrementalConflictGroups`, bin-pack whole
-groups onto shards (:func:`shard_assignments`), then run one
+Each schedule's pipeline: :func:`run_schedule` builds the arrival stream
+once, derives every query's execution range by lowering it through one
+:class:`~repro.mqo.evaluator.WorkloadEvaluator` without retaining the
+candidate records (reported as ``ranges_per_sec``), maintains groups with
+:class:`~repro.mqo.conflict.IncrementalConflictGroups`, bin-packs whole
+groups onto shards (:func:`shard_assignments`), then runs one
 :class:`~repro.mqo.online.OnlineMQOScheduler` per shard — serially or in
-spawned worker processes (``ScaleConfig.executor``).  Workers rebuild
-their infrastructure from the (picklable) config rather than shipping
-compiled plans, and are *spawned*, not forked, so their reported peak
-RSS reflects the shard run alone and not the parent's allocation
-history.
+spawned worker processes (``ScaleConfig.executor``).  A shard receives
+its member queries and their arrivals in its payload (the same payload
+either way) and rebuilds only catalog and cost model from the
+(picklable) config; it lowers each member again at admission, so a query
+is lowered twice per run and compiled costs are paid once per shape per
+process (``work`` in the metrics counts both).  Per-shard memory is the
+worker's own ``VmHWM`` from ``/proc/self/status`` — ``ru_maxrss``
+survives fork+exec, so even a *spawned* worker would otherwise report
+the parent's peak; with ``executor="serial"`` the shards share the
+parent's process and the figure is that process's peak.
 
 A sharded run is **not** claimed bit-equal to an unsharded one — each
 shard re-optimizes on its own window clock — so the sweep reports
@@ -52,7 +58,6 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import resource
 import tempfile
 import time
 import typing
@@ -63,7 +68,7 @@ from repro.core.value import DiscountRates
 from repro.errors import ConfigError
 from repro.federation.catalog import Catalog, FixedSyncSchedule, TableDef
 from repro.federation.costmodel import CostModel, CostParameters
-from repro.mqo.conflict import IncrementalConflictGroups, execution_ranges
+from repro.mqo.conflict import ExecutionRange, IncrementalConflictGroups
 from repro.mqo.evaluator import WorkloadEvaluator
 from repro.mqo.ga import GAConfig
 from repro.mqo.online import OnlineConfig, OnlineMQOScheduler
@@ -168,7 +173,7 @@ class ScaleConfig:
     arrival_seed: int = 7
     shards: int = 2
     #: "serial" runs shards in-process; "process" spawns one worker per
-    #: shard (fresh interpreters, so per-shard peak RSS is honest).
+    #: shard (fresh interpreters; per-shard peak RSS is each worker's own).
     executor: str = "process"
     schedules: tuple[ScheduleSpec, ...] = DEFAULT_SCHEDULES
     #: Attach per-shard tracers + spools and merge them at join (the
@@ -347,7 +352,7 @@ def _traced_run(config, spec, scheduler, workload, shard, spool_path):
             assignment = session.started[qid]
             query = workload.query(qid)
             entry = completion_ledger(
-                query.name, qid, query.business_value, assignment.plan.rates,
+                query.name, qid, query.business_value, assignment.rates,
                 submitted_at=workload.arrival_of(qid),
                 begin=assignment.begin,
                 completed_at=now,
@@ -398,25 +403,38 @@ def _traced_run(config, spec, scheduler, workload, shard, spool_path):
     return decision
 
 
+def _peak_rss_kb() -> int:
+    """This process's own peak resident set, in kB.
+
+    ``VmHWM`` is per address space, so a spawned worker reports only what
+    it touched itself; ``ru_maxrss`` is carried across fork+exec and would
+    report at least the parent's peak.  Off Linux there is no
+    ``/proc/self/status`` and ``ru_maxrss`` is the best available.
+    """
+    try:
+        with open("/proc/self/status", encoding="ascii") as status:
+            for line in status:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1])
+    except OSError:
+        pass
+    import resource
+
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+
+
 def _run_shard(payload) -> dict:
     """One shard's online run (module-level: spawned workers pickle it).
 
-    Rebuilds catalog, cost model and stream from the config — cheaper and
-    start-method-agnostic versus pickling 10^5 compiled plans — then runs
-    the online scheduler over this shard's subset of the arrival stream
-    (original ids and arrival times, stream order preserved).  With a
-    spool path the run goes through :func:`_traced_run` (same decisions,
+    The payload carries this shard's member queries and arrivals (original
+    ids and arrival times, stream order preserved); catalog and cost model
+    are rebuilt from the config — cheap, and start-method-agnostic.  With
+    a spool path the run goes through :func:`_traced_run` (same decisions,
     telemetry shipped home); without one it is exactly the untraced
     scheduler loop.
     """
-    config, spec, shard_ids, shard, spool_path = payload
+    config, spec, workload, shard, spool_path = payload
     catalog, cost_model, rates = _infrastructure(config)
-    members = set(shard_ids)
-    stream = build_stream(config, spec)
-    workload = Workload()
-    for query in stream.queries:
-        if query.query_id in members:
-            workload.add(query, arrival=stream.arrival_of(query.query_id))
     scheduler = OnlineMQOScheduler(
         catalog, cost_model, rates,
         ga_config=GAConfig(
@@ -441,7 +459,7 @@ def _run_shard(payload) -> dict:
         )
     stats = decision.stats
     return {
-        "queries": len(shard_ids),
+        "queries": len(workload),
         "dispatched": stats.dispatched,
         "shed": stats.shed,
         "deferred": stats.deferred,
@@ -453,7 +471,17 @@ def _run_shard(payload) -> dict:
             for window in decision.windows
             if window.ga_runs > 0
         ],
-        "max_rss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+        "max_rss_kb": _peak_rss_kb(),
+        "work": _work(cost_model, decision.evaluator_stats),
+    }
+
+
+def _work(cost_model: CostModel, stats) -> dict:
+    """Machine-independent compile work of one cost model + evaluator."""
+    return {
+        "cost_compiles": cost_model.compiles,
+        "shapes": stats.shapes,
+        "lowerings": stats.lowerings,
     }
 
 
@@ -488,10 +516,13 @@ def run_schedule(
         catalog, cost_model, rates, stream,
         max_candidates=config.max_candidates,
     )
-    ranges = execution_ranges(evaluator)
     tracker = IncrementalConflictGroups()
-    for rng in ranges:
-        tracker.add(rng)
+    for query in stream.queries:
+        # Only the range is needed here; the owning shard lowers the
+        # query again at admission, so nothing is retained.
+        start, end = evaluator.range_of(query.query_id)
+        evaluator.evict(query.query_id)
+        tracker.add(ExecutionRange(query.query_id, start, end))
     groups = tracker.groups()
     formation_wall = time.perf_counter() - formation_started
 
@@ -504,21 +535,33 @@ def run_schedule(
         else:
             os.makedirs(spool_dir, exist_ok=True)
     try:
-        assigned = [
-            shard_ids
-            for shard_ids in shard_assignments(groups, config.shards)
-            if shard_ids
-        ]
+        shard_of = {
+            qid: shard
+            for shard, shard_ids in enumerate(
+                shard_assignments(groups, config.shards)
+            )
+            for qid in shard_ids
+        }
+        members: list[list[DSSQuery]] = [[] for _ in range(config.shards)]
+        for query in stream.queries:  # stream order within each shard
+            members[shard_of[query.query_id]].append(query)
         payloads = []
         spool_paths = []
-        for shard, shard_ids in enumerate(assigned):
+        for shard, queries in enumerate(filter(None, members)):
             spool_path = None
             if config.telemetry:
                 spool_path = os.path.join(
                     spool_dir, f"{spec.name}-shard{shard}.spool"
                 )
                 spool_paths.append(spool_path)
-            payloads.append((config, spec, shard_ids, shard, spool_path))
+            workload = Workload(
+                queries=queries,
+                arrivals={
+                    query.query_id: stream.arrival_of(query.query_id)
+                    for query in queries
+                },
+            )
+            payloads.append((config, spec, workload, shard, spool_path))
         run_started = time.perf_counter()
         if config.executor == "process":
             context = multiprocessing.get_context("spawn")
@@ -538,12 +581,18 @@ def run_schedule(
         dispatched = sum(result["dispatched"] for result in shard_results)
         total_wall = formation_wall + run_wall
         rss_kbs = [result["max_rss_kb"] for result in shard_results]
+        # Compile work of the range prelude above and of every shard (each
+        # owns one cost model and one evaluator).
+        works = [
+            _work(cost_model, evaluator.stats),
+            *(result["work"] for result in shard_results),
+        ]
         metrics = {
             "queries": spec.queries,
             "shards": len(payloads),
             "group_formation": {
                 "wall_seconds": round(formation_wall, 3),
-                "ranges_per_sec": round(len(ranges) / formation_wall, 1),
+                "ranges_per_sec": round(spec.queries / formation_wall, 1),
                 "groups": len(groups),
                 "largest_group": max(len(group) for group in groups),
             },
@@ -568,6 +617,7 @@ def run_schedule(
                     for shard, result in enumerate(shard_results)
                 },
             },
+            "work": {key: sum(work[key] for work in works) for key in works[0]},
             "peak_rss_mb": round(max(rss_kbs) / 1024.0, 1),
             # Peak-of-shards hides both skew and the fleet's real footprint;
             # record each worker's peak and their sum alongside the max.

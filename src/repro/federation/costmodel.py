@@ -5,7 +5,9 @@ configurations {R1,R2}, {R1,T2}, {T1,R2}, and {T1,T2} to generate their
 computational latencies.  And this step needs to be done only once and can
 be done in advance."  :class:`CostModel.combo_cost` is that compilation —
 it depends only on *which tables are read remotely*, never on timestamps,
-and results are memoised.
+and results are memoised per query **shape** (``tables``, ``base_work``,
+``logical``): every request stamped from one report template shares one
+compiled entry, however many :class:`DSSQuery` objects carry it.
 
 The cost of a combo decomposes the query's **base work** (calibrated from
 the mini engine's planner estimate when the query has a logical definition,
@@ -22,7 +24,7 @@ or from explicit/row-count figures otherwise) across the tables it reads:
 from __future__ import annotations
 
 import typing
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.engine.planner import Database, Planner
 from repro.errors import ConfigError, PlanError
@@ -56,35 +58,32 @@ class ComboCost:
     site_legs: tuple[tuple[int, float], ...]
     local_minutes: float
     transmission: float
+    #: Wall-clock processing minutes assuming no contention (derived).
+    processing: float = field(init=False, repr=False, compare=False)
+    #: Processing plus transmission (derived).
+    total: float = field(init=False, repr=False, compare=False)
+    #: Distinct remote sites involved, sorted (derived).
+    remote_sites: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _leg_minutes: dict[int, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.local_minutes < 0 or self.transmission < 0:
             raise ConfigError("combo cost components must be >= 0")
         if any(minutes < 0 for _site, minutes in self.site_legs):
             raise ConfigError("combo leg minutes must be >= 0")
-
-    @property
-    def processing(self) -> float:
-        """Wall-clock processing minutes assuming no contention."""
+        # Read on every plan estimate and every commit, so derived once.
         longest_leg = max((minutes for _s, minutes in self.site_legs), default=0.0)
-        return longest_leg + self.local_minutes
-
-    @property
-    def total(self) -> float:
-        """Processing plus transmission."""
-        return self.processing + self.transmission
-
-    @property
-    def remote_sites(self) -> tuple[int, ...]:
-        """Distinct remote sites involved, sorted."""
-        return tuple(sorted({site for site, _m in self.site_legs}))
+        processing = longest_leg + self.local_minutes
+        derive = object.__setattr__
+        derive(self, "processing", processing)
+        derive(self, "total", processing + self.transmission)
+        derive(self, "remote_sites", tuple(sorted({s for s, _m in self.site_legs})))
+        # First leg wins for a repeated site, as a linear scan would.
+        derive(self, "_leg_minutes", dict(reversed(self.site_legs)))
 
     def leg_minutes(self, site: int) -> float:
         """Remote minutes at one site (0.0 if uninvolved)."""
-        for leg_site, minutes in self.site_legs:
-            if leg_site == site:
-                return minutes
-        return 0.0
+        return self._leg_minutes.get(site, 0.0)
 
 
 @dataclass(frozen=True)
@@ -128,16 +127,20 @@ class CostModel:
         self.network = network or NetworkModel()
         self.params = params or CostParameters()
         self._planner = Planner(engine_db) if engine_db is not None else None
-        # Keyed on the query object (identity hash) — query ids are only
-        # unique within one workload, but one cost model may serve many.
-        self._base_work_cache: dict["DSSQuery", float] = {}
-        self._combo_cache: dict[tuple["DSSQuery", frozenset[str]], ComboCost] = {}
+        # Keyed on the query's shape, never on the query object or its id:
+        # ids are only unique within one workload, and a service mints a
+        # fresh object per request from a handful of templates.
+        self._base_work_cache: dict[tuple, float] = {}
+        self._combo_cache: dict[tuple[tuple, frozenset[str]], ComboCost] = {}
+        #: Executions of :meth:`_compile` (cache misses), a work counter.
+        self.compiles = 0
 
     # -- base work calibration -------------------------------------------------
 
     def base_work(self, query: "DSSQuery") -> float:
         """Total work units to evaluate ``query`` (location-independent)."""
-        cached = self._base_work_cache.get(query)
+        shape = query.cost_shape()
+        cached = self._base_work_cache.get(shape)
         if cached is not None:
             return cached
         if query.base_work is not None:
@@ -149,7 +152,7 @@ class CostModel:
                 self.catalog.table(name).row_count for name in query.tables
             )
         work = max(work, 1.0)
-        self._base_work_cache[query] = work
+        self._base_work_cache[shape] = work
         return work
 
     # -- combo compilation -------------------------------------------------------
@@ -160,7 +163,7 @@ class CostModel:
         Every remote table must be one of the query's tables; tables not in
         ``remote_tables`` are read from local replicas.
         """
-        key = (query, remote_tables)
+        key = (query.cost_shape(), remote_tables)
         cached = self._combo_cache.get(key)
         if cached is not None:
             return cached
@@ -185,6 +188,7 @@ class CostModel:
         return {name: work * rows[name] / total_rows for name in query.tables}
 
     def _compile(self, query: "DSSQuery", remote_tables: frozenset[str]) -> ComboCost:
+        self.compiles += 1
         params = self.params
         shares = self._work_shares(query)
 

@@ -9,21 +9,35 @@ The evaluator replays a permutation analytically (no discrete-event run):
 it tracks when each server (local DSS server and every remote site) becomes
 free, and for each query — in permutation order — picks the candidate plan
 with the best *realized* IV given those availabilities, then commits the
-plan's resource usage.  Candidate plans per query are enumerated once and
+plan's resource usage.  Candidate plans per query are derived once and
 cached (gather combos at the arrival instant and at scheduled sync points
-within the scatter bound).
+within the scatter bound); :func:`repro.core.enumeration.enumerate_plans`
+is the single-query optimizer's enumeration and this module's test oracle.
 
 Because this is the GA's inner loop, the default code path is a layered
 fast path that produces bit-identical results to the straightforward
 replay (retained as :meth:`WorkloadEvaluator.evaluate_naive`):
 
-* **Plan compilation** — every candidate plan is lowered once into an
-  immutable record of floats and tuples (processing, transmission, commit
-  legs, a sorted sync-completion array per replica read) so realizing a
-  candidate is pure tuple/float arithmetic with zero ``Catalog`` or
-  ``Replica`` calls; each record carries an IV upper bound, and suffix
-  maxima of those bounds let the candidate loop stop as soon as no
-  remaining plan can beat the incumbent.
+* **Compile once per shape, lower per arrival** — Section 3.1's combos
+  are "compiled only once and in advance": everything about a query except
+  its arrival instant (replicated/base-only split, the all-base incumbent
+  and the tolerable delay it implies, each table-location combo's cost
+  floats, involved sites, commit legs and replica timelines) is a property
+  of its *shape* and is built once per shape (:class:`_Shape`,
+  :class:`_Combo`).  An arrival is then **lowered** straight to compiled
+  candidate records: bisect the replicas' live sync-completion arrays for
+  the start instants inside the tolerable window, rank replicas by
+  staleness at each instant, estimate each ``(start, combo)``'s IV with
+  :attr:`QueryPlan.information_value`'s exact expression order, sort, cut
+  to ``max_candidates``.  Realizing a candidate is pure tuple/float
+  arithmetic with zero ``Catalog`` or ``Replica`` calls; each record
+  carries an IV upper bound, and suffix maxima of those bounds let the
+  candidate loop stop as soon as no remaining plan can beat the incumbent.
+  :class:`QueryPlan`/:class:`TableVersion` objects are materialised only
+  on request (:attr:`Assignment.plan`, :meth:`WorkloadEvaluator.candidates`),
+  and :meth:`WorkloadEvaluator.evict` drops a dispatched query's records,
+  keeping the three floats :meth:`~WorkloadEvaluator.range_of` and
+  :meth:`~WorkloadEvaluator.upper_bound` serve.
 * **Prefix memoization** — order crossover and swap mutation produce
   children sharing long prefixes with their parents, so the evaluator
   caches ``(query-id prefix) → (free_at snapshot, assignment, partial
@@ -45,18 +59,21 @@ import threading
 import typing
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from math import inf
+from operator import itemgetter
 
-from repro.core.enumeration import CostProvider, enumerate_plans
-from repro.core.plan import QueryPlan, VersionKind
+from repro.core.enumeration import CostProvider, split_tables
+from repro.core.plan import QueryPlan, TableVersion, VersionKind
 from repro.core.value import DiscountRates, information_value, max_tolerable_latency
 from repro.errors import OptimizationError
 from repro.federation.catalog import Catalog
 from repro.federation.site import LOCAL_SITE_ID
-from repro.obs.profile import PROFILER, profiled
+from repro.obs.profile import profiled
 
 if typing.TYPE_CHECKING:  # pragma: no cover - typing only
     from collections.abc import Sequence
 
+    from repro.federation.costmodel import ComboCost
     from repro.federation.faults import AvailabilityView
     from repro.workload.query import DSSQuery, Workload
 
@@ -78,17 +95,35 @@ _BOUND_SLACK = 1.0 + 1e-9
 #: nearby lookups rarely re-enter the (slow) schedule-extension path.
 _TIMELINE_SLACK = 64.0
 
+#: Bound on the staleness orders one shape memoises gather combos for.
+_MAX_STALENESS_ORDERS = 1024
 
-@dataclass(frozen=True)
+#: Sort key of a lowering entry ``(estimated IV, start, combo, completed)``.
+_ESTIMATE = itemgetter(0)
+
+
+@dataclass(frozen=True, slots=True)
 class Assignment:
     """One query's realized execution inside a schedule."""
 
     query: "DSSQuery"
-    plan: QueryPlan
+    #: The chosen compiled candidate; ``None`` on an assignment restored
+    #: from a durable snapshot (only timestamps and rates are persisted).
+    candidate: "_CompiledPlan | None"
+    rates: DiscountRates
     arrival: float
     begin: float
     completed: float
     data_timestamp: float
+
+    @property
+    def plan(self) -> QueryPlan:
+        """The chosen plan, materialised on first use."""
+        if self.candidate is None:
+            raise OptimizationError(
+                "an assignment restored from a snapshot carries no plan"
+            )
+        return self.candidate.plan_for(self.query, self.arrival, self.rates)
 
     @property
     def computational_latency(self) -> float:
@@ -107,7 +142,7 @@ class Assignment:
             self.query.business_value,
             self.computational_latency,
             self.synchronization_latency,
-            self.plan.rates,
+            self.rates,
         )
 
 
@@ -160,6 +195,10 @@ class EvaluatorStats:
     horizon_capped: int = 0
     candidate_plans_dropped: int = 0
     candidates_unavailable: int = 0
+    #: Shape skeletons built / per-arrival lowerings performed — the work
+    #: counters that catch an O(queries) compile regression.
+    shapes: int = 0
+    lowerings: int = 0
 
     @property
     def realize_calls_avoided(self) -> int:
@@ -190,6 +229,8 @@ class EvaluatorStats:
         self.horizon_capped += other.horizon_capped
         self.candidate_plans_dropped += other.candidate_plans_dropped
         self.candidates_unavailable += other.candidates_unavailable
+        self.shapes += other.shapes
+        self.lowerings += other.lowerings
 
     def summary(self) -> str:
         """One-line digest for experiment output."""
@@ -216,48 +257,155 @@ class _CompiledTimeline:
     watermark keeps the rare schedule-extension call out of the hot loop.
     """
 
-    __slots__ = ("replica", "times", "initial", "covered")
+    __slots__ = ("replica", "name", "site", "times", "initial", "covered")
 
-    def __init__(self, replica, covered: float) -> None:
+    def __init__(self, replica) -> None:
         self.replica = replica
-        self.times = replica.completions_through(covered)
+        self.name = replica.name
+        self.site = replica.table.site
         self.initial = replica.initial_timestamp
-        self.covered = covered
+        self.cover(0.0)
+
+    def cover(self, time: float) -> None:
+        """Materialise completions through ``time`` (plus slack)."""
+        self.covered = time + _TIMELINE_SLACK
+        self.times = self.replica.completions_through(self.covered)
 
     def freshness(self, time: float) -> float:
         if time > self.covered:
-            horizon = time + _TIMELINE_SLACK
-            self.times = self.replica.completions_through(horizon)
-            self.covered = horizon
+            self.cover(time)
         index = bisect_right(self.times, time)
         if index == 0:
             return self.initial
         return self.times[index - 1]
 
 
-@dataclass(slots=True)
-class _CompiledPlan:
-    """One candidate plan lowered to pure floats/tuples for the hot loop."""
+class _Combo:
+    """One table-location combo of a shape, costed and resolved once."""
 
-    plan: QueryPlan
-    start_time: float
-    earliest_begin: float  # max(start_time, arrival)
-    processing: float
-    transmission: float
-    sites: tuple[int, ...]  # all involved servers, local first
-    commit_legs: tuple[tuple[int, float], ...]  # (site, busy minutes past begin)
-    timelines: tuple[_CompiledTimeline, ...]  # one per replica version read
-    has_base: bool
-    business_value: float
-    comp_base: float  # 1 - λ_CL (0.0 disables the factor, matching rate == 0)
-    sync_base: float  # 1 - λ_SL
-    upper_bound: float  # realized IV can never exceed this
+    __slots__ = (
+        "remote_tables", "cost", "processing", "transmission", "total",
+        "sites", "commit_legs", "timelines", "has_base", "initial_max",
+    )
+
+    def __init__(
+        self,
+        remote_tables: frozenset[str],
+        cost: "ComboCost",
+        timelines: tuple[_CompiledTimeline, ...],
+    ) -> None:
+        self.remote_tables = remote_tables
+        self.cost = cost
+        self.processing = cost.processing
+        self.transmission = cost.transmission
+        self.total = cost.total
+        #: All involved servers, local first.
+        self.sites = (LOCAL_SITE_ID, *cost.remote_sites)
+        #: ``(site, busy minutes past begin)`` per involved server.
+        self.commit_legs = (
+            (LOCAL_SITE_ID, cost.processing),
+            *((site, cost.leg_minutes(site)) for site in cost.remote_sites),
+        )
+        #: One per replica version read, in the query's table order.
+        self.timelines = timelines
+        self.has_base = bool(remote_tables)
+        #: Latest initial timestamp of a pure-replica combo (else ``None``):
+        #: the one case where data can be stamped in the future of begin.
+        self.initial_max = (
+            max(t.initial for t in timelines)
+            if timelines and not remote_tables
+            else None
+        )
+
+
+class _Shape:
+    """Everything about a query except its arrival instant.
+
+    Queries with equal tables, work class, business value and rates share
+    one shape.
+    """
+
+    __slots__ = (
+        "rates", "business_value", "comp_base", "sync_base", "tolerable",
+        "horizon_capped", "replicated", "base_only", "combos", "by_remote",
+    )
+
+    def __init__(
+        self,
+        rates: DiscountRates,
+        business_value: float,
+        tolerable: float,
+        replicated: list[_CompiledTimeline],
+        base_only: frozenset[str],
+    ) -> None:
+        self.rates = rates
+        self.business_value = business_value
+        # 0.0 disables the factor, matching discount_factor()'s rate == 0.
+        self.comp_base = (
+            (1.0 - rates.computational) if rates.computational else 0.0
+        )
+        self.sync_base = (
+            (1.0 - rates.synchronization) if rates.synchronization else 0.0
+        )
+        #: Longest delay that could still beat the all-base incumbent,
+        #: clamped to the lookahead cap.
+        self.horizon_capped = tolerable > CANDIDATE_HORIZON_CAP
+        self.tolerable = min(tolerable, CANDIDATE_HORIZON_CAP)
+        #: Timelines of the replicated tables, in the query's table order.
+        self.replicated = replicated
+        self.base_only = base_only
+        #: Gather combos per staleness order (table names, stalest first).
+        self.combos: dict[tuple[str, ...], list[_Combo]] = {}
+        self.by_remote: dict[frozenset[str], _Combo] = {}
+
+
+class _CompiledPlan:
+    """One candidate of one arrival: a combo, a start instant, a bound."""
+
+    __slots__ = ("combo", "start_time", "upper_bound", "_plan")
+
+    def __init__(
+        self, combo: _Combo, start_time: float, upper_bound: float
+    ) -> None:
+        self.combo = combo
+        self.start_time = start_time  # >= the query's arrival
+        self.upper_bound = upper_bound  # realized IV can never exceed this
+        self._plan: QueryPlan | None = None
+
+    def plan_for(
+        self, query: "DSSQuery", arrival: float, rates: DiscountRates
+    ) -> QueryPlan:
+        """This candidate as a :class:`QueryPlan` (built once, then cached)."""
+        plan = self._plan
+        if plan is None:
+            combo = self.combo
+            start = self.start_time
+            replica_reads = iter(combo.timelines)
+            plan = self._plan = QueryPlan(
+                query=query,
+                versions=tuple(
+                    TableVersion(name, VersionKind.BASE, start)
+                    if name in combo.remote_tables
+                    else TableVersion(
+                        name, VersionKind.REPLICA,
+                        next(replica_reads).freshness(start),
+                    )
+                    for name in query.tables
+                ),
+                submitted_at=arrival,
+                start_time=start,
+                cost=combo.cost,
+                rates=rates,
+            )
+        return plan
 
 
 @dataclass(slots=True)
 class _CompiledQuery:
     """All of one query's candidates plus pruning metadata."""
 
+    query: "DSSQuery"
+    shape: _Shape
     arrival: float
     candidates: list[_CompiledPlan]
     suffix_bounds: list[float]  # suffix maxima of candidate upper bounds
@@ -301,6 +449,8 @@ class WorkloadEvaluator:
         if max_prefix_entries < 0:
             raise OptimizationError("max_prefix_entries must be >= 0")
         self.catalog = catalog
+        #: Must be a function of a query's shape (``DSSQuery.cost_shape``):
+        #: each combo is costed once per shape, not once per query.
         self.cost_provider = cost_provider
         self.default_rates = default_rates
         self.workload = workload
@@ -313,8 +463,11 @@ class WorkloadEvaluator:
         self.fast_path = fast_path
         self.max_prefix_entries = max_prefix_entries
         self.stats = EvaluatorStats()
-        self._candidates: dict[int, list[QueryPlan]] = {}
+        self._shapes: dict[tuple, _Shape] = {}
         self._compiled: dict[int, _CompiledQuery] = {}
+        #: ``(arrival, latest completion, IV upper bound)`` per lowered
+        #: query; survives :meth:`evict`.
+        self._summaries: dict[int, tuple[float, float, float]] = {}
         self._timelines: dict[str, _CompiledTimeline] = {}
         self._trie = _TrieNode({}, None, 0.0)
         #: Server availabilities every evaluation starts from; committed
@@ -323,9 +476,7 @@ class WorkloadEvaluator:
         # (query_id, clocks of that query's candidate sites) → choice.
         # _choose_fast is a pure function of exactly those inputs, so the
         # memo is exact; bounded by the same cap as the trie.
-        self._choices: dict[
-            tuple, tuple[Assignment, float, _CompiledPlan]
-        ] = {}
+        self._choices: dict[tuple, tuple[Assignment, float]] = {}
         # Serializes evaluation so a thread-pool GA executor cannot race
         # on the trie, the compiled caches, or lazy schedule extension.
         self._lock = threading.RLock()
@@ -346,153 +497,267 @@ class WorkloadEvaluator:
         return query.rates if query.rates is not None else self.default_rates
 
     def candidates(self, query: "DSSQuery") -> list[QueryPlan]:
-        """Cached candidate plans for one query (gather combos + delays).
+        """Candidate plans for one query (gather combos + delays).
 
-        Two silent caps apply and are recorded in :attr:`stats`: the
-        lookahead horizon is clamped to 24 hours (``horizon_capped``), and
-        plans beyond ``max_candidates`` are cut after the estimated-IV sort
-        (``candidate_plans_dropped``).
+        Materialised from the query's compiled candidates, best estimated
+        IV first.  Two silent caps apply and are recorded in
+        :attr:`stats`: the lookahead horizon is clamped to 24 hours
+        (``horizon_capped``), and plans beyond ``max_candidates`` are cut
+        after the estimated-IV sort (``candidate_plans_dropped``).
         """
-        cached = self._candidates.get(query.query_id)
-        if cached is not None:
-            return cached
-        with self._lock:
-            cached = self._candidates.get(query.query_id)
-            if cached is not None:
-                return cached
-            arrival = self.workload.arrival_of(query.query_id)
-            rates = self.rates_for(query)
-            all_base_cost = self.cost_provider.combo_cost(
-                query, frozenset(query.tables)
-            )
-            incumbent = information_value(
-                query.business_value,
-                all_base_cost.total,
-                all_base_cost.total,
-                rates,
-            )
-            tolerable = max_tolerable_latency(
-                query.business_value, incumbent, rates.computational
-            )
-            if tolerable > CANDIDATE_HORIZON_CAP:
-                self.stats.horizon_capped += 1
-                tolerable = CANDIDATE_HORIZON_CAP
-            horizon = arrival + tolerable
-            with PROFILER.scope("evaluator.enumerate"):
-                plans = enumerate_plans(
-                    query, self.catalog, self.cost_provider, rates,
-                    submitted_at=arrival, horizon=horizon, exhaustive=False,
-                    availability=self.availability,
-                )
-            if self.availability is not None:
-                available = [
-                    plan
-                    for plan in plans
-                    if not any(
-                        self.availability.is_site_down(site, plan.start_time)
-                        for site in plan.cost.remote_sites
-                    )
-                ]
-                if available:
-                    self.stats.candidates_unavailable += len(plans) - len(
-                        available
-                    )
-                    plans = available
-            plans.sort(key=lambda plan: plan.information_value, reverse=True)
-            dropped = len(plans) - self.max_candidates
-            if dropped > 0:
-                self.stats.candidate_plans_dropped += dropped
-            plans = plans[: self.max_candidates]
-            self._candidates[query.query_id] = plans
-            return plans
+        compiled = self._compiled_query(query.query_id)
+        rates = compiled.shape.rates
+        return [
+            candidate.plan_for(compiled.query, compiled.arrival, rates)
+            for candidate in compiled.candidates
+        ]
 
-    # -- plan compilation --------------------------------------------------
+    # -- compile once per shape ---------------------------------------------
 
-    def _timeline(self, table: str, covered: float) -> _CompiledTimeline:
+    def _timeline(self, table: str) -> _CompiledTimeline:
         timeline = self._timelines.get(table)
         if timeline is None:
             replica = self.catalog.replica(table)
-            assert replica is not None  # REPLICA versions imply a replica
-            timeline = _CompiledTimeline(replica, covered)
-            self._timelines[table] = timeline
+            assert replica is not None  # replica reads imply a replica
+            timeline = self._timelines[table] = _CompiledTimeline(replica)
         return timeline
 
-    def _compile_plan(self, plan: QueryPlan, arrival: float) -> _CompiledPlan:
-        cost = plan.cost
-        sites = (LOCAL_SITE_ID, *cost.remote_sites)
-        commit_legs = (
-            (LOCAL_SITE_ID, cost.processing),
-            *((site, cost.leg_minutes(site)) for site in cost.remote_sites),
+    def _shape_of(self, query: "DSSQuery") -> _Shape:
+        rates = self.rates_for(query)
+        key = (query.cost_shape(), query.business_value, rates)
+        shape = self._shapes.get(key)
+        if shape is not None:
+            return shape
+        value = query.business_value
+        # The all-base plan is always available and sets the incumbent;
+        # delaying past the latency that alone discounts below it cannot
+        # win (Section 3.1's scatter bound).
+        all_base = self.cost_provider.combo_cost(query, frozenset(query.tables))
+        incumbent = information_value(
+            value, all_base.total, all_base.total, rates
         )
-        # Cover the timeline through the earliest possible begin plus slack;
-        # contention pushing begin further is handled by the coverage guard.
-        earliest_begin = max(plan.start_time, arrival)
-        timelines = tuple(
-            self._timeline(v.table, earliest_begin + _TIMELINE_SLACK)
-            for v in plan.versions
-            if v.kind is VersionKind.REPLICA
+        replicated, base_only = split_tables(query, self.catalog)
+        shape = self._shapes[key] = _Shape(
+            rates,
+            value,
+            max_tolerable_latency(value, incumbent, rates.computational),
+            [self._timeline(name) for name in replicated],
+            frozenset(base_only),
         )
-        has_base = len(timelines) < len(plan.versions)
-        rates = plan.rates
-        # Realized CL ≥ earliest_begin - arrival + total.  The data
-        # timestamp is ≤ begin — except for a pure-replica plan whose
-        # replicas carry an initial timestamp in the future of begin — so
-        # SL ≥ total with that one correction.  Together these bound
-        # realized IV for any server availability; _BOUND_SLACK absorbs
-        # pow()'s ~1 ulp error so pruning can never flip a comparison.
-        total = cost.processing + cost.transmission
-        min_cl = earliest_begin - arrival + total
-        min_sl = total
-        if timelines and not has_base:
-            initial_max = max(t.initial for t in timelines)
-            if initial_max > earliest_begin:
-                min_sl = max(0.0, earliest_begin + total - initial_max)
-        upper = information_value(
-            plan.query.business_value, min_cl, min_sl, rates
-        ) * _BOUND_SLACK
-        return _CompiledPlan(
-            plan=plan,
-            start_time=plan.start_time,
-            earliest_begin=earliest_begin,
-            processing=cost.processing,
-            transmission=cost.transmission,
-            sites=sites,
-            commit_legs=commit_legs,
-            timelines=timelines,
-            has_base=has_base,
-            business_value=plan.query.business_value,
-            comp_base=(1.0 - rates.computational) if rates.computational else 0.0,
-            sync_base=(1.0 - rates.synchronization) if rates.synchronization else 0.0,
-            upper_bound=upper,
-        )
+        self.stats.shapes += 1
+        return shape
+
+    def _gather(
+        self, shape: _Shape, query: "DSSQuery", order: tuple[str, ...]
+    ) -> list[_Combo]:
+        """The non-dominated combos for one staleness order (gather step).
+
+        Substitute the ``k`` stalest substitutable replicas with base
+        reads, ``k = 0..len(order)``; base-only tables are always remote.
+        """
+        combos = []
+        for k in range(len(order) + 1):
+            remote = shape.base_only | frozenset(order[:k])
+            combo = shape.by_remote.get(remote)
+            if combo is None:
+                combo = shape.by_remote[remote] = _Combo(
+                    remote,
+                    self.cost_provider.combo_cost(query, remote),
+                    tuple(
+                        self._timeline(name)
+                        for name in query.tables
+                        if name not in remote
+                    ),
+                )
+            combos.append(combo)
+        if len(shape.combos) >= _MAX_STALENESS_ORDERS:
+            # Stochastic sync schedules can visit up to m! orders over a
+            # long-lived service; the combo records themselves (by_remote,
+            # at most 2**m) survive, so a clear only costs re-gathering.
+            shape.combos.clear()
+        shape.combos[order] = combos
+        return combos
+
+    # -- lower per arrival ---------------------------------------------------
+
+    def _start_instants(self, shape: _Shape, arrival: float) -> list[float]:
+        """The arrival plus every sync completion worth delaying for.
+
+        That is each completion, inside ``(arrival, arrival + tolerable]``,
+        of a replica the query reads — minus, under an availability view,
+        the ones scheduled to skip or slip.
+        """
+        starts = [arrival]
+        if shape.replicated:
+            horizon = arrival + shape.tolerable
+            availability = self.availability
+            points: set[float] = set()
+            for timeline in shape.replicated:
+                if horizon > timeline.covered:
+                    timeline.cover(horizon)
+                times = timeline.times
+                due = times[
+                    bisect_right(times, arrival):bisect_right(times, horizon)
+                ]
+                if availability is not None:
+                    due = [
+                        time for time in due
+                        if not availability.unreliable_sync(timeline.name, time)
+                    ]
+                points.update(due)
+            starts.extend(sorted(points))
+        return starts
+
+    @profiled("evaluator.enumerate")
+    def _lower(self, query_id: int) -> _CompiledQuery:
+        """Lower one arrival of a shape to compiled candidate records.
+
+        Bit-equal, candidate for candidate, to enumerating plans with
+        :func:`~repro.core.enumeration.enumerate_plans` over
+        ``[arrival, arrival + tolerable]``, sorting by estimated IV,
+        cutting to ``max_candidates`` and compiling each survivor
+        (``tests/test_mqo_lowering.py`` holds that pipeline as the oracle).
+        """
+        with self._lock:
+            query = self.workload.query(query_id)
+            arrival = self.workload.arrival_of(query_id)
+            shape = self._shape_of(query)
+            stats = self.stats
+            stats.lowerings += 1
+            if shape.horizon_capped:
+                stats.horizon_capped += 1
+            availability = self.availability
+            replicated = shape.replicated
+
+            # Estimated IV per (start, combo), with exactly
+            # QueryPlan.information_value's expression order.
+            value = shape.business_value
+            comp_base = shape.comp_base
+            sync_base = shape.sync_base
+            entries = []
+            for start in self._start_instants(shape, arrival):
+                live = replicated
+                # Freshness floor from replicas whose base site is down at
+                # `start`: never substituted, so read stale in every combo.
+                floor = inf
+                if availability is not None:
+                    live = []
+                    for timeline in replicated:
+                        if availability.is_site_down(timeline.site, start):
+                            floor = min(floor, timeline.freshness(start))
+                        else:
+                            live.append(timeline)
+                ranked = sorted(
+                    [(timeline.freshness(start), timeline.name)
+                     for timeline in live]
+                )
+                order = tuple([name for _fresh, name in ranked])
+                combos = shape.combos.get(order)
+                if combos is None:
+                    combos = self._gather(shape, query, order)
+                for k, combo in enumerate(combos):
+                    # Stalest version read: replicas ranked[k:] stay
+                    # replicas; a base read is as fresh as `start`.
+                    oldest = ranked[k][0] if k < len(ranked) else inf
+                    if floor < oldest:
+                        oldest = floor
+                    if combo.has_base and start < oldest:
+                        oldest = start
+                    completed = start + combo.processing + combo.transmission
+                    estimate = value
+                    if comp_base:
+                        estimate *= comp_base ** (completed - arrival)
+                    if sync_base:
+                        sync_latency = completed - oldest
+                        if sync_latency < 0.0:
+                            sync_latency = 0.0
+                        estimate *= sync_base ** sync_latency
+                    entries.append((estimate, start, combo, completed))
+
+            if availability is not None:
+                available = [
+                    entry for entry in entries
+                    if not any(
+                        availability.is_site_down(site, entry[1])
+                        for site in entry[2].cost.remote_sites
+                    )
+                ]
+                if available:
+                    stats.candidates_unavailable += len(entries) - len(
+                        available
+                    )
+                    entries = available
+            entries.sort(key=_ESTIMATE, reverse=True)
+            dropped = len(entries) - self.max_candidates
+            if dropped > 0:
+                stats.candidate_plans_dropped += dropped
+                del entries[self.max_candidates:]
+
+            candidates = []
+            site_union: set[int] = set()
+            latest = -inf
+            for _estimate, start, combo, completed in entries:
+                # Realized CL ≥ start - arrival + total.  The data
+                # timestamp is ≤ begin — except for a pure-replica combo
+                # whose replicas carry an initial timestamp in the future
+                # of begin — so SL ≥ total with that one correction.
+                # Together these bound realized IV for any server
+                # availability; _BOUND_SLACK absorbs pow()'s ~1 ulp error
+                # so pruning can never flip a comparison.
+                total = combo.total
+                min_sl = total
+                initial_max = combo.initial_max
+                if initial_max is not None and initial_max > start:
+                    min_sl = max(0.0, start + total - initial_max)
+                bound = value
+                if comp_base:
+                    bound *= comp_base ** (start - arrival + total)
+                if sync_base:
+                    bound *= sync_base ** min_sl
+                candidates.append(
+                    _CompiledPlan(combo, start, bound * _BOUND_SLACK)
+                )
+                site_union.update(combo.sites)
+                if completed > latest:
+                    latest = completed
+            suffix_bounds = [0.0] * len(candidates)
+            running = -inf
+            for index in range(len(candidates) - 1, -1, -1):
+                running = max(running, candidates[index].upper_bound)
+                suffix_bounds[index] = running
+            compiled = self._compiled[query_id] = _CompiledQuery(
+                query=query,
+                shape=shape,
+                arrival=arrival,
+                candidates=candidates,
+                suffix_bounds=suffix_bounds,
+                sites=tuple(sorted(site_union)),
+                latest_completion=latest,
+            )
+            self._summaries[query_id] = (arrival, latest, suffix_bounds[0])
+            return compiled
 
     def _compiled_query(self, query_id: int) -> _CompiledQuery:
         compiled = self._compiled.get(query_id)
-        if compiled is not None:
-            return compiled
-        query = self.workload.query(query_id)
-        arrival = self.workload.arrival_of(query_id)
-        plans = self.candidates(query)
-        candidates = [self._compile_plan(plan, arrival) for plan in plans]
-        suffix_bounds = [0.0] * len(candidates)
-        running = float("-inf")
-        for index in range(len(candidates) - 1, -1, -1):
-            running = max(running, candidates[index].upper_bound)
-            suffix_bounds[index] = running
-        site_union: set[int] = set()
-        for candidate in candidates:
-            site_union.update(candidate.sites)
-        compiled = _CompiledQuery(
-            arrival=arrival,
-            candidates=candidates,
-            suffix_bounds=suffix_bounds,
-            sites=tuple(sorted(site_union)),
-            latest_completion=max(
-                plan.completion_time for plan in plans
-            ),
-        )
-        self._compiled[query_id] = compiled
+        if compiled is None:
+            compiled = self._lower(query_id)
         return compiled
+
+    def _summary(self, query_id: int) -> tuple[float, float, float]:
+        summary = self._summaries.get(query_id)
+        if summary is None:
+            self._lower(query_id)
+            summary = self._summaries[query_id]
+        return summary
+
+    def evict(self, query_id: int) -> None:
+        """Drop a query's candidate records (it has been dispatched).
+
+        :meth:`range_of` and :meth:`upper_bound` keep answering from the
+        three retained floats; anything else re-lowers the query, which is
+        deterministic, so eviction can never change a decision.
+        """
+        self._compiled.pop(query_id, None)
 
     def range_of(self, query_id: int) -> tuple[float, float]:
         """The query's half-open execution range ``[arrival, latest)``.
@@ -506,21 +771,18 @@ class WorkloadEvaluator:
         the online scheduler re-derived every pending query's candidates
         on every window pass.
         """
-        compiled = self._compiled_query(query_id)
-        return compiled.arrival, compiled.latest_completion
+        arrival, latest, _bound = self._summary(query_id)
+        return arrival, latest
 
     def upper_bound(self, query_id: int) -> float:
         """Largest IV any candidate of this query can ever realize.
 
         The bound holds for *any* server availability (see
-        :meth:`_compile_plan`), which makes it safe for admission control:
+        :meth:`_lower`), which makes it safe for admission control:
         a query whose bound is already below the floor can be shed without
         realizing a single plan.
         """
-        compiled = self._compiled_query(query_id)
-        if not compiled.suffix_bounds:  # pragma: no cover - never empty
-            return 0.0
-        return compiled.suffix_bounds[0]
+        return self._summary(query_id)[2]
 
     def rebase(self, free_at: dict[int, float]) -> None:
         """Re-root evaluation on committed mid-stream server state.
@@ -549,10 +811,14 @@ class WorkloadEvaluator:
 
     def _realize(
         self,
-        plan: QueryPlan,
-        arrival: float,
+        compiled: _CompiledQuery,
+        candidate: _CompiledPlan,
         free_at: dict[int, float],
     ) -> Assignment:
+        """Reference realization: the materialised plan against the catalog."""
+        arrival = compiled.arrival
+        rates = compiled.shape.rates
+        plan = candidate.plan_for(compiled.query, arrival, rates)
         involved = [LOCAL_SITE_ID, *plan.cost.remote_sites]
         begin = max(
             plan.start_time,
@@ -568,8 +834,9 @@ class WorkloadEvaluator:
                 replica = self.catalog.replica(version.table)
                 freshness.append(replica.freshness_at(begin))
         return Assignment(
-            query=plan.query,
-            plan=plan,
+            query=compiled.query,
+            candidate=candidate,
+            rates=rates,
             arrival=arrival,
             begin=begin,
             completed=completed,
@@ -577,20 +844,22 @@ class WorkloadEvaluator:
         )
 
     def _commit(self, assignment: Assignment, free_at: dict[int, float]) -> None:
-        busy_until = assignment.begin + assignment.plan.cost.processing
-        free_at[LOCAL_SITE_ID] = max(free_at.get(LOCAL_SITE_ID, 0.0), busy_until)
-        for site in assignment.plan.cost.remote_sites:
-            leg_end = assignment.begin + assignment.plan.cost.leg_minutes(site)
-            free_at[site] = max(free_at.get(site, 0.0), leg_end)
+        begin = assignment.begin
+        for site, minutes in assignment.candidate.combo.commit_legs:
+            free_at[site] = max(free_at.get(site, 0.0), begin + minutes)
 
     def _choose_fast(
         self, compiled: _CompiledQuery, free_at: dict[int, float]
-    ) -> tuple[Assignment, float, "_CompiledPlan"]:
+    ) -> tuple[Assignment, float]:
         """IV-best candidate under current availability, compiled arithmetic only."""
         stats = self.stats
         arrival = compiled.arrival
         candidates = compiled.candidates
         suffix_bounds = compiled.suffix_bounds
+        shape = compiled.shape
+        value = shape.business_value
+        comp_base = shape.comp_base
+        sync_base = shape.sync_base
         best: _CompiledPlan | None = None
         best_iv = float("-inf")
         best_begin = best_completed = best_stamp = 0.0
@@ -609,38 +878,37 @@ class WorkloadEvaluator:
             # Every candidate runs through the local server, so begin is at
             # least the local clock; decaying the static bound by the extra
             # wait keeps it valid under contention and far tighter.
-            delay = local_clock - candidate.earliest_begin
-            if delay > 0.0 and candidate.comp_base:
-                bound *= candidate.comp_base**delay * _BOUND_SLACK
+            begin = candidate.start_time  # never before the arrival
+            delay = local_clock - begin
+            if delay > 0.0 and comp_base:
+                bound *= comp_base**delay * _BOUND_SLACK
                 if bound < best_iv:
                     pruned += 1
                     continue
-            begin = candidate.start_time
-            if arrival > begin:
-                begin = arrival
-            for site in candidate.sites:
+            combo = candidate.combo
+            for site in combo.sites:
                 busy = free_get(site, 0.0)
                 if busy > begin:
                     begin = busy
             # Same association order as the naive path: (begin + P) + T.
-            completed = begin + candidate.processing + candidate.transmission
-            timelines = candidate.timelines
+            completed = begin + combo.processing + combo.transmission
+            timelines = combo.timelines
             if timelines:
                 stamp = min(t.freshness(begin) for t in timelines)
-                if candidate.has_base and begin < stamp:
+                if combo.has_base and begin < stamp:
                     stamp = begin
             else:
                 stamp = begin
             # Identical arithmetic to information_value()/discount_factor():
             # bv * (1-λc)**CL * (1-λs)**SL with rate-zero factors elided.
-            iv = candidate.business_value
-            if candidate.comp_base:
-                iv *= candidate.comp_base ** (completed - arrival)
-            if candidate.sync_base:
+            iv = value
+            if comp_base:
+                iv *= comp_base ** (completed - arrival)
+            if sync_base:
                 sync_latency = completed - stamp
                 if sync_latency < 0.0:
                     sync_latency = 0.0
-                iv *= candidate.sync_base ** sync_latency
+                iv *= sync_base ** sync_latency
             realized += 1
             if iv > best_iv:
                 best = candidate
@@ -653,14 +921,15 @@ class WorkloadEvaluator:
         if best is None:  # pragma: no cover - candidates never empty
             raise OptimizationError("no candidate plans survived realization")
         assignment = Assignment(
-            query=best.plan.query,
-            plan=best.plan,
+            query=compiled.query,
+            candidate=best,
+            rates=shape.rates,
             arrival=arrival,
             begin=best_begin,
             completed=best_completed,
             data_timestamp=best_stamp,
         )
-        return assignment, best_iv, best
+        return assignment, best_iv
 
     def choose_best(
         self, query_id: int, free_at: dict[int, float]
@@ -681,19 +950,7 @@ class WorkloadEvaluator:
             compiled = self._compiled_query(query_id)
             self.stats.naive_realize_calls += len(compiled.candidates)
             if not self.fast_path:
-                arrival = compiled.arrival
-                best: Assignment | None = None
-                for candidate in compiled.candidates:
-                    assignment = self._realize(
-                        candidate.plan, arrival, free_at
-                    )
-                    if best is None or (
-                        assignment.information_value
-                        > best.information_value
-                    ):
-                        best = assignment
-                assert best is not None  # candidates never empty
-                return best
+                return self._best_naive(query_id, free_at)
             free_get = free_at.get
             key = (
                 query_id,
@@ -703,14 +960,12 @@ class WorkloadEvaluator:
             if memo is not None:
                 self.stats.choice_hits += 1
                 return memo[0]
-            assignment, best_iv, chosen = self._choose_fast(
-                compiled, free_at
-            )
+            memo = self._choose_fast(compiled, free_at)
             if len(self._choices) >= self.max_prefix_entries > 0:
                 self._choices.clear()
                 self.stats.choice_evictions += 1
-            self._choices[key] = (assignment, best_iv, chosen)
-            return assignment
+            self._choices[key] = memo
+            return memo[0]
 
     # -- prefix trie -------------------------------------------------------
 
@@ -799,17 +1054,15 @@ class WorkloadEvaluator:
                 memo = choices.get(key)
                 if memo is not None:
                     stats.choice_hits += 1
-                    assignment, best_iv, chosen = memo
                 else:
-                    assignment, best_iv, chosen = self._choose_fast(
-                        compiled, free_at
-                    )
+                    memo = self._choose_fast(compiled, free_at)
                     if len(choices) >= self.max_prefix_entries > 0:
                         choices.clear()
                         stats.choice_evictions += 1
-                    choices[key] = (assignment, best_iv, chosen)
+                    choices[key] = memo
+                assignment, best_iv = memo
                 begin = assignment.begin
-                for site, minutes in chosen.commit_legs:
+                for site, minutes in assignment.candidate.combo.commit_legs:
                     busy_until = begin + minutes
                     if busy_until > free_at.get(site, 0.0):
                         free_at[site] = busy_until
@@ -849,20 +1102,26 @@ class WorkloadEvaluator:
         free_at: dict[int, float] = dict(self._base_free_at)
         result = EvaluationResult()
         for query_id in order:
-            query = self.workload.query(query_id)
-            arrival = self.workload.arrival_of(query_id)
-            best: Assignment | None = None
-            for plan in self.candidates(query):
-                assignment = self._realize(plan, arrival, free_at)
-                if best is None or (
-                    assignment.information_value > best.information_value
-                ):
-                    best = assignment
-            if best is None:  # pragma: no cover - candidates never empty
-                raise OptimizationError(f"no candidate plans for {query.name!r}")
+            best = self._best_naive(query_id, free_at)
             self._commit(best, free_at)
             result.assignments.append(best)
         return result
+
+    def _best_naive(
+        self, query_id: int, free_at: dict[int, float]
+    ) -> Assignment:
+        """First strict IV maximum over every candidate's reference realization."""
+        compiled = self._compiled_query(query_id)
+        best: Assignment | None = None
+        for candidate in compiled.candidates:
+            assignment = self._realize(compiled, candidate, free_at)
+            if best is None or (
+                assignment.information_value > best.information_value
+            ):
+                best = assignment
+        if best is None:  # pragma: no cover - candidates never empty
+            raise OptimizationError(f"no candidate plans for query {query_id}")
+        return best
 
     def fitness(self, permutation: list[int]) -> float:
         """GA fitness: the permutation's total realized information value."""

@@ -199,19 +199,6 @@ class OnlineDecision:
         return [a.query.query_id for a in self.result.assignments]
 
 
-@dataclass(frozen=True)
-class _RestoredPlan:
-    """Stand-in for a dispatched query's plan after a snapshot restore.
-
-    A restored session only touches a *started* assignment's plan for its
-    discount rates (ledger synthesis at completion); the full
-    :class:`QueryPlan` lives in the evaluator caches, which are rebuilt
-    deterministically rather than persisted.
-    """
-
-    rates: DiscountRates
-
-
 def _encode_decision(entry: tuple) -> list:
     """JSON-safe form of one decision-log tuple."""
     return [list(part) if isinstance(part, tuple) else part for part in entry]
@@ -351,8 +338,8 @@ class OnlineSession:
                 "begin": assignment.begin,
                 "completed": assignment.completed,
                 "data_timestamp": assignment.data_timestamp,
-                "lambda_cl": assignment.plan.rates.computational,
-                "lambda_sl": assignment.plan.rates.synchronization,
+                "lambda_cl": assignment.rates.computational,
+                "lambda_sl": assignment.rates.synchronization,
             }
 
         windows = []
@@ -418,10 +405,13 @@ class OnlineSession:
         self.started = {}
         for qid_text, data in state["started"].items():
             qid = int(qid_text)
-            rates = DiscountRates(data["lambda_cl"], data["lambda_sl"])
+            # A started assignment is only ever read back for its rates
+            # and timestamps (ledger synthesis at completion), so the
+            # chosen candidate is not persisted.
             self.started[qid] = Assignment(
                 query=self.workload.query(qid),
-                plan=typing.cast(typing.Any, _RestoredPlan(rates)),
+                candidate=None,
+                rates=DiscountRates(data["lambda_cl"], data["lambda_sl"]),
                 arrival=data["arrival"],
                 begin=data["begin"],
                 completed=data["completed"],
@@ -653,6 +643,9 @@ class OnlineSession:
             qid = self.plan.popleft()
             self._untrack(qid)
             self.evaluator._commit(assignment, self.free_at)
+            # A started query is never planned again: keep its range and
+            # bound, drop its candidate records.
+            self.evaluator.evict(qid)
             self.decision.result.assignments.append(assignment)
             self.running.add(qid)
             self.stats.dispatched += 1

@@ -174,9 +174,10 @@ class WorkloadScheduler:
         free_at: dict[int, float] = {}
         result = EvaluationResult()
         for query in workload.sorted_by_arrival():
-            arrival = workload.arrival_of(query.query_id)
-            plan = evaluator.candidates(query)[0]  # isolated optimum
-            assignment = evaluator._realize(plan, arrival, free_at)
+            compiled = evaluator._compiled_query(query.query_id)
+            assignment = evaluator._realize(
+                compiled, compiled.candidates[0], free_at  # isolated optimum
+            )
             evaluator._commit(assignment, free_at)
             result.assignments.append(assignment)
         return result
@@ -214,19 +215,12 @@ class WorkloadScheduler:
             best_assignment: Assignment | None = None
             best_priority = float("-inf")
             for qid, arrival in sorted(arrived.items()):
-                query = workload.query(qid)
-                chosen: Assignment | None = None
-                for plan in evaluator.candidates(query):
-                    assignment = evaluator._realize(plan, arrival, free_at)
-                    if chosen is None or (
-                        assignment.information_value > chosen.information_value
-                    ):
-                        chosen = assignment
-                assert chosen is not None
+                chosen = evaluator.choose_best(qid, free_at)
                 priority = chosen.information_value
                 if aging is not None:
                     priority += aging.boost(
-                        query.business_value, max(0.0, clock - arrival)
+                        workload.query(qid).business_value,
+                        max(0.0, clock - arrival),
                     )
                 if priority > best_priority:
                     best_priority = priority

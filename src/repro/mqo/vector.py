@@ -29,24 +29,22 @@ totals agree with :meth:`WorkloadEvaluator.evaluate_sequence` within
 golden and benchmark therefore keeps the scalar path; the EXT5 scale
 sweep opts in via ``OnlineConfig(vectorized_ga=True)``.
 
-numpy is optional at import time: ``HAS_NUMPY`` gates construction so the
-rest of ``repro.mqo`` works without it.
+numpy is optional and imported lazily: ``HAS_NUMPY`` gates construction
+so the rest of ``repro.mqo`` works without it, and importing this module
+does not import numpy.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import typing
 
 from repro.errors import OptimizationError
 from repro.mqo.evaluator import _TIMELINE_SLACK
 
-try:  # pragma: no cover - import guard
-    import numpy as np
-
-    HAS_NUMPY = True
-except ImportError:  # pragma: no cover - numpy is present in CI
-    np = None  # type: ignore[assignment]
-    HAS_NUMPY = False
+#: Whether numpy can be imported.  The import itself happens inside the
+#: functions that use it, so scalar-only runs never pay for it.
+HAS_NUMPY = importlib.util.find_spec("numpy") is not None
 
 if typing.TYPE_CHECKING:  # pragma: no cover - typing only
     from collections.abc import Sequence
@@ -66,6 +64,8 @@ class _TableTimes:
     __slots__ = ("replica", "times", "initial", "covered")
 
     def __init__(self, replica, covered: float) -> None:
+        import numpy as np
+
         self.replica = replica
         self.times = np.asarray(
             replica.completions_through(covered), dtype=np.float64
@@ -75,6 +75,8 @@ class _TableTimes:
 
     def ensure(self, through: float) -> None:
         if through > self.covered:
+            import numpy as np
+
             horizon = through + _TIMELINE_SLACK
             self.times = np.asarray(
                 self.replica.completions_through(horizon), dtype=np.float64
@@ -101,6 +103,8 @@ class VectorizedEvaluator:
             raise OptimizationError(
                 "vectorized evaluation requires numpy, which is not installed"
             )
+        import numpy as np
+
         self.evaluator = evaluator
         if query_ids is None:
             query_ids = [q.query_id for q in evaluator.workload.queries]
@@ -116,8 +120,8 @@ class VectorizedEvaluator:
         for record in compiled:
             max_cands = max(max_cands, len(record.candidates))
             for cand in record.candidates:
-                sites.update(cand.sites)
-                tables.update(t.replica.name for t in cand.timelines)
+                sites.update(cand.combo.sites)
+                tables.update(t.name for t in cand.combo.timelines)
         self._sites = sorted(sites)
         site_col = {site: col for col, site in enumerate(self._sites)}
         n, c, s = len(ids), max_cands, len(self._sites)
@@ -139,22 +143,24 @@ class VectorizedEvaluator:
 
         for row, record in enumerate(compiled):
             self._arrival[row] = record.arrival
+            shape = record.shape
             for col, cand in enumerate(record.candidates):
+                combo = cand.combo
                 self._valid[row, col] = True
-                self._earliest[row, col] = cand.earliest_begin
-                self._processing[row, col] = cand.processing
-                self._transmission[row, col] = cand.transmission
-                self._bv[row, col] = cand.business_value
-                self._comp_base[row, col] = cand.comp_base
-                self._sync_base[row, col] = cand.sync_base
-                self._has_base[row, col] = cand.has_base
-                for site in cand.sites:
+                self._earliest[row, col] = cand.start_time
+                self._processing[row, col] = combo.processing
+                self._transmission[row, col] = combo.transmission
+                self._bv[row, col] = shape.business_value
+                self._comp_base[row, col] = shape.comp_base
+                self._sync_base[row, col] = shape.sync_base
+                self._has_base[row, col] = combo.has_base
+                for site in combo.sites:
                     self._involved[row, col, site_col[site]] = True
-                for site, minutes in cand.commit_legs:
+                for site, minutes in combo.commit_legs:
                     self._legs[row, col, site_col[site]] = minutes
-                covered = cand.earliest_begin + _TIMELINE_SLACK
-                for timeline in cand.timelines:
-                    table = timeline.replica.name
+                covered = cand.start_time + _TIMELINE_SLACK
+                for timeline in combo.timelines:
+                    table = timeline.name
                     member_of[table][row, col] = True
                     read = self._reads.get(table)
                     if read is None:
@@ -176,6 +182,8 @@ class VectorizedEvaluator:
         the compiled set; base availability comes from the evaluator's
         current :meth:`~WorkloadEvaluator.rebase` state.
         """
+        import numpy as np
+
         if not orders:
             return np.zeros(0)
         length = len(orders[0])

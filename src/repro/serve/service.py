@@ -556,7 +556,7 @@ class QueryService:
             query.name,
             qid,
             query.business_value,
-            assignment.plan.rates,
+            assignment.rates,
             submitted_at=self.workload.arrival_of(qid),
             begin=assignment.begin,
             completed_at=completed_at,

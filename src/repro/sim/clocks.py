@@ -29,7 +29,6 @@ near-real-time band is stated in); only ``perf_seconds`` speaks seconds.
 
 from __future__ import annotations
 
-import asyncio
 import typing
 from time import monotonic, perf_counter
 from typing import Any
@@ -122,6 +121,9 @@ class WallClock:
     ``perf_seconds`` reads the *same* monotonic base that drives ``now``,
     so wall-run re-optimization time is a slice of stream time — booked
     exactly once, never both as "reopt" and again as extra latency.
+
+    asyncio is imported when a ``WallClock`` is built, not with this
+    module: simulated runs never load it (nor ``ssl`` behind it).
     """
 
     __slots__ = ("_timeline", "seconds_per_minute", "_epoch", "_wake", "_stopped")
@@ -146,6 +148,8 @@ class WallClock:
         # past and pop in a burst, which is exactly what we want — the
         # backlog is overdue).
         self._epoch = monotonic() - start_at * seconds_per_minute
+        import asyncio
+
         self._wake = asyncio.Event()
         self._stopped = False
 
@@ -183,6 +187,8 @@ class WallClock:
         interrupts the sleep so a newly scheduled earlier event is
         honored.
         """
+        import asyncio
+
         while True:
             if self._stopped:
                 return self._timeline.pop() if self._timeline else None

@@ -18,6 +18,21 @@ from repro.errors import WorkloadError
 __all__ = ["DSSQuery", "Workload"]
 
 
+class _ByIdentity:
+    """Hashes and compares a wrapped object by ``is`` (and keeps it alive)."""
+
+    __slots__ = ("target",)
+
+    def __init__(self, target: object) -> None:
+        self.target = target
+
+    def __hash__(self) -> int:
+        return id(self.target)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, _ByIdentity) and self.target is other.target
+
+
 @dataclass(frozen=True, eq=False)
 class DSSQuery:
     """One decision-support report request.
@@ -80,6 +95,21 @@ class DSSQuery:
     def table_set(self) -> frozenset[str]:
         """The tables as a set (plans key on this)."""
         return frozenset(self.tables)
+
+    def cost_shape(self) -> tuple:
+        """Everything a table-location combo's cost may depend on.
+
+        Requests stamped from one report template differ in id, name and
+        arrival only, so caches of compiled costs key on this instead of
+        on the query object.  ``logical`` enters by identity: its ``==``
+        is overloaded to build predicates.
+        """
+        logical = self.logical
+        return (
+            self.tables,
+            self.base_work,
+            None if logical is None else _ByIdentity(logical),
+        )
 
 
 @dataclass

@@ -441,7 +441,7 @@ class TestReoptAccounting:
 class TestRangeCache:
     """Regression: ranges were re-derived from candidates every pass.
 
-    ``execution_ranges`` used to walk ``evaluator.candidates(query)`` for
+    ``execution_ranges`` used to re-derive the candidate set of
     every pending query on *every* window pass (and ``dispatch`` probed
     candidates per event); ranges now come from
     :meth:`WorkloadEvaluator.range_of`, derived once per query and kept
@@ -452,19 +452,20 @@ class TestRangeCache:
         from repro.mqo.evaluator import WorkloadEvaluator
 
         calls: list[int] = []
-        original = WorkloadEvaluator.candidates
+        original = WorkloadEvaluator._lower
 
-        def counting(self, query):
-            calls.append(query.query_id)
-            return original(self, query)
+        def counting(self, query_id):
+            calls.append(query_id)
+            return original(self, query_id)
 
-        monkeypatch.setattr(WorkloadEvaluator, "candidates", counting)
+        monkeypatch.setattr(WorkloadEvaluator, "_lower", counting)
         scheduler = build_online(
             OnlineConfig(window=0.3, max_pending=16, eager_start=False)
         )
         decision = scheduler.run(burst_workload(count=6, gap=0.4))
-        # Several passes ran, yet each query's candidate set was walked
-        # exactly once (at plan compilation) — not once per pass.
+        # Several passes ran, yet each query's candidate set was derived
+        # exactly once (lowered at admission) — not once per pass, and not
+        # again after dispatch evicted its records.
         assert decision.stats.windows >= 2
         assert sorted(calls) == [1, 2, 3, 4, 5, 6]
 
@@ -503,9 +504,9 @@ class TestHotPathFixes:
         calls: list[int] = []
         original = WorkloadEvaluator._realize
 
-        def counting(self, plan, arrival, free_at):
+        def counting(self, compiled, candidate, free_at):
             calls.append(1)
-            return original(self, plan, arrival, free_at)
+            return original(self, compiled, candidate, free_at)
 
         monkeypatch.setattr(WorkloadEvaluator, "_realize", counting)
         scheduler = build_online(OnlineConfig(window=2.0, max_pending=16))

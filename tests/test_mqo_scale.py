@@ -11,6 +11,10 @@ by ``make bench-scale``; here a mid-size steady stream rides behind the
 
 from __future__ import annotations
 
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.errors import ConfigError
@@ -181,6 +185,165 @@ class TestSweepAndTable:
         rendered = table.render()
         assert "steady" in rendered and "burst" in rendered
         assert "qps" in rendered
+
+
+#: ``total_iv`` per schedule as ``float.hex()``, captured on the commit
+#: before per-arrival lowering replaced the per-plan compile (PR 15's
+#: parent): ``online`` plus every shard, equal for both executors.
+GOLDEN_SPECS = {
+    "steady": ScheduleSpec("steady", queries=600, arrival="poisson",
+                           interarrival=1.0),
+    "burst": ScheduleSpec("burst", queries=192, arrival="burst",
+                          interarrival=20.0, burst_size=8, max_pending=64,
+                          population_size=8, generations=3, vectorized=True),
+    "pressure": ScheduleSpec("pressure", queries=300, arrival="poisson",
+                             interarrival=0.4, max_pending=8),
+}
+GOLDEN_TOTAL_IV = {
+    "steady": {
+        "online": "0x1.ecd9becaeeceap+8",
+        "shard0": "0x1.f8a80a1c6de66p+7",
+        "shard1": "0x1.e10b73796fb6dp+7",
+    },
+    "burst": {
+        "online": "0x1.22b74fd1cd83dp+7",
+        "shard0": "0x1.26f43dc64ef6dp+6",
+        "shard1": "0x1.1e7a61dd4c10dp+6",
+    },
+    "pressure": {
+        "online": "0x1.7b8bd7df8d102p+7",
+        "shard0": "0x1.587772850219fp+6",
+        "shard1": "0x1.9ea03d3a18065p+6",
+    },
+}
+GOLDEN_COUNTERS = {
+    "steady": {"deferred": 0, "windows": 495, "ga_runs": 94, "groups": 181},
+    "burst": {"deferred": 0, "windows": 66, "ga_runs": 42, "groups": 24},
+    "pressure": {"deferred": 79, "windows": 194, "ga_runs": 213, "groups": 17},
+}
+
+
+class TestBitEqualGoldens:
+    @pytest.mark.parametrize("executor", ["serial", "process"])
+    @pytest.mark.parametrize("name", sorted(GOLDEN_SPECS))
+    def test_total_iv_is_bit_equal_to_the_pre_lowering_run(self, name, executor):
+        spec = GOLDEN_SPECS[name]
+        metrics = run_schedule(
+            small_config(executor=executor, schedules=(spec,)), spec
+        )
+        assert {
+            key: value.hex() for key, value in metrics["total_iv"].items()
+        } == GOLDEN_TOTAL_IV[name]
+        assert metrics["dispatched"] == spec.queries
+        assert metrics["shed"] == 0
+        counters = {key: metrics[key] for key in ("deferred", "windows", "ga_runs")}
+        counters["groups"] = metrics["group_formation"]["groups"]
+        assert counters == GOLDEN_COUNTERS[name]
+
+
+class TestWorkCounters:
+    """Compile work is O(shapes) + one lowering per arrival per process."""
+
+    def test_two_thousand_queries_compile_per_shape_not_per_query(self):
+        spec = ScheduleSpec("steady", queries=2_000, arrival="poisson",
+                            interarrival=1.0)
+        config = small_config(schedules=(spec,))
+        work = run_schedule(config, spec)["work"]
+        # Every process (the range prelude and each shard) owns one cost
+        # model and one evaluator; a template has at most 2**2 combos over
+        # its two tables (12 templates: 6 x 2 + 6 x 4 = templates x 3).
+        processes = 1 + config.shards
+        assert 0 < work["cost_compiles"] <= config.templates * 3 * processes
+        assert 0 < work["shapes"] <= config.templates * processes
+        # Once for its range in the prelude, once at admission in its shard.
+        assert work["lowerings"] <= 2 * spec.queries
+
+    def test_serial_and_process_do_the_same_work(self):
+        serial = run_schedule(small_config(), STEADY)["work"]
+        process = run_schedule(small_config(executor="process"), STEADY)["work"]
+        assert serial == process
+
+
+class TestShardMemoryIsTheShardsOwn:
+    """Regression: shards reported ``ru_maxrss``, which survives fork+exec,
+    so every spawned worker reported at least the parent's peak."""
+
+    @pytest.mark.skipif(
+        not Path("/proc/self/status").exists(), reason="needs Linux /proc"
+    )
+    def test_spawned_shard_does_not_inherit_the_parents_peak(self):
+        import resource
+
+        ballast = b"x" * (192 * 1024 * 1024)  # resident in the parent
+        parent_peak_mb = (
+            resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+        )
+        assert parent_peak_mb > 192
+        metrics = run_schedule(small_config(executor="process"), STEADY)
+        del ballast
+        assert 0 < metrics["peak_rss_mb"] < 150
+        assert all(0 < value < 150 for value in metrics["rss"].values()
+                   if value != metrics["rss"]["sum_rss_mb"])
+
+    def test_peak_rss_reads_vm_hwm(self):
+        from repro.experiments.scale import _peak_rss_kb
+
+        status = Path("/proc/self/status")
+        if not status.exists():
+            assert _peak_rss_kb() > 0  # ru_maxrss fallback
+            return
+        first = _peak_rss_kb()
+        hwm = next(
+            int(line.split()[1])
+            for line in status.read_text().splitlines()
+            if line.startswith("VmHWM:")
+        )
+        assert first <= hwm <= first + 4096  # monotone; same counter
+
+
+class TestImportDiet:
+    """Sim runs import neither numpy nor asyncio (and ``ssl`` behind it)."""
+
+    def run_python(self, code: str) -> str:
+        src = Path(__file__).resolve().parents[1] / "src"
+        return subprocess.run(
+            [sys.executable, "-c", code], check=True, text=True,
+            capture_output=True, env={"PYTHONPATH": str(src)},
+        ).stdout
+
+    def test_importing_the_sweep_leaves_numpy_and_asyncio_out(self):
+        out = self.run_python(
+            "import sys; import repro.experiments.scale; "
+            "print(sorted(m for m in ('numpy', 'asyncio', 'ssl') "
+            "if m in sys.modules))"
+        )
+        assert out.strip() == "[]"
+
+    def test_a_scalar_run_never_imports_them_and_a_vectorized_one_does(self):
+        out = self.run_python(
+            "import sys\n"
+            "from repro.experiments.scale import *\n"
+            "def loaded(): return sorted(m for m in ('numpy', 'asyncio', 'ssl')"
+            " if m in sys.modules)\n"
+            "spec = ScheduleSpec('steady', queries=60)\n"
+            "config = ScaleConfig(executor='serial', schedules=(spec,))\n"
+            "run_schedule(config, spec); print(loaded())\n"
+            "burst = ScheduleSpec('burst', queries=32, arrival='burst',"
+            " interarrival=20.0, burst_size=8, max_pending=64, vectorized=True)\n"
+            "print(run_schedule(config, burst)['dispatched'], loaded())\n"
+        )
+        assert out.splitlines() == ["[]", "32 ['numpy']"]
+
+    def test_wall_clock_and_serve_still_import_asyncio(self):
+        out = self.run_python(
+            "import sys\n"
+            "import repro.sim.clocks as clocks\n"
+            "print('asyncio' in sys.modules)\n"
+            "clock = clocks.WallClock(0.01); clock.push(0.0, 'arrival', 1)\n"
+            "import asyncio; print(asyncio.run(clock.wait_pop())[1:])\n"
+            "import repro.serve; print('asyncio' in sys.modules)\n"
+        )
+        assert out.splitlines() == ["False", "('arrival', 1)", "True"]
 
 
 @pytest.mark.slow
