@@ -35,10 +35,10 @@ test-serve:
 test-durable:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/test_durable_journal.py tests/test_durable_resume.py tests/test_durable_properties.py -q
 
-# The scale arc: vectorized batch evaluation, incremental conflict
-# groups, and the EXT5 sharded sweep (long configs stay behind `slow`).
+# The scale arc: incremental conflict groups and the EXT5 sharded sweep
+# (long configs stay behind `slow`).
 test-scale:
-	PYTHONPATH=src $(PYTHON) -m pytest tests/test_mqo_vector.py tests/test_mqo_conflict_incremental.py tests/test_mqo_scale.py -q -m "not slow"
+	PYTHONPATH=src $(PYTHON) -m pytest tests/test_mqo_conflict_incremental.py tests/test_mqo_scale.py -q -m "not slow"
 
 # The fleet telemetry stack: per-shard spools, collector merge,
 # cross-shard checker rules, registry merge property, and the /metrics

@@ -14,9 +14,7 @@ The driver runs three arrival schedules per sweep:
 * ``steady`` — a provisioned Poisson stream (service keeps up; the queue
   never builds), the throughput headline;
 * ``burst`` — clumped arrivals (whole bursts conflict, forming large
-  groups) optimized with a bigger GA through the numpy batch evaluator
-  (``OnlineConfig(vectorized_ga=True)``), where vectorized scoring is
-  measured faster than the scalar fast path;
+  groups) optimized with a bigger GA, so GA scoring dominates;
 * ``pressure`` — sustained overload against a small pending bound,
   exercising the defer/requeue admission path end to end.
 
@@ -72,7 +70,6 @@ from repro.mqo.conflict import ExecutionRange, IncrementalConflictGroups
 from repro.mqo.evaluator import WorkloadEvaluator
 from repro.mqo.ga import GAConfig
 from repro.mqo.online import OnlineConfig, OnlineMQOScheduler
-from repro.mqo.vector import HAS_NUMPY
 from repro.reporting.tables import ResultTable
 from repro.workload.arrival import poisson_arrivals
 from repro.workload.query import DSSQuery, Workload
@@ -115,8 +112,10 @@ class ScheduleSpec:
     iv_floor: float = 0.0
     population_size: int = 4
     generations: int = 2
-    #: Score GA generations through the numpy batch evaluator.  Degrades
-    #: gracefully to the scalar path when numpy is absent.
+    #: Accepted and ignored: the batch evaluator it selected is gone
+    #: (every schedule scores through the one scalar path), but the
+    #: frozen ``benchmarks/e2e/workloads.py`` still passes it.  Remove
+    #: with ROADMAP item 1's ``[benchmark]`` PR, which may edit that file.
     vectorized: bool = False
 
     def __post_init__(self) -> None:
@@ -144,7 +143,7 @@ DEFAULT_SCHEDULES = (
                  interarrival=1.0),
     ScheduleSpec("burst", queries=4_096, arrival="burst", interarrival=25.0,
                  burst_size=16, max_pending=64,
-                 population_size=24, generations=8, vectorized=True),
+                 population_size=24, generations=8),
     ScheduleSpec("pressure", queries=4_000, arrival="poisson",
                  interarrival=0.45, max_pending=16),
 )
@@ -448,7 +447,6 @@ def _run_shard(payload) -> dict:
             max_pending=spec.max_pending,
             iv_floor=spec.iv_floor,
             verify_groups=False,
-            vectorized_ga=spec.vectorized and HAS_NUMPY,
         ),
     )
     if spool_path is None:
@@ -673,7 +671,6 @@ def run_scale_sweep(
             "executor": config.executor,
             "window": config.window,
             "max_candidates": config.max_candidates,
-            "numpy": HAS_NUMPY,
             "trace": config.trace,
             "fleet_metrics": config.fleet_metrics,
         },

@@ -14,7 +14,13 @@ from collections.abc import Sequence
 from repro.errors import OptimizationError
 from repro.sim.rng import RandomSource
 
-__all__ = ["validate_permutation", "order_crossover", "swap_mutation", "random_permutation"]
+__all__ = [
+    "validate_permutation",
+    "order_crossover",
+    "crossover_permutations",
+    "swap_mutation",
+    "random_permutation",
+]
 
 
 def validate_permutation(genes: Sequence[int]) -> None:
@@ -43,30 +49,32 @@ def order_crossover(
     """
     if sorted(parent_a) != sorted(parent_b):
         raise OptimizationError("parents must be permutations of the same genes")
+    validate_permutation(parent_a)
+    child = crossover_permutations(parent_a, parent_b, rng)
+    validate_permutation(child)
+    return child
+
+
+def crossover_permutations(
+    parent_a: Sequence[int],
+    parent_b: Sequence[int],
+    rng: RandomSource,
+) -> list[int]:
+    """:func:`order_crossover` minus its checks.
+
+    For callers whose parents are permutations of the same genes by
+    construction (the GA's population).  Draws from ``rng`` exactly as
+    the checked function does.
+    """
     size = len(parent_a)
-    if size == 0:
-        return []
-    if size == 1:
+    if size < 2:
         return list(parent_a)
     lo = rng.randint(0, size - 1)
     hi = rng.randint(lo, size - 1)
-    child: list[int | None] = [None] * size
-    child[lo:hi + 1] = parent_a[lo:hi + 1]
-    taken = set(parent_a[lo:hi + 1])
-    fill = (gene for gene in parent_b if gene not in taken)
-    for index in range(size):
-        if child[index] is None:
-            child[index] = next(fill)
-    result = typing_cast_int_list(child)
-    validate_permutation(result)
-    return result
-
-
-def typing_cast_int_list(child: list) -> list[int]:
-    """Assert-and-cast helper for the crossover fill."""
-    if any(gene is None for gene in child):  # pragma: no cover - defensive
-        raise OptimizationError("crossover left unfilled positions")
-    return list(child)
+    segment = list(parent_a[lo:hi + 1])
+    taken = set(segment)
+    fill = [gene for gene in parent_b if gene not in taken]
+    return fill[:lo] + segment + fill[lo:]
 
 
 def swap_mutation(genes: Sequence[int], rng: RandomSource) -> list[int]:

@@ -29,18 +29,27 @@ replay (retained as :meth:`WorkloadEvaluator.evaluate_naive`):
   the start instants inside the tolerable window, rank replicas by
   staleness at each instant, estimate each ``(start, combo)``'s IV with
   :attr:`QueryPlan.information_value`'s exact expression order, sort, cut
-  to ``max_candidates``.  Realizing a candidate is pure tuple/float
-  arithmetic with zero ``Catalog`` or ``Replica`` calls; each record
-  carries an IV upper bound, and suffix maxima of those bounds let the
-  candidate loop stop as soon as no remaining plan can beat the incumbent.
+  to ``max_candidates``.  Each survivor is one flat tuple (see
+  :data:`_CANDIDATE_FIELDS`) that the candidate loop unpacks whole, so
+  realizing it is pure float arithmetic plus a bisect per replica read,
+  with zero ``Catalog`` or ``Replica`` calls; the record carries its own
+  IV upper bound and the maximum over every later candidate's, which lets
+  the loop stop as soon as no remaining plan can beat the incumbent.
   :class:`QueryPlan`/:class:`TableVersion` objects are materialised only
   on request (:attr:`Assignment.plan`, :meth:`WorkloadEvaluator.candidates`),
   and :meth:`WorkloadEvaluator.evict` drops a dispatched query's records,
   keeping the three floats :meth:`~WorkloadEvaluator.range_of` and
   :meth:`~WorkloadEvaluator.upper_bound` serve.
+* **Score, don't realize** — the GA needs a number per chromosome, so
+  one private walk serves both entry points and works on plain choice
+  records ``(candidate, begin, completed, data timestamp, IV)``:
+  :meth:`WorkloadEvaluator.sequence_fitness` returns the walk's running
+  total and builds nothing; :meth:`WorkloadEvaluator.evaluate_sequence`
+  and :meth:`WorkloadEvaluator.choose_best` turn choice records into
+  :class:`Assignment` objects for the callers that read them.
 * **Prefix memoization** — order crossover and swap mutation produce
   children sharing long prefixes with their parents, so the evaluator
-  caches ``(query-id prefix) → (free_at snapshot, assignment, partial
+  caches ``(query-id prefix) → (free_at snapshot, choice record, partial
   IV)`` in a trie and resumes from the longest cached prefix instead of
   replaying from position 0.  Past the shared prefix, a second memo keyed
   on ``(query, clocks of that query's candidate sites)`` serves repeated
@@ -55,7 +64,6 @@ replay (retained as :meth:`WorkloadEvaluator.evaluate_naive`):
 
 from __future__ import annotations
 
-import threading
 import typing
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -102,14 +110,56 @@ _MAX_STALENESS_ORDERS = 1024
 _ESTIMATE = itemgetter(0)
 
 
+#: Field positions of a candidate record: one candidate of one arrival as
+#: a flat tuple, so the candidate loop unpacks it in a single step.
+#: ``suffix bound`` is the largest ``bound`` from this candidate to the end
+#: of its list, ``bound`` the IV this candidate can never exceed under any
+#: server availability, ``start`` its start instant (never before the
+#: arrival); then its combo's compiled fields, the combo itself, and a
+#: one-slot list caching the :class:`QueryPlan` once someone asks for it.
+(
+    _SUFFIX_BOUND, _BOUND, _START, _SITES, _PROCESSING, _TRANSMISSION,
+    _TIMELINES, _HAS_BASE, _COMMIT_LEGS, _COMBO, _PLAN_CELL,
+) = range(11)
+
+
+def _candidate_plan(
+    candidate: tuple, query: "DSSQuery", arrival: float, rates: DiscountRates
+) -> QueryPlan:
+    """A candidate record as a :class:`QueryPlan` (built once, then cached)."""
+    cell = candidate[_PLAN_CELL]
+    plan = cell[0]
+    if plan is None:
+        combo = candidate[_COMBO]
+        start = candidate[_START]
+        replica_reads = iter(combo.timelines)
+        plan = cell[0] = QueryPlan(
+            query=query,
+            versions=tuple(
+                TableVersion(name, VersionKind.BASE, start)
+                if name in combo.remote_tables
+                else TableVersion(
+                    name, VersionKind.REPLICA,
+                    next(replica_reads).freshness(start),
+                )
+                for name in query.tables
+            ),
+            submitted_at=arrival,
+            start_time=start,
+            cost=combo.cost,
+            rates=rates,
+        )
+    return plan
+
+
 @dataclass(frozen=True, slots=True)
 class Assignment:
     """One query's realized execution inside a schedule."""
 
     query: "DSSQuery"
-    #: The chosen compiled candidate; ``None`` on an assignment restored
+    #: The chosen candidate record; ``None`` on an assignment restored
     #: from a durable snapshot (only timestamps and rates are persisted).
-    candidate: "_CompiledPlan | None"
+    candidate: "tuple | None"
     rates: DiscountRates
     arrival: float
     begin: float
@@ -123,7 +173,9 @@ class Assignment:
             raise OptimizationError(
                 "an assignment restored from a snapshot carries no plan"
             )
-        return self.candidate.plan_for(self.query, self.arrival, self.rates)
+        return _candidate_plan(
+            self.candidate, self.query, self.arrival, self.rates
+        )
 
     @property
     def computational_latency(self) -> float:
@@ -154,8 +206,17 @@ class EvaluationResult:
 
     @property
     def total_information_value(self) -> float:
-        """Sum of realized IVs (the workload objective, Section 3.2)."""
-        return sum(a.information_value for a in self.assignments)
+        """Sum of realized IVs (the workload objective, Section 3.2).
+
+        An explicit left-to-right add: built-in ``sum`` compensates float
+        addition from Python 3.12 on, which would make the last bit of a
+        total — and every ``==`` against the evaluator's running total —
+        depend on the interpreter.
+        """
+        total = 0.0
+        for assignment in self.assignments:
+            total += assignment.information_value
+        return total
 
     @property
     def mean_information_value(self) -> float:
@@ -359,74 +420,47 @@ class _Shape:
         self.by_remote: dict[frozenset[str], _Combo] = {}
 
 
-class _CompiledPlan:
-    """One candidate of one arrival: a combo, a start instant, a bound."""
-
-    __slots__ = ("combo", "start_time", "upper_bound", "_plan")
-
-    def __init__(
-        self, combo: _Combo, start_time: float, upper_bound: float
-    ) -> None:
-        self.combo = combo
-        self.start_time = start_time  # >= the query's arrival
-        self.upper_bound = upper_bound  # realized IV can never exceed this
-        self._plan: QueryPlan | None = None
-
-    def plan_for(
-        self, query: "DSSQuery", arrival: float, rates: DiscountRates
-    ) -> QueryPlan:
-        """This candidate as a :class:`QueryPlan` (built once, then cached)."""
-        plan = self._plan
-        if plan is None:
-            combo = self.combo
-            start = self.start_time
-            replica_reads = iter(combo.timelines)
-            plan = self._plan = QueryPlan(
-                query=query,
-                versions=tuple(
-                    TableVersion(name, VersionKind.BASE, start)
-                    if name in combo.remote_tables
-                    else TableVersion(
-                        name, VersionKind.REPLICA,
-                        next(replica_reads).freshness(start),
-                    )
-                    for name in query.tables
-                ),
-                submitted_at=arrival,
-                start_time=start,
-                cost=combo.cost,
-                rates=rates,
-            )
-        return plan
-
-
 @dataclass(slots=True)
 class _CompiledQuery:
-    """All of one query's candidates plus pruning metadata."""
+    """All of one query's candidate records plus what a choice depends on."""
 
     query: "DSSQuery"
     shape: _Shape
     arrival: float
-    candidates: list[_CompiledPlan]
-    suffix_bounds: list[float]  # suffix maxima of candidate upper bounds
+    candidates: list[tuple]  # best estimated IV first
     sites: tuple[int, ...]  # union of candidate sites — the choice's inputs
     latest_completion: float  # slowest candidate's uncontended completion
+
+
+def _assignment(compiled: _CompiledQuery, choice: tuple) -> Assignment:
+    """A choice record ``(candidate, begin, completed, stamp, iv)`` as an
+    :class:`Assignment`, for the callers that read one."""
+    candidate, begin, completed, stamp, _iv = choice
+    return Assignment(
+        query=compiled.query,
+        candidate=candidate,
+        rates=compiled.shape.rates,
+        arrival=compiled.arrival,
+        begin=begin,
+        completed=completed,
+        data_timestamp=stamp,
+    )
 
 
 class _TrieNode:
     """State after executing one query-id prefix."""
 
-    __slots__ = ("children", "free_at", "assignment", "total_iv")
+    __slots__ = ("children", "free_at", "choice", "total_iv")
 
     def __init__(
         self,
         free_at: dict[int, float],
-        assignment: Assignment | None,
+        choice: tuple | None,
         total_iv: float,
     ) -> None:
         self.children: dict[int, _TrieNode] = {}
         self.free_at = free_at
-        self.assignment = assignment
+        self.choice = choice  # the prefix's last position, as chosen
         self.total_iv = total_iv
 
 
@@ -476,19 +510,7 @@ class WorkloadEvaluator:
         # (query_id, clocks of that query's candidate sites) → choice.
         # _choose_fast is a pure function of exactly those inputs, so the
         # memo is exact; bounded by the same cap as the trie.
-        self._choices: dict[tuple, tuple[Assignment, float]] = {}
-        # Serializes evaluation so a thread-pool GA executor cannot race
-        # on the trie, the compiled caches, or lazy schedule extension.
-        self._lock = threading.RLock()
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        del state["_lock"]  # locks are not picklable; workers get their own
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._lock = threading.RLock()
+        self._choices: dict[tuple, tuple] = {}
 
     # -- candidate plans ---------------------------------------------------
 
@@ -508,7 +530,7 @@ class WorkloadEvaluator:
         compiled = self._compiled_query(query.query_id)
         rates = compiled.shape.rates
         return [
-            candidate.plan_for(compiled.query, compiled.arrival, rates)
+            _candidate_plan(candidate, compiled.query, compiled.arrival, rates)
             for candidate in compiled.candidates
         ]
 
@@ -618,124 +640,126 @@ class WorkloadEvaluator:
         cutting to ``max_candidates`` and compiling each survivor
         (``tests/test_mqo_lowering.py`` holds that pipeline as the oracle).
         """
-        with self._lock:
-            query = self.workload.query(query_id)
-            arrival = self.workload.arrival_of(query_id)
-            shape = self._shape_of(query)
-            stats = self.stats
-            stats.lowerings += 1
-            if shape.horizon_capped:
-                stats.horizon_capped += 1
-            availability = self.availability
-            replicated = shape.replicated
+        query = self.workload.query(query_id)
+        arrival = self.workload.arrival_of(query_id)
+        shape = self._shape_of(query)
+        stats = self.stats
+        stats.lowerings += 1
+        if shape.horizon_capped:
+            stats.horizon_capped += 1
+        availability = self.availability
+        replicated = shape.replicated
 
-            # Estimated IV per (start, combo), with exactly
-            # QueryPlan.information_value's expression order.
-            value = shape.business_value
-            comp_base = shape.comp_base
-            sync_base = shape.sync_base
-            entries = []
-            for start in self._start_instants(shape, arrival):
-                live = replicated
-                # Freshness floor from replicas whose base site is down at
-                # `start`: never substituted, so read stale in every combo.
-                floor = inf
-                if availability is not None:
-                    live = []
-                    for timeline in replicated:
-                        if availability.is_site_down(timeline.site, start):
-                            floor = min(floor, timeline.freshness(start))
-                        else:
-                            live.append(timeline)
-                ranked = sorted(
-                    [(timeline.freshness(start), timeline.name)
-                     for timeline in live]
-                )
-                order = tuple([name for _fresh, name in ranked])
-                combos = shape.combos.get(order)
-                if combos is None:
-                    combos = self._gather(shape, query, order)
-                for k, combo in enumerate(combos):
-                    # Stalest version read: replicas ranked[k:] stay
-                    # replicas; a base read is as fresh as `start`.
-                    oldest = ranked[k][0] if k < len(ranked) else inf
-                    if floor < oldest:
-                        oldest = floor
-                    if combo.has_base and start < oldest:
-                        oldest = start
-                    completed = start + combo.processing + combo.transmission
-                    estimate = value
-                    if comp_base:
-                        estimate *= comp_base ** (completed - arrival)
-                    if sync_base:
-                        sync_latency = completed - oldest
-                        if sync_latency < 0.0:
-                            sync_latency = 0.0
-                        estimate *= sync_base ** sync_latency
-                    entries.append((estimate, start, combo, completed))
-
+        # Estimated IV per (start, combo), with exactly
+        # QueryPlan.information_value's expression order.
+        value = shape.business_value
+        comp_base = shape.comp_base
+        sync_base = shape.sync_base
+        entries = []
+        for start in self._start_instants(shape, arrival):
+            live = replicated
+            # Freshness floor from replicas whose base site is down at
+            # `start`: never substituted, so read stale in every combo.
+            floor = inf
             if availability is not None:
-                available = [
-                    entry for entry in entries
-                    if not any(
-                        availability.is_site_down(site, entry[1])
-                        for site in entry[2].cost.remote_sites
-                    )
-                ]
-                if available:
-                    stats.candidates_unavailable += len(entries) - len(
-                        available
-                    )
-                    entries = available
-            entries.sort(key=_ESTIMATE, reverse=True)
-            dropped = len(entries) - self.max_candidates
-            if dropped > 0:
-                stats.candidate_plans_dropped += dropped
-                del entries[self.max_candidates:]
-
-            candidates = []
-            site_union: set[int] = set()
-            latest = -inf
-            for _estimate, start, combo, completed in entries:
-                # Realized CL ≥ start - arrival + total.  The data
-                # timestamp is ≤ begin — except for a pure-replica combo
-                # whose replicas carry an initial timestamp in the future
-                # of begin — so SL ≥ total with that one correction.
-                # Together these bound realized IV for any server
-                # availability; _BOUND_SLACK absorbs pow()'s ~1 ulp error
-                # so pruning can never flip a comparison.
-                total = combo.total
-                min_sl = total
-                initial_max = combo.initial_max
-                if initial_max is not None and initial_max > start:
-                    min_sl = max(0.0, start + total - initial_max)
-                bound = value
-                if comp_base:
-                    bound *= comp_base ** (start - arrival + total)
-                if sync_base:
-                    bound *= sync_base ** min_sl
-                candidates.append(
-                    _CompiledPlan(combo, start, bound * _BOUND_SLACK)
-                )
-                site_union.update(combo.sites)
-                if completed > latest:
-                    latest = completed
-            suffix_bounds = [0.0] * len(candidates)
-            running = -inf
-            for index in range(len(candidates) - 1, -1, -1):
-                running = max(running, candidates[index].upper_bound)
-                suffix_bounds[index] = running
-            compiled = self._compiled[query_id] = _CompiledQuery(
-                query=query,
-                shape=shape,
-                arrival=arrival,
-                candidates=candidates,
-                suffix_bounds=suffix_bounds,
-                sites=tuple(sorted(site_union)),
-                latest_completion=latest,
+                live = []
+                for timeline in replicated:
+                    if availability.is_site_down(timeline.site, start):
+                        floor = min(floor, timeline.freshness(start))
+                    else:
+                        live.append(timeline)
+            ranked = sorted(
+                [(timeline.freshness(start), timeline.name)
+                 for timeline in live]
             )
-            self._summaries[query_id] = (arrival, latest, suffix_bounds[0])
-            return compiled
+            order = tuple([name for _fresh, name in ranked])
+            combos = shape.combos.get(order)
+            if combos is None:
+                combos = self._gather(shape, query, order)
+            for k, combo in enumerate(combos):
+                # Stalest version read: replicas ranked[k:] stay
+                # replicas; a base read is as fresh as `start`.
+                oldest = ranked[k][0] if k < len(ranked) else inf
+                if floor < oldest:
+                    oldest = floor
+                if combo.has_base and start < oldest:
+                    oldest = start
+                completed = start + combo.processing + combo.transmission
+                estimate = value
+                if comp_base:
+                    estimate *= comp_base ** (completed - arrival)
+                if sync_base:
+                    sync_latency = completed - oldest
+                    if sync_latency < 0.0:
+                        sync_latency = 0.0
+                    estimate *= sync_base ** sync_latency
+                entries.append((estimate, start, combo, completed))
+
+        if availability is not None:
+            available = [
+                entry for entry in entries
+                if not any(
+                    availability.is_site_down(site, entry[1])
+                    for site in entry[2].cost.remote_sites
+                )
+            ]
+            if available:
+                stats.candidates_unavailable += len(entries) - len(
+                    available
+                )
+                entries = available
+        entries.sort(key=_ESTIMATE, reverse=True)
+        dropped = len(entries) - self.max_candidates
+        if dropped > 0:
+            stats.candidate_plans_dropped += dropped
+            del entries[self.max_candidates:]
+
+        # Back to front, so each record carries the largest bound from
+        # itself to the end of the list.
+        candidates = []
+        suffix_bound = -inf
+        site_union: set[int] = set()
+        latest = -inf
+        for _estimate, start, combo, completed in reversed(entries):
+            # Realized CL ≥ start - arrival + total.  The data
+            # timestamp is ≤ begin — except for a pure-replica combo
+            # whose replicas carry an initial timestamp in the future
+            # of begin — so SL ≥ total with that one correction.
+            # Together these bound realized IV for any server
+            # availability; _BOUND_SLACK absorbs pow()'s ~1 ulp error
+            # so pruning can never flip a comparison.
+            total = combo.total
+            min_sl = total
+            initial_max = combo.initial_max
+            if initial_max is not None and initial_max > start:
+                min_sl = max(0.0, start + total - initial_max)
+            bound = value
+            if comp_base:
+                bound *= comp_base ** (start - arrival + total)
+            if sync_base:
+                bound *= sync_base ** min_sl
+            bound *= _BOUND_SLACK
+            if bound > suffix_bound:
+                suffix_bound = bound
+            candidates.append((
+                suffix_bound, bound, start, combo.sites, combo.processing,
+                combo.transmission, combo.timelines, combo.has_base,
+                combo.commit_legs, combo, [None],
+            ))
+            site_union.update(combo.sites)
+            if completed > latest:
+                latest = completed
+        candidates.reverse()
+        compiled = self._compiled[query_id] = _CompiledQuery(
+            query=query,
+            shape=shape,
+            arrival=arrival,
+            candidates=candidates,
+            sites=tuple(sorted(site_union)),
+            latest_completion=latest,
+        )
+        self._summaries[query_id] = (arrival, latest, suffix_bound)
+        return compiled
 
     def _compiled_query(self, query_id: int) -> _CompiledQuery:
         compiled = self._compiled.get(query_id)
@@ -800,25 +824,24 @@ class WorkloadEvaluator:
         would only cost the next pass its warm trie (regression
         ``tests/test_mqo_online.py::TestHotPathFixes``).
         """
-        with self._lock:
-            if free_at == self._base_free_at:
-                return
-            self._base_free_at = dict(free_at)
-            self._trie = _TrieNode(dict(free_at), None, 0.0)
-            self.stats.trie_entries = 0
+        if free_at == self._base_free_at:
+            return
+        self._base_free_at = dict(free_at)
+        self._trie = _TrieNode(dict(free_at), None, 0.0)
+        self.stats.trie_entries = 0
 
     # -- schedule replay ---------------------------------------------------
 
     def _realize(
         self,
         compiled: _CompiledQuery,
-        candidate: _CompiledPlan,
+        candidate: tuple,
         free_at: dict[int, float],
     ) -> Assignment:
         """Reference realization: the materialised plan against the catalog."""
         arrival = compiled.arrival
         rates = compiled.shape.rates
-        plan = candidate.plan_for(compiled.query, arrival, rates)
+        plan = _candidate_plan(candidate, compiled.query, arrival, rates)
         involved = [LOCAL_SITE_ID, *plan.cost.remote_sites]
         begin = max(
             plan.start_time,
@@ -845,60 +868,60 @@ class WorkloadEvaluator:
 
     def _commit(self, assignment: Assignment, free_at: dict[int, float]) -> None:
         begin = assignment.begin
-        for site, minutes in assignment.candidate.combo.commit_legs:
+        for site, minutes in assignment.candidate[_COMMIT_LEGS]:
             free_at[site] = max(free_at.get(site, 0.0), begin + minutes)
 
     def _choose_fast(
         self, compiled: _CompiledQuery, free_at: dict[int, float]
-    ) -> tuple[Assignment, float]:
-        """IV-best candidate under current availability, compiled arithmetic only."""
-        stats = self.stats
+    ) -> tuple:
+        """IV-best candidate under current availability, as a choice record
+        ``(candidate, begin, completed, data timestamp, iv)``."""
         arrival = compiled.arrival
         candidates = compiled.candidates
-        suffix_bounds = compiled.suffix_bounds
         shape = compiled.shape
         value = shape.business_value
         comp_base = shape.comp_base
         sync_base = shape.sync_base
-        best: _CompiledPlan | None = None
-        best_iv = float("-inf")
+        best: tuple | None = None
+        best_iv = -inf
         best_begin = best_completed = best_stamp = 0.0
         realized = 0
-        pruned = 0
         free_get = free_at.get
         local_clock = free_get(LOCAL_SITE_ID, 0.0)
-        for index, candidate in enumerate(candidates):
-            if suffix_bounds[index] < best_iv:
-                pruned += len(candidates) - index
-                break
-            bound = candidate.upper_bound
+        for candidate in candidates:
+            (
+                suffix_bound, bound, begin, sites, processing, transmission,
+                timelines, has_base, _legs, _combo, _plan_cell,
+            ) = candidate
+            if suffix_bound < best_iv:
+                break  # nor can any later candidate win
             if bound < best_iv:
-                pruned += 1
                 continue
             # Every candidate runs through the local server, so begin is at
             # least the local clock; decaying the static bound by the extra
             # wait keeps it valid under contention and far tighter.
-            begin = candidate.start_time  # never before the arrival
             delay = local_clock - begin
             if delay > 0.0 and comp_base:
                 bound *= comp_base**delay * _BOUND_SLACK
                 if bound < best_iv:
-                    pruned += 1
                     continue
-            combo = candidate.combo
-            for site in combo.sites:
+            for site in sites:
                 busy = free_get(site, 0.0)
                 if busy > begin:
                     begin = busy
             # Same association order as the naive path: (begin + P) + T.
-            completed = begin + combo.processing + combo.transmission
-            timelines = combo.timelines
-            if timelines:
-                stamp = min(t.freshness(begin) for t in timelines)
-                if combo.has_base and begin < stamp:
-                    stamp = begin
-            else:
-                stamp = begin
+            completed = begin + processing + transmission
+            # Stalest version read: _CompiledTimeline.freshness per replica,
+            # inlined; a base read is as fresh as begin.
+            stamp = begin if has_base or not timelines else inf
+            for timeline in timelines:
+                if begin > timeline.covered:
+                    timeline.cover(begin)
+                times = timeline.times
+                index = bisect_right(times, begin)
+                fresh = times[index - 1] if index else timeline.initial
+                if fresh < stamp:
+                    stamp = fresh
             # Identical arithmetic to information_value()/discount_factor():
             # bv * (1-λc)**CL * (1-λs)**SL with rate-zero factors elided.
             iv = value
@@ -916,20 +939,34 @@ class WorkloadEvaluator:
                 best_begin = begin
                 best_completed = completed
                 best_stamp = stamp
+        stats = self.stats
         stats.realize_calls += realized
-        stats.candidates_pruned += pruned
+        # Every candidate was either realized or pruned by a bound.
+        stats.candidates_pruned += len(candidates) - realized
         if best is None:  # pragma: no cover - candidates never empty
             raise OptimizationError("no candidate plans survived realization")
-        assignment = Assignment(
-            query=compiled.query,
-            candidate=best,
-            rates=shape.rates,
-            arrival=arrival,
-            begin=best_begin,
-            completed=best_completed,
-            data_timestamp=best_stamp,
+        return best, best_begin, best_completed, best_stamp, best_iv
+
+    def _choice(
+        self, compiled: _CompiledQuery, free_at: dict[int, float]
+    ) -> tuple:
+        """:meth:`_choose_fast` through the choice memo."""
+        free_get = free_at.get
+        key = (
+            compiled.query.query_id,
+            *[free_get(site, 0.0) for site in compiled.sites],
         )
-        return assignment, best_iv
+        choices = self._choices
+        choice = choices.get(key)
+        if choice is not None:
+            self.stats.choice_hits += 1
+            return choice
+        choice = self._choose_fast(compiled, free_at)
+        if len(choices) >= self.max_prefix_entries > 0:
+            choices.clear()
+            self.stats.choice_evictions += 1
+        choices[key] = choice
+        return choice
 
     def choose_best(
         self, query_id: int, free_at: dict[int, float]
@@ -946,26 +983,11 @@ class WorkloadEvaluator:
         TestHotPathFixes``).  ``free_at`` is read, never written; it is
         the caller's job to :meth:`_commit` the returned assignment.
         """
-        with self._lock:
-            compiled = self._compiled_query(query_id)
-            self.stats.naive_realize_calls += len(compiled.candidates)
-            if not self.fast_path:
-                return self._best_naive(query_id, free_at)
-            free_get = free_at.get
-            key = (
-                query_id,
-                *(free_get(site, 0.0) for site in compiled.sites),
-            )
-            memo = self._choices.get(key)
-            if memo is not None:
-                self.stats.choice_hits += 1
-                return memo[0]
-            memo = self._choose_fast(compiled, free_at)
-            if len(self._choices) >= self.max_prefix_entries > 0:
-                self._choices.clear()
-                self.stats.choice_evictions += 1
-            self._choices[key] = memo
-            return memo[0]
+        compiled = self._compiled_query(query_id)
+        self.stats.naive_realize_calls += len(compiled.candidates)
+        if not self.fast_path:
+            return self._best_naive(query_id, free_at)
+        return _assignment(compiled, self._choice(compiled, free_at))
 
     # -- prefix trie -------------------------------------------------------
 
@@ -974,41 +996,79 @@ class WorkloadEvaluator:
         node: _TrieNode,
         query_id: int,
         free_at: dict[int, float],
-        assignment: Assignment,
+        choice: tuple,
         total_iv: float,
     ) -> _TrieNode:
         if self.max_prefix_entries == 0:
             return node
+        child = _TrieNode(dict(free_at), choice, total_iv)
         if self.stats.trie_entries >= self.max_prefix_entries:
             # Generational clear: bounded memory beats a perfect LRU here —
             # the GA repopulates the hot prefixes within one generation.
+            # The current evaluation keeps caching from `child`, detached:
+            # its prefix context was evicted, so the chain is unreachable
+            # from the new root and is collected after this evaluation.
             self._trie = _TrieNode({}, None, 0.0)
             self.stats.trie_entries = 0
             self.stats.trie_evictions += 1
-            return self._trie_attach_orphan(query_id, free_at, assignment, total_iv)
-        child = _TrieNode(dict(free_at), assignment, total_iv)
+            return child
         node.children[query_id] = child
         self.stats.trie_entries += 1
         return child
 
-    def _trie_attach_orphan(
-        self,
-        query_id: int,
-        free_at: dict[int, float],
-        assignment: Assignment,
-        total_iv: float,
-    ) -> _TrieNode:
-        """After a clear mid-evaluation, keep caching from a detached node.
-
-        The orphan chain is not reachable from the new root (its prefix
-        context was evicted), so it only serves the remainder of the
-        current evaluation and is garbage-collected afterwards.
-        """
-        return _TrieNode(dict(free_at), assignment, total_iv)
-
     # -- evaluation entry points -------------------------------------------
 
     @profiled("evaluator.realize")
+    def _walk(
+        self, order: "Sequence[int]", chosen: list[tuple] | None = None
+    ) -> float:
+        """Total realized IV of a sequence of distinct workload query ids.
+
+        Resumes from the longest trie-cached prefix, then chooses each
+        remaining position with compiled candidates.  With ``chosen`` the
+        ``(compiled query, choice record)`` of every position is appended
+        to it; without, nothing per position outlives the trie.
+        """
+        if len(set(order)) != len(order):
+            raise OptimizationError("sequence must not repeat query ids")
+        stats = self.stats
+        stats.evaluations += 1
+        node = self._trie
+        depth = 0
+        for query_id in order:
+            child = node.children.get(query_id)
+            if child is None:
+                break
+            node = child
+            depth += 1
+            compiled = self._compiled_query(query_id)
+            stats.naive_realize_calls += len(compiled.candidates)
+            if chosen is not None:
+                chosen.append((compiled, node.choice))
+        if depth:
+            stats.prefix_hits += 1
+            stats.prefix_queries_skipped += depth
+        stats.resume_depths[depth] = stats.resume_depths.get(depth, 0) + 1
+        total_iv = node.total_iv
+        if depth == len(order):
+            return total_iv
+        free_at = dict(node.free_at)
+        for position in range(depth, len(order)):
+            query_id = order[position]
+            compiled = self._compiled_query(query_id)
+            stats.naive_realize_calls += len(compiled.candidates)
+            choice = self._choice(compiled, free_at)
+            begin = choice[1]
+            for site, minutes in choice[0][_COMMIT_LEGS]:
+                busy_until = begin + minutes
+                if busy_until > free_at.get(site, 0.0):
+                    free_at[site] = busy_until
+            total_iv += choice[4]
+            if chosen is not None:
+                chosen.append((compiled, choice))
+            node = self._trie_store(node, query_id, free_at, choice, total_iv)
+        return total_iv
+
     def evaluate_sequence(self, order: "Sequence[int]") -> EvaluationResult:
         """Realize an arbitrary sequence of distinct workload query ids.
 
@@ -1016,62 +1076,13 @@ class WorkloadEvaluator:
         then realize remaining positions with compiled candidates.  Results
         are bit-identical to :meth:`evaluate_naive` on the same sequence.
         """
-        if len(set(order)) != len(order):
-            raise OptimizationError("sequence must not repeat query ids")
-        with self._lock:
-            stats = self.stats
-            stats.evaluations += 1
-            node = self._trie
-            assignments: list[Assignment] = []
-            depth = 0
-            for query_id in order:
-                child = node.children.get(query_id)
-                if child is None:
-                    break
-                node = child
-                assignments.append(node.assignment)
-                depth += 1
-            if depth:
-                stats.prefix_hits += 1
-                stats.prefix_queries_skipped += depth
-                for query_id in order[:depth]:
-                    stats.naive_realize_calls += len(
-                        self._compiled_query(query_id).candidates
-                    )
-            stats.resume_depths[depth] = stats.resume_depths.get(depth, 0) + 1
-            free_at = dict(node.free_at)
-            total_iv = node.total_iv
-            choices = self._choices
-            for position in range(depth, len(order)):
-                query_id = order[position]
-                compiled = self._compiled_query(query_id)
-                stats.naive_realize_calls += len(compiled.candidates)
-                free_get = free_at.get
-                key = (
-                    query_id,
-                    *(free_get(site, 0.0) for site in compiled.sites),
-                )
-                memo = choices.get(key)
-                if memo is not None:
-                    stats.choice_hits += 1
-                else:
-                    memo = self._choose_fast(compiled, free_at)
-                    if len(choices) >= self.max_prefix_entries > 0:
-                        choices.clear()
-                        stats.choice_evictions += 1
-                    choices[key] = memo
-                assignment, best_iv = memo
-                begin = assignment.begin
-                for site, minutes in assignment.candidate.combo.commit_legs:
-                    busy_until = begin + minutes
-                    if busy_until > free_at.get(site, 0.0):
-                        free_at[site] = busy_until
-                total_iv += best_iv
-                assignments.append(assignment)
-                node = self._trie_store(
-                    node, query_id, free_at, assignment, total_iv
-                )
-            return EvaluationResult(assignments=assignments)
+        chosen: list[tuple] = []
+        self._walk(order, chosen)
+        return EvaluationResult(
+            assignments=[
+                _assignment(compiled, choice) for compiled, choice in chosen
+            ]
+        )
 
     def evaluate(self, permutation: list[int]) -> EvaluationResult:
         """Realize a permutation of query ids, greedily re-planning each.
@@ -1128,5 +1139,10 @@ class WorkloadEvaluator:
         return self.evaluate(permutation).total_information_value
 
     def sequence_fitness(self, order: "Sequence[int]") -> float:
-        """Fitness of a partial order (e.g. one conflict group's permutation)."""
-        return self.evaluate_sequence(order).total_information_value
+        """Fitness of a partial order (e.g. one conflict group's permutation).
+
+        The walk's running total — the same left-to-right adds as
+        ``evaluate_sequence(order).total_information_value``, so the two
+        are equal bit for bit — without building a result.
+        """
+        return self._walk(order)

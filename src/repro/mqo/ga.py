@@ -8,35 +8,25 @@ and the best subset of the children is chosen to be the parents of the next
 generation ...  The generational loop ends after some stopping condition is
 met; we chose to end after 50 generations had passed."
 
-Each generation's not-yet-scored chromosomes are evaluated as one batch
-through a pluggable executor (``GAConfig.executor``): ``"serial"`` (the
-default), ``"thread"`` (a ``ThreadPoolExecutor``) or ``"process"`` (a
-``ProcessPoolExecutor``; requires a picklable fitness callable).  Batch
-membership, cache updates and all counters are decided in the main thread
-in deterministic order, so :class:`GAResult` is bit-for-bit identical
-regardless of the executor — parallelism only changes *where* fitness
-calls run, never which run or how their results are applied.
-
-A ``fitness_batch`` callable (scores a whole list of chromosomes in one
-call, e.g. :meth:`repro.mqo.vector.VectorizedEvaluator.fitness_batch`)
-takes precedence over both the per-chromosome ``fitness`` and the
-executor pool wherever the GA scores anything, so every value a run sees
-comes from one consistent scorer.
+Every chromosome is scored by one scalar ``fitness`` callable, memoised
+per run: a generation's not-yet-seen chromosomes are scored in population
+order, so :class:`GAResult` — including its ``fitness_calls`` /
+``cache_hits`` counters — is a pure function of the genes, the fitness,
+the config and the seed.
 """
 
 from __future__ import annotations
 
 import typing
-import warnings
 from collections.abc import Callable, Sequence
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from repro.errors import OptimizationError
 from repro.mqo.chromosome import (
-    order_crossover,
+    crossover_permutations,
     random_permutation,
     swap_mutation,
+    validate_permutation,
 )
 from repro.obs.profile import PROFILER, profiled
 from repro.sim.rng import RandomSource
@@ -44,12 +34,9 @@ from repro.sim.rng import RandomSource
 if typing.TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.mqo.evaluator import EvaluatorStats
 
-__all__ = ["BatchFitness", "Fitness", "GAConfig", "GAResult", "GeneticAlgorithm"]
+__all__ = ["Fitness", "GAConfig", "GAResult", "GeneticAlgorithm"]
 
 Fitness = Callable[[list[int]], float]
-BatchFitness = Callable[[list[list[int]]], Sequence[float]]
-
-_EXECUTORS = ("serial", "thread", "process")
 
 
 @dataclass(frozen=True)
@@ -61,10 +48,6 @@ class GAConfig:
     parent_fraction: float = 0.5
     mutation_rate: float = 0.2
     elitism: int = 2
-    #: How generation batches are scored: "serial", "thread" or "process".
-    executor: str = "serial"
-    #: Worker count for pooled executors (``None`` = library default).
-    max_workers: int | None = None
 
     def __post_init__(self) -> None:
         if self.population_size < 2:
@@ -77,12 +60,6 @@ class GAConfig:
             raise OptimizationError("mutation_rate must be in [0, 1]")
         if not 0 <= self.elitism < self.population_size:
             raise OptimizationError("elitism must be in [0, population_size)")
-        if self.executor not in _EXECUTORS:
-            raise OptimizationError(
-                f"executor must be one of {_EXECUTORS}, got {self.executor!r}"
-            )
-        if self.max_workers is not None and self.max_workers < 1:
-            raise OptimizationError("max_workers must be >= 1")
 
 
 @dataclass
@@ -102,16 +79,6 @@ class GAResult:
     cache_hits: int = 0
     evaluator_stats: "EvaluatorStats | None" = None
 
-    @property
-    def evaluations(self) -> int:
-        """Deprecated alias for :attr:`fitness_calls` (one release)."""
-        warnings.warn(
-            "GAResult.evaluations is deprecated; use fitness_calls",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.fitness_calls
-
 
 class GeneticAlgorithm:
     """Permutation GA with rank selection and elitism."""
@@ -123,16 +90,12 @@ class GeneticAlgorithm:
         config: GAConfig | None = None,
         seed: int = 0,
         evaluator_stats: "EvaluatorStats | None" = None,
-        fitness_batch: BatchFitness | None = None,
     ) -> None:
         if not genes:
             raise OptimizationError("GA needs at least one gene")
+        validate_permutation(genes)
         self.genes = list(genes)
         self.fitness = fitness
-        #: Whole-batch scorer; when set it handles every scoring the run
-        #: performs (cache misses included), bypassing ``fitness`` and the
-        #: executor pool, so values are consistent across paths.
-        self.fitness_batch = fitness_batch
         self.config = config or GAConfig()
         self.rng = RandomSource(seed, "ga")
         self.evaluator_stats = evaluator_stats
@@ -143,55 +106,24 @@ class GeneticAlgorithm:
     # -- scoring -----------------------------------------------------------
 
     def _score(self, chromosome: list[int]) -> float:
-        key = tuple(chromosome)
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        if self.fitness_batch is not None:
-            value = float(self.fitness_batch([list(chromosome)])[0])
-        else:
-            value = self.fitness(chromosome)
-        self._cache[key] = value
-        self._fitness_calls += 1
-        return value
+        """Fitness of a population member :meth:`_score_batch` has seen."""
+        return self._cache[tuple(chromosome)]
 
-    def _score_batch(
-        self, population: Sequence[Sequence[int]], pool: Executor | None
-    ) -> None:
-        """Score a population's unseen chromosomes as one batch.
+    def _score_batch(self, population: Sequence[list[int]]) -> None:
+        """Score a population's unseen chromosomes, in population order.
 
-        Pending membership, hit/miss counting and cache insertion all
-        happen here, in population order — the pool only executes the
-        fitness calls, so results are executor-independent.
+        The only place the fitness callable runs.  A chromosome already
+        scored — in an earlier generation or earlier in this population —
+        counts as a cache hit.
         """
-        pending: list[tuple[int, ...]] = []
-        pending_set: set[tuple[int, ...]] = set()
+        cache = self._cache
         for chromosome in population:
             key = tuple(chromosome)
-            if key in self._cache or key in pending_set:
+            if key in cache:
                 self._cache_hits += 1
             else:
-                pending_set.add(key)
-                pending.append(key)
-        if not pending:
-            return
-        self._fitness_calls += len(pending)
-        chromosomes = [list(key) for key in pending]
-        if self.fitness_batch is not None:
-            values = [float(v) for v in self.fitness_batch(chromosomes)]
-        elif pool is None:
-            values = [self.fitness(chromosome) for chromosome in chromosomes]
-        else:
-            values = list(pool.map(self.fitness, chromosomes))
-        for key, value in zip(pending, values):
-            self._cache[key] = value
-
-    def _make_pool(self) -> Executor | None:
-        if self.config.executor == "thread":
-            return ThreadPoolExecutor(max_workers=self.config.max_workers)
-        if self.config.executor == "process":
-            return ProcessPoolExecutor(max_workers=self.config.max_workers)
-        return None
+                cache[key] = self.fitness(chromosome)
+                self._fitness_calls += 1
 
     # -- evolution ---------------------------------------------------------
 
@@ -203,46 +135,52 @@ class GeneticAlgorithm:
         arrival order) into the initial population.
         """
         cfg = self.config
+        genes = sorted(self.genes)
+        for chromosome in seed_chromosomes:
+            # Every later step (crossover, mutation, the fitness itself)
+            # assumes population members are permutations of the genes.
+            if sorted(chromosome) != genes:
+                raise OptimizationError(
+                    f"seed chromosome {list(chromosome)} is not a "
+                    f"permutation of the genes {self.genes}"
+                )
         population: list[list[int]] = [list(c) for c in seed_chromosomes]
         while len(population) < cfg.population_size:
             population.append(random_permutation(self.genes, self.rng))
         population = population[: cfg.population_size]
 
-        pool = self._make_pool()
-        try:
-            self._score_batch(population, pool)
-            history: list[float] = []
-            best: list[int] = population[0]
-            best_fitness = self._score(best)
+        self._score_batch(population)
+        history: list[float] = []
+        best: list[int] = population[0]
+        best_fitness = self._score(best)
 
-            for _generation in range(cfg.generations):
-                with PROFILER.scope("ga.generation"):
-                    ranked = sorted(population, key=self._score, reverse=True)
-                    if self._score(ranked[0]) > best_fitness:
-                        best = list(ranked[0])
-                        best_fitness = self._score(ranked[0])
-                    history.append(best_fitness)
+        for _generation in range(cfg.generations):
+            with PROFILER.scope("ga.generation"):
+                ranked = sorted(population, key=self._score, reverse=True)
+                if self._score(ranked[0]) > best_fitness:
+                    best = list(ranked[0])
+                    best_fitness = self._score(ranked[0])
+                history.append(best_fitness)
 
-                    parent_count = max(
-                        2, int(cfg.parent_fraction * cfg.population_size)
-                    )
-                    parents = ranked[:parent_count]
+                parent_count = max(
+                    2, int(cfg.parent_fraction * cfg.population_size)
+                )
+                parents = ranked[:parent_count]
 
-                    next_population: list[list[int]] = [
-                        list(chromosome) for chromosome in ranked[: cfg.elitism]
-                    ]
-                    while len(next_population) < cfg.population_size:
-                        mother = self.rng.choice(parents)
-                        father = self.rng.choice(parents)
-                        child = order_crossover(mother, father, self.rng)
-                        if self.rng.uniform(0.0, 1.0) < cfg.mutation_rate:
-                            child = swap_mutation(child, self.rng)
-                        next_population.append(child)
-                    population = next_population
-                    self._score_batch(population, pool)
-        finally:
-            if pool is not None:
-                pool.shutdown()
+                next_population: list[list[int]] = [
+                    list(chromosome) for chromosome in ranked[: cfg.elitism]
+                ]
+                while len(next_population) < cfg.population_size:
+                    mother = self.rng.choice(parents)
+                    father = self.rng.choice(parents)
+                    # Population members are permutations of the genes by
+                    # construction, so the unchecked crossover applies.
+                    child = crossover_permutations(mother, father, self.rng)
+                    if self.rng.uniform(0.0, 1.0) < cfg.mutation_rate:
+                        child = swap_mutation(child, self.rng)
+                    next_population.append(child)
+                population = next_population
+                self._score_batch(population)
 
         # Final ranking of the last generation.
         ranked = sorted(population, key=self._score, reverse=True)

@@ -119,15 +119,6 @@ class OnlineConfig:
     #: ``python -O``); the scale sweep also turns it off explicitly since
     #: the check is itself the full recompute being avoided.
     verify_groups: bool = True
-    #: Score GA generations through the numpy batch evaluator
-    #: (:class:`repro.mqo.vector.VectorizedEvaluator`) instead of the
-    #: scalar per-chromosome fast path.  Off by default: batch totals
-    #: match the scalar path only within ``vector.REL_TOLERANCE`` (last-
-    #: ulp ``pow`` differences can flip a near-tie), so every committed
-    #: golden stays on the scalar path; the EXT5 scale sweep opts in.
-    #: Requires numpy — raises :class:`OptimizationError` at the first
-    #: optimization pass otherwise.
-    vectorized_ga: bool = False
 
     def __post_init__(self) -> None:
         if self.window <= 0:
@@ -535,15 +526,6 @@ class OnlineSession:
         # is admission order — exactly the batch scheduler's
         # ``sorted_by_arrival`` tie-breaking.
         arrival_order = sorted(pending, key=workload.arrival_of)
-        fitness_batch = None
-        if self.config.vectorized_ga and any(len(g) >= 2 for g in groups):
-            # Compiled per pass over exactly the pending set; reads the
-            # evaluator's rebased availability at scoring time.
-            from repro.mqo.vector import VectorizedEvaluator
-
-            fitness_batch = VectorizedEvaluator(
-                evaluator, query_ids=pending
-            ).fitness_batch
         group_orders: dict[int, list[int]] = {}
         ga_runs = 0
         warm_seeded = 0
@@ -578,7 +560,6 @@ class OnlineSession:
                     + index
                 ),
                 evaluator_stats=evaluator.stats,
-                fitness_batch=fitness_batch,
             )
             outcome = ga.run(seed_chromosomes=seeds)
             group_orders[index] = outcome.best

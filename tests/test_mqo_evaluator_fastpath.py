@@ -17,6 +17,8 @@ from repro.core.value import DiscountRates
 from repro.errors import OptimizationError
 from repro.federation.catalog import Catalog, FixedSyncSchedule, TableDef
 from repro.federation.costmodel import CostModel, CostParameters
+from repro.federation.site import LOCAL_SITE_ID
+from repro.mqo import evaluator as evaluator_module
 from repro.mqo.evaluator import WorkloadEvaluator
 from repro.workload.query import DSSQuery, Workload
 
@@ -144,6 +146,100 @@ class TestFastPathEquivalence:
             evaluator.evaluate_sequence([1, 1])
         with pytest.raises(OptimizationError):
             evaluator.evaluate_naive([2, 2])
+
+
+site_clock = st.floats(min_value=0.0, max_value=40.0)
+#: One step of a scoring session: score a partial order, re-root on new
+#: committed server state, or evict a query's candidate records.
+session_step = st.one_of(
+    st.tuples(st.just("score"), st.randoms(use_true_random=False)),
+    st.tuples(
+        st.just("rebase"),
+        st.dictionaries(
+            st.sampled_from([LOCAL_SITE_ID, *range(NUM_SITES)]), site_clock
+        ),
+    ),
+    st.tuples(st.just("evict"), st.integers(min_value=0, max_value=5)),
+)
+
+
+class TestFitnessIsTheResultsTotal:
+    """``sequence_fitness`` returns the walk's running total and builds
+    nothing; it must equal the realized result's total with ``==``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        specs=st.lists(query_spec, min_size=2, max_size=6),
+        steps=st.lists(session_step, min_size=1, max_size=12),
+        cap=st.sampled_from([0, 3, 65_536]),
+    )
+    def test_over_random_orders_rebases_and_evictions(self, specs, steps, cap):
+        workload = build_workload(specs)
+        evaluator = build_evaluator(workload, max_prefix_entries=cap)
+        qids = [q.query_id for q in workload.queries]
+        for kind, argument in steps:
+            if kind == "rebase":
+                evaluator.rebase(argument)
+                continue
+            if kind == "evict":
+                evaluator.evict(qids[argument % len(qids)])
+                continue
+            order = argument.sample(qids, argument.randint(0, len(qids)))
+            # Scored cold, then realized (now trie-warm), then the
+            # catalog-walking reference: three routes to one total.
+            fitness = evaluator.sequence_fitness(order)
+            result = evaluator.evaluate_sequence(order)
+            assert fitness == result.total_information_value
+            assert fitness == evaluator.sequence_fitness(order)
+            naive = evaluator.evaluate_naive(order)
+            assert fitness == naive.total_information_value
+            assert [a.query.query_id for a in result.assignments] == order
+
+    def test_scoring_builds_no_assignment(self, monkeypatch):
+        workload = build_workload(
+            [(0, 1.0, 8_000.0), (1, 1.2, 8_000.0), (2, 1.4, 8_000.0)]
+        )
+        evaluator = build_evaluator(workload)
+        built = []
+
+        class Counting(evaluator_module.Assignment):
+            __slots__ = ()
+
+            def __init__(self, *args, **kwargs):
+                built.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(evaluator_module, "Assignment", Counting)
+        total = evaluator.sequence_fitness([1, 2, 3])
+        assert evaluator.sequence_fitness([2, 1, 3]) > 0
+        assert built == []
+        assert evaluator.evaluate_sequence([1, 2, 3]).total_information_value == total
+        assert len(built) == 3  # one per position, only when a result is asked for
+
+    def test_total_is_a_plain_left_to_right_sum(self):
+        # Built-in sum() is compensated from Python 3.12 on; the total
+        # must not depend on the interpreter.
+        workload = build_workload(
+            [(index, 1.0 + 0.1 * index, 3_000.0 + 700.0 * index)
+             for index in range(6)]
+        )
+        result = build_evaluator(workload).evaluate([1, 2, 3, 4, 5, 6])
+        expected = 0.0
+        for assignment in result.assignments:
+            expected += assignment.information_value
+        assert result.total_information_value.hex() == expected.hex()
+
+    def test_memoised_choice_outlives_eviction(self):
+        # A choice memo entry can be served after its query's records were
+        # evicted and re-lowered; the assignment must still carry a plan.
+        workload = build_workload([(0, 1.0, 8_000.0), (1, 1.2, 8_000.0)])
+        evaluator = build_evaluator(workload)
+        first = evaluator.choose_best(1, {})
+        evaluator.evict(1)
+        again = evaluator.choose_best(1, {})
+        assert evaluator.stats.choice_hits == 1
+        assert again.plan is first.plan
+        assert (again.begin, again.completed) == (first.begin, first.completed)
 
 
 class TestCandidateTruncationStats:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.errors import OptimizationError
 from repro.mqo.chromosome import (
+    crossover_permutations,
     order_crossover,
     random_permutation,
     swap_mutation,
@@ -40,6 +41,10 @@ class TestChromosome:
     def test_crossover_single_gene(self, rng):
         assert order_crossover([5], [5], rng) == [5]
 
+    def test_crossover_rejects_repeated_genes(self, rng):
+        with pytest.raises(OptimizationError):
+            order_crossover([1, 1, 2], [1, 2, 1], rng)
+
     def test_mutation_swaps_exactly_two(self, rng):
         genes = list(range(10))
         mutated = swap_mutation(genes, rng)
@@ -62,6 +67,26 @@ def test_crossover_always_yields_permutation(genes, seed):
     parent_b = random_permutation(genes, rng)
     child = order_crossover(parent_a, parent_b, rng)
     assert sorted(child) == sorted(genes)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    genes=st.lists(st.integers(), min_size=1, max_size=20, unique=True),
+    seed=st.integers(min_value=0, max_value=2**32),
+)
+def test_unchecked_crossover_is_the_checked_one_draw_for_draw(genes, seed):
+    """The GA's internal crossover must not move any RNG stream or golden."""
+    setup = RandomSource(seed, "parents")
+    parent_a = random_permutation(genes, setup)
+    parent_b = random_permutation(genes, setup)
+    checked_rng = RandomSource(seed, "prop")
+    unchecked_rng = RandomSource(seed, "prop")
+    for _ in range(3):
+        assert crossover_permutations(
+            parent_a, parent_b, unchecked_rng
+        ) == order_crossover(parent_a, parent_b, checked_rng)
+    # Same number of draws consumed: the streams stay in lock-step.
+    assert unchecked_rng.randint(0, 10**9) == checked_rng.randint(0, 10**9)
 
 
 @settings(max_examples=100, deadline=None)
@@ -155,44 +180,48 @@ class TestGeneticAlgorithm:
             GeneticAlgorithm([], lambda p: 0.0)
 
 
-def _picklable_fitness(permutation: list[int]) -> float:
-    """Module-level so a process-pool executor can pickle it."""
-    return float(permutation[0] * 7 + permutation[-1] * 3)
+class TestSeedValidation:
+    """Regression: a malformed seed chromosome was scored like any other
+    and could come back as ``best``."""
 
+    GENES = [1, 2, 3, 4]
 
-class TestExecutors:
-    def _run(self, executor: str, **config_kwargs):
-        genes = list(range(9))
-        config = GAConfig(
-            generations=12, executor=executor, **config_kwargs
+    @pytest.mark.parametrize("seed_chromosome", [
+        [1, 2, 3],            # a gene missing
+        [1, 2, 3, 4, 4],      # a gene repeated
+        [1, 2, 3, 5],         # a foreign gene
+        [],
+    ])
+    def test_malformed_seed_is_rejected_at_entry(self, seed_chromosome):
+        calls = []
+
+        def fitness(chromosome: list[int]) -> float:
+            calls.append(tuple(chromosome))
+            return -float(len(chromosome))  # a short seed would win
+
+        ga = GeneticAlgorithm(
+            self.GENES, fitness, GAConfig(generations=2), seed=1
         )
-        ga = GeneticAlgorithm(genes, _picklable_fitness, config, seed=4)
-        return ga.run()
+        with pytest.raises(OptimizationError, match="seed chromosome"):
+            ga.run(seed_chromosomes=[[4, 3, 2, 1], seed_chromosome])
+        assert calls == []  # rejected before anything is scored
 
-    def test_thread_executor_is_bit_identical_to_serial(self):
-        serial = self._run("serial")
-        threaded = self._run("thread", max_workers=4)
-        assert threaded.best == serial.best
-        assert threaded.best_fitness == serial.best_fitness
-        assert threaded.history == serial.history
-        assert threaded.fitness_calls == serial.fitness_calls
-        assert threaded.cache_hits == serial.cache_hits
+    def test_every_scored_chromosome_is_a_permutation_of_the_genes(self):
+        scored = []
 
-    def test_process_executor_is_bit_identical_to_serial(self):
-        serial = self._run("serial")
-        processed = self._run("process", max_workers=2)
-        assert processed.best == serial.best
-        assert processed.best_fitness == serial.best_fitness
-        assert processed.history == serial.history
-        assert processed.fitness_calls == serial.fitness_calls
+        def fitness(chromosome: list[int]) -> float:
+            scored.append(sorted(chromosome))
+            return float(chromosome[0])
 
-    def test_invalid_executor_rejected(self):
+        result = GeneticAlgorithm(
+            self.GENES, fitness, GAConfig(generations=6), seed=3
+        ).run(seed_chromosomes=[[4, 3, 2, 1]])
+        assert all(genes == self.GENES for genes in scored)
+        assert sorted(result.best) == self.GENES
+
+    def test_repeated_genes_are_rejected(self):
         with pytest.raises(OptimizationError):
-            GAConfig(executor="cluster")
-
-    def test_invalid_max_workers_rejected(self):
-        with pytest.raises(OptimizationError):
-            GAConfig(max_workers=0)
+            GeneticAlgorithm([1, 2, 2], lambda p: 0.0)
 
 
 class TestScoringCounters:
@@ -212,11 +241,3 @@ class TestScoringCounters:
         assert result.fitness_calls == len(calls)
         assert len(set(calls)) == len(calls)
         assert result.cache_hits > 0  # 3! = 6 permutations, many repeats
-
-    def test_evaluations_alias_is_deprecated(self):
-        genes = [0, 1]
-        result = GeneticAlgorithm(
-            genes, lambda p: float(p[0]), GAConfig(generations=2), seed=1
-        ).run()
-        with pytest.warns(DeprecationWarning, match="fitness_calls"):
-            assert result.evaluations == result.fitness_calls

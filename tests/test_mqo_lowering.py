@@ -40,6 +40,8 @@ from repro.federation.costmodel import (
 from repro.federation.site import LOCAL_SITE_ID
 from repro.mqo.evaluator import (
     _BOUND_SLACK,
+    _PLAN_CELL,
+    _START,
     CANDIDATE_HORIZON_CAP,
     WorkloadEvaluator,
 )
@@ -280,22 +282,32 @@ def assert_lowering_matches_oracle(
         compiled = evaluator._compiled_query(query.query_id)
         plans = evaluator.candidates(query)
         assert len(compiled.candidates) == len(oracle.candidates)
-        for lowered, plan, want in zip(
-            compiled.candidates, plans, oracle.candidates
+        for lowered, plan, want, want_suffix in zip(
+            compiled.candidates, plans, oracle.candidates, oracle.suffix_bounds
         ):
-            combo = lowered.combo
+            (
+                suffix_bound, upper_bound, start_time, sites, processing,
+                transmission, timelines, has_base, commit_legs, combo, _cell,
+            ) = lowered
             # QueryPlan equality: query identity, every TableVersion
             # (kind and freshness), submission, start, ComboCost, rates.
             assert plan == want.plan
             assert plan.information_value == want.plan.information_value
-            assert lowered.start_time == want.start_time
-            assert combo.processing == want.processing
-            assert combo.transmission == want.transmission
-            assert combo.sites == want.sites
-            assert combo.commit_legs == want.commit_legs
-            assert tuple(t.name for t in combo.timelines) == want.replica_reads
-            assert combo.has_base == want.has_base
-            assert lowered.upper_bound == want.upper_bound
+            assert start_time == want.start_time
+            assert processing == want.processing
+            assert transmission == want.transmission
+            assert sites == want.sites
+            assert commit_legs == want.commit_legs
+            assert tuple(t.name for t in timelines) == want.replica_reads
+            assert has_base == want.has_base
+            assert upper_bound == want.upper_bound
+            assert suffix_bound == want_suffix
+            # The flat fields are the combo's own, not copies that drift.
+            assert (sites, processing, transmission, timelines, has_base,
+                    commit_legs) == (
+                combo.sites, combo.processing, combo.transmission,
+                combo.timelines, combo.has_base, combo.commit_legs,
+            )
         shape = compiled.shape
         assert shape.business_value == query.business_value
         assert shape.comp_base == (
@@ -305,7 +317,6 @@ def assert_lowering_matches_oracle(
             (1.0 - rates.synchronization) if rates.synchronization else 0.0
         )
         assert compiled.arrival == arrival
-        assert compiled.suffix_bounds == oracle.suffix_bounds
         assert compiled.sites == oracle.sites
         assert compiled.latest_completion == oracle.latest_completion
         assert evaluator.range_of(query.query_id) == (
@@ -425,17 +436,17 @@ class TestLazyPlansAndEviction:
         evaluator = self.build()
         result = evaluator.evaluate([1, 2])
         for compiled in evaluator._compiled.values():
-            assert all(c._plan is None for c in compiled.candidates)
+            assert all(c[_PLAN_CELL] == [None] for c in compiled.candidates)
         chosen = result.assignments[0]
         plan = chosen.plan
         assert plan is chosen.plan  # built once, then cached
-        assert plan.start_time == chosen.candidate.start_time
+        assert plan.start_time == chosen.candidate[_START]
         assert plan.submitted_at == chosen.arrival
         materialised = [
             c for compiled in evaluator._compiled.values()
-            for c in compiled.candidates if c._plan is not None
+            for c in compiled.candidates if c[_PLAN_CELL] != [None]
         ]
-        assert materialised == [chosen.candidate]
+        assert len(materialised) == 1 and materialised[0] is chosen.candidate
 
     def test_evict_keeps_range_and_bound_and_relowers_on_demand(self):
         evaluator = self.build()
