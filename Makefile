@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-fast test-faults test-online test-live test-serve test-durable test-scale test-fleet serve-smoke serve-smoke-resume trace-check trace-check-fleet lint ci bench bench-mqo bench-faults bench-online bench-serve bench-scale bench-gate experiments check examples all
+.PHONY: install test test-fast fuzz-properties test-faults test-online test-live test-serve test-durable test-scale test-fleet serve-smoke serve-smoke-resume trace-check trace-check-fleet lint ci bench bench-mqo bench-faults bench-online bench-serve bench-scale bench-gate experiments check examples all
 
 install:
 	pip install -e .
@@ -13,6 +13,15 @@ test:
 # Everything except the long-running property/integration tests.
 test-fast:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/ -q -m "not slow"
+
+# Every Hypothesis property file under the randomized `fuzz` profile of
+# tests/conftest.py: fresh seeds, 10x each property's own example budget,
+# counter-examples printed as ready-to-paste @example decorators.  Tier-1
+# itself is derandomized; this is where new counter-examples come from.
+# Takes tens of minutes; not part of `make ci`.
+fuzz-properties:
+	HYPOTHESIS_PROFILE=fuzz PYTHONPATH=src $(PYTHON) -m pytest -q \
+		$$(grep -l "^from hypothesis import" tests/test_*.py)
 
 test-faults:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/test_faults.py tests/test_faults_properties.py tests/test_latency_accounting.py -q

@@ -47,14 +47,18 @@ replay (retained as :meth:`WorkloadEvaluator.evaluate_naive`):
   total and builds nothing; :meth:`WorkloadEvaluator.evaluate_sequence`
   and :meth:`WorkloadEvaluator.choose_best` turn choice records into
   :class:`Assignment` objects for the callers that read them.
-* **Prefix memoization** — order crossover and swap mutation produce
-  children sharing long prefixes with their parents, so the evaluator
-  caches ``(query-id prefix) → (free_at snapshot, choice record, partial
-  IV)`` in a trie and resumes from the longest cached prefix instead of
-  replaying from position 0.  Past the shared prefix, a second memo keyed
-  on ``(query, clocks of that query's candidate sites)`` serves repeated
-  identical plan choices — the choice is a pure function of exactly those
-  inputs.  Both caches are bounded: exceeding the entry cap resets them
+* **Dense clocks, prefix memoization** — every server has a slot (the
+  local one slot 0, then each catalog table's site) and "when is each
+  server free" is a flat list of clocks indexed by slot; a dict keyed by
+  site id is the interchange format at the boundary only.  Order
+  crossover and swap mutation produce children sharing long prefixes with
+  their parents, so the evaluator caches ``(query-id prefix) → (clocks,
+  choice record, partial IV)`` in a trie and resumes from the longest
+  cached prefix; past it every position is scored afresh.  A second memo,
+  keyed on ``(query, clocks of that query's candidate slots)`` — all a
+  choice depends on — serves dispatch only, which re-asks about one plan
+  head under unchanged clocks; inside the walk it missed seven probes in
+  eight.  Both caches are bounded: exceeding the entry cap resets them
   (a generational clear), so memory stays flat across GA generations.
 * **Observability** — an :class:`EvaluatorStats` struct counts prefix
   hits, resume depths, realize calls (actual vs. what a naive replay would
@@ -239,7 +243,8 @@ class EvaluatorStats:
     evaluated sequence would have cost (one realization per candidate per
     position); ``realize_calls`` is what the fast path actually performed.
     The gap decomposes into positions resumed from the prefix trie and
-    candidates pruned by their IV upper bound.
+    candidates pruned by their IV upper bound.  ``choice_hits`` counts the
+    dispatch probes :meth:`WorkloadEvaluator.choose_best`'s memo answered.
     """
 
     evaluations: int = 0
@@ -354,19 +359,20 @@ class _Combo:
         remote_tables: frozenset[str],
         cost: "ComboCost",
         timelines: tuple[_CompiledTimeline, ...],
+        slots: dict[int, int],
     ) -> None:
         self.remote_tables = remote_tables
         self.cost = cost
         self.processing = cost.processing
         self.transmission = cost.transmission
         self.total = cost.total
-        #: All involved servers, local first.
-        self.sites = (LOCAL_SITE_ID, *cost.remote_sites)
-        #: ``(site, busy minutes past begin)`` per involved server.
-        self.commit_legs = (
-            (LOCAL_SITE_ID, cost.processing),
-            *((site, cost.leg_minutes(site)) for site in cost.remote_sites),
-        )
+        #: ``(slot, busy minutes past begin)`` per involved server: the
+        #: local one (slot 0, which every combo runs through) first.
+        self.commit_legs = ((0, cost.processing), *[
+            (slots[site], cost.leg_minutes(site)) for site in cost.remote_sites
+        ])
+        #: Slots of the remote servers involved.
+        self.sites = tuple([slot for slot, _minutes in self.commit_legs[1:]])
         #: One per replica version read, in the query's table order.
         self.timelines = timelines
         self.has_base = bool(remote_tables)
@@ -428,7 +434,7 @@ class _CompiledQuery:
     shape: _Shape
     arrival: float
     candidates: list[tuple]  # best estimated IV first
-    sites: tuple[int, ...]  # union of candidate sites — the choice's inputs
+    sites: tuple[int, ...]  # slots any candidate reads — the choice's inputs
     latest_completion: float  # slowest candidate's uncontended completion
 
 
@@ -450,16 +456,13 @@ def _assignment(compiled: _CompiledQuery, choice: tuple) -> Assignment:
 class _TrieNode:
     """State after executing one query-id prefix."""
 
-    __slots__ = ("children", "free_at", "choice", "total_iv")
+    __slots__ = ("children", "state", "choice", "total_iv")
 
     def __init__(
-        self,
-        free_at: dict[int, float],
-        choice: tuple | None,
-        total_iv: float,
+        self, state: list[float], choice: tuple | None, total_iv: float
     ) -> None:
         self.children: dict[int, _TrieNode] = {}
-        self.free_at = free_at
+        self.state = state  # per-slot clocks; shared, never written
         self.choice = choice  # the prefix's last position, as chosen
         self.total_iv = total_iv
 
@@ -503,13 +506,17 @@ class WorkloadEvaluator:
         #: query; survives :meth:`evict`.
         self._summaries: dict[int, tuple[float, float, float]] = {}
         self._timelines: dict[str, _CompiledTimeline] = {}
-        self._trie = _TrieNode({}, None, 0.0)
-        #: Server availabilities every evaluation starts from; committed
-        #: mid-stream state after :meth:`rebase` (empty for batch use).
-        self._base_free_at: dict[int, float] = {}
-        # (query_id, clocks of that query's candidate sites) → choice.
-        # _choose_fast is a pure function of exactly those inputs, so the
-        # memo is exact; bounded by the same cap as the trie.
+        #: Slot → site id: the local server, then each catalog table's site.
+        self._site_ids = [
+            LOCAL_SITE_ID, *sorted(catalog.sites_of(catalog.table_names))
+        ]
+        self._slots = {site: slot for slot, site in enumerate(self._site_ids)}
+        #: Per-slot clocks every evaluation starts from: idle servers, or
+        #: the committed mid-stream state handed to :meth:`rebase`.
+        self._base = [0.0] * len(self._site_ids)
+        self._trie = _TrieNode(self._base, None, 0.0)
+        # choose_best's memo, (query id, clocks of its candidate slots) →
+        # choice: all that _choose reads, so exact; capped like the trie.
         self._choices: dict[tuple, tuple] = {}
 
     # -- candidate plans ---------------------------------------------------
@@ -590,6 +597,7 @@ class WorkloadEvaluator:
                         for name in query.tables
                         if name not in remote
                     ),
+                    self._slots,
                 )
             combos.append(combo)
         if len(shape.combos) >= _MAX_STALENESS_ORDERS:
@@ -718,7 +726,7 @@ class WorkloadEvaluator:
         # itself to the end of the list.
         candidates = []
         suffix_bound = -inf
-        site_union: set[int] = set()
+        slot_union: set[int] = set()
         latest = -inf
         for _estimate, start, combo, completed in reversed(entries):
             # Realized CL ≥ start - arrival + total.  The data
@@ -746,7 +754,7 @@ class WorkloadEvaluator:
                 combo.transmission, combo.timelines, combo.has_base,
                 combo.commit_legs, combo, [None],
             ))
-            site_union.update(combo.sites)
+            slot_union.update(combo.sites)
             if completed > latest:
                 latest = completed
         candidates.reverse()
@@ -755,7 +763,7 @@ class WorkloadEvaluator:
             shape=shape,
             arrival=arrival,
             candidates=candidates,
-            sites=tuple(sorted(site_union)),
+            sites=(0, *sorted(slot_union)),
             latest_completion=latest,
         )
         self._summaries[query_id] = (arrival, latest, suffix_bound)
@@ -814,9 +822,9 @@ class WorkloadEvaluator:
         After this call every evaluation — fast path and naive alike —
         starts from ``free_at`` instead of idle servers, so GA fitness
         scores candidate orders *given what has already been dispatched*.
-        The prefix trie is rebuilt (its cached prefixes assumed the old
-        base); the choice memo survives because it is keyed on the exact
-        site clocks it was computed under.
+        ``free_at`` is flattened to per-slot clocks once, here.  The prefix
+        trie is rebuilt (its cached prefixes assumed the old base); the
+        dispatch memo survives, keyed as it is on the exact clocks.
 
         Rebasing onto the base already in force is a no-op: cached
         prefixes are a pure function of the base, the immutable candidate
@@ -824,11 +832,16 @@ class WorkloadEvaluator:
         would only cost the next pass its warm trie (regression
         ``tests/test_mqo_online.py::TestHotPathFixes``).
         """
-        if free_at == self._base_free_at:
+        state = self._flatten(free_at)
+        if state == self._base:
             return
-        self._base_free_at = dict(free_at)
-        self._trie = _TrieNode(dict(free_at), None, 0.0)
+        self._base = state
+        self._trie = _TrieNode(state, None, 0.0)
         self.stats.trie_entries = 0
+
+    def _flatten(self, free_at: dict[int, float]) -> list[float]:
+        """A caller's ``site id → free at`` dict as per-slot clocks."""
+        return [free_at.get(site, 0.0) for site in self._site_ids]
 
     # -- schedule replay ---------------------------------------------------
 
@@ -868,14 +881,15 @@ class WorkloadEvaluator:
 
     def _commit(self, assignment: Assignment, free_at: dict[int, float]) -> None:
         begin = assignment.begin
-        for site, minutes in assignment.candidate[_COMMIT_LEGS]:
+        site_ids = self._site_ids
+        for slot, minutes in assignment.candidate[_COMMIT_LEGS]:
+            site = site_ids[slot]
             free_at[site] = max(free_at.get(site, 0.0), begin + minutes)
 
-    def _choose_fast(
-        self, compiled: _CompiledQuery, free_at: dict[int, float]
-    ) -> tuple:
-        """IV-best candidate under current availability, as a choice record
-        ``(candidate, begin, completed, data timestamp, iv)``."""
+    def _choose(self, compiled: _CompiledQuery, state: list[float]) -> tuple:
+        """IV-best candidate under per-slot clocks, as a choice record
+        ``(candidate, begin, completed, data timestamp, iv)`` — the one
+        copy of the candidate arithmetic, for the walk and for dispatch."""
         arrival = compiled.arrival
         candidates = compiled.candidates
         shape = compiled.shape
@@ -886,8 +900,7 @@ class WorkloadEvaluator:
         best_iv = -inf
         best_begin = best_completed = best_stamp = 0.0
         realized = 0
-        free_get = free_at.get
-        local_clock = free_get(LOCAL_SITE_ID, 0.0)
+        local_clock = state[0]
         for candidate in candidates:
             (
                 suffix_bound, bound, begin, sites, processing, transmission,
@@ -901,12 +914,14 @@ class WorkloadEvaluator:
             # least the local clock; decaying the static bound by the extra
             # wait keeps it valid under contention and far tighter.
             delay = local_clock - begin
-            if delay > 0.0 and comp_base:
-                bound *= comp_base**delay * _BOUND_SLACK
-                if bound < best_iv:
-                    continue
-            for site in sites:
-                busy = free_get(site, 0.0)
+            if delay > 0.0:
+                if comp_base:
+                    bound *= comp_base**delay * _BOUND_SLACK
+                    if bound < best_iv:
+                        continue
+                begin = local_clock
+            for slot in sites:
+                busy = state[slot]
                 if busy > begin:
                     begin = busy
             # Same association order as the naive path: (begin + P) + T.
@@ -947,36 +962,16 @@ class WorkloadEvaluator:
             raise OptimizationError("no candidate plans survived realization")
         return best, best_begin, best_completed, best_stamp, best_iv
 
-    def _choice(
-        self, compiled: _CompiledQuery, free_at: dict[int, float]
-    ) -> tuple:
-        """:meth:`_choose_fast` through the choice memo."""
-        free_get = free_at.get
-        key = (
-            compiled.query.query_id,
-            *[free_get(site, 0.0) for site in compiled.sites],
-        )
-        choices = self._choices
-        choice = choices.get(key)
-        if choice is not None:
-            self.stats.choice_hits += 1
-            return choice
-        choice = self._choose_fast(compiled, free_at)
-        if len(choices) >= self.max_prefix_entries > 0:
-            choices.clear()
-            self.stats.choice_evictions += 1
-        choices[key] = choice
-        return choice
-
     def choose_best(
         self, query_id: int, free_at: dict[int, float]
     ) -> Assignment:
         """IV-best assignment for one query under ``free_at``.
 
         The single-query building block of :meth:`evaluate_sequence`,
-        exposed for the online dispatcher: compiled-candidate arithmetic
-        with upper-bound pruning, served from the choice memo when the
-        query's site clocks match an earlier decision.  Bit-identical to
+        exposed for the online dispatcher, which re-asks about the same
+        plan head until some clock moves: :meth:`_choose` over the
+        flattened ``free_at``, served from a memo — here and only here —
+        when the query's clocks match an earlier probe.  Bit-identical to
         realizing every candidate with :meth:`_realize` and keeping the
         first strict IV maximum — the naive loop the dispatcher ran per
         event before this path (``tests/test_mqo_online.py::
@@ -987,34 +982,19 @@ class WorkloadEvaluator:
         self.stats.naive_realize_calls += len(compiled.candidates)
         if not self.fast_path:
             return self._best_naive(query_id, free_at)
-        return _assignment(compiled, self._choice(compiled, free_at))
-
-    # -- prefix trie -------------------------------------------------------
-
-    def _trie_store(
-        self,
-        node: _TrieNode,
-        query_id: int,
-        free_at: dict[int, float],
-        choice: tuple,
-        total_iv: float,
-    ) -> _TrieNode:
-        if self.max_prefix_entries == 0:
-            return node
-        child = _TrieNode(dict(free_at), choice, total_iv)
-        if self.stats.trie_entries >= self.max_prefix_entries:
-            # Generational clear: bounded memory beats a perfect LRU here —
-            # the GA repopulates the hot prefixes within one generation.
-            # The current evaluation keeps caching from `child`, detached:
-            # its prefix context was evicted, so the chain is unreachable
-            # from the new root and is collected after this evaluation.
-            self._trie = _TrieNode({}, None, 0.0)
-            self.stats.trie_entries = 0
-            self.stats.trie_evictions += 1
-            return child
-        node.children[query_id] = child
-        self.stats.trie_entries += 1
-        return child
+        state = self._flatten(free_at)
+        key = (query_id, *[state[slot] for slot in compiled.sites])
+        choices = self._choices
+        choice = choices.get(key)
+        if choice is None:
+            choice = self._choose(compiled, state)
+            if len(choices) >= self.max_prefix_entries > 0:
+                choices.clear()
+                self.stats.choice_evictions += 1
+            choices[key] = choice
+        else:
+            self.stats.choice_hits += 1
+        return _assignment(compiled, choice)
 
     # -- evaluation entry points -------------------------------------------
 
@@ -1025,14 +1005,18 @@ class WorkloadEvaluator:
         """Total realized IV of a sequence of distinct workload query ids.
 
         Resumes from the longest trie-cached prefix, then chooses each
-        remaining position with compiled candidates.  With ``chosen`` the
-        ``(compiled query, choice record)`` of every position is appended
-        to it; without, nothing per position outlives the trie.
+        remaining position with :meth:`_choose` — no memo: past the shared
+        prefix the clocks are new — commits it by slot and caches the
+        prefix.  With ``chosen`` the ``(compiled query, choice record)`` of
+        every position is appended to it; without, nothing per position
+        outlives the trie.
         """
         if len(set(order)) != len(order):
             raise OptimizationError("sequence must not repeat query ids")
         stats = self.stats
         stats.evaluations += 1
+        compiled_query = self._compiled_query
+        naive = 0
         node = self._trie
         depth = 0
         for query_id in order:
@@ -1041,8 +1025,8 @@ class WorkloadEvaluator:
                 break
             node = child
             depth += 1
-            compiled = self._compiled_query(query_id)
-            stats.naive_realize_calls += len(compiled.candidates)
+            compiled = compiled_query(query_id)
+            naive += len(compiled.candidates)
             if chosen is not None:
                 chosen.append((compiled, node.choice))
         if depth:
@@ -1050,23 +1034,39 @@ class WorkloadEvaluator:
             stats.prefix_queries_skipped += depth
         stats.resume_depths[depth] = stats.resume_depths.get(depth, 0) + 1
         total_iv = node.total_iv
-        if depth == len(order):
-            return total_iv
-        free_at = dict(node.free_at)
+        choose = self._choose
+        cap = self.max_prefix_entries
+        state = node.state[:]
         for position in range(depth, len(order)):
             query_id = order[position]
-            compiled = self._compiled_query(query_id)
-            stats.naive_realize_calls += len(compiled.candidates)
-            choice = self._choice(compiled, free_at)
+            compiled = compiled_query(query_id)
+            naive += len(compiled.candidates)
+            choice = choose(compiled, state)
             begin = choice[1]
-            for site, minutes in choice[0][_COMMIT_LEGS]:
+            for slot, minutes in choice[0][_COMMIT_LEGS]:
                 busy_until = begin + minutes
-                if busy_until > free_at.get(site, 0.0):
-                    free_at[site] = busy_until
+                if busy_until > state[slot]:
+                    state[slot] = busy_until
             total_iv += choice[4]
             if chosen is not None:
                 chosen.append((compiled, choice))
-            node = self._trie_store(node, query_id, free_at, choice, total_iv)
+            if not cap:
+                continue
+            child = _TrieNode(state[:], choice, total_iv)
+            if stats.trie_entries < cap:
+                node.children[query_id] = child
+                stats.trie_entries += 1
+            else:
+                # Generational clear, re-rooted at the base in force:
+                # bounded memory beats a perfect LRU here — the GA
+                # repopulates the hot prefixes within one generation.  This
+                # walk keeps caching from `child`, detached: the chain is
+                # unreachable from the new root and collected afterwards.
+                self._trie = _TrieNode(self._base, None, 0.0)
+                stats.trie_entries = 0
+                stats.trie_evictions += 1
+            node = child
+        stats.naive_realize_calls += naive
         return total_iv
 
     def evaluate_sequence(self, order: "Sequence[int]") -> EvaluationResult:
@@ -1110,7 +1110,7 @@ class WorkloadEvaluator:
         """
         if len(set(order)) != len(order):
             raise OptimizationError("sequence must not repeat query ids")
-        free_at: dict[int, float] = dict(self._base_free_at)
+        free_at = dict(zip(self._site_ids, self._base))
         result = EvaluationResult()
         for query_id in order:
             best = self._best_naive(query_id, free_at)

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import re
+
 import pytest
+from hypothesis import is_hypothesis_test, settings
 
 from repro.core.value import DiscountRates
 from repro.data.synthetic import generate_synthetic
@@ -12,6 +16,68 @@ from repro.federation.costmodel import StaticCostProvider
 from repro.sim.rng import RandomSource
 from repro.sim.scheduler import Simulator
 from repro.workload.query import DSSQuery
+
+# -- Hypothesis profiles ------------------------------------------------------
+#
+# ``tier1`` (the default): every property draws the same examples on every
+# machine and every run, and the git-ignored example database plays no
+# part — a red run is red for everyone, and a counter-example worth
+# keeping is committed as an ``@example``.  ``fuzz`` (`make
+# fuzz-properties`) draws fresh randomness with FUZZ_BUDGET times each
+# property's own ``max_examples`` and prints what it finds ready to paste.
+FUZZ_BUDGET = 10
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.register_profile("fuzz", derandomize=False)
+PROFILE = os.environ.get("HYPOTHESIS_PROFILE", "tier1")
+settings.load_profile(PROFILE)
+
+_FALSIFYING = re.compile(r"Falsifying example: \w+\(\n(.*?)\n\)", re.DOTALL)
+
+
+def pytest_collection_modifyitems(items) -> None:
+    """Under ``fuzz``, scale every property's own example budget."""
+    if PROFILE != "fuzz":
+        return
+    scaled = set()
+    for item in items:
+        test = getattr(item, "obj", None)
+        test = getattr(test, "__func__", test)
+        if is_hypothesis_test(test) and test not in scaled:
+            scaled.add(test)  # parametrized items share one function
+            own = test._hypothesis_internal_use_settings
+            test._hypothesis_internal_use_settings = settings(
+                own, max_examples=FUZZ_BUDGET * own.max_examples
+            )
+
+
+def pasteable_examples(error: BaseException) -> list[str]:
+    """Hypothesis's falsifying examples on ``error``, each as ``@example(...)``.
+
+    Pasteable as far as the drawn values have literal reprs (a drawn
+    ``Random`` or ``data()`` object does not).
+    """
+    found = []
+    for note in getattr(error, "__notes__", ()):
+        for arguments in _FALSIFYING.findall(note):
+            kept = [
+                line for line in arguments.splitlines()
+                if not line.lstrip().startswith("self=")
+            ]
+            found.append("@example(\n" + "\n".join(kept) + "\n)")
+    for inner in getattr(error, "exceptions", ()):  # several distinct failures
+        found.extend(pasteable_examples(inner))
+    return found
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_makereport(item, call):
+    outcome = yield
+    if PROFILE == "fuzz" and call.excinfo is not None:
+        examples = pasteable_examples(call.excinfo.value)
+        if examples:
+            outcome.get_result().sections.append(
+                ("ready-to-paste @example", "\n".join(examples))
+            )
 
 
 @pytest.fixture

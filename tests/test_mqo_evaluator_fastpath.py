@@ -10,7 +10,7 @@ poke at the caps and counters.
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.value import DiscountRates
@@ -125,6 +125,23 @@ class TestFastPathEquivalence:
         assert evaluator.stats.trie_evictions > 0
         assert evaluator.stats.trie_entries <= 2
 
+    def test_evicted_trie_re_roots_at_the_rebased_clocks(self):
+        # Regression: the generational clear re-rooted the trie at idle
+        # servers, so after one eviction every order scored as if nothing
+        # had been committed (1.84 against the reference's 0.029 here).
+        workload = build_workload(
+            [(0, 1.0, 8_000.0), (0, 1.1, 8_000.0),
+             (0, 1.2, 8_000.0), (0, 1.3, 8_000.0)]
+        )
+        evaluator = build_evaluator(workload, max_prefix_entries=3)
+        evaluator.rebase({LOCAL_SITE_ID: 40.0})
+        for order in ([1, 2, 3, 4], [2, 1, 3, 4], [1, 2, 3, 4]):
+            assert (
+                evaluator.sequence_fitness(order)
+                == evaluator.evaluate_naive(order).total_information_value
+            )
+        assert evaluator.stats.trie_evictions > 0
+
     def test_zero_cap_disables_memoization(self):
         workload = build_workload([(0, 1.0, 8_000.0), (1, 1.1, 8_000.0)])
         evaluator = build_evaluator(workload, max_prefix_entries=0)
@@ -163,10 +180,29 @@ session_step = st.one_of(
 )
 
 
+class _EveryQueryInOrder:
+    """A "drawn" ``Random`` for an ``@example``: the whole workload, as listed."""
+
+    def randint(self, low: int, high: int) -> int:
+        return high
+
+    def sample(self, population: list[int], k: int) -> list[int]:
+        return list(population[:k])
+
+
 class TestFitnessIsTheResultsTotal:
     """``sequence_fitness`` returns the walk's running total and builds
     nothing; it must equal the realized result's total with ``==``."""
 
+    # The trie re-root bug: a cap-3 trie evicts on the fourth position of
+    # the cold walk, and the warm walk after it started from idle servers.
+    @example(
+        specs=[(0, 1.0, 8_000.0), (0, 1.1, 8_000.0),
+               (0, 1.2, 8_000.0), (0, 1.3, 8_000.0)],
+        steps=[("rebase", {LOCAL_SITE_ID: 40.0}),
+               ("score", _EveryQueryInOrder())],
+        cap=3,
+    )
     @settings(max_examples=60, deadline=None)
     @given(
         specs=st.lists(query_spec, min_size=2, max_size=6),
@@ -215,6 +251,19 @@ class TestFitnessIsTheResultsTotal:
         assert built == []
         assert evaluator.evaluate_sequence([1, 2, 3]).total_information_value == total
         assert len(built) == 3  # one per position, only when a result is asked for
+
+    def test_scoring_leaves_the_dispatch_memo_alone(self):
+        # The choice memo serves choose_best only: inside the walk it
+        # missed seven probes in eight and cost more to ask than it saved.
+        workload = build_workload(
+            [(0, 1.0, 8_000.0), (1, 1.2, 8_000.0), (2, 1.4, 8_000.0)]
+        )
+        evaluator = build_evaluator(workload)
+        for _ in range(2):
+            for order in ([1, 2, 3], [2, 1, 3], [3, 1]):
+                evaluator.sequence_fitness(order)
+        assert evaluator.stats.choice_hits == 0
+        assert evaluator._choices == {}
 
     def test_total_is_a_plain_left_to_right_sum(self):
         # Built-in sum() is compensated from Python 3.12 on; the total

@@ -268,6 +268,8 @@ def assert_lowering_matches_oracle(
 ) -> None:
     """Every query of the evaluator's workload, field by field, with ``==``."""
     expected_stats = OracleQuery([], [], (), 0.0)
+    site_ids = evaluator._site_ids  # slot → site id, local first
+    assert site_ids == [LOCAL_SITE_ID, *range(NUM_SITES)]
     for query in evaluator.workload.queries:
         arrival = evaluator.workload.arrival_of(query.query_id)
         rates = evaluator.rates_for(query)
@@ -296,8 +298,15 @@ def assert_lowering_matches_oracle(
             assert start_time == want.start_time
             assert processing == want.processing
             assert transmission == want.transmission
-            assert sites == want.sites
-            assert commit_legs == want.commit_legs
+            # Records name servers by slot: remote slots in `sites`
+            # (every candidate also runs through slot 0, the local
+            # server), `(slot, minutes)` commit legs.
+            assert (
+                LOCAL_SITE_ID, *[site_ids[slot] for slot in sites]
+            ) == want.sites
+            assert tuple(
+                [(site_ids[slot], minutes) for slot, minutes in commit_legs]
+            ) == want.commit_legs
             assert tuple(t.name for t in timelines) == want.replica_reads
             assert has_base == want.has_base
             assert upper_bound == want.upper_bound
@@ -317,7 +326,9 @@ def assert_lowering_matches_oracle(
             (1.0 - rates.synchronization) if rates.synchronization else 0.0
         )
         assert compiled.arrival == arrival
-        assert compiled.sites == oracle.sites
+        assert tuple(
+            [site_ids[slot] for slot in compiled.sites]
+        ) == oracle.sites
         assert compiled.latest_completion == oracle.latest_completion
         assert evaluator.range_of(query.query_id) == (
             arrival, oracle.latest_completion

@@ -223,23 +223,28 @@ GOLDEN_COUNTERS = {
     "burst": {"deferred": 0, "windows": 66, "ga_runs": 42, "groups": 24},
     "pressure": {"deferred": 79, "windows": 194, "ga_runs": 213, "groups": 17},
 }
-#: Work the GA and the evaluator did for those configs, captured on the
-#: commit before GA fitness became a totals-only walk (``burst`` with
-#: ``vectorized=False`` there: the numpy scorer bypassed these counters).
-#: The walk does the same work, each unit of it cheaper — so every count
-#: repeats exactly.
+#: Work the GA and the evaluator did for those configs.  Everything that
+#: counts a decision — GA fitness calls and cache hits, walks, trie
+#: resumes, lowerings, what a naive replay would have realized — is as
+#: captured on the commit before GA fitness became a totals-only walk
+#: (``burst`` with ``vectorized=False`` there: the numpy scorer bypassed
+#: these counters).  Three counters were re-captured when the walk
+#: stopped consulting the choice memo: ``choice_hits`` now counts dispatch
+#: probes only, and the positions the memo used to answer are scored
+#: again, which shows up as more ``realize_calls`` and more
+#: ``candidates_pruned``.
 GOLDEN_WORK = {
     "steady": {"fitness_calls": 246, "cache_hits": 882, "evaluations": 246,
-               "realize_calls": 2290, "naive_realize_calls": 4641,
-               "candidates_pruned": 722, "choice_hits": 452,
+               "realize_calls": 2911, "naive_realize_calls": 4641,
+               "candidates_pruned": 894, "choice_hits": 198,
                "prefix_hits": 40, "lowerings": 1200},
     "burst": {"fitness_calls": 510, "cache_hits": 834, "evaluations": 510,
-              "realize_calls": 5184, "naive_realize_calls": 9208,
-              "candidates_pruned": 651, "choice_hits": 549,
+              "realize_calls": 6160, "naive_realize_calls": 9208,
+              "candidates_pruned": 855, "choice_hits": 158,
               "prefix_hits": 332, "lowerings": 384},
     "pressure": {"fitness_calls": 937, "cache_hits": 1619, "evaluations": 937,
-                 "realize_calls": 11063, "naive_realize_calls": 18326,
-                 "candidates_pruned": 781, "choice_hits": 1573,
+                 "realize_calls": 14124, "naive_realize_calls": 18326,
+                 "candidates_pruned": 1112, "choice_hits": 456,
                  "prefix_hits": 325, "lowerings": 600},
 }
 
@@ -300,6 +305,58 @@ class TestBitEqualGoldens:
         assert stable(
             run_schedule(small_config(schedules=(flagged,)), flagged)
         ) == stable(plain)
+
+
+class TestCacheCapsNeverDecide:
+    """Every evaluator cache is exact, so no cap on one may change a
+    decision — through the production path, where the base clocks are not
+    idle.  (The evicted prefix trie used to re-root at idle servers: wrong
+    GA scores from the first eviction of a pass on, at any small cap.)"""
+
+    @staticmethod
+    def run(spec, monkeypatch, cap=None) -> list[tuple]:
+        """Per shard session: decision log, dispatch order, total IV."""
+        from repro.mqo.online import OnlineMQOScheduler
+
+        sessions = []
+        open_session = OnlineMQOScheduler.session
+
+        def capped_session(self, workload, clock):
+            session = open_session(self, workload, clock)
+            if cap is not None:
+                session.evaluator.max_prefix_entries = cap
+            sessions.append(session)
+            return session
+
+        with monkeypatch.context() as patch:
+            patch.setattr(OnlineMQOScheduler, "session", capped_session)
+            run_schedule(small_config(schedules=(spec,)), spec)
+        assert len(sessions) == 2
+        return [
+            (
+                list(session.decisions),
+                [a.query.query_id
+                 for a in session.decision.result.assignments],
+                session.decision.total_information_value.hex(),
+            )
+            for session in sessions
+        ]
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_SPECS))
+    def test_trie_and_memo_caps(self, name, monkeypatch):
+        spec = GOLDEN_SPECS[name]
+        reference = self.run(spec, monkeypatch)  # the default, 65,536
+        for cap in (0, 3, 64):
+            assert self.run(spec, monkeypatch, cap) == reference, cap
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_SPECS))
+    def test_one_staleness_order_per_shape(self, name, monkeypatch):
+        from repro.mqo import evaluator
+
+        spec = GOLDEN_SPECS[name]
+        reference = self.run(spec, monkeypatch)
+        monkeypatch.setattr(evaluator, "_MAX_STALENESS_ORDERS", 1)
+        assert self.run(spec, monkeypatch) == reference
 
 
 class TestWorkCounters:
