@@ -44,8 +44,9 @@ test-serve:
 test-durable:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/test_durable_journal.py tests/test_durable_resume.py tests/test_durable_properties.py -q
 
-# The scale arc: incremental conflict groups and the EXT5 sharded sweep
-# (long configs stay behind `slow`).
+# The scale arc: incremental conflict groups and the EXT5 sharded sweep,
+# including the shipped-selection and cache-cap differentials (long
+# configs stay behind `slow`).
 test-scale:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/test_mqo_conflict_incremental.py tests/test_mqo_scale.py -q -m "not slow"
 

@@ -19,22 +19,26 @@ The driver runs three arrival schedules per sweep:
   exercising the defer/requeue admission path end to end.
 
 Each schedule's pipeline: :func:`run_schedule` builds the arrival stream
-once, derives every query's execution range by lowering it through one
-:class:`~repro.mqo.evaluator.WorkloadEvaluator` without retaining the
-candidate records (reported as ``ranges_per_sec``), maintains groups with
-:class:`~repro.mqo.conflict.IncrementalConflictGroups`, bin-packs whole
-groups onto shards (:func:`shard_assignments`), then runs one
-:class:`~repro.mqo.online.OnlineMQOScheduler` per shard — serially or in
-spawned worker processes (``ScaleConfig.executor``).  A shard receives
-its member queries and their arrivals in its payload (the same payload
-either way) and rebuilds only catalog and cost model from the
-(picklable) config; it lowers each member again at admission, so a query
-is lowered twice per run and compiled costs are paid once per shape per
-process (``work`` in the metrics counts both).  Per-shard memory is the
-worker's own ``VmHWM`` from ``/proc/self/status`` — ``ru_maxrss``
-survives fork+exec, so even a *spawned* worker would otherwise report
-the parent's peak; with ``executor="serial"`` the shards share the
-parent's process and the figure is that process's peak.
+once, derives every query's execution range by *selecting* its candidates
+through one :class:`~repro.mqo.evaluator.WorkloadEvaluator` that retains
+nothing (the range prelude, reported as ``ranges_per_sec``), maintains
+groups with :class:`~repro.mqo.conflict.IncrementalConflictGroups`,
+bin-packs whole groups onto shards (:func:`shard_assignments`), then runs
+one :class:`~repro.mqo.online.OnlineMQOScheduler` per shard — serially or
+in spawned worker processes (``ScaleConfig.executor``).  A shard receives
+its member queries, their arrivals and the selection the prelude made for
+each in its payload (the same payload either way) and rebuilds only
+catalog and cost model from the (picklable) config; its evaluator builds
+each member's candidate records from the shipped selection at admission,
+so a query is lowered once per run — selected in the prelude, compiled in
+its shard — and compiled costs are paid once per shape per process
+(``work`` in the metrics counts both: ``lowerings == queries``).  What
+only the prelude needed is released before the first shard runs.
+Per-shard memory is the worker's own ``VmHWM`` from
+``/proc/self/status`` — ``ru_maxrss`` survives fork+exec, so even a
+*spawned* worker would otherwise report the parent's peak; with
+``executor="serial"`` the shards share the parent's process and the
+figure is that process's peak.
 
 A sharded run is **not** claimed bit-equal to an unsharded one — each
 shard re-optimizes on its own window clock — so the sweep reports
@@ -295,7 +299,9 @@ def shard_assignments(
     return assigned
 
 
-def _traced_run(config, spec, scheduler, workload, shard, spool_path):
+def _traced_run(
+    config, spec, scheduler, workload, selections, shard, spool_path
+):
     """Replay :meth:`OnlineMQOScheduler.run` with the telemetry stack attached.
 
     Same event loop, same decisions: the session handles the identical pop
@@ -321,7 +327,7 @@ def _traced_run(config, spec, scheduler, workload, shard, spool_path):
     clock = SimClock()
     tracer = Tracer(lambda: clock.now, capacity=config.trace_capacity)
     scheduler.tracer = tracer
-    session = scheduler.session(workload, clock)
+    session = scheduler.session(workload, clock, selections)
     cursor = 0
 
     def emit_starts() -> None:
@@ -426,13 +432,14 @@ def _run_shard(payload) -> dict:
     """One shard's online run (module-level: spawned workers pickle it).
 
     The payload carries this shard's member queries and arrivals (original
-    ids and arrival times, stream order preserved); catalog and cost model
+    ids and arrival times, stream order preserved) and the candidate
+    selection the range prelude made for each; catalog and cost model
     are rebuilt from the config — cheap, and start-method-agnostic.  With
     a spool path the run goes through :func:`_traced_run` (same decisions,
     telemetry shipped home); without one it is exactly the untraced
     scheduler loop.
     """
-    config, spec, workload, shard, spool_path = payload
+    config, spec, workload, selections, shard, spool_path = payload
     catalog, cost_model, rates = _infrastructure(config)
     scheduler = OnlineMQOScheduler(
         catalog, cost_model, rates,
@@ -450,10 +457,10 @@ def _run_shard(payload) -> dict:
         ),
     )
     if spool_path is None:
-        decision = scheduler.run(workload)
+        decision = scheduler.run(workload, selections)
     else:
         decision = _traced_run(
-            config, spec, scheduler, workload, shard, spool_path
+            config, spec, scheduler, workload, selections, shard, spool_path
         )
     stats = decision.stats
     return {
@@ -491,6 +498,78 @@ def _percentile_ms(reopts: list[float], fraction: float) -> float:
     return reopts[rank] * 1000.0
 
 
+def _form_groups(
+    config: ScaleConfig, stream: Workload
+) -> tuple[list[list[int]], dict[int, tuple], dict, float]:
+    """The range prelude: ``(groups, selections, work, wall seconds)``.
+
+    Each query is selected once, here — its range is all group formation
+    needs — and the selection travels to the shard that will own it, which
+    builds the candidate records from it.  The evaluator and the group
+    tracker do not outlive this call.
+    """
+    catalog, cost_model, rates = _infrastructure(config)
+    started = time.perf_counter()
+    evaluator = WorkloadEvaluator(
+        catalog, cost_model, rates, stream,
+        max_candidates=config.max_candidates,
+    )
+    tracker = IncrementalConflictGroups()
+    selections: dict[int, tuple] = {}
+    for query in stream.queries:
+        start, end = evaluator.range_of(query.query_id, selections)
+        tracker.add(ExecutionRange(query.query_id, start, end))
+    groups = tracker.groups()
+    wall = time.perf_counter() - started
+    return groups, selections, _work(cost_model, evaluator.stats), wall
+
+
+def _shard_payloads(
+    config: ScaleConfig,
+    spec: ScheduleSpec,
+    stream: Workload,
+    groups: list[list[int]],
+    selections: dict[int, tuple],
+    spool_dir: str | None,
+) -> tuple[list[tuple], list[str]]:
+    """One :func:`_run_shard` payload per non-empty shard (+ spool paths).
+
+    Moves each selection out of ``selections`` into its shard's payload.
+    """
+    shard_of = {
+        qid: shard
+        for shard, shard_ids in enumerate(
+            shard_assignments(groups, config.shards)
+        )
+        for qid in shard_ids
+    }
+    members: list[list[DSSQuery]] = [[] for _ in range(config.shards)]
+    for query in stream.queries:  # stream order within each shard
+        members[shard_of[query.query_id]].append(query)
+    payloads = []
+    spool_paths = []
+    for shard, queries in enumerate(filter(None, members)):
+        spool_path = None
+        if config.telemetry:
+            spool_path = os.path.join(
+                spool_dir, f"{spec.name}-shard{shard}.spool"
+            )
+            spool_paths.append(spool_path)
+        workload = Workload(
+            queries=queries,
+            arrivals={
+                query.query_id: stream.arrival_of(query.query_id)
+                for query in queries
+            },
+        )
+        shipped = {
+            query.query_id: selections.pop(query.query_id)
+            for query in queries
+        }
+        payloads.append((config, spec, workload, shipped, shard, spool_path))
+    return payloads, spool_paths
+
+
 def run_schedule(
     config: ScaleConfig,
     spec: ScheduleSpec,
@@ -506,23 +585,16 @@ def run_schedule(
     before the spool directory is cleaned up (the CLI renders dashboards
     and chrome traces from it).
     """
-    catalog, cost_model, rates = _infrastructure(config)
     stream = build_stream(config, spec)
-
-    formation_started = time.perf_counter()
-    evaluator = WorkloadEvaluator(
-        catalog, cost_model, rates, stream,
-        max_candidates=config.max_candidates,
+    groups, selections, prelude_work, formation_wall = _form_groups(
+        config, stream
     )
-    tracker = IncrementalConflictGroups()
-    for query in stream.queries:
-        # Only the range is needed here; the owning shard lowers the
-        # query again at admission, so nothing is retained.
-        start, end = evaluator.range_of(query.query_id)
-        evaluator.evict(query.query_id)
-        tracker.add(ExecutionRange(query.query_id, start, end))
-    groups = tracker.groups()
-    formation_wall = time.perf_counter() - formation_started
+    group_formation = {
+        "wall_seconds": round(formation_wall, 3),
+        "ranges_per_sec": round(spec.queries / formation_wall, 1),
+        "groups": len(groups),
+        "largest_group": max(len(group) for group in groups),
+    }
 
     spool_tmp: tempfile.TemporaryDirectory | None = None
     spool_dir = config.spool_dir
@@ -533,33 +605,11 @@ def run_schedule(
         else:
             os.makedirs(spool_dir, exist_ok=True)
     try:
-        shard_of = {
-            qid: shard
-            for shard, shard_ids in enumerate(
-                shard_assignments(groups, config.shards)
-            )
-            for qid in shard_ids
-        }
-        members: list[list[DSSQuery]] = [[] for _ in range(config.shards)]
-        for query in stream.queries:  # stream order within each shard
-            members[shard_of[query.query_id]].append(query)
-        payloads = []
-        spool_paths = []
-        for shard, queries in enumerate(filter(None, members)):
-            spool_path = None
-            if config.telemetry:
-                spool_path = os.path.join(
-                    spool_dir, f"{spec.name}-shard{shard}.spool"
-                )
-                spool_paths.append(spool_path)
-            workload = Workload(
-                queries=queries,
-                arrivals={
-                    query.query_id: stream.arrival_of(query.query_id)
-                    for query in queries
-                },
-            )
-            payloads.append((config, spec, workload, shard, spool_path))
+        payloads, spool_paths = _shard_payloads(
+            config, spec, stream, groups, selections, spool_dir
+        )
+        # The shards own every query from here on.
+        del stream, groups, selections
         run_started = time.perf_counter()
         if config.executor == "process":
             context = multiprocessing.get_context("spawn")
@@ -568,7 +618,11 @@ def run_schedule(
             ) as pool:
                 shard_results = list(pool.map(_run_shard, payloads))
         else:
-            shard_results = [_run_shard(payload) for payload in payloads]
+            # In-process shards share this address space: each payload is
+            # let go before the next shard runs.
+            shard_results = []
+            while payloads:
+                shard_results.append(_run_shard(payloads.pop(0)))
         run_wall = time.perf_counter() - run_started
 
         reopts = sorted(
@@ -579,21 +633,13 @@ def run_schedule(
         dispatched = sum(result["dispatched"] for result in shard_results)
         total_wall = formation_wall + run_wall
         rss_kbs = [result["max_rss_kb"] for result in shard_results]
-        # Compile work of the range prelude above and of every shard (each
-        # owns one cost model and one evaluator).
-        works = [
-            _work(cost_model, evaluator.stats),
-            *(result["work"] for result in shard_results),
-        ]
+        # Compile work of the range prelude and of every shard (each owns
+        # one cost model and one evaluator).
+        works = [prelude_work, *(result["work"] for result in shard_results)]
         metrics = {
             "queries": spec.queries,
-            "shards": len(payloads),
-            "group_formation": {
-                "wall_seconds": round(formation_wall, 3),
-                "ranges_per_sec": round(spec.queries / formation_wall, 1),
-                "groups": len(groups),
-                "largest_group": max(len(group) for group in groups),
-            },
+            "shards": len(shard_results),
+            "group_formation": group_formation,
             "wall_seconds": round(run_wall, 3),
             "queries_per_sec": round(dispatched / total_wall, 1),
             "dispatched": dispatched,

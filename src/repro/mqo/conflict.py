@@ -46,9 +46,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ExecutionRange:
-    """The half-open time range ``[start, end)`` one query may occupy."""
+    """The half-open time range ``[start, end)`` one query may occupy.
+
+    Read-only by convention (not ``frozen``: one is built per arrival, and
+    a frozen dataclass constructs through ``object.__setattr__`` per field).
+    """
 
     query_id: int
     start: float

@@ -18,26 +18,29 @@ Because this is the GA's inner loop, the default code path is a layered
 fast path that produces bit-identical results to the straightforward
 replay (retained as :meth:`WorkloadEvaluator.evaluate_naive`):
 
-* **Compile once per shape, lower per arrival** — Section 3.1's combos
-  are "compiled only once and in advance": everything about a query except
-  its arrival instant (replicated/base-only split, the all-base incumbent
-  and the tolerable delay it implies, each table-location combo's cost
-  floats, involved sites, commit legs and replica timelines) is a property
-  of its *shape* and is built once per shape (:class:`_Shape`,
-  :class:`_Combo`).  An arrival is then **lowered** straight to compiled
-  candidate records: bisect the replicas' live sync-completion arrays for
-  the start instants inside the tolerable window, rank replicas by
-  staleness at each instant, estimate each ``(start, combo)``'s IV with
-  :attr:`QueryPlan.information_value`'s exact expression order, sort, cut
-  to ``max_candidates``.  Each survivor is one flat tuple (see
-  :data:`_CANDIDATE_FIELDS`) that the candidate loop unpacks whole, so
-  realizing it is pure float arithmetic plus a bisect per replica read,
-  with zero ``Catalog`` or ``Replica`` calls; the record carries its own
-  IV upper bound and the maximum over every later candidate's, which lets
-  the loop stop as soon as no remaining plan can beat the incumbent.
-  :class:`QueryPlan`/:class:`TableVersion` objects are materialised only
-  on request (:attr:`Assignment.plan`, :meth:`WorkloadEvaluator.candidates`),
-  and :meth:`WorkloadEvaluator.evict` drops a dispatched query's records,
+* **Compile once per shape, lower each arrival once** — Section 3.1's
+  combos are "compiled only once and in advance": everything about a query
+  except its arrival instant (replicated/base-only split, the all-base
+  incumbent and the tolerable delay it implies, each table-location
+  combo's cost floats, involved sites, commit legs and replica timelines)
+  is built once per *shape* (:class:`_Shape`, :class:`_Combo`).  An
+  arrival is then **lowered** in two steps.  *Select*: bisect the
+  replicas' live sync-completion arrays for the start instants inside the
+  tolerable window, rank replicas by staleness at each, estimate each
+  ``(start, combo)``'s IV in :attr:`QueryPlan.information_value`'s exact
+  expression order, sort, cut to ``max_candidates``.  *Records*: each
+  survivor becomes one flat tuple (fields ``_SUFFIX_BOUND … _PLAN_CELL``)
+  the candidate loop unpacks whole — realizing it is float arithmetic plus
+  a bisect per replica read, no ``Catalog`` or ``Replica`` call — carrying
+  its own IV upper bound and the maximum over every later candidate's, so
+  the loop stops once no remaining plan can beat the incumbent.  A
+  selection is plain data, ``((start, remote tables), …)``: an evaluator
+  that needs only ranges selects and ships it
+  (:meth:`WorkloadEvaluator.range_of`), and the evaluator handed it as
+  ``selections`` builds the records without selecting again.
+  :class:`QueryPlan` objects are materialised only on request
+  (:attr:`Assignment.plan`, :meth:`WorkloadEvaluator.candidates`), and
+  :meth:`WorkloadEvaluator.evict` drops a dispatched query's records,
   keeping the three floats :meth:`~WorkloadEvaluator.range_of` and
   :meth:`~WorkloadEvaluator.upper_bound` serve.
 * **Score, don't realize** — the GA needs a number per chromosome, so
@@ -57,9 +60,8 @@ replay (retained as :meth:`WorkloadEvaluator.evaluate_naive`):
   cached prefix; past it every position is scored afresh.  A second memo,
   keyed on ``(query, clocks of that query's candidate slots)`` — all a
   choice depends on — serves dispatch only, which re-asks about one plan
-  head under unchanged clocks; inside the walk it missed seven probes in
-  eight.  Both caches are bounded: exceeding the entry cap resets them
-  (a generational clear), so memory stays flat across GA generations.
+  head under unchanged clocks.  Both caches are bounded: exceeding the
+  entry cap resets them (a generational clear), so memory stays flat.
 * **Observability** — an :class:`EvaluatorStats` struct counts prefix
   hits, resume depths, realize calls (actual vs. what a naive replay would
   have cost), pruned candidates, and the silent caps applied while
@@ -70,7 +72,7 @@ from __future__ import annotations
 
 import typing
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from math import inf
 from operator import itemgetter
 
@@ -80,7 +82,6 @@ from repro.core.value import DiscountRates, information_value, max_tolerable_lat
 from repro.errors import OptimizationError
 from repro.federation.catalog import Catalog
 from repro.federation.site import LOCAL_SITE_ID
-from repro.obs.profile import profiled
 
 if typing.TYPE_CHECKING:  # pragma: no cover - typing only
     from collections.abc import Sequence
@@ -156,9 +157,11 @@ def _candidate_plan(
     return plan
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Assignment:
-    """One query's realized execution inside a schedule."""
+    """One query's realized execution inside a schedule (read-only by
+    convention: ``frozen`` would construct through ``object.__setattr__``
+    per field, and one is built per dispatch and evaluated position)."""
 
     query: "DSSQuery"
     #: The chosen candidate record; ``None`` on an assignment restored
@@ -261,8 +264,8 @@ class EvaluatorStats:
     horizon_capped: int = 0
     candidate_plans_dropped: int = 0
     candidates_unavailable: int = 0
-    #: Shape skeletons built / per-arrival lowerings performed — the work
-    #: counters that catch an O(queries) compile regression.
+    #: Shape skeletons built / arrivals selected (:meth:`_select` runs) —
+    #: the work counters that catch an O(queries) compile regression.
     shapes: int = 0
     lowerings: int = 0
 
@@ -280,23 +283,12 @@ class EvaluatorStats:
 
     def merge(self, other: "EvaluatorStats") -> None:
         """Accumulate another stats struct into this one (for reporting)."""
-        self.evaluations += other.evaluations
-        self.realize_calls += other.realize_calls
-        self.naive_realize_calls += other.naive_realize_calls
-        self.candidates_pruned += other.candidates_pruned
-        self.prefix_hits += other.prefix_hits
-        self.prefix_queries_skipped += other.prefix_queries_skipped
-        self.choice_hits += other.choice_hits
-        self.choice_evictions += other.choice_evictions
+        for counter in fields(self):
+            name = counter.name
+            if name != "resume_depths":
+                setattr(self, name, getattr(self, name) + getattr(other, name))
         for depth, count in other.resume_depths.items():
             self.resume_depths[depth] = self.resume_depths.get(depth, 0) + count
-        self.trie_entries += other.trie_entries
-        self.trie_evictions += other.trie_evictions
-        self.horizon_capped += other.horizon_capped
-        self.candidate_plans_dropped += other.candidate_plans_dropped
-        self.candidates_unavailable += other.candidates_unavailable
-        self.shapes += other.shapes
-        self.lowerings += other.lowerings
 
     def summary(self) -> str:
         """One-line digest for experiment output."""
@@ -443,13 +435,8 @@ def _assignment(compiled: _CompiledQuery, choice: tuple) -> Assignment:
     :class:`Assignment`, for the callers that read one."""
     candidate, begin, completed, stamp, _iv = choice
     return Assignment(
-        query=compiled.query,
-        candidate=candidate,
-        rates=compiled.shape.rates,
-        arrival=compiled.arrival,
-        begin=begin,
-        completed=completed,
-        data_timestamp=stamp,
+        compiled.query, candidate, compiled.shape.rates, compiled.arrival,
+        begin, completed, stamp,
     )
 
 
@@ -480,11 +467,17 @@ class WorkloadEvaluator:
         fast_path: bool = True,
         max_prefix_entries: int = 65_536,
         availability: "AvailabilityView | None" = None,
+        selections: "dict[int, tuple] | None" = None,
     ) -> None:
         if max_candidates < 1:
             raise OptimizationError("max_candidates must be >= 1")
         if max_prefix_entries < 0:
             raise OptimizationError("max_prefix_entries must be >= 0")
+        if selections and availability is not None:
+            raise OptimizationError(
+                "selections are shipped availability-free: an evaluator "
+                "with an availability view selects for itself"
+            )
         self.catalog = catalog
         #: Must be a function of a query's shape (``DSSQuery.cost_shape``):
         #: each combo is costed once per shape, not once per query.
@@ -501,6 +494,10 @@ class WorkloadEvaluator:
         self.max_prefix_entries = max_prefix_entries
         self.stats = EvaluatorStats()
         self._shapes: dict[tuple, _Shape] = {}
+        #: Query id → ``((start, remote tables), …)``, best estimated IV
+        #: first: what :meth:`range_of` shipped from an evaluator over the
+        #: same catalog.  The caller's dict, popped as queries are lowered.
+        self._selections = selections if selections is not None else {}
         self._compiled: dict[int, _CompiledQuery] = {}
         #: ``(arrival, latest completion, IV upper bound)`` per lowered
         #: query; survives :meth:`evict`.
@@ -576,6 +573,34 @@ class WorkloadEvaluator:
         self.stats.shapes += 1
         return shape
 
+    def _combo(
+        self, shape: _Shape, query: "DSSQuery", remote: frozenset[str]
+    ) -> _Combo:
+        """The shape's combo reading ``remote`` at the base sites, built
+        once; ``remote`` may come from a shipped selection, so it is checked:
+        every base-only table, and only the query's own."""
+        combo = shape.by_remote.get(remote)
+        if combo is None:
+            if not (
+                isinstance(remote, frozenset)
+                and shape.base_only <= remote <= frozenset(query.tables)
+            ):
+                raise OptimizationError(
+                    f"{remote!r} is not a remote set of query "
+                    f"{query.name!r} over tables {query.tables}"
+                )
+            combo = shape.by_remote[remote] = _Combo(
+                remote,
+                self.cost_provider.combo_cost(query, remote),
+                tuple(
+                    self._timeline(name)
+                    for name in query.tables
+                    if name not in remote
+                ),
+                self._slots,
+            )
+        return combo
+
     def _gather(
         self, shape: _Shape, query: "DSSQuery", order: tuple[str, ...]
     ) -> list[_Combo]:
@@ -584,22 +609,10 @@ class WorkloadEvaluator:
         Substitute the ``k`` stalest substitutable replicas with base
         reads, ``k = 0..len(order)``; base-only tables are always remote.
         """
-        combos = []
-        for k in range(len(order) + 1):
-            remote = shape.base_only | frozenset(order[:k])
-            combo = shape.by_remote.get(remote)
-            if combo is None:
-                combo = shape.by_remote[remote] = _Combo(
-                    remote,
-                    self.cost_provider.combo_cost(query, remote),
-                    tuple(
-                        self._timeline(name)
-                        for name in query.tables
-                        if name not in remote
-                    ),
-                    self._slots,
-                )
-            combos.append(combo)
+        combos = [
+            self._combo(shape, query, shape.base_only | frozenset(order[:k]))
+            for k in range(len(order) + 1)
+        ]
         if len(shape.combos) >= _MAX_STALENESS_ORDERS:
             # Stochastic sync schedules can visit up to m! orders over a
             # long-lived service; the combo records themselves (by_remote,
@@ -638,19 +651,18 @@ class WorkloadEvaluator:
             starts.extend(sorted(points))
         return starts
 
-    @profiled("evaluator.enumerate")
-    def _lower(self, query_id: int) -> _CompiledQuery:
-        """Lower one arrival of a shape to compiled candidate records.
+    def _select(
+        self, shape: _Shape, query: "DSSQuery", arrival: float
+    ) -> list[tuple]:
+        """Select one arrival's candidates: ``(start, combo, completed)``,
+        best estimated IV first, cut to ``max_candidates``.
 
         Bit-equal, candidate for candidate, to enumerating plans with
         :func:`~repro.core.enumeration.enumerate_plans` over
-        ``[arrival, arrival + tolerable]``, sorting by estimated IV,
-        cutting to ``max_candidates`` and compiling each survivor
-        (``tests/test_mqo_lowering.py`` holds that pipeline as the oracle).
+        ``[arrival, arrival + tolerable]``, sorting by estimated IV and
+        cutting (``tests/test_mqo_lowering.py`` holds that pipeline as the
+        oracle).  ``stats.lowerings`` counts runs of this step.
         """
-        query = self.workload.query(query_id)
-        arrival = self.workload.arrival_of(query_id)
-        shape = self._shape_of(query)
         stats = self.stats
         stats.lowerings += 1
         if shape.horizon_capped:
@@ -712,30 +724,36 @@ class WorkloadEvaluator:
                 )
             ]
             if available:
-                stats.candidates_unavailable += len(entries) - len(
-                    available
-                )
+                stats.candidates_unavailable += len(entries) - len(available)
                 entries = available
         entries.sort(key=_ESTIMATE, reverse=True)
         dropped = len(entries) - self.max_candidates
         if dropped > 0:
             stats.candidate_plans_dropped += dropped
             del entries[self.max_candidates:]
+        return [entry[1:] for entry in entries]
 
+    def _records(
+        self, query_id: int, query: "DSSQuery", arrival: float,
+        shape: _Shape, selection: list[tuple],
+    ) -> _CompiledQuery:
+        """Compile a selection into candidate records (and the summary)."""
+        value = shape.business_value
+        comp_base = shape.comp_base
+        sync_base = shape.sync_base
         # Back to front, so each record carries the largest bound from
         # itself to the end of the list.
         candidates = []
         suffix_bound = -inf
         slot_union: set[int] = set()
         latest = -inf
-        for _estimate, start, combo, completed in reversed(entries):
-            # Realized CL ≥ start - arrival + total.  The data
-            # timestamp is ≤ begin — except for a pure-replica combo
-            # whose replicas carry an initial timestamp in the future
-            # of begin — so SL ≥ total with that one correction.
-            # Together these bound realized IV for any server
-            # availability; _BOUND_SLACK absorbs pow()'s ~1 ulp error
-            # so pruning can never flip a comparison.
+        for start, combo, completed in reversed(selection):
+            # Realized CL ≥ start - arrival + total.  The data timestamp is
+            # ≤ begin — except for a pure-replica combo whose replicas carry
+            # an initial timestamp in the future of begin — so SL ≥ total
+            # with that one correction.  Together these bound realized IV
+            # for any server availability; _BOUND_SLACK absorbs pow()'s
+            # ~1 ulp error so pruning can never flip a comparison.
             total = combo.total
             min_sl = total
             initial_max = combo.initial_max
@@ -759,15 +777,29 @@ class WorkloadEvaluator:
                 latest = completed
         candidates.reverse()
         compiled = self._compiled[query_id] = _CompiledQuery(
-            query=query,
-            shape=shape,
-            arrival=arrival,
-            candidates=candidates,
-            sites=(0, *sorted(slot_union)),
-            latest_completion=latest,
+            query, shape, arrival, candidates, (0, *sorted(slot_union)), latest
         )
         self._summaries[query_id] = (arrival, latest, suffix_bound)
         return compiled
+
+    def _lower(self, query_id: int) -> _CompiledQuery:
+        """Lower one arrival to compiled candidate records: from the
+        selection shipped for it — consumed here, resolved to this
+        evaluator's combos, ``completed`` by :meth:`_select`'s expression
+        on the same floats — or else from its own."""
+        query = self.workload.query(query_id)
+        arrival = self.workload.arrival_of(query_id)
+        shape = self._shape_of(query)
+        shipped = []
+        for start, remote in self._selections.pop(query_id, ()):
+            combo = self._combo(shape, query, remote)
+            shipped.append(
+                (start, combo, start + combo.processing + combo.transmission)
+            )
+        return self._records(
+            query_id, query, arrival, shape,
+            shipped or self._select(shape, query, arrival),
+        )
 
     def _compiled_query(self, query_id: int) -> _CompiledQuery:
         compiled = self._compiled.get(query_id)
@@ -791,7 +823,9 @@ class WorkloadEvaluator:
         """
         self._compiled.pop(query_id, None)
 
-    def range_of(self, query_id: int) -> tuple[float, float]:
+    def range_of(
+        self, query_id: int, ship: "dict[int, tuple] | None" = None
+    ) -> tuple[float, float]:
         """The query's half-open execution range ``[arrival, latest)``.
 
         ``latest`` is the completion time of the query's slowest candidate
@@ -799,10 +833,26 @@ class WorkloadEvaluator:
         endpoint reads committed server state, so the range is computed
         once per query and cached for the evaluator's lifetime —
         :meth:`rebase` deliberately does *not* invalidate it (regression
-        ``tests/test_mqo_online.py::TestRangeCache``).  Before this cache
-        the online scheduler re-derived every pending query's candidates
-        on every window pass.
+        ``tests/test_mqo_online.py::TestRangeCache``).
+
+        With ``ship``, a dict, another evaluator will own the query and the
+        caller wants the range only: the query is selected, not lowered,
+        nothing is retained, and ``ship[query_id]`` receives the selection
+        ``((start, remote tables), …)`` — floats and frozensets of names,
+        picklable — for that evaluator's ``selections``.
         """
+        if ship is not None:
+            if self.availability is not None:
+                raise OptimizationError(
+                    "selections are shipped availability-free"
+                )
+            query = self.workload.query(query_id)
+            arrival = self.workload.arrival_of(query_id)
+            selection = self._select(self._shape_of(query), query, arrival)
+            ship[query_id] = tuple(
+                [(start, combo.remote_tables) for start, combo, _ in selection]
+            )
+            return arrival, max([entry[2] for entry in selection])
         arrival, latest, _bound = self._summary(query_id)
         return arrival, latest
 
@@ -870,13 +920,8 @@ class WorkloadEvaluator:
                 replica = self.catalog.replica(version.table)
                 freshness.append(replica.freshness_at(begin))
         return Assignment(
-            query=compiled.query,
-            candidate=candidate,
-            rates=rates,
-            arrival=arrival,
-            begin=begin,
-            completed=completed,
-            data_timestamp=min(freshness),
+            compiled.query, candidate, rates, arrival, begin, completed,
+            min(freshness),
         )
 
     def _commit(self, assignment: Assignment, free_at: dict[int, float]) -> None:
@@ -973,8 +1018,7 @@ class WorkloadEvaluator:
         flattened ``free_at``, served from a memo — here and only here —
         when the query's clocks match an earlier probe.  Bit-identical to
         realizing every candidate with :meth:`_realize` and keeping the
-        first strict IV maximum — the naive loop the dispatcher ran per
-        event before this path (``tests/test_mqo_online.py::
+        first strict IV maximum (``tests/test_mqo_online.py::
         TestHotPathFixes``).  ``free_at`` is read, never written; it is
         the caller's job to :meth:`_commit` the returned assignment.
         """
@@ -998,7 +1042,6 @@ class WorkloadEvaluator:
 
     # -- evaluation entry points -------------------------------------------
 
-    @profiled("evaluator.realize")
     def _walk(
         self, order: "Sequence[int]", chosen: list[tuple] | None = None
     ) -> float:
@@ -1099,7 +1142,6 @@ class WorkloadEvaluator:
             return self.evaluate_sequence(permutation)
         return self.evaluate_naive(permutation)
 
-    @profiled("evaluator.realize.naive")
     def evaluate_naive(self, order: "Sequence[int]") -> EvaluationResult:
         """Reference implementation: replay from scratch, no caches.
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 import typing
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
+from math import factorial
 
 from repro.errors import OptimizationError
 from repro.mqo.chromosome import (
@@ -69,6 +70,9 @@ class GAResult:
     ``fitness_calls`` counts real fitness-function invocations (cache
     misses); ``cache_hits`` counts chromosome scorings served from the
     memo cache.  Their sum is every scoring the run requested.
+    ``generations_run`` is below the configured count when the run scored
+    every permutation of its genes early and stopped; ``history`` has one
+    entry per generation run plus the final ranking's.
     """
 
     best: list[int]
@@ -154,7 +158,16 @@ class GeneticAlgorithm:
         best: list[int] = population[0]
         best_fitness = self._score(best)
 
+        # Once every permutation is scored no later generation can find a
+        # strictly better one, and `best` is the first strict maximum seen:
+        # stopping leaves best, best_fitness and fitness_calls as they
+        # would have ended (groups of two or three exhaust at once).
+        exhausted = factorial(len(genes))
+        generations_run = 0
         for _generation in range(cfg.generations):
+            if len(self._cache) == exhausted:
+                break
+            generations_run += 1
             with PROFILER.scope("ga.generation"):
                 ranked = sorted(population, key=self._score, reverse=True)
                 if self._score(ranked[0]) > best_fitness:
@@ -192,7 +205,7 @@ class GeneticAlgorithm:
         return GAResult(
             best=best,
             best_fitness=best_fitness,
-            generations_run=cfg.generations,
+            generations_run=generations_run,
             history=history,
             fitness_calls=self._fitness_calls,
             cache_hits=self._cache_hits,

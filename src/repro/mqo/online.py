@@ -149,9 +149,13 @@ class OnlineStats:
     reopt_seconds: float = 0.0  #: wall-clock spent re-optimizing
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class WindowRecord:
-    """One re-optimization pass (the audit trail behind ``MQO_WINDOW``)."""
+    """One re-optimization pass (the audit trail behind ``MQO_WINDOW``).
+
+    Read-only by convention (not ``frozen``: one is built per pass, and a
+    frozen dataclass constructs through ``object.__setattr__`` per field).
+    """
 
     index: int
     time: float            #: stream time the pass ran at
@@ -238,6 +242,7 @@ class OnlineSession:
         scheduler: "OnlineMQOScheduler",
         workload: "Workload",
         clock: Clock,
+        selections: "dict[int, tuple] | None" = None,
     ) -> None:
         self.scheduler = scheduler
         self.workload = workload
@@ -249,6 +254,7 @@ class OnlineSession:
             scheduler.default_rates,
             workload,
             max_candidates=scheduler.max_candidates,
+            selections=selections,
         )
         self.stats = OnlineStats()
         self.decision = OnlineDecision(
@@ -423,9 +429,12 @@ class OnlineSession:
 
     # -- event handling ----------------------------------------------------
 
-    def handle(self, now: float, tag: str, payload: object) -> str | None:
+    def handle(self, now: float, tag: str, payload: "int | None") -> str | None:
         """Process one popped clock event; returns the admission outcome
-        (``"admitted" | "shed" | "deferred"``) for arrival events."""
+        (``"admitted" | "shed" | "deferred"``) for arrival events.
+
+        ``payload`` is the query id of an arrival or completion, ``None``
+        for a window."""
         outcome: str | None = None
         if tag == "arrival":
             if not self.window_started:
@@ -433,7 +442,7 @@ class OnlineSession:
                 self.clock.push(now + self.config.window, "window", None)
             if self.arrivals_expected > 0:
                 self.arrivals_expected -= 1
-            outcome = self.submit(typing.cast(int, payload), now)
+            outcome = self.submit(payload, now)
         elif tag == "window":
             self._release_deferred()
             if self.dirty and (self.plan or self.queue):
@@ -611,7 +620,6 @@ class OnlineSession:
         # (the pre-fix per-event loop).
         return self.evaluator.choose_best(qid, self.free_at)
 
-    @profiled("online.dispatch")
     def dispatch(self, now: float) -> None:
         # Start plan heads whose begin precedes every event that could
         # still change the plan; realization is a pure function of the
@@ -674,18 +682,33 @@ class OnlineMQOScheduler:
         self.tracer = tracer
         self.config = config or OnlineConfig()
 
-    def session(self, workload: "Workload", clock: Clock) -> OnlineSession:
-        """A fresh clock-agnostic session over ``workload``."""
-        return OnlineSession(self, workload, clock)
+    def session(
+        self,
+        workload: "Workload",
+        clock: Clock,
+        selections: "dict[int, tuple] | None" = None,
+    ) -> OnlineSession:
+        """A fresh clock-agnostic session over ``workload``.
+
+        ``selections`` are per-query candidate selections made ahead of the
+        run (:meth:`WorkloadEvaluator.range_of`'s ``ship``); the session's
+        evaluator consumes them instead of selecting again.
+        """
+        return OnlineSession(self, workload, clock, selections)
 
     # -- the event loop ----------------------------------------------------
 
-    def run(self, workload: "Workload") -> OnlineDecision:
-        """Replay the workload's arrival stream through the online loop."""
+    def run(
+        self,
+        workload: "Workload",
+        selections: "dict[int, tuple] | None" = None,
+    ) -> OnlineDecision:
+        """Replay the workload's arrival stream through the online loop
+        (``selections`` as for :meth:`session`)."""
         if len(workload) == 0:
             raise OptimizationError("cannot schedule an empty workload")
         clock = SimClock()
-        session = self.session(workload, clock)
+        session = self.session(workload, clock, selections)
         ordered = workload.sorted_by_arrival()
         session.arrivals_expected = len(ordered)
         for query in ordered:

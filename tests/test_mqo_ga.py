@@ -241,3 +241,76 @@ class TestScoringCounters:
         assert result.fitness_calls == len(calls)
         assert len(set(calls)) == len(calls)
         assert result.cache_hits > 0  # 3! = 6 permutations, many repeats
+
+
+class TestStopsOnceEveryPermutationIsScored:
+    """With all n! orders in the memo no generation can improve on the
+    recorded strict maximum, so the run ends there — same answer, same
+    fitness calls, only the memo re-reads of the skipped generations gone."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        size=st.integers(min_value=1, max_value=4),
+        seed=st.integers(min_value=0, max_value=2**16),
+        weights=st.lists(
+            st.sampled_from([0.0, 0.5, 1.0, 2.0]), min_size=4, max_size=4
+        ),
+        population=st.integers(min_value=2, max_value=12),
+        generations=st.integers(min_value=1, max_value=8),
+        seeded=st.booleans(),
+    )
+    def test_same_result_as_running_every_generation(
+        self, size, seed, weights, population, generations, seeded
+    ):
+        from repro.mqo import ga
+
+        genes = list(range(1, size + 1))
+
+        def fitness(permutation: list[int]) -> float:
+            # Position-weighted, with ties (repeated weights): the first
+            # strict maximum must survive.
+            return sum(
+                weights[gene - 1] * position
+                for position, gene in enumerate(permutation)
+            )
+
+        def run():
+            return GeneticAlgorithm(
+                genes, fitness,
+                GAConfig(population_size=population, generations=generations,
+                         elitism=min(2, population - 1)),
+                seed=seed,
+            ).run(seed_chromosomes=[genes] if seeded else ())
+
+        stopped = run()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ga, "factorial", lambda n: -1)  # never exhausted
+            full = run()
+        assert full.generations_run == generations
+        assert (stopped.best, stopped.best_fitness, stopped.fitness_calls) == (
+            full.best, full.best_fitness, full.fitness_calls
+        )
+        assert stopped.generations_run <= generations
+        assert len(stopped.history) == stopped.generations_run + 1
+        assert stopped.history == full.history[:stopped.generations_run] + [
+            full.best_fitness
+        ]
+        if stopped.generations_run < generations:
+            assert stopped.fitness_calls == ga.factorial(size)
+            assert stopped.cache_hits < full.cache_hits
+
+    def test_a_pair_exhausts_in_the_initial_population(self):
+        scored = []
+
+        def fitness(permutation: list[int]) -> float:
+            scored.append(tuple(permutation))
+            return float(permutation[0])
+
+        result = GeneticAlgorithm(
+            [7, 9], fitness, GAConfig(population_size=4, generations=2), seed=0
+        ).run(seed_chromosomes=[[7, 9], [9, 7]])
+        assert sorted(scored) == [(7, 9), (9, 7)]
+        assert result.generations_run == 0
+        assert (result.best, result.best_fitness) == ([9, 7], 9.0)
+        assert result.history == [9.0]
+        assert (result.fitness_calls, result.cache_hits) == (2, 2)

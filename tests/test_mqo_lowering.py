@@ -12,6 +12,7 @@ single-query optimizer.
 
 from __future__ import annotations
 
+import pickle
 from dataclasses import dataclass, replace
 
 import pytest
@@ -25,6 +26,7 @@ from repro.core.value import (
     information_value,
     max_tolerable_latency,
 )
+from repro.errors import OptimizationError
 from repro.federation.catalog import (
     Catalog,
     FixedSyncSchedule,
@@ -264,9 +266,14 @@ def build_workload(specs) -> Workload:
 
 
 def assert_lowering_matches_oracle(
-    evaluator: WorkloadEvaluator, oracle_catalog, oracle_costs
+    evaluator: WorkloadEvaluator, oracle_catalog, oracle_costs,
+    selected_by: WorkloadEvaluator | None = None,
 ) -> None:
-    """Every query of the evaluator's workload, field by field, with ``==``."""
+    """Every query of the evaluator's workload, field by field, with ``==``.
+
+    ``selected_by`` is the evaluator whose shipped selections ``evaluator``
+    builds its records from: the select step's counters are that one's.
+    """
     expected_stats = OracleQuery([], [], (), 0.0)
     site_ids = evaluator._site_ids  # slot → site id, local first
     assert site_ids == [LOCAL_SITE_ID, *range(NUM_SITES)]
@@ -334,7 +341,7 @@ def assert_lowering_matches_oracle(
             arrival, oracle.latest_completion
         )
         assert evaluator.upper_bound(query.query_id) == oracle.suffix_bounds[0]
-    stats = evaluator.stats
+    stats = (selected_by or evaluator).stats
     assert stats.horizon_capped == expected_stats.horizon_capped
     assert stats.candidate_plans_dropped == expected_stats.candidate_plans_dropped
     assert stats.candidates_unavailable == expected_stats.candidates_unavailable
@@ -385,6 +392,54 @@ class TestLoweringMatchesOracle:
         assert_lowering_matches_oracle(
             evaluator, oracle_catalog, CostModel(oracle_catalog, params=params)
         )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(SCHEDULE_KINDS),
+        seed=st.integers(min_value=0, max_value=2**16),
+        initial=st.lists(
+            st.sampled_from([0.0, 0.0, 3.0, 25.0, 90.0]),
+            min_size=NUM_TABLES, max_size=NUM_TABLES,
+        ),
+        specs=st.lists(query_spec, min_size=1, max_size=6),
+        default_rates=st.tuples(rate, rate),
+        max_candidates=st.sampled_from([1, 2, 4, 64]),
+    )
+    def test_records_from_a_shipped_selection(
+        self, kind, seed, initial, specs, default_rates, max_candidates
+    ):
+        """Select in one evaluator, build records in another (the sharded
+        sweep's prelude and shard): the same records as lowering in place."""
+        def evaluator(**extra) -> WorkloadEvaluator:
+            catalog = build_catalog(kind, seed, initial)  # as a new process
+            return WorkloadEvaluator(
+                catalog, CostModel(catalog), DiscountRates(*default_rates),
+                build_workload(specs), max_candidates=max_candidates, **extra,
+            )
+
+        prelude = evaluator()
+        shipped: dict[int, tuple] = {}
+        ranges = {
+            query.query_id: prelude.range_of(query.query_id, shipped)
+            for query in prelude.workload.queries
+        }
+        assert prelude._compiled == {} and prelude._summaries == {}
+        assert pickle.loads(pickle.dumps(shipped)) == shipped
+        owner = evaluator(selections=shipped)
+        oracle_catalog = build_catalog(kind, seed, initial)
+        assert_lowering_matches_oracle(
+            owner, oracle_catalog, CostModel(oracle_catalog),
+            selected_by=prelude,
+        )
+        assert shipped == {}  # consumed as each query was lowered
+        assert owner.stats.lowerings == 0
+        assert ranges == {qid: owner.range_of(qid) for qid in ranges}
+        # Evicted, a query has no selection left and selects for itself.
+        first = owner.workload.query(1)
+        plans = owner.candidates(first)
+        owner.evict(1)
+        assert owner.candidates(first) == plans
+        assert owner.stats.lowerings == 1
 
     def test_static_cost_provider_and_shared_shapes(self):
         # Two queries of one shape at different arrivals share a skeleton
@@ -494,6 +549,44 @@ class TestLazyPlansAndEviction:
         assert session.evaluator._compiled == {}
         # The started assignment still materialises its plan.
         assert session.started[1].plan.query is evaluator.workload.query(1)
+
+
+class TestShippedSelectionsFailLoudly:
+    """A selection the evaluator cannot have made itself is an error."""
+
+    def build(self, **extra) -> WorkloadEvaluator:
+        catalog = build_catalog("fixed", 0, [0.0] * NUM_TABLES)
+        # q1 reads t0 and t1 (both replicated), q2 reads t4 and base-only t5.
+        workload = build_workload(
+            [(0, 2, 1.0, 2_000.0, 1.0, None), (4, 2, 1.5, 2_000.0, 1.0, None)]
+        )
+        return WorkloadEvaluator(
+            catalog, CostModel(catalog), DiscountRates.symmetric(0.1),
+            workload, **extra,
+        )
+
+    @pytest.mark.parametrize("qid, remote", [
+        (1, frozenset({"t3"})),          # not one of the query's tables
+        (1, frozenset({"t0", "t9"})),    # nor a table at all
+        (2, frozenset()),                # t5 has no replica to read
+        (2, frozenset({"t4"})),
+        (1, ("t0",)),                    # not a set
+    ])
+    def test_a_remote_set_the_shape_does_not_have(self, qid, remote):
+        evaluator = self.build(selections={qid: ((1.5, remote),)})
+        with pytest.raises(OptimizationError, match="not a remote set"):
+            evaluator.upper_bound(qid)
+
+    def test_an_evaluator_with_an_availability_view_selects_for_itself(self):
+        shipped: dict[int, tuple] = {}
+        self.build().range_of(1, shipped)
+        view = StubAvailability({}, 5)
+        with pytest.raises(OptimizationError, match="availability"):
+            self.build(availability=view, selections=shipped)
+        with pytest.raises(OptimizationError, match="availability"):
+            self.build(availability=view).range_of(1, {})
+        # No selections to refuse: an empty mapping is not an error.
+        assert self.build(availability=view, selections={}).range_of(1)
 
 
 class TestShapeKeyedCostModel:

@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 
 from repro.errors import ConfigError
+from repro.experiments import scale
 from repro.experiments.scale import (
     DEFAULT_SCHEDULES,
     MILLION_SCHEDULES,
@@ -232,20 +233,26 @@ GOLDEN_COUNTERS = {
 #: stopped consulting the choice memo: ``choice_hits`` now counts dispatch
 #: probes only, and the positions the memo used to answer are scored
 #: again, which shows up as more ``realize_calls`` and more
-#: ``candidates_pruned``.
+#: ``candidates_pruned``.  Two more moved when each arrival came to be
+#: lowered once: ``lowerings`` counts selections, made in the range prelude
+#: only and shipped to the shards (exactly one per query, half of 1200 /
+#: 384 / 600), and a GA run that has scored every permutation of its group
+#: stops, so the generations it no longer runs no longer re-read the memo
+#: (``cache_hits`` was 882 / 834 / 1619; ``burst``'s 8-query groups never
+#: exhaust).  ``fitness_calls`` and every evaluator counter stayed.
 GOLDEN_WORK = {
-    "steady": {"fitness_calls": 246, "cache_hits": 882, "evaluations": 246,
+    "steady": {"fitness_calls": 246, "cache_hits": 430, "evaluations": 246,
                "realize_calls": 2911, "naive_realize_calls": 4641,
                "candidates_pruned": 894, "choice_hits": 198,
-               "prefix_hits": 40, "lowerings": 1200},
+               "prefix_hits": 40, "lowerings": 600},
     "burst": {"fitness_calls": 510, "cache_hits": 834, "evaluations": 510,
               "realize_calls": 6160, "naive_realize_calls": 9208,
               "candidates_pruned": 855, "choice_hits": 158,
-              "prefix_hits": 332, "lowerings": 384},
-    "pressure": {"fitness_calls": 937, "cache_hits": 1619, "evaluations": 937,
+              "prefix_hits": 332, "lowerings": 192},
+    "pressure": {"fitness_calls": 937, "cache_hits": 1263, "evaluations": 937,
                  "realize_calls": 14124, "naive_realize_calls": 18326,
                  "candidates_pruned": 1112, "choice_hits": 456,
-                 "prefix_hits": 325, "lowerings": 600},
+                 "prefix_hits": 325, "lowerings": 300},
 }
 
 
@@ -282,8 +289,8 @@ class TestBitEqualGoldens:
             work["cache_hits"] += result.cache_hits
             return result
 
-        def counting_scheduler_run(self, workload):
-            decision = scheduler_run(self, workload)
+        def counting_scheduler_run(self, *args):
+            decision = scheduler_run(self, *args)
             for counter in work.keys() - {"fitness_calls", "cache_hits"}:
                 work[counter] += getattr(decision.evaluator_stats, counter)
             return decision
@@ -314,15 +321,19 @@ class TestCacheCapsNeverDecide:
     GA scores from the first eviction of a pass on, at any small cap.)"""
 
     @staticmethod
-    def run(spec, monkeypatch, cap=None) -> list[tuple]:
-        """Per shard session: decision log, dispatch order, total IV."""
+    def run(spec, monkeypatch, cap=None, patches=()) -> list[tuple]:
+        """Per shard session: decision log, dispatch order, total IV.
+
+        ``patches`` are extra ``(owner, attribute, value)`` to set for the
+        run only.
+        """
         from repro.mqo.online import OnlineMQOScheduler
 
         sessions = []
         open_session = OnlineMQOScheduler.session
 
-        def capped_session(self, workload, clock):
-            session = open_session(self, workload, clock)
+        def capped_session(self, *args):
+            session = open_session(self, *args)
             if cap is not None:
                 session.evaluator.max_prefix_entries = cap
             sessions.append(session)
@@ -330,6 +341,8 @@ class TestCacheCapsNeverDecide:
 
         with monkeypatch.context() as patch:
             patch.setattr(OnlineMQOScheduler, "session", capped_session)
+            for owner, attribute, value in patches:
+                patch.setattr(owner, attribute, value)
             run_schedule(small_config(schedules=(spec,)), spec)
         assert len(sessions) == 2
         return [
@@ -359,8 +372,72 @@ class TestCacheCapsNeverDecide:
         assert self.run(spec, monkeypatch) == reference
 
 
+    @pytest.mark.parametrize("name", sorted(GOLDEN_SPECS))
+    def test_one_entry_cost_model_caches(self, name, monkeypatch):
+        from repro.federation.costmodel import CostModel
+
+        class OneEntry(dict):
+            def __setitem__(self, key, value):
+                self.clear()
+                super().__setitem__(key, value)
+
+        build = CostModel.__init__
+
+        def build_capped(self, *args, **kwargs):
+            build(self, *args, **kwargs)
+            self._base_work_cache = OneEntry()
+            self._combo_cache = OneEntry()
+
+        spec = GOLDEN_SPECS[name]
+        assert self.run(
+            spec, monkeypatch, patches=[(CostModel, "__init__", build_capped)]
+        ) == self.run(spec, monkeypatch)
+
+
+def unshipped_payloads(*args, shard_payloads=scale._shard_payloads):
+    """``_shard_payloads`` with every shipped selection taken out again."""
+    payloads, spool_paths = shard_payloads(*args)
+    return [
+        (*payload[:3], {}, *payload[4:]) for payload in payloads
+    ], spool_paths
+
+
+class TestShippedSelectionsNeverDecide:
+    """A shard that selects for itself decides what one handed the
+    prelude's selections does: shipping moves work, nothing else."""
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_SPECS))
+    def test_serial_decision_logs(self, name, monkeypatch):
+        spec = GOLDEN_SPECS[name]
+        run = TestCacheCapsNeverDecide.run
+        assert run(
+            spec, monkeypatch,
+            patches=[(scale, "_shard_payloads", unshipped_payloads)],
+        ) == run(spec, monkeypatch)
+
+    @pytest.mark.parametrize("executor", ["serial", "process"])
+    @pytest.mark.parametrize("name", sorted(GOLDEN_SPECS))
+    def test_totals_and_work(self, name, executor, monkeypatch):
+        # Worker processes import afresh, so the parent's payloads are
+        # what can be changed; their logs stay home, their totals return.
+        spec = GOLDEN_SPECS[name]
+        config = small_config(executor=executor, schedules=(spec,))
+        shipped = run_schedule(config, spec)
+        monkeypatch.setattr(scale, "_shard_payloads", unshipped_payloads)
+        unshipped = run_schedule(config, spec)
+        assert stable(unshipped) == stable(shipped)
+        assert {
+            key: value.hex() for key, value in unshipped["total_iv"].items()
+        } == GOLDEN_TOTAL_IV[name]
+        assert shipped["work"]["lowerings"] == spec.queries
+        assert unshipped["work"]["lowerings"] == 2 * spec.queries
+        assert {**unshipped["work"], "lowerings": spec.queries} == (
+            shipped["work"]
+        )
+
+
 class TestWorkCounters:
-    """Compile work is O(shapes) + one lowering per arrival per process."""
+    """Compile work is O(shapes) per process + one lowering per arrival."""
 
     def test_two_thousand_queries_compile_per_shape_not_per_query(self):
         spec = ScheduleSpec("steady", queries=2_000, arrival="poisson",
@@ -373,8 +450,9 @@ class TestWorkCounters:
         processes = 1 + config.shards
         assert 0 < work["cost_compiles"] <= config.templates * 3 * processes
         assert 0 < work["shapes"] <= config.templates * processes
-        # Once for its range in the prelude, once at admission in its shard.
-        assert work["lowerings"] <= 2 * spec.queries
+        # Selected once, in the range prelude; its shard builds the
+        # candidate records from the shipped selection.
+        assert work["lowerings"] == spec.queries
 
     def test_serial_and_process_do_the_same_work(self):
         serial = run_schedule(small_config(), STEADY)["work"]

@@ -172,15 +172,21 @@ class TestDecorator:
 class TestInstrumentedRun:
     def test_profiled_stream_run_attributes_hot_phases(self):
         # The real instrumentation points: a profiled online streaming run
-        # must surface the scheduler/GA/evaluator phases with sane nesting.
+        # must surface the scheduler/GA phases with sane nesting.  Scopes
+        # are per pass, not per call: the evaluator's walk and lowering and
+        # the session's dispatch run too often to carry a wrapper while
+        # profiling is off.
         from repro.experiments.live import run_live
 
-        result = run_live(profile=True, num_queries=8, rounds=2)
+        # Twelve queries: a smaller stream forms only pairs and triples,
+        # whose GA runs score every order before the first generation.
+        result = run_live(profile=True, num_queries=12, rounds=2)
         table = result.profiler.attribution()
         assert "system.run" in table
         assert "online.schedule" in table
         assert "ga.run" in table and "ga.generation" in table
-        assert "evaluator.realize" in table
+        assert not {"evaluator.realize", "evaluator.enumerate",
+                    "online.dispatch"} & table.keys()
         assert "executor.dispatch" in table
         # GA generations nest inside ga.run: inclusive time dominates.
         assert table["ga.run"]["total_s"] >= table["ga.generation"]["total_s"]
