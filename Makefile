@@ -87,15 +87,9 @@ lint:
 	fi
 
 # Self-contained: sets PYTHONPATH itself, unlike the bare `test` target.
+# Runs the suite once; the test-* subsets above are for developers.
 ci: lint
 	PYTHONPATH=src $(PYTHON) -m pytest tests/ -q
-	$(MAKE) test-faults
-	$(MAKE) test-online
-	$(MAKE) test-live
-	$(MAKE) test-serve
-	$(MAKE) test-durable
-	$(MAKE) test-scale
-	$(MAKE) test-fleet
 	$(MAKE) trace-check
 	$(MAKE) trace-check-fleet
 	$(MAKE) serve-smoke

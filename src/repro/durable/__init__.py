@@ -36,6 +36,7 @@ from repro.durable.journal import (
     scan_journal,
 )
 from repro.durable.recovery import (
+    JournalObserver,
     RecoveredRun,
     recover,
     reconcile,
@@ -49,6 +50,7 @@ __all__ = [
     "encode_record",
     "scan_journal",
     "read_journal",
+    "JournalObserver",
     "RecoveredRun",
     "recover",
     "reconcile",

@@ -9,8 +9,10 @@ composes the two and, together with an uninterrupted reference run,
 backs the acceptance criterion: the resumed run's decision log and IV
 ledger are **bit-equal** to the uninterrupted one, at every crash point.
 
-The reference and the resumed run are the *same driver* — only the crash
-differs — so the comparison isolates exactly the property under test:
+The reference and the resumed run are the *same driver* —
+:func:`~repro.mqo.online.drive` with one
+:class:`~repro.durable.recovery.JournalObserver`, only the crash differs —
+so the comparison isolates exactly the property under test:
 that journal + snapshot + replay lose nothing and invent nothing.  This
 is the substrate for week-long, million-query horizons run in resumable
 chunks (ROADMAP items 2 and 5): any prefix of a long run can be cut at a
@@ -21,23 +23,21 @@ decision.
 from __future__ import annotations
 
 import typing
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from repro.durable.journal import InjectedCrash, JournalWriter, scan_journal
 from repro.durable.recovery import (
+    JournalObserver,
     RecoveredRun,
     arrival_record,
-    decision_record,
     header_record,
-    ledger_record,
-    pop_record,
     recover,
     reconcile,
-    snapshot_record,
-    window_record,
+    run_differences,
 )
 from repro.errors import OptimizationError
-from repro.obs.ledger import IVLedgerEntry, completion_ledger
+from repro.mqo.online import drive
+from repro.obs.ledger import IVLedgerEntry
 from repro.sim.clocks import SimClock
 
 if typing.TYPE_CHECKING:  # pragma: no cover - typing only
@@ -65,61 +65,6 @@ class JournaledRun:
     resumed_at_pops: int | None = None  #: None = ran uninterrupted
 
 
-class _Bookkeeper:
-    """Per-pop journaling shared by the initial run and the resumed tail.
-
-    Mirrors the serving loop's bookkeeping: after each handled event it
-    journals any new decision-log entries and window records, and — on
-    completions — synthesizes the ledger entry through the same shared
-    constructor the live service uses, journaling it too.
-    """
-
-    def __init__(
-        self,
-        session: "OnlineSession",
-        writer: JournalWriter | None,
-        ledgers: list[IVLedgerEntry],
-        decision_cursor: int = 0,
-        window_cursor: int = 0,
-    ) -> None:
-        self.session = session
-        self.writer = writer
-        self.ledgers = ledgers
-        self.decision_cursor = decision_cursor
-        self.window_cursor = window_cursor
-
-    def after_pop(self, now: float, tag: str, payload: object) -> None:
-        entry = None
-        if tag == "completion":
-            qid = typing.cast(int, payload)
-            assignment = self.session.started[qid]
-            query = self.session.workload.query(qid)
-            entry = completion_ledger(
-                query.name,
-                qid,
-                query.business_value,
-                assignment.rates,
-                submitted_at=self.session.workload.arrival_of(qid),
-                begin=assignment.begin,
-                completed_at=now,
-                data_timestamp=assignment.data_timestamp,
-            )
-            self.ledgers.append(entry)
-        self.flush_records()
-        if entry is not None and self.writer is not None:
-            self.writer.append(ledger_record(entry))
-
-    def flush_records(self) -> None:
-        """Journal decision-log and window entries not yet written."""
-        if self.writer is not None:
-            for entry in self.session.decisions[self.decision_cursor:]:
-                self.writer.append(decision_record(entry))
-            for record in self.session.decision.windows[self.window_cursor:]:
-                self.writer.append(window_record(record))
-        self.decision_cursor = len(self.session.decisions)
-        self.window_cursor = len(self.session.decision.windows)
-
-
 def journaled_run(
     scheduler: "OnlineMQOScheduler",
     workload: "Workload",
@@ -131,10 +76,10 @@ def journaled_run(
 ) -> JournaledRun:
     """Run the full arrival stream under SimClock, journaling everything.
 
-    The driver is :meth:`OnlineMQOScheduler.run` with a journal bolted
-    on: all arrivals push up front (heap position 0), then events pop to
-    exhaustion and the session drains.  ``snapshot_every`` journals a
-    full checkpoint every N pops (0 = never).  With
+    The driver is :meth:`OnlineMQOScheduler.run`'s :func:`drive` with a
+    journal observer: all arrivals push up front (heap position 0), then
+    events pop to exhaustion and the session drains.  ``snapshot_every``
+    journals a full checkpoint every N pops (0 = never).  With
     ``crash_after_bytes`` set, the writer dies mid-record at that byte
     and :class:`~repro.durable.journal.InjectedCrash` propagates — the
     journal on disk then looks exactly like a power loss happened.
@@ -146,36 +91,23 @@ def journaled_run(
     )
     clock = SimClock()
     session = scheduler.session(workload, clock)
-    ordered = workload.sorted_by_arrival()
-    session.arrivals_expected = len(ordered)
     run_meta = dict(meta or {})
     run_meta.setdefault("driver", "sim")
-    run_meta.setdefault("arrivals_expected", len(ordered))
+    run_meta.setdefault("arrivals_expected", len(workload))
     run_meta.setdefault("accepting", False)
-    ledgers: list[IVLedgerEntry] = []
-    book = _Bookkeeper(session, writer, ledgers)
-    pops = 0
+    journal = JournalObserver(writer, snapshot_every=snapshot_every)
     try:
         writer.append(header_record(run_meta))
-        for query in ordered:
-            arrival = workload.arrival_of(query.query_id)
-            writer.append(arrival_record(query, arrival, pops_before=0))
-            clock.push(arrival, "arrival", query.query_id)
-        while clock:
-            now, tag, payload = clock.pop()
-            writer.append(pop_record(now, tag, payload))
-            pops += 1
-            session.handle(now, tag, payload)
-            book.after_pop(now, tag, payload)
-            if snapshot_every and pops % snapshot_every == 0:
-                writer.append(snapshot_record(
-                    session, clock._timeline, pops, ledgers
-                ))
-        session.drain()
-        book.flush_records()
+        for query in session.push_arrivals():
+            writer.append(arrival_record(
+                query, workload.arrival_of(query.query_id), pops_before=0
+            ))
+        drive(session, clock, [journal])
     finally:
         writer.close()
-    return JournaledRun(session=session, ledgers=ledgers, pops=pops)
+    return JournaledRun(
+        session=session, ledgers=journal.ledgers, pops=journal.pops
+    )
 
 
 def resume_run(
@@ -188,30 +120,14 @@ def resume_run(
     the torn tail lost — so a resumed journal remains recoverable and
     verifiable; crash-during-resume composes by induction.
     """
-    session, clock = run.session, run.clock
-    if writer is not None:
-        reconcile(run, writer)
-    book = _Bookkeeper(
-        session, writer, run.ledgers,
-        decision_cursor=len(session.decisions),
-        window_cursor=len(session.decision.windows),
-    )
-    pops = run.pops
+    journal = reconcile(run, writer)
     try:
-        while clock:
-            now, tag, payload = clock.pop()
-            if writer is not None:
-                writer.append(pop_record(now, tag, payload))
-            pops += 1
-            session.handle(now, tag, payload)
-            book.after_pop(now, tag, payload)
-        session.drain()
-        book.flush_records()
+        drive(run.session, run.clock, [journal])
     finally:
         if writer is not None:
             writer.close()
     return JournaledRun(
-        session=session, ledgers=run.ledgers, pops=pops,
+        session=run.session, ledgers=run.ledgers, pops=journal.pops,
         resumed_at_pops=run.pops,
     )
 
@@ -277,44 +193,13 @@ def crash_and_resume(
 def runs_equivalent(reference: JournaledRun, other: JournaledRun) -> dict:
     """Bit-level comparison of two runs; the harness's pass condition.
 
-    Compares the full decision log, every IV ledger entry field-for-field
-    and the admission counters (re-optimization *time* excluded — it is
-    wall-clock, the one legitimately non-deterministic quantity).
-    Returns a report dict whose ``"equal"`` is the verdict.
+    Returns a report dict whose ``"equal"`` is the verdict and whose
+    ``"differences"`` are :func:`~repro.durable.recovery.run_differences`.
     """
-    report: dict = {"equal": True, "differences": []}
-
-    def differ(message: str) -> None:
-        report["equal"] = False
-        report["differences"].append(message)
-
-    if reference.session.decisions != other.session.decisions:
-        differ("decision logs differ")
-    ref_ledgers = [entry.to_dict() for entry in reference.ledgers]
-    other_ledgers = [entry.to_dict() for entry in other.ledgers]
-    if ref_ledgers != other_ledgers:
-        differ("IV ledgers differ")
-    for entry in other.ledgers:
-        if entry.recompute_iv() != entry.reported_iv:
-            differ(
-                f"qid {entry.query_id} ledger does not recompute bit-equal"
-            )
-    ref_stats = asdict(reference.session.stats)
-    other_stats = asdict(other.session.stats)
-    ref_stats.pop("reopt_seconds")
-    other_stats.pop("reopt_seconds")
-    if ref_stats != other_stats:
-        differ(f"stats differ: {ref_stats} vs {other_stats}")
-    ref_windows = [
-        (w.index, w.time, w.trigger, w.pending, w.groups, w.order)
-        for w in reference.session.decision.windows
-    ]
-    other_windows = [
-        (w.index, w.time, w.trigger, w.pending, w.groups, w.order)
-        for w in other.session.decision.windows
-    ]
-    if ref_windows != other_windows:
-        differ("window records differ")
-    report["decisions"] = len(reference.session.decisions)
-    report["ledgers"] = len(reference.ledgers)
-    return report
+    differences = run_differences(reference, other)
+    return {
+        "equal": not differences,
+        "differences": differences,
+        "decisions": len(reference.session.decisions),
+        "ledgers": len(reference.ledgers),
+    }

@@ -22,12 +22,20 @@ disagreement is a :class:`~repro.errors.DurabilityError` naming the byte
 offset of the lying record.  Recovery therefore doubles as an audit: a
 journal that recovers silently is a journal whose recorded history is
 bit-consistent with what the scheduler would actually have done.
+
+Writing the journal is one :class:`~repro.mqo.online.SessionObserver`,
+:class:`JournalObserver`, shared by every journaled driver: the harness's
+sim runs, their resumed tails and the live service.  Recovery replays each
+popped event through the same :func:`~repro.mqo.online.step`, so a
+caller's observers (the service's trace and results) see the replayed
+tail exactly as they saw the live one.
 """
 
 from __future__ import annotations
 
 import typing
-from dataclasses import asdict, dataclass, field
+from collections import Counter
+from dataclasses import asdict, dataclass
 
 from repro.durable.journal import (
     SCHEMA_VERSION,
@@ -38,17 +46,19 @@ from repro.errors import DurabilityError
 from repro.mqo.online import (
     ArrivalRecord,
     OnlineSession,
+    SessionObserver,
     _decode_decision,
     _encode_decision,
+    step,
 )
-from repro.obs.ledger import IVLedgerEntry, completion_ledger
+from repro.obs.ledger import IVLedgerEntry
 from repro.sim.clocks import SimClock
 from repro.sim.timeline import Timeline
 from repro.workload.query import DSSQuery, Workload
 from repro.workload.serialize import query_from_dict, query_to_dict
 
 if typing.TYPE_CHECKING:  # pragma: no cover - typing only
-    from collections.abc import Callable
+    from collections.abc import Callable, Sequence
 
     from repro.mqo.online import OnlineMQOScheduler
 
@@ -61,9 +71,11 @@ __all__ = [
     "ledger_record",
     "snapshot_record",
     "stop_record",
+    "JournalObserver",
     "RecoveredRun",
     "recover",
     "reconcile",
+    "run_differences",
     "verify_journal",
 ]
 
@@ -135,6 +147,86 @@ def stop_record(pops: int) -> dict:
     return {"kind": "stop", "pops": pops}
 
 
+# -- journaling a driven session --------------------------------------------
+
+class JournalObserver(SessionObserver):
+    """Journals a driven session and keeps its IV ledger.
+
+    Per pop it appends the ``pop`` record before the session handles the
+    event, then every decision-log entry, window record and ledger entry
+    the handling produced — in that order — and, every ``snapshot_every``
+    pops, a snapshot (or calls ``checkpoint``, which a driver with private
+    state to persist supplies instead).  With ``writer=None`` it only keeps
+    the ledger.
+
+    ``pops`` counts every pop the journaled run made, including any before
+    a resume; the cursors count the records already in the journal.
+    """
+
+    def __init__(
+        self,
+        writer: JournalWriter | None,
+        ledgers: list[IVLedgerEntry] | None = None,
+        pops: int = 0,
+        snapshot_every: int = 0,
+        checkpoint: "Callable[[], object] | None" = None,
+    ) -> None:
+        self.writer = writer
+        self.ledgers = [] if ledgers is None else ledgers
+        self.pops = pops
+        self.snapshot_every = snapshot_every
+        self.checkpoint = checkpoint
+        self.journaled_decisions = 0
+        self.journaled_windows = 0
+        self.journaled_ledgers = len(self.ledgers)
+
+    def before_pop(self, session, now, tag, payload) -> None:
+        if self.writer is not None:
+            self.writer.append(pop_record(now, tag, payload))
+        self.pops += 1
+
+    def after_pop(self, session, now, tag, payload, outcome, ledger) -> None:
+        if ledger is not None:
+            self.ledgers.append(ledger)
+        self.flush(session)
+        if (
+            self.writer is not None
+            and self.snapshot_every
+            and self.pops % self.snapshot_every == 0
+        ):
+            if self.checkpoint is not None:
+                self.checkpoint()
+            else:
+                self.snapshot(session)
+
+    def finish(self, session) -> None:
+        self.flush(session)
+
+    def flush(self, session: OnlineSession) -> None:
+        """Journal the decision, window and ledger records not yet written."""
+        decisions = session.decisions
+        windows = session.decision.windows
+        if self.writer is not None:
+            append = self.writer.append
+            for entry in decisions[self.journaled_decisions:]:
+                append(decision_record(entry))
+            for record in windows[self.journaled_windows:]:
+                append(window_record(record))
+            for entry in self.ledgers[self.journaled_ledgers:]:
+                append(ledger_record(entry))
+        self.journaled_decisions = len(decisions)
+        self.journaled_windows = len(windows)
+        self.journaled_ledgers = len(self.ledgers)
+
+    def snapshot(
+        self, session: OnlineSession, extra: dict | None = None
+    ) -> int:
+        """Journal a full checkpoint of ``session``; returns its offset."""
+        return self.writer.append(snapshot_record(
+            session, session.clock._timeline, self.pops, self.ledgers, extra,
+        ))
+
+
 # -- recovery ---------------------------------------------------------------
 
 @dataclass
@@ -148,11 +240,9 @@ class RecoveredRun:
     pops: int                       #: total pops replayed (snapshot + tail)
     ledgers: list[IVLedgerEntry]
     arrivals: list[ArrivalRecord]   #: every journaled arrival, in order
-    stop_pops: int | None
     valid_bytes: int                #: prefix length that validated
     tail_error: DurabilityError | None  #: torn/corrupt tail, if any
     snapshot_pops: int              #: pops at the restored snapshot (0 = none)
-    snapshot_extra: dict = field(default_factory=dict)
     #: How many decision/window/ledger records the valid journal already
     #: contains — a resuming writer re-journals anything the replay
     #: recomputed beyond these counts (records lost to the torn tail).
@@ -165,25 +255,19 @@ def recover(
     path,
     scheduler: "OnlineMQOScheduler",
     use_snapshot: bool = True,
-    on_session: "Callable[[OnlineSession], None] | None" = None,
     on_restore: "Callable[[dict, int], None] | None" = None,
-    on_event: "Callable[[float, str, object], None] | None" = None,
-    on_pop: "Callable[[float, str, object, str | None, IVLedgerEntry | None], None] | None" = None,
+    observers: "Sequence[SessionObserver]" = (),
 ) -> RecoveredRun:
     """Rebuild the crashed run's exact state from its journal.
 
     ``scheduler`` must be configured identically to the crashed run's
     (same seeds, GA config, federation) — determinism of the rebuild is
-    what makes replay exact.  Four driver hooks let a caller rebuild its
-    *own* bookkeeping alongside the session: ``on_session(session)``
-    fires as soon as the fresh session exists (before anything replays);
-    ``on_restore(extra, pops)`` after a snapshot restore;
-    ``on_event(now, tag, payload)`` before each tail event is handled
-    (the serving layer stamps its logical clock here, so trace records
-    emitted *inside* the handler carry the right time); and
-    ``on_pop(now, tag, payload, outcome, entry)`` after each tail event
-    replays (``entry`` is the recomputed ledger entry on completion
-    pops) — the serving layer re-emits its lifecycle trace through it.
+    what makes replay exact.  A caller rebuilds its *own* bookkeeping
+    alongside the session: ``on_restore(extra, pops)`` runs after a
+    snapshot restore, and every replayed tail event goes through
+    :func:`~repro.mqo.online.step` with ``observers`` — the serving layer
+    re-emits its lifecycle trace and results through the same observers
+    its live loop uses.
 
     Raises :class:`~repro.errors.DurabilityError` on a missing/invalid
     header, a schema mismatch, or any journaled decision, window or
@@ -214,7 +298,6 @@ def recover(
     # queries never influence decisions over the pending set.
     workload = Workload()
     arrivals: list[ArrivalRecord] = []
-    stop_pops: int | None = None
     snapshot = None
     snapshot_index = 0
     for index, (record, _offset) in enumerate(records):
@@ -226,8 +309,6 @@ def recover(
             arrivals.append(ArrivalRecord(
                 record["qid"], record["time"], record["pops_before"]
             ))
-        elif kind == "stop":
-            stop_pops = record["pops"]
         elif kind == "snapshot" and use_snapshot:
             snapshot = record
             snapshot_index = index
@@ -237,12 +318,8 @@ def recover(
     session = scheduler.session(workload, clock)
     session.arrivals_expected = int(meta.get("arrivals_expected", 0))
     session.accepting = bool(meta.get("accepting", False))
-    if on_session is not None:
-        on_session(session)
     ledgers: list[IVLedgerEntry] = []
-    pops = 0
     snapshot_pops = 0
-    snapshot_extra: dict = {}
     start = 1  # skip the header
     if snapshot is not None:
         timeline.restore(snapshot["timeline"])
@@ -250,23 +327,21 @@ def recover(
         ledgers = [
             IVLedgerEntry.from_dict(entry) for entry in snapshot["ledgers"]
         ]
-        pops = snapshot_pops = int(snapshot["pops"])
-        snapshot_extra = snapshot.get("extra", {})
+        snapshot_pops = int(snapshot["pops"])
         start = snapshot_index + 1
         if on_restore is not None:
-            on_restore(snapshot_extra, pops)
+            on_restore(snapshot.get("extra", {}), snapshot_pops)
+
+    # Counts the replayed pops and recomputes each completion's ledger.
+    book = JournalObserver(None, ledgers, pops=snapshot_pops)
+    observers = (book, *observers)
 
     # Verification cursors start at the counts the replayed prefix (or the
     # restored snapshot) already accounts for.
-    decision_cursor = sum(
-        1 for record, _ in records[:start] if record["kind"] == "decision"
-    )
-    window_cursor = sum(
-        1 for record, _ in records[:start] if record["kind"] == "window"
-    )
-    ledger_cursor = sum(
-        1 for record, _ in records[:start] if record["kind"] == "ledger"
-    )
+    prefix = Counter(record["kind"] for record, _ in records[:start])
+    decision_cursor = prefix["decision"]
+    window_cursor = prefix["window"]
+    ledger_cursor = prefix["ledger"]
 
     for record, offset in records[start:]:
         kind = record["kind"]
@@ -290,18 +365,7 @@ def recover(
                     f"({now!r}, {tag!r}, {payload!r})",
                     offset=offset,
                 )
-            pops += 1
-            if on_event is not None:
-                on_event(now, tag, payload)
-            outcome = session.handle(now, tag, payload)
-            entry = None
-            if tag == "completion":
-                entry = _completion_entry(
-                    session, typing.cast(int, payload), now
-                )
-                ledgers.append(entry)
-            if on_pop is not None:
-                on_pop(now, tag, payload, outcome, entry)
+            step(session, now, tag, payload, observers)
         elif kind == "decision":
             if decision_cursor >= len(session.decisions):
                 raise DurabilityError(
@@ -325,8 +389,7 @@ def recover(
                     f"the replay never ran",
                     offset=offset,
                 )
-            expected_window = asdict(windows[window_cursor])
-            expected_window["order"] = list(windows[window_cursor].order)
+            expected_window = window_record(windows[window_cursor])["record"]
             recorded = dict(record["record"])
             # Re-optimization time is wall-clock — the one field replay
             # legitimately recomputes differently.
@@ -372,40 +435,23 @@ def recover(
         session=session,
         clock=clock,
         timeline=timeline,
-        pops=pops,
+        pops=book.pops,
         ledgers=ledgers,
         arrivals=arrivals,
-        stop_pops=stop_pops,
         valid_bytes=valid_bytes,
         tail_error=tail_error,
         snapshot_pops=snapshot_pops,
-        snapshot_extra=snapshot_extra,
         journaled_decisions=decision_cursor,
         journaled_windows=window_cursor,
         journaled_ledgers=ledger_cursor,
     )
 
 
-def _completion_entry(
-    session: OnlineSession, qid: int, completed_at: float
-) -> IVLedgerEntry:
-    """The ledger entry for one replayed completion (shared constructor)."""
-    assignment = session.started[qid]
-    query = session.workload.query(qid)
-    return completion_ledger(
-        query.name,
-        qid,
-        query.business_value,
-        assignment.rates,
-        submitted_at=session.workload.arrival_of(qid),
-        begin=assignment.begin,
-        completed_at=completed_at,
-        data_timestamp=assignment.data_timestamp,
-    )
-
-
-def reconcile(run: RecoveredRun, writer: JournalWriter) -> int:
-    """Re-journal records the torn tail lost; returns how many.
+def reconcile(
+    run: RecoveredRun, writer: JournalWriter | None
+) -> JournalObserver:
+    """Re-journal records the torn tail lost; returns the journal observer
+    that continues ``run`` (``writer=None``: keeps its ledger only).
 
     A crash can land between a ``pop`` record and the decision/window/
     ledger records its handling produced.  The replay recomputed them, so
@@ -413,20 +459,50 @@ def reconcile(run: RecoveredRun, writer: JournalWriter) -> int:
     relies on: the journal's decision/window/ledger streams are complete
     prefixes of the session's.
     """
-    appended = 0
-    for entry in run.session.decisions[run.journaled_decisions:]:
-        writer.append(decision_record(entry))
-        appended += 1
-    for record in run.session.decision.windows[run.journaled_windows:]:
-        writer.append(window_record(record))
-        appended += 1
-    for ledger_entry in run.ledgers[run.journaled_ledgers:]:
-        writer.append(ledger_record(ledger_entry))
-        appended += 1
-    run.journaled_decisions = len(run.session.decisions)
-    run.journaled_windows = len(run.session.decision.windows)
-    run.journaled_ledgers = len(run.ledgers)
-    return appended
+    journal = JournalObserver(writer, run.ledgers, pops=run.pops)
+    journal.journaled_decisions = run.journaled_decisions
+    journal.journaled_windows = run.journaled_windows
+    journal.journaled_ledgers = run.journaled_ledgers
+    journal.flush(run.session)
+    return journal
+
+
+def run_differences(reference, other) -> list[str]:
+    """Every way two finished runs differ; ``[]`` means bit-equal.
+
+    Compares the decision log, the window records, every IV ledger entry
+    field for field (``other``'s must also recompute bit-equal) and the
+    admission counters — everything but wall-clock re-optimization time,
+    the one legitimately non-deterministic quantity.  Takes anything with
+    a ``session`` and ``ledgers``: journaled, resumed or recovered runs.
+    """
+    differences = []
+    if reference.session.decisions != other.session.decisions:
+        differences.append("decision logs differ")
+    if [entry.to_dict() for entry in reference.ledgers] != [
+        entry.to_dict() for entry in other.ledgers
+    ]:
+        differences.append("IV ledgers differ")
+    for entry in other.ledgers:
+        if entry.recompute_iv() != entry.reported_iv:
+            differences.append(
+                f"qid {entry.query_id} ledger does not recompute bit-equal"
+            )
+    stats = [asdict(run.session.stats) for run in (reference, other)]
+    for counters in stats:
+        counters.pop("reopt_seconds")
+    if stats[0] != stats[1]:
+        differences.append(f"stats differ: {stats[0]} vs {stats[1]}")
+    windows = [
+        [
+            (w.index, w.time, w.trigger, w.pending, w.groups, w.order)
+            for w in run.session.decision.windows
+        ]
+        for run in (reference, other)
+    ]
+    if windows[0] != windows[1]:
+        differences.append("window records differ")
+    return differences
 
 
 def verify_journal(path, make_scheduler) -> dict:
@@ -434,12 +510,12 @@ def verify_journal(path, make_scheduler) -> dict:
 
     Recovers the journal twice — once ignoring snapshots (pure replay
     from the first record) and once through the last snapshot — and
-    requires both paths to agree bit-for-bit on the decision log, the IV
-    ledger and the admission counters.  Together with the per-record
-    verification :func:`recover` already performs (journaled decisions/
-    windows/ledgers vs. replayed ones), a passing report means the
-    journal, its snapshots and the scheduler's determinism are mutually
-    consistent.
+    requires both paths to agree bit-for-bit (:func:`run_differences`:
+    decision log, windows, IV ledger, admission counters).  Together with
+    the per-record verification :func:`recover` already performs
+    (journaled decisions/windows/ledgers vs. replayed ones), a passing
+    report means the journal, its snapshots and the scheduler's
+    determinism are mutually consistent.
 
     ``make_scheduler`` is a zero-argument factory returning a scheduler
     configured like the journaled run's (each recovery needs a fresh
@@ -447,30 +523,7 @@ def verify_journal(path, make_scheduler) -> dict:
     """
     scratch = recover(path, make_scheduler(), use_snapshot=False)
     via_snapshot = recover(path, make_scheduler(), use_snapshot=True)
-    mismatches: list[str] = []
-    if scratch.session.decisions != via_snapshot.session.decisions:
-        mismatches.append(
-            "decision log differs between scratch replay and snapshot "
-            "recovery"
-        )
-    if [entry.to_dict() for entry in scratch.ledgers] != [
-        entry.to_dict() for entry in via_snapshot.ledgers
-    ]:
-        mismatches.append(
-            "IV ledger differs between scratch replay and snapshot recovery"
-        )
-    for entry in scratch.ledgers:
-        if entry.recompute_iv() != entry.reported_iv:
-            mismatches.append(
-                f"ledger entry for qid {entry.query_id} does not recompute "
-                f"bit-equal"
-            )
-    scratch_stats = asdict(scratch.session.stats)
-    snapshot_stats = asdict(via_snapshot.session.stats)
-    scratch_stats.pop("reopt_seconds")
-    snapshot_stats.pop("reopt_seconds")
-    if scratch_stats != snapshot_stats:
-        mismatches.append("admission counters differ between recovery paths")
+    mismatches = run_differences(scratch, via_snapshot)
     return {
         "ok": not mismatches,
         "pops": scratch.pops,

@@ -73,7 +73,13 @@ from repro.federation.costmodel import CostModel, CostParameters
 from repro.mqo.conflict import ExecutionRange, IncrementalConflictGroups
 from repro.mqo.evaluator import WorkloadEvaluator
 from repro.mqo.ga import GAConfig
-from repro.mqo.online import OnlineConfig, OnlineMQOScheduler
+from repro.mqo.online import (
+    LifecycleTrace,
+    OnlineConfig,
+    OnlineMQOScheduler,
+    SessionObserver,
+    drive,
+)
 from repro.reporting.tables import ResultTable
 from repro.workload.arrival import poisson_arrivals
 from repro.workload.query import DSSQuery, Workload
@@ -299,27 +305,29 @@ def shard_assignments(
     return assigned
 
 
+class _ReleaseTrace(SessionObserver):
+    """Lets the shard tracer drop its copy of each pop's records: the spool
+    subscription already has them, so worker memory stays bounded."""
+
+    def __init__(self, tracer) -> None:
+        self.tracer = tracer
+
+    def after_pop(self, session, now, tag, payload, outcome, ledger) -> None:
+        self.tracer.drain()
+
+
 def _traced_run(
     config, spec, scheduler, workload, selections, shard, spool_path
 ):
-    """Replay :meth:`OnlineMQOScheduler.run` with the telemetry stack attached.
+    """:meth:`OnlineMQOScheduler.run` with the telemetry stack attached.
 
-    Same event loop, same decisions: the session handles the identical pop
-    sequence, so stats, dispatch order and total IV are bit-equal to the
-    untraced :meth:`~repro.mqo.online.OnlineMQOScheduler.run`.  Around each
-    pop this driver adds the serving tier's lifecycle emissions — SUBMIT +
-    PLAN on non-shed arrivals, EXEC_START per new ``("start", ...)``
-    decision, COMPLETE + LEDGER (via the shared
-    :func:`~repro.obs.ledger.completion_ledger` constructor) on completion
-    pops — streamed onto the shard spool by subscription while the tracer
-    itself is drained to bound worker memory.  One extra pop loop after
-    :meth:`~repro.mqo.online.OnlineSession.drain` flushes the completions
-    drain-dispatched queries push (the untraced loop never pops them; they
-    change no decision, only telemetry coverage).
+    The same :func:`~repro.mqo.online.drive` over the same pops, so stats,
+    dispatch order and total IV are bit-equal to the untraced run; a
+    :class:`~repro.mqo.online.LifecycleTrace` observer adds the serving
+    tier's per-query lifecycle, streamed onto the shard spool by
+    subscription while the tracer itself is drained after every pop.
     """
-    from repro.obs import events
     from repro.obs.fleet import ShardSpoolWriter
-    from repro.obs.ledger import completion_ledger
     from repro.obs.live import LiveRegistry
     from repro.sim.clocks import SimClock
     from repro.sim.trace import Tracer
@@ -328,50 +336,6 @@ def _traced_run(
     tracer = Tracer(lambda: clock.now, capacity=config.trace_capacity)
     scheduler.tracer = tracer
     session = scheduler.session(workload, clock, selections)
-    cursor = 0
-
-    def emit_starts() -> None:
-        nonlocal cursor
-        for entry in session.decisions[cursor:]:
-            if entry[0] == "start":
-                qid = entry[1]
-                tracer.emit(
-                    events.EXEC_START, workload.query(qid).name,
-                    qid=qid, begin=entry[2],
-                )
-        cursor = len(session.decisions)
-
-    def handle(now: float, tag: str, event_payload) -> None:
-        outcome = session.handle(now, tag, event_payload)
-        if tag == "arrival" and outcome != "shed":
-            qid = event_payload
-            query = workload.query(qid)
-            tracer.emit(events.SUBMIT, query.name, qid=qid)
-            tracer.emit(
-                events.PLAN, query.name,
-                qid=qid, est_iv=session.evaluator.upper_bound(qid),
-            )
-        emit_starts()
-        if tag == "completion":
-            qid = event_payload
-            assignment = session.started[qid]
-            query = workload.query(qid)
-            entry = completion_ledger(
-                query.name, qid, query.business_value, assignment.rates,
-                submitted_at=workload.arrival_of(qid),
-                begin=assignment.begin,
-                completed_at=now,
-                data_timestamp=assignment.data_timestamp,
-            )
-            cl = entry.completed_at - entry.submitted_at
-            sl = max(0.0, entry.completed_at - entry.data_timestamp)
-            tracer.emit(
-                events.COMPLETE, query.name,
-                qid=qid, iv=entry.reported_iv, cl=cl, sl=sl,
-            )
-            tracer.emit(events.LEDGER, query.name, **entry.to_dict())
-        tracer.drain()
-
     with ShardSpoolWriter(
         spool_path, shard, meta={"schedule": spec.name, "seed": config.seed},
     ) as spool:
@@ -379,28 +343,15 @@ def _traced_run(
         registry = (
             LiveRegistry().attach(tracer) if config.fleet_metrics else None
         )
-        ordered = workload.sorted_by_arrival()
-        session.arrivals_expected = len(ordered)
-        for query in ordered:
-            clock.push(
-                workload.arrival_of(query.query_id), "arrival", query.query_id
-            )
-        while clock:
-            now, tag, event_payload = clock.pop()
-            handle(now, tag, event_payload)
-        session.drain()
-        emit_starts()
-        while clock:
-            now, tag, event_payload = clock.pop()
-            handle(now, tag, event_payload)
-        tracer.drain()
+        session.push_arrivals()
+        drive(session, clock, [LifecycleTrace(tracer), _ReleaseTrace(tracer)])
         if registry is not None:
             spool.registry(registry)
         decision = session.decision
         spool.summary(
             total_iv=decision.total_information_value,
             dropped_events=tracer.dropped,
-            queries=len(ordered),
+            queries=len(workload),
             dispatched=decision.stats.dispatched,
             shed=decision.stats.shed,
             deferred=decision.stats.deferred,
@@ -453,7 +404,6 @@ def _run_shard(payload) -> dict:
             window=config.window,
             max_pending=spec.max_pending,
             iv_floor=spec.iv_floor,
-            verify_groups=False,
         ),
     )
     if spool_path is None:

@@ -35,6 +35,15 @@ re-runs a recorded wall arrival trace through a ``SimClock`` and, by
 construction, reproduces the wall run's admit/shed/dispatch decision
 sequence exactly (``tests/test_clock_equivalence.py``).
 
+**One driver.**  Every popped event reaches a session through
+:func:`step`, and every sim-clock driver is :func:`drive` (pop dry, drain,
+pop what the drain pushed).  What a driver records besides the decisions
+is a :class:`SessionObserver`: :class:`LifecycleTrace` writes the
+per-query trace the checker audits, ``repro.durable`` journals, and
+``repro.serve`` resolves its result futures — each a sink of the same
+event sequence, handed every completion's ledger entry (built once, and
+only when observed).
+
 Equivalence anchor: with admission disabled (``iv_floor=0``, a queue that
 fits the whole stream, ``eager_start=False``) and one window spanning all
 arrivals, exactly one optimization pass runs over the full workload with
@@ -53,12 +62,7 @@ from repro.core.enumeration import CostProvider
 from repro.core.value import DiscountRates
 from repro.errors import OptimizationError
 from repro.federation.catalog import Catalog
-from repro.mqo.conflict import (
-    ExecutionRange,
-    IncrementalConflictGroups,
-    conflict_groups,
-    execution_ranges,
-)
+from repro.mqo.conflict import ExecutionRange, IncrementalConflictGroups
 from repro.mqo.evaluator import (
     Assignment,
     EvaluationResult,
@@ -67,6 +71,7 @@ from repro.mqo.evaluator import (
 )
 from repro.mqo.ga import GAConfig, GeneticAlgorithm
 from repro.obs import events
+from repro.obs.ledger import IVLedgerEntry, completion_ledger
 from repro.obs.profile import profiled
 from repro.sim.clocks import Clock, SimClock
 
@@ -74,7 +79,7 @@ if typing.TYPE_CHECKING:  # pragma: no cover - typing only
     from collections.abc import Sequence
 
     from repro.sim.trace import Tracer
-    from repro.workload.query import Workload
+    from repro.workload.query import DSSQuery, Workload
 
 __all__ = [
     "OnlineConfig",
@@ -84,6 +89,10 @@ __all__ = [
     "OnlineSession",
     "OnlineMQOScheduler",
     "ArrivalRecord",
+    "SessionObserver",
+    "LifecycleTrace",
+    "step",
+    "drive",
     "replay_decisions",
 ]
 
@@ -108,17 +117,6 @@ class OnlineConfig:
     #: than waiting for the window to close (cuts idle latency; turn off
     #: for bit-exact batch equivalence).
     eager_start: bool = True
-    #: Maintain conflict groups incrementally across windows (admit and
-    #: retire one execution range at a time) instead of re-running the
-    #: sweep line over every pending query each pass.  Produces the exact
-    #: sweep-line groups either way; this only changes the cost of
-    #: producing them.
-    incremental_groups: bool = True
-    #: Cross-check the incremental groups against a from-scratch sweep on
-    #: every pass.  Active only under ``__debug__`` (stripped by
-    #: ``python -O``); the scale sweep also turns it off explicitly since
-    #: the check is itself the full recompute being avoided.
-    verify_groups: bool = True
 
     def __post_init__(self) -> None:
         if self.window <= 0:
@@ -228,9 +226,9 @@ class OnlineSession:
 
     All admission/shed/window/dispatch logic lives here; the only moving
     part a driver supplies is the :class:`~repro.sim.clocks.Clock` events
-    come from.  Drivers feed popped events to :meth:`handle`; the session
-    pushes its own follow-on events (window reschedules, analytic
-    completions) back into the same clock.
+    come from.  Drivers feed popped events to :meth:`handle` through
+    :func:`step`; the session pushes its own follow-on events (window
+    reschedules, analytic completions) back into the same clock.
 
     ``decisions`` is the run's decision log — one tuple per admission
     verdict, re-optimization pass and dispatch — and is the object the
@@ -279,8 +277,8 @@ class OnlineSession:
         self.accepting = False
         #: The first arrival bootstraps the rolling window chain.
         self.window_started = False
-        #: Dispatched assignments by query id (live drivers resolve
-        #: completions against this).
+        #: Dispatched assignments by query id (completion ledgers are
+        #: built against this).
         self.started: dict[int, Assignment] = {}
         #: The decision log: ("admit"|"shed"|"defer"|"requeue", qid),
         #: ("window", trigger, order) and ("start", qid, begin, completed).
@@ -301,18 +299,40 @@ class OnlineSession:
 
     def _track(self, qid: int) -> None:
         """Admit a query's execution range into the incremental index."""
-        if self.config.incremental_groups:
-            start, end = self.evaluator.range_of(qid)
-            self.group_index.add(ExecutionRange(qid, start, end))
-
-    def _untrack(self, qid: int) -> None:
-        """Retire a dispatched query's range from the incremental index."""
-        if self.config.incremental_groups:
-            self.group_index.remove(qid)
+        start, end = self.evaluator.range_of(qid)
+        self.group_index.add(ExecutionRange(qid, start, end))
 
     def expects_more_arrivals(self) -> bool:
         """Whether the arrival stream may still produce events."""
         return self.arrivals_expected > 0 or self.accepting
+
+    def push_arrivals(self) -> list["DSSQuery"]:
+        """Push the workload's whole arrival stream, in arrival order (the
+        sim drivers' up-front stream); returns the queries pushed."""
+        workload = self.workload
+        ordered = workload.sorted_by_arrival()
+        self.arrivals_expected = len(ordered)
+        for query in ordered:
+            self.clock.push(
+                workload.arrival_of(query.query_id), "arrival", query.query_id
+            )
+        return ordered
+
+    def completion_ledger(
+        self, qid: int, completed_at: float
+    ) -> IVLedgerEntry:
+        """The IV ledger entry of a started query completing at
+        ``completed_at`` — the event's pop time, which is at or after the
+        analytic completion when dispatch ran late."""
+        assignment = self.started[qid]
+        query = self.workload.query(qid)
+        return completion_ledger(
+            query.name, qid, query.business_value, assignment.rates,
+            submitted_at=self.workload.arrival_of(qid),
+            begin=assignment.begin,
+            completed_at=completed_at,
+            data_timestamp=assignment.data_timestamp,
+        )
 
     # -- durable snapshots -------------------------------------------------
 
@@ -522,15 +542,7 @@ class OnlineSession:
         workload = self.workload
         evaluator = self.evaluator
         evaluator.rebase(self.free_at)
-        if self.config.incremental_groups:
-            groups = self.group_index.groups()
-            if self.config.verify_groups:
-                assert groups == conflict_groups(
-                    execution_ranges(evaluator, query_ids=pending)
-                ), "incremental conflict groups diverged from the sweep line"
-        else:
-            ranges = execution_ranges(evaluator, query_ids=pending)
-            groups = conflict_groups(ranges)
+        groups = self.group_index.groups()
         # Stable sort: ties keep pending order, which on the first pass
         # is admission order — exactly the batch scheduler's
         # ``sorted_by_arrival`` tie-breaking.
@@ -630,7 +642,7 @@ class OnlineSession:
             if self.clock and assignment.begin > self.clock.peek_time():
                 break
             qid = self.plan.popleft()
-            self._untrack(qid)
+            self.group_index.remove(qid)
             self.evaluator._commit(assignment, self.free_at)
             # A started query is never planned again: keep its range and
             # bound, drop its candidate records.
@@ -657,6 +669,143 @@ class OnlineSession:
                 max(self.free_at.values(), default=0.0), "window"
             )
             self.dispatch(self.clock.now)
+
+
+# -- the driver ---------------------------------------------------------------
+
+
+class SessionObserver:
+    """A sink of the event sequence a driver feeds an :class:`OnlineSession`.
+
+    Every method is a no-op an observer may override.  Observers run in
+    list order, so a later one sees everything an earlier one emitted.
+    """
+
+    def before_pop(self, session, now, tag, payload) -> None:
+        """Called before ``session`` handles the popped event."""
+
+    def after_pop(self, session, now, tag, payload, outcome, ledger) -> None:
+        """Called after it, with the admission ``outcome`` of an arrival
+        and the IV ``ledger`` entry of a completion (else ``None``)."""
+
+    def finish(self, session) -> None:
+        """Called once, after the driver drained ``session``."""
+
+
+class LifecycleTrace(SessionObserver):
+    """Traces every query's lifecycle on ``tracer`` — the records the
+    :class:`~repro.obs.checker.TraceChecker` audits.
+
+    ``submit`` + ``plan`` for each arrival that was not shed (a shed query
+    never enters the system), ``exec.start`` for each new ``start``
+    decision, and ``complete`` + ``ledger`` for each completion.  The
+    scheduler's own tracer already carries the admission and window events
+    ``handle`` emits, so the trace reads pop → handle → submit/plan →
+    exec.start (one per start) → complete/ledger.
+    """
+
+    def __init__(self, tracer: "Tracer") -> None:
+        self.tracer = tracer
+        #: Decision-log entries already traced; set at the first pop, so a
+        #: session restored from a snapshot is not traced twice.
+        self.cursor: int | None = None
+
+    def before_pop(self, session, now, tag, payload) -> None:
+        if self.cursor is None:
+            self.cursor = len(session.decisions)
+
+    def after_pop(self, session, now, tag, payload, outcome, ledger) -> None:
+        tracer = self.tracer
+        workload = session.workload
+        if tag == "arrival" and outcome != "shed":
+            name = workload.query(payload).name
+            tracer.emit(events.SUBMIT, name, qid=payload)
+            tracer.emit(
+                events.PLAN, name,
+                qid=payload, est_iv=session.evaluator.upper_bound(payload),
+            )
+        decisions = session.decisions
+        for entry in decisions[self.cursor:]:
+            if entry[0] == "start":
+                qid = entry[1]
+                tracer.emit(
+                    events.EXEC_START, workload.query(qid).name,
+                    qid=qid, begin=entry[2],
+                )
+        self.cursor = len(decisions)
+        if ledger is not None:
+            tracer.emit(
+                events.COMPLETE, ledger.query,
+                qid=payload, iv=ledger.reported_iv,
+                cl=ledger.computational_latency,
+                sl=ledger.synchronization_latency,
+            )
+            tracer.emit(events.LEDGER, ledger.query, **ledger.to_dict())
+
+
+def step(
+    session: OnlineSession, now: float, tag: str, payload,
+    observers: "Sequence[SessionObserver]" = (),
+) -> str | None:
+    """Handle one popped event — the one place a session does — and show
+    it to ``observers``; returns :meth:`OnlineSession.handle`'s outcome.
+
+    A completion's ledger entry is built only when someone observes it.
+    """
+    for observer in observers:
+        observer.before_pop(session, now, tag, payload)
+    outcome = session.handle(now, tag, payload)
+    if observers:
+        ledger = (
+            session.completion_ledger(payload, now)
+            if tag == "completion" else None
+        )
+        for observer in observers:
+            observer.after_pop(session, now, tag, payload, outcome, ledger)
+    return outcome
+
+
+def drive(
+    session: OnlineSession,
+    clock: Clock,
+    observers: "Sequence[SessionObserver]" = (),
+    arrivals: "Sequence[ArrivalRecord] | None" = None,
+    stop_accepting_at: int | None = None,
+) -> None:
+    """Pop ``clock`` dry through :func:`step`, drain, then pop what the
+    drain pushed; finally ``finish`` every observer.
+
+    ``arrivals`` are pushed at their recorded heap positions: each once
+    this loop has popped ``pops_before`` events, after the handler's own
+    pushes from that pop — the order a live loop's pushes landed in, so
+    heap tie-breaking by sequence number replays exactly.  With
+    ``stop_accepting_at``, the session keeps ``accepting`` set until that
+    many pops (see :func:`replay_decisions`).
+    """
+    arrivals = arrivals or ()
+    pushed = 0
+    pops = 0
+    drained = False
+    while True:
+        while pushed < len(arrivals) and arrivals[pushed].pops_before <= pops:
+            record = arrivals[pushed]
+            clock.push(record.time, "arrival", record.query_id)
+            pushed += 1
+        if stop_accepting_at is not None:
+            session.accepting = pops < stop_accepting_at
+        if not clock:
+            if drained:
+                break
+            # No events left: everything admitted must drain
+            # unconditionally (windows normally leave nothing to drain).
+            session.drain()
+            drained = True
+            continue
+        now, tag, payload = clock.pop()
+        pops += 1
+        step(session, now, tag, payload, observers)
+    for observer in observers:
+        observer.finish(session)
 
 
 class OnlineMQOScheduler:
@@ -709,17 +858,8 @@ class OnlineMQOScheduler:
             raise OptimizationError("cannot schedule an empty workload")
         clock = SimClock()
         session = self.session(workload, clock, selections)
-        ordered = workload.sorted_by_arrival()
-        session.arrivals_expected = len(ordered)
-        for query in ordered:
-            clock.push(
-                workload.arrival_of(query.query_id), "arrival", query.query_id
-            )
-        while clock:
-            now, tag, payload = clock.pop()
-            session.handle(now, tag, payload)
-        # No events left: everything admitted must drain unconditionally.
-        session.drain()
+        session.push_arrivals()
+        drive(session, clock)
         return session.decision
 
 
@@ -751,24 +891,7 @@ def replay_decisions(
     """
     clock = SimClock()
     session = scheduler.session(workload, clock)
-    remaining = list(arrivals)
-    pops = 0
-    session.accepting = stop_accepting_at is not None and pops < stop_accepting_at
-    while remaining or clock:
-        # Pushes scheduled between live pops replay at the same position:
-        # the live handler's own pushes (made during pop N's handling)
-        # landed first, arrivals with pops_before == N after — matching
-        # this loop's handle-then-push ordering, so heap tie-breaking by
-        # sequence number is preserved exactly.
-        while remaining and remaining[0].pops_before <= pops:
-            record = remaining.pop(0)
-            clock.push(record.time, "arrival", record.query_id)
-        if stop_accepting_at is not None and pops >= stop_accepting_at:
-            session.accepting = False
-        if not clock:
-            break  # pragma: no cover - malformed trace (future pops_before)
-        now, tag, payload = clock.pop()
-        pops += 1
-        session.handle(now, tag, payload)
-    session.drain()
+    drive(
+        session, clock, arrivals=arrivals, stop_accepting_at=stop_accepting_at
+    )
     return session

@@ -249,11 +249,14 @@ def completion_ledger(
 ) -> IVLedgerEntry:
     """The online serving path's ledger entry for one completion.
 
-    One shared constructor for every driver of an online session — the
-    live :class:`~repro.serve.service.QueryService`, the durable journal
-    replay, and the crash/resume harness — so a recovered run's ledger is
-    **bit-identical** to the live run's: same floats, same
-    :func:`~repro.core.value.information_value` call, same field layout.
+    Every driver of an online session — the live
+    :class:`~repro.serve.service.QueryService`, the durable journal
+    replay, the crash/resume harness and the traced scale shards — gets
+    its entries from the one caller,
+    :meth:`~repro.mqo.online.OnlineSession.completion_ledger`, so a
+    recovered run's ledger is **bit-identical** to the live run's: same
+    floats, same :func:`~repro.core.value.information_value` call, same
+    field layout.
     The completion instant is the event's pop time (>= the analytic
     completion when dispatch ran late), matching the COMPLETE trace event.
     """

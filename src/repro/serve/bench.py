@@ -329,7 +329,7 @@ async def serve_kill_resume_smoke(journal: str | None = None) -> int:
         if server._server is not None:
             server._server.close()
             await server._server.wait_closed()
-    killed_pops = service._pops
+    killed_pops = service.pops
 
     # -- phase 2: resume from the journal ----------------------------------
     resumed = QueryService(

@@ -7,6 +7,14 @@ come from a :class:`~repro.sim.clocks.WallClock` — arrivals are pushed by
 live submissions, window closes fire when their wall deadline is really
 due, and completions resolve the submitters' futures.
 
+The loop hands each popped event to :func:`~repro.mqo.online.step` with
+three observers, in order: :class:`~repro.mqo.online.LifecycleTrace`
+(the per-query trace), the service itself (decision and result futures,
+``results``) and a :class:`~repro.durable.recovery.JournalObserver` (the
+journal and its checkpoints; without a journal it only keeps
+``ledgers``).  Resume replays the journal tail through the first two, so
+a resumed service's trace and results are the ones a live run produces.
+
 Contracts the simulations already enforce carry over unchanged:
 
 * **Checker-clean trace.**  Every admitted query gets the full lifecycle
@@ -41,30 +49,29 @@ from pathlib import Path
 
 from repro.durable.journal import JournalWriter
 from repro.durable.recovery import (
+    JournalObserver,
     arrival_record,
-    decision_record,
     header_record,
-    ledger_record,
-    pop_record,
     reconcile,
     recover,
-    snapshot_record,
     stop_record,
-    window_record,
 )
 from repro.errors import WorkloadError
 from repro.experiments.fig9 import Fig9Config, build_mqo_scheduler
 from repro.mqo.ga import GAConfig
 from repro.mqo.online import (
     ArrivalRecord,
+    LifecycleTrace,
     OnlineConfig,
     OnlineMQOScheduler,
     OnlineSession,
+    SessionObserver,
     replay_decisions,
+    step,
 )
 from repro.obs import events
 from repro.obs.checker import TraceChecker, Violation
-from repro.obs.ledger import IVLedgerEntry, completion_ledger
+from repro.obs.ledger import IVLedgerEntry
 from repro.obs.live import LiveRegistry
 from repro.obs.slo import SLOMonitor, default_slo_rules
 from repro.sim.clocks import WallClock
@@ -170,7 +177,7 @@ def journal_serve_config(path: str | Path) -> ServeConfig:
     return ServeConfig(**config)
 
 
-class QueryService:
+class QueryService(SessionObserver):
     """Accepts live query submissions and schedules them in real time.
 
     Drive it from asyncio: start :meth:`run` as a task, call
@@ -184,7 +191,7 @@ class QueryService:
     fsync'd) as the loop runs, so a killed process can be resurrected
     with ``resume=True``: recovery replays the journal through a fresh
     scheduler (:func:`repro.durable.recovery.recover`), rebuilds the
-    trace/results/futures bookkeeping through the recovery hooks, and
+    trace and results through the same observers the live loop runs, and
     transplants the restored event heap under a new
     :class:`~repro.sim.clocks.WallClock` anchored at the crashed run's
     stream frontier — overdue events pop immediately, new submissions
@@ -224,19 +231,15 @@ class QueryService:
         )
         self.session.accepting = True
         self._next_qid = 0
-        self._pops = 0
-        self._decision_cursor = 0
         self._stop_pops: int | None = None
         self.arrival_log: list[ArrivalRecord] = []
         self.results: dict[int, dict] = {}
-        self.ledgers: list[IVLedgerEntry] = []
         self._decision_futures: dict[int, asyncio.Future] = {}
         self._result_futures: dict[int, asyncio.Future] = {}
         self._finished = asyncio.Event()
         self._journal: JournalWriter | None = None
         self._journal_path = Path(journal) if journal is not None else None
-        self._journal_decisions = 0
-        self._journal_windows = 0
+        self._trace = LifecycleTrace(self.tracer)
         self.resumed_at_pops: int | None = None
         if self._journal_path is not None:
             if resume and self._journal_path.exists():
@@ -252,6 +255,13 @@ class QueryService:
                     "arrivals_expected": 0,
                     "serve_config": asdict(self.config),
                 }))
+        if self.resumed_at_pops is None:
+            self._book = JournalObserver(self._journal)
+        self._book.snapshot_every = self.config.snapshot_every
+        self._book.checkpoint = self.checkpoint
+        #: Lifecycle trace, then futures and results, then the journal
+        #: (whose checkpoint persists what the first two recorded).
+        self._observers = (self._trace, self, self._book)
 
     # -- submissions ---------------------------------------------------------
 
@@ -259,6 +269,16 @@ class QueryService:
     def accepting(self) -> bool:
         """Whether new submissions are currently admitted."""
         return self.session.accepting
+
+    @property
+    def pops(self) -> int:
+        """Clock events popped so far (across a resume, too)."""
+        return self._book.pops
+
+    @property
+    def ledgers(self) -> list[IVLedgerEntry]:
+        """The IV ledger entry of every completed query, in order."""
+        return self._book.ledgers
 
     def _resolve_template(self, template: object) -> DSSQuery:
         if isinstance(template, int) or (
@@ -309,11 +329,11 @@ class QueryService:
         self.workload.add(query, arrival=stamp)
         # The heap position (pops_before) is the half of the arrival's
         # identity a timestamp can't carry — see ArrivalRecord.
-        self.arrival_log.append(ArrivalRecord(qid, stamp, self._pops))
+        self.arrival_log.append(ArrivalRecord(qid, stamp, self.pops))
         if self._journal is not None:
             # Journal *before* push: once the arrival can influence a
             # decision it must already be durable.
-            self._journal.append(arrival_record(query, stamp, self._pops))
+            self._journal.append(arrival_record(query, stamp, self.pops))
         self.clock.push(stamp, "arrival", qid)
         return qid, decision, result
 
@@ -332,24 +352,9 @@ class QueryService:
                         continue    # when windows did their job
                 break
             now, tag, payload = item
-            if self._journal is not None:
-                self._journal.append(pop_record(now, tag, payload))
-            self._pops += 1
-            self._logical_now = max(self._logical_now, now)
-            outcome = self.session.handle(now, tag, payload)
-            if tag == "arrival":
-                self._on_arrival(typing.cast(int, payload), outcome)
-            self._emit_new_starts()
-            self._journal_records()
-            if tag == "completion":
-                self._on_completion(typing.cast(int, payload), now)
-            if (
-                self._journal is not None
-                and self.config.snapshot_every
-                and self._pops % self.config.snapshot_every == 0
-            ):
-                self.checkpoint()
-        self._journal_records()
+            step(self.session, now, tag, payload, self._observers)
+        for observer in self._observers:
+            observer.finish(self.session)
         if self._journal is not None:
             self._journal.close()
         if self.monitor is not None:
@@ -359,9 +364,9 @@ class QueryService:
     def begin_shutdown(self) -> None:
         """Stop accepting and let :meth:`run` drain and return."""
         if self._stop_pops is None:
-            self._stop_pops = self._pops
+            self._stop_pops = self.pops
             if self._journal is not None:
-                self._journal.append(stop_record(self._pops))
+                self._journal.append(stop_record(self.pops))
         self.session.accepting = False
         self.clock.stop()
 
@@ -370,17 +375,6 @@ class QueryService:
         await self._finished.wait()
 
     # -- durability ----------------------------------------------------------
-
-    def _journal_records(self) -> None:
-        """Journal decision-log and window entries not yet written."""
-        if self._journal is None:
-            return
-        for entry in self.session.decisions[self._journal_decisions:]:
-            self._journal.append(decision_record(entry))
-        for record in self.session.decision.windows[self._journal_windows:]:
-            self._journal.append(window_record(record))
-        self._journal_decisions = len(self.session.decisions)
-        self._journal_windows = len(self.session.decision.windows)
 
     def checkpoint(self) -> dict:
         """Journal a full session snapshot; returns a small report.
@@ -396,8 +390,8 @@ class QueryService:
                 "journaling is disabled or already closed; start the "
                 "service with a journal path to checkpoint"
             )
-        self._journal_records()
-        self.tracer.emit(events.CHECKPOINT, "journal", pops=self._pops)
+        self._book.flush(self.session)
+        self.tracer.emit(events.CHECKPOINT, "journal", pops=self.pops)
         extra = {
             "logical_now": self._logical_now,
             "next_qid": self._next_qid,
@@ -409,14 +403,11 @@ class QueryService:
                 for record in self.tracer.records
             ],
         }
-        offset = self._journal.append(snapshot_record(
-            self.session, self.clock._timeline, self._pops,
-            self.ledgers, extra=extra,
-        ))
+        offset = self._book.snapshot(self.session, extra)
         self._journal.sync()
         return {
             "ok": True,
-            "pops": self._pops,
+            "pops": self.pops,
             "offset": offset,
             "journal_bytes": self._journal.bytes_written,
         }
@@ -425,34 +416,28 @@ class QueryService:
         """Rebuild this service's exact state from its crashed journal.
 
         Recovery replays the journal through the (identically seeded)
-        fresh scheduler; the hooks rebuild the serving bookkeeping
-        alongside: ``on_session`` redirects ``self.session``/``workload``
-        so the trace emitters observe the recovering state,
-        ``on_restore`` re-emits the checkpointed trace (alert events
-        excluded — the attached SLO monitor regenerates them from the
-        stream, which also rebuilds its open-alert state), and
-        ``on_event``/``on_pop`` mirror the live loop's per-pop
-        bookkeeping.  Afterwards the restored heap is transplanted under
-        a wall clock anchored at the crashed run's stream frontier.
+        fresh scheduler; ``on_restore`` re-emits the checkpointed trace
+        (alert events excluded — the attached SLO monitor regenerates them
+        from the stream, which also rebuilds its open-alert state), and
+        the replayed tail runs through the live loop's own trace and
+        results observers.  Afterwards the restored heap is transplanted
+        under a wall clock anchored at the crashed run's stream frontier.
         """
         assert self._journal_path is not None
         recovered = recover(
             self._journal_path,
             self.scheduler,
-            on_session=self._adopt_session,
             on_restore=self._restore_extra,
-            on_event=self._replay_event,
-            on_pop=self._replay_pop,
+            observers=(self._trace, self),
         )
-        self.ledgers = recovered.ledgers
-        self._pops = recovered.pops
+        self.session = recovered.session
+        self.workload = self.session.workload
         self.arrival_log = list(recovered.arrivals)
         if recovered.arrivals:
             self._next_qid = max(
                 self._next_qid,
                 max(record.query_id for record in recovered.arrivals) + 1,
             )
-        self._decision_cursor = len(self.session.decisions)
         # Stream time continues from the crashed run's frontier; restored
         # events already behind ``now`` are overdue and pop in a burst.
         self._logical_now = max(self._logical_now, recovered.timeline.now)
@@ -463,24 +448,15 @@ class QueryService:
         )
         self.session.clock = self.clock
         self.session.accepting = True
-        self._stop_pops = None
         self._journal = JournalWriter(
             self._journal_path,
             fsync_every=self.config.journal_fsync_every,
             truncate_to=recovered.valid_bytes,
         )
-        self._journal_decisions = recovered.journaled_decisions
-        self._journal_windows = recovered.journaled_windows
-        reconcile(recovered, self._journal)
-        self._journal_decisions = len(self.session.decisions)
-        self._journal_windows = len(self.session.decision.windows)
+        self._book = reconcile(recovered, self._journal)
         self.resumed_at_pops = recovered.pops
         self.tracer.emit(events.RESUME, "journal", pops=recovered.pops)
         self._journal.sync()
-
-    def _adopt_session(self, session: OnlineSession) -> None:
-        self.session = session
-        self.workload = session.workload
 
     def _restore_extra(self, extra: dict, pops: int) -> None:
         self._next_qid = int(extra.get("next_qid", self._next_qid))
@@ -492,101 +468,37 @@ class QueryService:
             self._logical_now = time
             self.tracer.emit(kind, subject, **detail)
         self._logical_now = float(extra.get("logical_now", self._logical_now))
-        self._decision_cursor = len(self.session.decisions)
 
-    def _replay_event(self, now: float, tag: str, payload: object) -> None:
-        # Mirrors the live loop's pre-handle stamp, so trace records the
-        # scheduler emits *inside* handle() carry the pop's time.
+    # -- the service observing its own session -------------------------------
+
+    def before_pop(self, session, now, tag, payload) -> None:
+        # The logical clock moves first, so trace records the scheduler
+        # emits *inside* handle() carry the pop's time.
         self._logical_now = max(self._logical_now, now)
 
-    def _replay_pop(
-        self,
-        now: float,
-        tag: str,
-        payload: object,
-        outcome: str | None,
-        entry: IVLedgerEntry | None,
-    ) -> None:
+    def after_pop(self, session, now, tag, payload, outcome, ledger) -> None:
         if tag == "arrival":
-            self._on_arrival(typing.cast(int, payload), outcome)
-        self._emit_new_starts()
-        if tag == "completion" and entry is not None:
-            self._emit_completion(typing.cast(int, payload), entry)
-
-    # -- event bookkeeping ---------------------------------------------------
-
-    def _on_arrival(self, qid: int, outcome: str | None) -> None:
-        query = self.workload.query(qid)
-        decision = self._decision_futures.pop(qid, None)
-        if decision is not None and not decision.done():
-            decision.set_result(outcome)
-        if outcome == "shed":
-            # No submit event: a shed query never enters the system, so
-            # the lifecycle checker must not expect a completion.
-            self._finish(qid, {
-                "qid": qid, "query": query.name, "outcome": "shed",
+            decision = self._decision_futures.pop(payload, None)
+            if decision is not None and not decision.done():
+                decision.set_result(outcome)
+            if outcome == "shed":
+                self._finish(payload, {
+                    "qid": payload,
+                    "query": session.workload.query(payload).name,
+                    "outcome": "shed",
+                })
+        elif ledger is not None:
+            self._finish(payload, {
+                "qid": payload,
+                "query": ledger.query,
+                "outcome": "completed",
+                "iv": ledger.reported_iv,
+                "cl": ledger.computational_latency,
+                "sl": ledger.synchronization_latency,
+                "submitted_at": ledger.submitted_at,
+                "completed_at": ledger.completed_at,
+                "ledger": ledger.to_dict(),
             })
-            return
-        self.tracer.emit(events.SUBMIT, query.name, qid=qid)
-        self.tracer.emit(
-            events.PLAN, query.name,
-            qid=qid, est_iv=self.session.evaluator.upper_bound(qid),
-        )
-
-    def _emit_new_starts(self) -> None:
-        decisions = self.session.decisions
-        for entry in decisions[self._decision_cursor:]:
-            if entry[0] == "start":
-                qid = entry[1]
-                self.tracer.emit(
-                    events.EXEC_START, self.workload.query(qid).name,
-                    qid=qid, begin=entry[2],
-                )
-        self._decision_cursor = len(decisions)
-
-    def _on_completion(self, qid: int, completed_at: float) -> None:
-        assignment = self.session.started[qid]
-        query = self.workload.query(qid)
-        # The event's pop time is the completion instant the service
-        # observed (>= the analytic completion when dispatch ran late);
-        # using it keeps COMPLETE's trace time and the ledger bit-equal.
-        # The shared constructor is the exact one recovery replays
-        # through, so a resumed service's ledger matches bit-for-bit.
-        entry = completion_ledger(
-            query.name,
-            qid,
-            query.business_value,
-            assignment.rates,
-            submitted_at=self.workload.arrival_of(qid),
-            begin=assignment.begin,
-            completed_at=completed_at,
-            data_timestamp=assignment.data_timestamp,
-        )
-        self.ledgers.append(entry)
-        if self._journal is not None:
-            self._journal.append(ledger_record(entry))
-        self._emit_completion(qid, entry)
-
-    def _emit_completion(self, qid: int, entry: IVLedgerEntry) -> None:
-        """Trace + results bookkeeping for one completion (live or replayed)."""
-        cl = entry.completed_at - entry.submitted_at
-        sl = max(0.0, entry.completed_at - entry.data_timestamp)
-        self.tracer.emit(
-            events.COMPLETE, entry.query,
-            qid=qid, iv=entry.reported_iv, cl=cl, sl=sl,
-        )
-        self.tracer.emit(events.LEDGER, entry.query, **entry.to_dict())
-        self._finish(qid, {
-            "qid": qid,
-            "query": entry.query,
-            "outcome": "completed",
-            "iv": entry.reported_iv,
-            "cl": cl,
-            "sl": sl,
-            "submitted_at": entry.submitted_at,
-            "completed_at": entry.completed_at,
-            "ledger": entry.to_dict(),
-        })
 
     def _finish(self, qid: int, payload: dict) -> None:
         self.results[qid] = payload

@@ -56,17 +56,3 @@ __all__ = [
     "UniformStream",
 ]
 
-
-def __getattr__(name: str):
-    if name == "Clock":
-        import warnings
-
-        warnings.warn(
-            "repro.sim.Clock is deprecated: use repro.sim.SimulationClock "
-            "(the monotone DES clock) or the repro.sim.clocks.Clock "
-            "protocol (the sim/wall event-clock seam)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return SimulationClock
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -5,19 +5,12 @@ natural unit for the paper's near-real-time decision support band (2–30
 minutes).  The clock only ever moves forward; attempts to move it backwards
 indicate a kernel bug and raise :class:`~repro.errors.SchedulingError`.
 
-Naming note: this class was called ``Clock`` until the PR 6 serving
-runtime introduced the *event-clock protocol* of the same name in
-:mod:`repro.sim.clocks` — two unrelated types, one legacy monotone
-simulation clock and one sim/wall time-source seam, colliding on a single
-word in sibling modules.  The legacy class is now
-:class:`SimulationClock`; ``repro.sim.clock.Clock`` remains as a
-deprecated alias for one release.
+Not to be confused with the *event-clock protocol*
+:class:`repro.sim.clocks.Clock`, the sim/wall time-source seam of the
+online scheduler.
 """
 
 from __future__ import annotations
-
-import typing
-import warnings
 
 from repro.errors import SchedulingError
 
@@ -54,15 +47,3 @@ class SimulationClock:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"SimulationClock(now={self._now:.4f})"
 
-
-def __getattr__(name: str) -> typing.Any:
-    if name == "Clock":
-        warnings.warn(
-            "repro.sim.clock.Clock is deprecated: the monotone simulation "
-            "clock is now repro.sim.clock.SimulationClock (the Clock "
-            "*protocol* lives in repro.sim.clocks)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return SimulationClock
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

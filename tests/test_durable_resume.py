@@ -264,6 +264,28 @@ class TestGoldenJournal:
         assert report["snapshot_pops"] > 0
         assert report["tail_error"] is None
 
+    def test_golden_journal_is_exactly_todays_records(self, tmp_path):
+        # Record for record, in order: pops, decisions, windows, ledgers
+        # and snapshots — everything but the wall-clock re-opt times.
+        def strip(value):
+            if isinstance(value, dict):
+                return {
+                    key: strip(item) for key, item in value.items()
+                    if key != "reopt_seconds"
+                }
+            if isinstance(value, list):
+                return [strip(item) for item in value]
+            return value
+
+        path = tmp_path / "today.journal"
+        journaled_run(
+            golden_scheduler(), golden_workload(), path, snapshot_every=4
+        )
+        today = [strip(payload) for payload, _ in read_journal(path)]
+        golden = [strip(payload) for payload, _ in read_journal(GOLDEN)]
+        assert len(golden) == 50
+        assert today == golden
+
     def test_golden_journal_reproduces_todays_run(self):
         # The scheduler of record, run today, must still make the exact
         # decisions the fixture froze — GA determinism across versions.

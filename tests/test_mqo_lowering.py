@@ -533,6 +533,7 @@ class TestLazyPlansAndEviction:
             evaluator.catalog, evaluator.cost_provider,
             evaluator.default_rates, config=OnlineConfig(window=2.0),
         )
+        from repro.mqo.online import drive
         from repro.sim.clocks import SimClock
 
         clock = SimClock()
@@ -543,8 +544,7 @@ class TestLazyPlansAndEviction:
                 query.query_id,
             )
         session.arrivals_expected = 2
-        while clock:
-            session.handle(*clock.pop())
+        drive(session, clock)
         assert session.stats.dispatched == 2
         assert session.evaluator._compiled == {}
         # The started assignment still materialises its plan.

@@ -17,10 +17,14 @@ from repro.experiments.runner import run_stream
 from repro.federation.costmodel import CostModel, CostParameters
 from repro.mqo.ga import GAConfig
 from repro.mqo.online import (
+    LifecycleTrace,
     OnlineConfig,
     OnlineMQOScheduler,
     OnlineStats,
+    SessionObserver,
     WindowRecord,
+    drive,
+    step,
 )
 from repro.obs import events
 from repro.obs.checker import TraceChecker
@@ -384,16 +388,8 @@ class TestReoptAccounting:
         workload = burst_workload(count=4)
         clock = CountingClock()
         session = scheduler.session(workload, clock)
-        ordered = workload.sorted_by_arrival()
-        session.arrivals_expected = len(ordered)
-        for query in ordered:
-            clock.push(
-                workload.arrival_of(query.query_id), "arrival", query.query_id
-            )
-        while clock:
-            now, tag, payload = clock.pop()
-            session.handle(now, tag, payload)
-        session.drain()
+        session.push_arrivals()
+        drive(session, clock)
         stats = session.stats
         assert stats.windows > 0 and clock.readings >= 2 * stats.windows
         assert stats.reopt_seconds == pytest.approx(0.5 * stats.windows)
@@ -603,17 +599,8 @@ class TestHotPathFixes:
         workload = burst_workload(count=6)
         clock = SimClock()
         session = scheduler.session(workload, clock)
-        ordered = workload.sorted_by_arrival()
-        session.arrivals_expected = len(ordered)
-        for query in ordered:
-            clock.push(
-                workload.arrival_of(query.query_id), "arrival",
-                query.query_id,
-            )
-        while clock:
-            now, tag, payload = clock.pop()
-            session.handle(now, tag, payload)
-        session.drain()
+        session.push_arrivals()
+        drive(session, clock)
         # Every admitted range was retired when its query dispatched.
         assert len(session.group_index) == 0
         assert session.group_index.groups() == []
@@ -625,16 +612,8 @@ def _run_collecting_decisions(scheduler, workload):
 
     clock = SimClock()
     session = scheduler.session(workload, clock)
-    ordered = workload.sorted_by_arrival()
-    session.arrivals_expected = len(ordered)
-    for query in ordered:
-        clock.push(
-            workload.arrival_of(query.query_id), "arrival", query.query_id
-        )
-    while clock:
-        now, tag, payload = clock.pop()
-        session.handle(now, tag, payload)
-    session.drain()
+    session.push_arrivals()
+    drive(session, clock)
     return list(session.decisions)
 
 
@@ -647,23 +626,136 @@ def _decisions_of(scheduler, count):
     ]
 
 
-class TestIncrementalGroupsConfig:
-    def test_sweep_and_incremental_paths_agree_bit_for_bit(self):
-        results = []
-        for incremental in (True, False):
-            scheduler = build_online(
-                OnlineConfig(
-                    window=0.5, max_pending=4, eager_start=False,
-                    incremental_groups=incremental,
-                )
-            )
-            workload = burst_workload(count=8, gap=0.1)
-            results.append(_run_collecting_decisions(scheduler, workload))
-        assert results[0] == results[1]
+class TestIncrementalGroupsMatchSweep:
+    """Every pass's incremental conflict groups are the sweep line's.
 
-    def test_verify_groups_off_still_schedules(self):
-        scheduler = build_online(
-            OnlineConfig(window=2.0, max_pending=16, verify_groups=False)
+    The online loop only ever reads the incremental index; this wraps
+    :meth:`IncrementalConflictGroups.groups` and recomputes the full sweep
+    over the pending set at every pass of real runs.
+    """
+
+    @pytest.mark.parametrize("config, workload", [
+        (OnlineConfig(window=0.5, max_pending=4, eager_start=False),
+         lambda: burst_workload(count=8, gap=0.1)),
+        (OnlineConfig(window=2.0, max_pending=16),
+         lambda: burst_workload(count=12, gap=0.3)),
+        (OnlineConfig(window=1.0, max_pending=2, eager_start=False),
+         lambda: burst_workload(count=8, gap=0.05)),
+    ], ids=["windowed", "eager", "deferring"])
+    def test_every_pass_equals_the_sweep(self, monkeypatch, config, workload):
+        from repro.mqo.conflict import (
+            IncrementalConflictGroups,
+            conflict_groups,
+            execution_ranges,
         )
-        decision = scheduler.run(burst_workload(count=5))
-        assert sorted(decision.permutation) == [1, 2, 3, 4, 5]
+
+        sessions = []
+        open_session = OnlineMQOScheduler.session
+        groups = IncrementalConflictGroups.groups
+        checked = []
+
+        def recording_session(self, *args):
+            sessions.append(open_session(self, *args))
+            return sessions[-1]
+
+        def swept_groups(index):
+            incremental = groups(index)
+            [session] = sessions
+            assert index is session.group_index
+            assert incremental == conflict_groups(execution_ranges(
+                session.evaluator, query_ids=session._pending_ids()
+            ))
+            checked.append(incremental)
+            return incremental
+
+        monkeypatch.setattr(OnlineMQOScheduler, "session", recording_session)
+        monkeypatch.setattr(IncrementalConflictGroups, "groups", swept_groups)
+        decision = build_online(config).run(workload())
+        assert len(checked) == decision.stats.windows > 1
+        assert any(len(group) > 1 for passed in checked for group in passed)
+
+
+class TestDriver:
+    """``step`` / ``drive``: the one way an online session is driven."""
+
+    @staticmethod
+    def session():
+        from repro.sim.clocks import SimClock
+
+        clock = SimClock()
+        session = build_online(
+            OnlineConfig(window=2.0, max_pending=16)
+        ).session(burst_workload(count=6), clock)
+        session.push_arrivals()
+        return session, clock
+
+    def test_without_observers_no_ledger_is_built(self, monkeypatch):
+        from repro.mqo import online
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("ledger built with nobody observing")
+
+        monkeypatch.setattr(online, "completion_ledger", refuse)
+        monkeypatch.setattr(online.OnlineSession, "completion_ledger", refuse)
+        session, clock = self.session()
+        completions = 0
+        while clock:
+            now, tag, payload = clock.pop()
+            step(session, now, tag, payload)
+            completions += tag == "completion"
+        assert completions == session.stats.dispatched == 6
+        drive(*self.session())  # and the driver never asks for one either
+
+    def test_observers_see_every_pop_in_order_with_its_ledger(self):
+        seen = []
+
+        class Recorder(SessionObserver):
+            def __init__(self, name):
+                self.name = name
+
+            def before_pop(self, session, now, tag, payload):
+                seen.append((self.name, "before", tag, payload))
+
+            def after_pop(self, session, now, tag, payload, outcome, ledger):
+                seen.append((self.name, "after", tag, payload, outcome,
+                             None if ledger is None else ledger.query_id))
+
+            def finish(self, session):
+                seen.append((self.name, "finish"))
+
+        session, clock = self.session()
+        drive(session, clock, [Recorder("a"), Recorder("b")])
+        assert seen[-2:] == [("a", "finish"), ("b", "finish")]
+        pops = seen[:-2]
+        assert len(pops) % 4 == 0
+        for index in range(0, len(pops), 4):
+            a_before, b_before, a_after, b_after = pops[index:index + 4]
+            assert (a_before[0], b_before[0]) == ("a", "b")
+            assert a_before[1:] == b_before[1:]
+            assert a_after[1:] == b_after[1:]
+            _, _, tag, payload, outcome, ledger_qid = a_after
+            assert outcome == ("admitted" if tag == "arrival" else None)
+            assert ledger_qid == (payload if tag == "completion" else None)
+        ledgers = [entry[5] for entry in pops if entry[0] == "a"
+                   and entry[1] == "after" and entry[5] is not None]
+        assert sorted(ledgers) == [1, 2, 3, 4, 5, 6]
+
+    def test_lifecycle_trace_is_checker_clean_and_decides_nothing(self):
+        tracer_clock = {"now": 0.0}
+        tracer = Tracer(lambda: tracer_clock["now"])
+
+        class Stamp(SessionObserver):
+            def before_pop(self, session, now, tag, payload):
+                tracer_clock["now"] = now
+
+        session, clock = self.session()
+        session.scheduler.tracer = tracer
+        drive(session, clock, [Stamp(), LifecycleTrace(tracer)])
+        plain, plain_clock = self.session()
+        drive(plain, plain_clock)
+        assert session.decisions == plain.decisions
+        assert TraceChecker().check(tracer.records) == []
+        kinds = [record.kind for record in tracer.records]
+        for kind in (events.SUBMIT, events.PLAN, events.EXEC_START,
+                     events.COMPLETE, events.LEDGER):
+            assert kinds.count(kind) == 6, kind

@@ -314,6 +314,45 @@ class TestBitEqualGoldens:
         ) == stable(plain)
 
 
+#: sha256 of the merged fleet trace (``to_jsonl`` of every shard's records)
+#: for the golden configs, serial, two shards, ``trace`` + ``fleet_metrics``
+#: — captured before every driver moved onto ``drive`` and its observers,
+#: with the record counts it covered.
+GOLDEN_FLEET_TRACE = {
+    "steady": (4095, "829c5e3fa34aacea493d59443dc12ded"
+                     "7d1eb06377e22ea7d92651a834919b42"),
+    "burst": (1218, "bf7b039276bd627fcca99f671c00d922"
+                    "40c4c8cac1e5d27493b71f90c3bfd764"),
+    "pressure": (1994, "0de228ba03f128409bbdc3261745d3ca"
+                       "f0d890f911c56c68fdcb0f83b4734793"),
+}
+
+
+class TestFleetTraceGolden:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_SPECS))
+    def test_merged_trace_is_byte_identical(self, name):
+        import hashlib
+
+        from repro.obs.export import to_jsonl
+
+        spec = GOLDEN_SPECS[name]
+        fleet = {}
+
+        def on_fleet(_name, collector, violations):
+            fleet["records"] = len(collector.records)
+            fleet["sha256"] = hashlib.sha256(
+                to_jsonl(collector.records).encode()
+            ).hexdigest()
+            fleet["violations"] = violations
+
+        run_schedule(
+            small_config(schedules=(spec,), trace=True, fleet_metrics=True),
+            spec, on_fleet=on_fleet,
+        )
+        assert fleet["violations"] == []
+        assert (fleet["records"], fleet["sha256"]) == GOLDEN_FLEET_TRACE[name]
+
+
 class TestCacheCapsNeverDecide:
     """Every evaluator cache is exact, so no cap on one may change a
     decision — through the production path, where the base clocks are not

@@ -42,8 +42,8 @@ class TestClockNameCollision:
 
     ``repro.sim.clock`` (the legacy monotone DES clock) and
     ``repro.sim.clocks`` (the PR 6 sim/wall event-clock protocol) exported
-    colliding ``Clock`` names.  The legacy one is now ``SimulationClock``;
-    the deprecated aliases must keep resolving to the *intended* types.
+    colliding ``Clock`` names.  The legacy one is now ``SimulationClock``,
+    and the deprecated ``Clock`` aliases it kept for a while are gone.
     """
 
     def test_simulation_clock_is_the_monotone_des_clock(self):
@@ -60,16 +60,14 @@ class TestClockNameCollision:
         assert not isinstance(SimulationClock(), ClockProtocol)
         assert ClockProtocol is not SimulationClock
 
-    def test_deprecated_module_alias_warns_and_resolves(self):
+    def test_deprecated_aliases_are_gone(self):
         import repro.sim
         import repro.sim.clock
 
-        with pytest.warns(DeprecationWarning, match="SimulationClock"):
-            legacy = repro.sim.clock.Clock
-        assert legacy is SimulationClock
-        with pytest.warns(DeprecationWarning, match="SimulationClock"):
-            package_alias = repro.sim.Clock
-        assert package_alias is SimulationClock
+        with pytest.raises(AttributeError):
+            repro.sim.clock.Clock
+        with pytest.raises(AttributeError):
+            repro.sim.Clock
 
     def test_unknown_attribute_still_raises(self):
         import repro.sim
