@@ -94,6 +94,7 @@ ci: lint
 	$(MAKE) trace-check-fleet
 	$(MAKE) serve-smoke
 	$(MAKE) serve-smoke-resume
+	$(MAKE) check
 	$(MAKE) bench-online
 	$(MAKE) bench-serve
 	$(MAKE) bench-scale
@@ -129,8 +130,9 @@ bench-gate:
 experiments:
 	$(PYTHON) -m repro all
 
+# Audit every claimed paper shape; exits non-zero on any failed claim.
 check:
-	$(PYTHON) -m repro check
+	PYTHONPATH=src $(PYTHON) -m repro check
 
 examples:
 	@for example in examples/*.py; do \

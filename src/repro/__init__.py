@@ -18,51 +18,59 @@ Quick start::
         print(outcome.describe())
 """
 
-from repro._version import __version__
-from repro.core import (
-    AgingPolicy,
-    DiscountRates,
-    IVQPOptimizer,
-    PlacementAdvisor,
-    QueryPlan,
-    information_value,
-)
-from repro.errors import ReproError
-from repro.federation import (
-    Catalog,
-    CostModel,
-    FederatedSystem,
-    NetworkModel,
-    SystemConfig,
-    TableSpec,
-    build_system,
-)
-from repro.mqo import GAConfig, WorkloadScheduler
-from repro.workload import DSSQuery, Workload, tpch_queries
+import importlib
 
-__all__ = [
-    "AgingPolicy",
-    "Catalog",
-    "CostModel",
-    "DSSQuery",
-    "DiscountRates",
-    "FederatedSystem",
-    "GAConfig",
-    "IVQPOptimizer",
-    "NetworkModel",
-    "PlacementAdvisor",
-    "QueryPlan",
-    "ReproError",
-    "SystemConfig",
-    "TableSpec",
-    "Workload",
-    "WorkloadScheduler",
-    "__version__",
-    "build_system",
-    "information_value",
-    "quickstart_system",
-    "tpch_queries",
-]
+from repro._version import __version__
+
+
+def _lazy_exports(namespace: dict, exports: dict[str, str]):
+    """PEP 562 ``__getattr__``/``__dir__`` for a package whose public names
+    live in its submodules.
+
+    ``exports`` maps each public name to its defining submodule (relative
+    to the package); that module is imported on first access and the value
+    cached in the package namespace, so importing a package loads none of
+    its submodules.  A name mapped to itself is the submodule.
+    """
+    package = namespace["__name__"]
+
+    def __getattr__(name: str):
+        if name not in exports:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        module = importlib.import_module(f"{package}.{exports[name]}")
+        value = module if exports[name] == name else getattr(module, name)
+        namespace[name] = value
+        return value
+
+    def __dir__() -> list[str]:
+        return sorted({*namespace, *exports})
+
+    return __getattr__, __dir__
+
+
+_EXPORTS = {
+    "AgingPolicy": "core",
+    "Catalog": "federation",
+    "CostModel": "federation",
+    "DSSQuery": "workload",
+    "DiscountRates": "core",
+    "FederatedSystem": "federation",
+    "GAConfig": "mqo",
+    "IVQPOptimizer": "core",
+    "NetworkModel": "federation",
+    "PlacementAdvisor": "core",
+    "QueryPlan": "core",
+    "ReproError": "errors",
+    "SystemConfig": "federation",
+    "TableSpec": "federation",
+    "Workload": "workload",
+    "WorkloadScheduler": "mqo",
+    "build_system": "federation",
+    "information_value": "core",
+    "tpch_queries": "workload",
+}
+__all__ = [*_EXPORTS, "__version__", "quickstart_system"]
+__getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)
 
 
 def quickstart_system(scale: float = 0.002, sync_mean_interval: float = 1.0):
@@ -73,7 +81,9 @@ def quickstart_system(scale: float = 0.002, sync_mean_interval: float = 1.0):
     queries, so a first experiment is three lines of code.
     """
     from repro.baselines import ivqp_router
+    from repro.core.value import DiscountRates
     from repro.experiments.config import TpchSetup
+    from repro.federation.system import build_system
 
     setup = TpchSetup(scale=scale)
     config = setup.system_config(

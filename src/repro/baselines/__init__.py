@@ -8,16 +8,15 @@
 * **IVQP** — the paper's information value-driven router.
 """
 
-from repro.baselines.federation import FederationRouter, federation_router
-from repro.baselines.ivqp import ivqp_router
-from repro.baselines.replay import ReplayRouter
-from repro.baselines.warehouse import WarehouseRouter, warehouse_router
+from repro import _lazy_exports
 
-__all__ = [
-    "FederationRouter",
-    "ReplayRouter",
-    "WarehouseRouter",
-    "federation_router",
-    "ivqp_router",
-    "warehouse_router",
-]
+_EXPORTS = {
+    "FederationRouter": "federation",
+    "ReplayRouter": "replay",
+    "WarehouseRouter": "warehouse",
+    "federation_router": "federation",
+    "ivqp_router": "ivqp",
+    "warehouse_router": "warehouse",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)

@@ -9,49 +9,32 @@
 * :mod:`repro.core.advisor` — the data placement advisor (future work).
 """
 
-from repro.core.aging import AgingPolicy
-from repro.core.advisor import PlacementAdvisor, PlacementRecommendation
-from repro.core.enumeration import (
-    all_combos,
-    enumerate_plans,
-    gather_combos,
-    make_plan,
-    split_tables,
-    sync_points_between,
-)
-from repro.core.explain import RouteComparison, explain_choice
-from repro.core.optimizer import IVQPOptimizer, SearchDiagnostics
-from repro.core.plan import QueryPlan, TableVersion, VersionKind
-from repro.core.routing import PlanShape, PrecomputedRouter, RoutingTable
-from repro.core.value import (
-    DiscountRates,
-    discount_factor,
-    information_value,
-    max_tolerable_latency,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "AgingPolicy",
-    "DiscountRates",
-    "IVQPOptimizer",
-    "PlacementAdvisor",
-    "PlacementRecommendation",
-    "PlanShape",
-    "PrecomputedRouter",
-    "QueryPlan",
-    "RouteComparison",
-    "RoutingTable",
-    "SearchDiagnostics",
-    "TableVersion",
-    "VersionKind",
-    "all_combos",
-    "discount_factor",
-    "enumerate_plans",
-    "explain_choice",
-    "gather_combos",
-    "information_value",
-    "make_plan",
-    "max_tolerable_latency",
-    "split_tables",
-    "sync_points_between",
-]
+_EXPORTS = {
+    "AgingPolicy": "aging",
+    "DiscountRates": "value",
+    "IVQPOptimizer": "optimizer",
+    "PlacementAdvisor": "advisor",
+    "PlacementRecommendation": "advisor",
+    "PlanShape": "routing",
+    "PrecomputedRouter": "routing",
+    "QueryPlan": "plan",
+    "RouteComparison": "explain",
+    "RoutingTable": "routing",
+    "SearchDiagnostics": "optimizer",
+    "TableVersion": "plan",
+    "VersionKind": "plan",
+    "all_combos": "enumeration",
+    "discount_factor": "value",
+    "enumerate_plans": "enumeration",
+    "explain_choice": "explain",
+    "gather_combos": "enumeration",
+    "information_value": "value",
+    "make_plan": "enumeration",
+    "max_tolerable_latency": "value",
+    "split_tables": "enumeration",
+    "sync_points_between": "enumeration",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)

@@ -1,28 +1,18 @@
 """Data generators: TPC-H micro-instances, synthetic schemas, placements."""
 
-from repro.data.placement import (
-    round_robin_placement,
-    skewed_placement,
-    uniform_placement,
-)
-from repro.data.synthetic import SyntheticInstance, generate_synthetic
-from repro.data.tpch import (
-    LINEITEM_PARTITIONS,
-    TPCH_SCHEMAS,
-    TpchInstance,
-    generate_tpch,
-    lineitem_partition_names,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "LINEITEM_PARTITIONS",
-    "TPCH_SCHEMAS",
-    "SyntheticInstance",
-    "TpchInstance",
-    "generate_synthetic",
-    "generate_tpch",
-    "lineitem_partition_names",
-    "round_robin_placement",
-    "skewed_placement",
-    "uniform_placement",
-]
+_EXPORTS = {
+    "LINEITEM_PARTITIONS": "tpch",
+    "TPCH_SCHEMAS": "tpch",
+    "SyntheticInstance": "synthetic",
+    "TpchInstance": "tpch",
+    "generate_synthetic": "synthetic",
+    "generate_tpch": "tpch",
+    "lineitem_partition_names": "tpch",
+    "round_robin_placement": "placement",
+    "skewed_placement": "placement",
+    "uniform_placement": "placement",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)

@@ -20,44 +20,25 @@ live service resumes exactly where it crashed (``serve --journal DIR
 --resume``).
 """
 
-from repro.durable.harness import (
-    JournaledRun,
-    crash_and_resume,
-    journaled_run,
-    resume_run,
-    runs_equivalent,
-)
-from repro.durable.journal import (
-    SCHEMA_VERSION,
-    InjectedCrash,
-    JournalWriter,
-    encode_record,
-    read_journal,
-    scan_journal,
-)
-from repro.durable.recovery import (
-    JournalObserver,
-    RecoveredRun,
-    recover,
-    reconcile,
-    verify_journal,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "SCHEMA_VERSION",
-    "InjectedCrash",
-    "JournalWriter",
-    "encode_record",
-    "scan_journal",
-    "read_journal",
-    "JournalObserver",
-    "RecoveredRun",
-    "recover",
-    "reconcile",
-    "verify_journal",
-    "JournaledRun",
-    "journaled_run",
-    "resume_run",
-    "crash_and_resume",
-    "runs_equivalent",
-]
+_EXPORTS = {
+    "SCHEMA_VERSION": "journal",
+    "InjectedCrash": "journal",
+    "JournalWriter": "journal",
+    "encode_record": "journal",
+    "scan_journal": "journal",
+    "read_journal": "journal",
+    "JournalObserver": "recovery",
+    "RecoveredRun": "recovery",
+    "recover": "recovery",
+    "reconcile": "recovery",
+    "verify_journal": "recovery",
+    "JournaledRun": "harness",
+    "journaled_run": "harness",
+    "resume_run": "harness",
+    "crash_and_resume": "harness",
+    "runs_equivalent": "harness",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)

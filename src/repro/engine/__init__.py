@@ -7,73 +7,46 @@ from actual row counts, as the paper's Section 3.1 "compile the query ...
 in advance" step assumes.
 """
 
-from repro.engine.expr import And, Arith, Col, Compare, Const, Expr, Not, Or
-from repro.engine.ops import (
-    AggSpec,
-    Aggregate,
-    AntiJoin,
-    Distinct,
-    ExecutionStats,
-    Filter,
-    HashJoin,
-    Limit,
-    Operator,
-    Project,
-    Scan,
-    SemiJoin,
-    Sort,
-)
-from repro.engine.views import UnionTable
-from repro.engine.planner import CostEstimate, Database, PhysicalPlan, Planner
-from repro.engine.query import LogicalQuery, QueryBuilder
-from repro.engine.schema import Column, DType, TableSchema
-from repro.engine.stats import (
-    ColumnStats,
-    TableStats,
-    estimate_selectivity,
-    join_selectivity,
-)
-from repro.engine.table import Table
+from repro import _lazy_exports
 
-__all__ = [
-    "AggSpec",
-    "Aggregate",
-    "And",
-    "AntiJoin",
-    "Arith",
-    "Col",
-    "Column",
-    "ColumnStats",
-    "Compare",
-    "Const",
-    "CostEstimate",
-    "Database",
-    "Distinct",
-    "DType",
-    "ExecutionStats",
-    "Expr",
-    "Filter",
-    "HashJoin",
-    "Limit",
-    "LogicalQuery",
-    "Not",
-    "Operator",
-    "Or",
-    "PhysicalPlan",
-    "Planner",
-    "Project",
-    "QueryBuilder",
-    "Scan",
-    "Schema",
-    "SemiJoin",
-    "Sort",
-    "Table",
-    "TableSchema",
-    "TableStats",
-    "UnionTable",
-    "estimate_selectivity",
-    "join_selectivity",
-]
-
-# "Schema" is a friendlier alias some examples use.
-Schema = TableSchema
+_EXPORTS = {
+    "AggSpec": "ops",
+    "Aggregate": "ops",
+    "And": "expr",
+    "AntiJoin": "ops",
+    "Arith": "expr",
+    "Col": "expr",
+    "Column": "schema",
+    "ColumnStats": "stats",
+    "Compare": "expr",
+    "Const": "expr",
+    "CostEstimate": "planner",
+    "Database": "planner",
+    "Distinct": "ops",
+    "DType": "schema",
+    "ExecutionStats": "ops",
+    "Expr": "expr",
+    "Filter": "ops",
+    "HashJoin": "ops",
+    "Limit": "ops",
+    "LogicalQuery": "query",
+    "Not": "expr",
+    "Operator": "ops",
+    "Or": "expr",
+    "PhysicalPlan": "planner",
+    "Planner": "planner",
+    "Project": "ops",
+    "QueryBuilder": "query",
+    "Scan": "ops",
+    "Schema": "schema",
+    "SemiJoin": "ops",
+    "Sort": "ops",
+    "Table": "table",
+    "TableSchema": "schema",
+    "TableStats": "stats",
+    "UnionTable": "views",
+    "estimate_selectivity": "stats",
+    "join_selectivity": "stats",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)

@@ -96,3 +96,7 @@ class TableSchema:
     def rename(self, new_name: str) -> "TableSchema":
         """A copy of this schema under a different table name."""
         return TableSchema(new_name, self.columns, self.primary_key)
+
+
+#: A friendlier alias some examples use.
+Schema = TableSchema

@@ -20,12 +20,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.value import DiscountRates
-from repro.data.placement import skewed_placement, uniform_placement
-from repro.data.synthetic import SyntheticInstance, generate_synthetic
 from repro.data.tpch import TpchInstance, generate_tpch
 from repro.errors import ConfigError
 from repro.federation.system import SystemConfig, TableSpec
 from repro.sim.rng import RandomSource
+from repro.testbed import (
+    QUERY_MEAN_INTERARRIVAL,
+    SyntheticSetup,
+    sync_interval_for_ratio,
+)
 from repro.workload.query import DSSQuery
 from repro.workload.tpch_queries import tpch_queries
 
@@ -37,9 +40,6 @@ __all__ = [
     "SyntheticSetup",
     "sync_interval_for_ratio",
 ]
-
-#: Mean minutes between query arrivals (Fq = 1 / this).
-QUERY_MEAN_INTERARRIVAL = 10.0
 
 #: The paper's Fq:Fs sweep (Figure 5): label -> Fs/Fq multiplier.
 FQ_FS_RATIOS: dict[str, float] = {
@@ -56,13 +56,6 @@ LAMBDA_COMBOS: list[tuple[float, float]] = [
     (0.05, 0.01),
     (0.05, 0.05),
 ]
-
-
-def sync_interval_for_ratio(ratio: float) -> float:
-    """System-wide mean minutes between sync events for one Fq:Fs ratio."""
-    if ratio <= 0:
-        raise ConfigError(f"Fq:Fs ratio multiplier must be > 0, got {ratio}")
-    return QUERY_MEAN_INTERARRIVAL / ratio
 
 
 @dataclass
@@ -149,96 +142,5 @@ class TpchSetup:
             sync_mean_interval=sync_mean_interval,
             rates=rates,
             engine_db=self.instance.database,
-            seed=seed,
-        )
-
-
-@dataclass
-class SyntheticSetup:
-    """The synthetic experiment environment (Sections 4.3–4.4)."""
-
-    num_tables: int = 100
-    num_sites: int = 6
-    replicated_count: int = 50
-    placement: str = "uniform"  # uniform | skewed
-    rows_range: tuple[int, int] = (200, 2000)
-    seed: int = 11
-
-    _instance: SyntheticInstance | None = field(default=None, repr=False)
-
-    @property
-    def instance(self) -> SyntheticInstance:
-        """The generated (cached) synthetic instance (schema only)."""
-        if self._instance is None:
-            self._instance = generate_synthetic(
-                num_tables=self.num_tables,
-                rows_range=self.rows_range,
-                seed=self.seed,
-                materialize_rows=False,
-            )
-        return self._instance
-
-    def placement_map(self) -> dict[str, int]:
-        """Table → site under the configured placement policy."""
-        rng = RandomSource(self.seed, "placement")
-        if self.placement == "uniform":
-            return uniform_placement(
-                self.instance.table_names, self.num_sites, rng.spawn("uniform")
-            )
-        if self.placement == "skewed":
-            return skewed_placement(
-                self.instance.table_names, self.num_sites, rng.spawn("skewed")
-            )
-        raise ConfigError(f"unknown placement {self.placement!r}")
-
-    def table_specs(self) -> list[TableSpec]:
-        """Physical tables under the configured placement."""
-        placement = self.placement_map()
-        instance = self.instance
-        return [
-            TableSpec(
-                name,
-                site=placement[name],
-                row_count=instance.row_counts[name],
-            )
-            for name in instance.table_names
-        ]
-
-    def replicated_for_ivqp(self) -> list[str]:
-        """The 50 randomly selected replicas (Section 4.3)."""
-        rng = RandomSource(self.seed, "synthetic-replication")
-        count = min(self.replicated_count, self.num_tables)
-        return sorted(rng.spawn("pick").sample(self.instance.table_names, count))
-
-    def system_config(
-        self,
-        approach: str,
-        rates: DiscountRates,
-        sync_mean_interval: float,
-        sync_mode: str = "shared",
-        seed: int = 1,
-    ) -> SystemConfig:
-        """A :class:`SystemConfig` for one approach.
-
-        For the synthetic experiments IVQP uses the paper's partial
-        replication ("randomly select 50 replications", Section 4.3) —
-        full replication of 100 tables over one shared sync budget would be
-        hopelessly stale, so partial replication IS the right hybrid
-        infrastructure here and IVQP still dominates.
-        """
-        if approach in ("ivqp", "ivqp-partial"):
-            replicated = self.replicated_for_ivqp()
-        elif approach == "federation":
-            replicated = []
-        elif approach == "warehouse":
-            replicated = list(self.instance.table_names)
-        else:
-            raise ConfigError(f"unknown approach {approach!r}")
-        return SystemConfig(
-            tables=self.table_specs(),
-            replicated=replicated,
-            sync_mode=sync_mode,
-            sync_mean_interval=sync_mean_interval,
-            rates=rates,
             seed=seed,
         )

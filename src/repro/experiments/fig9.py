@@ -14,81 +14,12 @@ performance gain" — and grows with the number of queries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from repro.core.value import DiscountRates
-from repro.experiments.config import SyntheticSetup, sync_interval_for_ratio
-from repro.federation.costmodel import CostModel, CostParameters
-from repro.federation.catalog import Catalog, TableDef
-from repro.federation.sync import build_schedules
 from repro.mqo.evaluator import EvaluatorStats
-from repro.mqo.ga import GAConfig
-from repro.mqo.scheduler import WorkloadScheduler
 from repro.reporting.tables import ResultTable
-from repro.sim.rng import RandomSource
+from repro.testbed import Fig9Config, build_mqo_scheduler
 from repro.workload.generator import overlapping_workload, random_queries
 
 __all__ = ["Fig9Config", "build_mqo_scheduler", "run_fig9a", "run_fig9b"]
-
-
-@dataclass
-class Fig9Config:
-    """Parameters of the Figure 9 experiments."""
-
-    num_tables: int = 100
-    num_sites: int = 6
-    replicated_count: int = 50
-    lambda_both: float = 0.15
-    ratio_multiplier: float = 10.0
-    overlap_rates: tuple[float, ...] = (0.1, 0.2, 0.3, 0.4, 0.5)
-    overlap_query_count: int = 12
-    query_counts: tuple[int, ...] = (2, 4, 6, 8, 10, 12, 14)
-    ga: GAConfig = field(default_factory=GAConfig)
-    #: Slower servers than the TPC-H experiments: Figure 9 studies a loaded
-    #: system, so contention must bite (calibrated in EXPERIMENTS.md).
-    cost_params: CostParameters = field(
-        default_factory=lambda: CostParameters(
-            local_throughput=1_500.0, remote_throughput=600.0
-        )
-    )
-    seed: int = 11
-    workload_seed: int = 23
-    overlap_seed: int = 31
-
-
-def build_mqo_scheduler(
-    config: Fig9Config,
-) -> tuple[WorkloadScheduler, SyntheticSetup]:
-    """Build the catalog/cost-model/scheduler stack for Figure 9."""
-    setup = SyntheticSetup(
-        num_tables=config.num_tables,
-        num_sites=config.num_sites,
-        replicated_count=config.replicated_count,
-        placement="uniform",
-        seed=config.seed,
-    )
-    placement = setup.placement_map()
-    catalog = Catalog()
-    for name in setup.instance.table_names:
-        catalog.add_table(
-            TableDef(name, placement[name], setup.instance.row_counts[name])
-        )
-    replicated = setup.replicated_for_ivqp()
-    source = RandomSource(config.seed, "fig9")
-    schedules = build_schedules(
-        replicated,
-        mode="shared",
-        mean_interval=sync_interval_for_ratio(config.ratio_multiplier),
-        source=source,
-    )
-    for name in replicated:
-        catalog.add_replica(name, schedules[name])
-    cost_model = CostModel(catalog, params=config.cost_params)
-    rates = DiscountRates.symmetric(config.lambda_both)
-    scheduler = WorkloadScheduler(
-        catalog, cost_model, rates, ga_config=config.ga, seed=config.seed
-    )
-    return scheduler, setup
 
 
 def run_fig9a(config: Fig9Config | None = None) -> ResultTable:

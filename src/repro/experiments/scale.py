@@ -58,12 +58,9 @@ throughput leaves may only ratchet up (within the wall tolerance),
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-import tempfile
 import time
 import typing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 from repro.core.value import DiscountRates
@@ -546,10 +543,12 @@ def run_schedule(
         "largest_group": max(len(group) for group in groups),
     }
 
-    spool_tmp: tempfile.TemporaryDirectory | None = None
+    spool_tmp = None
     spool_dir = config.spool_dir
     if config.telemetry:
         if spool_dir is None:
+            import tempfile
+
             spool_tmp = tempfile.TemporaryDirectory(prefix="repro-fleet-")
             spool_dir = spool_tmp.name
         else:
@@ -562,6 +561,9 @@ def run_schedule(
         del stream, groups, selections
         run_started = time.perf_counter()
         if config.executor == "process":
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
             context = multiprocessing.get_context("spawn")
             with ProcessPoolExecutor(
                 max_workers=len(payloads), mp_context=context

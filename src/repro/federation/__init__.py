@@ -1,74 +1,40 @@
 """Hybrid federation substrate: catalog, sites, sync, cost model, executor."""
 
-from repro.federation.catalog import (
-    Catalog,
-    FixedSyncSchedule,
-    Replica,
-    SharedSyncFeed,
-    StreamSyncSchedule,
-    SyncSchedule,
-    TableDef,
-)
-from repro.federation.costmodel import (
-    ComboCost,
-    CostModel,
-    CostParameters,
-    StaticCostProvider,
-)
-from repro.federation.executor import ExecutionPolicy, PlanExecutor, QueryOutcome
-from repro.federation.faults import (
-    FaultInjector,
-    FaultPlan,
-    FaultStats,
-    LinkDegradation,
-)
-from repro.federation.network import NetworkModel, SiteLink
-from repro.federation.qos import (
-    StalenessAudit,
-    audit_staleness,
-    schedules_for_staleness_bounds,
-)
-from repro.federation.site import LOCAL_SITE_ID, Site
-from repro.federation.sync import ReplicationManager, build_schedules
-from repro.federation.system import (
-    FederatedSystem,
-    Router,
-    SystemConfig,
-    TableSpec,
-    build_system,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "Catalog",
-    "ComboCost",
-    "CostModel",
-    "CostParameters",
-    "ExecutionPolicy",
-    "FaultInjector",
-    "FaultPlan",
-    "FaultStats",
-    "FederatedSystem",
-    "FixedSyncSchedule",
-    "LinkDegradation",
-    "LOCAL_SITE_ID",
-    "NetworkModel",
-    "PlanExecutor",
-    "QueryOutcome",
-    "Replica",
-    "ReplicationManager",
-    "Router",
-    "SharedSyncFeed",
-    "Site",
-    "SiteLink",
-    "StalenessAudit",
-    "StaticCostProvider",
-    "StreamSyncSchedule",
-    "SyncSchedule",
-    "SystemConfig",
-    "TableDef",
-    "TableSpec",
-    "audit_staleness",
-    "build_schedules",
-    "build_system",
-    "schedules_for_staleness_bounds",
-]
+_EXPORTS = {
+    "Catalog": "catalog",
+    "ComboCost": "costmodel",
+    "CostModel": "costmodel",
+    "CostParameters": "costmodel",
+    "ExecutionPolicy": "executor",
+    "FaultInjector": "faults",
+    "FaultPlan": "faults",
+    "FaultStats": "faults",
+    "FederatedSystem": "system",
+    "FixedSyncSchedule": "catalog",
+    "LinkDegradation": "faults",
+    "LOCAL_SITE_ID": "site",
+    "NetworkModel": "network",
+    "PlanExecutor": "executor",
+    "QueryOutcome": "executor",
+    "Replica": "catalog",
+    "ReplicationManager": "sync",
+    "Router": "system",
+    "SharedSyncFeed": "catalog",
+    "Site": "site",
+    "SiteLink": "network",
+    "StalenessAudit": "qos",
+    "StaticCostProvider": "costmodel",
+    "StreamSyncSchedule": "catalog",
+    "SyncSchedule": "catalog",
+    "SystemConfig": "system",
+    "TableDef": "catalog",
+    "TableSpec": "system",
+    "audit_staleness": "qos",
+    "build_schedules": "sync",
+    "build_system": "system",
+    "schedules_for_staleness_bounds": "qos",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)

@@ -26,12 +26,12 @@ from __future__ import annotations
 import typing
 from dataclasses import dataclass, field
 
-from repro.engine.planner import Database, Planner
 from repro.errors import ConfigError, PlanError
 from repro.federation.catalog import Catalog
 from repro.federation.network import NetworkModel
 
 if typing.TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.engine.planner import Database
     from repro.workload.query import DSSQuery
 
 __all__ = ["ComboCost", "CostParameters", "CostModel", "StaticCostProvider"]
@@ -126,7 +126,11 @@ class CostModel:
         self.catalog = catalog
         self.network = network or NetworkModel()
         self.params = params or CostParameters()
-        self._planner = Planner(engine_db) if engine_db is not None else None
+        self._planner = None
+        if engine_db is not None:
+            from repro.engine.planner import Planner
+
+            self._planner = Planner(engine_db)
         # Keyed on the query's shape, never on the query object or its id:
         # ids are only unique within one workload, and a service mints a
         # fresh object per request from a handful of templates.

@@ -1,52 +1,32 @@
 """Multi-query optimization: conflict grouping, GA, workload scheduling."""
 
-from repro.mqo.chromosome import (
-    order_crossover,
-    random_permutation,
-    swap_mutation,
-    validate_permutation,
-)
-from repro.mqo.conflict import ExecutionRange, conflict_groups, execution_ranges
-from repro.mqo.evaluator import (
-    Assignment,
-    EvaluationResult,
-    EvaluatorStats,
-    WorkloadEvaluator,
-)
-from repro.mqo.ga import GAConfig, GAResult, GeneticAlgorithm
-from repro.mqo.online import (
-    OnlineConfig,
-    OnlineDecision,
-    OnlineMQOScheduler,
-    OnlineStats,
-    WindowRecord,
-)
-from repro.mqo.scheduler import ScheduleDecision, WorkloadScheduler
-from repro.mqo.search_baselines import SearchResult, hill_climb, random_search
+from repro import _lazy_exports
 
-__all__ = [
-    "Assignment",
-    "EvaluationResult",
-    "EvaluatorStats",
-    "ExecutionRange",
-    "GAConfig",
-    "GAResult",
-    "GeneticAlgorithm",
-    "OnlineConfig",
-    "OnlineDecision",
-    "OnlineMQOScheduler",
-    "OnlineStats",
-    "ScheduleDecision",
-    "WindowRecord",
-    "SearchResult",
-    "WorkloadEvaluator",
-    "WorkloadScheduler",
-    "conflict_groups",
-    "hill_climb",
-    "random_search",
-    "execution_ranges",
-    "order_crossover",
-    "random_permutation",
-    "swap_mutation",
-    "validate_permutation",
-]
+_EXPORTS = {
+    "Assignment": "evaluator",
+    "EvaluationResult": "evaluator",
+    "EvaluatorStats": "evaluator",
+    "ExecutionRange": "conflict",
+    "GAConfig": "ga",
+    "GAResult": "ga",
+    "GeneticAlgorithm": "ga",
+    "OnlineConfig": "online",
+    "OnlineDecision": "online",
+    "OnlineMQOScheduler": "online",
+    "OnlineStats": "online",
+    "ScheduleDecision": "scheduler",
+    "WindowRecord": "online",
+    "SearchResult": "search_baselines",
+    "WorkloadEvaluator": "evaluator",
+    "WorkloadScheduler": "scheduler",
+    "conflict_groups": "conflict",
+    "hill_climb": "search_baselines",
+    "random_search": "search_baselines",
+    "execution_ranges": "conflict",
+    "order_crossover": "chromosome",
+    "random_permutation": "chromosome",
+    "swap_mutation": "chromosome",
+    "validate_permutation": "chromosome",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)

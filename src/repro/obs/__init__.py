@@ -25,89 +25,49 @@ snapshots (emitting ``alert.*`` events back into the trace), and
 of the optimizer and executor hot paths.
 """
 
-from repro.obs import events
-from repro.obs.checker import TraceChecker, Violation
-from repro.obs.fleet import (
-    FleetCollector,
-    ShardSpoolWriter,
-    ShardTelemetry,
-    read_spool,
-)
-from repro.obs.live import (
-    EwmaMean,
-    EwmaRate,
-    LiveRegistry,
-    P2Quantile,
-    TableSyncState,
-    WindowCounter,
-)
-from repro.obs.profile import PROFILER, ProfileRecord, WallProfiler, profiled
-from repro.obs.slo import (
-    Alert,
-    SLOMonitor,
-    SLORule,
-    default_slo_rules,
-    load_slo_rules,
-)
-from repro.obs.export import (
-    from_jsonl,
-    ledger_from_records,
-    normalize,
-    read_jsonl,
-    to_chrome_trace,
-    to_jsonl,
-    write_jsonl,
-)
-from repro.obs.ledger import IVLedgerEntry, VersionProvenance
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    registry_from_system,
-    to_prometheus,
-)
-from repro.obs.spans import Span, build_query_spans, render_span
+from repro import _lazy_exports
 
-__all__ = [
-    "events",
-    "TraceChecker",
-    "Violation",
-    "LiveRegistry",
-    "EwmaRate",
-    "EwmaMean",
-    "WindowCounter",
-    "P2Quantile",
-    "TableSyncState",
-    "FleetCollector",
-    "ShardSpoolWriter",
-    "ShardTelemetry",
-    "read_spool",
-    "SLORule",
-    "SLOMonitor",
-    "Alert",
-    "load_slo_rules",
-    "default_slo_rules",
-    "WallProfiler",
-    "ProfileRecord",
-    "PROFILER",
-    "profiled",
-    "IVLedgerEntry",
-    "VersionProvenance",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "registry_from_system",
-    "to_prometheus",
-    "Span",
-    "build_query_spans",
-    "render_span",
-    "to_jsonl",
-    "from_jsonl",
-    "write_jsonl",
-    "read_jsonl",
-    "normalize",
-    "to_chrome_trace",
-    "ledger_from_records",
-]
+_EXPORTS = {
+    "events": "events",
+    "TraceChecker": "checker",
+    "Violation": "checker",
+    "LiveRegistry": "live",
+    "EwmaRate": "live",
+    "EwmaMean": "live",
+    "WindowCounter": "live",
+    "P2Quantile": "live",
+    "TableSyncState": "live",
+    "FleetCollector": "fleet",
+    "ShardSpoolWriter": "fleet",
+    "ShardTelemetry": "fleet",
+    "read_spool": "fleet",
+    "SLORule": "slo",
+    "SLOMonitor": "slo",
+    "Alert": "slo",
+    "load_slo_rules": "slo",
+    "default_slo_rules": "slo",
+    "WallProfiler": "profile",
+    "ProfileRecord": "profile",
+    "PROFILER": "profile",
+    "profiled": "profile",
+    "IVLedgerEntry": "ledger",
+    "VersionProvenance": "ledger",
+    "Counter": "metrics",
+    "Gauge": "metrics",
+    "Histogram": "metrics",
+    "MetricsRegistry": "metrics",
+    "registry_from_system": "metrics",
+    "to_prometheus": "metrics",
+    "Span": "spans",
+    "build_query_spans": "spans",
+    "render_span": "spans",
+    "to_jsonl": "export",
+    "from_jsonl": "export",
+    "write_jsonl": "export",
+    "read_jsonl": "export",
+    "normalize": "export",
+    "to_chrome_trace": "export",
+    "ledger_from_records": "export",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)

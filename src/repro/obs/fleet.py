@@ -29,10 +29,8 @@ Frame kinds on the spool: ``fleet.header`` (shard identity + metadata),
 :meth:`LiveRegistry.state_dict`), ``fleet.summary`` (scheduler totals).
 
 Layering note: this is the one place ``obs`` reaches *up* to
-``durable.journal`` — deferred to call time because the ``durable`` package
-imports ``obs.ledger`` at import time (ARCHITECTURE §11 documents the
-exception; the journal module itself depends only on the stdlib and
-``repro.errors``).
+``durable.journal`` (ARCHITECTURE §11 documents the exception; the journal
+module itself depends only on the stdlib and ``repro.errors``).
 """
 
 from __future__ import annotations
@@ -41,6 +39,7 @@ import heapq
 import typing
 from dataclasses import dataclass, field
 
+from repro.durable.journal import JournalWriter, read_journal
 from repro.errors import SimulationError
 from repro.obs.export import record_from_dict, record_to_dict, to_chrome_trace
 from repro.obs.live import LiveRegistry
@@ -89,8 +88,6 @@ class ShardSpoolWriter:
         meta: dict | None = None,
         fsync_every: int = 10_000,
     ) -> None:
-        from repro.durable.journal import JournalWriter  # see module docstring
-
         if shard < 0:
             raise SimulationError(f"shard index must be >= 0, got {shard}")
         self.path = str(path)
@@ -156,8 +153,6 @@ def read_spool(path: str) -> ShardTelemetry:
     crash journal an invalid byte here is a real bug, not an expected
     recovery state.
     """
-    from repro.durable.journal import read_journal  # see module docstring
-
     frames = read_journal(path)
     if not frames or frames[0][0].get("kind") != _HEADER:
         raise SimulationError(f"spool {path} does not start with a fleet.header")

@@ -1,16 +1,16 @@
 """Result formatting shared by the CLI, examples and benchmarks."""
 
-from repro.reporting.charts import bar_chart, grouped_bar_chart
-from repro.reporting.export import render, to_csv, to_json
-from repro.reporting.tables import ResultTable, format_series, format_table
+from repro import _lazy_exports
 
-__all__ = [
-    "ResultTable",
-    "bar_chart",
-    "format_series",
-    "format_table",
-    "grouped_bar_chart",
-    "render",
-    "to_csv",
-    "to_json",
-]
+_EXPORTS = {
+    "ResultTable": "tables",
+    "bar_chart": "charts",
+    "format_series": "tables",
+    "format_table": "tables",
+    "grouped_bar_chart": "charts",
+    "render": "export",
+    "to_csv": "export",
+    "to_json": "export",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)

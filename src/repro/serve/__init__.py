@@ -16,7 +16,13 @@ and a real network:
   ``BENCH_serve.json`` numbers.
 """
 
-from repro.serve.service import ServeConfig, QueryService
-from repro.serve.httpd import HTTPServer, http_request
+from repro import _lazy_exports
 
-__all__ = ["ServeConfig", "QueryService", "HTTPServer", "http_request"]
+_EXPORTS = {
+    "ServeConfig": "service",
+    "QueryService": "service",
+    "HTTPServer": "httpd",
+    "http_request": "httpd",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)

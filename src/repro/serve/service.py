@@ -57,7 +57,6 @@ from repro.durable.recovery import (
     stop_record,
 )
 from repro.errors import WorkloadError
-from repro.experiments.fig9 import Fig9Config, build_mqo_scheduler
 from repro.mqo.ga import GAConfig
 from repro.mqo.online import (
     ArrivalRecord,
@@ -76,6 +75,7 @@ from repro.obs.live import LiveRegistry
 from repro.obs.slo import SLOMonitor, default_slo_rules
 from repro.sim.clocks import WallClock
 from repro.sim.trace import Tracer
+from repro.testbed import Fig9Config, build_mqo_scheduler
 from repro.workload.generator import random_queries
 from repro.workload.query import DSSQuery, Workload
 

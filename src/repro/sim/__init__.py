@@ -7,52 +7,35 @@ queueing :class:`Resource`s, JavaSim-style random :mod:`streams
 <repro.sim.streams>` and statistics :mod:`monitors <repro.sim.monitor>`.
 """
 
-from repro.sim.clock import SimulationClock
-from repro.sim.event import AllOf, AnyOf, Event, Timeout
-from repro.sim.monitor import Monitor, Tally, TimeWeightedMonitor
-from repro.sim.process import Interrupt, Process
-from repro.sim.resource import PriorityResource, Request, Resource
-from repro.sim.rng import RandomSource
-from repro.sim.scheduler import Simulator
-from repro.sim.timeline import Timeline
-from repro.sim.trace import TraceRecord, Tracer
-from repro.sim.streams import (
-    DeterministicStream,
-    EmpiricalStream,
-    ErlangStream,
-    ExponentialStream,
-    HyperExponentialStream,
-    NormalStream,
-    RandomStream,
-    UniformStream,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "AllOf",
-    "AnyOf",
-    "DeterministicStream",
-    "EmpiricalStream",
-    "ErlangStream",
-    "Event",
-    "ExponentialStream",
-    "HyperExponentialStream",
-    "Interrupt",
-    "Monitor",
-    "NormalStream",
-    "PriorityResource",
-    "Process",
-    "RandomSource",
-    "RandomStream",
-    "Request",
-    "Resource",
-    "SimulationClock",
-    "Simulator",
-    "Tally",
-    "TimeWeightedMonitor",
-    "Timeline",
-    "Timeout",
-    "TraceRecord",
-    "Tracer",
-    "UniformStream",
-]
-
+_EXPORTS = {
+    "AllOf": "event",
+    "AnyOf": "event",
+    "DeterministicStream": "streams",
+    "EmpiricalStream": "streams",
+    "ErlangStream": "streams",
+    "Event": "event",
+    "ExponentialStream": "streams",
+    "HyperExponentialStream": "streams",
+    "Interrupt": "process",
+    "Monitor": "monitor",
+    "NormalStream": "streams",
+    "PriorityResource": "resource",
+    "Process": "process",
+    "RandomSource": "rng",
+    "RandomStream": "streams",
+    "Request": "resource",
+    "Resource": "resource",
+    "SimulationClock": "clock",
+    "Simulator": "scheduler",
+    "Tally": "monitor",
+    "TimeWeightedMonitor": "monitor",
+    "Timeline": "timeline",
+    "Timeout": "event",
+    "TraceRecord": "trace",
+    "Tracer": "trace",
+    "UniformStream": "streams",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)

@@ -1,36 +1,27 @@
 """DSS queries, workloads, TPC-H query set, and random workload generators."""
 
-from repro.workload.arrival import ArrivalProcess, poisson_arrivals
-from repro.workload.business import POLICIES, assign_business_values
-from repro.workload.generator import (
-    WORK_PER_ROW,
-    overlapping_workload,
-    random_queries,
-)
-from repro.workload.query import DSSQuery, Workload
-from repro.workload.serialize import (
-    load_workload,
-    save_workload,
-    workload_from_dict,
-    workload_to_dict,
-)
-from repro.workload.tpch_queries import TPCH_FOOTPRINTS, tpch_queries, tpch_query
+from repro import _lazy_exports
 
-__all__ = [
-    "ArrivalProcess",
-    "DSSQuery",
-    "POLICIES",
-    "assign_business_values",
-    "TPCH_FOOTPRINTS",
-    "WORK_PER_ROW",
-    "Workload",
-    "load_workload",
-    "overlapping_workload",
-    "poisson_arrivals",
-    "random_queries",
-    "save_workload",
-    "tpch_queries",
-    "tpch_query",
-    "workload_from_dict",
-    "workload_to_dict",
-]
+# Eager: the submodule of the same name would otherwise shadow the
+# function once anything imports ``repro.workload.tpch_queries``.
+from repro.workload.tpch_queries import tpch_queries
+
+_EXPORTS = {
+    "ArrivalProcess": "arrival",
+    "DSSQuery": "query",
+    "POLICIES": "business",
+    "assign_business_values": "business",
+    "TPCH_FOOTPRINTS": "tpch_queries",
+    "WORK_PER_ROW": "generator",
+    "Workload": "query",
+    "load_workload": "serialize",
+    "overlapping_workload": "generator",
+    "poisson_arrivals": "arrival",
+    "random_queries": "generator",
+    "save_workload": "serialize",
+    "tpch_query": "tpch_queries",
+    "workload_from_dict": "serialize",
+    "workload_to_dict": "serialize",
+}
+__all__ = [*_EXPORTS, "tpch_queries"]
+__getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)

@@ -17,11 +17,15 @@ mirror the spec's cut-offs (e.g. day 730 ≈ 1994-01-01).
 
 from __future__ import annotations
 
-from repro.data.tpch import TpchInstance, lineitem_partition_names
+import typing
+
 from repro.engine.expr import Col, Const
 from repro.engine.query import LogicalQuery, QueryBuilder
 from repro.errors import WorkloadError
 from repro.workload.query import DSSQuery
+
+if typing.TYPE_CHECKING:
+    from repro.data.tpch import TpchInstance
 
 __all__ = ["tpch_queries", "tpch_query", "TPCH_FOOTPRINTS"]
 
@@ -53,6 +57,8 @@ TPCH_FOOTPRINTS: dict[str, tuple[str, ...]] = {
 
 
 def _expand_footprint(logical: tuple[str, ...], partitions: int) -> tuple[str, ...]:
+    from repro.data.tpch import lineitem_partition_names
+
     physical: list[str] = []
     for table in logical:
         if table == "lineitem":
