@@ -1,8 +1,11 @@
 """MQO fast-path benchmark — prefix trie + compiled plans under a GA run.
 
 A 16-query bursty workload scored by a 50-generation GA exercises the
-evaluator exactly the way :class:`WorkloadScheduler` does.  The benchmark
-asserts the two properties the fast path promises:
+evaluator the way each GA run of an MQO window does — batch MQO
+(:meth:`WorkloadScheduler.schedule`) being one online window over the
+whole workload — minus the grouping: the GA here orders every query
+directly.  The benchmark asserts the two properties the fast path
+promises:
 
 * **Work reduction** — crossover/mutation children share long prefixes
   with their parents, so the trie plus upper-bound pruning must cut the

@@ -164,8 +164,9 @@ def main() -> None:
     gain = mqo.total_information_value - fifo.total_information_value
     print(f"\nMQO recovered {gain:.2f} information value "
           f"({gain / fifo.total_information_value:+.1%}) by reordering the "
-          f"burst ({len(mqo.ga_results)} GA run(s) over "
-          f"{[len(g) for g in mqo.groups if len(g) > 1]} conflicting queries).")
+          f"burst ({mqo.stats.ga_runs} GA run(s) over "
+          f"{mqo.windows[0].groups} conflict group(s) of {len(burst)} "
+          "reports).")
 
     # Part 2 — the trailing stream: starvation without aging.
     stream = build_trailing_stream()

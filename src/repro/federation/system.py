@@ -184,10 +184,9 @@ class FederatedSystem:
         per-query plan selection — against this system's own catalog and
         cost model, swaps the router for a replay of the decided plans, and
         submits the workload.  Returns the analytic
-        :class:`~repro.mqo.scheduler.ScheduleDecision` so callers can
+        :class:`~repro.mqo.online.OnlineDecision` so callers can
         compare planned against realized outcomes after :meth:`run`.
         """
-        from repro.baselines.replay import ReplayRouter
         from repro.mqo.scheduler import WorkloadScheduler
 
         scheduler = WorkloadScheduler(
@@ -199,10 +198,7 @@ class FederatedSystem:
             tracer=self.tracer,
         )
         decision = scheduler.schedule(workload)
-        self.router = ReplayRouter.from_assignments(
-            decision.result.assignments, enforce_schedule=True
-        )
-        self.submit_workload(workload)
+        self._replay(workload, decision)
         return decision
 
     def submit_workload_online(
@@ -219,7 +215,6 @@ class FederatedSystem:
         :class:`~repro.mqo.online.OnlineDecision`, also kept on
         :attr:`online` for metrics/reporting.
         """
-        from repro.baselines.replay import ReplayRouter
         from repro.mqo.online import OnlineMQOScheduler
 
         scheduler = OnlineMQOScheduler(
@@ -234,6 +229,14 @@ class FederatedSystem:
         with PROFILER.scope("online.schedule"):
             decision = scheduler.run(workload)
         self.online = decision
+        self._replay(workload, decision)
+        return decision
+
+    def _replay(self, workload, decision) -> None:
+        """Route by the decision's plans and submit its executed queries
+        (everything but what admission control shed) at their arrivals."""
+        from repro.baselines.replay import ReplayRouter
+
         self.router = ReplayRouter.from_assignments(
             decision.result.assignments, enforce_schedule=True
         )
@@ -244,7 +247,6 @@ class FederatedSystem:
         for query in workload.sorted_by_arrival():
             if query.query_id in executed:
                 self.submit(query, at=workload.arrival_of(query.query_id))
-        return decision
 
     def run(self, until: float | None = None) -> None:
         """Start replication and advance the simulation."""

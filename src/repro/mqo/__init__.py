@@ -14,15 +14,12 @@ _EXPORTS = {
     "OnlineDecision": "online",
     "OnlineMQOScheduler": "online",
     "OnlineStats": "online",
-    "ScheduleDecision": "scheduler",
     "WindowRecord": "online",
     "SearchResult": "search_baselines",
     "WorkloadEvaluator": "evaluator",
     "WorkloadScheduler": "scheduler",
-    "conflict_groups": "conflict",
     "hill_climb": "search_baselines",
     "random_search": "search_baselines",
-    "execution_ranges": "conflict",
     "order_crossover": "chromosome",
     "random_permutation": "chromosome",
     "swap_mutation": "chromosome",

@@ -15,19 +15,16 @@ instant cannot contend with it — the server is already free.  Two ranges
 touching at a single point therefore do *not* conflict and stay in
 separate workloads.
 
-Two group-formation paths exist and must agree bit-for-bit:
-
-* :func:`conflict_groups` — the from-scratch sweep line, used by the batch
-  scheduler (one workload, one pass) and as the oracle.
-* :class:`IncrementalConflictGroups` — an interval structure the online
-  scheduler maintains across windows, admitting and retiring one range at
-  a time.  Admitting a range merges every cluster it overlaps; retiring
-  one re-sweeps only its own cluster (which may split).  :meth:`groups`
-  returns exactly what the sweep line would return on the same range set —
-  same groups, same group order, same member order — so the per-window GA
-  seeds (which depend on group *index*) are unchanged
-  (``tests/test_mqo_conflict_incremental.py`` property-tests the
-  equivalence against the sweep and a brute-force union-find oracle).
+:class:`IncrementalConflictGroups` is the one group-formation path: an
+interval structure the online scheduler (batch MQO included — it is one
+online window) maintains across windows, admitting and retiring one range
+at a time.  Admitting a range merges every cluster it overlaps; retiring
+one re-sweeps only its own cluster (which may split).  :meth:`groups`
+returns exactly what a from-scratch sweep line would on the same range
+set — same groups, group order and member order — so per-window GA seeds
+(which depend on group *index*) are the sweep's.  The sweep line is the
+test oracle (``tests/mqo_batch_oracle.py``), against which
+``tests/test_mqo_conflict_incremental.py`` property-tests the index.
 """
 
 from __future__ import annotations
@@ -36,14 +33,8 @@ from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 
 from repro.errors import OptimizationError
-from repro.mqo.evaluator import WorkloadEvaluator
 
-__all__ = [
-    "ExecutionRange",
-    "execution_ranges",
-    "conflict_groups",
-    "IncrementalConflictGroups",
-]
+__all__ = ["ExecutionRange", "IncrementalConflictGroups"]
 
 
 @dataclass(slots=True)
@@ -74,59 +65,6 @@ class ExecutionRange:
     def sort_key(self) -> tuple[float, float, int]:
         """The sweep line's global ordering key."""
         return (self.start, self.end, self.query_id)
-
-
-def execution_ranges(
-    evaluator: WorkloadEvaluator,
-    query_ids: list[int] | None = None,
-) -> list[ExecutionRange]:
-    """Derive each query's candidate execution range from its plan set.
-
-    ``query_ids`` restricts the ranges to a subset of the workload (the
-    online scheduler re-groups only not-yet-started queries); ``None``
-    covers the whole workload.  Ranges are served from the evaluator's
-    per-query cache (:meth:`WorkloadEvaluator.range_of`): candidate plan
-    sets are immutable per query, so a range is derived exactly once.
-    """
-    if query_ids is None:
-        ids = [query.query_id for query in evaluator.workload.queries]
-    else:
-        ids = list(query_ids)
-    ranges = []
-    for qid in ids:
-        start, end = evaluator.range_of(qid)
-        ranges.append(ExecutionRange(qid, start, end))
-    return ranges
-
-
-def conflict_groups(ranges: list[ExecutionRange]) -> list[list[int]]:
-    """Connected components of the range-overlap graph (sweep line).
-
-    Returns groups of query ids; singleton groups are queries that never
-    contend and can be planned individually.  Consistent with
-    :meth:`ExecutionRange.overlaps`, a range starting exactly where the
-    previous group ends opens a *new* group (half-open semantics).
-
-    Groups come out in sweep order — by their first member's
-    ``(start, end, query_id)`` key, members in that same key order — which
-    is what :meth:`IncrementalConflictGroups.groups` reproduces.
-    """
-    ordered = sorted(ranges, key=lambda r: (r.start, r.end, r.query_id))
-    groups: list[list[int]] = []
-    current: list[int] = []
-    current_end = float("-inf")
-    for rng in ordered:
-        if current and rng.start < current_end:
-            current.append(rng.query_id)
-            current_end = max(current_end, rng.end)
-        else:
-            if current:
-                groups.append(current)
-            current = [rng.query_id]
-            current_end = rng.end
-    if current:
-        groups.append(current)
-    return groups
 
 
 class _Cluster:

@@ -44,12 +44,12 @@ per-query trace the checker audits, ``repro.durable`` journals, and
 event sequence, handed every completion's ledger entry (built once, and
 only when observed).
 
-Equivalence anchor: with admission disabled (``iv_floor=0``, a queue that
-fits the whole stream, ``eager_start=False``) and one window spanning all
-arrivals, exactly one optimization pass runs over the full workload with
-the same GA seeds and seed chromosome as the batch path — the decision is
-bit-identical to :meth:`WorkloadScheduler.schedule`
-(``tests/test_mqo_online_properties.py`` proves it property-style).
+Batch MQO is this loop with one window: with admission disabled
+(``iv_floor=0``, a queue that fits the whole stream, ``eager_start=False``)
+and one window spanning all arrivals, exactly one pass runs over the full
+workload, and :meth:`WorkloadScheduler.schedule` is defined as that run
+(``tests/test_mqo_online_properties.py`` holds it bit-identical to the
+batch-loop oracle in ``tests/mqo_batch_oracle.py``).
 """
 
 from __future__ import annotations
@@ -98,8 +98,8 @@ __all__ = [
 
 #: Spacing of GA seeds between optimization passes.  A prime stride keeps
 #: pass ``k``'s group seeds (``seed + k*stride + group``) disjoint from
-#: pass ``k+1``'s for any realistic group count, and stride 0 on the first
-#: pass makes it coincide with the batch scheduler's ``seed + group``.
+#: pass ``k+1``'s for any realistic group count; the first pass seeds
+#: ``seed + group``, as the batch loop always did.
 _PASS_SEED_STRIDE = 7919
 
 
@@ -114,8 +114,8 @@ class OnlineConfig:
     #: Admission floor: shed a query whose IV upper bound is below this.
     iv_floor: float = 0.0
     #: Optimize immediately when a query arrives to an idle system rather
-    #: than waiting for the window to close (cuts idle latency; turn off
-    #: for bit-exact batch equivalence).
+    #: than waiting for the window to close (cuts idle latency; batch MQO
+    #: runs with it off).
     eager_start: bool = True
 
     def __post_init__(self) -> None:
@@ -168,7 +168,7 @@ class WindowRecord:
 
 @dataclass
 class OnlineDecision:
-    """The online scheduler's output (mirrors ``ScheduleDecision``)."""
+    """The output of an online run — and of batch MQO, which is one."""
 
     result: EvaluationResult
     shed: list[int] = field(default_factory=list)
@@ -544,8 +544,8 @@ class OnlineSession:
         evaluator.rebase(self.free_at)
         groups = self.group_index.groups()
         # Stable sort: ties keep pending order, which on the first pass
-        # is admission order — exactly the batch scheduler's
-        # ``sorted_by_arrival`` tie-breaking.
+        # is admission order — ``Workload.sorted_by_arrival``'s
+        # tie-breaking.
         arrival_order = sorted(pending, key=workload.arrival_of)
         group_orders: dict[int, list[int]] = {}
         ga_runs = 0

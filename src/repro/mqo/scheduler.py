@@ -1,8 +1,10 @@
-"""Workload scheduling: MQO via GA, plus FIFO and greedy baselines.
+"""Workload scheduling: batch MQO, plus FIFO and greedy baselines.
 
-* :meth:`WorkloadScheduler.schedule` — the paper's MQO: form conflict
-  groups, GA-optimize each group's execution order, realize the combined
-  schedule.
+* :meth:`WorkloadScheduler.schedule` — the paper's MQO (Section 3.2),
+  *defined as* one :class:`~repro.mqo.online.OnlineMQOScheduler` window
+  over the whole workload: its conflict groups, a GA per group, dispatch.
+  The batch loop it replaced is the test oracle
+  (``tests/mqo_batch_oracle.py``).
 * :meth:`WorkloadScheduler.fifo` — "without MQO": queries run in arrival
   order, each carrying the plan that is optimal *for it alone*; contention
   is then suffered, not planned for.
@@ -15,49 +17,21 @@
 from __future__ import annotations
 
 import typing
-from dataclasses import dataclass, field
 
 from repro.core.aging import AgingPolicy
 from repro.core.enumeration import CostProvider
 from repro.core.value import DiscountRates
 from repro.errors import OptimizationError
 from repro.federation.catalog import Catalog
-from repro.mqo.conflict import conflict_groups, execution_ranges
-from repro.mqo.evaluator import (
-    Assignment,
-    EvaluationResult,
-    EvaluatorStats,
-    WorkloadEvaluator,
-)
-from repro.mqo.ga import GAConfig, GAResult, GeneticAlgorithm
-from repro.obs import events
+from repro.mqo.evaluator import Assignment, EvaluationResult, WorkloadEvaluator
+from repro.mqo.ga import GAConfig
+from repro.mqo.online import OnlineConfig, OnlineDecision, OnlineMQOScheduler
 
 if typing.TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.trace import Tracer
     from repro.workload.query import Workload
 
-__all__ = ["ScheduleDecision", "WorkloadScheduler"]
-
-
-@dataclass
-class ScheduleDecision:
-    """The MQO scheduler's output."""
-
-    result: EvaluationResult
-    permutation: list[int]
-    groups: list[list[int]]
-    ga_results: list[GAResult] = field(default_factory=list)
-    evaluator_stats: EvaluatorStats | None = None
-
-    @property
-    def total_information_value(self) -> float:
-        """Workload objective value."""
-        return self.result.total_information_value
-
-    @property
-    def mean_information_value(self) -> float:
-        """Mean per-query realized IV."""
-        return self.result.mean_information_value
+__all__ = ["WorkloadScheduler"]
 
 
 class WorkloadScheduler:
@@ -83,82 +57,27 @@ class WorkloadScheduler:
 
     def _evaluator(self, workload: "Workload") -> WorkloadEvaluator:
         return WorkloadEvaluator(
-            self.catalog,
-            self.cost_provider,
-            self.default_rates,
-            workload,
+            self.catalog, self.cost_provider, self.default_rates, workload,
             max_candidates=self.max_candidates,
         )
 
     # -- MQO ----------------------------------------------------------------
 
-    def schedule(self, workload: "Workload") -> ScheduleDecision:
-        """GA-optimized execution order maximizing total workload IV."""
+    def schedule(self, workload: "Workload") -> OnlineDecision:
+        """GA-optimized execution order maximizing total workload IV: one
+        online window over every arrival, admitting everything."""
         if len(workload) == 0:
             raise OptimizationError("cannot schedule an empty workload")
-        evaluator = self._evaluator(workload)
-        ranges = execution_ranges(evaluator)
-        groups = conflict_groups(ranges)
-        if self.tracer is not None:
-            self.tracer.emit(
-                events.MQO_GROUPS, "workload",
-                groups=len(groups),
-                sizes=[len(group) for group in groups],
-            )
-
-        arrival_order = [
-            query.query_id for query in workload.sorted_by_arrival()
-        ]
-        group_orders: dict[int, list[int]] = {}
-        ga_results: list[GAResult] = []
-        for index, group in enumerate(groups):
-            if len(group) < 2:
-                group_orders[index] = list(group)
-                continue
-            group_set = set(group)
-            seed_order = [qid for qid in arrival_order if qid in group_set]
-            ga = GeneticAlgorithm(
-                genes=group,
-                fitness=evaluator.sequence_fitness,
-                config=self.ga_config,
-                seed=self.seed + index,
-                evaluator_stats=evaluator.stats,
-            )
-            outcome = ga.run(seed_chromosomes=[seed_order])
-            ga_results.append(outcome)
-            group_orders[index] = outcome.best
-            if self.tracer is not None:
-                self.tracer.emit(
-                    events.MQO_GA, f"group:{index}",
-                    best_fitness=outcome.best_fitness,
-                    generations=outcome.generations_run,
-                    order=list(outcome.best),
-                )
-
-        # Groups are disjoint in time; realize them in start order.
-        ordered_groups = sorted(
-            range(len(groups)),
-            key=lambda index: min(
-                workload.arrival_of(qid) for qid in groups[index]
+        arrivals = [workload.arrival_of(query.query_id) for query in workload]
+        span = max(arrivals) - min(arrivals)
+        return OnlineMQOScheduler(
+            self.catalog, self.cost_provider, self.default_rates,
+            self.ga_config, self.seed, self.max_candidates, self.tracer,
+            config=OnlineConfig(
+                window=span + 1.0, max_pending=len(workload), iv_floor=0.0,
+                eager_start=False,
             ),
-        )
-        permutation: list[int] = []
-        for index in ordered_groups:
-            permutation.extend(group_orders[index])
-        result = evaluator.evaluate(permutation)
-        if self.tracer is not None:
-            self.tracer.emit(
-                events.MQO_ORDER, "workload",
-                permutation=list(permutation),
-                total_iv=result.total_information_value,
-            )
-        return ScheduleDecision(
-            result=result,
-            permutation=permutation,
-            groups=groups,
-            ga_results=ga_results,
-            evaluator_stats=evaluator.stats,
-        )
+        ).run(workload)
 
     # -- baselines ---------------------------------------------------------------
 

@@ -24,7 +24,6 @@ __all__ = [
     "LOCAL_GRANTED", "LOCAL_DONE", "COMPLETE", "FAILED", "LEDGER",
     "SYNC_APPLY", "SYNC_SKIP", "SYNC_DELAY",
     "FAULT_DOWN", "FAULT_UP",
-    "MQO_GROUPS", "MQO_GA", "MQO_ORDER",
     "MQO_WINDOW", "MQO_ADMIT", "MQO_SHED",
     "ALERT_OPEN", "ALERT_CLOSE",
     "CHECKPOINT", "RESUME",
@@ -58,12 +57,7 @@ SYNC_DELAY = "sync.delay"      #: a scheduled sync slipped (fault)
 FAULT_DOWN = "fault.down"      #: site outage window opened
 FAULT_UP = "fault.up"          #: site outage window closed
 
-# -- MQO scheduling (subject = "workload" / "group:<n>") -------------------
-MQO_GROUPS = "mqo.groups"      #: conflict groups formed
-MQO_GA = "mqo.ga"              #: one group's GA ordering finished
-MQO_ORDER = "mqo.order"        #: final realized permutation
-
-# -- online MQO (subject = "window:<n>" / query name) ----------------------
+# -- MQO, batch and online (subject = "window:<n>" / query name) -----------
 MQO_WINDOW = "mqo.window"      #: one re-optimization pass (detail: index/order)
 MQO_ADMIT = "mqo.admit"        #: query admitted to the pending queue
 MQO_SHED = "mqo.shed"          #: query shed by admission control (IV floor)

@@ -138,7 +138,8 @@ class TestDegenerateWorkloads:
         workload.add(DSSQuery(query_id=1, name="solo", tables=("a",)), 2.0)
         decision = scheduler.schedule(workload)
         assert decision.permutation == [1]
-        assert decision.ga_results == []
+        assert decision.stats.ga_runs == 0
+        assert [window.groups for window in decision.windows] == [1]
 
     def test_identical_queries_burst(self):
         catalog = Catalog()

@@ -1,9 +1,10 @@
 """Property tests: incremental conflict groups == sweep line == oracle.
 
 The online scheduler's :class:`IncrementalConflictGroups` must return, on
-every window, *exactly* what :func:`conflict_groups` (the sweep line)
-returns over the same range set — same groups, same group order, same
-member order — because the per-window GA seeds depend on group index.
+every window, *exactly* what ``conflict_groups`` (the sweep line, kept in
+``tests/mqo_batch_oracle.py`` as the oracle) returns over the same range
+set — same groups, same group order, same member order — because the
+per-window GA seeds depend on group index.
 This file checks that equivalence three ways:
 
 * against the sweep line itself, under random interleavings of admits
@@ -26,11 +27,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import OptimizationError
-from repro.mqo.conflict import (
-    ExecutionRange,
-    IncrementalConflictGroups,
-    conflict_groups,
-)
+from repro.mqo.conflict import ExecutionRange, IncrementalConflictGroups
+
+from tests.mqo_batch_oracle import conflict_groups
 
 SETTINGS = settings(
     max_examples=120,

@@ -467,8 +467,9 @@ class TestRangeCache:
 
     def test_range_of_survives_rebase(self):
         from repro.federation.site import LOCAL_SITE_ID
-        from repro.mqo.conflict import execution_ranges
         from repro.mqo.evaluator import WorkloadEvaluator
+
+        from tests.mqo_batch_oracle import execution_ranges
 
         catalog = build_catalog()
         cost_model = CostModel(catalog, params=CostParameters())
@@ -643,11 +644,9 @@ class TestIncrementalGroupsMatchSweep:
          lambda: burst_workload(count=8, gap=0.05)),
     ], ids=["windowed", "eager", "deferring"])
     def test_every_pass_equals_the_sweep(self, monkeypatch, config, workload):
-        from repro.mqo.conflict import (
-            IncrementalConflictGroups,
-            conflict_groups,
-            execution_ranges,
-        )
+        from repro.mqo.conflict import IncrementalConflictGroups
+
+        from tests.mqo_batch_oracle import conflict_groups, execution_ranges
 
         sessions = []
         open_session = OnlineMQOScheduler.session

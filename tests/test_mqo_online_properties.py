@@ -2,13 +2,13 @@
 
 Two properties anchor the online subsystem:
 
-1. **Batch equivalence** — with admission control disabled (zero IV
-   floor, a queue that fits the whole stream, no eager start) and a
-   window wide enough to cover every arrival, the rolling-window loop
-   collapses to exactly one optimization pass whose GA seeds and seed
-   chromosome match the batch scheduler's, so the decision is
-   bit-identical to :meth:`WorkloadScheduler.schedule` — permutation,
-   per-assignment times and IVs, and totals.
+1. **Batch equivalence** — batch MQO (:meth:`WorkloadScheduler.schedule`)
+   is a one-window online run: zero IV floor, a queue that fits the whole
+   stream, no eager start and a window covering every arrival.  That run
+   must be bit-identical to the pre-online batch loop kept as the oracle
+   (``tests/mqo_batch_oracle.py``: sweep-line groups, one GA per group,
+   one realization of the whole permutation) — permutation,
+   per-assignment times and IVs, totals, group and GA counts.
 2. **Trace safety under faults** — a traced online run through the full
    federated system, with site outages and sync faults injected, passes
    every :class:`TraceChecker` rule (lifecycle, ledger, fault *and*
@@ -21,7 +21,7 @@ import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.baselines import ivqp_router
@@ -31,11 +31,12 @@ from repro.federation.executor import ExecutionPolicy
 from repro.federation.faults import FaultPlan
 from repro.federation.system import SystemConfig, TableSpec, build_system
 from repro.mqo.ga import GAConfig
-from repro.mqo.online import OnlineConfig, OnlineMQOScheduler
+from repro.mqo.online import OnlineConfig
 from repro.mqo.scheduler import WorkloadScheduler
 from repro.obs import TraceChecker
 from repro.workload.query import DSSQuery, Workload
 
+from tests.mqo_batch_oracle import BatchScheduler
 from tests.test_mqo_scheduling import build_catalog
 
 pytestmark = pytest.mark.slow
@@ -48,11 +49,28 @@ SETTINGS = settings(
 
 TABLE_NAMES = [f"t{index}" for index in range(6)]
 
+#: Arrival instants shared by several queries, so ties are common.
+TIED_ARRIVALS = [0.0, 1.5, 3.0]
+
+
+def stream_of(arrivals, tables=("t0", "t1")) -> Workload:
+    """Identical 5,000-work queries over ``tables`` at ``arrivals``."""
+    workload = Workload()
+    for index, arrival in enumerate(arrivals):
+        workload.add(
+            DSSQuery(
+                query_id=index + 1, name=f"q{index + 1}", tables=tables,
+                base_work=5_000.0,
+            ),
+            arrival=arrival,
+        )
+    return workload
+
 
 @st.composite
 def streamed_workloads(draw):
     """A randomized workload with arrival times, plus GA seed/config."""
-    count = draw(st.integers(min_value=2, max_value=6))
+    count = draw(st.integers(min_value=1, max_value=10))
     workload = Workload()
     for index in range(count):
         tables = tuple(draw(st.lists(
@@ -73,9 +91,10 @@ def streamed_workloads(draw):
                     )
                 ),
             ),
-            arrival=draw(
-                st.floats(min_value=0.0, max_value=6.0, allow_nan=False)
-            ),
+            arrival=draw(st.one_of(
+                st.sampled_from(TIED_ARRIVALS),
+                st.floats(min_value=0.0, max_value=6.0, allow_nan=False),
+            )),
         )
     seed = draw(st.integers(min_value=0, max_value=2**16))
     generations = draw(st.integers(min_value=3, max_value=12))
@@ -85,6 +104,8 @@ def streamed_workloads(draw):
 class TestBatchEquivalence:
     @SETTINGS
     @given(streamed_workloads())
+    @example((stream_of([2.0]), 0, 5))
+    @example((stream_of([1.5] * 6), 3, 8))
     def test_wide_window_online_reproduces_batch_exactly(self, drawn):
         workload, seed, generations = drawn
         catalog = build_catalog()
@@ -92,33 +113,26 @@ class TestBatchEquivalence:
         rates = DiscountRates.symmetric(0.1)
         ga_config = GAConfig(generations=generations)
 
+        oracle = BatchScheduler(
+            catalog, cost_model, rates, ga_config=ga_config, seed=seed
+        ).schedule(workload)
         batch = WorkloadScheduler(
             catalog, cost_model, rates, ga_config=ga_config, seed=seed
         ).schedule(workload)
 
-        span = max(workload.arrivals.values()) - min(
-            workload.arrivals.values()
-        )
-        online = OnlineMQOScheduler(
-            catalog, cost_model, rates, ga_config=ga_config, seed=seed,
-            config=OnlineConfig(
-                window=span + 1.0,
-                max_pending=len(workload),
-                iv_floor=0.0,
-                eager_start=False,
-            ),
-        ).run(workload)
-
-        assert online.permutation == batch.permutation
-        assert online.shed == []
+        assert batch.permutation == oracle.permutation
+        assert batch.shed == []
         assert (
-            online.total_information_value == batch.total_information_value
+            batch.total_information_value == oracle.total_information_value
         )
-        batch_assignments = {
-            a.query.query_id: a for a in batch.result.assignments
+        [window] = batch.windows
+        assert window.groups == len(oracle.groups)
+        assert batch.stats.ga_runs == len(oracle.ga_results)
+        oracle_assignments = {
+            a.query.query_id: a for a in oracle.result.assignments
         }
-        for assignment in online.result.assignments:
-            twin = batch_assignments[assignment.query.query_id]
+        for assignment in batch.result.assignments:
+            twin = oracle_assignments[assignment.query.query_id]
             assert assignment.begin == twin.begin
             assert assignment.completed == twin.completed
             assert assignment.data_timestamp == twin.data_timestamp

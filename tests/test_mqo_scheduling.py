@@ -9,11 +9,13 @@ from repro.core.value import DiscountRates
 from repro.errors import OptimizationError
 from repro.federation.catalog import Catalog, FixedSyncSchedule, TableDef
 from repro.federation.costmodel import CostModel, CostParameters
-from repro.mqo.conflict import ExecutionRange, conflict_groups, execution_ranges
+from repro.mqo.conflict import ExecutionRange
 from repro.mqo.evaluator import WorkloadEvaluator
 from repro.mqo.ga import GAConfig
 from repro.mqo.scheduler import WorkloadScheduler
 from repro.workload.query import DSSQuery, Workload
+
+from tests.mqo_batch_oracle import conflict_groups, execution_ranges
 
 
 def build_catalog(num_tables=6, num_sites=3) -> Catalog:
@@ -221,8 +223,9 @@ class TestWorkloadScheduler:
     def test_spread_workload_needs_no_ga(self):
         _catalog, _cm, _rates, scheduler = build_stack()
         decision = scheduler.schedule(spread_workload())
-        assert decision.ga_results == []
-        assert all(len(group) == 1 for group in decision.groups)
+        assert decision.stats.ga_runs == 0
+        [window] = decision.windows
+        assert window.groups == 3  # one group per query
 
     def test_permutation_covers_all_queries(self):
         _catalog, _cm, _rates, scheduler = build_stack()

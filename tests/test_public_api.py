@@ -77,6 +77,20 @@ def test_unknown_package_attribute_raises():
         repro.mqo.no_such_name
 
 
+def test_batch_loop_names_are_gone():
+    """Batch MQO is a one-window online run: the batch loop's result type,
+    sweep line and trace kinds are no longer part of the package."""
+    import repro.mqo
+    from repro.obs import events
+
+    for name in ("ScheduleDecision", "conflict_groups", "execution_ranges"):
+        assert name not in repro.mqo.__all__
+        assert not hasattr(repro.mqo, name)
+    for name in ("MQO_GROUPS", "MQO_GA", "MQO_ORDER"):
+        assert name not in events.__all__
+        assert not hasattr(events, name)
+
+
 def _loaded_after(code: str) -> tuple[list[str], list[str]]:
     """``(repro modules, heavy stdlib modules)`` loaded by ``code`` in a
     fresh interpreter."""

@@ -81,7 +81,7 @@ class TestSubmitWorkloadMqo:
     def test_decision_groups_cover_workload(self):
         system = build_system(build_config(), ivqp_router)
         decision = system.submit_workload_mqo(build_burst())
-        covered = sorted(qid for group in decision.groups for qid in group)
-        assert covered == [1, 2, 3, 4, 5]
+        assert sorted(decision.permutation) == [1, 2, 3, 4, 5]
+        assert decision.shed == []
         system.run()
         assert len(system.outcomes) == 5
