@@ -27,10 +27,12 @@ test-faults:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/test_faults.py tests/test_faults_properties.py tests/test_latency_accounting.py -q
 
 # Batch MQO (`WorkloadScheduler.schedule`) is a one-window online run, so
-# its tests and pins run here too.
+# its tests and pins run here too, beside the per-shard decision-log pins
+# of short e2e-shaped sweeps.
 test-online:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/test_mqo_online.py tests/test_mqo_online_properties.py \
-		tests/test_mqo_scheduling.py tests/test_system_mqo_integration.py tests/test_mqo_batch_pins.py -q
+		tests/test_mqo_scheduling.py tests/test_system_mqo_integration.py tests/test_mqo_batch_pins.py \
+		tests/test_mqo_window_chain_pins.py -q
 
 # The live-telemetry stack: streaming aggregators, SLO monitor, profiler,
 # bench gate plumbing.

@@ -78,7 +78,7 @@ def journaled_run(
 
     The driver is :meth:`OnlineMQOScheduler.run`'s :func:`drive` with a
     journal observer: all arrivals push up front (heap position 0), then
-    events pop to exhaustion and the session drains.  ``snapshot_every``
+    events pop to exhaustion.  ``snapshot_every``
     journals a full checkpoint every N pops (0 = never).  With
     ``crash_after_bytes`` set, the writer dies mid-record at that byte
     and :class:`~repro.durable.journal.InjectedCrash` propagates — the
@@ -93,8 +93,6 @@ def journaled_run(
     session = scheduler.session(workload, clock)
     run_meta = dict(meta or {})
     run_meta.setdefault("driver", "sim")
-    run_meta.setdefault("arrivals_expected", len(workload))
-    run_meta.setdefault("accepting", False)
     journal = JournalObserver(writer, snapshot_every=snapshot_every)
     try:
         writer.append(header_record(run_meta))
@@ -113,7 +111,7 @@ def journaled_run(
 def resume_run(
     run: RecoveredRun, writer: JournalWriter | None = None
 ) -> JournaledRun:
-    """Finish a recovered run: pop the restored heap dry, then drain.
+    """Finish a recovered run: pop the restored heap dry.
 
     With ``writer`` (opened on the truncated journal), the continuation
     journals like the original run did — first reconciling any records

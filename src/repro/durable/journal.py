@@ -45,7 +45,8 @@ __all__ = [
 
 #: Journal schema version, written into the mandatory header record.
 #: Bump only with a migration path — the golden journal fixture pins it.
-SCHEMA_VERSION = 1
+#: Version 2: idle windows are not pushed, so v1's idle pops never replay.
+SCHEMA_VERSION = 2
 
 _MARKER = b"D1"
 

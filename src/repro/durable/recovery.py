@@ -70,7 +70,6 @@ __all__ = [
     "window_record",
     "ledger_record",
     "snapshot_record",
-    "stop_record",
     "JournalObserver",
     "RecoveredRun",
     "recover",
@@ -80,7 +79,7 @@ __all__ = [
 ]
 
 
-# -- record constructors (the journal's schema, version 1) ------------------
+# -- record constructors (the journal's schema, version 2) ------------------
 
 def header_record(meta: dict | None = None) -> dict:
     """The mandatory first record: schema version + driver metadata."""
@@ -140,11 +139,6 @@ def snapshot_record(
         "ledgers": [entry.to_dict() for entry in ledgers],
         "extra": extra or {},
     }
-
-
-def stop_record(pops: int) -> dict:
-    """The driver stopped accepting submissions after this many pops."""
-    return {"kind": "stop", "pops": pops}
 
 
 # -- journaling a driven session --------------------------------------------
@@ -316,8 +310,6 @@ def recover(
     timeline = Timeline()
     clock = SimClock(timeline)
     session = scheduler.session(workload, clock)
-    session.arrivals_expected = int(meta.get("arrivals_expected", 0))
-    session.accepting = bool(meta.get("accepting", False))
     ledgers: list[IVLedgerEntry] = []
     snapshot_pops = 0
     start = 1  # skip the header
@@ -415,8 +407,6 @@ def recover(
                     offset=offset,
                 )
             ledger_cursor += 1
-        elif kind == "stop":
-            session.accepting = False
         elif kind == "snapshot":
             continue  # superseded by the one we restored (or scratch mode)
         elif kind == "header":

@@ -17,7 +17,8 @@ a moving frontier:
   not-yet-started queries are re-grouped into conflict groups and each
   group's order is re-optimized by the GA, **warm-started** from the
   previous pass's best permutation (an extra seed chromosome) so
-  convergence cost amortizes across windows.
+  convergence cost amortizes across windows.  The window ticks only while
+  something is pending; an arrival wakes it on the same lattice.
 * **Dispatch** — the head of the optimized plan is realized against
   committed server state and started, but only once no earlier event
   (arrival, window, completion) could still change the plan; completions
@@ -36,9 +37,10 @@ construction, reproduces the wall run's admit/shed/dispatch decision
 sequence exactly (``tests/test_clock_equivalence.py``).
 
 **One driver.**  Every popped event reaches a session through
-:func:`step`, and every sim-clock driver is :func:`drive` (pop dry, drain,
-pop what the drain pushed).  What a driver records besides the decisions
-is a :class:`SessionObserver`: :class:`LifecycleTrace` writes the
+:func:`step`, and every sim-clock driver is :func:`drive`, which pops the
+clock dry; pending work always has a window in the clock, so a dry clock
+is a finished run.  What a driver records besides the decisions is a
+:class:`SessionObserver`: :class:`LifecycleTrace` writes the
 per-query trace the checker audits, ``repro.durable`` journals, and
 ``repro.serve`` resolves its result futures — each a sink of the same
 event sequence, handed every completion's ledger entry (built once, and
@@ -93,6 +95,7 @@ __all__ = [
     "LifecycleTrace",
     "step",
     "drive",
+    "finish",
     "replay_decisions",
 ]
 
@@ -270,13 +273,10 @@ class OnlineSession:
         self.incumbent: list[int] = []  # previous pass's order (warm start)
         self.dirty = False              # pending set changed since last pass
         self.pass_serial = 0
-        #: Arrivals still in the clock (sim driver) — keeps the window
-        #: chain alive until the stream is fully replayed.
-        self.arrivals_expected = 0
-        #: A live driver sets this while it may still inject arrivals.
-        self.accepting = False
-        #: The first arrival bootstraps the rolling window chain.
-        self.window_started = False
+        #: The rolling window's next lattice point (``None`` until the
+        #: first arrival starts the chain) and whether it is in the clock.
+        self.next_window: float | None = None
+        self.ticking = False
         #: Dispatched assignments by query id (completion ledgers are
         #: built against this).
         self.started: dict[int, Assignment] = {}
@@ -302,16 +302,15 @@ class OnlineSession:
         start, end = self.evaluator.range_of(qid)
         self.group_index.add(ExecutionRange(qid, start, end))
 
-    def expects_more_arrivals(self) -> bool:
-        """Whether the arrival stream may still produce events."""
-        return self.arrivals_expected > 0 or self.accepting
+    def pending(self) -> int:
+        """Admitted or deferred queries that have not started."""
+        return len(self.queue) + len(self.deferred) + len(self.plan)
 
     def push_arrivals(self) -> list["DSSQuery"]:
         """Push the workload's whole arrival stream, in arrival order (the
         sim drivers' up-front stream); returns the queries pushed."""
         workload = self.workload
         ordered = workload.sorted_by_arrival()
-        self.arrivals_expected = len(ordered)
         for query in ordered:
             self.clock.push(
                 workload.arrival_of(query.query_id), "arrival", query.query_id
@@ -373,9 +372,8 @@ class OnlineSession:
             "incumbent": list(self.incumbent),
             "dirty": self.dirty,
             "pass_serial": self.pass_serial,
-            "arrivals_expected": self.arrivals_expected,
-            "accepting": self.accepting,
-            "window_started": self.window_started,
+            "next_window": self.next_window,
+            "ticking": self.ticking,
             "stats": asdict(self.stats),
             "shed": list(self.decision.shed),
             "windows": windows,
@@ -412,9 +410,8 @@ class OnlineSession:
         self.incumbent = [int(qid) for qid in state["incumbent"]]
         self.dirty = bool(state["dirty"])
         self.pass_serial = int(state["pass_serial"])
-        self.arrivals_expected = int(state["arrivals_expected"])
-        self.accepting = bool(state["accepting"])
-        self.window_started = bool(state["window_started"])
+        self.next_window = state["next_window"]
+        self.ticking = bool(state["ticking"])
         self.stats = OnlineStats(**state["stats"])
         self.decisions = [
             _decode_decision(entry) for entry in state["decisions"]
@@ -457,21 +454,17 @@ class OnlineSession:
         for a window."""
         outcome: str | None = None
         if tag == "arrival":
-            if not self.window_started:
-                self.window_started = True
-                self.clock.push(now + self.config.window, "window", None)
-            if self.arrivals_expected > 0:
-                self.arrivals_expected -= 1
+            if not self.ticking:
+                self._wake(now)
             outcome = self.submit(payload, now)
         elif tag == "window":
             self._release_deferred()
             if self.dirty and (self.plan or self.queue):
                 self._optimize(now, "window")
-            if (
-                self.expects_more_arrivals()
-                or self.queue or self.deferred or self.plan
-            ):
-                self.clock.push(now + self.config.window, "window", None)
+            self.next_window = now + self.config.window
+            self.ticking = self.pending() > 0
+            if self.ticking:
+                self.clock.push(self.next_window, "window", None)
         elif tag == "completion":
             self.running.discard(payload)
             self._release_deferred()
@@ -481,6 +474,17 @@ class OnlineSession:
             raise OptimizationError(f"unknown clock event tag {tag!r}")
         self.dispatch(now)
         return outcome
+
+    def _wake(self, now: float) -> None:
+        """Push the window at the first lattice point at or after ``now``,
+        stepping by ``+ window`` as a chain that never slept would."""
+        window = self.config.window
+        at = now + window if self.next_window is None else self.next_window
+        while at < now:
+            at += window
+        self.next_window = at
+        self.ticking = True
+        self.clock.push(at, "window", None)
 
     def submit(self, qid: int, now: float) -> str:
         """Admission control for one arrival (shed / defer / admit)."""
@@ -658,18 +662,6 @@ class OnlineSession:
                 max(assignment.completed, now), "completion", qid
             )
 
-    def drain(self) -> None:
-        """Force out anything still pending once no events remain."""
-        if self.queue or self.deferred:  # pragma: no cover - windows drain these
-            while self.deferred:
-                qid = self.deferred.popleft()
-                self.queue.append(qid)
-                self._track(qid)
-            self._optimize(
-                max(self.free_at.values(), default=0.0), "window"
-            )
-            self.dispatch(self.clock.now)
-
 
 # -- the driver ---------------------------------------------------------------
 
@@ -689,7 +681,7 @@ class SessionObserver:
         and the IV ``ledger`` entry of a completion (else ``None``)."""
 
     def finish(self, session) -> None:
-        """Called once, after the driver drained ``session``."""
+        """Called once, after the driver popped the clock dry."""
 
 
 class LifecycleTrace(SessionObserver):
@@ -765,47 +757,47 @@ def step(
     return outcome
 
 
+def finish(
+    session: OnlineSession, observers: "Sequence[SessionObserver]" = ()
+) -> None:
+    """End a run whose clock is dry: ``finish`` every observer.  Pending
+    work always has a window in the clock, so any left is an error."""
+    if session.pending():
+        raise OptimizationError(
+            f"{session.pending()} queries are pending but the clock is "
+            f"empty: no window will ever plan them"
+        )
+    for observer in observers:
+        observer.finish(session)
+
+
 def drive(
     session: OnlineSession,
     clock: Clock,
     observers: "Sequence[SessionObserver]" = (),
     arrivals: "Sequence[ArrivalRecord] | None" = None,
-    stop_accepting_at: int | None = None,
 ) -> None:
-    """Pop ``clock`` dry through :func:`step`, drain, then pop what the
-    drain pushed; finally ``finish`` every observer.
+    """Pop ``clock`` dry through :func:`step`, then :func:`finish`.
 
     ``arrivals`` are pushed at their recorded heap positions: each once
     this loop has popped ``pops_before`` events, after the handler's own
     pushes from that pop — the order a live loop's pushes landed in, so
-    heap tie-breaking by sequence number replays exactly.  With
-    ``stop_accepting_at``, the session keeps ``accepting`` set until that
-    many pops (see :func:`replay_decisions`).
+    heap tie-breaking by sequence number replays exactly.
     """
     arrivals = arrivals or ()
     pushed = 0
     pops = 0
-    drained = False
     while True:
         while pushed < len(arrivals) and arrivals[pushed].pops_before <= pops:
             record = arrivals[pushed]
             clock.push(record.time, "arrival", record.query_id)
             pushed += 1
-        if stop_accepting_at is not None:
-            session.accepting = pops < stop_accepting_at
         if not clock:
-            if drained:
-                break
-            # No events left: everything admitted must drain
-            # unconditionally (windows normally leave nothing to drain).
-            session.drain()
-            drained = True
-            continue
+            break
         now, tag, payload = clock.pop()
         pops += 1
         step(session, now, tag, payload, observers)
-    for observer in observers:
-        observer.finish(session)
+    finish(session, observers)
 
 
 class OnlineMQOScheduler:
@@ -867,7 +859,6 @@ def replay_decisions(
     scheduler: OnlineMQOScheduler,
     workload: "Workload",
     arrivals: "Sequence[ArrivalRecord]",
-    stop_accepting_at: int | None = None,
 ) -> OnlineSession:
     """Replay a recorded live arrival trace through a :class:`SimClock`.
 
@@ -876,22 +867,14 @@ def replay_decisions(
     arrival is pushed only once the replayed loop has popped as many
     events as the live loop had when the submission landed, so the
     replayed heap — and therefore every admission, window and dispatch
-    decision — evolves exactly as the wall run's did.
-
-    ``stop_accepting_at`` is the live loop's pop count when its driver
-    stopped accepting submissions (``QueryService`` records it at
-    shutdown).  Until that count the session keeps ``accepting`` set, so
-    idle windows keep rescheduling exactly as the live run's did — the
-    rolling-window chain, and with it every event's heap position, is
-    part of the recorded behaviour.  ``None`` means the live driver never
-    accepted beyond the recorded arrivals (plain trace replay).
+    decision — evolves exactly as the wall run's did.  The rolling window
+    is a function of the session's own state, so nothing about the live
+    driver beyond its arrivals needs recording.
 
     Returns the finished session; compare its ``decisions`` against the
     live one's.
     """
     clock = SimClock()
     session = scheduler.session(workload, clock)
-    drive(
-        session, clock, arrivals=arrivals, stop_accepting_at=stop_accepting_at
-    )
+    drive(session, clock, arrivals=arrivals)
     return session

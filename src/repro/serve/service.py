@@ -54,7 +54,6 @@ from repro.durable.recovery import (
     header_record,
     reconcile,
     recover,
-    stop_record,
 )
 from repro.errors import WorkloadError
 from repro.mqo.ga import GAConfig
@@ -65,6 +64,7 @@ from repro.mqo.online import (
     OnlineMQOScheduler,
     OnlineSession,
     SessionObserver,
+    finish,
     replay_decisions,
     step,
 )
@@ -229,9 +229,9 @@ class QueryService(SessionObserver):
         self.session: OnlineSession = self.scheduler.session(
             self.workload, self.clock
         )
-        self.session.accepting = True
+        #: Whether new submissions are admitted (cleared at shutdown).
+        self.accepting = True
         self._next_qid = 0
-        self._stop_pops: int | None = None
         self.arrival_log: list[ArrivalRecord] = []
         self.results: dict[int, dict] = {}
         self._decision_futures: dict[int, asyncio.Future] = {}
@@ -251,8 +251,6 @@ class QueryService(SessionObserver):
                 )
                 self._journal.append(header_record({
                     "driver": "serve",
-                    "accepting": True,
-                    "arrivals_expected": 0,
                     "serve_config": asdict(self.config),
                 }))
         if self.resumed_at_pops is None:
@@ -264,11 +262,6 @@ class QueryService(SessionObserver):
         self._observers = (self._trace, self, self._book)
 
     # -- submissions ---------------------------------------------------------
-
-    @property
-    def accepting(self) -> bool:
-        """Whether new submissions are currently admitted."""
-        return self.session.accepting
 
     @property
     def pops(self) -> int:
@@ -312,7 +305,7 @@ class QueryService(SessionObserver):
         :class:`~repro.errors.WorkloadError` on an unknown template or a
         service that is shutting down.
         """
-        if not self.session.accepting:
+        if not self.accepting:
             raise WorkloadError("service is shutting down; not accepting")
         query = self._resolve_template(template)
         qid = self._next_qid
@@ -341,20 +334,9 @@ class QueryService(SessionObserver):
 
     async def run(self) -> None:
         """Pop clock events until shutdown drains the last one."""
-        drained = False
-        while True:
-            item = await self.clock.wait_pop()
-            if item is None:
-                if not drained:
-                    drained = True
-                    self.session.drain()
-                    if self.clock:  # pragma: no cover - drain is a no-op
-                        continue    # when windows did their job
-                break
-            now, tag, payload = item
-            step(self.session, now, tag, payload, self._observers)
-        for observer in self._observers:
-            observer.finish(self.session)
+        while (item := await self.clock.wait_pop()) is not None:
+            step(self.session, *item, self._observers)
+        finish(self.session, self._observers)
         if self._journal is not None:
             self._journal.close()
         if self.monitor is not None:
@@ -363,11 +345,7 @@ class QueryService(SessionObserver):
 
     def begin_shutdown(self) -> None:
         """Stop accepting and let :meth:`run` drain and return."""
-        if self._stop_pops is None:
-            self._stop_pops = self.pops
-            if self._journal is not None:
-                self._journal.append(stop_record(self.pops))
-        self.session.accepting = False
+        self.accepting = False
         self.clock.stop()
 
     async def wait_finished(self) -> None:
@@ -447,7 +425,6 @@ class QueryService(SessionObserver):
             timeline=recovered.timeline,
         )
         self.session.clock = self.clock
-        self.session.accepting = True
         self._journal = JournalWriter(
             self._journal_path,
             fsync_every=self.config.journal_fsync_every,
@@ -556,7 +533,4 @@ class QueryService(SessionObserver):
             workload.add(
                 self.workload.query(record.query_id), arrival=record.time
             )
-        return replay_decisions(
-            scheduler, workload, self.arrival_log,
-            stop_accepting_at=self._stop_pops,
-        )
+        return replay_decisions(scheduler, workload, self.arrival_log)

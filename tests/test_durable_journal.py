@@ -75,7 +75,7 @@ class TestFraming:
     def test_schema_version_is_pinned(self):
         # Bumping the schema requires a migration path and a new golden
         # fixture — this assertion is the tripwire.
-        assert SCHEMA_VERSION == 1
+        assert SCHEMA_VERSION == 2
 
     def test_fsync_cadence_validation(self, tmp_path):
         with pytest.raises(DurabilityError):

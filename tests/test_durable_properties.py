@@ -110,8 +110,7 @@ def scheduler_factory(config, seed, generations, box=None):
         tracer = None
         if box is not None:
             # Explicit None check: an empty SimClock is falsy, but its
-            # ``now`` (time of the final pop) is exactly the stamp the
-            # drain-phase emits need.
+            # ``now`` (time of the final pop) is still the right stamp.
             tracer = Tracer(
                 lambda: 0.0 if box.get("clock") is None else box["clock"].now
             )

@@ -11,8 +11,10 @@ To regenerate the golden fixture after an *intentional* schema change
 (bump ``SCHEMA_VERSION`` first)::
 
     PYTHONPATH=src python - <<'EOF'
+    import pathlib
     from tests.test_durable_resume import golden_scheduler, golden_workload
     from repro.durable import journaled_run
+    pathlib.Path('tests/golden/durable.journal').unlink()  # writers append
     journaled_run(golden_scheduler(), golden_workload(),
                   'tests/golden/durable.journal', snapshot_every=4)
     EOF
@@ -228,18 +230,23 @@ class TestRecoveryAudit:
             recover(path, golden_scheduler())
 
     def test_unsupported_schema_is_rejected(self, tmp_path):
-        path = tmp_path / "future.journal"
-        with open(path, "wb") as handle:
-            handle.write(encode_record(
-                {"kind": "header", "schema": SCHEMA_VERSION + 1, "meta": {}}
-            ))
-        with pytest.raises(DurabilityError) as error:
-            recover(path, golden_scheduler())
-        assert "schema" in str(error.value)
+        # A future schema, and the previous one: a v1 journal ticks idle
+        # windows this scheduler never pushes, so it is refused at its
+        # header rather than mid-replay.
+        for schema in (SCHEMA_VERSION + 1, SCHEMA_VERSION - 1):
+            path = tmp_path / f"schema{schema}.journal"
+            with open(path, "wb") as handle:
+                handle.write(encode_record(
+                    {"kind": "header", "schema": schema, "meta": {}}
+                ))
+            with pytest.raises(DurabilityError) as error:
+                recover(path, golden_scheduler())
+            assert "schema" in str(error.value)
+            assert error.value.offset == 0
 
 
 class TestGoldenJournal:
-    """The committed fixture pins schema v1's on-disk shape.
+    """The committed fixture pins schema v2's on-disk shape.
 
     Byte-exact comparison is impossible — window records and snapshots
     carry wall-clock ``reopt_seconds`` — so the pin is structural: the
@@ -250,7 +257,7 @@ class TestGoldenJournal:
     def test_golden_journal_parses_and_pins_the_schema(self):
         records = read_journal(GOLDEN)
         assert records[0][0]["kind"] == "header"
-        assert records[0][0]["schema"] == SCHEMA_VERSION == 1
+        assert records[0][0]["schema"] == SCHEMA_VERSION == 2
         kinds = {payload["kind"] for payload, _ in records}
         assert kinds == {
             "header", "arrival", "pop", "decision", "window", "ledger",

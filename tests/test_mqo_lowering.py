@@ -538,12 +538,7 @@ class TestLazyPlansAndEviction:
 
         clock = SimClock()
         session = scheduler.session(evaluator.workload, clock)
-        for query in evaluator.workload.queries:
-            clock.push(
-                evaluator.workload.arrival_of(query.query_id), "arrival",
-                query.query_id,
-            )
-        session.arrivals_expected = 2
+        session.push_arrivals()
         drive(session, clock)
         assert session.stats.dispatched == 2
         assert session.evaluator._compiled == {}

@@ -739,6 +739,47 @@ class TestDriver:
                    and entry[1] == "after" and entry[5] is not None]
         assert sorted(ledgers) == [1, 2, 3, 4, 5, 6]
 
+    def test_a_sleeping_chain_wakes_on_the_lattice(self):
+        from repro.sim.clocks import SimClock
+
+        windows = []
+
+        class Windows(SessionObserver):
+            def before_pop(self, session, now, tag, payload):
+                if tag == "window":
+                    windows.append(now)
+
+        clock = SimClock()
+        session = build_online(OnlineConfig(window=0.3)).session(
+            burst_workload(count=2, gap=40.0), clock
+        )
+        session.push_arrivals()
+        drive(session, clock, [Windows()])
+        lattice = [1.0 + 0.3]
+        while lattice[-1] < windows[-1]:
+            lattice.append(lattice[-1] + 0.3)
+        # Every window is a float a never-sleeping chain would have pushed,
+        # the chain slept between the arrivals, and it woke at the first
+        # lattice point at or after the second one (at 41.0).
+        assert set(windows) <= set(lattice)
+        assert len(windows) < len(lattice) / 2
+        assert min(at for at in windows if at >= 41.0) == min(
+            at for at in lattice if at >= 41.0
+        )
+        assert not session.ticking and not clock
+
+    def test_pending_work_with_an_empty_clock_is_an_error(self):
+        from repro.sim.clocks import SimClock
+
+        clock = SimClock()
+        session = build_online(
+            OnlineConfig(window=2.0, eager_start=False)
+        ).session(burst_workload(count=2), clock)
+        # Admitted behind the clock's back: no window will ever plan it.
+        session.submit(1, 0.0)
+        with pytest.raises(OptimizationError, match="pending"):
+            drive(session, clock)
+
     def test_lifecycle_trace_is_checker_clean_and_decides_nothing(self):
         tracer_clock = {"now": 0.0}
         tracer = Tracer(lambda: tracer_clock["now"])

@@ -11,6 +11,7 @@ seconds while exercising the same scheduling decisions as real time.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 
 import pytest
 
@@ -18,6 +19,17 @@ from repro.errors import WorkloadError
 from repro.obs import events
 from repro.serve import HTTPServer, QueryService, ServeConfig, http_request
 from repro.serve.bench import ServeBenchConfig, percentile, serve_bench, serve_smoke
+
+
+def verify_serve_journal(journal) -> dict:
+    """:func:`~repro.durable.verify_journal` under the journal's config."""
+    from repro.durable import verify_journal
+    from repro.serve.service import build_serve_scheduler, journal_serve_config
+
+    serve_config = journal_serve_config(journal)
+    return verify_journal(
+        journal, lambda: build_serve_scheduler(serve_config)[0]
+    )
 
 
 def config(**overrides) -> ServeConfig:
@@ -204,7 +216,7 @@ class TestDurabilityOverHTTP:
         kinds = [p["kind"] for p, _ in read_journal(journal)]
         assert kinds[0] == "header"
         assert "snapshot" in kinds
-        assert kinds.count("stop") == 1
+        assert verify_serve_journal(journal)["ok"]
 
     def test_checkpoint_without_a_journal_is_a_400(self):
         async def body(service, host, port):
@@ -242,9 +254,54 @@ class TestDurabilityOverHTTP:
         records = [p for p, _ in read_journal(journal)]
         kinds = [p["kind"] for p in records]
         assert kinds.count("arrival") == 1
-        # begin_shutdown ran twice (test + server.stop); the stop record
-        # must still be journaled exactly once.
-        assert kinds.count("stop") == 1
+        # begin_shutdown ran twice (test + server.stop); the journal must
+        # still audit clean.
+        assert verify_serve_journal(journal)["ok"]
+
+    def test_resume_run_of_a_killed_serve_journal_terminates(
+        self, tmp_path, monkeypatch
+    ):
+        # A killed service journals nothing about its shutdown.  Finishing
+        # its run must still end once nothing is pending, not tick on.
+        from repro.durable import harness, recover, resume_run
+        from repro.mqo.online import SessionObserver, drive
+        from repro.serve.service import build_serve_scheduler
+
+        journal = tmp_path / "serve.journal"
+
+        async def killed_mid_flight():
+            service = QueryService(config(), journal=journal)
+            runner = asyncio.create_task(service.run())
+            decisions = [service.submit(template)[1] for template in range(3)]
+            await asyncio.gather(*decisions)
+            runner.cancel()
+            with contextlib.suppress(asyncio.CancelledError):
+                await runner
+            service._journal.close()  # what process exit would do
+
+        asyncio.run(killed_mid_flight())
+
+        class PopBudget(SessionObserver):
+            pops = 0
+
+            def before_pop(self, session, now, tag, payload):
+                self.pops += 1
+                if self.pops > 1000:
+                    raise AssertionError("still popping after 1,000 events")
+
+        budget = PopBudget()
+        monkeypatch.setattr(
+            harness, "drive",
+            lambda session, clock, observers=(), **kwargs: drive(
+                session, clock, [*observers, budget], **kwargs
+            ),
+        )
+        recovered = recover(journal, build_serve_scheduler(config())[0])
+        finished = resume_run(recovered)
+        session = finished.session
+        assert len(finished.ledgers) == session.stats.dispatched == 3
+        assert not (session.queue or session.plan or session.deferred)
+        assert not recovered.clock
 
 
 class TestShutdownEdges:
@@ -265,13 +322,46 @@ class TestShutdownEdges:
 
     def test_begin_shutdown_is_idempotent_on_the_service(self):
         async def body(service, host, port):
+            await http_request(host, port, "POST", "/submit", {"template": 0})
             service.begin_shutdown()
-            first = service._stop_pops
             service.begin_shutdown()
-            assert service._stop_pops == first
             assert not service.accepting
 
-        asyncio.run(_with_server(config(), body))
+        # server.stop() shuts down a third time.
+        service = asyncio.run(_with_server(config(), body))
+        assert not service.accepting
+        assert service.check_trace() == []
+        assert service.replay().decisions == service.session.decisions
+
+
+class TestIdleService:
+    def test_idle_service_pops_and_journals_nothing(self, tmp_path):
+        # Nothing pending means no window in the clock: an idle service
+        # neither wakes nor writes.
+        journal = tmp_path / "serve.journal"
+
+        async def body():
+            service = QueryService(config(), journal=journal)
+            runner = asyncio.create_task(service.run())
+            await service.submit(0)[2]
+            # Let the window after the completion find nothing pending
+            # (a ticking chain never empties the clock: 2 s bound).
+            for _ in range(200):
+                if not service.clock:
+                    break
+                await asyncio.sleep(0.01)
+            before = (service.pops, journal.stat().st_size)
+            await asyncio.sleep(0.5)
+            after = (service.pops, journal.stat().st_size)
+            scheduled = len(service.clock)
+            service.begin_shutdown()
+            await runner
+            return before, after, scheduled
+
+        before, after, scheduled = asyncio.run(body())
+        assert after == before
+        assert scheduled == 0
+        assert verify_serve_journal(journal)["ok"]
 
 
 class TestServeBenchHarness:
