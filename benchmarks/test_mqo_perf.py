@@ -13,7 +13,7 @@ promises:
   every evaluated permutation.
 * **Bit-identical results** — the GA winner scored through the fast path
   must realize the exact schedule (plans, begins, completions, IV) the
-  naive replay produces.
+  naive replay (``tests/mqo_naive_oracle.py``) produces.
 """
 
 from __future__ import annotations
@@ -24,6 +24,8 @@ from repro.federation.costmodel import CostModel, CostParameters
 from repro.mqo.evaluator import WorkloadEvaluator
 from repro.mqo.ga import GAConfig, GeneticAlgorithm
 from repro.workload.query import DSSQuery, Workload
+
+from tests.mqo_naive_oracle import evaluate_naive
 
 NUM_TABLES = 12
 NUM_SITES = 4
@@ -72,11 +74,18 @@ def build_evaluator(**kwargs) -> WorkloadEvaluator:
     )
 
 
-def run_ga(evaluator: WorkloadEvaluator):
+def run_ga(evaluator: WorkloadEvaluator, naive: bool = False):
+    """The GA over every query, scored by the evaluator or, with
+    ``naive``, by the oracle's from-scratch replay."""
     genes = [q.query_id for q in evaluator.workload.queries]
+    if naive:
+        def fitness(order):
+            return evaluate_naive(evaluator, order).total_information_value
+    else:
+        fitness = evaluator.fitness
     ga = GeneticAlgorithm(
         genes,
-        evaluator.fitness,
+        fitness,
         config=GAConfig(generations=50, population_size=32),
         seed=5,
         evaluator_stats=evaluator.stats,
@@ -104,7 +113,7 @@ def test_mqo_fastpath_realize_reduction(benchmark, show):
 
     # The winner replays bit-identically through the naive path.
     fast = evaluator.evaluate(tuple(result.best))
-    naive = evaluator.evaluate_naive(tuple(result.best))
+    naive = evaluate_naive(evaluator, tuple(result.best))
     assert len(fast.assignments) == len(naive.assignments)
     for a, b in zip(fast.assignments, naive.assignments):
         assert a.plan is b.plan
@@ -116,9 +125,9 @@ def test_mqo_fastpath_realize_reduction(benchmark, show):
 
 def test_mqo_fastpath_matches_naive_ga(show):
     fast_eval = build_evaluator()
-    naive_eval = build_evaluator(fast_path=False)
+    naive_eval = build_evaluator()
     fast_result = run_ga(fast_eval)
-    naive_result = run_ga(naive_eval)
+    naive_result = run_ga(naive_eval, naive=True)
     show(
         f"fast best {fast_result.best_fitness:.6f} "
         f"naive best {naive_result.best_fitness:.6f}"

@@ -36,7 +36,6 @@ from repro.core.plan import QueryPlan
 from repro.core.value import DiscountRates, max_tolerable_latency
 from repro.errors import OptimizationError
 from repro.federation.catalog import Catalog
-from repro.obs.profile import profiled
 
 if typing.TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.federation.faults import AvailabilityView
@@ -88,7 +87,6 @@ class IVQPOptimizer:
 
     # -- main entry point -----------------------------------------------------
 
-    @profiled("optimizer.choose_plan")
     def choose_plan(
         self,
         query: "DSSQuery",

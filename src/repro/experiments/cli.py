@@ -121,7 +121,8 @@ def _run_trace(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
     else:
         body = system.tracer.timeline()
     if args.metrics:
-        body = f"{body}\n\n{system.metrics().to_json()}"
+        metrics = json.dumps(system.metrics(), indent=2, sort_keys=True)
+        body = f"{body}\n\n{metrics}"
 
     exit_code = 0
     if args.check:
@@ -152,7 +153,7 @@ def _run_trace(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
 def _run_live_stream(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     """``stream-mqo --live-metrics``: the online run with telemetry attached."""
     from repro.experiments.live import run_live
-    from repro.obs import TraceChecker, load_slo_rules, registry_from_system
+    from repro.obs import TraceChecker, load_slo_rules
     from repro.reporting.dashboard import live_report_html, render_dashboard
 
     rules = load_slo_rules(args.slo) if args.slo else None
@@ -189,7 +190,7 @@ def _run_live_stream(parser: argparse.ArgumentParser, args: argparse.Namespace) 
                 if result.profiler is not None
                 else None
             ),
-            metrics=registry_from_system(result.system).snapshot(),
+            metrics=result.system.metrics(),
         )
         with open(args.html, "w") as handle:
             handle.write(report + "\n")

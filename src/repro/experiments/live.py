@@ -9,8 +9,9 @@ live stack attached *before the first event*:
 * an :class:`~repro.obs.slo.SLOMonitor` evaluating declarative rules
   against each fresh snapshot, emitting ``alert.*`` events back into the
   same trace;
-* optionally the wall-clock :data:`~repro.obs.profile.PROFILER`, so the
-  run also yields a per-phase attribution of where the *real* time went;
+* optionally a wall-clock :class:`~repro.obs.profile.WallProfiler`,
+  installed on its boundary table for the run, so the run also yields a
+  per-phase attribution of where the *real* time went;
 * a snapshot sampler that captures the registry at every re-optimization
   window and alert edge — the time series the dashboard and HTML report
   render.
@@ -22,13 +23,14 @@ the sampled snapshots and the profiler state.
 
 from __future__ import annotations
 
+import contextlib
 import typing
 from dataclasses import dataclass, field
 
 from repro.experiments.trace_scenarios import trace_stream_online
 from repro.obs import events
 from repro.obs.live import LiveRegistry
-from repro.obs.profile import PROFILER, WallProfiler
+from repro.obs.profile import WallProfiler
 from repro.obs.slo import SLOMonitor, SLORule, default_slo_rules
 
 if typing.TYPE_CHECKING:  # pragma: no cover - typing only
@@ -69,9 +71,8 @@ def run_live(
     """Run the online stream scenario with live telemetry attached.
 
     ``rules`` defaults to :func:`~repro.obs.slo.default_slo_rules`.  With
-    ``profile=True`` the shared profiler collects for the duration of the
-    run (its previous records are reset; it is disabled again on return,
-    with the records kept for rendering).
+    ``profile=True`` a fresh profiler is installed for the duration of the
+    run and returned with its records for rendering.
     """
     registry = LiveRegistry(window=window, half_life=half_life)
     monitor = SLOMonitor(
@@ -90,19 +91,14 @@ def run_live(
         # registry *and* any alert the record just caused.
         system.tracer.subscribe(sample)
 
-    if profile:
-        PROFILER.reset()
-        PROFILER.enable()
-    try:
+    profiler = WallProfiler() if profile else None
+    with profiler.installed() if profile else contextlib.nullcontext():
         system = trace_stream_online(
             num_queries=num_queries,
             rounds=rounds,
             mean_interarrival=mean_interarrival,
             on_system=hook,
         )
-    finally:
-        if profile:
-            PROFILER.disable()
     # End-of-run finalization: force-close any alert still breaching so
     # the trace passes the alert-alternation audit and the dashboard
     # never shows a breach outliving the data.
@@ -113,5 +109,5 @@ def run_live(
         registry=registry,
         monitor=monitor,
         snapshots=snapshots,
-        profiler=PROFILER if profile else None,
+        profiler=profiler,
     )

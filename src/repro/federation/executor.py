@@ -36,7 +36,6 @@ from repro.federation.catalog import Catalog
 from repro.federation.site import LOCAL_SITE_ID, Site
 from repro.obs import events
 from repro.obs.ledger import IVLedgerEntry, VersionProvenance
-from repro.obs.profile import profiled
 from repro.sim.scheduler import Simulator
 
 if typing.TYPE_CHECKING:  # pragma: no cover - typing only
@@ -187,7 +186,6 @@ class PlanExecutor:
         """Look up a site (local server under :data:`LOCAL_SITE_ID`)."""
         return self.sites[site_id]
 
-    @profiled("executor.dispatch")
     def execute(self, plan: QueryPlan):
         """Start executing a plan; returns the driving process (joinable)."""
         return self.sim.process(self._run(plan), name=f"exec:{plan.query.name}")

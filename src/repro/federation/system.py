@@ -21,7 +21,6 @@ from repro.federation.costmodel import CostModel, CostParameters
 from repro.federation.executor import ExecutionPolicy, PlanExecutor, QueryOutcome
 from repro.federation.faults import FaultInjector, FaultPlan
 from repro.federation.network import NetworkModel
-from repro.obs.profile import PROFILER
 from repro.federation.site import LOCAL_SITE_ID, Site
 from repro.federation.sync import ReplicationManager, build_schedules
 from repro.sim.monitor import Monitor
@@ -226,8 +225,7 @@ class FederatedSystem:
             tracer=self.tracer,
             config=config,
         )
-        with PROFILER.scope("online.schedule"):
-            decision = scheduler.run(workload)
+        decision = scheduler.run(workload)
         self.online = decision
         self._replay(workload, decision)
         return decision
@@ -250,12 +248,11 @@ class FederatedSystem:
 
     def run(self, until: float | None = None) -> None:
         """Start replication and advance the simulation."""
-        with PROFILER.scope("system.run"):
-            self.replication.start()
-            if until is None:
-                self._drain()
-            else:
-                self.sim.run(until=until)
+        self.replication.start()
+        if until is None:
+            self._drain()
+        else:
+            self.sim.run(until=until)
 
     def _drain(self) -> None:
         """Run until all submitted queries have completed.
@@ -286,8 +283,8 @@ class FederatedSystem:
         """The IV audit ledger (empty unless built with ``trace=True``)."""
         return self.executor.ledger
 
-    def metrics(self):
-        """Unified metrics registry snapshot of this system's statistics."""
+    def metrics(self) -> dict:
+        """This system's statistics as one metrics snapshot dict."""
         from repro.obs.metrics import registry_from_system
 
         return registry_from_system(self)

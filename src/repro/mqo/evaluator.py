@@ -14,9 +14,11 @@ cached (gather combos at the arrival instant and at scheduled sync points
 within the scatter bound); :func:`repro.core.enumeration.enumerate_plans`
 is the single-query optimizer's enumeration and this module's test oracle.
 
-Because this is the GA's inner loop, the default code path is a layered
-fast path that produces bit-identical results to the straightforward
-replay (retained as :meth:`WorkloadEvaluator.evaluate_naive`):
+Because this is the GA's inner loop, the one code path is layered for
+speed while producing bit-identical results to the straightforward
+replay — realize every candidate against the catalog, keep the first
+strict IV maximum — which lives in ``tests/mqo_naive_oracle.py`` as the
+test oracle:
 
 * **Compile once per shape, lower each arrival once** — Section 3.1's
   combos are "compiled only once and in advance": everything about a query
@@ -464,7 +466,6 @@ class WorkloadEvaluator:
         default_rates: DiscountRates,
         workload: "Workload",
         max_candidates: int = 64,
-        fast_path: bool = True,
         max_prefix_entries: int = 65_536,
         availability: "AvailabilityView | None" = None,
         selections: "dict[int, tuple] | None" = None,
@@ -490,7 +491,6 @@ class WorkloadEvaluator:
         #: whose only plans touch down sites keeps them as a last resort).
         self.availability = availability
         self.max_candidates = max_candidates
-        self.fast_path = fast_path
         self.max_prefix_entries = max_prefix_entries
         self.stats = EvaluatorStats()
         self._shapes: dict[tuple, _Shape] = {}
@@ -869,9 +869,10 @@ class WorkloadEvaluator:
     def rebase(self, free_at: dict[int, float]) -> None:
         """Re-root evaluation on committed mid-stream server state.
 
-        After this call every evaluation — fast path and naive alike —
-        starts from ``free_at`` instead of idle servers, so GA fitness
-        scores candidate orders *given what has already been dispatched*.
+        After this call every evaluation (and the naive test oracle's
+        replay) starts from ``free_at`` instead of idle servers, so GA
+        fitness scores candidate orders *given what has already been
+        dispatched*.
         ``free_at`` is flattened to per-slot clocks once, here.  The prefix
         trie is rebuilt (its cached prefixes assumed the old base); the
         dispatch memo survives, keyed as it is on the exact clocks.
@@ -901,7 +902,8 @@ class WorkloadEvaluator:
         candidate: tuple,
         free_at: dict[int, float],
     ) -> Assignment:
-        """Reference realization: the materialised plan against the catalog."""
+        """Reference realization: the materialised plan against the catalog
+        (``fifo`` and the naive test oracle replay with it)."""
         arrival = compiled.arrival
         rates = compiled.shape.rates
         plan = _candidate_plan(candidate, compiled.query, arrival, rates)
@@ -969,7 +971,7 @@ class WorkloadEvaluator:
                 busy = state[slot]
                 if busy > begin:
                     begin = busy
-            # Same association order as the naive path: (begin + P) + T.
+            # Same association order as _realize: (begin + P) + T.
             completed = begin + processing + transmission
             # Stalest version read: _CompiledTimeline.freshness per replica,
             # inlined; a base read is as fresh as begin.
@@ -1017,15 +1019,14 @@ class WorkloadEvaluator:
         plan head until some clock moves: :meth:`_choose` over the
         flattened ``free_at``, served from a memo — here and only here —
         when the query's clocks match an earlier probe.  Bit-identical to
-        realizing every candidate with :meth:`_realize` and keeping the
-        first strict IV maximum (``tests/test_mqo_online.py::
-        TestHotPathFixes``).  ``free_at`` is read, never written; it is
-        the caller's job to :meth:`_commit` the returned assignment.
+        the naive test oracle, which realizes every candidate with
+        :meth:`_realize` and keeps the first strict IV maximum
+        (``tests/test_mqo_online.py::TestHotPathFixes``).  ``free_at`` is
+        read, never written; it is the caller's job to :meth:`_commit` the
+        returned assignment.
         """
         compiled = self._compiled_query(query_id)
         self.stats.naive_realize_calls += len(compiled.candidates)
-        if not self.fast_path:
-            return self._best_naive(query_id, free_at)
         state = self._flatten(free_at)
         key = (query_id, *[state[slot] for slot in compiled.sites])
         choices = self._choices
@@ -1115,9 +1116,10 @@ class WorkloadEvaluator:
     def evaluate_sequence(self, order: "Sequence[int]") -> EvaluationResult:
         """Realize an arbitrary sequence of distinct workload query ids.
 
-        This is the fast path: resume from the longest trie-cached prefix,
-        then realize remaining positions with compiled candidates.  Results
-        are bit-identical to :meth:`evaluate_naive` on the same sequence.
+        Resume from the longest trie-cached prefix, then realize remaining
+        positions with compiled candidates.  Results are bit-identical to
+        the naive test oracle's replay of the same sequence
+        (``tests/mqo_naive_oracle.py``).
         """
         chosen: list[tuple] = []
         self._walk(order, chosen)
@@ -1138,43 +1140,7 @@ class WorkloadEvaluator:
             raise OptimizationError(
                 "permutation must contain each workload query id exactly once"
             )
-        if self.fast_path:
-            return self.evaluate_sequence(permutation)
-        return self.evaluate_naive(permutation)
-
-    def evaluate_naive(self, order: "Sequence[int]") -> EvaluationResult:
-        """Reference implementation: replay from scratch, no caches.
-
-        Retained as the equivalence oracle for the fast path (property
-        tests and ``benchmarks/test_mqo_perf.py`` assert bit-identical
-        assignments and totals).  Accepts any distinct-id sequence, like
-        :meth:`evaluate_sequence`.
-        """
-        if len(set(order)) != len(order):
-            raise OptimizationError("sequence must not repeat query ids")
-        free_at = dict(zip(self._site_ids, self._base))
-        result = EvaluationResult()
-        for query_id in order:
-            best = self._best_naive(query_id, free_at)
-            self._commit(best, free_at)
-            result.assignments.append(best)
-        return result
-
-    def _best_naive(
-        self, query_id: int, free_at: dict[int, float]
-    ) -> Assignment:
-        """First strict IV maximum over every candidate's reference realization."""
-        compiled = self._compiled_query(query_id)
-        best: Assignment | None = None
-        for candidate in compiled.candidates:
-            assignment = self._realize(compiled, candidate, free_at)
-            if best is None or (
-                assignment.information_value > best.information_value
-            ):
-                best = assignment
-        if best is None:  # pragma: no cover - candidates never empty
-            raise OptimizationError(f"no candidate plans for query {query_id}")
-        return best
+        return self.evaluate_sequence(permutation)
 
     def fitness(self, permutation: list[int]) -> float:
         """GA fitness: the permutation's total realized information value."""

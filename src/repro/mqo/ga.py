@@ -29,7 +29,6 @@ from repro.mqo.chromosome import (
     swap_mutation,
     validate_permutation,
 )
-from repro.obs.profile import PROFILER, profiled
 from repro.sim.rng import RandomSource
 
 if typing.TYPE_CHECKING:  # pragma: no cover - typing only
@@ -131,7 +130,6 @@ class GeneticAlgorithm:
 
     # -- evolution ---------------------------------------------------------
 
-    @profiled("ga.run")
     def run(self, seed_chromosomes: Sequence[Sequence[int]] = ()) -> GAResult:
         """Evolve and return the best permutation found.
 
@@ -168,32 +166,31 @@ class GeneticAlgorithm:
             if len(self._cache) == exhausted:
                 break
             generations_run += 1
-            with PROFILER.scope("ga.generation"):
-                ranked = sorted(population, key=self._score, reverse=True)
-                if self._score(ranked[0]) > best_fitness:
-                    best = list(ranked[0])
-                    best_fitness = self._score(ranked[0])
-                history.append(best_fitness)
+            ranked = sorted(population, key=self._score, reverse=True)
+            if self._score(ranked[0]) > best_fitness:
+                best = list(ranked[0])
+                best_fitness = self._score(ranked[0])
+            history.append(best_fitness)
 
-                parent_count = max(
-                    2, int(cfg.parent_fraction * cfg.population_size)
-                )
-                parents = ranked[:parent_count]
+            parent_count = max(
+                2, int(cfg.parent_fraction * cfg.population_size)
+            )
+            parents = ranked[:parent_count]
 
-                next_population: list[list[int]] = [
-                    list(chromosome) for chromosome in ranked[: cfg.elitism]
-                ]
-                while len(next_population) < cfg.population_size:
-                    mother = self.rng.choice(parents)
-                    father = self.rng.choice(parents)
-                    # Population members are permutations of the genes by
-                    # construction, so the unchecked crossover applies.
-                    child = crossover_permutations(mother, father, self.rng)
-                    if self.rng.uniform(0.0, 1.0) < cfg.mutation_rate:
-                        child = swap_mutation(child, self.rng)
-                    next_population.append(child)
-                population = next_population
-                self._score_batch(population)
+            next_population: list[list[int]] = [
+                list(chromosome) for chromosome in ranked[: cfg.elitism]
+            ]
+            while len(next_population) < cfg.population_size:
+                mother = self.rng.choice(parents)
+                father = self.rng.choice(parents)
+                # Population members are permutations of the genes by
+                # construction, so the unchecked crossover applies.
+                child = crossover_permutations(mother, father, self.rng)
+                if self.rng.uniform(0.0, 1.0) < cfg.mutation_rate:
+                    child = swap_mutation(child, self.rng)
+                next_population.append(child)
+            population = next_population
+            self._score_batch(population)
 
         # Final ranking of the last generation.
         ranked = sorted(population, key=self._score, reverse=True)

@@ -74,7 +74,6 @@ from repro.mqo.evaluator import (
 from repro.mqo.ga import GAConfig, GeneticAlgorithm
 from repro.obs import events
 from repro.obs.ledger import IVLedgerEntry, completion_ledger
-from repro.obs.profile import profiled
 from repro.sim.clocks import Clock, SimClock
 
 if typing.TYPE_CHECKING:  # pragma: no cover - typing only
@@ -534,7 +533,6 @@ class OnlineSession:
                 qid=qid, requeued=True,
             )
 
-    @profiled("online.window")
     def _optimize(self, now: float, trigger: str) -> None:
         pending = self._pending_ids()
         # Re-optimization cost is timed through the clock so each time

@@ -8,8 +8,9 @@ Three pillars, all built on the :mod:`repro.sim.trace` substrate:
 * the **IV audit ledger** (:mod:`repro.obs.ledger`) — the exact CL
   decomposition and SL provenance behind every reported information
   value, recomputable bit-identically;
-* the **metrics registry** (:mod:`repro.obs.metrics`) — counters, gauges
-  and histograms unifying the runtime's scattered statistics.
+* the **metrics snapshot** (:mod:`repro.obs.metrics`) — one JSON-ready
+  dict of counters, gauges and histograms unifying the runtime's
+  scattered statistics.
 
 :mod:`repro.obs.export` serializes traces (JSONL, chrome://tracing) and
 :mod:`repro.obs.checker` turns any trace into a self-audit:
@@ -48,14 +49,9 @@ _EXPORTS = {
     "default_slo_rules": "slo",
     "WallProfiler": "profile",
     "ProfileRecord": "profile",
-    "PROFILER": "profile",
-    "profiled": "profile",
     "IVLedgerEntry": "ledger",
     "VersionProvenance": "ledger",
-    "Counter": "metrics",
-    "Gauge": "metrics",
     "Histogram": "metrics",
-    "MetricsRegistry": "metrics",
     "registry_from_system": "metrics",
     "to_prometheus": "metrics",
     "Span": "spans",

@@ -1,80 +1,39 @@
-"""A unified metrics registry: counters, gauges, histograms.
+"""The post-hoc metrics snapshot, and the histogram it shares with live.
 
 The runtime already measures plenty — :class:`~repro.sim.monitor.Monitor`
 aggregates, :class:`~repro.federation.faults.FaultStats` counters,
-:class:`~repro.mqo.evaluator.EvaluatorStats` fast-path instrumentation,
-the replication manager's sync tallies — but each behind its own ad-hoc
-attribute names.  :class:`MetricsRegistry` gives them one namespace and one
-JSON-ready snapshot, so an experiment can dump *everything it knows* in a
-single call (:func:`registry_from_system`), and dashboards/tests consume
-one stable format instead of five.
+:class:`~repro.mqo.online.OnlineStats`, the replication manager's sync
+tallies — but each behind its own ad-hoc attribute names.
+:func:`registry_from_system` gives a drained system's numbers one
+namespace and one JSON-ready ``{"counters", "gauges", "histograms"}``
+dict, so an experiment can dump *everything it knows* in a single call
+and dashboards/tests consume one stable format instead of five.
+:class:`Histogram` and :func:`to_prometheus` also serve the live
+registry (:mod:`repro.obs.live`) and ``/metrics``.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import re
 import typing
 from bisect import bisect_left
 from dataclasses import fields as dataclass_fields
-from dataclasses import is_dataclass
 
 from repro.errors import SimulationError
-from repro.sim.monitor import Monitor
 
 if typing.TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.federation.system import FederatedSystem
+    from repro.sim.monitor import Monitor
 
 __all__ = [
-    "Counter",
-    "Gauge",
     "Histogram",
-    "MetricsRegistry",
     "registry_from_system",
     "to_prometheus",
 ]
 
 #: Default histogram bucket upper bounds (minutes / IV units).
 DEFAULT_BUCKETS = (0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0)
-
-
-class Counter:
-    """A monotonically increasing count."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0.0
-
-    def inc(self, amount: float = 1.0) -> None:
-        """Add ``amount`` (must be >= 0)."""
-        if amount < 0:
-            raise SimulationError(f"counter {self.name!r} cannot decrease")
-        self.value += amount
-
-    def snapshot(self) -> float:
-        """Current value."""
-        return self.value
-
-
-class Gauge:
-    """A value that can move both ways."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        """Replace the current value."""
-        self.value = float(value)
-
-    def snapshot(self) -> float:
-        """Current value."""
-        return self.value
 
 
 class Histogram:
@@ -197,153 +156,86 @@ class Histogram:
         return histogram
 
 
-class MetricsRegistry:
-    """A namespace of counters, gauges and histograms."""
-
-    def __init__(self) -> None:
-        self._counters: dict[str, Counter] = {}
-        self._gauges: dict[str, Gauge] = {}
-        self._histograms: dict[str, Histogram] = {}
-
-    def _claim(self, name: str, kind: dict) -> None:
-        for family in (self._counters, self._gauges, self._histograms):
-            if family is not kind and name in family:
-                raise SimulationError(
-                    f"metric name {name!r} already registered with another type"
-                )
-
-    def counter(self, name: str) -> Counter:
-        """Get or create the counter ``name``."""
-        self._claim(name, self._counters)
-        if name not in self._counters:
-            self._counters[name] = Counter(name)
-        return self._counters[name]
-
-    def gauge(self, name: str) -> Gauge:
-        """Get or create the gauge ``name``."""
-        self._claim(name, self._gauges)
-        if name not in self._gauges:
-            self._gauges[name] = Gauge(name)
-        return self._gauges[name]
-
-    def histogram(
-        self, name: str, bounds: tuple[float, ...] = DEFAULT_BUCKETS
-    ) -> Histogram:
-        """Get or create the histogram ``name``."""
-        self._claim(name, self._histograms)
-        if name not in self._histograms:
-            self._histograms[name] = Histogram(name, bounds)
-        return self._histograms[name]
-
-    # -- adapters over the existing instrumentation ------------------------
-
-    def ingest_counters(self, prefix: str, stats: object) -> None:
-        """Register every numeric field of a stats dataclass as a counter.
-
-        Unifies :class:`~repro.federation.faults.FaultStats` and
-        :class:`~repro.mqo.evaluator.EvaluatorStats` (non-numeric fields
-        such as dict-valued diagnostics are skipped).
-        """
-        if not is_dataclass(stats):
-            raise SimulationError(f"{prefix!r}: ingest_counters needs a dataclass")
-        for spec in dataclass_fields(stats):
-            value = getattr(stats, spec.name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                continue
-            counter = self.counter(f"{prefix}.{spec.name}")
-            counter.value = 0.0
-            counter.inc(value)
-
-    def observe_monitor(self, prefix: str, monitor: Monitor) -> None:
-        """Publish a :class:`Monitor`'s aggregates as gauges."""
-        self.gauge(f"{prefix}.count").set(monitor.count)
-        self.gauge(f"{prefix}.mean").set(monitor.mean)
-        self.gauge(f"{prefix}.stddev").set(monitor.stddev)
-        if monitor.count:
-            self.gauge(f"{prefix}.min").set(monitor.minimum)
-            self.gauge(f"{prefix}.max").set(monitor.maximum)
-
-    # -- output -----------------------------------------------------------
-
-    def snapshot(self) -> dict:
-        """One JSON-ready dict of every registered metric."""
-        return {
-            "counters": {
-                name: counter.snapshot()
-                for name, counter in sorted(self._counters.items())
-            },
-            "gauges": {
-                name: gauge.snapshot()
-                for name, gauge in sorted(self._gauges.items())
-            },
-            "histograms": {
-                name: histogram.snapshot()
-                for name, histogram in sorted(self._histograms.items())
-            },
-        }
-
-    def to_json(self, indent: int | None = 2) -> str:
-        """The snapshot as a JSON document."""
-        return json.dumps(self.snapshot(), indent=indent, sort_keys=True)
-
-
-def registry_from_system(system: "FederatedSystem") -> MetricsRegistry:
+def registry_from_system(system: "FederatedSystem") -> dict:
     """Snapshot everything a :class:`FederatedSystem` run measured.
 
     Unifies the IV/CL/SL monitors, per-outcome latency histograms, the
-    replication manager's sync tallies, fault-injector counters (when
-    faults were wired) and executor-level retry/failover totals under one
-    registry.
+    replication manager's sync tallies, fault-injector and online-MQO
+    counters (when wired) and executor-level retry/failover totals.
+    Counter and gauge values are floats; names are sorted per family.
     """
-    registry = MetricsRegistry()
+    counters: dict[str, float] = {}
+    gauges: dict[str, float] = {}
 
-    registry.observe_monitor("query.iv", system.iv_monitor)
-    registry.observe_monitor("query.cl", system.cl_monitor)
-    registry.observe_monitor("query.sl", system.sl_monitor)
+    def monitor_gauges(prefix: str, monitor: "Monitor") -> None:
+        gauges[f"{prefix}.count"] = float(monitor.count)
+        gauges[f"{prefix}.mean"] = float(monitor.mean)
+        gauges[f"{prefix}.stddev"] = float(monitor.stddev)
+        if monitor.count:
+            gauges[f"{prefix}.min"] = float(monitor.minimum)
+            gauges[f"{prefix}.max"] = float(monitor.maximum)
 
-    iv_hist = registry.histogram(
+    def stats_counters(prefix: str, stats: object) -> None:
+        # Every numeric field of a stats dataclass; dict-valued
+        # diagnostics and flags are skipped.
+        for spec in dataclass_fields(stats):
+            value = getattr(stats, spec.name)
+            if isinstance(value, (int, float)) and not isinstance(value, bool):
+                counters[f"{prefix}.{spec.name}"] = float(value)
+
+    monitor_gauges("query.iv", system.iv_monitor)
+    monitor_gauges("query.cl", system.cl_monitor)
+    monitor_gauges("query.sl", system.sl_monitor)
+
+    iv_hist = Histogram(
         "query.iv.hist", bounds=(0.1, 0.25, 0.5, 0.75, 0.9, 1.0)
     )
-    cl_hist = registry.histogram("query.cl.hist")
-    sl_hist = registry.histogram("query.sl.hist")
+    cl_hist = Histogram("query.cl.hist")
+    sl_hist = Histogram("query.sl.hist")
     for outcome in system.outcomes:
         iv_hist.observe(outcome.information_value)
         cl_hist.observe(outcome.computational_latency)
         sl_hist.observe(outcome.synchronization_latency)
 
-    registry.counter("query.completed").inc(len(system.outcomes))
-    registry.counter("query.failed").inc(system.failed_count)
-    registry.counter("query.degraded").inc(system.degraded_count)
-    registry.counter("query.retries").inc(system.total_retries)
-    registry.counter("query.failovers").inc(system.total_failovers)
+    counters["query.completed"] = float(len(system.outcomes))
+    counters["query.failed"] = float(system.failed_count)
+    counters["query.degraded"] = float(system.degraded_count)
+    counters["query.retries"] = float(system.total_retries)
+    counters["query.failovers"] = float(system.total_failovers)
 
     replication = system.replication
-    registry.counter("sync.total").inc(replication.total_syncs)
-    registry.counter("sync.skipped").inc(replication.syncs_skipped)
-    registry.counter("sync.delayed").inc(replication.syncs_delayed)
-    registry.counter("sync.qos_violations").inc(replication.qos_violations)
-    registry.observe_monitor("sync.staleness", replication.staleness)
-    for table, gauges in sorted(replication.table_gauges(system.sim.now).items()):
-        for name, value in sorted(gauges.items()):
-            registry.gauge(f"{name}.{table}").set(value)
+    counters["sync.total"] = float(replication.total_syncs)
+    counters["sync.skipped"] = float(replication.syncs_skipped)
+    counters["sync.delayed"] = float(replication.syncs_delayed)
+    counters["sync.qos_violations"] = float(replication.qos_violations)
+    monitor_gauges("sync.staleness", replication.staleness)
+    for table, values in replication.table_gauges(system.sim.now).items():
+        for name, value in values.items():
+            gauges[f"{name}.{table}"] = float(value)
 
-    for site_id in sorted(system.sites):
-        site = system.sites[site_id]
-        for name, value in sorted(site.telemetry().items()):
-            registry.gauge(f"{name}.{site.name}").set(value)
+    for site in system.sites.values():
+        for name, value in site.telemetry().items():
+            gauges[f"{name}.{site.name}"] = float(value)
 
     if system.fault_stats is not None:
-        registry.ingest_counters("faults", system.fault_stats)
+        stats_counters("faults", system.fault_stats)
 
     online = getattr(system, "online", None)
     if online is not None:
-        registry.ingest_counters("mqo.online", online.stats)
+        stats_counters("mqo.online", online.stats)
 
     if system.tracer is not None:
-        registry.counter("trace.records").inc(len(system.tracer))
-        registry.counter("tracer.dropped_events").inc(system.tracer.dropped)
+        counters["trace.records"] = float(len(system.tracer))
+        counters["tracer.dropped_events"] = float(system.tracer.dropped)
 
-    return registry
+    return {
+        "counters": dict(sorted(counters.items())),
+        "gauges": dict(sorted(gauges.items())),
+        "histograms": {
+            histogram.name: histogram.snapshot()
+            for histogram in (cl_hist, iv_hist, sl_hist)
+        },
+    }
 
 
 # -- Prometheus text exposition ------------------------------------------------
@@ -384,7 +276,7 @@ def to_prometheus(snapshot: dict, prefix: str = "repro") -> str:
     """Render a metrics snapshot in Prometheus text exposition format 0.0.4.
 
     Accepts both snapshot shapes the repo produces —
-    :meth:`MetricsRegistry.snapshot` (``counters``/``gauges``/``histograms``)
+    :func:`registry_from_system` (``counters``/``gauges``/``histograms``)
     and :meth:`~repro.obs.live.LiveRegistry.snapshot` (which adds ``rates``,
     ``quantiles``, ``time`` and per-table ``tables``).  Counters export as
     ``counter``; gauges, rates and quantiles as ``gauge``; histograms as

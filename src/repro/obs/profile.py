@@ -1,17 +1,20 @@
 """Wall-clock profiling: nested scoped timers for the *real* time domain.
 
 Everything else in :mod:`repro.obs` measures **simulation** time; this
-module measures what the hardware actually spent — GA generations,
-evaluator realization, plan enumeration, executor dispatch — so the speed
-bought by the fast paths can be attributed and regression-gated.
+module measures what the hardware actually spent — GA runs and their
+scoring passes, online re-optimization windows, plan choice, executor
+dispatch, the simulation drive loop — so the speed bought by the fast
+paths can be attributed.
 
 Design constraints:
 
-* **Free when off.**  The shared :data:`PROFILER` ships disabled;
-  ``profiler.scope(name)`` then returns one reusable no-op context
-  manager, so instrumented hot paths cost a single attribute check.
-  Enabling never changes simulation results — the profiler only reads
-  ``perf_counter``.
+* **Wrapped from outside.**  No production function carries a profiling
+  hook.  :data:`BOUNDARIES` names the timed functions by module and
+  qualified name; :meth:`WallProfiler.installed` swaps each for a timing
+  wrapper on entry and puts the original back on exit, so an unprofiled
+  run executes the unwrapped functions.  Profiling never changes
+  simulation results — the wrappers only read the timer.  The repo
+  benchmark's ``benchmarks/e2e/layers.py`` times its layers the same way.
 * **Nested attribution.**  Scopes nest on a stack: each
   :class:`ProfileRecord` knows its depth and parent, so exclusive (self)
   time is total time minus direct children, and the chrome://tracing
@@ -20,26 +23,42 @@ Design constraints:
   its own pid ("wall-clock") so a profile can be merged next to the
   sim-time trace without the two timelines colliding.
 
-Use as a context manager (``with PROFILER.scope("ga.generation"): …``) or
-a decorator (``@profiled("mqo.enumerate")``).  This module depends only on
-the standard library and ``repro.errors`` — any layer may import it.
+Use as ``with profiler.installed(): run()``, or ``with
+profiler.scope("name"): …`` around any block.  The timed layers are
+imported by name only on install: no layer depends on this module.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
-from collections.abc import Callable
+import importlib
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from time import perf_counter
 
 from repro.errors import SimulationError
 
 __all__ = [
+    "BOUNDARIES",
     "ProfileRecord",
     "WallProfiler",
-    "PROFILER",
-    "profiled",
 ]
+
+#: ``(row, module, "Class.method")`` of every function
+#: :meth:`WallProfiler.installed` times: whole passes, never a per-position
+#: inner loop.  ``ga.score`` runs once per generation plus once up front.
+BOUNDARIES = (
+    ("system.run", "repro.federation.system", "FederatedSystem.run"),
+    ("online.schedule", "repro.mqo.online", "OnlineMQOScheduler.run"),
+    ("online.window", "repro.mqo.online", "OnlineSession._optimize"),
+    ("ga.run", "repro.mqo.ga", "GeneticAlgorithm.run"),
+    ("ga.score", "repro.mqo.ga", "GeneticAlgorithm._score_batch"),
+    ("optimizer.choose_plan", "repro.core.optimizer",
+     "IVQPOptimizer.choose_plan"),
+    ("executor.dispatch", "repro.federation.executor",
+     "PlanExecutor.execute"),
+)
 
 
 @dataclass(frozen=True)
@@ -51,21 +70,6 @@ class ProfileRecord:
     duration: float     #: wall-clock seconds inside the scope
     depth: int          #: 0 = top-level
     parent: int | None  #: index of the enclosing record (None at top level)
-
-
-class _NullScope:
-    """The shared do-nothing scope handed out while profiling is off."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> None:
-        return None
-
-    def __exit__(self, *exc) -> bool:
-        return False
-
-
-_NULL_SCOPE = _NullScope()
 
 
 class _Scope:
@@ -89,18 +93,10 @@ class _Scope:
 class WallProfiler:
     """Collects nested wall-clock scopes into a flat record list.
 
-    ``timer`` is the monotonic-seconds source (default ``perf_counter``);
-    a serving runtime passes its :class:`~repro.sim.clocks.Clock`'s
-    ``perf_seconds`` so profile rows share the clock that drives stream
-    time — one time base, no cross-domain skew.
+    ``timer`` is the monotonic-seconds source (default ``perf_counter``).
     """
 
-    def __init__(
-        self,
-        enabled: bool = False,
-        timer: Callable[[], float] = perf_counter,
-    ) -> None:
-        self.enabled = enabled
+    def __init__(self, timer: Callable[[], float] = perf_counter) -> None:
         self.records: list[ProfileRecord] = []
         self._stack: list[int] = []   # indices of open records
         self._epoch: float | None = None
@@ -108,28 +104,38 @@ class WallProfiler:
 
     # -- collection ---------------------------------------------------------
 
-    def enable(self) -> None:
-        """Start (or resume) collecting."""
-        self.enabled = True
-        if self._epoch is None:
-            self._epoch = self._timer()
-
-    def disable(self) -> None:
-        """Stop collecting (already-recorded scopes are kept)."""
-        self.enabled = False
-
-    def reset(self) -> None:
-        """Forget everything recorded so far."""
-        if self._stack:
-            raise SimulationError("cannot reset a profiler with open scopes")
-        self.records.clear()
-        self._epoch = None
-
-    def scope(self, name: str) -> object:
-        """A context manager timing ``name`` (no-op while disabled)."""
-        if not self.enabled:
-            return _NULL_SCOPE
+    def scope(self, name: str) -> "_Scope":
+        """A context manager timing ``name``."""
         return _Scope(self, name)
+
+    @contextlib.contextmanager
+    def installed(self) -> Iterator["WallProfiler"]:
+        """Time every :data:`BOUNDARIES` function while the block runs.
+
+        Each target is replaced on its owner by a wrapper that opens one
+        scope per call.  On exit — also when the block raises — every
+        original is put back, the identical object.
+        """
+        originals: list[tuple[object, str, Callable]] = []
+        try:
+            for name, module, qualname in BOUNDARIES:
+                class_name, attribute = qualname.split(".")
+                owner = getattr(importlib.import_module(module), class_name)
+                function = getattr(owner, attribute)
+                originals.append((owner, attribute, function))
+                setattr(owner, attribute, self._timed(name, function))
+            yield self
+        finally:
+            for owner, attribute, function in reversed(originals):
+                setattr(owner, attribute, function)
+
+    def _timed(self, name: str, function: Callable) -> Callable:
+        @functools.wraps(function)
+        def timed(*args, **kwargs):
+            with _Scope(self, name):
+                return function(*args, **kwargs)
+
+        return timed
 
     def _open(self, name: str) -> int:
         if self._epoch is None:
@@ -229,27 +235,3 @@ class WallProfiler:
                 "args": {"depth": record.depth},
             })
         return {"traceEvents": trace_events, "displayTimeUnit": "ms"}
-
-
-#: The process-wide profiler all instrumented code points at.  Disabled by
-#: default: instrumentation costs one ``enabled`` check until a profiling
-#: entry point (``--profile``, a test) turns it on.
-PROFILER = WallProfiler(enabled=False)
-
-
-def profiled(name: str, profiler: WallProfiler | None = None) -> Callable:
-    """Decorator form: time every call to the wrapped function."""
-
-    def decorate(function: Callable) -> Callable:
-        target = profiler if profiler is not None else PROFILER
-
-        @functools.wraps(function)
-        def wrapper(*args, **kwargs):
-            if not target.enabled:
-                return function(*args, **kwargs)
-            with target.scope(name):
-                return function(*args, **kwargs)
-
-        return wrapper
-
-    return decorate

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import typing
 
 from repro.errors import WorkloadError
@@ -47,12 +48,16 @@ __all__ = ["HTTPServer", "http_request"]
 #: Bound on request head + body (a submission is a tiny JSON object).
 _MAX_HEAD_BYTES = 16384
 _MAX_BODY_BYTES = 65536
+#: Seconds a connection gets to deliver its whole request; a client that
+#: stalls past it is answered 408 and closed instead of holding a handler.
+_READ_DEADLINE_SECONDS = 10.0
 
 _STATUS_TEXT = {
     200: "OK",
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
+    408: "Request Timeout",
     413: "Payload Too Large",
     500: "Internal Server Error",
     503: "Service Unavailable",
@@ -159,7 +164,14 @@ class HTTPServer:
     ) -> None:
         try:
             try:
-                method, path, _headers, body = await _read_request(reader)
+                method, path, _headers, body = await asyncio.wait_for(
+                    _read_request(reader), _READ_DEADLINE_SECONDS
+                )
+            except asyncio.TimeoutError:
+                writer.write(_json_response(
+                    408, {"error": "request not received in time"}
+                ))
+                return
             except (
                 ValueError,
                 asyncio.IncompleteReadError,
@@ -248,7 +260,15 @@ class HTTPServer:
             return _json_response(503, {"error": "service is draining"})
         business_value = payload.get("business_value")
         if business_value is not None:
-            business_value = float(business_value)
+            try:
+                business_value = float(business_value)
+            except (TypeError, ValueError):
+                business_value = math.nan
+            if not math.isfinite(business_value):
+                return _json_response(400, {
+                    "error": "business_value must be a finite number, got "
+                    f"{payload['business_value']!r}"
+                })
         qid, decision, result = self.service.submit(
             payload["template"], business_value=business_value
         )

@@ -8,6 +8,7 @@ user's discount-rate preferences and an executable
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field, replace
 
@@ -77,9 +78,9 @@ class DSSQuery:
             raise WorkloadError(f"query {self.name!r} reads no tables")
         if len(set(self.tables)) != len(self.tables):
             raise WorkloadError(f"query {self.name!r} lists a table twice")
-        if self.business_value <= 0:
+        if not 0 < self.business_value < math.inf:
             raise WorkloadError(
-                f"query {self.name!r} needs a positive business value"
+                f"query {self.name!r} needs a positive, finite business value"
             )
         if self.base_work is not None and self.base_work <= 0:
             raise WorkloadError(f"query {self.name!r} needs positive base work")

@@ -2,9 +2,9 @@
 
 The layered fast path (compiled plans, upper-bound pruning, prefix trie,
 choice memo) must be invisible: bit-identical assignments and totals to
-the naive replay on every workload and permutation, under any cache
-pressure.  These tests drive randomized workloads through both paths and
-poke at the caps and counters.
+the naive replay (``tests/mqo_naive_oracle.py``) on every workload and
+permutation, under any cache pressure.  These tests drive randomized
+workloads through both and poke at the caps and counters.
 """
 
 from __future__ import annotations
@@ -21,6 +21,8 @@ from repro.federation.site import LOCAL_SITE_ID
 from repro.mqo import evaluator as evaluator_module
 from repro.mqo.evaluator import WorkloadEvaluator
 from repro.workload.query import DSSQuery, Workload
+
+from tests.mqo_naive_oracle import evaluate_naive
 
 NUM_TABLES = 8
 NUM_SITES = 3
@@ -71,7 +73,7 @@ def build_evaluator(workload: Workload, **kwargs) -> WorkloadEvaluator:
 
 def assert_identical(evaluator: WorkloadEvaluator, perm: list[int]) -> None:
     fast = evaluator.evaluate(list(perm))
-    naive = evaluator.evaluate_naive(list(perm))
+    naive = evaluate_naive(evaluator, list(perm))
     assert len(fast.assignments) == len(naive.assignments)
     for a, b in zip(fast.assignments, naive.assignments):
         assert a.plan is b.plan
@@ -138,7 +140,7 @@ class TestFastPathEquivalence:
         for order in ([1, 2, 3, 4], [2, 1, 3, 4], [1, 2, 3, 4]):
             assert (
                 evaluator.sequence_fitness(order)
-                == evaluator.evaluate_naive(order).total_information_value
+                == evaluate_naive(evaluator, order).total_information_value
             )
         assert evaluator.stats.trie_evictions > 0
 
@@ -150,19 +152,13 @@ class TestFastPathEquivalence:
         assert evaluator.stats.trie_entries == 0
         assert evaluator.stats.prefix_hits == 0
 
-    def test_fast_path_off_uses_naive(self):
-        workload = build_workload([(0, 1.0, 8_000.0), (1, 1.1, 8_000.0)])
-        evaluator = build_evaluator(workload, fast_path=False)
-        evaluator.evaluate([1, 2])
-        assert evaluator.stats.evaluations == 0  # naive replay is unstatted
-
     def test_repeated_ids_rejected(self):
         workload = build_workload([(0, 1.0, 8_000.0), (1, 1.1, 8_000.0)])
         evaluator = build_evaluator(workload)
         with pytest.raises(OptimizationError):
             evaluator.evaluate_sequence([1, 1])
         with pytest.raises(OptimizationError):
-            evaluator.evaluate_naive([2, 2])
+            evaluate_naive(evaluator, [2, 2])
 
 
 site_clock = st.floats(min_value=0.0, max_value=40.0)
@@ -227,7 +223,7 @@ class TestFitnessIsTheResultsTotal:
             result = evaluator.evaluate_sequence(order)
             assert fitness == result.total_information_value
             assert fitness == evaluator.sequence_fitness(order)
-            naive = evaluator.evaluate_naive(order)
+            naive = evaluate_naive(evaluator, order)
             assert fitness == naive.total_information_value
             assert [a.query.query_id for a in result.assignments] == order
 

@@ -287,7 +287,7 @@ class TestSystemIntegration:
             online=True,
             online_config=OnlineConfig(window=10.0, max_pending=8),
         )
-        counters = result.system.metrics().snapshot()["counters"]
+        counters = result.system.metrics()["counters"]
         assert counters["mqo.online.submitted"] == 4.0
         assert counters["mqo.online.dispatched"] == float(
             result.online.stats.dispatched
@@ -514,6 +514,8 @@ class TestHotPathFixes:
     def test_choose_best_matches_naive_candidate_scan(self):
         from repro.mqo.evaluator import WorkloadEvaluator
 
+        from tests.mqo_naive_oracle import best_naive
+
         catalog = build_catalog()
         cost_model = CostModel(catalog, params=CostParameters())
         workload = burst_workload(count=5)
@@ -522,9 +524,7 @@ class TestHotPathFixes:
         )
         for free_at in ({}, {0: 3.0}, {0: 7.5, 1: 4.0, 2: 9.0}):
             for query in workload.queries:
-                evaluator.fast_path = False
-                b = evaluator.choose_best(query.query_id, dict(free_at))
-                evaluator.fast_path = True
+                b = best_naive(evaluator, query.query_id, dict(free_at))
                 a = evaluator.choose_best(query.query_id, dict(free_at))
                 assert a.plan is b.plan
                 assert a.begin == b.begin

@@ -345,7 +345,7 @@ class TestPerTableGauges:
         from tests.test_obs_checker import traced_system
 
         system = traced_system(num_queries=3)
-        gauges = registry_from_system(system).snapshot()["gauges"]
+        gauges = registry_from_system(system)["gauges"]
         table_keys = [k for k in gauges if k.startswith("sync.table.staleness.")]
         assert table_keys, sorted(gauges)
         site_keys = [k for k in gauges if k.startswith("site.available.")]

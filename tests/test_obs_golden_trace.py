@@ -16,12 +16,34 @@ tracer shows up as a diff against this file.  To regenerate after an
 
 from __future__ import annotations
 
+import hashlib
 import pathlib
 
+import pytest
+
+from repro.experiments import cli
 from repro.experiments.trace_scenarios import trace_fig4
 from repro.obs import TraceChecker, from_jsonl, ledger_from_records, normalize
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "fig4_trace.jsonl"
+
+#: sha256 of ``repro trace <scenario> --metrics --trace-format jsonl``'s
+#: stdout: the trace plus the post-hoc metrics document, pinned through the
+#: CLI so the pin holds whatever the metrics code looks like inside.
+GOLDEN_TRACE_METRICS = {
+    "fig4": "262ba396bb123bf9959fa304a3f11e030b688fb43e1bac55cc674d0eb5a5e22e",
+    "stream": "2c239bb7af8dc362b4a1c721a883747d6d46748407bf22ebd2e053c72ee19a1d",
+    "faults": "3a652e57b8224666fd66c8bba7a44a8e7d1d786166aa132474f440a9296c85da",
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(GOLDEN_TRACE_METRICS))
+def test_trace_metrics_output_is_pinned(scenario, capsys):
+    argv = ["trace", scenario, "--metrics", "--trace-format", "jsonl"]
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digest == GOLDEN_TRACE_METRICS[scenario]
 
 
 def test_fig4_trace_matches_golden():

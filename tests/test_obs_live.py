@@ -135,13 +135,13 @@ class TestLiveRegistry:
 
     def test_final_counters_match_post_hoc_registry(self, run):
         system, live = run
-        post_hoc = registry_from_system(system).snapshot()["counters"]
+        post_hoc = registry_from_system(system)["counters"]
         for name, value in live.final_counters().items():
             assert value == post_hoc.get(name, 0.0), name
 
     def test_histogram_buckets_match_post_hoc_registry(self, run):
         system, live = run
-        post_hoc = registry_from_system(system).snapshot()["histograms"]
+        post_hoc = registry_from_system(system)["histograms"]
         snapshot = live.snapshot()
         for name in ("query.iv.hist", "query.cl.hist", "query.sl.hist"):
             assert snapshot["histograms"][name] == post_hoc[name], name

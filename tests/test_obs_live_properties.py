@@ -52,7 +52,7 @@ class TestLiveEqualsPostHoc:
         system = run(*federation)
         TraceChecker().assert_clean(system.tracer.records)
         live = fold_incrementally(system)
-        post_hoc = registry_from_system(system).snapshot()["counters"]
+        post_hoc = registry_from_system(system)["counters"]
         for name, value in live.final_counters().items():
             assert value == post_hoc.get(name, 0.0), name
 
@@ -61,7 +61,7 @@ class TestLiveEqualsPostHoc:
     def test_histogram_buckets_match_exactly(self, federation):
         system = run(*federation)
         live = fold_incrementally(system)
-        post_hoc = registry_from_system(system).snapshot()["histograms"]
+        post_hoc = registry_from_system(system)["histograms"]
         snapshot = live.snapshot()
         for name in ("query.iv.hist", "query.cl.hist", "query.sl.hist"):
             assert snapshot["histograms"][name] == post_hoc[name], name
@@ -72,7 +72,7 @@ class TestLiveEqualsPostHoc:
         system = run(*federation)
         TraceChecker().assert_clean(system.tracer.records)
         live = fold_incrementally(system)
-        registry = registry_from_system(system).snapshot()
+        registry = registry_from_system(system)
         post_counters = registry["counters"]
         for name, value in live.final_counters().items():
             assert value == post_counters.get(name, 0.0), name

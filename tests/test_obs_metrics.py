@@ -1,40 +1,43 @@
-"""Unit tests: the metrics registry (counters, gauges, histograms, adapters)."""
+"""Unit tests: the histogram and the post-hoc metrics snapshot."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.federation.faults import FaultStats
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
-from repro.sim.monitor import Monitor
+from repro.obs.metrics import Histogram, registry_from_system
 
 
-class TestCounter:
-    def test_increments_accumulate(self):
-        counter = Counter("c")
-        counter.inc()
-        counter.inc(2.5)
-        assert counter.snapshot() == 3.5
+def drained_system():
+    """Three queries through a small traced federation, drained."""
+    from repro.baselines import ivqp_router
+    from repro.core.value import DiscountRates
+    from repro.federation.system import SystemConfig, TableSpec, build_system
+    from repro.workload.query import DSSQuery
 
-    def test_negative_increment_rejected(self):
-        with pytest.raises(SimulationError):
-            Counter("c").inc(-1)
-
-
-class TestGauge:
-    def test_set_replaces(self):
-        gauge = Gauge("g")
-        gauge.set(5)
-        gauge.set(-2.5)
-        assert gauge.snapshot() == -2.5
+    config = SystemConfig(
+        tables=[
+            TableSpec("a", site=0, row_count=1_000),
+            TableSpec("b", site=1, row_count=2_000),
+        ],
+        replicated=["a"],
+        sync_mode="periodic",
+        sync_mean_interval=4.0,
+        rates=DiscountRates(0.02, 0.02),
+        trace=True,
+        seed=2,
+    )
+    system = build_system(config, ivqp_router)
+    for qid in range(3):
+        system.submit(
+            DSSQuery(query_id=qid, name=f"q{qid}", tables=("a", "b")),
+            at=float(qid) * 5.0,
+        )
+    system.run()
+    return system
 
 
 class TestHistogram:
@@ -97,84 +100,38 @@ class TestHistogram:
 
 
 class TestRegistry:
-    def test_get_or_create_is_idempotent(self):
-        registry = MetricsRegistry()
-        assert registry.counter("x") is registry.counter("x")
-        assert registry.gauge("y") is registry.gauge("y")
-        assert registry.histogram("z") is registry.histogram("z")
-
-    def test_cross_type_name_collision_rejected(self):
-        registry = MetricsRegistry()
-        registry.counter("metric")
-        with pytest.raises(SimulationError):
-            registry.gauge("metric")
-        with pytest.raises(SimulationError):
-            registry.histogram("metric")
-
     def test_ingest_counters_from_fault_stats(self):
-        stats = FaultStats(outages_scheduled=3, outage_minutes=12.5)
-        registry = MetricsRegistry()
-        registry.ingest_counters("faults", stats)
-        snapshot = registry.snapshot()
-        assert snapshot["counters"]["faults.outages_scheduled"] == 3
-        assert snapshot["counters"]["faults.outage_minutes"] == 12.5
+        from repro.experiments.trace_scenarios import trace_faults
 
-    def test_ingest_counters_requires_dataclass(self):
-        with pytest.raises(SimulationError):
-            MetricsRegistry().ingest_counters("x", object())
+        system = trace_faults()
+        counters = registry_from_system(system)["counters"]
+        for spec in dataclasses.fields(system.fault_stats):
+            value = getattr(system.fault_stats, spec.name)
+            assert counters[f"faults.{spec.name}"] == value
+            assert type(counters[f"faults.{spec.name}"]) is float
 
     def test_observe_monitor_publishes_aggregates(self):
-        monitor = Monitor("m")
-        for value in (1.0, 3.0):
-            monitor.observe(value)
-        registry = MetricsRegistry()
-        registry.observe_monitor("m", monitor)
-        gauges = registry.snapshot()["gauges"]
-        assert gauges["m.count"] == 2
-        assert gauges["m.mean"] == 2.0
-        assert gauges["m.min"] == 1.0 and gauges["m.max"] == 3.0
+        system = drained_system()
+        gauges = registry_from_system(system)["gauges"]
+        monitor = system.iv_monitor
+        assert gauges["query.iv.count"] == monitor.count == 3
+        assert gauges["query.iv.mean"] == monitor.mean
+        assert gauges["query.iv.stddev"] == monitor.stddev
+        assert gauges["query.iv.min"] == monitor.minimum
+        assert gauges["query.iv.max"] == monitor.maximum
 
     def test_to_json_is_valid_and_sorted(self):
-        registry = MetricsRegistry()
-        registry.counter("b").inc()
-        registry.counter("a").inc(2)
-        data = json.loads(registry.to_json())
-        assert list(data["counters"]) == ["a", "b"]
+        snapshot = registry_from_system(drained_system())
+        assert json.loads(json.dumps(snapshot)) == snapshot
+        assert list(snapshot) == ["counters", "gauges", "histograms"]
+        for family in snapshot.values():
+            assert list(family) == sorted(family)
 
 
 class TestSystemRegistry:
     def test_registry_from_traced_system(self):
-        from repro.baselines import ivqp_router
-        from repro.core.value import DiscountRates
-        from repro.federation.system import (
-            SystemConfig,
-            TableSpec,
-            build_system,
-        )
-        from repro.obs.metrics import registry_from_system
-        from repro.workload.query import DSSQuery
-
-        config = SystemConfig(
-            tables=[
-                TableSpec("a", site=0, row_count=1_000),
-                TableSpec("b", site=1, row_count=2_000),
-            ],
-            replicated=["a"],
-            sync_mode="periodic",
-            sync_mean_interval=4.0,
-            rates=DiscountRates(0.02, 0.02),
-            trace=True,
-            seed=2,
-        )
-        system = build_system(config, ivqp_router)
-        for qid in range(3):
-            system.submit(
-                DSSQuery(query_id=qid, name=f"q{qid}", tables=("a", "b")),
-                at=float(qid) * 5.0,
-            )
-        system.run()
-
-        snapshot = registry_from_system(system).snapshot()
+        system = drained_system()
+        snapshot = registry_from_system(system)
         assert snapshot["counters"]["query.completed"] == 3
         assert snapshot["counters"]["sync.total"] == system.replication.total_syncs
         assert snapshot["counters"]["trace.records"] == len(system.tracer)
@@ -185,4 +142,4 @@ class TestSystemRegistry:
         assert snapshot["gauges"]["query.iv.count"] == 3
         assert snapshot["histograms"]["query.cl.hist"]["count"] == 3
         # system.metrics() is the same snapshot behind a method.
-        assert system.metrics().snapshot() == snapshot
+        assert system.metrics() == snapshot

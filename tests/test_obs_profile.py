@@ -1,23 +1,50 @@
-"""Unit tests: the wall-clock profiler (scopes, attribution, export)."""
+"""Unit tests: the wall-clock profiler (scopes, attribution, export) and
+the boundary table it installs from outside."""
 
 from __future__ import annotations
 
+import importlib
+import inspect
+import pathlib
 import time
 
 import pytest
 
+import repro
 from repro.errors import SimulationError
-from repro.obs.profile import (
-    PROFILER,
-    WallProfiler,
-    profiled,
-)
-from repro.obs.profile import _NULL_SCOPE
+from repro.mqo.ga import GAConfig, GAResult, GeneticAlgorithm
+from repro.obs.profile import BOUNDARIES, WallProfiler
+
+SRC = pathlib.Path(repro.__file__).resolve().parent
+
+
+def small_ga_result() -> GAResult:
+    """One short, seeded GA run."""
+    ga = GeneticAlgorithm(
+        [1, 2, 3, 4, 5], lambda order: float(order[0] * 10 + order[1]),
+        config=GAConfig(population_size=6, generations=3), seed=1,
+    )
+    return ga.run()
+
+
+def run_small_ga() -> int:
+    """One short GA run; returns its generation count."""
+    return small_ga_result().generations_run
+
+
+def boundary_targets() -> list[tuple[type, str]]:
+    """``(class, method name)`` per boundary, resolved as installing does."""
+    targets = []
+    for _row, module, qualname in BOUNDARIES:
+        class_name, attribute = qualname.split(".")
+        owner = getattr(importlib.import_module(module), class_name)
+        targets.append((owner, attribute))
+    return targets
 
 
 class TestScopes:
     def test_nesting_records_depth_and_parent(self):
-        profiler = WallProfiler(enabled=True)
+        profiler = WallProfiler()
         with profiler.scope("outer"):
             with profiler.scope("inner"):
                 pass
@@ -31,7 +58,7 @@ class TestScopes:
         assert second.depth == 1 and second.parent == 0
 
     def test_durations_are_positive_and_nested_inside_parent(self):
-        profiler = WallProfiler(enabled=True)
+        profiler = WallProfiler()
         with profiler.scope("outer"):
             with profiler.scope("inner"):
                 time.sleep(0.002)
@@ -39,44 +66,8 @@ class TestScopes:
         assert inner.duration > 0.0
         assert outer.duration >= inner.duration
 
-    def test_disabled_profiler_hands_out_the_shared_null_scope(self):
-        profiler = WallProfiler()
-        assert profiler.scope("x") is _NULL_SCOPE
-        assert profiler.scope("y") is _NULL_SCOPE
-        with profiler.scope("x"):
-            pass
-        assert profiler.records == []
-
-    def test_enable_disable_resume(self):
-        profiler = WallProfiler()
-        with profiler.scope("off"):
-            pass
-        profiler.enable()
-        with profiler.scope("on"):
-            pass
-        profiler.disable()
-        with profiler.scope("off-again"):
-            pass
-        assert [record.name for record in profiler.records] == ["on"]
-
-    def test_reset_forgets_records(self):
-        profiler = WallProfiler(enabled=True)
-        with profiler.scope("x"):
-            pass
-        profiler.reset()
-        assert profiler.records == []
-
-    def test_reset_with_open_scope_raises(self):
-        profiler = WallProfiler(enabled=True)
-        scope = profiler.scope("open")
-        scope.__enter__()
-        with pytest.raises(SimulationError):
-            profiler.reset()
-        scope.__exit__(None, None, None)
-        profiler.reset()  # fine once closed
-
     def test_out_of_order_close_raises(self):
-        profiler = WallProfiler(enabled=True)
+        profiler = WallProfiler()
         outer = profiler.scope("outer")
         inner = profiler.scope("inner")
         outer.__enter__()
@@ -87,7 +78,7 @@ class TestScopes:
 
 class TestAttribution:
     def test_self_time_excludes_direct_children(self):
-        profiler = WallProfiler(enabled=True)
+        profiler = WallProfiler()
         with profiler.scope("outer"):
             with profiler.scope("inner"):
                 time.sleep(0.002)
@@ -101,7 +92,7 @@ class TestAttribution:
         assert inner["mean_ms"] == pytest.approx(inner["total_s"] * 1e3)
 
     def test_repeat_calls_accumulate(self):
-        profiler = WallProfiler(enabled=True)
+        profiler = WallProfiler()
         for _ in range(3):
             with profiler.scope("phase"):
                 pass
@@ -110,7 +101,7 @@ class TestAttribution:
         assert row["mean_ms"] == pytest.approx(row["total_s"] * 1e3 / 3)
 
     def test_render_lists_phases(self):
-        profiler = WallProfiler(enabled=True)
+        profiler = WallProfiler()
         with profiler.scope("alpha"):
             pass
         text = profiler.render()
@@ -120,7 +111,7 @@ class TestAttribution:
 
 class TestChromeExport:
     def test_export_uses_the_wall_clock_pid(self):
-        profiler = WallProfiler(enabled=True)
+        profiler = WallProfiler()
         with profiler.scope("outer"):
             with profiler.scope("inner"):
                 pass
@@ -135,47 +126,87 @@ class TestChromeExport:
         assert spans[0]["ts"] <= spans[1]["ts"]
 
 
-class TestDecorator:
-    def test_profiled_times_each_call(self):
-        profiler = WallProfiler(enabled=True)
+class TestInstalled:
+    def test_every_boundary_resolves_to_a_function_defined_in_src(self):
+        # A renamed target must fail here, not silently drop its row.
+        rows = [row for row, _module, _qualname in BOUNDARIES]
+        assert len(set(rows)) == len(rows)
+        for (row, _module, qualname), (owner, attribute) in zip(
+            BOUNDARIES, boundary_targets()
+        ):
+            # Defined on the owner itself, so restoring re-binds exactly
+            # what was there.
+            function = vars(owner)[attribute]
+            assert inspect.isfunction(function), row
+            assert function.__qualname__ == qualname, row
+            source = pathlib.Path(inspect.getsourcefile(function)).resolve()
+            assert SRC in source.parents, row
 
-        @profiled("work", profiler=profiler)
-        def work(x):
-            return x * 2
-
-        assert work(3) == 6
-        assert work(4) == 8
-        assert profiler.attribution()["work"]["calls"] == 2
-
-    def test_profiled_is_free_when_disabled(self):
+    def test_installed_restores_every_original_even_when_the_body_raises(
+        self,
+    ):
+        targets = boundary_targets()
+        originals = [vars(owner)[attribute] for owner, attribute in targets]
         profiler = WallProfiler()
+        with pytest.raises(RuntimeError, match="body failed"):
+            with profiler.installed():
+                for (owner, attribute), original in zip(targets, originals):
+                    assert vars(owner)[attribute] is not original
+                raise RuntimeError("body failed")
+        for (owner, attribute), original in zip(targets, originals):
+            assert vars(owner)[attribute] is original
 
-        @profiled("work", profiler=profiler)
-        def work():
-            return "done"
+    def test_installed_times_each_boundary_call(self):
+        profiler = WallProfiler()
+        with profiler.installed():
+            generations = run_small_ga()
+        table = profiler.attribution()
+        assert table["ga.run"]["calls"] == 1
+        # Once for the initial population, then once per generation.
+        assert table["ga.score"]["calls"] == generations + 1
+        assert table["ga.run"]["total_s"] >= table["ga.score"]["total_s"]
 
-        assert work() == "done"
+    def test_uninstalled_boundaries_run_unwrapped(self):
+        for owner, attribute in boundary_targets():
+            assert not hasattr(vars(owner)[attribute], "__wrapped__")
+
+    def test_uninstalled_run_records_nothing_and_matches_a_timed_run(self):
+        profiler = WallProfiler()
+        plain = small_ga_result()
         assert profiler.records == []
+        with profiler.installed():
+            timed = small_ga_result()
+        # The wrappers only read the timer: the run itself is unchanged.
+        assert timed == plain
 
-    def test_profiled_defaults_to_the_shared_profiler(self):
-        @profiled("shared.work")
-        def work():
-            return 1
+    def test_installing_one_profiler_leaves_another_empty(self):
+        # No profiler is shared: each records only the runs it installs.
+        installed, idle = WallProfiler(), WallProfiler()
+        with installed.installed():
+            run_small_ga()
+        assert installed.records
+        assert idle.records == []
 
-        assert PROFILER.enabled is False
-        before = len(PROFILER.records)
-        assert work() == 1
-        assert len(PROFILER.records) == before
+    def test_records_only_while_installed(self):
+        profiler = WallProfiler()
+        with profiler.installed():
+            run_small_ga()
+        recorded = len(profiler.records)
+        assert recorded > 0
+        run_small_ga()
+        assert len(profiler.records) == recorded
+        with profiler.installed():
+            run_small_ga()
+        assert len(profiler.records) == 2 * recorded
 
 
 @pytest.mark.slow
 class TestInstrumentedRun:
     def test_profiled_stream_run_attributes_hot_phases(self):
-        # The real instrumentation points: a profiled online streaming run
-        # must surface the scheduler/GA phases with sane nesting.  Scopes
-        # are per pass, not per call: the evaluator's walk and lowering and
-        # the session's dispatch run too often to carry a wrapper while
-        # profiling is off.
+        # The real boundaries: a profiled online streaming run must surface
+        # the scheduler/GA phases with sane nesting.  Boundaries are
+        # passes, not per-position calls: the evaluator's walk and
+        # lowering and the session's dispatch are not in the table.
         from repro.experiments.live import run_live
 
         # Twelve queries: a smaller stream forms only pairs and triples,
@@ -184,17 +215,18 @@ class TestInstrumentedRun:
         table = result.profiler.attribution()
         assert "system.run" in table
         assert "online.schedule" in table
-        assert "ga.run" in table and "ga.generation" in table
+        assert "ga.run" in table and "ga.score" in table
         assert not {"evaluator.realize", "evaluator.enumerate",
                     "online.dispatch"} & table.keys()
         assert "executor.dispatch" in table
-        # GA generations nest inside ga.run: inclusive time dominates.
-        assert table["ga.run"]["total_s"] >= table["ga.generation"]["total_s"]
+        # Scoring passes nest inside ga.run: inclusive time dominates.
+        assert table["ga.run"]["total_s"] >= table["ga.score"]["total_s"]
         # system.run is the root: everything else is inside it.
         assert table["system.run"]["calls"] == 1
         assert (
             table["system.run"]["total_s"]
             >= table["executor.dispatch"]["total_s"]
         )
-        # The run itself stays clean and the shared profiler was restored.
-        assert PROFILER.enabled is False
+        # The run put every original back.
+        for owner, attribute in boundary_targets():
+            assert not hasattr(vars(owner)[attribute], "__wrapped__")

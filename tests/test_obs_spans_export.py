@@ -199,7 +199,7 @@ class TestOnlineRunExport:
         # so one merged chrome://tracing file shows both timelines.
         from repro.obs.profile import WallProfiler
 
-        profiler = WallProfiler(enabled=True)
+        profiler = WallProfiler()
         with profiler.scope("replay"):
             pass
         sim_doc = to_chrome_trace(online_system.tracer.records)

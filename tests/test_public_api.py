@@ -126,7 +126,7 @@ class TestImportGraph:
             "repro.federation.site", "repro.mqo", "repro.mqo.chromosome",
             "repro.mqo.conflict", "repro.mqo.evaluator", "repro.mqo.ga",
             "repro.mqo.online", "repro.obs", "repro.obs.events",
-            "repro.obs.ledger", "repro.obs.profile", "repro.reporting",
+            "repro.obs.ledger", "repro.reporting",
             "repro.reporting.tables", "repro.sim", "repro.sim.clock",
             "repro.sim.clocks", "repro.sim.event", "repro.sim.process",
             "repro.sim.resource", "repro.sim.rng", "repro.sim.scheduler",

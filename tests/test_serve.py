@@ -95,6 +95,41 @@ class TestHTTPRoundTrips:
 
         asyncio.run(_with_server(config(), body))
 
+    @pytest.mark.parametrize(
+        "value", [1e999, "abc", [1]], ids=["inf", "string", "list"]
+    )
+    def test_non_finite_or_non_numeric_business_value_is_a_400(self, value):
+        # 1e999 travels as the JSON token Infinity: admitting it answered
+        # 200 with "iv": Infinity, which is not JSON; the other two raised
+        # inside the handler and answered 500.
+        async def body(service, host, port):
+            status, payload = await http_request(
+                host, port, "POST", "/submit",
+                {"template": 0, "business_value": value},
+            )
+            assert status == 400 and "business_value" in payload["error"]
+            assert service.arrival_log == []
+
+        asyncio.run(_with_server(config(), body))
+
+    def test_stalled_request_is_answered_408(self, monkeypatch):
+        from repro.serve import httpd
+
+        monkeypatch.setattr(httpd, "_READ_DEADLINE_SECONDS", 0.2)
+
+        async def body(service, host, port):
+            reader, writer = await asyncio.open_connection(host, port)
+            try:
+                writer.write(b"POST /submit HTTP/1.1\r\n")
+                await writer.drain()
+                raw = await asyncio.wait_for(reader.read(), timeout=3.0)
+            finally:
+                writer.close()
+                await writer.wait_closed()
+            assert raw.startswith(b"HTTP/1.1 408 ")
+
+        asyncio.run(_with_server(config(), body))
+
     def test_fire_and_forget_then_result_endpoint(self):
         async def body(service, host, port):
             status, payload = await http_request(

@@ -11,7 +11,7 @@ from __future__ import annotations
 import asyncio
 
 from repro.obs.live import LiveRegistry, TableSyncState
-from repro.obs.metrics import MetricsRegistry, to_prometheus
+from repro.obs.metrics import Histogram, to_prometheus
 from repro.serve import HTTPServer, QueryService, ServeConfig, http_request
 
 
@@ -37,10 +37,10 @@ async def _with_server(cfg, body):
 
 class TestPrometheusExposition:
     def test_counters_and_gauges_render_with_types(self):
-        registry = MetricsRegistry()
-        registry.counter("query.completed").inc(3)
-        registry.gauge("sync.staleness.mean").set(1.5)
-        text = to_prometheus(registry.snapshot())
+        text = to_prometheus({
+            "counters": {"query.completed": 3.0},
+            "gauges": {"sync.staleness.mean": 1.5},
+        })
         assert "# TYPE repro_query_completed counter" in text
         assert "repro_query_completed 3" in text
         assert "# TYPE repro_sync_staleness_mean gauge" in text
@@ -48,11 +48,10 @@ class TestPrometheusExposition:
         assert text.endswith("\n")
 
     def test_histogram_renders_cumulative_buckets(self):
-        registry = MetricsRegistry()
-        hist = registry.histogram("query.cl.hist", bounds=(1.0, 2.0))
+        hist = Histogram("query.cl.hist", bounds=(1.0, 2.0))
         for value in (0.5, 1.5, 1.7, 5.0):
             hist.observe(value)
-        text = to_prometheus(registry.snapshot())
+        text = to_prometheus({"histograms": {hist.name: hist.snapshot()}})
         assert "# TYPE repro_query_cl_hist histogram" in text
         assert 'repro_query_cl_hist_bucket{le="1"} 1' in text
         # Cumulative: the le="2" bucket includes everything below it.
@@ -74,9 +73,7 @@ class TestPrometheusExposition:
         assert 'repro_sync_table_staleness{table="orders"} 2' in text
 
     def test_custom_prefix_and_name_sanitization(self):
-        registry = MetricsRegistry()
-        registry.counter("mqo.shed").inc()
-        text = to_prometheus(registry.snapshot(), prefix="dss")
+        text = to_prometheus({"counters": {"mqo.shed": 1.0}}, prefix="dss")
         assert "dss_mqo_shed 1" in text
         assert "." not in text.split()[-2]
 

@@ -30,6 +30,11 @@ class TestDSSQuery:
         with pytest.raises(WorkloadError):
             DSSQuery(query_id=1, name="q", tables=("a",), business_value=0.0)
 
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    def test_rejects_non_finite_business_value(self, value):
+        with pytest.raises(WorkloadError):
+            DSSQuery(query_id=1, name="q", tables=("a",), business_value=value)
+
     def test_rejects_nonpositive_base_work(self):
         with pytest.raises(WorkloadError):
             DSSQuery(query_id=1, name="q", tables=("a",), base_work=-1.0)
