@@ -56,10 +56,10 @@ test-scale:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/test_mqo_conflict_incremental.py tests/test_mqo_scale.py -q -m "not slow"
 
 # The fleet telemetry stack: per-shard spools, collector merge,
-# cross-shard checker rules, registry merge property, and the /metrics
+# cross-shard checker rules, the registry-is-a-fold property, and the /metrics
 # content negotiation (long configs stay behind `slow`).
 test-fleet:
-	PYTHONPATH=src $(PYTHON) -m pytest tests/test_obs_fleet.py tests/test_obs_live_merge.py tests/test_serve_metrics_formats.py -q -m "not slow"
+	PYTHONPATH=src $(PYTHON) -m pytest tests/test_obs_fleet.py tests/test_obs_fleet_fold.py tests/test_serve_metrics_formats.py -q -m "not slow"
 
 # End-to-end HTTP pass over every route; asserts checker-clean trace and
 # SimClock replay equivalence.

@@ -309,8 +309,9 @@ def _run_scale_fleet(parser: argparse.ArgumentParser, args: argparse.Namespace) 
 
     Runs the sweep with per-shard spools, merges them through the
     :class:`~repro.obs.fleet.FleetCollector`, renders one fleet dashboard
-    per schedule, optionally writes chrome traces / an HTML report, and
-    exits non-zero on any cross-shard checker violation.
+    per schedule (with ``--fleet-metrics``, plus the collector's registry
+    folded over the merged trace), optionally writes chrome traces / an
+    HTML report, and exits non-zero on any cross-shard checker violation.
     """
     import json
     from dataclasses import replace
@@ -356,6 +357,8 @@ def _run_scale_fleet(parser: argparse.ArgumentParser, args: argparse.Namespace) 
     def on_fleet(name: str, collector, violations: list) -> None:
         all_violations.extend(violations)
         snapshot = collector.snapshot()
+        if args.fleet_metrics:
+            snapshot["registry"] = collector.registry.snapshot()
         snapshots[name] = snapshot
         chunks.append(render_fleet_dashboard(snapshot, title=name))
         if violations:
@@ -526,8 +529,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--fleet-metrics", action="store_true",
         help=(
-            "('scale' only) like --trace, plus per-shard live registries "
-            "merged into one fleet registry and rendered as a dashboard"
+            "('scale' only) like --trace, plus the fleet registry (the "
+            "live registry folded over the merged trace) on the dashboard"
         ),
     )
     parser.add_argument(

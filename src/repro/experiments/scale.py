@@ -186,8 +186,11 @@ class ScaleConfig:
     #: ``repro.obs.fleet`` path).  Off by default: every committed number
     #: is produced telemetry-free.
     trace: bool = False
-    #: Additionally ship each shard's :class:`~repro.obs.live.LiveRegistry`
-    #: state for the merged fleet registry (implies the spool machinery).
+    #: Accepted as implying ``trace``: shards ship records only, and the
+    #: fleet registry is folded from the merged trace in the parent when a
+    #: caller reads ``FleetCollector.registry`` (the CLI's
+    #: ``--fleet-metrics`` dashboard does).  ``benchmarks/e2e/sim_child.py``
+    #: still passes it.
     fleet_metrics: bool = False
     #: Bound on each shard tracer's retained records (``None`` =
     #: unbounded).  The spool sees every record via subscription either
@@ -325,7 +328,6 @@ def _traced_run(
     subscription while the tracer itself is drained after every pop.
     """
     from repro.obs.fleet import ShardSpoolWriter
-    from repro.obs.live import LiveRegistry
     from repro.sim.clocks import SimClock
     from repro.sim.trace import Tracer
 
@@ -337,13 +339,8 @@ def _traced_run(
         spool_path, shard, meta={"schedule": spec.name, "seed": config.seed},
     ) as spool:
         spool.attach(tracer)
-        registry = (
-            LiveRegistry().attach(tracer) if config.fleet_metrics else None
-        )
         session.push_arrivals()
         drive(session, clock, [LifecycleTrace(tracer), _ReleaseTrace(tracer)])
-        if registry is not None:
-            spool.registry(registry)
         decision = session.decision
         spool.summary(
             total_iv=decision.total_information_value,

@@ -1,32 +1,34 @@
-"""Fleet telemetry: cross-process trace collection and registry merging.
+"""Fleet telemetry: cross-process trace collection.
 
 The sharded runtimes (EXT5's spawned workers, and any future multi-process
-serving tier) are observability black boxes by default: lifecycle events,
-metrics and SLO state die with the worker.  This module ships them home.
+serving tier) are observability black boxes by default: lifecycle events
+and drop counters die with the worker.  This module ships them home.
 
 Each shard worker attaches a :class:`ShardSpoolWriter` to its per-shard
 :class:`~repro.sim.trace.Tracer`: every emitted record is framed onto a
 length-prefixed, CRC-guarded JSONL *spool* file — the exact ``D1`` framing
 discipline of :mod:`repro.durable.journal`, reused so torn tails from a
-killed worker are detected rather than half-parsed.  At join, the parent
-hands the spool paths to :class:`FleetCollector`, which rebuilds
+killed worker are detected rather than half-parsed.  A shard ships
+records, never derived state.  At join, the parent hands the spool paths
+to :class:`FleetCollector`, which rebuilds
 
 * **one canonical trace** — per-shard streams merged into a stable global
   time order (ties broken by shard index, then per-shard emit order), every
   record tagged ``shard=k`` in its detail, exportable to chrome://tracing
   with one process group per shard (:meth:`FleetCollector.chrome_trace`);
-* **one merged registry** — :meth:`LiveRegistry.merge` over the shipped
-  per-shard registry states (counters sum, histograms add bucket-wise,
-  EWMAs sum exactly, P² sketches combine within their documented bound);
+* **one fleet registry**, on demand — a single
+  :class:`~repro.obs.live.LiveRegistry` fed the untagged records in that
+  same merged order, so it *is* the union fold, not an approximation of it;
 * **one fleet snapshot** — per-shard summaries (including each shard's
   ``dropped_events``) plus fleet totals whose IV/latency sums are
   *bit-exact* left-to-right sums of the per-shard values, which
   :meth:`TraceChecker.check_fleet <repro.obs.checker.TraceChecker.check_fleet>`
   re-derives from the trace and audits.
 
-Frame kinds on the spool: ``fleet.header`` (shard identity + metadata),
-``fleet.trace`` (one trace record), ``fleet.registry`` (the shard's
-:meth:`LiveRegistry.state_dict`), ``fleet.summary`` (scheduler totals).
+Frame kinds on the spool, in order: one ``fleet.header`` (shard identity,
+schema version, metadata), any number of ``fleet.trace`` (one trace record
+each), then at most one ``fleet.summary`` (scheduler totals), which must
+be the last frame.
 
 Layering note: this is the one place ``obs`` reaches *up* to
 ``durable.journal`` (ARCHITECTURE §11 documents the exception; the journal
@@ -42,10 +44,10 @@ from dataclasses import dataclass, field
 from repro.durable.journal import JournalWriter, read_journal
 from repro.errors import SimulationError
 from repro.obs.export import record_from_dict, record_to_dict, to_chrome_trace
-from repro.obs.live import LiveRegistry
 from repro.sim.trace import TraceRecord
 
 if typing.TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.obs.live import LiveRegistry
     from repro.sim.trace import Tracer
 
 __all__ = [
@@ -57,8 +59,9 @@ __all__ = [
     "FleetCollector",
 ]
 
-#: Spool frame schema version (bump on incompatible frame changes).
-SPOOL_SCHEMA = 1
+#: Spool frame schema version (bump on incompatible frame changes).  A
+#: spool is read at join and never kept, so only the current one is read.
+SPOOL_SCHEMA = 2
 
 #: Chrome-trace pid of shard 0; shard *k* renders as process ``base + k``.
 #: Starts above pid 1 (the single-process simulation domain) and pid 2
@@ -67,7 +70,6 @@ FLEET_PID_BASE = 10
 
 _HEADER = "fleet.header"
 _TRACE = "fleet.trace"
-_REGISTRY = "fleet.registry"
 _SUMMARY = "fleet.summary"
 
 
@@ -75,7 +77,7 @@ class ShardSpoolWriter:
     """Stream one shard's telemetry onto a D1-framed spool file.
 
     Write order is header first (enforced), then any number of trace
-    frames, then optionally one registry frame and one summary frame.
+    frames, then optionally one summary frame (enforced by the reader).
     ``fsync_every`` defaults high: a spool is collected at *join*, not
     replayed after a crash, so durability of the tail buys nothing — the
     framing is reused for its torn-tail *detection*, not its recovery.
@@ -109,10 +111,6 @@ class ShardSpoolWriter:
         """Frame one trace record onto the spool."""
         self._journal.append({"kind": _TRACE, "record": record_to_dict(record)})
 
-    def registry(self, registry: LiveRegistry) -> None:
-        """Ship the shard's live-registry state (call once, at shard end)."""
-        self._journal.append({"kind": _REGISTRY, "state": registry.state_dict()})
-
     def summary(self, **data) -> None:
         """Ship the shard's scheduler totals (call once, at shard end)."""
         self._journal.append({"kind": _SUMMARY, "data": data})
@@ -130,13 +128,12 @@ class ShardSpoolWriter:
 
 @dataclass
 class ShardTelemetry:
-    """Everything one shard shipped home: tagged trace + state + totals."""
+    """Everything one shard shipped home: tagged trace + totals."""
 
     shard: int
     meta: dict = field(default_factory=dict)
     #: Trace records in emit order, each detail tagged ``shard=<index>``.
     records: list[TraceRecord] = field(default_factory=list)
-    registry: LiveRegistry | None = None
     summary: dict = field(default_factory=dict)
 
     @property
@@ -151,7 +148,8 @@ def read_spool(path: str) -> ShardTelemetry:
     A torn tail or CRC mismatch raises (via the journal's strict reader):
     a spool is written by a worker that *joined successfully*, so unlike a
     crash journal an invalid byte here is a real bug, not an expected
-    recovery state.
+    recovery state.  So does any frame out of the documented order — a
+    second header, a second summary, or a trace frame after the summary.
     """
     frames = read_journal(path)
     if not frames or frames[0][0].get("kind") != _HEADER:
@@ -164,16 +162,22 @@ def read_spool(path: str) -> ShardTelemetry:
         )
     shard = int(header["shard"])
     telemetry = ShardTelemetry(shard=shard, meta=dict(header.get("meta", {})))
+    summary_at = None
     for payload, offset in frames[1:]:
         kind = payload.get("kind")
+        if summary_at is not None and kind in (_TRACE, _SUMMARY):
+            what = "second fleet.summary" if kind == _SUMMARY else kind
+            raise SimulationError(
+                f"spool {path}: {what} at offset {offset} after the "
+                f"fleet.summary at offset {summary_at}"
+            )
         if kind == _TRACE:
             record = record_from_dict(payload["record"])
             record.detail["shard"] = shard
             telemetry.records.append(record)
-        elif kind == _REGISTRY:
-            telemetry.registry = LiveRegistry.from_state(payload["state"])
         elif kind == _SUMMARY:
             telemetry.summary = dict(payload["data"])
+            summary_at = offset
         elif kind == _HEADER:
             raise SimulationError(
                 f"spool {path}: duplicate header at offset {offset}"
@@ -183,6 +187,16 @@ def read_spool(path: str) -> ShardTelemetry:
                 f"spool {path}: unknown frame kind {kind!r} at offset {offset}"
             )
     return telemetry
+
+
+def _untagged(record: TraceRecord) -> TraceRecord:
+    """``record`` as its shard emitted it, without the collector's tag."""
+    return TraceRecord(
+        time=record.time,
+        kind=record.kind,
+        subject=record.subject,
+        detail={key: value for key, value in record.detail.items() if key != "shard"},
+    )
 
 
 def _lsum(values: typing.Iterable[float]) -> float:
@@ -236,26 +250,26 @@ class FleetCollector:
             )
         return self._records
 
-    # -- the merged registry ------------------------------------------------
+    # -- the fleet registry -------------------------------------------------
 
     @property
-    def registry(self) -> LiveRegistry:
-        """The fleet registry: :meth:`LiveRegistry.merge` over shard states."""
+    def registry(self) -> "LiveRegistry":
+        """The fleet registry: one :class:`~repro.obs.live.LiveRegistry`
+        fed every shard's records, untagged, in :attr:`records` order.
+
+        Folded on first read only.  The shard tag is stripped because the
+        registry parses ledger details through the strict
+        ``IVLedgerEntry.from_dict``, which would count a tagged ledger
+        record as malformed.
+        """
         if self._registry is None:
-            states = [
-                telemetry.registry
-                for telemetry in self.shards
-                if telemetry.registry is not None
-            ]
-            if not states:
-                raise SimulationError("no shard shipped a registry frame")
-            self._registry = LiveRegistry.merge(states)
-        return self._registry
+            from repro.obs.live import LiveRegistry
 
-    @property
-    def has_registry(self) -> bool:
-        """Whether any shard shipped a registry frame."""
-        return any(telemetry.registry is not None for telemetry in self.shards)
+            registry = LiveRegistry()
+            for record in self.records:
+                registry.observe(_untagged(record))
+            self._registry = registry
+        return self._registry
 
     # -- conservation inputs ------------------------------------------------
 
@@ -292,15 +306,15 @@ class FleetCollector:
 
     # -- the fleet snapshot -------------------------------------------------
 
-    def snapshot(self, now: float | None = None) -> dict:
+    def snapshot(self) -> dict:
         """One JSON-ready fleet view: per-shard panels + bit-exact totals.
 
         ``shards`` keeps every per-shard summary (scheduler totals,
-        ``dropped_events``, ledger sums, and the shard registry's *gauges*
-        — gauges are deliberately per-shard, never blended); ``fleet``
-        holds the totals, each a left-to-right sum over shards in shard
-        order (:func:`_lsum`), which ``check_fleet`` audits bit-exactly
-        against the trace.
+        ``dropped_events``, ledger sums); ``fleet`` holds the totals, each
+        a left-to-right sum over shards in shard order (:func:`_lsum`),
+        which ``check_fleet`` audits bit-exactly against the trace.  The
+        fleet registry is not part of it: a caller that wants it reads
+        :attr:`registry`.
         """
         ledger_totals = self.shard_ledger_totals()
         shards = []
@@ -316,8 +330,6 @@ class FleetCollector:
                 },
                 **ledger,
             }
-            if telemetry.registry is not None:
-                panel["gauges"] = telemetry.registry.snapshot(now)["gauges"]
             shards.append(panel)
         fleet = {
             "shards": len(self.shards),
@@ -333,10 +345,7 @@ class FleetCollector:
             fleet["total_iv"] = _lsum(
                 telemetry.summary["total_iv"] for telemetry in self.shards
             )
-        snapshot = {"shards": shards, "fleet": fleet}
-        if self.has_registry:
-            snapshot["registry"] = self.registry.snapshot(now)
-        return snapshot
+        return {"shards": shards, "fleet": fleet}
 
     # -- exports ------------------------------------------------------------
 
@@ -347,21 +356,8 @@ class FleetCollector:
             # The exporter parses LEDGER details through the *strict*
             # IVLedgerEntry.from_dict; hand it records without the shard
             # tag (the pid carries the shard identity in this format).
-            untagged = [
-                TraceRecord(
-                    time=record.time,
-                    kind=record.kind,
-                    subject=record.subject,
-                    detail={
-                        key: value
-                        for key, value in record.detail.items()
-                        if key != "shard"
-                    },
-                )
-                for record in telemetry.records
-            ]
             shard_trace = to_chrome_trace(
-                untagged,
+                [_untagged(record) for record in telemetry.records],
                 pid=FLEET_PID_BASE + telemetry.shard,
                 process_name=f"shard {telemetry.shard}",
             )

@@ -24,11 +24,15 @@ incrementally yields final counters and histogram buckets **equal** to the
 drained-system :func:`~repro.obs.metrics.registry_from_system` snapshot,
 and sketch quantiles within the sketch's error bounds — both registries
 consume the exact same ledger floats in the exact same order.
+
+There is no second way to build a registry: state is never serialized
+or merged.  Across processes the records travel instead, and the fleet
+registry (:attr:`repro.obs.fleet.FleetCollector.registry`) is this same
+fold fed the merged fleet trace.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 import typing
 from collections import deque
@@ -91,46 +95,6 @@ class EwmaRate:
             self._decay_to(now)
         return self._value
 
-    def state_dict(self) -> dict:
-        """JSON-ready internal state (inverse: :meth:`from_state`)."""
-        return {"half_life": self.half_life, "value": self._value, "last": self._last}
-
-    @classmethod
-    def from_state(cls, state: dict) -> "EwmaRate":
-        """Rebuild a rate from :meth:`state_dict` output."""
-        rate = cls(state["half_life"])
-        rate._value = float(state["value"])
-        rate._last = None if state["last"] is None else float(state["last"])
-        return rate
-
-    @classmethod
-    def merge(cls, rates: "typing.Sequence[EwmaRate]") -> "EwmaRate":
-        """Combine rates from disjoint event streams.
-
-        The EWMA fold is linear in its observations, so decaying every
-        input to the latest common instant and summing the decayed values
-        is *mathematically exact*: the merged rate equals what one EWMA fed
-        the union stream would hold (float rounding aside).
-        """
-        if not rates:
-            raise SimulationError("EwmaRate.merge needs at least one input")
-        half_life = rates[0].half_life
-        if any(rate.half_life != half_life for rate in rates):
-            raise SimulationError("cannot merge EwmaRates with differing half-lives")
-        merged = cls(half_life)
-        lasts = [rate._last for rate in rates if rate._last is not None]
-        if not lasts:
-            return merged
-        last = max(lasts)
-        value = 0.0
-        for rate in rates:
-            if rate._last is None:
-                continue
-            value += rate._value * 2.0 ** (-(last - rate._last) / half_life)
-        merged._value = value
-        merged._last = last
-        return merged
-
 
 class EwmaMean:
     """Exponentially-decayed weighted mean of observed values.
@@ -164,48 +128,6 @@ class EwmaMean:
     def mean(self) -> float:
         """The decayed mean (0.0 when nothing was observed)."""
         return self._weighted / self._weight if self._weight else 0.0
-
-    def state_dict(self) -> dict:
-        """JSON-ready internal state (inverse: :meth:`from_state`)."""
-        return {
-            "half_life": self.half_life,
-            "weighted": self._weighted,
-            "weight": self._weight,
-            "last": self._last,
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "EwmaMean":
-        """Rebuild a mean from :meth:`state_dict` output."""
-        mean = cls(state["half_life"])
-        mean._weighted = float(state["weighted"])
-        mean._weight = float(state["weight"])
-        mean._last = None if state["last"] is None else float(state["last"])
-        return mean
-
-    @classmethod
-    def merge(cls, means: "typing.Sequence[EwmaMean]") -> "EwmaMean":
-        """Combine means from disjoint streams (exact — same argument as
-        :meth:`EwmaRate.merge`: both the weighted sum and the weight sum are
-        linear folds, so decay-to-common-instant-then-sum is the union fold)."""
-        if not means:
-            raise SimulationError("EwmaMean.merge needs at least one input")
-        half_life = means[0].half_life
-        if any(mean.half_life != half_life for mean in means):
-            raise SimulationError("cannot merge EwmaMeans with differing half-lives")
-        merged = cls(half_life)
-        lasts = [mean._last for mean in means if mean._last is not None]
-        if not lasts:
-            return merged
-        last = max(lasts)
-        for mean in means:
-            if mean._last is None:
-                continue
-            factor = 2.0 ** (-(last - mean._last) / half_life)
-            merged._weighted += mean._weighted * factor
-            merged._weight += mean._weight * factor
-        merged._last = last
-        return merged
 
 
 class WindowCounter:
@@ -241,35 +163,6 @@ class WindowCounter:
     def rate(self, now: float) -> float:
         """Events per minute over the window."""
         return self.count(now) / self.window
-
-    def state_dict(self) -> dict:
-        """JSON-ready internal state (inverse: :meth:`from_state`)."""
-        return {"window": self.window, "times": list(self._times)}
-
-    @classmethod
-    def from_state(cls, state: dict) -> "WindowCounter":
-        """Rebuild a window counter from :meth:`state_dict` output."""
-        counter = cls(state["window"])
-        counter._times = deque(float(time) for time in state["times"])
-        return counter
-
-    @classmethod
-    def merge(cls, counters: "typing.Sequence[WindowCounter]") -> "WindowCounter":
-        """Exact union: the retained timestamps of disjoint streams are
-        merged in sorted order (ties keep input order, matching a union
-        stream's fold)."""
-        if not counters:
-            raise SimulationError("WindowCounter.merge needs at least one input")
-        window = counters[0].window
-        if any(counter.window != window for counter in counters):
-            raise SimulationError("cannot merge WindowCounters with differing windows")
-        merged = cls(window)
-        merged._times = deque(
-            heapq.merge(*(counter._times for counter in counters))
-        )
-        if merged._times:
-            merged._prune(merged._times[-1])
-        return merged
 
 
 class P2Quantile:
@@ -373,111 +266,6 @@ class P2Quantile:
             return self._heights[rank]
         return self._heights[2]
 
-    def state_dict(self) -> dict:
-        """JSON-ready internal state (inverse: :meth:`from_state`)."""
-        return {
-            "q": self.q,
-            "heights": list(self._heights),
-            "positions": list(self._positions),
-            "desired": list(self._desired),
-            "count": self._count,
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "P2Quantile":
-        """Rebuild a sketch from :meth:`state_dict` output."""
-        sketch = cls(state["q"])
-        sketch._heights = [float(height) for height in state["heights"]]
-        sketch._positions = [float(position) for position in state["positions"]]
-        sketch._desired = [float(desired) for desired in state["desired"]]
-        sketch._count = int(state["count"])
-        return sketch
-
-    def _marker_points(self) -> list[tuple[float, float]]:
-        """Weighted sample summary: ``(height, weight)`` pairs summing to count.
-
-        Below five samples the startup buffer *is* the sample set (weight 1
-        each).  From five on, marker ``i`` sits at cumulative rank ``n_i``
-        and stands in for the samples nearest it — half of each adjacent
-        gap, so its mass is *centered* on its rank rather than skewed to
-        one side (weights sum to the sample count).
-        """
-        if self._count < 5:
-            return [(height, 1.0) for height in self._heights]
-        heights, positions = self._heights, self._positions
-        points = []
-        for index in range(5):
-            below = positions[index - 1] if index > 0 else positions[0] - 1.0
-            above = positions[index + 1] if index < 4 else positions[4] + 1.0
-            points.append((heights[index], (above - below) / 2.0))
-        return points
-
-    @classmethod
-    def merge(cls, sketches: "typing.Sequence[P2Quantile]") -> "P2Quantile":
-        """Combine P² sketches from disjoint streams.
-
-        The merge pools every input's weighted marker summary
-        (:meth:`_marker_points`) and rebuilds the five markers at their
-        desired ranks by weighted nearest-rank selection.
-
-        Approximation bound (asserted by the property suite): the merged
-        estimate is always one of the pooled marker heights, hence within
-        ``[min, max]`` of the union of all observed samples (markers 0 and 4
-        track exact extremes).  When every input is still in its exact
-        startup regime (< 5 samples each) *and* the pooled count is < 5, the
-        merge is exact; beyond that it inherits P²'s own locality — the
-        estimate lies between the two pooled markers bracketing the target
-        rank, so its error is bounded by the inputs' marker spacing.
-        """
-        if not sketches:
-            raise SimulationError("P2Quantile.merge needs at least one input")
-        q = sketches[0].q
-        if any(sketch.q != q for sketch in sketches):
-            raise SimulationError("cannot merge P2Quantiles with differing q")
-        merged = cls(q)
-        active = [sketch for sketch in sketches if sketch._count > 0]
-        if not active:
-            return merged
-        total = sum(sketch._count for sketch in active)
-        if all(sketch._count < 5 for sketch in active):
-            # Startup buffers retain every sample: replay them (sorted order
-            # is a valid stream order), exact whenever the pool stays < 5.
-            for height in sorted(
-                height for sketch in active for height in sketch._heights
-            ):
-                merged.observe(height)
-            return merged
-        points = sorted(
-            point for sketch in active for point in sketch._marker_points()
-        )
-
-        def at_rank(target: float) -> float:
-            running = 0.0
-            for height, weight in points:
-                running += weight
-                if running >= target:
-                    return height
-            return points[-1][0]
-
-        desired = [1.0 + increment * (total - 1) for increment in merged._increments]
-        heights = [
-            points[0][0],
-            at_rank(desired[1]),
-            at_rank(desired[2]),
-            at_rank(desired[3]),
-            points[-1][0],
-        ]
-        positions = [1.0]
-        for index in range(1, 5):
-            floor = positions[index - 1] + 1.0
-            ceiling = total - (4.0 - index)
-            positions.append(min(max(round(desired[index]), floor), ceiling))
-        merged._heights = sorted(heights)
-        merged._positions = positions
-        merged._desired = desired
-        merged._count = total
-        return merged
-
 
 class TableSyncState:
     """Per-table replication telemetry folded from the sync event stream.
@@ -528,44 +316,6 @@ class TableSyncState:
             "sync.table.last_gap": self.last_gap,
             "sync.table.syncs": float(self.syncs),
         }
-
-    def state_dict(self) -> dict:
-        """JSON-ready internal state (inverse: :meth:`from_state`)."""
-        return {
-            "last_apply": self.last_apply,
-            "published": self.published,
-            "last_gap": self.last_gap,
-            "syncs": self.syncs,
-            "update_rate": self.update_rate.state_dict(),
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "TableSyncState":
-        """Rebuild per-table state from :meth:`state_dict` output."""
-        table = cls(state["update_rate"]["half_life"])
-        table.last_apply = (
-            None if state["last_apply"] is None else float(state["last_apply"])
-        )
-        table.published = float(state["published"])
-        table.last_gap = float(state["last_gap"])
-        table.syncs = int(state["syncs"])
-        table.update_rate = EwmaRate.from_state(state["update_rate"])
-        return table
-
-    @classmethod
-    def merge(cls, states: "typing.Sequence[TableSyncState]") -> "TableSyncState":
-        """Fleet view of one table seen from several shards: frontiers take
-        the max (the freshest shard wins), sync counts sum, and update-rate
-        EWMAs sum exactly (:meth:`EwmaRate.merge`)."""
-        merged = cls(states[0].update_rate.half_life)
-        applies = [state.last_apply for state in states if state.last_apply is not None]
-        merged.last_apply = max(applies) if applies else None
-        merged.published = max(state.published for state in states)
-        newest = max(states, key=lambda state: state.last_apply or -math.inf)
-        merged.last_gap = newest.last_gap
-        merged.syncs = sum(state.syncs for state in states)
-        merged.update_rate = EwmaRate.merge([state.update_rate for state in states])
-        return merged
 
 
 class LiveRegistry:
@@ -843,190 +593,3 @@ class LiveRegistry:
             "sync.skipped": self.counters.get("sync.skipped", 0.0),
             "sync.delayed": self.counters.get("sync.delayed", 0.0),
         }
-
-    # -- cross-process shipping and fleet merge -----------------------------
-
-    _SKETCHES = ("cl_p50", "cl_p95", "sl_p95", "iv_p50", "staleness_p95")
-    _HISTOGRAMS = ("iv_hist", "cl_hist", "sl_hist")
-    _RATES = ("arrival_rate", "completion_rate")
-    _WINDOWS = (
-        "arrivals_window",
-        "completions_window",
-        "shed_window",
-        "failed_window",
-    )
-
-    def state_dict(self) -> dict:
-        """The complete internal state as a JSON-safe dict.
-
-        This is what a shard worker ships through its telemetry spool;
-        :meth:`from_state` rebuilds an equivalent registry in the parent
-        (``from_state(state_dict()).snapshot() == snapshot()``).
-        """
-        return {
-            "window": self.window,
-            "half_life": self.half_life,
-            "qos_max_staleness": self.qos_max_staleness,
-            "now": self.now,
-            "counters": dict(self.counters),
-            "histograms": {
-                name: getattr(self, name).snapshot() for name in self._HISTOGRAMS
-            },
-            "sketches": {
-                name: getattr(self, name).state_dict() for name in self._SKETCHES
-            },
-            "rates": {
-                name: getattr(self, name).state_dict() for name in self._RATES
-            },
-            "iv_ewma": self.iv_ewma.state_dict(),
-            "windows": {
-                name: getattr(self, name).state_dict() for name in self._WINDOWS
-            },
-            "estimated_iv": self._estimated_iv,
-            "realized_iv": self._realized_iv,
-            # JSON round-trips stringify int keys; from_state restores them.
-            "pending_estimates": {
-                str(qid): estimate
-                for qid, estimate in self._pending_estimates.items()
-            },
-            "in_flight": sorted(self._in_flight),
-            "down_since": dict(self._down_since),
-            "staleness_sum": self._staleness_sum,
-            "staleness_count": self._staleness_count,
-            "tables": {
-                name: table.state_dict() for name, table in self._tables.items()
-            },
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "LiveRegistry":
-        """Inverse of :meth:`state_dict`."""
-        registry = cls(
-            window=state["window"],
-            half_life=state["half_life"],
-            qos_max_staleness=state["qos_max_staleness"],
-        )
-        registry.now = float(state["now"])
-        registry.counters = {
-            name: float(value) for name, value in state["counters"].items()
-        }
-        for name in cls._HISTOGRAMS:
-            snap = state["histograms"][name]
-            setattr(
-                registry, name, Histogram.from_snapshot(getattr(registry, name).name, snap)
-            )
-        for name in cls._SKETCHES:
-            setattr(registry, name, P2Quantile.from_state(state["sketches"][name]))
-        for name in cls._RATES:
-            setattr(registry, name, EwmaRate.from_state(state["rates"][name]))
-        registry.iv_ewma = EwmaMean.from_state(state["iv_ewma"])
-        for name in cls._WINDOWS:
-            setattr(registry, name, WindowCounter.from_state(state["windows"][name]))
-        registry._estimated_iv = float(state["estimated_iv"])
-        registry._realized_iv = float(state["realized_iv"])
-        registry._pending_estimates = {
-            int(qid): float(estimate)
-            for qid, estimate in state["pending_estimates"].items()
-        }
-        registry._in_flight = {int(qid) for qid in state["in_flight"]}
-        registry._down_since = {
-            site: float(since) for site, since in state["down_since"].items()
-        }
-        registry._staleness_sum = float(state["staleness_sum"])
-        registry._staleness_count = int(state["staleness_count"])
-        registry._tables = {
-            name: TableSyncState.from_state(table)
-            for name, table in state["tables"].items()
-        }
-        return registry
-
-    @classmethod
-    def merge(cls, registries: "typing.Sequence[LiveRegistry]") -> "LiveRegistry":
-        """Fold per-shard registries into one fleet registry.
-
-        Merge semantics per aggregator family (the fleet property suite
-        asserts these against a single-process fold of the union stream):
-
-        * **counters** — summed (exact);
-        * **histograms** — bucket-wise addition (exact, same bounds);
-        * **EWMA rates/means** — decayed to the latest common instant and
-          summed; exact because the folds are linear in observations;
-        * **sliding windows** — timestamp deques merged sorted (exact);
-        * **P² sketches** — combined via :meth:`P2Quantile.merge`; the
-          estimate stays within the pooled ``[min, max]`` and between the
-          pooled markers bracketing the target rank (documented there);
-        * **gauge inputs** (in-flight sets, plan estimates, outage opens) —
-          unioned; shards own disjoint queries so the unions are disjoint,
-          and a site down on several shards keeps its earliest open time;
-        * **per-table sync state** — freshest frontier wins, rates sum
-          (:meth:`TableSyncState.merge`).
-
-        Per-shard *gauges* are intentionally not blended into one number —
-        the fleet snapshot keeps them per shard (see
-        :class:`repro.obs.fleet.FleetCollector`).
-        """
-        if not registries:
-            raise SimulationError("LiveRegistry.merge needs at least one input")
-        first = registries[0]
-        for registry in registries[1:]:
-            if (
-                registry.window != first.window
-                or registry.half_life != first.half_life
-                or registry.qos_max_staleness != first.qos_max_staleness
-            ):
-                raise SimulationError(
-                    "cannot merge LiveRegistries with differing configuration"
-                )
-        merged = cls(
-            window=first.window,
-            half_life=first.half_life,
-            qos_max_staleness=first.qos_max_staleness,
-        )
-        merged.now = max(registry.now for registry in registries)
-        for registry in registries:
-            for name, value in registry.counters.items():
-                merged._inc(name, value)
-            merged._estimated_iv += registry._estimated_iv
-            merged._realized_iv += registry._realized_iv
-            merged._pending_estimates.update(registry._pending_estimates)
-            merged._in_flight |= registry._in_flight
-            for site, since in registry._down_since.items():
-                held = merged._down_since.get(site)
-                merged._down_since[site] = since if held is None else min(held, since)
-            merged._staleness_sum += registry._staleness_sum
-            merged._staleness_count += registry._staleness_count
-        for name in cls._HISTOGRAMS:
-            target = getattr(merged, name)
-            for registry in registries:
-                target.merge_from(getattr(registry, name))
-        for name in cls._SKETCHES:
-            setattr(
-                merged,
-                name,
-                P2Quantile.merge([getattr(registry, name) for registry in registries]),
-            )
-        for name in cls._RATES:
-            setattr(
-                merged,
-                name,
-                EwmaRate.merge([getattr(registry, name) for registry in registries]),
-            )
-        merged.iv_ewma = EwmaMean.merge(
-            [registry.iv_ewma for registry in registries]
-        )
-        for name in cls._WINDOWS:
-            setattr(
-                merged,
-                name,
-                WindowCounter.merge(
-                    [getattr(registry, name) for registry in registries]
-                ),
-            )
-        tables: dict[str, list[TableSyncState]] = {}
-        for registry in registries:
-            for name, table in registry._tables.items():
-                tables.setdefault(name, []).append(table)
-        merged._tables = {
-            name: TableSyncState.merge(states) for name, states in tables.items()
-        }
-        return merged

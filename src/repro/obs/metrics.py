@@ -111,27 +111,6 @@ class Histogram:
             running += bucket_count
         return self.maximum
 
-    def merge_from(self, other: "Histogram") -> "Histogram":
-        """Fold ``other`` into this histogram, bucket-wise.
-
-        Exact: every aggregate (bucket counts, count, sum, min, max) of the
-        merged histogram equals what one histogram fed both streams would
-        hold, up to float addition order on ``sum``.  Requires identical
-        bucket bounds.
-        """
-        if other.bounds != self.bounds:
-            raise SimulationError(
-                f"cannot merge histogram {other.name!r} into {self.name!r}: "
-                f"bucket bounds differ"
-            )
-        for index, bucket_count in enumerate(other.counts):
-            self.counts[index] += bucket_count
-        self.count += other.count
-        self.sum += other.sum
-        self.minimum = min(self.minimum, other.minimum)
-        self.maximum = max(self.maximum, other.maximum)
-        return self
-
     def snapshot(self) -> dict:
         """JSON-ready representation."""
         return {
@@ -143,17 +122,6 @@ class Histogram:
             "max": self.maximum if self.count else None,
             "mean": self.mean,
         }
-
-    @classmethod
-    def from_snapshot(cls, name: str, data: dict) -> "Histogram":
-        """Inverse of :meth:`snapshot` (used to ship histograms across processes)."""
-        histogram = cls(name, bounds=tuple(data["bounds"]))
-        histogram.counts = [int(count) for count in data["counts"]]
-        histogram.count = int(data["count"])
-        histogram.sum = float(data["sum"])
-        histogram.minimum = math.inf if data["min"] is None else float(data["min"])
-        histogram.maximum = -math.inf if data["max"] is None else float(data["max"])
-        return histogram
 
 
 def registry_from_system(system: "FederatedSystem") -> dict:

@@ -112,9 +112,9 @@ def render_fleet_dashboard(snapshot: dict, title: str = "fleet") -> str:
     """A :meth:`~repro.obs.fleet.FleetCollector.snapshot` as terminal text.
 
     One summary row per shard (scheduler totals, trace coverage, dropped
-    events), the fleet's bit-exact totals, then the merged registry's
-    sections when a registry was shipped (rates/quantiles/counters plus
-    the per-table sync block).
+    events), the fleet's bit-exact totals, then the fleet registry's
+    sections when the caller added one under ``"registry"``
+    (rates/quantiles/counters plus the per-table sync block).
     """
     shards = snapshot.get("shards") or []
     fleet = snapshot.get("fleet") or {}
@@ -302,8 +302,8 @@ def fleet_report_html(snapshot: dict, title: str = "Fleet telemetry report") -> 
 
     ``snapshot`` is :meth:`~repro.obs.fleet.FleetCollector.snapshot`:
     per-shard panels render as one table row each, the fleet totals and
-    (when shipped) the merged registry — including the per-table sync
-    block — as their own sections.  No external assets, same archival
+    (when the caller added one under ``"registry"``) the fleet registry —
+    including the per-table sync block — as their own sections.  No external assets, same archival
     contract as :func:`live_report_html`.
     """
     shards = snapshot.get("shards") or []

@@ -51,6 +51,12 @@ _MAX_BODY_BYTES = 65536
 #: Seconds a connection gets to deliver its whole request; a client that
 #: stalls past it is answered 408 and closed instead of holding a handler.
 _READ_DEADLINE_SECONDS = 10.0
+#: Connections handled at once; one more is answered 503 with
+#: ``Retry-After`` before any of its request is parsed, so stalled
+#: clients cannot pile up handlers without bound.
+_MAX_CONNECTIONS = 256
+#: Seconds a refused connection is given to hang up after its 503.
+_LINGER_SECONDS = 1.0
 
 _STATUS_TEXT = {
     200: "OK",
@@ -65,12 +71,16 @@ _STATUS_TEXT = {
 
 
 def _response(
-    status: int, body: bytes, content_type: str = "application/json"
+    status: int,
+    body: bytes,
+    content_type: str = "application/json",
+    extra_headers: str = "",
 ) -> bytes:
     head = (
         f"HTTP/1.1 {status} {_STATUS_TEXT.get(status, 'Unknown')}\r\n"
         f"Content-Type: {content_type}\r\n"
         f"Content-Length: {len(body)}\r\n"
+        f"{extra_headers}"
         f"Connection: close\r\n"
         f"\r\n"
     )
@@ -79,6 +89,14 @@ def _response(
 
 def _json_response(status: int, payload: dict) -> bytes:
     return _response(status, json.dumps(payload).encode("utf-8"))
+
+
+#: The answer to a connection beyond ``_MAX_CONNECTIONS``.
+_BUSY = _response(
+    503,
+    b'{"error": "too many open connections"}',
+    extra_headers="Retry-After: 1\r\n",
+)
 
 
 async def _read_request(
@@ -106,6 +124,38 @@ async def _read_request(
     return method, path, headers, body
 
 
+async def _close(writer: asyncio.StreamWriter) -> None:
+    writer.close()
+    try:
+        await writer.wait_closed()
+    except (ConnectionError, BrokenPipeError):  # pragma: no cover
+        pass
+
+
+async def _refuse(
+    reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+) -> None:
+    """Answer 503 without parsing the request, then hang up.
+
+    Closing a socket with unread input sends a reset, which can destroy
+    the 503 before the client reads it.  So the write side is shut first
+    and the client gets ``_LINGER_SECONDS`` to hang up, its bytes
+    discarded unparsed.
+    """
+
+    async def discard() -> None:
+        while await reader.read(4096):
+            pass
+
+    writer.write(_BUSY)
+    writer.write_eof()
+    try:
+        await asyncio.wait_for(discard(), _LINGER_SECONDS)
+    except (asyncio.TimeoutError, ConnectionError):
+        pass
+    await _close(writer)
+
+
 class HTTPServer:
     """Serves one :class:`QueryService` over HTTP until shutdown."""
 
@@ -121,6 +171,7 @@ class HTTPServer:
         self._server: asyncio.AbstractServer | None = None
         self._runner: asyncio.Task | None = None
         self._shutdown = asyncio.Event()
+        self._connections = 0
 
     @property
     def address(self) -> tuple[str, int]:
@@ -162,6 +213,10 @@ class HTTPServer:
     async def _handle(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        if self._connections >= _MAX_CONNECTIONS:
+            await _refuse(reader, writer)
+            return
+        self._connections += 1
         try:
             try:
                 method, path, _headers, body = await asyncio.wait_for(
@@ -188,11 +243,8 @@ class HTTPServer:
             writer.write(response)
             await writer.drain()
         finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, BrokenPipeError):  # pragma: no cover
-                pass
+            self._connections -= 1
+            await _close(writer)
 
     async def _route(self, method: str, path: str, body: bytes) -> bytes:
         path, _, query_string = path.partition("?")
@@ -322,11 +374,7 @@ async def http_request(
         await writer.drain()
         raw = await asyncio.wait_for(reader.read(), timeout=timeout)
     finally:
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except (ConnectionError, BrokenPipeError):  # pragma: no cover
-            pass
+        await _close(writer)
     head_bytes, _, body_bytes = raw.partition(b"\r\n\r\n")
     lines = head_bytes.decode("latin-1").split("\r\n")
     status = int(lines[0].split(" ", 2)[1])

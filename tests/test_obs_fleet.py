@@ -26,7 +26,7 @@ from repro.obs.fleet import (
 )
 from repro.core.value import DiscountRates
 from repro.obs.ledger import completion_ledger
-from repro.obs.live import LiveRegistry, TableSyncState
+from repro.obs.live import TableSyncState
 from repro.sim.trace import TraceRecord, Tracer
 
 
@@ -74,13 +74,10 @@ class TestSpoolRoundTrip:
     def test_header_records_registry_summary_round_trip(self, tmp_path):
         path = str(tmp_path / "shard0.spool")
         tracer = Tracer(lambda: 0.0)
-        registry = LiveRegistry()
         with ShardSpoolWriter(path, shard=3, meta={"schedule": "t"}) as spool:
             spool.attach(tracer)
-            registry.attach(tracer)
             tracer.emit("submit", "q0", qid=0)
             tracer.emit("complete", "q0", qid=0, iv=0.5, cl=1.0, sl=0.0)
-            spool.registry(registry)
             spool.summary(total_iv=0.5, dropped_events=tracer.dropped)
 
         telemetry = read_spool(path)
@@ -91,8 +88,6 @@ class TestSpoolRoundTrip:
         assert all(r.detail["shard"] == 3 for r in telemetry.records)
         assert telemetry.summary["total_iv"] == 0.5
         assert telemetry.dropped_events == 0
-        assert telemetry.registry is not None
-        assert telemetry.registry.counters["query.submitted"] == 1.0
 
     def test_negative_shard_index_rejected(self, tmp_path):
         with pytest.raises(SimulationError):
@@ -119,6 +114,36 @@ class TestSpoolRoundTrip:
         }})
         writer.close()
         with pytest.raises(SimulationError, match="fleet.header"):
+            read_spool(path)
+
+    def test_second_summary_rejected_at_its_offset(self, tmp_path):
+        # A second summary used to overwrite the first silently.
+        path = str(tmp_path / "twice.spool")
+        with ShardSpoolWriter(path, shard=0) as spool:
+            spool.summary(total_iv=0.5, dropped_events=0)
+            spool.summary(total_iv=9.0, dropped_events=0)
+        with pytest.raises(SimulationError, match=r"second fleet\.summary.*offset \d+"):
+            read_spool(path)
+
+    def test_trace_after_summary_rejected_at_its_offset(self, tmp_path):
+        # The summary closes a spool; a record behind it used to be kept.
+        path = str(tmp_path / "late.spool")
+        with ShardSpoolWriter(path, shard=0) as spool:
+            spool.summary(total_iv=0.0, dropped_events=0)
+            spool.record(TraceRecord(1.0, "submit", "q0", {"qid": 0}))
+        with pytest.raises(SimulationError, match=r"after the fleet\.summary.*offset \d+"):
+            read_spool(path)
+
+    def test_other_schema_refused_at_the_header(self, tmp_path):
+        from repro.durable.journal import JournalWriter
+        from repro.obs.fleet import SPOOL_SCHEMA
+
+        path = str(tmp_path / "old.spool")
+        writer = JournalWriter(path, fsync_every=1)
+        writer.append({"kind": "fleet.header", "schema": SPOOL_SCHEMA - 1,
+                       "shard": 0, "meta": {}})
+        writer.close()
+        with pytest.raises(SimulationError, match="schema"):
             read_spool(path)
 
 
@@ -266,7 +291,7 @@ class TestShardedSweepEndToEnd:
             total += value
         assert metrics["total_iv"]["online"] == total
         assert fleet["total_iv"] == metrics["total_iv"]["online"]
-        # The merged registry agrees with the scheduler's own counts.
+        # The fleet registry agrees with the scheduler's own counts.
         registry = captured["collector"].registry
         assert registry.counters["ledger.entries"] == 160.0
         assert registry.counters["query.completed"] == 160.0
@@ -283,6 +308,48 @@ class TestShardedSweepEndToEnd:
                     "ga_runs", "total_iv"):
             assert traced[key] == plain[key], key
         assert "fleet" not in plain
+
+    def test_no_registry_is_folded_unless_read(self, monkeypatch):
+        # Shards trace and spool only; the fleet registry is folded in the
+        # parent, and only for a caller that reads it.
+        from repro.obs.live import LiveRegistry
+
+        observed = []
+        fold = LiveRegistry.observe
+
+        def counting_observe(self, record):
+            observed.append(record)
+            fold(self, record)
+
+        monkeypatch.setattr(LiveRegistry, "observe", counting_observe)
+        collectors = []
+        metrics = self.run_traced(
+            lambda name, collector, violations: collectors.append(collector)
+        )
+        assert observed == []
+        collectors[0].registry
+        assert len(observed) == metrics["fleet"]["records"]
+
+    def test_documented_two_thousand_query_steady_trace(self):
+        # EXPERIMENTS' fleet section: 13,618 records + 2,000 ledger entries
+        # across two shard spools, clean and bit-exact.
+        from dataclasses import replace
+
+        from repro.experiments.scale import (
+            DEFAULT_SCHEDULES,
+            ScaleConfig,
+            run_schedule,
+        )
+
+        spec = replace(DEFAULT_SCHEDULES[0], queries=2_000)
+        metrics = run_schedule(
+            ScaleConfig(executor="serial", schedules=(spec,), trace=True), spec
+        )
+        fleet = metrics["fleet"]
+        assert (fleet["records"], fleet["ledger_entries"]) == (13_618, 2_000)
+        assert (fleet["violations"], fleet["dropped_events"]) == (0, 0)
+        assert metrics["shards"] == 2
+        assert fleet["total_iv"] == metrics["total_iv"]["online"]
 
     def test_explicit_spool_dir_keeps_readable_spools(self, tmp_path):
         # A caller-provided spool dir survives the run (for inspection);
@@ -302,6 +369,65 @@ class TestShardedSweepEndToEnd:
         telemetry = read_spool(os.path.join(spool_dir, spools[0]))
         assert telemetry.shard == 0
         assert telemetry.records
+
+
+#: sha256 of the canonical JSON of what a fleet collection reports for the
+#: golden configs of ``tests/test_mqo_scale.py`` (serial, two shards,
+#: ``trace`` + ``fleet_metrics``): the fleet registry's counters, every
+#: histogram's ``counts`` / ``count`` / ``min`` / ``max``, the snapshot's
+#: ``fleet`` totals and each shard panel (minus the per-shard gauges the
+#: panels carried then).  Captured while shards still shipped registry
+#: state and the collector merged it; unchanged by the fold that replaced
+#: the merge.
+GOLDEN_FLEET_REGISTRY = {
+    "burst": "ec28cf5d7c125e4756d90a0d51070574"
+             "edc10c970b5af16186ba84e7c78867e8",
+    "pressure": "3a8e33c251922e8b9a287dd1a5bd2c59"
+                "e50462873c7d8bd8ee180d32b478a65a",
+    "steady": "939f9e6c395e6fbe95cebc8a6df8ad8a"
+              "0a7919e371359c624afe6f84c2630178",
+}
+
+
+def fleet_registry_digest(collector) -> str:
+    import hashlib
+
+    registry = collector.registry.snapshot()
+    snapshot = collector.snapshot()
+    pinned = {
+        "counters": registry["counters"],
+        "histograms": {
+            name: {key: data[key] for key in ("counts", "count", "min", "max")}
+            for name, data in registry["histograms"].items()
+        },
+        "fleet": snapshot["fleet"],
+        "shards": [
+            {key: value for key, value in panel.items() if key != "gauges"}
+            for panel in snapshot["shards"]
+        ],
+    }
+    canonical = json.dumps(pinned, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode()).hexdigest()
+
+
+class TestFleetRegistryPin:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_FLEET_REGISTRY))
+    def test_fleet_registry_and_snapshot_are_pinned(self, name):
+        from repro.experiments.scale import run_schedule
+        from tests.test_mqo_scale import GOLDEN_SPECS, small_config
+
+        spec = GOLDEN_SPECS[name]
+        digests = []
+
+        def on_fleet(_name, collector, violations):
+            assert violations == []
+            digests.append(fleet_registry_digest(collector))
+
+        run_schedule(
+            small_config(schedules=(spec,), trace=True, fleet_metrics=True),
+            spec, on_fleet=on_fleet,
+        )
+        assert digests == [GOLDEN_FLEET_REGISTRY[name]]
 
 
 class TestFleetDashboards:

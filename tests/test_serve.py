@@ -130,6 +130,47 @@ class TestHTTPRoundTrips:
 
         asyncio.run(_with_server(config(), body))
 
+    def test_connections_beyond_the_cap_are_answered_503(self, monkeypatch):
+        from repro.serve import httpd
+
+        monkeypatch.setattr(httpd, "_MAX_CONNECTIONS", 2, raising=False)
+
+        async def exchange(host, port, request: bytes) -> bytes:
+            reader, writer = await asyncio.open_connection(host, port)
+            try:
+                writer.write(request)
+                await writer.drain()
+                return await asyncio.wait_for(reader.read(), timeout=3.0)
+            finally:
+                writer.close()
+                await writer.wait_closed()
+
+        async def body(service, host, port):
+            stalled = []
+            for _ in range(2):
+                reader, writer = await asyncio.open_connection(host, port)
+                writer.write(b"GET /healthz HTTP/1.1\r\n")
+                await writer.drain()
+                stalled.append((reader, writer))
+            await asyncio.sleep(0.1)  # let the server accept both
+            raw = await exchange(
+                host, port, b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+            )
+            head, _, payload = raw.partition(b"\r\n\r\n")
+            assert head.startswith(b"HTTP/1.1 503 "), raw
+            assert b"\r\nRetry-After: 1\r\n" in head
+            assert b"connections" in payload
+            for reader, writer in stalled:
+                writer.write_eof()
+                raw = await asyncio.wait_for(reader.read(), timeout=3.0)
+                assert raw.startswith(b"HTTP/1.1 400 ")
+                writer.close()
+                await writer.wait_closed()
+            status, payload = await http_request(host, port, "GET", "/healthz")
+            assert status == 200 and payload["ok"]
+
+        asyncio.run(_with_server(config(), body))
+
     def test_fire_and_forget_then_result_endpoint(self):
         async def body(service, host, port):
             status, payload = await http_request(
