@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-fast fuzz-properties test-faults test-online test-live test-serve test-durable test-scale test-fleet serve-smoke serve-smoke-resume trace-check trace-check-fleet lint ci bench bench-mqo bench-faults bench-online bench-serve bench-scale bench-gate experiments check examples all
+.PHONY: install test test-fast fuzz-properties test-faults test-online test-live test-serve test-durable test-scale test-fleet test-memory serve-smoke serve-smoke-resume trace-check trace-check-fleet lint ci bench bench-mqo bench-faults bench-online bench-serve bench-scale bench-gate experiments check examples all
 
 install:
 	pip install -e .
@@ -61,6 +61,12 @@ test-scale:
 test-fleet:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/test_obs_fleet.py tests/test_obs_fleet_fold.py tests/test_serve_metrics_formats.py -q -m "not slow"
 
+# What a sim process holds: no libcrypto and no engine import, the
+# builtin-SHA-256 seed derivation (and its fallback), the stream's bytes
+# per query, and the GA draws against random.Random.
+test-memory:
+	PYTHONPATH=src $(PYTHON) -m pytest tests/test_memory_footprint.py -q
+
 # End-to-end HTTP pass over every route; asserts checker-clean trace and
 # SimClock replay equivalence.
 serve-smoke:
@@ -92,9 +98,11 @@ lint:
 	fi
 
 # Self-contained: sets PYTHONPATH itself, unlike the bare `test` target.
-# Runs the suite once; the test-* subsets above are for developers.
+# Runs the suite once, then the memory gates by name so a footprint
+# regression reads as one; the other test-* subsets are for developers.
 ci: lint
 	PYTHONPATH=src $(PYTHON) -m pytest tests/ -q
+	$(MAKE) test-memory
 	$(MAKE) trace-check
 	$(MAKE) trace-check-fleet
 	$(MAKE) serve-smoke

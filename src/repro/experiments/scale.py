@@ -59,6 +59,7 @@ throughput leaves may only ratchet up (within the wall tolerance),
 from __future__ import annotations
 
 import os
+import sys
 import time
 import typing
 from dataclasses import dataclass, replace
@@ -258,16 +259,24 @@ def _infrastructure(config: ScaleConfig):
 
 def build_stream(config: ScaleConfig, spec: ScheduleSpec) -> Workload:
     """The schedule's full arrival stream (template-cycled queries)."""
+    # One tables tuple and one work figure per template, shared by every
+    # query stamped from it.
+    shapes = [
+        (
+            tuple(
+                f"t{(template + j) % config.tables}"
+                for j in range(1 + template % 2)
+            ),
+            config.base_work + config.work_step * (template % 5),
+        )
+        for template in range(config.templates)
+    ]
     queries = []
     for index in range(spec.queries):
-        template = index % config.templates
-        span = 1 + template % 2
-        tables = tuple(
-            f"t{(template + j) % config.tables}" for j in range(span)
-        )
+        tables, base_work = shapes[index % config.templates]
         queries.append(DSSQuery(
             query_id=index + 1, name=f"q{index + 1}", tables=tables,
-            base_work=config.base_work + config.work_step * (template % 5),
+            base_work=base_work,
         ))
     if spec.arrival == "poisson":
         arrivals = poisson_arrivals(
@@ -370,7 +379,9 @@ def _peak_rss_kb() -> int:
         pass
     import resource
 
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    # ``ru_maxrss`` is in kilobytes on Linux but in bytes on macOS.
+    return peak // 1024 if sys.platform == "darwin" else peak
 
 
 def _run_shard(payload) -> dict:

@@ -8,8 +8,19 @@ new stream to a model never perturbs the draws seen by existing streams.
 
 from __future__ import annotations
 
-import hashlib
 import random
+
+# The interpreter's builtin SHA-256 (``_sha2`` on 3.12+, ``_sha256`` before):
+# OpenSSL's libcrypto maps ~3.7 MB into the process, more than a whole
+# stream's working set, to hash one short string per source.  The digests
+# are the same bytes, so every derived seed is unchanged.
+try:
+    from _sha2 import sha256 as _sha256
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256
+    except ImportError:  # an interpreter built without the builtin module
+        from hashlib import sha256 as _sha256
 
 __all__ = ["RandomSource"]
 
@@ -30,10 +41,11 @@ class RandomSource:
         self.seed = int(seed)
         self.name = name
         self._random = random.Random(self._derive(name))
+        self._randbelow = self._random._randbelow
         self._spawned: dict[str, "RandomSource"] = {}
 
     def _derive(self, name: str) -> int:
-        digest = hashlib.sha256(f"{self.seed}/{name}".encode()).digest()
+        digest = _sha256(f"{self.seed}/{name}".encode()).digest()
         return int.from_bytes(digest[:8], "big")
 
     @property
@@ -68,13 +80,24 @@ class RandomSource:
         """Draw a normal variate."""
         return self._random.gauss(mu, sigma)
 
+    # ``randint`` and ``choice`` call ``_randbelow`` directly, skipping
+    # ``randrange``'s argument coercion: the same single draw, so the same
+    # sequence as ``random.Random``'s methods (the GA makes several per
+    # child).
+
     def randint(self, low: int, high: int) -> int:
         """Draw an integer uniformly from ``[low, high]`` inclusive."""
-        return self._random.randint(low, high)
+        width = high - low + 1
+        if width <= 0:
+            raise ValueError(f"empty range for randint({low}, {high})")
+        return low + self._randbelow(width)
 
     def choice(self, seq):
         """Pick one element of ``seq`` uniformly."""
-        return self._random.choice(seq)
+        size = len(seq)
+        if not size:
+            raise IndexError("Cannot choose from an empty sequence")
+        return seq[self._randbelow(size)]
 
     def sample(self, seq, k: int):
         """Pick ``k`` distinct elements of ``seq`` uniformly."""

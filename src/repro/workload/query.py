@@ -9,12 +9,15 @@ user's discount-rate preferences and an executable
 from __future__ import annotations
 
 import math
+import typing
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field, replace
 
 from repro.core.value import DiscountRates
-from repro.engine.query import LogicalQuery
 from repro.errors import WorkloadError
+
+if typing.TYPE_CHECKING:
+    from repro.engine.query import LogicalQuery
 
 __all__ = ["DSSQuery", "Workload"]
 
@@ -34,7 +37,7 @@ class _ByIdentity:
         return isinstance(other, _ByIdentity) and self.target is other.target
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class DSSQuery:
     """One decision-support report request.
 

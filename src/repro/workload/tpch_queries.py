@@ -19,13 +19,12 @@ from __future__ import annotations
 
 import typing
 
-from repro.engine.expr import Col, Const
-from repro.engine.query import LogicalQuery, QueryBuilder
 from repro.errors import WorkloadError
 from repro.workload.query import DSSQuery
 
 if typing.TYPE_CHECKING:
     from repro.data.tpch import TpchInstance
+    from repro.engine.query import LogicalQuery
 
 __all__ = ["tpch_queries", "tpch_query", "TPCH_FOOTPRINTS"]
 
@@ -70,6 +69,9 @@ def _expand_footprint(logical: tuple[str, ...], partitions: int) -> tuple[str, .
 
 def _build_logical(name: str) -> LogicalQuery:
     """The simplified engine definition of one TPC-H query."""
+    from repro.engine.expr import Col, Const
+    from repro.engine.query import QueryBuilder
+
     builder = QueryBuilder(name)
     if name == "Q1":
         return (

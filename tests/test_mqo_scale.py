@@ -535,6 +535,22 @@ class TestShardMemoryIsTheShardsOwn:
         )
         assert first <= hwm <= first + 4096  # monotone; same counter
 
+    def test_peak_rss_fallback_reads_bytes_on_macos(self, monkeypatch):
+        import resource
+
+        def no_proc(*args, **kwargs):
+            raise OSError("no /proc here")
+
+        class Usage:
+            ru_maxrss = 40 * 1024 * 1024  # bytes, as macOS reports it
+
+        monkeypatch.setattr(scale, "open", no_proc, raising=False)
+        monkeypatch.setattr(resource, "getrusage", lambda who: Usage)
+        monkeypatch.setattr(sys, "platform", "darwin")
+        assert scale._peak_rss_kb() == 40 * 1024
+        monkeypatch.setattr(sys, "platform", "linux")
+        assert scale._peak_rss_kb() == 40 * 1024 * 1024
+
 
 class TestImportDiet:
     """No run imports numpy (``src/`` has no use for it), and sim runs do

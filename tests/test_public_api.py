@@ -117,9 +117,7 @@ class TestImportGraph:
         modules, heavy = _loaded_after("from repro.experiments import scale")
         assert modules == [
             "repro", "repro._version", "repro.core", "repro.core.enumeration",
-            "repro.core.plan", "repro.core.value", "repro.engine",
-            "repro.engine.expr", "repro.engine.ops", "repro.engine.query",
-            "repro.engine.schema", "repro.engine.table", "repro.errors",
+            "repro.core.plan", "repro.core.value", "repro.errors",
             "repro.experiments", "repro.experiments.scale",
             "repro.federation", "repro.federation.catalog",
             "repro.federation.costmodel", "repro.federation.network",
