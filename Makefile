@@ -77,10 +77,14 @@ serve-smoke:
 serve-smoke-resume:
 	PYTHONPATH=src $(PYTHON) -m repro serve-smoke --kill-resume
 
-# Audit the fig4 golden scenario with the trace invariant checker.
+# Audit the three DES trace scenarios (the fig4 golden walkthrough, the
+# Poisson stream and its fault-injected twin) with the trace invariant
+# checker; non-zero on any violation.
 trace-check:
 	PYTHONPATH=src $(PYTHON) -m repro trace fig4 --check >/dev/null
-	@echo "trace-check: fig4 scenario clean"
+	PYTHONPATH=src $(PYTHON) -m repro trace stream --check >/dev/null
+	PYTHONPATH=src $(PYTHON) -m repro trace faults --check >/dev/null
+	@echo "trace-check: fig4, stream and faults scenarios clean"
 
 # Merge a reduced EXT5 steady sweep across shard spools and run the
 # cross-shard checker rules over the merged trace (non-zero on any

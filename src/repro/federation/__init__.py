@@ -14,7 +14,7 @@ _EXPORTS = {
     "FederatedSystem": "system",
     "FixedSyncSchedule": "catalog",
     "LinkDegradation": "faults",
-    "LOCAL_SITE_ID": "site",
+    "LOCAL_SITE_ID": "catalog",
     "NetworkModel": "network",
     "PlanExecutor": "executor",
     "QueryOutcome": "executor",

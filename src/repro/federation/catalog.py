@@ -19,6 +19,7 @@ from repro.errors import CatalogError
 from repro.sim.streams import DeterministicStream, RandomStream
 
 __all__ = [
+    "LOCAL_SITE_ID",
     "TableDef",
     "SyncSchedule",
     "StreamSyncSchedule",
@@ -27,6 +28,9 @@ __all__ = [
     "Replica",
     "Catalog",
 ]
+
+#: Site id reserved for the local federation server.
+LOCAL_SITE_ID = -1
 
 
 class TableDef:

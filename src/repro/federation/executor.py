@@ -26,6 +26,7 @@ back on are recorded as failed outcomes (IV 0) — never silently dropped.
 
 from __future__ import annotations
 
+import math
 import typing
 from dataclasses import dataclass
 
@@ -73,12 +74,14 @@ class ExecutionPolicy:
     def __post_init__(self) -> None:
         if self.max_retries < 0:
             raise ConfigError(f"max_retries must be >= 0, got {self.max_retries}")
-        if self.retry_backoff < 0:
+        if not 0 <= self.retry_backoff < math.inf:
             raise ConfigError(
-                f"retry_backoff must be >= 0, got {self.retry_backoff}"
+                f"retry_backoff must be finite and >= 0, got {self.retry_backoff}"
             )
-        if self.leg_timeout is not None and self.leg_timeout <= 0:
-            raise ConfigError(f"leg_timeout must be > 0, got {self.leg_timeout}")
+        if self.leg_timeout is not None and not 0 < self.leg_timeout < math.inf:
+            raise ConfigError(
+                f"leg_timeout must be finite and > 0, got {self.leg_timeout}"
+            )
 
 
 @dataclass

@@ -8,13 +8,11 @@ of computational latency comes from.
 from __future__ import annotations
 
 from repro.errors import ConfigError
+from repro.federation.catalog import LOCAL_SITE_ID
 from repro.sim.resource import Resource
 from repro.sim.scheduler import Simulator
 
 __all__ = ["LOCAL_SITE_ID", "Site"]
-
-#: Site id reserved for the local federation server.
-LOCAL_SITE_ID = -1
 
 
 class Site:

@@ -268,8 +268,7 @@ class FederatedSystem:
                 raise ConfigError("simulation failed to drain the workload")
         # Flush the remaining events of this instant (monitor observations
         # ride on process resumptions scheduled at the completion time).
-        while self.sim.peek() <= self.sim.now:
-            self.sim.step()
+        self.sim.run(until=self.sim.now)
 
     # -- results -----------------------------------------------------------------
 

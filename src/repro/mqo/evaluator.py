@@ -82,8 +82,7 @@ from repro.core.enumeration import CostProvider, split_tables
 from repro.core.plan import QueryPlan, TableVersion, VersionKind
 from repro.core.value import DiscountRates, information_value, max_tolerable_latency
 from repro.errors import OptimizationError
-from repro.federation.catalog import Catalog
-from repro.federation.site import LOCAL_SITE_ID
+from repro.federation.catalog import LOCAL_SITE_ID, Catalog
 
 if typing.TYPE_CHECKING:  # pragma: no cover - typing only
     from collections.abc import Sequence

@@ -2,9 +2,11 @@
 
 The ICDCS'09 evaluation drives query arrivals and replica synchronization
 with JavaSim's process/stream abstractions.  This subpackage reimplements
-them: an event-heap :class:`Simulator`, generator-based :class:`Process`es,
-queueing :class:`Resource`s, JavaSim-style random :mod:`streams
-<repro.sim.streams>` and statistics :mod:`monitors <repro.sim.monitor>`.
+the part of them the models run: a :class:`Simulator` on the one event
+heap (:class:`Timeline`, which the online scheduler's clocks share),
+generator-based :class:`Process`es, FIFO :class:`Resource`s, exponential
+and deterministic :mod:`streams <repro.sim.streams>` and a statistics
+:class:`Monitor`.
 """
 
 from repro import _lazy_exports
@@ -13,29 +15,19 @@ _EXPORTS = {
     "AllOf": "event",
     "AnyOf": "event",
     "DeterministicStream": "streams",
-    "EmpiricalStream": "streams",
-    "ErlangStream": "streams",
     "Event": "event",
     "ExponentialStream": "streams",
-    "HyperExponentialStream": "streams",
-    "Interrupt": "process",
     "Monitor": "monitor",
-    "NormalStream": "streams",
-    "PriorityResource": "resource",
     "Process": "process",
     "RandomSource": "rng",
     "RandomStream": "streams",
     "Request": "resource",
     "Resource": "resource",
-    "SimulationClock": "clock",
     "Simulator": "scheduler",
-    "Tally": "monitor",
-    "TimeWeightedMonitor": "monitor",
     "Timeline": "timeline",
     "Timeout": "event",
     "TraceRecord": "trace",
     "Tracer": "trace",
-    "UniformStream": "streams",
 }
 __all__ = list(_EXPORTS)
 __getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)

@@ -113,11 +113,12 @@ class Event:
 
 
 class Timeout(Event):
-    """An event that fires automatically after ``delay`` minutes."""
+    """An event that fires automatically after ``delay`` minutes.
+
+    The simulator's timeline rejects a negative, NaN or infinite ``delay``.
+    """
 
     def __init__(self, sim: "Simulator", delay: float, value=None) -> None:
-        if delay < 0:
-            raise SimulationError(f"timeout delay must be >= 0, got {delay}")
         super().__init__(sim, name=f"Timeout({delay:g})")
         self.delay = float(delay)
         self._pending_value = value

@@ -1,9 +1,8 @@
 """Statistics collection for simulation runs.
 
 :class:`Monitor` accumulates sample statistics online (Welford's algorithm);
-:class:`TimeWeightedMonitor` integrates a piecewise-constant signal such as a
-queue length over simulated time.  Both are what the experiment harness uses
-to report mean information values and latencies.
+it is what the experiment harness uses to report mean information values
+and latencies.
 
 Memory semantics: a monitor's aggregates (count, mean, variance, extrema)
 are always O(1).  Raw-sample retention is **opt-in** (``keep_values=True``)
@@ -20,7 +19,7 @@ import math
 
 from repro.errors import SimulationError
 
-__all__ = ["Monitor", "TimeWeightedMonitor", "Tally"]
+__all__ = ["Monitor"]
 
 
 class Monitor:
@@ -166,67 +165,3 @@ class Monitor:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Monitor({self.name!r}, n={self.count}, mean={self.mean:.4f})"
-
-
-class TimeWeightedMonitor:
-    """Time-integral of a piecewise-constant signal (e.g. queue length)."""
-
-    def __init__(self, sim_now, initial: float = 0.0, name: str = "") -> None:
-        """``sim_now`` is a zero-argument callable returning current time."""
-        self.name = name
-        self._now = sim_now
-        self._level = float(initial)
-        self._last_change = self._now()
-        self._area = 0.0
-        self._start = self._last_change
-        self.maximum = float(initial)
-
-    @property
-    def level(self) -> float:
-        """Current signal level."""
-        return self._level
-
-    def set(self, level: float) -> None:
-        """Change the signal level at the current simulation time."""
-        now = self._now()
-        self._area += self._level * (now - self._last_change)
-        self._last_change = now
-        self._level = float(level)
-        self.maximum = max(self.maximum, self._level)
-
-    def add(self, delta: float) -> None:
-        """Shift the signal level by ``delta``."""
-        self.set(self._level + delta)
-
-    def time_average(self) -> float:
-        """Time-weighted mean of the signal since creation."""
-        now = self._now()
-        elapsed = now - self._start
-        if elapsed <= 0:
-            return self._level
-        area = self._area + self._level * (now - self._last_change)
-        return area / elapsed
-
-
-class Tally:
-    """A named bag of counters for discrete outcomes."""
-
-    def __init__(self) -> None:
-        self._counts: dict[str, int] = {}
-
-    def hit(self, key: str, times: int = 1) -> None:
-        """Increment ``key`` by ``times``."""
-        self._counts[key] = self._counts.get(key, 0) + times
-
-    def count(self, key: str) -> int:
-        """Current count for ``key`` (0 if never hit)."""
-        return self._counts.get(key, 0)
-
-    def as_dict(self) -> dict[str, int]:
-        """A copy of all counters."""
-        return dict(self._counts)
-
-    @property
-    def total(self) -> int:
-        """Sum over all keys."""
-        return sum(self._counts.values())

@@ -21,15 +21,7 @@ from repro.sim.event import Event
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.scheduler import Simulator
 
-__all__ = ["Process", "Interrupt"]
-
-
-class Interrupt(Exception):
-    """Raised inside a process that another entity interrupted."""
-
-    def __init__(self, cause=None) -> None:
-        super().__init__(cause)
-        self.cause = cause
+__all__ = ["Process"]
 
 
 class Process(Event):
@@ -42,7 +34,6 @@ class Process(Event):
             )
         super().__init__(sim, name=name or generator.__name__)
         self._generator = generator
-        self._waiting_on: Event | None = None
         # Kick the process off at the current instant.
         bootstrap = Event(sim, name=f"init:{self.name}")
         bootstrap.callbacks.append(self._resume)
@@ -53,27 +44,9 @@ class Process(Event):
         """Whether the generator has not yet finished."""
         return not self.triggered
 
-    def interrupt(self, cause=None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time."""
-        if not self.is_alive:
-            raise ProcessError(f"cannot interrupt finished process {self.name!r}")
-        waited = self._waiting_on
-        if waited is not None and not waited.triggered:
-            # Detach from the event we were waiting on; it may still fire
-            # later but must no longer resume us.
-            try:
-                waited.callbacks.remove(self._resume)
-            except ValueError:  # pragma: no cover - defensive
-                pass
-        self._waiting_on = None
-        poke = Event(self.sim, name=f"interrupt:{self.name}")
-        poke.callbacks.append(lambda _e: self._step(Interrupt(cause), throw=True))
-        poke.succeed()
-
     # -- generator driving -------------------------------------------------
 
     def _resume(self, event: Event) -> None:
-        self._waiting_on = None
         if event.ok:
             self._step(event.value, throw=False)
         else:
@@ -81,8 +54,6 @@ class Process(Event):
             self._step(event.exception, throw=True)
 
     def _step(self, payload, throw: bool) -> None:
-        if self.triggered:  # pragma: no cover - interrupted-after-finish guard
-            return
         try:
             if throw:
                 target = self._generator.throw(payload)
@@ -108,7 +79,6 @@ class Process(Event):
             self.fail(ProcessError("process yielded an event from another simulator"))
             return
 
-        self._waiting_on = target
         if target.triggered:
             # Already fired: resume on the next delivery cycle to preserve
             # causal ordering with other callbacks of that instant.

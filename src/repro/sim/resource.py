@@ -2,14 +2,14 @@
 
 The paper's *computational latency* includes "query queuing time": queries
 contend for the local federation server and for each remote server.  A
-:class:`Resource` models one such server pool; requests queue FIFO (or by
-priority for :class:`PriorityResource`) and are granted as units free up.
+:class:`Resource` models one such server pool; requests queue FIFO and are
+granted as units free up.
 """
 
 from __future__ import annotations
 
-import heapq
 import typing
+from collections import deque
 
 from repro.errors import SimulationError
 from repro.sim.event import Event
@@ -17,7 +17,7 @@ from repro.sim.event import Event
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.scheduler import Simulator
 
-__all__ = ["Request", "Resource", "PriorityResource"]
+__all__ = ["Request", "Resource"]
 
 
 class Request(Event):
@@ -27,10 +27,9 @@ class Request(Event):
     Release by passing it back to :meth:`Resource.release`.
     """
 
-    def __init__(self, resource: "Resource", priority: float = 0.0) -> None:
+    def __init__(self, resource: "Resource") -> None:
         super().__init__(resource.sim, name=f"Request({resource.name})")
         self.resource = resource
-        self.priority = priority
         self.requested_at = resource.sim.now
         self.granted_at: float | None = None
 
@@ -55,17 +54,9 @@ class Resource:
         self.capacity = int(capacity)
         self.name = name or "resource"
         self._users: set[Request] = set()
-        self._queue: list[tuple[float, int, Request]] = []
-        self._seq = 0
+        self._queue: deque[Request] = deque()
         self.total_requests = 0
         self.total_wait = 0.0
-
-    # -- queue discipline (overridden by PriorityResource) -----------------
-
-    def _sort_key(self, request: Request) -> float:
-        return 0.0  # FIFO: sequence number alone decides
-
-    # -- public API ---------------------------------------------------------
 
     @property
     def in_use(self) -> int:
@@ -77,12 +68,11 @@ class Resource:
         """Requests still waiting."""
         return len(self._queue)
 
-    def request(self, priority: float = 0.0) -> Request:
+    def request(self) -> Request:
         """Claim one unit; the returned event fires when granted."""
-        req = Request(self, priority=priority)
+        req = Request(self)
         self.total_requests += 1
-        self._seq += 1
-        heapq.heappush(self._queue, (self._sort_key(req), self._seq, req))
+        self._queue.append(req)
         self._dispatch()
         return req
 
@@ -98,12 +88,12 @@ class Resource:
     def _cancel(self, request: Request) -> None:
         if request in self._users:
             raise SimulationError("cannot cancel a granted request; release it")
-        self._queue = [entry for entry in self._queue if entry[2] is not request]
-        heapq.heapify(self._queue)
+        if request in self._queue:
+            self._queue.remove(request)
 
     def _dispatch(self) -> None:
         while self._queue and len(self._users) < self.capacity:
-            _key, _seq, req = heapq.heappop(self._queue)
+            req = self._queue.popleft()
             req.granted_at = self.sim.now
             self.total_wait += req.wait_time
             self._users.add(req)
@@ -114,10 +104,3 @@ class Resource:
             f"{type(self).__name__}({self.name!r}, capacity={self.capacity}, "
             f"in_use={self.in_use}, queued={self.queue_length})"
         )
-
-
-class PriorityResource(Resource):
-    """A resource whose queue is ordered by request priority (low first)."""
-
-    def _sort_key(self, request: Request) -> float:
-        return request.priority

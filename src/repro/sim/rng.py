@@ -76,10 +76,6 @@ class RandomSource:
         """Draw an exponential variate with the given ``rate`` (1/mean)."""
         return self._random.expovariate(rate)
 
-    def gauss(self, mu: float, sigma: float) -> float:
-        """Draw a normal variate."""
-        return self._random.gauss(mu, sigma)
-
     # ``randint`` and ``choice`` call ``_randbelow`` directly, skipping
     # ``randrange``'s argument coercion: the same single draw, so the same
     # sequence as ``random.Random``'s methods (the GA makes several per

@@ -1,21 +1,20 @@
 """The discrete-event simulator core.
 
-:class:`Simulator` keeps a priority queue of triggered events ordered by
-firing time (ties broken by insertion order) and advances the
-:class:`~repro.sim.clock.SimulationClock` from event to event — the classic
-event-driven world view of JavaSim, which the paper's evaluation uses to
-"simulate the distributed processing effect".
+:class:`Simulator` keeps its triggered events on a
+:class:`~repro.sim.timeline.Timeline` — the same heap, FIFO tie rule and
+push validation the online scheduler's clocks use — and moves from event
+to event, the classic event-driven world view of JavaSim, which the
+paper's evaluation uses to "simulate the distributed processing effect".
 """
 
 from __future__ import annotations
 
-import heapq
 from collections.abc import Callable, Generator
 
 from repro.errors import SchedulingError, SimulationError
-from repro.sim.clock import SimulationClock
 from repro.sim.event import AllOf, AnyOf, Event, Timeout
 from repro.sim.process import Process
+from repro.sim.timeline import Timeline
 
 __all__ = ["Simulator"]
 
@@ -36,22 +35,15 @@ class Simulator:
     """
 
     def __init__(self, start: float = 0.0) -> None:
-        self._clock = SimulationClock(start)
-        self._queue: list[tuple[float, int, Event]] = []
-        self._seq = 0
-        self._processed = 0
-
-    # -- time ------------------------------------------------------------
+        if start < 0:
+            raise SchedulingError(f"simulation cannot start before time 0, got {start}")
+        self._timeline = Timeline()
+        self._timeline.advance_to(start)
 
     @property
     def now(self) -> float:
         """Current simulation time in minutes."""
-        return self._clock.now
-
-    @property
-    def events_processed(self) -> int:
-        """Total number of events delivered so far."""
-        return self._processed
+        return self._timeline.now
 
     # -- event factories ---------------------------------------------------
 
@@ -86,27 +78,20 @@ class Simulator:
     # -- scheduling --------------------------------------------------------
 
     def schedule_event(self, event: Event, delay: float = 0.0) -> None:
-        """Insert a triggered event into the queue ``delay`` minutes ahead."""
-        if delay < 0:
-            raise SchedulingError(f"cannot schedule {delay} minutes into the past")
-        self._seq += 1
-        heapq.heappush(self._queue, (self.now + delay, self._seq, event))
+        """Insert a triggered event into the queue ``delay`` minutes ahead.
+
+        A negative, NaN or infinite ``delay`` raises
+        :class:`~repro.errors.SchedulingError` (the timeline validates).
+        """
+        self._timeline.push(self.now + delay, "", event)
 
     # -- execution ---------------------------------------------------------
 
-    def peek(self) -> float:
-        """Time of the next event, or ``inf`` if the queue is empty."""
-        if not self._queue:
-            return float("inf")
-        return self._queue[0][0]
-
     def step(self) -> None:
         """Deliver the single next event."""
-        if not self._queue:
+        if not self._timeline:
             raise SimulationError("step() called on an empty event queue")
-        time, _seq, event = heapq.heappop(self._queue)
-        self._clock.advance_to(time)
-        self._processed += 1
+        _time, _tag, event = self._timeline.pop()
         event._deliver()
 
     def run(self, until: float | Event | None = None) -> None:
@@ -115,11 +100,12 @@ class Simulator:
         Parameters
         ----------
         until:
-            ``None`` runs to queue exhaustion.  A ``float`` runs until the
-            clock would pass that time (the clock is then advanced to it
-            exactly).  An :class:`Event` runs until that event has been
-            processed.
+            ``None`` (or ``inf``) runs to queue exhaustion.  A finite
+            ``float`` runs every event due by then and leaves the clock
+            exactly there.  An :class:`Event` runs until that event has
+            been processed.
         """
+        timeline = self._timeline
         if isinstance(until, Event):
             stop = until
             if stop.processed:
@@ -127,7 +113,7 @@ class Simulator:
             done: list[bool] = []
             stop.callbacks.append(lambda _event: done.append(True))
             while not done:
-                if not self._queue:
+                if not timeline:
                     raise SimulationError(
                         f"simulation ran out of events before {stop!r} fired"
                     )
@@ -139,10 +125,10 @@ class Simulator:
             raise SchedulingError(
                 f"run(until={deadline}) is in the past (now={self.now})"
             )
-        while self._queue and self._queue[0][0] <= deadline:
+        while timeline and timeline.peek_time() <= deadline:
             self.step()
         if deadline != float("inf"):
-            self._clock.advance_to(deadline)
+            timeline.advance_to(deadline)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"Simulator(now={self.now:.4f}, queued={len(self._queue)})"
+        return f"Simulator(now={self.now:.4f}, queued={len(self._timeline)})"

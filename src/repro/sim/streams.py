@@ -1,33 +1,20 @@
 """Random variate streams, modelled after JavaSim's ``*Stream`` classes.
 
 The paper simulates query arrivals and replica synchronization with
-JavaSim's ``ExponentialStream``.  This module provides that class and the
-rest of the family (uniform, normal, Erlang, hyper-exponential, deterministic
-and empirical streams) on top of :class:`repro.sim.rng.RandomSource`.
-
-All streams return **non-negative** inter-event times; streams whose
-distribution has support below zero (normal) truncate at zero.
+JavaSim's ``ExponentialStream``.  This module provides that class and a
+deterministic stream for fixed periodic schedules, on top of
+:class:`repro.sim.rng.RandomSource`.  Both return **non-negative**
+inter-event times.
 """
 
 from __future__ import annotations
 
-import math
 from abc import ABC, abstractmethod
-from collections.abc import Sequence
 
 from repro.errors import ConfigError
 from repro.sim.rng import RandomSource
 
-__all__ = [
-    "RandomStream",
-    "ExponentialStream",
-    "UniformStream",
-    "NormalStream",
-    "ErlangStream",
-    "HyperExponentialStream",
-    "DeterministicStream",
-    "EmpiricalStream",
-]
+__all__ = ["RandomStream", "ExponentialStream", "DeterministicStream"]
 
 
 class RandomStream(ABC):
@@ -81,103 +68,6 @@ class ExponentialStream(RandomStream):
         return self._source.expovariate(1.0 / self._mean)
 
 
-class UniformStream(RandomStream):
-    """Uniform stream over ``[low, high]``."""
-
-    def __init__(self, low: float, high: float, source: RandomSource) -> None:
-        if high < low:
-            raise ConfigError(f"UniformStream needs low <= high, got [{low}, {high}]")
-        if low < 0:
-            raise ConfigError("UniformStream bounds must be non-negative")
-        super().__init__(source)
-        self.low = float(low)
-        self.high = float(high)
-
-    @property
-    def mean(self) -> float:
-        return (self.low + self.high) / 2.0
-
-    def sample(self) -> float:
-        self._tick()
-        return self._source.uniform(self.low, self.high)
-
-
-class NormalStream(RandomStream):
-    """Normal stream truncated at zero (resampled until non-negative)."""
-
-    def __init__(self, mean: float, stddev: float, source: RandomSource) -> None:
-        if stddev < 0:
-            raise ConfigError("NormalStream stddev must be >= 0")
-        super().__init__(source)
-        self._mu = float(mean)
-        self._sigma = float(stddev)
-
-    @property
-    def mean(self) -> float:
-        return self._mu
-
-    def sample(self) -> float:
-        self._tick()
-        for _ in range(1000):
-            value = self._source.gauss(self._mu, self._sigma)
-            if value >= 0:
-                return value
-        # Pathological parameterisations (mean far below zero) fall back to 0.
-        return 0.0
-
-
-class ErlangStream(RandomStream):
-    """Erlang-k stream: the sum of ``k`` exponential stages."""
-
-    def __init__(self, mean: float, k: int, source: RandomSource) -> None:
-        if mean <= 0:
-            raise ConfigError("ErlangStream mean must be > 0")
-        if k < 1:
-            raise ConfigError("ErlangStream needs k >= 1")
-        super().__init__(source)
-        self._mean = float(mean)
-        self.k = int(k)
-
-    @property
-    def mean(self) -> float:
-        return self._mean
-
-    def sample(self) -> float:
-        self._tick()
-        stage_rate = self.k / self._mean
-        return sum(self._source.expovariate(stage_rate) for _ in range(self.k))
-
-
-class HyperExponentialStream(RandomStream):
-    """Two-phase hyper-exponential stream (high-variance arrivals)."""
-
-    def __init__(
-        self,
-        mean_a: float,
-        mean_b: float,
-        prob_a: float,
-        source: RandomSource,
-    ) -> None:
-        if mean_a <= 0 or mean_b <= 0:
-            raise ConfigError("HyperExponentialStream means must be > 0")
-        if not 0.0 <= prob_a <= 1.0:
-            raise ConfigError("HyperExponentialStream prob_a must be in [0, 1]")
-        super().__init__(source)
-        self.mean_a = float(mean_a)
-        self.mean_b = float(mean_b)
-        self.prob_a = float(prob_a)
-
-    @property
-    def mean(self) -> float:
-        return self.prob_a * self.mean_a + (1.0 - self.prob_a) * self.mean_b
-
-    def sample(self) -> float:
-        self._tick()
-        if self._source.uniform(0.0, 1.0) < self.prob_a:
-            return self._source.expovariate(1.0 / self.mean_a)
-        return self._source.expovariate(1.0 / self.mean_b)
-
-
 class DeterministicStream(RandomStream):
     """A stream that always returns the same value (periodic schedules)."""
 
@@ -194,23 +84,3 @@ class DeterministicStream(RandomStream):
     def sample(self) -> float:
         self._tick()
         return self._value
-
-
-class EmpiricalStream(RandomStream):
-    """Draws uniformly (with replacement) from an observed sample."""
-
-    def __init__(self, values: Sequence[float], source: RandomSource) -> None:
-        if not values:
-            raise ConfigError("EmpiricalStream needs at least one value")
-        if any(v < 0 for v in values):
-            raise ConfigError("EmpiricalStream values must be non-negative")
-        super().__init__(source)
-        self._values = [float(v) for v in values]
-
-    @property
-    def mean(self) -> float:
-        return math.fsum(self._values) / len(self._values)
-
-    def sample(self) -> float:
-        self._tick()
-        return self._source.choice(self._values)

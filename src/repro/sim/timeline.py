@@ -1,10 +1,11 @@
-"""A deterministic time-ordered event heap with FIFO tie-breaking.
+"""The event heap: time-ordered, FIFO within an instant, validated.
 
-The discrete-event :class:`~repro.sim.scheduler.Simulator` owns the *real*
-runtime; :class:`Timeline` is the lightweight analytic counterpart used by
-schedulers that replay time without processes — e.g. the online MQO loop
-(:mod:`repro.mqo.online`), which interleaves query arrivals, window closes
-and analytic completions without spinning up a simulation.
+Every scheduler in the package runs on this one heap: the discrete-event
+:class:`~repro.sim.scheduler.Simulator` keeps one as its queue and clock,
+and the online MQO loop (:mod:`repro.mqo.online`) pops one through
+:class:`~repro.sim.clocks.SimClock` or
+:class:`~repro.sim.clocks.WallClock` to interleave query arrivals, window
+closes and analytic completions.
 
 Entries at the same instant pop in push order (a monotonically increasing
 sequence number breaks ties), so replays are deterministic and arrival
@@ -15,8 +16,9 @@ comparison against NaN is false, so ``heapq`` silently loses its
 invariant and events pop in corrupted order), an infinite deadline can
 never fire, and a time before the latest pop would schedule an event in
 the past — replaying such a heap is no longer deterministic.  All three
-raise :class:`~repro.errors.SimulationError` at the push site, where the
+raise :class:`~repro.errors.SchedulingError` at the push site, where the
 bug is, instead of surfacing later as a scrambled replay.
+:meth:`Timeline.advance_to` moves the frontier under the same rules.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import heapq
 import math
 from typing import Any
 
-from repro.errors import SimulationError
+from repro.errors import SchedulingError
 
 __all__ = ["Timeline"]
 
@@ -50,7 +52,7 @@ class Timeline:
 
         Raises
         ------
-        SimulationError
+        SchedulingError
             If ``time`` is NaN or infinite (heap order would corrupt /
             the event could never fire) or lies before the latest popped
             time (an event scheduled into the past breaks replay
@@ -58,11 +60,11 @@ class Timeline:
         """
         time = float(time)
         if not math.isfinite(time):
-            raise SimulationError(
+            raise SchedulingError(
                 f"cannot schedule {tag!r} at non-finite time {time!r}"
             )
         if self._now is not None and time < self._now:
-            raise SimulationError(
+            raise SchedulingError(
                 f"cannot schedule {tag!r} at {time}: timeline already "
                 f"advanced to {self._now}"
             )
@@ -81,6 +83,23 @@ class Timeline:
     def peek_time(self) -> float:
         """Time of the earliest pending event (raises IndexError if empty)."""
         return self._heap[0][0]
+
+    def advance_to(self, time: float) -> None:
+        """Move the frontier to ``time`` without popping anything.
+
+        Raises
+        ------
+        SchedulingError
+            If ``time`` is NaN or infinite, or lies before the frontier.
+        """
+        time = float(time)
+        if not math.isfinite(time):
+            raise SchedulingError(f"cannot advance to non-finite time {time!r}")
+        if self._now is not None and time < self._now:
+            raise SchedulingError(
+                f"cannot move the timeline backwards from {self._now} to {time}"
+            )
+        self._now = time
 
     def capture(self) -> dict:
         """A JSON-safe snapshot of the heap, tie-break counter and frontier.

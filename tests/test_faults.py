@@ -321,6 +321,14 @@ class TestExecutorFaultHandling:
         with pytest.raises(ConfigError):
             ExecutionPolicy(leg_timeout=0.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_policy_rejects_non_finite_times(self, bad):
+        with pytest.raises(ConfigError):
+            ExecutionPolicy(retry_backoff=bad)
+        with pytest.raises(ConfigError):
+            ExecutionPolicy(leg_timeout=bad)
+        assert ExecutionPolicy(leg_timeout=None).leg_timeout is None
+
     def test_degradation_penalty_slows_the_leg(self):
         sim, catalog, provider, injector, executor = fault_world()
         injector.plan.degradations = {

@@ -74,3 +74,59 @@ def test_golden_ledger_recomputes_paper_iv():
     assert kinds == {
         "T1": "replica", "T2": "replica", "T3": "base", "T4": "replica"
     }
+
+
+#: sha256 of the normalized trace of the ``faults`` scenario re-run with a
+#: queue timeout: the one DES path none of the digests above covers —
+#: ``AnyOf`` racing a request against its timer, ``Request.cancel`` on the
+#: loser, and ``AllOf`` joining multi-leg plans after outage interrupts.
+GOLDEN_LEG_TIMEOUT_TRACE = (
+    "9f1a980adb52c3738b3d62d8062cfd9e0d9f8b8f80f598ec2ac71fbe2d5f5438"
+)
+
+
+def test_leg_timeout_trace_is_pinned():
+    from collections import Counter
+
+    from repro.core.value import DiscountRates
+    from repro.experiments.config import TpchSetup, sync_interval_for_ratio
+    from repro.experiments.runner import run_stream
+    from repro.federation.executor import ExecutionPolicy
+    from repro.federation.faults import FaultPlan
+
+    # ``trace_faults``'s setup, with ``leg_timeout`` added to its policy.
+    setup = TpchSetup(scale=0.002, seed=7)
+    config = setup.system_config(
+        approach="ivqp",
+        rates=DiscountRates.symmetric(0.05),
+        sync_mean_interval=sync_interval_for_ratio(10.0),
+        seed=1,
+    )
+    config.fault_plan = FaultPlan.generate(
+        seed=17,
+        horizon=4_000.0,
+        site_ids=sorted({spec.site for spec in setup.table_specs()}),
+        outage_rate=0.01,
+        outage_mean_duration=8.0,
+        sync_skip_prob=0.05,
+        sync_delay_prob=0.10,
+    )
+    config.execution_policy = ExecutionPolicy(
+        max_retries=3, retry_backoff=0.5, leg_timeout=2.0, failover=True
+    )
+    result = run_stream(
+        config,
+        approach="ivqp",
+        queries=setup.queries()[:12],
+        mean_interarrival=8.0,
+        trace=True,
+    )
+    records = result.system.tracer.records
+    retries = Counter(r.detail["reason"] for r in records if r.kind == "leg.retry")
+    assert retries["queue-timeout"] >= 1
+    assert retries["interrupted"] >= 1
+    assert any(
+        r.detail["legs"] >= 2 for r in records if r.kind == "remote.done"
+    )
+    digest = hashlib.sha256(normalize(records).encode("utf-8")).hexdigest()
+    assert digest == GOLDEN_LEG_TIMEOUT_TRACE

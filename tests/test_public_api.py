@@ -121,13 +121,12 @@ class TestImportGraph:
             "repro.experiments", "repro.experiments.scale",
             "repro.federation", "repro.federation.catalog",
             "repro.federation.costmodel", "repro.federation.network",
-            "repro.federation.site", "repro.mqo", "repro.mqo.chromosome",
+            "repro.mqo", "repro.mqo.chromosome",
             "repro.mqo.conflict", "repro.mqo.evaluator", "repro.mqo.ga",
             "repro.mqo.online", "repro.obs", "repro.obs.events",
             "repro.obs.ledger", "repro.reporting",
-            "repro.reporting.tables", "repro.sim", "repro.sim.clock",
-            "repro.sim.clocks", "repro.sim.event", "repro.sim.process",
-            "repro.sim.resource", "repro.sim.rng", "repro.sim.scheduler",
+            "repro.reporting.tables", "repro.sim",
+            "repro.sim.clocks", "repro.sim.rng",
             "repro.sim.streams", "repro.sim.timeline", "repro.workload",
             "repro.workload.arrival", "repro.workload.query",
             "repro.workload.tpch_queries",

@@ -5,51 +5,57 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import SchedulingError, SimulationError
-from repro.sim.clock import SimulationClock
 from repro.sim.event import AllOf, AnyOf
 from repro.sim.scheduler import Simulator
+from repro.sim.timeline import Timeline
 
 
 class TestClock:
+    """The simulator's clock is its timeline's frontier: it starts where
+    asked, never before 0, and only moves forward."""
+
     def test_starts_at_zero_by_default(self):
-        assert SimulationClock().now == 0.0
+        assert Simulator().now == 0.0
 
     def test_starts_at_given_time(self):
-        assert SimulationClock(5.5).now == 5.5
+        assert Simulator(start=5.5).now == 5.5
 
     def test_rejects_negative_start(self):
         with pytest.raises(SchedulingError):
-            SimulationClock(-1.0)
+            Simulator(start=-1.0)
 
     def test_advances_forward(self):
-        clock = SimulationClock()
-        clock.advance_to(3.0)
-        assert clock.now == 3.0
+        timeline = Timeline()
+        timeline.advance_to(3.0)
+        assert timeline.now == 3.0
 
     def test_advance_to_same_time_is_allowed(self):
-        clock = SimulationClock(2.0)
-        clock.advance_to(2.0)
-        assert clock.now == 2.0
+        sim = Simulator(start=2.0)
+        sim.run(until=2.0)
+        assert sim.now == 2.0
 
     def test_rejects_backwards_movement(self):
-        clock = SimulationClock(10.0)
+        timeline = Timeline()
+        timeline.advance_to(10.0)
         with pytest.raises(SchedulingError):
-            clock.advance_to(9.999)
+            timeline.advance_to(9.999)
+        assert timeline.now == 10.0
+
+    @pytest.mark.parametrize("time", [float("nan"), float("inf")])
+    def test_rejects_non_finite_times(self, time):
+        with pytest.raises(SchedulingError):
+            Timeline().advance_to(time)
+        with pytest.raises(SchedulingError):
+            Simulator(start=time)
 
 
 class TestClockNameCollision:
     """Regression: two unrelated classes were both named ``Clock``.
 
-    ``repro.sim.clock`` (the legacy monotone DES clock) and
-    ``repro.sim.clocks`` (the PR 6 sim/wall event-clock protocol) exported
-    colliding ``Clock`` names.  The legacy one is now ``SimulationClock``,
-    and the deprecated ``Clock`` aliases it kept for a while are gone.
+    The monotone DES clock (``repro.sim.clock``) is gone — the simulator
+    keeps its time on its timeline — so ``repro.sim.clocks.Clock``, the
+    sim/wall event-clock protocol, is the only ``Clock`` left.
     """
-
-    def test_simulation_clock_is_the_monotone_des_clock(self):
-        clock = SimulationClock(1.0)
-        clock.advance_to(2.0)
-        assert clock.now == 2.0
 
     def test_clocks_clock_is_the_event_clock_protocol(self):
         from repro.sim.clocks import Clock as ClockProtocol
@@ -57,24 +63,18 @@ class TestClockNameCollision:
 
         assert isinstance(SimClock(), ClockProtocol)
         assert isinstance(WallClock(), ClockProtocol)
-        assert not isinstance(SimulationClock(), ClockProtocol)
-        assert ClockProtocol is not SimulationClock
 
     def test_deprecated_aliases_are_gone(self):
         import repro.sim
-        import repro.sim.clock
 
         with pytest.raises(AttributeError):
-            repro.sim.clock.Clock
-        with pytest.raises(AttributeError):
             repro.sim.Clock
+        with pytest.raises(ModuleNotFoundError):
+            import repro.sim.clock  # noqa: F401
 
     def test_unknown_attribute_still_raises(self):
         import repro.sim
-        import repro.sim.clock
 
-        with pytest.raises(AttributeError):
-            repro.sim.clock.no_such_name
         with pytest.raises(AttributeError):
             repro.sim.no_such_name
 

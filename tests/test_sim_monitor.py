@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError
-from repro.sim.monitor import Monitor, Tally, TimeWeightedMonitor
+from repro.sim.monitor import Monitor
 
 
 class TestMonitor:
@@ -152,47 +152,3 @@ def test_merge_equals_observing_everything(left, right):
     assert merged.count == direct.count
     assert merged.mean == pytest.approx(direct.mean, abs=1e-6, rel=1e-9)
     assert merged.variance == pytest.approx(direct.variance, abs=1e-3, rel=1e-6)
-
-
-class TestTimeWeightedMonitor:
-    def test_time_average_of_constant_signal(self):
-        clock = [0.0]
-        monitor = TimeWeightedMonitor(lambda: clock[0], initial=3.0)
-        clock[0] = 10.0
-        assert monitor.time_average() == pytest.approx(3.0)
-
-    def test_time_average_weights_by_duration(self):
-        clock = [0.0]
-        monitor = TimeWeightedMonitor(lambda: clock[0], initial=0.0)
-        clock[0] = 5.0
-        monitor.set(10.0)  # 0 for 5 minutes
-        clock[0] = 10.0  # 10 for 5 minutes
-        assert monitor.time_average() == pytest.approx(5.0)
-
-    def test_add_shifts_level(self):
-        clock = [0.0]
-        monitor = TimeWeightedMonitor(lambda: clock[0], initial=1.0)
-        monitor.add(2.0)
-        assert monitor.level == 3.0
-        monitor.add(-1.0)
-        assert monitor.level == 2.0
-
-    def test_maximum_tracks_peak(self):
-        clock = [0.0]
-        monitor = TimeWeightedMonitor(lambda: clock[0], initial=0.0)
-        monitor.set(7.0)
-        monitor.set(2.0)
-        assert monitor.maximum == 7.0
-
-
-class TestTally:
-    def test_hit_and_count(self):
-        tally = Tally()
-        tally.hit("replica")
-        tally.hit("replica")
-        tally.hit("base", times=3)
-        assert tally.count("replica") == 2
-        assert tally.count("base") == 3
-        assert tally.count("missing") == 0
-        assert tally.total == 5
-        assert tally.as_dict() == {"replica": 2, "base": 3}

@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ProcessError
-from repro.sim.process import Interrupt
 from repro.sim.scheduler import Simulator
 
 
@@ -126,44 +125,3 @@ class TestFailures:
         sim.process(worker(sim))
         sim.run()
         assert caught == ["pushed"]
-
-
-class TestInterrupts:
-    def test_interrupt_wakes_sleeping_process(self, sim):
-        woken = []
-
-        def sleeper(sim):
-            try:
-                yield sim.timeout(100.0)
-            except Interrupt as interrupt:
-                woken.append((sim.now, interrupt.cause))
-
-        process = sim.process(sleeper(sim))
-        sim.call_at(2.0, lambda: process.interrupt("reason"))
-        sim.run()
-        assert woken == [(2.0, "reason")]
-
-    def test_interrupting_finished_process_raises(self, sim):
-        def quick(sim):
-            yield sim.timeout(1.0)
-
-        process = sim.process(quick(sim))
-        sim.run()
-        with pytest.raises(ProcessError):
-            process.interrupt()
-
-    def test_process_can_continue_after_interrupt(self, sim):
-        trace = []
-
-        def resilient(sim):
-            try:
-                yield sim.timeout(100.0)
-            except Interrupt:
-                trace.append("interrupted")
-            yield sim.timeout(5.0)
-            trace.append(sim.now)
-
-        process = sim.process(resilient(sim))
-        sim.call_at(1.0, lambda: process.interrupt())
-        sim.run()
-        assert trace == ["interrupted", 6.0]

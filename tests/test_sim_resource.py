@@ -5,11 +5,11 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.resource import PriorityResource, Resource
+from repro.sim.resource import Resource
 
 
-def hold(sim, resource, duration, log, tag, priority=0.0):
-    request = resource.request(priority=priority)
+def hold(sim, resource, duration, log, tag):
+    request = resource.request()
     yield request
     log.append((tag, "start", sim.now))
     yield sim.timeout(duration)
@@ -92,21 +92,3 @@ class TestCancel:
         sim.run()
         with pytest.raises(SimulationError):
             holder.cancel()
-
-
-class TestPriorityResource:
-    def test_lower_priority_value_runs_first(self, sim):
-        resource = PriorityResource(sim, capacity=1)
-        log = []
-
-        def submit_later(sim):
-            # Occupy the server, then enqueue b (low priority number) after c.
-            yield sim.timeout(0.0)
-            sim.process(hold(sim, resource, 1.0, log, "c", priority=5.0))
-            sim.process(hold(sim, resource, 1.0, log, "b", priority=1.0))
-
-        sim.process(hold(sim, resource, 2.0, log, "a"))
-        sim.process(submit_later(sim))
-        sim.run()
-        order = [tag for tag, what, _t in log if what == "start"]
-        assert order == ["a", "b", "c"]

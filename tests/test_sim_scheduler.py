@@ -9,14 +9,6 @@ from repro.sim.scheduler import Simulator
 
 
 class TestStepAndPeek:
-    def test_peek_on_empty_queue_is_infinite(self, sim):
-        assert sim.peek() == float("inf")
-
-    def test_peek_returns_next_event_time(self, sim):
-        sim.timeout(3.0)
-        sim.timeout(1.0)
-        assert sim.peek() == 1.0
-
     def test_step_advances_clock(self, sim):
         sim.timeout(2.5)
         sim.step()
@@ -25,12 +17,6 @@ class TestStepAndPeek:
     def test_step_on_empty_queue_raises(self, sim):
         with pytest.raises(SimulationError):
             sim.step()
-
-    def test_events_processed_counter(self, sim):
-        sim.timeout(1.0)
-        sim.timeout(2.0)
-        sim.run()
-        assert sim.events_processed == 2
 
 
 class TestRunModes:
@@ -47,9 +33,12 @@ class TestRunModes:
         assert sim.now == 10.0
 
     def test_run_until_deadline_leaves_future_events(self, sim):
-        sim.timeout(100.0)
+        fired_at = []
+        sim.timeout(100.0).callbacks.append(lambda e: fired_at.append(sim.now))
         sim.run(until=10.0)
-        assert sim.peek() == 100.0
+        assert fired_at == []
+        sim.run()
+        assert fired_at == [100.0]
 
     def test_run_until_event(self, sim):
         stop = sim.timeout(7.0)
@@ -116,3 +105,42 @@ class TestDeterminism:
             return times
 
         assert program(Simulator()) == program(Simulator())
+
+
+class TestNonFiniteTimes:
+    """A NaN or infinite time is refused where it is made, not discovered
+    later as a silently empty (NaN) or runaway (``inf``) simulation."""
+
+    def test_nan_timeout_raises_at_the_call(self, sim):
+        fired = []
+        sim.timeout(1.0).callbacks.append(lambda e: fired.append(sim.now))
+        with pytest.raises(SchedulingError):
+            sim.timeout(float("nan"))
+        sim.run()
+        assert fired == [1.0]
+
+    def test_infinite_timeout_raises(self, sim):
+        with pytest.raises(SchedulingError):
+            sim.timeout(float("inf"))
+        sim.run()
+        assert sim.now == 0.0
+
+    def test_run_until_nan_raises_and_leaves_now(self, sim):
+        sim.timeout(1.0)
+        sim.run(until=0.5)
+        with pytest.raises(SchedulingError):
+            sim.run(until=float("nan"))
+        assert sim.now == 0.5
+
+    def test_run_until_inf_equals_run(self):
+        def program(until):
+            sim = Simulator()
+            times = []
+            for delay in (3.0, 1.0, 2.0):
+                sim.timeout(delay).callbacks.append(
+                    lambda e: times.append(sim.now)
+                )
+            sim.run(until=until)
+            return times, sim.now
+
+        assert program(float("inf")) == program(None) == ([1.0, 2.0, 3.0], 3.0)

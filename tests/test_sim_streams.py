@@ -10,15 +10,7 @@ from hypothesis import strategies as st
 
 from repro.errors import ConfigError
 from repro.sim.rng import RandomSource
-from repro.sim.streams import (
-    DeterministicStream,
-    EmpiricalStream,
-    ErlangStream,
-    ExponentialStream,
-    HyperExponentialStream,
-    NormalStream,
-    UniformStream,
-)
+from repro.sim.streams import DeterministicStream, ExponentialStream
 
 
 def make_source(seed=1):
@@ -30,29 +22,9 @@ class TestValidation:
         with pytest.raises(ConfigError):
             ExponentialStream(0.0, make_source())
 
-    def test_uniform_rejects_inverted_bounds(self):
-        with pytest.raises(ConfigError):
-            UniformStream(5.0, 1.0, make_source())
-
-    def test_uniform_rejects_negative_bounds(self):
-        with pytest.raises(ConfigError):
-            UniformStream(-1.0, 1.0, make_source())
-
-    def test_erlang_rejects_zero_stages(self):
-        with pytest.raises(ConfigError):
-            ErlangStream(1.0, 0, make_source())
-
-    def test_hyperexp_rejects_bad_probability(self):
-        with pytest.raises(ConfigError):
-            HyperExponentialStream(1.0, 2.0, 1.5, make_source())
-
     def test_deterministic_rejects_negative(self):
         with pytest.raises(ConfigError):
             DeterministicStream(-1.0)
-
-    def test_empirical_rejects_empty(self):
-        with pytest.raises(ConfigError):
-            EmpiricalStream([], make_source())
 
 
 class TestDistributions:
@@ -61,47 +33,9 @@ class TestDistributions:
         samples = [stream.sample() for _ in range(20_000)]
         assert sum(samples) / len(samples) == pytest.approx(4.0, rel=0.05)
 
-    def test_uniform_bounds_respected(self):
-        stream = UniformStream(2.0, 5.0, make_source())
-        samples = [stream.sample() for _ in range(2_000)]
-        assert all(2.0 <= s <= 5.0 for s in samples)
-        assert sum(samples) / len(samples) == pytest.approx(3.5, rel=0.05)
-
-    def test_normal_truncates_at_zero(self):
-        stream = NormalStream(1.0, 3.0, make_source())
-        samples = [stream.sample() for _ in range(5_000)]
-        assert all(s >= 0 for s in samples)
-
-    def test_erlang_mean_and_lower_variance(self):
-        source = make_source()
-        erlang = ErlangStream(4.0, 4, source.spawn("erl"))
-        expo = ExponentialStream(4.0, source.spawn("exp"))
-        erl_samples = [erlang.sample() for _ in range(10_000)]
-        exp_samples = [expo.sample() for _ in range(10_000)]
-        erl_mean = sum(erl_samples) / len(erl_samples)
-        assert erl_mean == pytest.approx(4.0, rel=0.05)
-
-        def variance(xs):
-            mean = sum(xs) / len(xs)
-            return sum((x - mean) ** 2 for x in xs) / (len(xs) - 1)
-
-        assert variance(erl_samples) < variance(exp_samples)
-
-    def test_hyperexponential_mean(self):
-        stream = HyperExponentialStream(1.0, 10.0, 0.7, make_source())
-        assert stream.mean == pytest.approx(0.7 * 1.0 + 0.3 * 10.0)
-        samples = [stream.sample() for _ in range(30_000)]
-        assert sum(samples) / len(samples) == pytest.approx(stream.mean, rel=0.07)
-
     def test_deterministic_is_constant(self):
         stream = DeterministicStream(2.5)
         assert [stream.sample() for _ in range(5)] == [2.5] * 5
-
-    def test_empirical_draws_from_sample(self):
-        values = [1.0, 2.0, 3.0]
-        stream = EmpiricalStream(values, make_source())
-        assert all(stream.sample() in values for _ in range(100))
-        assert stream.mean == pytest.approx(2.0)
 
     def test_count_tracks_draws(self):
         stream = ExponentialStream(1.0, make_source())
@@ -153,16 +87,3 @@ def test_exponential_samples_are_nonnegative_and_finite(mean, seed):
         value = stream.sample()
         assert value >= 0.0
         assert math.isfinite(value)
-
-
-@settings(max_examples=50, deadline=None)
-@given(
-    low=st.floats(min_value=0.0, max_value=100.0),
-    span=st.floats(min_value=0.0, max_value=100.0),
-    seed=st.integers(min_value=0, max_value=2**32),
-)
-def test_uniform_samples_stay_in_bounds(low, span, seed):
-    stream = UniformStream(low, low + span, RandomSource(seed, "prop"))
-    for _ in range(20):
-        value = stream.sample()
-        assert low <= value <= low + span + 1e-9
