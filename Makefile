@@ -63,9 +63,12 @@ test-fleet:
 
 # What a sim process holds: no libcrypto and no engine import, the
 # builtin-SHA-256 seed derivation (and its fallback), the stream's bytes
-# per query, and the GA draws against random.Random.
+# per query, and the GA draws against random.Random.  Plus the import
+# pins: the sim and serve entries load exactly their module lists, and
+# the CLI imports a subcommand only when it runs.
 test-memory:
-	PYTHONPATH=src $(PYTHON) -m pytest tests/test_memory_footprint.py -q
+	PYTHONPATH=src $(PYTHON) -m pytest tests/test_memory_footprint.py \
+		tests/test_public_api.py::TestImportGraph -q
 
 # End-to-end HTTP pass over every route; asserts checker-clean trace and
 # SimClock replay equivalence.

@@ -10,17 +10,19 @@ table so that multi-table queries have natural equi-join paths.
 
 from __future__ import annotations
 
+import typing
 from dataclasses import dataclass, field
 
-from repro.engine.planner import Database
-from repro.engine.schema import Column, DType, TableSchema
-from repro.engine.table import Table
 from repro.errors import ConfigError
 from repro.sim.rng import RandomSource
 
+if typing.TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.engine.planner import Database
+
 __all__ = ["SyntheticInstance", "generate_synthetic"]
 
-_ATTR_TYPES = (DType.INT, DType.FLOAT, DType.STR, DType.DATE)
+#: Attribute column types, as :class:`~repro.engine.schema.DType` tags.
+_ATTR_TYPES = ("int", "float", "str", "date")
 
 
 @dataclass
@@ -29,23 +31,55 @@ class SyntheticInstance:
 
     Attributes
     ----------
-    database:
-        The tables, named ``t001`` .. ``tNNN``.
     table_names:
-        All table names, in creation order.
+        All table names, ``t001`` .. ``tNNN``, in creation order.
     foreign_keys:
         ``table -> (referenced_table, fk_column)`` join edges; queries use
         these to build connected multi-table joins.
+    columns:
+        ``table -> ((column, dtype tag), ...)``, the key column first.
     """
 
-    database: Database
     table_names: list[str]
     foreign_keys: dict[str, tuple[str, str]] = field(default_factory=dict)
     row_counts: dict[str, int] = field(default_factory=dict)
+    columns: dict[str, tuple] = field(default_factory=dict)
+    _database: Database | None = field(default=None, repr=False)
+
+    @property
+    def database(self) -> Database:
+        """The tables as an engine database, built on first read."""
+        if self._database is None:
+            self._database = self._build_database(None)
+        return self._database
 
     def key_column(self, table: str) -> str:
         """Name of a table's primary key column."""
         return f"{table}_key"
+
+    def _build_database(self, source: RandomSource | None) -> Database:
+        """The engine database; rows are drawn from ``source`` if given."""
+        from repro.engine.planner import Database
+        from repro.engine.schema import Column, TableSchema
+        from repro.engine.table import Table
+
+        database = Database()
+        for name in self.table_names:
+            columns = tuple(Column(*spec) for spec in self.columns[name])
+            table = Table(TableSchema(name, columns, (self.key_column(name),)))
+            if source is not None:
+                filler = source.spawn(f"rows/{name}")
+                fk = self.foreign_keys.get(name)
+                top = self.row_counts[fk[0]] - 1 if fk else 0
+                for key in range(self.row_counts[name]):
+                    record: list = [key]
+                    if fk is not None:
+                        record.append(filler.randint(0, top))
+                    for column in columns[len(record):]:
+                        record.append(_random_value(column.dtype, filler))
+                    table.insert(record, validate=False)
+            database.add(table)
+        return database
 
 
 def generate_synthetic(
@@ -68,9 +102,10 @@ def generate_synthetic(
     fk_probability:
         Chance a table (beyond the first) references an earlier table.
     materialize_rows:
-        When ``False``, tables are created empty but *reported* with the
-        drawn row counts — the large-instance experiments only need the
-        cardinalities, not the bytes.
+        When ``False``, tables are empty (and built only if ``database``
+        is read) but *reported* with the drawn row counts — the
+        large-instance experiments only need the cardinalities, not the
+        bytes.
     """
     if num_tables < 1:
         raise ConfigError(f"num_tables must be >= 1, got {num_tables}")
@@ -80,53 +115,32 @@ def generate_synthetic(
 
     source = RandomSource(seed, "synthetic")
     structure = source.spawn("structure")
-    database = Database()
-    table_names: list[str] = []
-    foreign_keys: dict[str, tuple[str, str]] = {}
-    row_counts: dict[str, int] = {}
+    instance = SyntheticInstance(table_names=[])
+    names = instance.table_names
 
     for index in range(num_tables):
         name = f"t{index + 1:03d}"
-        columns = [Column(f"{name}_key", DType.INT)]
-        fk_target: str | None = None
-        if table_names and structure.uniform(0.0, 1.0) < fk_probability:
-            fk_target = structure.choice(table_names)
-            columns.append(Column(f"{name}_fk_{fk_target}", DType.INT))
-            foreign_keys[name] = (fk_target, f"{name}_fk_{fk_target}")
+        columns = [(f"{name}_key", "int")]
+        if names and structure.uniform(0.0, 1.0) < fk_probability:
+            fk_target = structure.choice(names)
+            columns.append((f"{name}_fk_{fk_target}", "int"))
+            instance.foreign_keys[name] = (fk_target, columns[-1][0])
         for attr in range(structure.randint(2, 5)):
-            dtype = structure.choice(_ATTR_TYPES)
-            columns.append(Column(f"{name}_a{attr}", dtype))
-        schema = TableSchema(name, tuple(columns), primary_key=(f"{name}_key",))
+            columns.append((f"{name}_a{attr}", structure.choice(_ATTR_TYPES)))
+        instance.columns[name] = tuple(columns)
+        instance.row_counts[name] = structure.randint(low, high)
+        names.append(name)
 
-        rows = structure.randint(low, high)
-        row_counts[name] = rows
-        table = Table(schema)
-        if materialize_rows:
-            filler = source.spawn(f"rows/{name}")
-            target_rows = row_counts.get(fk_target, 0) if fk_target else 0
-            for key in range(rows):
-                record: list = [key]
-                if fk_target is not None:
-                    record.append(filler.randint(0, max(target_rows - 1, 0)))
-                for column in schema.columns[len(record):]:
-                    record.append(_random_value(column.dtype, filler))
-                table.insert(record, validate=False)
-        database.add(table)
-        table_names.append(name)
-
-    return SyntheticInstance(
-        database=database,
-        table_names=table_names,
-        foreign_keys=foreign_keys,
-        row_counts=row_counts,
-    )
+    if materialize_rows:
+        instance._database = instance._build_database(source)
+    return instance
 
 
 def _random_value(dtype: str, rng: RandomSource):
-    if dtype == DType.INT:
+    if dtype == "int":
         return rng.randint(0, 10_000)
-    if dtype == DType.FLOAT:
+    if dtype == "float":
         return round(rng.uniform(0.0, 10_000.0), 3)
-    if dtype == DType.DATE:
+    if dtype == "date":
         return rng.randint(0, 2555)
     return f"v{rng.randint(0, 9999):04d}"

@@ -15,9 +15,8 @@ The reference and the resumed run are the *same driver* —
 so the comparison isolates exactly the property under test:
 that journal + snapshot + replay lose nothing and invent nothing.  This
 is the substrate for week-long, million-query horizons run in resumable
-chunks (ROADMAP items 2 and 5): any prefix of a long run can be cut at a
-power-loss-shaped boundary and continued without perturbing a single
-decision.
+chunks: any prefix of a long run can be cut at a power-loss-shaped
+boundary and continued without perturbing a single decision.
 """
 
 from __future__ import annotations

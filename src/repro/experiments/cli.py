@@ -9,37 +9,24 @@ code; this CLI is the full-fidelity path.
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
 import time
+import typing
 from collections.abc import Callable
 
 from repro._version import __version__
-from repro.experiments.ablations import (
-    run_advisor_ablation,
-    run_aging_ablation,
-    run_ga_ablation,
-    run_routing_ablation,
-    run_search_ablation,
-)
-from repro.experiments.faults import run_fault_sweep
-from repro.experiments.fig4_walkthrough import run_fig4
-from repro.experiments.fig5 import run_fig5
-from repro.experiments.fig6 import run_fig6
-from repro.experiments.fig7 import run_fig7
-from repro.experiments.fig8 import run_fig8
-from repro.experiments.fig9 import run_fig9a, run_fig9b
-from repro.experiments.load import run_load_sweep
-from repro.experiments.scale import run_scale
-from repro.experiments.sensitivity import run_sensitivity
-from repro.experiments.stream_mqo import run_stream_mqo
-from repro.reporting.charts import grouped_bar_chart
-from repro.reporting.export import render
-from repro.reporting.tables import ResultTable
+
+if typing.TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.reporting.tables import ResultTable
 
 __all__ = ["main", "EXPERIMENTS"]
 
 
 def _fig4_tables() -> list[ResultTable]:
+    from repro.experiments.fig4_walkthrough import run_fig4
+    from repro.reporting.tables import ResultTable
+
     outcome = run_fig4()
     summary = ResultTable(
         title="Figure 4 walkthrough (scatter-and-gather)",
@@ -55,26 +42,33 @@ def _fig4_tables() -> list[ResultTable]:
     return [summary, outcome.candidates]
 
 
+def _tables(module: str, *runners: str) -> Callable[[], list[ResultTable]]:
+    """An experiment that imports its harness module only when it runs."""
+
+    def run() -> list[ResultTable]:
+        loaded = importlib.import_module(f"repro.experiments.{module}")
+        return [getattr(loaded, runner)() for runner in runners]
+
+    return run
+
+
 #: Each experiment yields one or more result tables.
 EXPERIMENTS: dict[str, Callable[[], list[ResultTable]]] = {
     "fig4": _fig4_tables,
-    "fig5": lambda: [run_fig5()],
-    "fig6": lambda: [run_fig6()],
-    "fig7": lambda: [run_fig7()],
-    "fig8": lambda: [run_fig8()],
-    "fig9": lambda: [run_fig9a(), run_fig9b()],
-    "ablations": lambda: [
-        run_aging_ablation(),
-        run_search_ablation(),
-        run_advisor_ablation(),
-        run_routing_ablation(),
-        run_ga_ablation(),
-    ],
-    "sensitivity": lambda: [run_sensitivity()],
-    "load": lambda: [run_load_sweep()],
-    "faults": lambda: [run_fault_sweep()],
-    "stream-mqo": lambda: [run_stream_mqo()],
-    "scale": lambda: [run_scale()],
+    "fig5": _tables("fig5", "run_fig5"),
+    "fig6": _tables("fig6", "run_fig6"),
+    "fig7": _tables("fig7", "run_fig7"),
+    "fig8": _tables("fig8", "run_fig8"),
+    "fig9": _tables("fig9", "run_fig9a", "run_fig9b"),
+    "ablations": _tables(
+        "ablations", "run_aging_ablation", "run_search_ablation",
+        "run_advisor_ablation", "run_routing_ablation", "run_ga_ablation",
+    ),
+    "sensitivity": _tables("sensitivity", "run_sensitivity"),
+    "load": _tables("load", "run_load_sweep"),
+    "faults": _tables("faults", "run_fault_sweep"),
+    "stream-mqo": _tables("stream_mqo", "run_stream_mqo"),
+    "scale": _tables("scale", "run_scale"),
 }
 
 #: (group_by, series, value) specs for ``--chart``, where a grouped bar
@@ -322,6 +316,8 @@ def _run_scale_fleet(parser: argparse.ArgumentParser, args: argparse.Namespace) 
         run_scale_sweep,
     )
     from repro.reporting.dashboard import fleet_report_html, render_fleet_dashboard
+    from repro.reporting.export import render
+    from repro.reporting.tables import ResultTable
 
     schedules = DEFAULT_SCHEDULES
     if args.schedule:
@@ -660,6 +656,9 @@ def main(argv: list[str] | None = None) -> int:
         else:
             print(report)
         return 0 if all(claim.passed for claim in claims) else 1
+
+    from repro.reporting.charts import grouped_bar_chart
+    from repro.reporting.export import render
 
     names = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     chunks: list[str] = []

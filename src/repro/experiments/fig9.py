@@ -15,11 +15,23 @@ performance gain" — and grows with the number of queries.
 from __future__ import annotations
 
 from repro.mqo.evaluator import EvaluatorStats
+from repro.mqo.scheduler import WorkloadScheduler
 from repro.reporting.tables import ResultTable
-from repro.testbed import Fig9Config, build_mqo_scheduler
+from repro.testbed import Fig9Config, SyntheticSetup, build_mqo_stack
 from repro.workload.generator import overlapping_workload, random_queries
 
 __all__ = ["Fig9Config", "build_mqo_scheduler", "run_fig9a", "run_fig9b"]
+
+
+def build_mqo_scheduler(
+    config: Fig9Config,
+) -> tuple[WorkloadScheduler, SyntheticSetup]:
+    """The Figure 9 stack under a batch :class:`WorkloadScheduler`."""
+    catalog, cost_model, rates, setup = build_mqo_stack(config)
+    scheduler = WorkloadScheduler(
+        catalog, cost_model, rates, ga_config=config.ga, seed=config.seed
+    )
+    return scheduler, setup
 
 
 def run_fig9a(config: Fig9Config | None = None) -> ResultTable:

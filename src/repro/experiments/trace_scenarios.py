@@ -34,8 +34,7 @@ from repro.experiments.runner import run_stream
 from repro.federation.executor import ExecutionPolicy
 from repro.federation.faults import FaultPlan
 from repro.federation.site import LOCAL_SITE_ID, Site
-from repro.federation.sync import ReplicationManager
-from repro.federation.system import FederatedSystem
+from repro.federation.system import FederatedSystem, ReplicationManager
 from repro.sim.scheduler import Simulator
 from repro.sim.trace import Tracer
 

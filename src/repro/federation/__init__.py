@@ -19,7 +19,7 @@ _EXPORTS = {
     "PlanExecutor": "executor",
     "QueryOutcome": "executor",
     "Replica": "catalog",
-    "ReplicationManager": "sync",
+    "ReplicationManager": "system",
     "Router": "system",
     "SharedSyncFeed": "catalog",
     "Site": "site",

@@ -1,12 +1,10 @@
-"""The replication manager.
+"""Replica synchronization schedules.
 
-Builds synchronization schedules for replicas and, during simulation,
-materialises each scheduled completion as an event: bumping the replica's
-sync counter, recording staleness statistics, and waking any listeners
-(e.g. dashboards in the examples).  Because schedules are *pre-scheduled*
-timelines (see :mod:`repro.federation.catalog`), the manager never decides
-freshness — it faithfully executes the published schedule, which is what
-lets the IVQP optimizer plan against future synchronization points.
+Builds the published synchronization schedule of every replica.  Schedules
+are *pre-scheduled* timelines (see :mod:`repro.federation.catalog`): the
+simulation's :class:`~repro.federation.system.ReplicationManager` executes
+them faithfully and never decides freshness itself, which is what lets the
+IVQP optimizer plan against future synchronization points.
 
 Three scheduling modes cover the paper's setups:
 
@@ -20,32 +18,18 @@ Three scheduling modes cover the paper's setups:
 
 from __future__ import annotations
 
-import typing
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 
 from repro.errors import ConfigError
 from repro.federation.catalog import (
-    Catalog,
-    Replica,
     SharedSyncFeed,
     StreamSyncSchedule,
     SyncSchedule,
 )
-from repro.federation.faults import SYNC_DELAY, SYNC_SKIP
-from repro.obs import events
-from repro.obs.live import EwmaRate
-
-if typing.TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.federation.faults import FaultInjector
-    from repro.sim.trace import Tracer
-from repro.sim.monitor import Monitor
 from repro.sim.rng import RandomSource
-from repro.sim.scheduler import Simulator
 from repro.sim.streams import ExponentialStream
 
-__all__ = ["ReplicationManager", "build_schedules", "prefetch_timelines"]
-
-SyncListener = Callable[[Replica, float], None]
+__all__ = ["build_schedules"]
 
 
 def build_schedules(
@@ -105,163 +89,3 @@ def build_schedules(
             f"unknown sync mode {mode!r} (periodic | exponential | shared)"
         )
     return schedules
-
-
-def prefetch_timelines(
-    catalog: Catalog,
-    horizon: float,
-    table_names: Sequence[str] | None = None,
-) -> None:
-    """Materialise replica sync timelines through ``horizon`` up front.
-
-    Lazily-extended schedules are convenient but put an extension branch on
-    every freshness lookup; batch consumers (the MQO fast path compiles
-    plans against raw sorted arrays) call this once so the hot loop almost
-    never has to extend.  Restrict to ``table_names`` when only a subset of
-    replicas is involved.
-    """
-    if table_names is None:
-        replicas = catalog.replicas
-    else:
-        replicas = [
-            replica
-            for name in table_names
-            if (replica := catalog.replica(name)) is not None
-        ]
-    for replica in replicas:
-        replica.completions_through(horizon)
-
-
-class ReplicationManager:
-    """Materialises replica synchronizations inside the simulation."""
-
-    def __init__(
-        self,
-        sim: Simulator,
-        catalog: Catalog,
-        qos_max_staleness: float | None = None,
-        injector: "FaultInjector | None" = None,
-        tracer: "Tracer | None" = None,
-    ) -> None:
-        if qos_max_staleness is not None and qos_max_staleness <= 0:
-            raise ConfigError("qos_max_staleness must be > 0")
-        self.sim = sim
-        self.catalog = catalog
-        self.qos_max_staleness = qos_max_staleness
-        self.injector = injector
-        self.tracer = tracer
-        # Bounded retention: long runs sync thousands of times, and the
-        # raw gap samples are only needed for percentiles/diagnostics.
-        self.staleness = Monitor(
-            "replica-staleness-at-sync", keep_values=True, cap=4096
-        )
-        self.qos_violations = 0
-        self.total_syncs = 0
-        self.syncs_skipped = 0
-        self.syncs_delayed = 0
-        #: Per-table sync-application EWMAs (events/minute) — the update-rate
-        #: signal a demand-driven sync controller reads per table.
-        self.update_rate_half_life = 10.0
-        self.update_rates: dict[str, EwmaRate] = {}
-        self._listeners: list[SyncListener] = []
-        self._started = False
-
-    def add_listener(self, listener: SyncListener) -> None:
-        """Register a callback invoked as ``listener(replica, time)``."""
-        self._listeners.append(listener)
-
-    def start(self) -> None:
-        """Launch one driver process per replica (idempotent).
-
-        Under a fault injector the replicas switch to runtime freshness
-        tracking: only syncs that actually land count towards
-        :meth:`~repro.federation.catalog.Replica.realized_freshness_at`.
-        """
-        if self._started:
-            return
-        self._started = True
-        if self.injector is not None:
-            self.injector.start()
-            for replica in self.catalog.replicas:
-                replica.enable_runtime_tracking()
-        for replica in self.catalog.replicas:
-            self.sim.process(self._drive(replica), name=f"sync:{replica.name}")
-
-    def _drive(self, replica: Replica):
-        # Consume the published schedule's completions *strictly in order*:
-        # the cursor advances one completion per iteration, so near-equal
-        # completion instants (whose timeout collapses to zero under float
-        # addition) can no longer fire the same sync twice, and completions
-        # sharing an exact timestamp collapse to one sync event.  Staleness
-        # gaps are measured against the previously *applied* completion —
-        # no epsilon lookups.
-        cursor = self.sim.now
-        previous = replica.schedule.last_completion_at_or_before(cursor)
-        if previous is None:
-            previous = replica.initial_timestamp
-        while True:
-            completion = replica.next_sync_after(cursor)
-            cursor = completion
-            if completion > self.sim.now:
-                yield self.sim.timeout(completion - self.sim.now)
-            if self.injector is not None:
-                kind, delay = self.injector.sync_disposition(replica, completion)
-                if kind == SYNC_SKIP:
-                    self.syncs_skipped += 1
-                    if self.tracer is not None:
-                        self.tracer.emit(
-                            events.SYNC_SKIP, replica.name, scheduled=completion
-                        )
-                    continue
-                if kind == SYNC_DELAY and delay > 0.0:
-                    self.syncs_delayed += 1
-                    if self.tracer is not None:
-                        self.tracer.emit(
-                            events.SYNC_DELAY, replica.name,
-                            scheduled=completion, delay=delay,
-                        )
-                    yield self.sim.timeout(delay)
-            applied_at = max(completion, self.sim.now)
-            self._on_sync(replica, applied_at, previous)
-            previous = applied_at
-
-    def _on_sync(self, replica: Replica, now: float, previous: float) -> None:
-        # Staleness *just before* this sync: the gap the new version closes.
-        gap = max(0.0, now - previous)
-        self.staleness.observe(gap)
-        self.total_syncs += 1
-        replica.sync_count += 1
-        if replica.runtime_tracking:
-            replica.record_applied_sync(now)
-        if self.qos_max_staleness is not None and gap > self.qos_max_staleness:
-            self.qos_violations += 1
-        if replica.name not in self.update_rates:
-            self.update_rates[replica.name] = EwmaRate(self.update_rate_half_life)
-        self.update_rates[replica.name].observe(now)
-        if self.tracer is not None:
-            self.tracer.emit(events.SYNC_APPLY, replica.name, at=now, gap=gap)
-        for listener in self._listeners:
-            listener(replica, now)
-
-    def table_gauges(self, now: float | None = None) -> dict[str, dict[str, float]]:
-        """Per-table staleness/divergence/update-rate gauges at ``now``.
-
-        The manager-side counterpart of the trace-derived
-        :class:`~repro.obs.live.TableSyncState` block: staleness reads the
-        replica's *realized* freshness (what it actually holds), divergence
-        the published-minus-realized gap
-        (:meth:`~repro.federation.catalog.Replica.divergence_at`), and the
-        update rate the per-table sync-application EWMA — the inputs
-        ROADMAP item 2's demand-driven sync controller consumes.
-        """
-        now = self.sim.now if now is None else now
-        gauges: dict[str, dict[str, float]] = {}
-        for replica in self.catalog.replicas:
-            rate = self.update_rates.get(replica.name)
-            gauges[replica.name] = {
-                "sync.table.staleness": replica.realized_staleness_at(now),
-                "sync.table.divergence": replica.divergence_at(now),
-                "sync.table.update_rate": rate.rate(now) if rate else 0.0,
-                "sync.table.syncs": float(replica.sync_count),
-            }
-        return gauges

@@ -4,6 +4,10 @@ Wires together the catalog, sites, network, cost model, replication
 manager, a plan router (IVQP or a baseline) and the executor, and exposes
 the two operations experiments need: submit queries (at arrival times) and
 run the simulation.
+
+:class:`ReplicationManager` applies each replica's published sync schedule
+(:mod:`repro.federation.sync`) as simulation events: it bumps the replica's
+sync counter, records staleness and wakes listeners.
 """
 
 from __future__ import annotations
@@ -16,13 +20,20 @@ from repro.core.plan import QueryPlan
 from repro.core.value import DiscountRates
 from repro.engine.planner import Database
 from repro.errors import ConfigError
-from repro.federation.catalog import Catalog, SyncSchedule, TableDef
+from repro.federation.catalog import Catalog, Replica, SyncSchedule, TableDef
 from repro.federation.costmodel import CostModel, CostParameters
 from repro.federation.executor import ExecutionPolicy, PlanExecutor, QueryOutcome
-from repro.federation.faults import FaultInjector, FaultPlan
+from repro.federation.faults import (
+    SYNC_DELAY,
+    SYNC_SKIP,
+    FaultInjector,
+    FaultPlan,
+)
 from repro.federation.network import NetworkModel
 from repro.federation.site import LOCAL_SITE_ID, Site
-from repro.federation.sync import ReplicationManager, build_schedules
+from repro.federation.sync import build_schedules
+from repro.obs import events
+from repro.obs.live import EwmaRate
 from repro.sim.monitor import Monitor
 from repro.sim.rng import RandomSource
 from repro.sim.scheduler import Simulator
@@ -31,7 +42,10 @@ from repro.sim.trace import Tracer
 if typing.TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.workload.query import DSSQuery
 
-__all__ = ["Router", "TableSpec", "SystemConfig", "FederatedSystem", "build_system"]
+__all__ = [
+    "Router", "TableSpec", "SystemConfig", "ReplicationManager",
+    "FederatedSystem", "build_system",
+]
 
 
 class Router(typing.Protocol):
@@ -44,6 +58,8 @@ class Router(typing.Protocol):
 
 #: Factory signature used to plug in IVQP or a baseline router.
 RouterFactory = Callable[[Catalog, CostModel, DiscountRates], Router]
+
+SyncListener = Callable[[Replica, float], None]
 
 
 @dataclass(frozen=True)
@@ -87,6 +103,141 @@ class SystemConfig:
         unknown = set(self.replicated) - set(names)
         if unknown:
             raise ConfigError(f"replicated tables not defined: {sorted(unknown)}")
+
+
+class ReplicationManager:
+    """Materialises replica synchronizations inside the simulation."""
+
+    def __init__(
+        self,
+        sim: Simulator,
+        catalog: Catalog,
+        qos_max_staleness: float | None = None,
+        injector: FaultInjector | None = None,
+        tracer: Tracer | None = None,
+    ) -> None:
+        if qos_max_staleness is not None and qos_max_staleness <= 0:
+            raise ConfigError("qos_max_staleness must be > 0")
+        self.sim = sim
+        self.catalog = catalog
+        self.qos_max_staleness = qos_max_staleness
+        self.injector = injector
+        self.tracer = tracer
+        # Bounded retention: long runs sync thousands of times, and the
+        # raw gap samples are only needed for percentiles/diagnostics.
+        self.staleness = Monitor(
+            "replica-staleness-at-sync", keep_values=True, cap=4096
+        )
+        self.qos_violations = 0
+        self.total_syncs = 0
+        self.syncs_skipped = 0
+        self.syncs_delayed = 0
+        #: Per-table sync-application EWMAs (events/minute) — the update-rate
+        #: signal a demand-driven sync controller reads per table.
+        self.update_rate_half_life = 10.0
+        self.update_rates: dict[str, EwmaRate] = {}
+        self._listeners: list[SyncListener] = []
+        self._started = False
+
+    def add_listener(self, listener: SyncListener) -> None:
+        """Register a callback invoked as ``listener(replica, time)``."""
+        self._listeners.append(listener)
+
+    def start(self) -> None:
+        """Launch one driver process per replica (idempotent).
+
+        Under a fault injector the replicas switch to runtime freshness
+        tracking: only syncs that actually land count towards
+        :meth:`~repro.federation.catalog.Replica.realized_freshness_at`.
+        """
+        if self._started:
+            return
+        self._started = True
+        if self.injector is not None:
+            self.injector.start()
+            for replica in self.catalog.replicas:
+                replica.enable_runtime_tracking()
+        for replica in self.catalog.replicas:
+            self.sim.process(self._drive(replica), name=f"sync:{replica.name}")
+
+    def _drive(self, replica: Replica):
+        # Consume the published schedule's completions *strictly in order*:
+        # the cursor advances one completion per iteration, so near-equal
+        # completion instants (whose timeout collapses to zero under float
+        # addition) can no longer fire the same sync twice, and completions
+        # sharing an exact timestamp collapse to one sync event.  Staleness
+        # gaps are measured against the previously *applied* completion —
+        # no epsilon lookups.
+        cursor = self.sim.now
+        previous = replica.schedule.last_completion_at_or_before(cursor)
+        if previous is None:
+            previous = replica.initial_timestamp
+        while True:
+            completion = replica.next_sync_after(cursor)
+            cursor = completion
+            if completion > self.sim.now:
+                yield self.sim.timeout(completion - self.sim.now)
+            if self.injector is not None:
+                kind, delay = self.injector.sync_disposition(replica, completion)
+                if kind == SYNC_SKIP:
+                    self.syncs_skipped += 1
+                    if self.tracer is not None:
+                        self.tracer.emit(
+                            events.SYNC_SKIP, replica.name, scheduled=completion
+                        )
+                    continue
+                if kind == SYNC_DELAY and delay > 0.0:
+                    self.syncs_delayed += 1
+                    if self.tracer is not None:
+                        self.tracer.emit(
+                            events.SYNC_DELAY, replica.name,
+                            scheduled=completion, delay=delay,
+                        )
+                    yield self.sim.timeout(delay)
+            applied_at = max(completion, self.sim.now)
+            self._on_sync(replica, applied_at, previous)
+            previous = applied_at
+
+    def _on_sync(self, replica: Replica, now: float, previous: float) -> None:
+        # Staleness *just before* this sync: the gap the new version closes.
+        gap = max(0.0, now - previous)
+        self.staleness.observe(gap)
+        self.total_syncs += 1
+        replica.sync_count += 1
+        if replica.runtime_tracking:
+            replica.record_applied_sync(now)
+        if self.qos_max_staleness is not None and gap > self.qos_max_staleness:
+            self.qos_violations += 1
+        if replica.name not in self.update_rates:
+            self.update_rates[replica.name] = EwmaRate(self.update_rate_half_life)
+        self.update_rates[replica.name].observe(now)
+        if self.tracer is not None:
+            self.tracer.emit(events.SYNC_APPLY, replica.name, at=now, gap=gap)
+        for listener in self._listeners:
+            listener(replica, now)
+
+    def table_gauges(self, now: float | None = None) -> dict[str, dict[str, float]]:
+        """Per-table staleness/divergence/update-rate gauges at ``now``.
+
+        The manager-side counterpart of the trace-derived
+        :class:`~repro.obs.live.TableSyncState` block: staleness reads the
+        replica's *realized* freshness (what it actually holds), divergence
+        the published-minus-realized gap
+        (:meth:`~repro.federation.catalog.Replica.divergence_at`), and the
+        update rate the per-table sync-application EWMA — the inputs a
+        demand-driven sync controller would consume.
+        """
+        now = self.sim.now if now is None else now
+        gauges: dict[str, dict[str, float]] = {}
+        for replica in self.catalog.replicas:
+            rate = self.update_rates.get(replica.name)
+            gauges[replica.name] = {
+                "sync.table.staleness": replica.realized_staleness_at(now),
+                "sync.table.divergence": replica.divergence_at(now),
+                "sync.table.update_rate": rate.rate(now) if rate else 0.0,
+                "sync.table.syncs": float(replica.sync_count),
+            }
+        return gauges
 
 
 class FederatedSystem:

@@ -69,15 +69,17 @@ from repro.mqo.online import (
     step,
 )
 from repro.obs import events
-from repro.obs.checker import TraceChecker, Violation
 from repro.obs.ledger import IVLedgerEntry
 from repro.obs.live import LiveRegistry
 from repro.obs.slo import SLOMonitor, default_slo_rules
 from repro.sim.clocks import WallClock
 from repro.sim.trace import Tracer
-from repro.testbed import Fig9Config, build_mqo_scheduler
+from repro.testbed import Fig9Config, build_mqo_stack
 from repro.workload.generator import random_queries
 from repro.workload.query import DSSQuery, Workload
+
+if typing.TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.obs.checker import Violation
 
 __all__ = [
     "ServeConfig",
@@ -130,17 +132,18 @@ def build_serve_scheduler(
     construction (same federation seed, same GA config, same templates),
     nothing else.
     """
-    base, setup = build_mqo_scheduler(Fig9Config(seed=config.seed))
+    catalog, cost_model, rates, setup = build_mqo_stack(
+        Fig9Config(seed=config.seed)
+    )
     templates = random_queries(
         setup.instance, count=config.num_templates, seed=config.seed + 1000,
     )
     scheduler = OnlineMQOScheduler(
-        base.catalog,
-        base.cost_provider,
-        base.default_rates,
+        catalog,
+        cost_model,
+        rates,
         ga_config=GAConfig(generations=config.ga_generations),
-        seed=base.seed,
-        max_candidates=base.max_candidates,
+        seed=config.seed,
         tracer=tracer,
         config=OnlineConfig(
             window=config.window,
@@ -236,7 +239,6 @@ class QueryService(SessionObserver):
         self.results: dict[int, dict] = {}
         self._decision_futures: dict[int, asyncio.Future] = {}
         self._result_futures: dict[int, asyncio.Future] = {}
-        self._finished = asyncio.Event()
         self._journal: JournalWriter | None = None
         self._journal_path = Path(journal) if journal is not None else None
         self._trace = LifecycleTrace(self.tracer)
@@ -341,16 +343,11 @@ class QueryService(SessionObserver):
             self._journal.close()
         if self.monitor is not None:
             self.monitor.finalize(self._logical_now)
-        self._finished.set()
 
     def begin_shutdown(self) -> None:
         """Stop accepting and let :meth:`run` drain and return."""
         self.accepting = False
         self.clock.stop()
-
-    async def wait_finished(self) -> None:
-        """Block until :meth:`run` has fully drained."""
-        await self._finished.wait()
 
     # -- durability ----------------------------------------------------------
 
@@ -507,6 +504,8 @@ class QueryService(SessionObserver):
 
     def check_trace(self) -> list[Violation]:
         """Run the TraceChecker over everything traced so far."""
+        from repro.obs.checker import TraceChecker
+
         return TraceChecker().check(self.tracer.records)
 
     def replay(self) -> OnlineSession:

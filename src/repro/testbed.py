@@ -1,15 +1,16 @@
 """The synthetic federation shared by the Figure 9 experiments and serving.
 
 :class:`SyntheticSetup` is the synthetic experiment environment of
-Sections 4.3–4.4; :func:`build_mqo_scheduler` turns it into the Figure 9
-catalog / cost model / MQO scheduler stack, which the serving tier
+Sections 4.3–4.4; :func:`build_mqo_stack` turns it into the Figure 9
+catalog / cost model / rates, which the serving tier
 (:mod:`repro.serve.service`) also runs under live traffic.  It lives
-outside :mod:`repro.experiments` so a service process never imports the
-figure harnesses.
+outside :mod:`repro.experiments`, and imports the DES federation only in
+the methods that build one, so a service process loads neither.
 """
 
 from __future__ import annotations
 
+import typing
 from dataclasses import dataclass, field
 
 from repro.core.value import DiscountRates
@@ -19,16 +20,17 @@ from repro.errors import ConfigError
 from repro.federation.catalog import Catalog, TableDef
 from repro.federation.costmodel import CostModel, CostParameters
 from repro.federation.sync import build_schedules
-from repro.federation.system import SystemConfig, TableSpec
 from repro.mqo.ga import GAConfig
-from repro.mqo.scheduler import WorkloadScheduler
 from repro.sim.rng import RandomSource
+
+if typing.TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.federation.system import SystemConfig, TableSpec
 
 __all__ = [
     "QUERY_MEAN_INTERARRIVAL",
     "Fig9Config",
     "SyntheticSetup",
-    "build_mqo_scheduler",
+    "build_mqo_stack",
     "sync_interval_for_ratio",
 ]
 
@@ -83,6 +85,8 @@ class SyntheticSetup:
 
     def table_specs(self) -> list[TableSpec]:
         """Physical tables under the configured placement."""
+        from repro.federation.system import TableSpec
+
         placement = self.placement_map()
         instance = self.instance
         return [
@@ -124,6 +128,8 @@ class SyntheticSetup:
             replicated = list(self.instance.table_names)
         else:
             raise ConfigError(f"unknown approach {approach!r}")
+        from repro.federation.system import SystemConfig
+
         return SystemConfig(
             tables=self.table_specs(),
             replicated=replicated,
@@ -159,10 +165,10 @@ class Fig9Config:
     overlap_seed: int = 31
 
 
-def build_mqo_scheduler(
+def build_mqo_stack(
     config: Fig9Config,
-) -> tuple[WorkloadScheduler, SyntheticSetup]:
-    """Build the catalog/cost-model/scheduler stack for Figure 9."""
+) -> tuple[Catalog, CostModel, DiscountRates, SyntheticSetup]:
+    """Build the Figure 9 catalog, cost model and discount rates."""
     setup = SyntheticSetup(
         num_tables=config.num_tables,
         num_sites=config.num_sites,
@@ -188,7 +194,4 @@ def build_mqo_scheduler(
         catalog.add_replica(name, schedules[name])
     cost_model = CostModel(catalog, params=config.cost_params)
     rates = DiscountRates.symmetric(config.lambda_both)
-    scheduler = WorkloadScheduler(
-        catalog, cost_model, rates, ga_config=config.ga, seed=config.seed
-    )
-    return scheduler, setup
+    return catalog, cost_model, rates, setup

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 from collections import Counter
 
 import pytest
@@ -19,6 +20,7 @@ from repro.data.tpch import (
 )
 from repro.errors import ConfigError
 from repro.sim.rng import RandomSource
+from repro.testbed import SyntheticSetup
 
 
 class TestTpch:
@@ -119,6 +121,51 @@ class TestSynthetic:
 
     def test_key_column_helper(self, synthetic_small):
         assert synthetic_small.key_column("t001") == "t001_key"
+
+
+def synthetic_digest(instance, with_rows: bool) -> str:
+    """sha256 over an instance's names, row counts, foreign keys and every
+    table schema (columns, dtypes, primary key, row width) — plus the rows
+    themselves when ``with_rows``."""
+    digest = hashlib.sha256()
+
+    def feed(*parts) -> None:
+        digest.update(repr(parts).encode())
+
+    feed(
+        instance.table_names,
+        sorted(instance.row_counts.items()),
+        sorted(instance.foreign_keys.items()),
+    )
+    for name in instance.table_names:
+        table = instance.database.table(name)
+        schema = table.schema
+        feed(
+            name,
+            [(column.name, column.dtype) for column in schema.columns],
+            schema.primary_key,
+            schema.row_width_bytes,
+        )
+        if with_rows:
+            feed([tuple(row) for row in table])
+    return digest.hexdigest()
+
+
+class TestSyntheticPin:
+    """The generator's draws, schemas and rows, pinned byte-for-byte."""
+
+    def test_default_setup_instance(self):
+        assert synthetic_digest(SyntheticSetup().instance, False) == (
+            "26110428041f3e060f3d9060f7f5da4b5a8c785e53b2f7629b4a6aba377a9119"
+        )
+
+    def test_materialized_instance_with_rows(self):
+        instance = generate_synthetic(
+            num_tables=30, seed=5, materialize_rows=True
+        )
+        assert synthetic_digest(instance, True) == (
+            "68929fdd573a946176fa6d21709510585e1a966ef5726af7a7a5d9c9a93b0f11"
+        )
 
 
 class TestPlacement:

@@ -32,7 +32,7 @@ from repro.federation.faults import (
     LinkDegradation,
 )
 from repro.federation.site import LOCAL_SITE_ID, Site
-from repro.federation.sync import ReplicationManager
+from repro.federation.system import ReplicationManager
 from repro.sim.faults import OutageTimeline, Window, generate_outage_windows
 from repro.sim.rng import RandomSource
 from repro.sim.scheduler import Simulator

@@ -9,8 +9,13 @@ from repro.core.value import DiscountRates
 from repro.errors import ConfigError
 from repro.federation.catalog import Catalog, FixedSyncSchedule, TableDef
 from repro.federation.site import LOCAL_SITE_ID, Site
-from repro.federation.sync import ReplicationManager, build_schedules
-from repro.federation.system import SystemConfig, TableSpec, build_system
+from repro.federation.sync import build_schedules
+from repro.federation.system import (
+    ReplicationManager,
+    SystemConfig,
+    TableSpec,
+    build_system,
+)
 from repro.sim.scheduler import Simulator
 from repro.workload.query import DSSQuery, Workload
 

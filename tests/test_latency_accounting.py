@@ -25,7 +25,7 @@ from repro.federation.costmodel import StaticCostProvider
 from repro.federation.executor import PlanExecutor
 from repro.federation.network import NetworkModel
 from repro.federation.site import LOCAL_SITE_ID, Site
-from repro.federation.sync import ReplicationManager
+from repro.federation.system import ReplicationManager
 from repro.sim.scheduler import Simulator
 from repro.workload.query import DSSQuery
 

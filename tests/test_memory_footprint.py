@@ -33,8 +33,9 @@ RATES = DiscountRates(0.05, 0.1)
 
 
 def run_python(code: str, stdin: str = "") -> str:
+    """Run ``code`` in a fresh interpreter that writes no bytecode."""
     return subprocess.run(
-        [sys.executable, "-c", code], check=True, text=True, input=stdin,
+        [sys.executable, "-B", "-c", code], check=True, text=True, input=stdin,
         capture_output=True, env={"PYTHONPATH": str(SRC)},
     ).stdout
 

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.experiments.fig9 import Fig9Config, build_mqo_scheduler
 from repro.experiments.runner import reissue_stream
 from repro.experiments.stream_mqo import StreamMqoConfig
 from repro.mqo.ga import GAConfig
-from repro.testbed import Fig9Config, build_mqo_scheduler
 from repro.workload.arrival import poisson_arrivals
 from repro.workload.generator import overlapping_workload, random_queries
 from repro.workload.query import Workload

@@ -559,7 +559,7 @@ class TestImportDiet:
     def run_python(self, code: str) -> str:
         src = Path(__file__).resolve().parents[1] / "src"
         return subprocess.run(
-            [sys.executable, "-c", code], check=True, text=True,
+            [sys.executable, "-B", "-c", code], check=True, text=True,
             capture_output=True, env={"PYTHONPATH": str(src)},
         ).stdout
 

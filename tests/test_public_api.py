@@ -93,7 +93,7 @@ def test_batch_loop_names_are_gone():
 
 def _loaded_after(code: str) -> tuple[list[str], list[str]]:
     """``(repro modules, heavy stdlib modules)`` loaded by ``code`` in a
-    fresh interpreter."""
+    fresh interpreter (``-B``: the probe writes no bytecode into ``src/``)."""
     src = Path(__file__).resolve().parents[1] / "src"
     probe = (
         f"import json, sys\n{code}\n"
@@ -103,10 +103,22 @@ def _loaded_after(code: str) -> tuple[list[str], list[str]]:
         " 'concurrent.futures', 'asyncio') if m in sys.modules)))\n"
     )
     out = subprocess.run(
-        [sys.executable, "-c", probe], check=True, text=True,
+        [sys.executable, "-B", "-c", probe], check=True, text=True,
         capture_output=True, env={"PYTHONPATH": str(src)},
     ).stdout.splitlines()
     return json.loads(out[0]), json.loads(out[1])
+
+
+#: What a serving process must not load: the mini engine, the DES kernel
+#: and DES federation, the trace checker and the batch scheduler.
+_NOT_SERVING = (
+    "repro.engine", "repro.sim.scheduler", "repro.sim.process",
+    "repro.sim.resource", "repro.sim.event", "repro.sim.monitor",
+    "repro.sim.faults", "repro.federation.system",
+    "repro.federation.executor", "repro.federation.faults",
+    "repro.federation.site", "repro.obs.checker", "repro.mqo.scheduler",
+    "repro.core.aging",
+)
 
 
 class TestImportGraph:
@@ -140,6 +152,50 @@ class TestImportGraph:
         )
         assert "repro.serve.service" in modules
         assert [m for m in modules if m.startswith("repro.experiments")] == []
+
+    def test_serve_entry_loads_only_what_serves(self):
+        modules, heavy = _loaded_after(
+            "import repro.durable.journal, repro.serve.httpd\n"
+            "from repro.serve.service import QueryService, ServeConfig\n"
+            "QueryService(ServeConfig())"
+        )
+        assert modules == [
+            "repro", "repro._version", "repro.core",
+            "repro.core.enumeration", "repro.core.plan", "repro.core.value",
+            "repro.data", "repro.data.placement", "repro.data.synthetic",
+            "repro.durable", "repro.durable.journal",
+            "repro.durable.recovery", "repro.errors", "repro.federation",
+            "repro.federation.catalog", "repro.federation.costmodel",
+            "repro.federation.network", "repro.federation.sync",
+            "repro.mqo", "repro.mqo.chromosome", "repro.mqo.conflict",
+            "repro.mqo.evaluator", "repro.mqo.ga", "repro.mqo.online",
+            "repro.obs", "repro.obs.events", "repro.obs.ledger",
+            "repro.obs.live", "repro.obs.metrics", "repro.obs.slo",
+            "repro.serve", "repro.serve.httpd", "repro.serve.service",
+            "repro.sim", "repro.sim.clocks", "repro.sim.rng",
+            "repro.sim.streams", "repro.sim.timeline", "repro.sim.trace",
+            "repro.testbed", "repro.workload", "repro.workload.generator",
+            "repro.workload.query", "repro.workload.serialize",
+            "repro.workload.tpch_queries",
+        ]
+        assert [m for m in modules if m.startswith(_NOT_SERVING)] == []
+        assert "multiprocessing" not in heavy
+
+    def test_cli_imports_a_subcommand_when_it_runs(self):
+        modules, heavy = _loaded_after(
+            "import contextlib, io\n"
+            "from repro.experiments.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    try:\n"
+            "        main(['--version'])\n"
+            "    except SystemExit:\n"
+            "        pass"
+        )
+        assert modules == [
+            "repro", "repro._version", "repro.experiments",
+            "repro.experiments.cli",
+        ]
+        assert heavy == []
 
     def test_bare_import_loads_only_the_package(self):
         modules, heavy = _loaded_after("import repro")

@@ -19,7 +19,7 @@ from repro.errors import PlanError
 from repro.federation.catalog import Catalog, StreamSyncSchedule, TableDef
 from repro.federation.costmodel import CostModel, CostParameters
 from repro.federation.site import LOCAL_SITE_ID, Site
-from repro.federation.sync import ReplicationManager
+from repro.federation.system import ReplicationManager
 from repro.federation.system import FederatedSystem
 from repro.mqo.scheduler import WorkloadScheduler
 from repro.sim.scheduler import Simulator
