@@ -1,4 +1,4 @@
-"""MQO fast-path benchmark — prefix trie + compiled plans under a GA run.
+"""MQO fast-path benchmark — prefix cache + compiled plans under a GA run.
 
 A 16-query bursty workload scored by a 50-generation GA exercises the
 evaluator the way each GA run of an MQO window does — batch MQO
@@ -8,9 +8,9 @@ directly.  The benchmark asserts the two properties the fast path
 promises:
 
 * **Work reduction** — crossover/mutation children share long prefixes
-  with their parents, so the trie plus upper-bound pruning must cut the
-  number of candidate realizations at least 3× versus a naive replay of
-  every evaluated permutation.
+  with their parents, so the prefix cache plus upper-bound pruning must
+  cut the number of candidate realizations at least 3× versus a naive
+  replay of every evaluated permutation.
 * **Bit-identical results** — the GA winner scored through the fast path
   must realize the exact schedule (plans, begins, completions, IV) the
   naive replay (``tests/mqo_naive_oracle.py``) produces.

@@ -28,7 +28,7 @@ from repro.federation.executor import ExecutionPolicy
 from repro.federation.faults import FaultPlan
 from repro.reporting.tables import ResultTable
 from repro.workload.arrival import poisson_arrivals
-from repro.workload.query import DSSQuery, Workload
+from repro.workload.query import Workload
 
 __all__ = ["FaultSweepConfig", "run_fault_sweep"]
 

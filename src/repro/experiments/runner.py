@@ -70,11 +70,6 @@ class RunResult:
         """Mean realized SL keyed by query name."""
         return _per_query(self.outcomes, "synchronization_latency")
 
-    @property
-    def per_query_iv(self) -> dict[str, float]:
-        """Mean realized IV keyed by query name."""
-        return _per_query(self.outcomes, "information_value")
-
 
 def _per_query(outcomes: list[QueryOutcome], attribute: str) -> dict[str, float]:
     sums: dict[str, float] = {}

@@ -123,7 +123,7 @@ class ScheduleSpec:
     #: Accepted and ignored: the batch evaluator it selected is gone
     #: (every schedule scores through the one scalar path), but the
     #: frozen ``benchmarks/e2e/workloads.py`` still passes it.  Remove
-    #: with ROADMAP item 1's ``[benchmark]`` PR, which may edit that file.
+    #: once a benchmark change may edit that file.
     vectorized: bool = False
 
     def __post_init__(self) -> None:

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import typing
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import ConfigError
 from repro.obs import events

@@ -45,21 +45,22 @@ test oracle:
   :meth:`WorkloadEvaluator.evict` drops a dispatched query's records,
   keeping the three floats :meth:`~WorkloadEvaluator.range_of` and
   :meth:`~WorkloadEvaluator.upper_bound` serve.
-* **Score, don't realize** — the GA needs a number per chromosome, so
-  one private walk serves both entry points and works on plain choice
-  records ``(candidate, begin, completed, data timestamp, IV)``:
-  :meth:`WorkloadEvaluator.sequence_fitness` returns the walk's running
-  total and builds nothing; :meth:`WorkloadEvaluator.evaluate_sequence`
-  and :meth:`WorkloadEvaluator.choose_best` turn choice records into
-  :class:`Assignment` objects for the callers that read them.
+* **Score, don't realize, in one frame** — the GA needs a number per
+  chromosome, so one private walk serves both entry points and scores
+  every fresh position inside its own loop (``_advance``, the one copy of
+  the candidate arithmetic, which ``choose_best`` also calls) on plain
+  choice records ``(candidate, begin, completed, data timestamp)``:
+  :meth:`WorkloadEvaluator.sequence_fitness` returns the running total
+  and builds nothing; ``evaluate_sequence`` and ``choose_best`` turn
+  choice records into :class:`Assignment` objects.
 * **Dense clocks, prefix memoization** — every server has a slot (the
   local one slot 0, then each catalog table's site) and "when is each
   server free" is a flat list of clocks indexed by slot; a dict keyed by
   site id is the interchange format at the boundary only.  Order
   crossover and swap mutation produce children sharing long prefixes with
-  their parents, so the evaluator caches ``(query-id prefix) → (clocks,
-  choice record, partial IV)`` in a trie and resumes from the longest
-  cached prefix; past it every position is scored afresh.  A second memo,
+  their parents, so each walk caches its fresh positions as one
+  path-compressed :class:`_Segment` (ids, flat clocks, totals, choice
+  records) and resumes from the longest cached prefix.  A second memo,
   keyed on ``(query, clocks of that query's candidate slots)`` — all a
   choice depends on — serves dispatch only, which re-asks about one plan
   head under unchanged clocks.  Both caches are bounded: exceeding the
@@ -246,7 +247,7 @@ class EvaluatorStats:
     ``naive_realize_calls`` is what a from-scratch replay of every
     evaluated sequence would have cost (one realization per candidate per
     position); ``realize_calls`` is what the fast path actually performed.
-    The gap decomposes into positions resumed from the prefix trie and
+    The gap decomposes into positions resumed from the prefix cache and
     candidates pruned by their IV upper bound.  ``choice_hits`` counts the
     dispatch probes :meth:`WorkloadEvaluator.choose_best`'s memo answered.
     """
@@ -431,28 +432,30 @@ class _CompiledQuery:
     latest_completion: float  # slowest candidate's uncontended completion
 
 
-def _assignment(compiled: _CompiledQuery, choice: tuple) -> Assignment:
-    """A choice record ``(candidate, begin, completed, stamp, iv)`` as an
+def _assignment(compiled: _CompiledQuery, choice: "Sequence") -> Assignment:
+    """A choice record ``(candidate, begin, completed, stamp)`` as an
     :class:`Assignment`, for the callers that read one."""
-    candidate, begin, completed, stamp, _iv = choice
+    candidate, begin, completed, stamp = choice
     return Assignment(
         compiled.query, candidate, compiled.shape.rates, compiled.arrival,
         begin, completed, stamp,
     )
 
 
-class _TrieNode:
-    """State after executing one query-id prefix."""
+class _Segment:
+    """One walk's fresh positions in the prefix cache: position ``i`` is
+    ``ids[i]``, with the clocks (``slots`` floats at ``i * slots``), total
+    and choice record (4 fields at ``4 * i``) after it; a walk diverging
+    after ``offset`` positions continues at ``branches[(offset, id)]``."""
 
-    __slots__ = ("children", "state", "choice", "total_iv")
+    __slots__ = ("ids", "clocks", "totals", "choices", "branches")
 
-    def __init__(
-        self, state: list[float], choice: tuple | None, total_iv: float
-    ) -> None:
-        self.children: dict[int, _TrieNode] = {}
-        self.state = state  # per-slot clocks; shared, never written
-        self.choice = choice  # the prefix's last position, as chosen
-        self.total_iv = total_iv
+    def __init__(self, ids: "Sequence[int]") -> None:
+        self.ids = ids
+        self.clocks: list[float] = []
+        self.totals: list[float] = []
+        self.choices: list = []
+        self.branches: dict[tuple[int, int], _Segment] = {}
 
 
 class WorkloadEvaluator:
@@ -510,9 +513,9 @@ class WorkloadEvaluator:
         #: Per-slot clocks every evaluation starts from: idle servers, or
         #: the committed mid-stream state handed to :meth:`rebase`.
         self._base = [0.0] * len(self._site_ids)
-        self._trie = _TrieNode(self._base, None, 0.0)
+        self._root = _Segment(())  # the prefix cache, at the base clocks
         # choose_best's memo, (query id, clocks of its candidate slots) →
-        # choice: all that _choose reads, so exact; capped like the trie.
+        # choice: all that a scan reads, so exact; capped like the prefixes.
         self._choices: dict[tuple, tuple] = {}
 
     # -- candidate plans ---------------------------------------------------
@@ -873,20 +876,20 @@ class WorkloadEvaluator:
         fitness scores candidate orders *given what has already been
         dispatched*.
         ``free_at`` is flattened to per-slot clocks once, here.  The prefix
-        trie is rebuilt (its cached prefixes assumed the old base); the
+        cache is emptied (its cached prefixes assumed the old base); the
         dispatch memo survives, keyed as it is on the exact clocks.
 
         Rebasing onto the base already in force is a no-op: cached
         prefixes are a pure function of the base, the immutable candidate
         sets and the sync timelines, so they stay exact — clearing them
-        would only cost the next pass its warm trie (regression
+        would only cost the next pass its warm cache (regression
         ``tests/test_mqo_online.py::TestHotPathFixes``).
         """
         state = self._flatten(free_at)
         if state == self._base:
             return
         self._base = state
-        self._trie = _TrieNode(state, None, 0.0)
+        self._root = _Segment(())
         self.stats.trie_entries = 0
 
     def _flatten(self, free_at: dict[int, float]) -> list[float]:
@@ -932,82 +935,6 @@ class WorkloadEvaluator:
             site = site_ids[slot]
             free_at[site] = max(free_at.get(site, 0.0), begin + minutes)
 
-    def _choose(self, compiled: _CompiledQuery, state: list[float]) -> tuple:
-        """IV-best candidate under per-slot clocks, as a choice record
-        ``(candidate, begin, completed, data timestamp, iv)`` — the one
-        copy of the candidate arithmetic, for the walk and for dispatch."""
-        arrival = compiled.arrival
-        candidates = compiled.candidates
-        shape = compiled.shape
-        value = shape.business_value
-        comp_base = shape.comp_base
-        sync_base = shape.sync_base
-        best: tuple | None = None
-        best_iv = -inf
-        best_begin = best_completed = best_stamp = 0.0
-        realized = 0
-        local_clock = state[0]
-        for candidate in candidates:
-            (
-                suffix_bound, bound, begin, sites, processing, transmission,
-                timelines, has_base, _legs, _combo, _plan_cell,
-            ) = candidate
-            if suffix_bound < best_iv:
-                break  # nor can any later candidate win
-            if bound < best_iv:
-                continue
-            # Every candidate runs through the local server, so begin is at
-            # least the local clock; decaying the static bound by the extra
-            # wait keeps it valid under contention and far tighter.
-            delay = local_clock - begin
-            if delay > 0.0:
-                if comp_base:
-                    bound *= comp_base**delay * _BOUND_SLACK
-                    if bound < best_iv:
-                        continue
-                begin = local_clock
-            for slot in sites:
-                busy = state[slot]
-                if busy > begin:
-                    begin = busy
-            # Same association order as _realize: (begin + P) + T.
-            completed = begin + processing + transmission
-            # Stalest version read: _CompiledTimeline.freshness per replica,
-            # inlined; a base read is as fresh as begin.
-            stamp = begin if has_base or not timelines else inf
-            for timeline in timelines:
-                if begin > timeline.covered:
-                    timeline.cover(begin)
-                times = timeline.times
-                index = bisect_right(times, begin)
-                fresh = times[index - 1] if index else timeline.initial
-                if fresh < stamp:
-                    stamp = fresh
-            # Identical arithmetic to information_value()/discount_factor():
-            # bv * (1-λc)**CL * (1-λs)**SL with rate-zero factors elided.
-            iv = value
-            if comp_base:
-                iv *= comp_base ** (completed - arrival)
-            if sync_base:
-                sync_latency = completed - stamp
-                if sync_latency < 0.0:
-                    sync_latency = 0.0
-                iv *= sync_base ** sync_latency
-            realized += 1
-            if iv > best_iv:
-                best = candidate
-                best_iv = iv
-                best_begin = begin
-                best_completed = completed
-                best_stamp = stamp
-        stats = self.stats
-        stats.realize_calls += realized
-        # Every candidate was either realized or pruned by a bound.
-        stats.candidates_pruned += len(candidates) - realized
-        if best is None:  # pragma: no cover - candidates never empty
-            raise OptimizationError("no candidate plans survived realization")
-        return best, best_begin, best_completed, best_stamp, best_iv
-
     def choose_best(
         self, query_id: int, free_at: dict[int, float]
     ) -> Assignment:
@@ -1015,29 +942,30 @@ class WorkloadEvaluator:
 
         The single-query building block of :meth:`evaluate_sequence`,
         exposed for the online dispatcher, which re-asks about the same
-        plan head until some clock moves: :meth:`_choose` over the
-        flattened ``free_at``, served from a memo — here and only here —
-        when the query's clocks match an earlier probe.  Bit-identical to
-        the naive test oracle, which realizes every candidate with
-        :meth:`_realize` and keeps the first strict IV maximum
-        (``tests/test_mqo_online.py::TestHotPathFixes``).  ``free_at`` is
-        read, never written; it is the caller's job to :meth:`_commit` the
-        returned assignment.
+        plan head until some clock moves: :meth:`_advance` over the
+        flattened ``free_at`` for a one-query order, served from a memo —
+        here and only here — when the query's clocks match an earlier
+        probe.  Bit-identical to the naive test oracle, which realizes
+        every candidate with :meth:`_realize` and keeps the first strict IV
+        maximum (``tests/test_mqo_online.py::TestHotPathFixes``).
+        ``free_at`` is read, never written; it is the caller's job to
+        :meth:`_commit` the returned assignment.
         """
         compiled = self._compiled_query(query_id)
-        self.stats.naive_realize_calls += len(compiled.candidates)
         state = self._flatten(free_at)
         key = (query_id, *[state[slot] for slot in compiled.sites])
         choices = self._choices
         choice = choices.get(key)
         if choice is None:
-            choice = self._choose(compiled, state)
+            self._advance((query_id,), 0, state, 0.0, chosen := [], None)
+            choice = chosen[0][1]
             if len(choices) >= self.max_prefix_entries > 0:
                 choices.clear()
                 self.stats.choice_evictions += 1
             choices[key] = choice
         else:
             self.stats.choice_hits += 1
+            self.stats.naive_realize_calls += len(compiled.candidates)
         return _assignment(compiled, choice)
 
     # -- evaluation entry points -------------------------------------------
@@ -1045,77 +973,158 @@ class WorkloadEvaluator:
     def _walk(
         self, order: "Sequence[int]", chosen: list[tuple] | None = None
     ) -> float:
-        """Total realized IV of a sequence of distinct workload query ids.
-
-        Resumes from the longest trie-cached prefix, then chooses each
-        remaining position with :meth:`_choose` — no memo: past the shared
-        prefix the clocks are new — commits it by slot and caches the
-        prefix.  With ``chosen`` the ``(compiled query, choice record)`` of
-        every position is appended to it; without, nothing per position
-        outlives the trie.
-        """
+        """Total realized IV of a sequence of distinct workload query ids:
+        resumed from the longest cached prefix, the rest scored by
+        :meth:`_advance` (no memo: past the prefix the clocks are new) into
+        one new segment.  ``chosen`` receives every position's ``(compiled
+        query, choice record)``."""
         if len(set(order)) != len(order):
             raise OptimizationError("sequence must not repeat query ids")
         stats = self.stats
         stats.evaluations += 1
-        compiled_query = self._compiled_query
-        naive = 0
-        node = self._trie
-        depth = 0
-        for query_id in order:
-            child = node.children.get(query_id)
-            if child is None:
-                break
-            node = child
+        lowered = self._compiled
+        naive = offset = depth = end = 0
+        segment, ids, length = self._root, (), len(order)
+        while depth < length:
+            query_id = order[depth]
+            if offset == end or ids[offset] != query_id:
+                child = segment.branches.get((offset, query_id))
+                if child is None:
+                    break
+                segment, ids, offset, end = child, child.ids, 0, len(child.ids)
+            offset += 1
             depth += 1
-            compiled = compiled_query(query_id)
+            compiled = lowered.get(query_id) or self._lower(query_id)
             naive += len(compiled.candidates)
             if chosen is not None:
-                chosen.append((compiled, node.choice))
+                record = segment.choices[4 * offset - 4:4 * offset]
+                chosen.append((compiled, record))
+        stats.naive_realize_calls += naive
         if depth:
             stats.prefix_hits += 1
             stats.prefix_queries_skipped += depth
         stats.resume_depths[depth] = stats.resume_depths.get(depth, 0) + 1
-        total_iv = node.total_iv
-        choose = self._choose
-        cap = self.max_prefix_entries
-        state = node.state[:]
-        for position in range(depth, len(order)):
-            query_id = order[position]
-            compiled = compiled_query(query_id)
-            naive += len(compiled.candidates)
-            choice = choose(compiled, state)
-            begin = choice[1]
-            for slot, minutes in choice[0][_COMMIT_LEGS]:
+        total_iv = segment.totals[offset - 1] if offset else 0.0
+        if depth == length:
+            return total_iv
+        slots = len(self._base)
+        state = (
+            segment.clocks[(offset - 1) * slots:offset * slots]
+            if offset else self._base[:]
+        )
+        tail = _Segment(order[depth:]) if self.max_prefix_entries else None
+        total_iv = self._advance(order, depth, state, total_iv, chosen, tail)
+        if tail is not None:
+            # Hung once complete; after a generational clear inside the
+            # walk, `segment` and the tail belong to the discarded cache.
+            segment.branches[(offset, order[depth])] = tail
+        return total_iv
+
+    def _advance(
+        self, order: "Sequence[int]", position: int, state: list[float],
+        total_iv: float, chosen: list[tuple] | None, tail: _Segment | None,
+    ) -> float:
+        """Score ``order[position:]`` from clocks ``state`` (committed in
+        place) and ``total_iv``: the one copy of the candidate scan.  Each
+        choice also goes to ``chosen`` and, counted by the cap, ``tail``."""
+        stats = self.stats
+        lowered = self._compiled
+        cap, entries = self.max_prefix_entries, stats.trie_entries
+        naive = realized = 0
+        for index in range(position, len(order)):
+            compiled = lowered.get(order[index]) or self._lower(order[index])
+            arrival = compiled.arrival
+            candidates = compiled.candidates
+            shape = compiled.shape
+            value = shape.business_value
+            comp_base = shape.comp_base
+            sync_base = shape.sync_base
+            naive += len(candidates)
+            best = None
+            best_iv = -inf
+            local_clock = state[0]
+            for candidate in candidates:
+                (suffix_bound, bound, begin, sites, processing, transmission,
+                 timelines, has_base, _legs, _combo, _cell) = candidate
+                if suffix_bound < best_iv:
+                    break  # nor can any later candidate win
+                if bound < best_iv:
+                    continue
+                # Every candidate runs through the local server, so begin
+                # is at least the local clock; decaying the static bound by
+                # the extra wait keeps it valid under contention.
+                delay = local_clock - begin
+                if delay > 0.0:
+                    if comp_base:
+                        bound *= comp_base**delay * _BOUND_SLACK
+                        if bound < best_iv:
+                            continue
+                    begin = local_clock
+                for slot in sites:
+                    busy = state[slot]
+                    if busy > begin:
+                        begin = busy
+                # Same association order as _realize: (begin + P) + T.
+                completed = begin + processing + transmission
+                # Stalest version read: _CompiledTimeline.freshness per
+                # replica, inlined; a base read is as fresh as begin.
+                stamp = begin if has_base or not timelines else inf
+                for timeline in timelines:
+                    if begin > timeline.covered:
+                        timeline.cover(begin)
+                    times = timeline.times
+                    found = bisect_right(times, begin)
+                    fresh = times[found - 1] if found else timeline.initial
+                    if fresh < stamp:
+                        stamp = fresh
+                # Identical arithmetic to information_value(): bv *
+                # (1-λc)**CL * (1-λs)**SL with rate-zero factors elided.
+                iv = value
+                if comp_base:
+                    iv *= comp_base ** (completed - arrival)
+                if sync_base:
+                    sync_latency = completed - stamp
+                    if sync_latency < 0.0:
+                        sync_latency = 0.0
+                    iv *= sync_base ** sync_latency
+                realized += 1
+                if iv > best_iv:
+                    best_iv = iv
+                    best = (candidate, begin, completed, stamp)
+            if best is None:  # pragma: no cover - candidates never empty
+                raise OptimizationError("no candidate plan survived")
+            begin = best[1]
+            for slot, minutes in best[0][_COMMIT_LEGS]:
                 busy_until = begin + minutes
                 if busy_until > state[slot]:
                     state[slot] = busy_until
-            total_iv += choice[4]
+            total_iv += best_iv
             if chosen is not None:
-                chosen.append((compiled, choice))
-            if not cap:
+                chosen.append((compiled, best))
+            if tail is None:
                 continue
-            child = _TrieNode(state[:], choice, total_iv)
-            if stats.trie_entries < cap:
-                node.children[query_id] = child
-                stats.trie_entries += 1
+            if entries < cap:
+                entries += 1
             else:
-                # Generational clear, re-rooted at the base in force:
-                # bounded memory beats a perfect LRU here — the GA
-                # repopulates the hot prefixes within one generation.  This
-                # walk keeps caching from `child`, detached: the chain is
-                # unreachable from the new root and collected afterwards.
-                self._trie = _TrieNode(self._base, None, 0.0)
-                stats.trie_entries = 0
+                # Generational clear at the base in force: bounded memory
+                # beats a perfect LRU, as the GA repopulates hot prefixes.
+                self._root = _Segment(())
+                entries = 0
                 stats.trie_evictions += 1
-            node = child
+            tail.clocks += state
+            tail.totals.append(total_iv)
+            tail.choices += best
+        stats.trie_entries = entries
+        stats.realize_calls += realized
+        # Every candidate was either realized or pruned by a bound.
+        stats.candidates_pruned += naive - realized
         stats.naive_realize_calls += naive
         return total_iv
 
     def evaluate_sequence(self, order: "Sequence[int]") -> EvaluationResult:
         """Realize an arbitrary sequence of distinct workload query ids.
 
-        Resume from the longest trie-cached prefix, then realize remaining
+        Resume from the longest cached prefix, then realize remaining
         positions with compiled candidates.  Results are bit-identical to
         the naive test oracle's replay of the same sequence
         (``tests/mqo_naive_oracle.py``).

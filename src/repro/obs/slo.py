@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import typing
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import SimulationError
 from repro.obs import events

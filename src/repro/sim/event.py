@@ -68,11 +68,6 @@ class Event:
         """Mark a failed event as handled so the kernel will not re-raise."""
         self._defused = True
 
-    @property
-    def defused(self) -> bool:
-        """Whether a failure has been acknowledged via :meth:`defuse`."""
-        return self._defused
-
     # -- triggering ----------------------------------------------------
 
     def succeed(self, value=None) -> "Event":
