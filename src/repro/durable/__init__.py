@@ -1,16 +1,16 @@
 """Durable scheduler state: journaled checkpoint/resume, proven by replay.
 
 The paper's premise is *continuous* near-real-time decision support; this
-package makes the PR 6 serving runtime survive process death without
+package makes the serving runtime survive process death without
 perturbing a single scheduling decision.  Three layers:
 
 * :mod:`repro.durable.journal` — the storage discipline: an append-only
   file of length-prefixed, CRC-checked JSON records, fsync'd on a
   cadence, with byte-exact torn-write detection and a crash injector.
-* :mod:`repro.durable.recovery` — the schema (arrivals, pops, decisions,
-  windows, ledgers, snapshots) and the recovery algorithm: restore the
-  last valid snapshot, replay the journal tail literally, and verify
-  every journaled decision against the replayed one.
+* :mod:`repro.durable.recovery` — the schema (arrivals, digest-stamped
+  pops, snapshots, finish) and the recovery algorithm: restore the last
+  valid snapshot, replay the journal tail literally, and check the
+  replay's output digest against every pop, snapshot and finish record.
 * :mod:`repro.durable.harness` — the proof: kill a journaled run at any
   byte offset, resume it, and compare decision log + IV ledger bit-equal
   against an uninterrupted run.
@@ -32,7 +32,6 @@ _EXPORTS = {
     "JournalObserver": "recovery",
     "RecoveredRun": "recovery",
     "recover": "recovery",
-    "reconcile": "recovery",
     "verify_journal": "recovery",
     "JournaledRun": "harness",
     "journaled_run": "harness",

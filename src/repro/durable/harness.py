@@ -1,9 +1,9 @@
 """Crash/resume equivalence harness: kill at any byte, resume, compare.
 
 The headline durability proof.  :func:`journaled_run` drives an online
-session under a :class:`~repro.sim.clocks.SimClock` while journaling
-every record the durable layer defines — with an optional injected crash
-at an arbitrary *byte* offset (torn write included).  :func:`resume_run`
+session under a :class:`~repro.sim.clocks.SimClock` while journaling its
+arrivals and digest-stamped pops — with an optional injected crash at an
+arbitrary *byte* offset (torn write included).  :func:`resume_run`
 recovers the journal and finishes the run.  :func:`crash_and_resume`
 composes the two and, together with an uninterrupted reference run,
 backs the acceptance criterion: the resumed run's decision log and IV
@@ -31,7 +31,6 @@ from repro.durable.recovery import (
     arrival_record,
     header_record,
     recover,
-    reconcile,
     run_differences,
 )
 from repro.errors import OptimizationError
@@ -73,7 +72,7 @@ def journaled_run(
     crash_after_bytes: int | None = None,
     meta: dict | None = None,
 ) -> JournaledRun:
-    """Run the full arrival stream under SimClock, journaling everything.
+    """Run the full arrival stream under SimClock, journaling its inputs.
 
     The driver is :meth:`OnlineMQOScheduler.run`'s :func:`drive` with a
     journal observer: all arrivals push up front (heap position 0), then
@@ -113,11 +112,13 @@ def resume_run(
     """Finish a recovered run: pop the restored heap dry.
 
     With ``writer`` (opened on the truncated journal), the continuation
-    journals like the original run did — first reconciling any records
-    the torn tail lost — so a resumed journal remains recoverable and
+    journals like the original run did, its digest chain continuing from
+    the recovered one, so a resumed journal remains recoverable and
     verifiable; crash-during-resume composes by induction.
     """
-    journal = reconcile(run, writer)
+    journal = JournalObserver(
+        writer, run.ledgers, pops=run.pops, digest=run.digest
+    )
     try:
         drive(run.session, run.clock, [journal])
     finally:

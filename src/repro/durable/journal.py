@@ -1,9 +1,9 @@
 """Append-only journal: length-prefixed, checksummed JSONL records.
 
 The durable layer's storage discipline follows duro's event-sourced
-ledger: every record the scheduler acts on — arrivals, popped events,
-decisions, window passes, IV ledger entries, session snapshots — is
-appended to one file and **never rewritten**.  Each record is framed as::
+ledger: every input the scheduler acts on — arrivals and popped events —
+plus session snapshots and a finish mark is appended to one file and
+**never rewritten**.  Each record is framed as::
 
     D1 <length> <crc32-hex> <payload-json>\\n
 
@@ -44,9 +44,13 @@ __all__ = [
 ]
 
 #: Journal schema version, written into the mandatory header record.
-#: Bump only with a migration path — the golden journal fixture pins it.
+#: A reader accepts exactly this version and refuses any other at the
+#: header (offset 0) — no migration path; a bump re-captures the golden
+#: journal and keeps the old one as a refused fixture.
 #: Version 2: idle windows are not pushed, so v1's idle pops never replay.
-SCHEMA_VERSION = 2
+#: Version 3: only inputs are recorded; decisions, windows and ledgers
+#: are replaced by a chained output digest on pops, snapshots and finish.
+SCHEMA_VERSION = 3
 
 _MARKER = b"D1"
 

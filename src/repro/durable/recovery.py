@@ -1,7 +1,7 @@
 """Crash recovery: rebuild an exact :class:`OnlineSession` from a journal.
 
 Recovery is a *literal replay*.  The journal records, in true order, every
-event the crashed run acted on: each arrival push (with its heap position)
+input the crashed run acted on: each arrival push (with its heap position)
 and each popped event.  Because the online scheduler is a deterministic
 function of that event sequence (the Clock-seam contract proven by
 ``tests/test_clock_equivalence.py``), feeding the recorded sequence back
@@ -16,12 +16,16 @@ ties keep their order), and only the journal *tail* replays.  A journal
 with no snapshot recovers from the beginning; the result is identical
 either way, which :func:`verify_journal` checks directly.
 
-While replaying, every journaled ``decision``, ``window`` and ``ledger``
-record is compared against the value the replay just recomputed; any
-disagreement is a :class:`~repro.errors.DurabilityError` naming the byte
-offset of the lying record.  Recovery therefore doubles as an audit: a
-journal that recovers silently is a journal whose recorded history is
-bit-consistent with what the scheduler would actually have done.
+The outputs are derived, not recorded.  :class:`JournalObserver` chains
+every pop's new decision-log entries, window records and ledger entries
+into one digest; each ``pop`` record carries the digest of everything
+produced before it, and each ``snapshot`` and ``finish`` record the
+digest and pop count at that point.  Replay recomputes the chain and
+compares it at every such record, so a journal whose history the
+scheduler would not reproduce — a forged record, a scheduler configured
+differently — is a :class:`~repro.errors.DurabilityError` naming the
+byte offset of the first record that disagrees, at most one pop after
+the divergence.
 
 Writing the journal is one :class:`~repro.mqo.online.SessionObserver`,
 :class:`JournalObserver`, shared by every journaled driver: the harness's
@@ -33,8 +37,8 @@ tail exactly as they saw the live one.
 
 from __future__ import annotations
 
+import json
 import typing
-from collections import Counter
 from dataclasses import asdict, dataclass
 
 from repro.durable.journal import (
@@ -47,12 +51,11 @@ from repro.mqo.online import (
     ArrivalRecord,
     OnlineSession,
     SessionObserver,
-    _decode_decision,
-    _encode_decision,
     step,
 )
 from repro.obs.ledger import IVLedgerEntry
 from repro.sim.clocks import SimClock
+from repro.sim.rng import _sha256
 from repro.sim.timeline import Timeline
 from repro.workload.query import DSSQuery, Workload
 from repro.workload.serialize import query_from_dict, query_to_dict
@@ -66,20 +69,20 @@ __all__ = [
     "header_record",
     "arrival_record",
     "pop_record",
-    "decision_record",
-    "window_record",
-    "ledger_record",
     "snapshot_record",
+    "finish_record",
     "JournalObserver",
     "RecoveredRun",
     "recover",
-    "reconcile",
     "run_differences",
     "verify_journal",
 ]
 
+#: The output digest of a run that has produced nothing yet.
+_GENESIS = "0" * 16
 
-# -- record constructors (the journal's schema, version 2) ------------------
+
+# -- record constructors (the journal's schema, version 3) ------------------
 
 def header_record(meta: dict | None = None) -> dict:
     """The mandatory first record: schema version + driver metadata."""
@@ -97,32 +100,20 @@ def arrival_record(query: DSSQuery, time: float, pops_before: int) -> dict:
     }
 
 
-def pop_record(time: float, tag: str, payload: object) -> dict:
-    """One popped clock event — journal order *is* the event order."""
-    return {"kind": "pop", "time": time, "tag": tag, "payload": payload}
-
-
-def decision_record(entry: tuple) -> dict:
-    """One decision-log tuple (admit/shed/defer/requeue/window/start)."""
-    return {"kind": "decision", "entry": _encode_decision(entry)}
-
-
-def window_record(record) -> dict:
-    """One re-optimization pass's :class:`WindowRecord`."""
-    data = asdict(record)
-    data["order"] = list(record.order)
-    return {"kind": "window", "record": data}
-
-
-def ledger_record(entry: IVLedgerEntry) -> dict:
-    """One completed query's IV audit ledger entry."""
-    return {"kind": "ledger", "entry": entry.to_dict()}
+def pop_record(time: float, tag: str, payload: object, digest: str) -> dict:
+    """One popped clock event — journal order *is* the event order — and
+    the digest of every output produced before it."""
+    return {
+        "kind": "pop", "time": time, "tag": tag, "payload": payload,
+        "digest": digest,
+    }
 
 
 def snapshot_record(
     session: OnlineSession,
     timeline: Timeline,
     pops: int,
+    digest: str,
     ledgers: list[IVLedgerEntry],
     extra: dict | None = None,
 ) -> dict:
@@ -134,6 +125,7 @@ def snapshot_record(
     return {
         "kind": "snapshot",
         "pops": pops,
+        "digest": digest,
         "session": session.capture_state(),
         "timeline": timeline.capture(),
         "ledgers": [entry.to_dict() for entry in ledgers],
@@ -141,20 +133,35 @@ def snapshot_record(
     }
 
 
+def finish_record(pops: int, digest: str) -> dict:
+    """The clock ran dry: how many pops, and the digest of all outputs."""
+    return {"kind": "finish", "pops": pops, "digest": digest}
+
+
+def _fold(digest: str, outputs: list) -> str:
+    """Chain one pop's outputs into ``digest``: ``sha256(digest ‖ JSON)``."""
+    body = json.dumps(
+        outputs, separators=(",", ":"), sort_keys=True, allow_nan=False
+    )
+    return _sha256((digest + body).encode("utf-8")).hexdigest()[:16]
+
+
 # -- journaling a driven session --------------------------------------------
 
 class JournalObserver(SessionObserver):
-    """Journals a driven session and keeps its IV ledger.
+    """Journals a driven session, keeps its IV ledger and output digest.
 
-    Per pop it appends the ``pop`` record before the session handles the
-    event, then every decision-log entry, window record and ledger entry
-    the handling produced — in that order — and, every ``snapshot_every``
-    pops, a snapshot (or calls ``checkpoint``, which a driver with private
-    state to persist supplies instead).  With ``writer=None`` it only keeps
-    the ledger.
+    Per pop it appends the ``pop`` record (stamped with the digest so far)
+    before the session handles the event, then folds the decision-log
+    entries, window records (minus wall-clock ``reopt_seconds``) and ledger
+    entry the handling produced into :attr:`digest`, and, every
+    ``snapshot_every`` pops, appends a snapshot (or calls ``checkpoint``,
+    which a driver with private state to persist supplies instead).
+    :meth:`finish` appends the ``finish`` record.  With ``writer=None`` it
+    only keeps the ledger and the digest — how :func:`recover` replays.
 
-    ``pops`` counts every pop the journaled run made, including any before
-    a resume; the cursors count the records already in the journal.
+    ``pops`` and ``digest`` count every pop the journaled run made,
+    including any before a resume.
     """
 
     def __init__(
@@ -162,27 +169,36 @@ class JournalObserver(SessionObserver):
         writer: JournalWriter | None,
         ledgers: list[IVLedgerEntry] | None = None,
         pops: int = 0,
+        digest: str = _GENESIS,
         snapshot_every: int = 0,
         checkpoint: "Callable[[], object] | None" = None,
     ) -> None:
         self.writer = writer
         self.ledgers = [] if ledgers is None else ledgers
         self.pops = pops
+        self.digest = digest
         self.snapshot_every = snapshot_every
         self.checkpoint = checkpoint
-        self.journaled_decisions = 0
-        self.journaled_windows = 0
-        self.journaled_ledgers = len(self.ledgers)
+        self._marks = (0, 0)
 
     def before_pop(self, session, now, tag, payload) -> None:
         if self.writer is not None:
-            self.writer.append(pop_record(now, tag, payload))
+            self.writer.append(pop_record(now, tag, payload, self.digest))
         self.pops += 1
+        self._marks = (len(session.decisions), len(session.decision.windows))
 
     def after_pop(self, session, now, tag, payload, outcome, ledger) -> None:
+        decisions, windows = self._marks
+        passes = [asdict(record) for record in session.decision.windows[windows:]]
+        for record in passes:
+            del record["reopt_seconds"]  # wall-clock: not derivable
+        completions = []
         if ledger is not None:
             self.ledgers.append(ledger)
-        self.flush(session)
+            completions.append(ledger.to_dict())
+        outputs = [session.decisions[decisions:], passes, completions]
+        if any(outputs):
+            self.digest = _fold(self.digest, outputs)
         if (
             self.writer is not None
             and self.snapshot_every
@@ -194,30 +210,16 @@ class JournalObserver(SessionObserver):
                 self.snapshot(session)
 
     def finish(self, session) -> None:
-        self.flush(session)
-
-    def flush(self, session: OnlineSession) -> None:
-        """Journal the decision, window and ledger records not yet written."""
-        decisions = session.decisions
-        windows = session.decision.windows
         if self.writer is not None:
-            append = self.writer.append
-            for entry in decisions[self.journaled_decisions:]:
-                append(decision_record(entry))
-            for record in windows[self.journaled_windows:]:
-                append(window_record(record))
-            for entry in self.ledgers[self.journaled_ledgers:]:
-                append(ledger_record(entry))
-        self.journaled_decisions = len(decisions)
-        self.journaled_windows = len(windows)
-        self.journaled_ledgers = len(self.ledgers)
+            self.writer.append(finish_record(self.pops, self.digest))
 
     def snapshot(
         self, session: OnlineSession, extra: dict | None = None
     ) -> int:
         """Journal a full checkpoint of ``session``; returns its offset."""
         return self.writer.append(snapshot_record(
-            session, session.clock._timeline, self.pops, self.ledgers, extra,
+            session, session.clock._timeline, self.pops, self.digest,
+            self.ledgers, extra,
         ))
 
 
@@ -232,17 +234,12 @@ class RecoveredRun:
     clock: SimClock
     timeline: Timeline
     pops: int                       #: total pops replayed (snapshot + tail)
+    digest: str                     #: output digest after the last pop
     ledgers: list[IVLedgerEntry]
     arrivals: list[ArrivalRecord]   #: every journaled arrival, in order
     valid_bytes: int                #: prefix length that validated
     tail_error: DurabilityError | None  #: torn/corrupt tail, if any
     snapshot_pops: int              #: pops at the restored snapshot (0 = none)
-    #: How many decision/window/ledger records the valid journal already
-    #: contains — a resuming writer re-journals anything the replay
-    #: recomputed beyond these counts (records lost to the torn tail).
-    journaled_decisions: int = 0
-    journaled_windows: int = 0
-    journaled_ledgers: int = 0
 
 
 def recover(
@@ -264,9 +261,10 @@ def recover(
     its live loop uses.
 
     Raises :class:`~repro.errors.DurabilityError` on a missing/invalid
-    header, a schema mismatch, or any journaled decision, window or
-    ledger record that disagrees with the replayed one (offset included).
-    A torn *tail* does not raise — it is truncation damage, reported via
+    header, a schema other than :data:`SCHEMA_VERSION`, or any replayed
+    ``pop`` (event or digest), ``snapshot`` or ``finish`` record that
+    disagrees with the journal (offset included).  A torn *tail* does not
+    raise — it is truncation damage, reported via
     :attr:`RecoveredRun.tail_error`.
     """
     records, valid_bytes, tail_error = scan_journal(path)
@@ -310,30 +308,24 @@ def recover(
     timeline = Timeline()
     clock = SimClock(timeline)
     session = scheduler.session(workload, clock)
-    ledgers: list[IVLedgerEntry] = []
-    snapshot_pops = 0
+    # Counts the replayed pops, recomputes each completion's ledger and
+    # chains the output digest the journal's audit records are checked on.
+    book = JournalObserver(None)
     start = 1  # skip the header
     if snapshot is not None:
         timeline.restore(snapshot["timeline"])
         session.restore_state(snapshot["session"])
-        ledgers = [
-            IVLedgerEntry.from_dict(entry) for entry in snapshot["ledgers"]
-        ]
-        snapshot_pops = int(snapshot["pops"])
+        book = JournalObserver(
+            None,
+            [IVLedgerEntry.from_dict(entry) for entry in snapshot["ledgers"]],
+            pops=int(snapshot["pops"]),
+            digest=snapshot["digest"],
+        )
         start = snapshot_index + 1
         if on_restore is not None:
-            on_restore(snapshot.get("extra", {}), snapshot_pops)
-
-    # Counts the replayed pops and recomputes each completion's ledger.
-    book = JournalObserver(None, ledgers, pops=snapshot_pops)
+            on_restore(snapshot.get("extra", {}), book.pops)
+    snapshot_pops = book.pops
     observers = (book, *observers)
-
-    # Verification cursors start at the counts the replayed prefix (or the
-    # restored snapshot) already accounts for.
-    prefix = Counter(record["kind"] for record, _ in records[:start])
-    decision_cursor = prefix["decision"]
-    window_cursor = prefix["window"]
-    ledger_cursor = prefix["ledger"]
 
     for record, offset in records[start:]:
         kind = record["kind"]
@@ -347,68 +339,29 @@ def recover(
                     offset=offset,
                 )
             now, tag, payload = clock.pop()
-            if (now, tag, payload) != (
-                record["time"], record["tag"], record["payload"]
-            ):
+            replayed = (now, tag, payload, book.digest)
+            recorded = (
+                record["time"], record["tag"], record["payload"],
+                record["digest"],
+            )
+            if replayed != recorded:
                 raise DurabilityError(
                     f"journal diverges at offset {offset}: recorded pop "
-                    f"({record['time']!r}, {record['tag']!r}, "
-                    f"{record['payload']!r}) but replay pops "
-                    f"({now!r}, {tag!r}, {payload!r})",
+                    f"(time, tag, payload, digest) {recorded!r} but replay "
+                    f"gives {replayed!r}",
                     offset=offset,
                 )
             step(session, now, tag, payload, observers)
-        elif kind == "decision":
-            if decision_cursor >= len(session.decisions):
+        elif kind in ("snapshot", "finish"):
+            replayed = (book.pops, book.digest)
+            recorded = (record["pops"], record["digest"])
+            if replayed != recorded:
                 raise DurabilityError(
-                    f"journal records a decision at offset {offset} the "
-                    f"replay never made",
+                    f"journal diverges at offset {offset}: {kind} record "
+                    f"(pops, digest) {recorded!r} but replay reached "
+                    f"{replayed!r}",
                     offset=offset,
                 )
-            expected = session.decisions[decision_cursor]
-            if _decode_decision(record["entry"]) != expected:
-                raise DurabilityError(
-                    f"decision mismatch at offset {offset}: journal says "
-                    f"{record['entry']!r}, replay decided {expected!r}",
-                    offset=offset,
-                )
-            decision_cursor += 1
-        elif kind == "window":
-            windows = session.decision.windows
-            if window_cursor >= len(windows):
-                raise DurabilityError(
-                    f"journal records a window pass at offset {offset} "
-                    f"the replay never ran",
-                    offset=offset,
-                )
-            expected_window = window_record(windows[window_cursor])["record"]
-            recorded = dict(record["record"])
-            # Re-optimization time is wall-clock — the one field replay
-            # legitimately recomputes differently.
-            recorded.pop("reopt_seconds", None)
-            expected_window.pop("reopt_seconds", None)
-            if recorded != expected_window:
-                raise DurabilityError(
-                    f"window record mismatch at offset {offset}",
-                    offset=offset,
-                )
-            window_cursor += 1
-        elif kind == "ledger":
-            if ledger_cursor >= len(ledgers):
-                raise DurabilityError(
-                    f"journal records a ledger entry at offset {offset} "
-                    f"for a completion the replay never reached",
-                    offset=offset,
-                )
-            if record["entry"] != ledgers[ledger_cursor].to_dict():
-                raise DurabilityError(
-                    f"ledger entry at offset {offset} is not bit-equal "
-                    f"to the replayed one",
-                    offset=offset,
-                )
-            ledger_cursor += 1
-        elif kind == "snapshot":
-            continue  # superseded by the one we restored (or scratch mode)
         elif kind == "header":
             raise DurabilityError(
                 f"unexpected second header at offset {offset}",
@@ -426,35 +379,13 @@ def recover(
         clock=clock,
         timeline=timeline,
         pops=book.pops,
-        ledgers=ledgers,
+        digest=book.digest,
+        ledgers=book.ledgers,
         arrivals=arrivals,
         valid_bytes=valid_bytes,
         tail_error=tail_error,
         snapshot_pops=snapshot_pops,
-        journaled_decisions=decision_cursor,
-        journaled_windows=window_cursor,
-        journaled_ledgers=ledger_cursor,
     )
-
-
-def reconcile(
-    run: RecoveredRun, writer: JournalWriter | None
-) -> JournalObserver:
-    """Re-journal records the torn tail lost; returns the journal observer
-    that continues ``run`` (``writer=None``: keeps its ledger only).
-
-    A crash can land between a ``pop`` record and the decision/window/
-    ledger records its handling produced.  The replay recomputed them, so
-    appending the missing suffix restores the invariant every verifier
-    relies on: the journal's decision/window/ledger streams are complete
-    prefixes of the session's.
-    """
-    journal = JournalObserver(writer, run.ledgers, pops=run.pops)
-    journal.journaled_decisions = run.journaled_decisions
-    journal.journaled_windows = run.journaled_windows
-    journal.journaled_ledgers = run.journaled_ledgers
-    journal.flush(run.session)
-    return journal
 
 
 def run_differences(reference, other) -> list[str]:
@@ -502,10 +433,10 @@ def verify_journal(path, make_scheduler) -> dict:
     from the first record) and once through the last snapshot — and
     requires both paths to agree bit-for-bit (:func:`run_differences`:
     decision log, windows, IV ledger, admission counters).  Together with
-    the per-record verification :func:`recover` already performs
-    (journaled decisions/windows/ledgers vs. replayed ones), a passing
-    report means the journal, its snapshots and the scheduler's
-    determinism are mutually consistent.
+    the digest audit :func:`recover` already performs (every ``pop``,
+    ``snapshot`` and ``finish`` record against the replay's output
+    digest), a passing report means the journal, its snapshots and the
+    scheduler's determinism are mutually consistent.
 
     ``make_scheduler`` is a zero-argument factory returning a scheduler
     configured like the journaled run's (each recovery needs a fresh

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import asyncio
 import typing
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 from repro.durable.journal import JournalWriter
@@ -52,7 +52,6 @@ from repro.durable.recovery import (
     JournalObserver,
     arrival_record,
     header_record,
-    reconcile,
     recover,
 )
 from repro.errors import WorkloadError
@@ -177,6 +176,12 @@ def journal_serve_config(path: str | Path) -> ServeConfig:
             f"journal {path} was not written by the serving layer "
             f"(no serve_config in header)"
         )
+    unknown = sorted(set(config) - {field.name for field in fields(ServeConfig)})
+    if unknown:
+        raise WorkloadError(
+            f"journal {path} header's serve_config has unknown key(s) "
+            f"{', '.join(map(repr, unknown))}"
+        )
     return ServeConfig(**config)
 
 
@@ -189,11 +194,12 @@ class QueryService(SessionObserver):
     returns).  All methods are event-loop-internal — no locking, exactly
     like the single-threaded sim loop this mirrors.
 
-    With ``journal`` set, every record the durable layer defines —
-    arrivals, pops, decisions, windows, ledgers — is appended (and
+    With ``journal`` set, every input — each arrival, and each pop
+    stamped with the digest of the outputs so far — is appended (and
     fsync'd) as the loop runs, so a killed process can be resurrected
     with ``resume=True``: recovery replays the journal through a fresh
-    scheduler (:func:`repro.durable.recovery.recover`), rebuilds the
+    scheduler (:func:`repro.durable.recovery.recover`), auditing the
+    digest chain as it goes, continues that chain, rebuilds the
     trace and results through the same observers the live loop runs, and
     transplants the restored event heap under a new
     :class:`~repro.sim.clocks.WallClock` anchored at the crashed run's
@@ -365,7 +371,6 @@ class QueryService(SessionObserver):
                 "journaling is disabled or already closed; start the "
                 "service with a journal path to checkpoint"
             )
-        self._book.flush(self.session)
         self.tracer.emit(events.CHECKPOINT, "journal", pops=self.pops)
         extra = {
             "logical_now": self._logical_now,
@@ -427,7 +432,10 @@ class QueryService(SessionObserver):
             fsync_every=self.config.journal_fsync_every,
             truncate_to=recovered.valid_bytes,
         )
-        self._book = reconcile(recovered, self._journal)
+        self._book = JournalObserver(
+            self._journal, recovered.ledgers,
+            pops=recovered.pops, digest=recovered.digest,
+        )
         self.resumed_at_pops = recovered.pops
         self.tracer.emit(events.RESUME, "journal", pops=recovered.pops)
         self._journal.sync()

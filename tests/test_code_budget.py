@@ -1,14 +1,18 @@
 """Static checks on ``src/`` that need only the standard library.
 
 ``make lint`` runs ruff where it is installed and this module where it is
-not; tier-1 runs it everywhere.  Two rules:
+not; tier-1 runs it everywhere.  Three rules:
 
 * no module imports a name it never uses — a name counts as used when it
   appears as a name anywhere in the module, including inside a string
   that parses as an expression (a quoted annotation, an ``__all__``
   entry);
 * no comment or docstring cites a ROADMAP item by number: the roadmap is
-  renumbered as items land, so such a citation goes stale silently.
+  renumbered as items land, so such a citation goes stale silently;
+* ``src/`` has exactly :data:`SRC_LINES` physical lines.  A change that
+  grows ``src/`` raises the number and says why in ``CHANGES.md``; one
+  that shrinks it lowers the number, so the next growth starts from the
+  smaller size.
 """
 
 from __future__ import annotations
@@ -20,6 +24,10 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 _ROADMAP_CITATION = re.compile(r"ROADMAP(?:\.md)?(?:'s)?\s+items?\b")
+
+#: Physical lines of every ``*.py`` file under ``src/`` — blank, comment
+#: and docstring lines included.
+SRC_LINES = 22983
 
 
 def _names_in_string(text: str) -> set[str]:
@@ -74,8 +82,34 @@ def findings(root: Path) -> list[str]:
     return found
 
 
+def physical_lines(root: Path) -> int:
+    """Lines of every ``*.py`` file under ``root``, as ``wc -l`` counts
+    them plus one for a last line without a newline."""
+    return sum(
+        len(path.read_bytes().splitlines()) for path in root.rglob("*.py")
+    )
+
+
 def test_src_is_clean():
     assert findings(SRC) == []
+
+
+def test_src_has_its_pinned_line_count():
+    lines = physical_lines(SRC)
+    assert lines == SRC_LINES, (
+        f"src/ has {lines} lines, pinned at {SRC_LINES}: set SRC_LINES to "
+        f"{lines} in tests/test_code_budget.py, and if src/ grew, say why "
+        f"in CHANGES.md"
+    )
+
+
+def test_the_line_count_takes_in_a_planted_file(tmp_path):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (tmp_path / "top.py").write_text('"""Doc."""\n\n# note\nx = 1\n')
+    (package / "planted.py").write_text("y = 2\nz = 3")  # no last newline
+    (package / "notes.txt").write_text("not python\n")
+    assert physical_lines(tmp_path) == 6
 
 
 def test_the_check_names_a_planted_unused_import(tmp_path):

@@ -73,9 +73,9 @@ class TestFraming:
             encode_record({"kind": "x", "v": float("nan")})
 
     def test_schema_version_is_pinned(self):
-        # Bumping the schema requires a migration path and a new golden
-        # fixture — this assertion is the tripwire.
-        assert SCHEMA_VERSION == 2
+        # Bumping the schema re-captures the golden journal and keeps the
+        # old one as a refused fixture — this assertion is the tripwire.
+        assert SCHEMA_VERSION == 3
 
     def test_fsync_cadence_validation(self, tmp_path):
         with pytest.raises(DurabilityError):

@@ -8,7 +8,8 @@ paths, and pin the committed golden journal fixture so schema drift is a
 visible diff.
 
 To regenerate the golden fixture after an *intentional* schema change
-(bump ``SCHEMA_VERSION`` first)::
+(bump ``SCHEMA_VERSION`` first, and keep the old fixture as
+``tests/golden/durable_v<old>.journal``, pinned as refused)::
 
     PYTHONPATH=src python - <<'EOF'
     import pathlib
@@ -40,21 +41,24 @@ from repro.durable.journal import JournalWriter, encode_record
 from repro.errors import DurabilityError
 from repro.federation.costmodel import CostModel, CostParameters
 from repro.mqo.ga import GAConfig
-from repro.mqo.online import OnlineConfig, OnlineMQOScheduler
+from repro.mqo.online import OnlineConfig, OnlineMQOScheduler, _decode_decision
 from repro.workload.query import DSSQuery, Workload
 
 from tests.test_mqo_scheduling import build_catalog
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "durable.journal"
+GOLDEN_V2 = GOLDEN.with_name("durable_v2.journal")
 
 
-def golden_scheduler(generations: int = 4, seed: int = 7) -> OnlineMQOScheduler:
+def golden_scheduler(
+    generations: int = 4, seed: int = 7, rate: float = 0.1
+) -> OnlineMQOScheduler:
     """A fresh, deterministically-configured scheduler (one per recovery)."""
     catalog = build_catalog()
     return OnlineMQOScheduler(
         catalog,
         CostModel(catalog, params=CostParameters()),
-        DiscountRates.symmetric(0.1),
+        DiscountRates.symmetric(rate),
         ga_config=GAConfig(generations=generations),
         seed=seed,
         config=OnlineConfig(window=1.0, max_pending=3, iv_floor=0.0),
@@ -93,7 +97,8 @@ class TestJournaledRun:
         assert records[0][0]["schema"] == SCHEMA_VERSION
         assert kinds.count("arrival") == 5
         assert kinds.count("pop") == run.pops
-        assert kinds.count("ledger") == len(run.ledgers)
+        assert kinds[-1] == "finish" and kinds.count("finish") == 1
+        assert records[-1][0]["pops"] == run.pops
         report = verify_journal(path, golden_scheduler)
         assert report["ok"], report["mismatches"]
 
@@ -131,6 +136,31 @@ class TestCrashAndResume:
         report = runs_equivalent(run, resumed)
         assert report["equal"], report["differences"]
         assert resumed.resumed_at_pops is not None
+
+    def test_kill_at_every_record_boundary_resumes_bit_equal(self, tmp_path):
+        # The golden run (snapshots every 4 pops), killed at each record
+        # boundary and one byte either side: a clean cut, a torn first
+        # byte and a record missing its terminator all resume bit-equal.
+        path = tmp_path / "reference.journal"
+        run = journaled_run(
+            golden_scheduler(), golden_workload(), path, snapshot_every=4
+        )
+        size = path.stat().st_size
+        boundaries = [offset for _, offset in read_journal(path)] + [size]
+        cuts = sorted({
+            cut for boundary in boundaries
+            for cut in (boundary - 1, boundary, boundary + 1)
+            if 0 <= cut <= size
+        })
+        for cut in cuts:
+            crash_path = tmp_path / f"crash{cut}.journal"
+            resumed = crash_and_resume(
+                golden_scheduler, golden_workload(), crash_path,
+                crash_after_bytes=cut, snapshot_every=4,
+            )
+            report = runs_equivalent(run, resumed)
+            assert report["equal"], (cut, report["differences"])
+            assert verify_journal(crash_path, golden_scheduler)["ok"], cut
 
     def test_crash_beyond_the_journal_runs_uninterrupted(
         self, reference, tmp_path
@@ -179,26 +209,91 @@ class TestCrashAndResume:
 
 
 class TestRecoveryAudit:
-    def test_tampered_decision_record_is_rejected_at_its_offset(
+    @staticmethod
+    def _forge(path, forged, kind, nth, tamper) -> int:
+        """Rewrite ``path`` into ``forged`` with the ``nth`` ``kind``
+        record changed by ``tamper``; returns the forged record's offset."""
+        seen = 0
+        tampered_offset = None
+        with open(forged, "wb") as handle:
+            for payload, _ in read_journal(path):
+                if payload["kind"] == kind:
+                    seen += 1
+                    if seen == nth:
+                        payload = {**payload, **tamper(payload)}
+                        tampered_offset = handle.tell()
+                handle.write(encode_record(payload))
+        assert tampered_offset is not None
+        return tampered_offset
+
+    def test_tampered_pop_digest_is_rejected_at_its_offset(
         self, reference, tmp_path
     ):
         _, path = reference
-        records = read_journal(path)
         forged = tmp_path / "forged.journal"
-        with open(forged, "wb") as handle:
-            tampered_offset = None
-            for payload, _ in records:
-                if payload["kind"] == "decision" and tampered_offset is None:
-                    payload = {
-                        "kind": "decision",
-                        "entry": ["shed", 999, 0.0],
-                    }
-                    tampered_offset = handle.tell()
-                handle.write(encode_record(payload))
-        assert tampered_offset is not None
+        offset = self._forge(
+            path, forged, "pop", 5, lambda pop: {"digest": "f" * 16}
+        )
         with pytest.raises(DurabilityError) as error:
             recover(forged, golden_scheduler())
-        assert error.value.offset == tampered_offset
+        assert error.value.offset == offset
+
+    def test_tampered_pop_payload_is_rejected_at_its_offset(
+        self, reference, tmp_path
+    ):
+        _, path = reference
+        forged = tmp_path / "forged.journal"
+        offset = self._forge(
+            path, forged, "pop", 2, lambda pop: {"payload": 999}
+        )
+        with pytest.raises(DurabilityError) as error:
+            recover(forged, golden_scheduler())
+        assert error.value.offset == offset
+
+    @pytest.mark.parametrize("kind", ["snapshot", "finish"])
+    def test_tampered_audit_digest_is_rejected_at_its_offset(
+        self, tmp_path, kind
+    ):
+        # Scratch replay audits every snapshot; the finish record closes
+        # the chain on both recovery paths.
+        forged = tmp_path / "forged.journal"
+        offset = self._forge(
+            GOLDEN, forged, kind, 1, lambda record: {"digest": "0" * 16}
+        )
+        with pytest.raises(DurabilityError) as error:
+            recover(forged, golden_scheduler(), use_snapshot=False)
+        assert error.value.offset == offset
+
+    def test_other_discount_rates_are_refused_on_a_complete_journal(
+        self, reference, tmp_path
+    ):
+        # Rates 0.2 instead of 0.1 make the same pops and the same
+        # decisions; only the IVs differ, so only the digest can tell.
+        run, path = reference
+        other_path = tmp_path / "rates.journal"
+        other = journaled_run(
+            golden_scheduler(rate=0.2), golden_workload(), other_path
+        )
+        ours, theirs = read_journal(path), read_journal(other_path)
+
+        def events(records):
+            return [
+                (record["time"], record["tag"], record["payload"])
+                for record, _ in records if record["kind"] == "pop"
+            ]
+
+        assert events(ours) == events(theirs)
+        assert other.session.decisions == run.session.decisions
+        assert [e.reported_iv for e in other.ledgers] != [
+            e.reported_iv for e in run.ledgers
+        ]
+        first_difference = next(
+            offset for (mine, offset), (its, _) in zip(ours, theirs)
+            if mine != its
+        )
+        with pytest.raises(DurabilityError) as error:
+            recover(path, golden_scheduler(rate=0.2))
+        assert error.value.offset == first_difference
 
     def test_wrong_scheduler_config_cannot_silently_recover(
         self, reference
@@ -246,23 +341,20 @@ class TestRecoveryAudit:
 
 
 class TestGoldenJournal:
-    """The committed fixture pins schema v2's on-disk shape.
+    """The committed fixture pins schema v3's on-disk shape.
 
-    Byte-exact comparison is impossible — window records and snapshots
-    carry wall-clock ``reopt_seconds`` — so the pin is structural: the
-    record-kind sequence, the full decision log and every ledger entry
-    must recover exactly, through both recovery paths.
+    Byte-exact comparison is impossible — snapshots carry wall-clock
+    ``reopt_seconds`` — so the pin is structural: the record-kind
+    sequence, every pop and its digest, and the full decision log and
+    ledger must recover exactly, through both recovery paths.
     """
 
     def test_golden_journal_parses_and_pins_the_schema(self):
         records = read_journal(GOLDEN)
         assert records[0][0]["kind"] == "header"
-        assert records[0][0]["schema"] == SCHEMA_VERSION == 2
+        assert records[0][0]["schema"] == SCHEMA_VERSION == 3
         kinds = {payload["kind"] for payload, _ in records}
-        assert kinds == {
-            "header", "arrival", "pop", "decision", "window", "ledger",
-            "snapshot",
-        }
+        assert kinds == {"header", "arrival", "pop", "snapshot", "finish"}
 
     def test_golden_journal_recovers_and_verifies(self):
         report = verify_journal(GOLDEN, golden_scheduler)
@@ -272,8 +364,9 @@ class TestGoldenJournal:
         assert report["tail_error"] is None
 
     def test_golden_journal_is_exactly_todays_records(self, tmp_path):
-        # Record for record, in order: pops, decisions, windows, ledgers
-        # and snapshots — everything but the wall-clock re-opt times.
+        # Record for record, in order: arrivals, pops with their digests,
+        # snapshots and the finish record — everything but the wall-clock
+        # re-opt times.
         def strip(value):
             if isinstance(value, dict):
                 return {
@@ -290,21 +383,44 @@ class TestGoldenJournal:
         )
         today = [strip(payload) for payload, _ in read_journal(path)]
         golden = [strip(payload) for payload, _ in read_journal(GOLDEN)]
-        assert len(golden) == 50
+        assert len(golden) == 30
         assert today == golden
 
-    def test_golden_journal_reproduces_todays_run(self):
+    def test_golden_journal_reproduces_todays_run(self, tmp_path):
         # The scheduler of record, run today, must still make the exact
         # decisions the fixture froze — GA determinism across versions.
         recovered = recover(GOLDEN, golden_scheduler())
         fresh = journaled_run(
-            golden_scheduler(), golden_workload(),
-            GOLDEN.parent / "_scratch.journal",
+            golden_scheduler(), golden_workload(), tmp_path / "j"
         )
-        try:
-            assert recovered.session.decisions == fresh.session.decisions
-            assert [e.to_dict() for e in recovered.ledgers] == [
-                e.to_dict() for e in fresh.ledgers
-            ]
-        finally:
-            (GOLDEN.parent / "_scratch.journal").unlink()
+        assert recovered.session.decisions == fresh.session.decisions
+        assert [e.to_dict() for e in recovered.ledgers] == [
+            e.to_dict() for e in fresh.ledgers
+        ]
+
+
+class TestGoldenV2Journal:
+    """The schema-2 fixture: refused, yet its recorded outputs still hold.
+
+    v2 journaled every decision and ledger entry; the v3 golden records
+    only inputs.  Recovering the v3 golden must derive exactly what v2
+    recorded, which carries the frozen GA decisions across the bump.
+    """
+
+    def test_v2_journal_is_refused_at_its_header(self):
+        assert read_journal(GOLDEN_V2)[0][0]["schema"] == 2
+        with pytest.raises(DurabilityError) as error:
+            recover(GOLDEN_V2, golden_scheduler())
+        assert "schema" in str(error.value)
+        assert error.value.offset == 0
+
+    def test_v2_recorded_outputs_equal_the_v3_recovery(self):
+        records = [payload for payload, _ in read_journal(GOLDEN_V2)]
+        recovered = recover(GOLDEN, golden_scheduler())
+        assert [
+            _decode_decision(record["entry"])
+            for record in records if record["kind"] == "decision"
+        ] == recovered.session.decisions
+        assert [
+            record["entry"] for record in records if record["kind"] == "ledger"
+        ] == [entry.to_dict() for entry in recovered.ledgers]

@@ -380,6 +380,27 @@ class TestDurabilityOverHTTP:
         assert not recovered.clock
 
 
+class TestJournalHeader:
+    def test_unknown_serve_config_key_is_named(self, tmp_path):
+        # A hostile or newer header must not reach ServeConfig(**config)
+        # as a bare TypeError: resume and resume-verify read it first.
+        from dataclasses import asdict
+
+        from repro.durable.journal import JournalWriter
+        from repro.durable.recovery import header_record
+        from repro.serve.service import journal_serve_config
+
+        journal = tmp_path / "serve.journal"
+        writer = JournalWriter(journal)
+        writer.append(header_record({
+            "driver": "serve",
+            "serve_config": {**asdict(config()), "warp_factor": 9},
+        }))
+        writer.close()
+        with pytest.raises(WorkloadError, match="warp_factor"):
+            journal_serve_config(journal)
+
+
 class TestShutdownEdges:
     def test_wallclock_stop_is_idempotent(self):
         from repro.sim.clocks import WallClock
