@@ -189,9 +189,11 @@ class JournalObserver(SessionObserver):
 
     def after_pop(self, session, now, tag, payload, outcome, ledger) -> None:
         decisions, windows = self._marks
-        passes = [asdict(record) for record in session.decision.windows[windows:]]
-        for record in passes:
-            del record["reopt_seconds"]  # wall-clock: not derivable
+        passes = [  # field dicts: ``asdict`` would deep-copy every value
+            {name: getattr(record, name) for name in record.__dataclass_fields__
+             if name != "reopt_seconds"}  # wall-clock: not derivable
+            for record in session.decision.windows[windows:]
+        ]
         completions = []
         if ledger is not None:
             self.ledgers.append(ledger)

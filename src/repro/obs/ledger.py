@@ -19,7 +19,7 @@ audited offline.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from repro.core.value import DiscountRates, information_value
 
@@ -61,8 +61,8 @@ class VersionProvenance:
     last_sync_at: float | None
 
     def to_dict(self) -> dict:
-        """JSON-ready representation."""
-        return asdict(self)
+        """JSON-ready representation (``asdict`` without its deep copies)."""
+        return {name: getattr(self, name) for name in self.__dataclass_fields__}
 
     @classmethod
     def from_dict(cls, data: dict) -> "VersionProvenance":
@@ -223,7 +223,7 @@ class IVLedgerEntry:
 
     def to_dict(self) -> dict:
         """JSON-ready representation (lossless float round-trip)."""
-        data = asdict(self)
+        data = {name: getattr(self, name) for name in self.__dataclass_fields__}
         data["versions"] = [version.to_dict() for version in self.versions]
         return data
 

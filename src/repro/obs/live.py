@@ -44,6 +44,8 @@ from repro.obs.metrics import DEFAULT_BUCKETS, Histogram
 from repro.sim.trace import TraceRecord
 
 if typing.TYPE_CHECKING:  # pragma: no cover - typing only
+    from collections.abc import Callable
+
     from repro.sim.trace import Tracer
 
 __all__ = [
@@ -537,34 +539,27 @@ class LiveRegistry:
             return 0.0
         return self._staleness_sum / self._staleness_count
 
+    def read(self, metric: str, now: float | None = None) -> float | None:
+        """``SLORule.read`` of :meth:`snapshot` ``(now)`` for ``metric``,
+        without building the rest of the snapshot."""
+        now = self.now if now is None else now
+        section, _, key = metric.partition(".")
+        if section == "counters":
+            value = self.counters.get(key)
+        else:
+            reader = _READERS.get(section, {}).get(key)
+            value = None if reader is None else reader(self, now)
+        return value if isinstance(value, (int, float)) else None
+
     def snapshot(self, now: float | None = None) -> dict:
         """One JSON-ready view of the live state at sim time ``now``."""
         now = self.now if now is None else now
         return {
             "time": now,
             "counters": dict(sorted(self.counters.items())),
-            "gauges": {
-                "query.in_flight": self.in_flight,
-                "faults.sites_down": self.sites_down,
-                "faults.outage_dwell": self.outage_dwell(now),
-                "query.iv.realization": self.iv_realization_ratio(),
-                "mqo.shed.ratio": self.shed_ratio(now),
-                "sync.staleness.mean": self.staleness_mean(),
-            },
-            "rates": {
-                "query.arrivals.ewma": self.arrival_rate.rate(now),
-                "query.completions.ewma": self.completion_rate.rate(now),
-                "query.arrivals.window": self.arrivals_window.rate(now),
-                "query.completions.window": self.completions_window.rate(now),
-                "query.failed.window": self.failed_window.rate(now),
-                "query.iv.ewma": self.iv_ewma.mean(),
-            },
-            "quantiles": {
-                "query.cl.p50": self.cl_p50.value(),
-                "query.cl.p95": self.cl_p95.value(),
-                "query.sl.p95": self.sl_p95.value(),
-                "query.iv.p50": self.iv_p50.value(),
-                "sync.staleness.p95": self.staleness_p95.value(),
+            **{
+                section: {key: reader(self, now) for key, reader in readers.items()}
+                for section, readers in _READERS.items()
             },
             "histograms": {
                 "query.iv.hist": self.iv_hist.snapshot(),
@@ -577,19 +572,31 @@ class LiveRegistry:
             },
         }
 
-    def final_counters(self) -> dict[str, float]:
-        """The counters a drained-system registry should agree with.
 
-        Keys mirror :func:`~repro.obs.metrics.registry_from_system`; the
-        property suite asserts equality after feeding a full clean trace.
-        """
-        return {
-            "query.completed": self.counters.get("query.completed", 0.0),
-            "query.failed": self.counters.get("query.failed", 0.0),
-            "query.degraded": self.counters.get("query.degraded", 0.0),
-            "query.retries": self.counters.get("query.retries", 0.0),
-            "query.failovers": self.counters.get("query.failovers", 0.0),
-            "sync.total": self.counters.get("sync.total", 0.0),
-            "sync.skipped": self.counters.get("sync.skipped", 0.0),
-            "sync.delayed": self.counters.get("sync.delayed", 0.0),
-        }
+#: Each snapshot gauge, rate and quantile by section and key, evaluated by
+#: both :meth:`LiveRegistry.snapshot` and :meth:`LiveRegistry.read`.
+_READERS: dict[str, dict[str, Callable[[LiveRegistry, float], float]]] = {
+    "gauges": {
+        "query.in_flight": lambda r, now: r.in_flight,
+        "faults.sites_down": lambda r, now: r.sites_down,
+        "faults.outage_dwell": LiveRegistry.outage_dwell,
+        "query.iv.realization": lambda r, now: r.iv_realization_ratio(),
+        "mqo.shed.ratio": LiveRegistry.shed_ratio,
+        "sync.staleness.mean": lambda r, now: r.staleness_mean(),
+    },
+    "rates": {
+        "query.arrivals.ewma": lambda r, now: r.arrival_rate.rate(now),
+        "query.completions.ewma": lambda r, now: r.completion_rate.rate(now),
+        "query.arrivals.window": lambda r, now: r.arrivals_window.rate(now),
+        "query.completions.window": lambda r, now: r.completions_window.rate(now),
+        "query.failed.window": lambda r, now: r.failed_window.rate(now),
+        "query.iv.ewma": lambda r, now: r.iv_ewma.mean(),
+    },
+    "quantiles": {
+        "query.cl.p50": lambda r, now: r.cl_p50.value(),
+        "query.cl.p95": lambda r, now: r.cl_p95.value(),
+        "query.sl.p95": lambda r, now: r.sl_p95.value(),
+        "query.iv.p50": lambda r, now: r.iv_p50.value(),
+        "sync.staleness.p95": lambda r, now: r.staleness_p95.value(),
+    },
+}

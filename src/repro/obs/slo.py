@@ -9,9 +9,9 @@ the metric comes back past ``clear`` — which may be stricter than
 ``threshold``, so a metric hovering at the line doesn't open/close every
 record.
 
-:class:`SLOMonitor` folds snapshots as the run streams by (attach it after
-a :class:`LiveRegistry` on the same tracer so it always reads up-to-date
-state) and emits typed ``alert.open`` / ``alert.close`` trace events,
+:class:`SLOMonitor` reads its rules' metrics as the run streams by (attach
+it after a :class:`LiveRegistry` on the same tracer so it always reads
+up-to-date state) and emits typed ``alert.open`` / ``alert.close`` trace events,
 each carrying the rule name, the observed value, the thresholds and the
 breach window — the :class:`~repro.obs.checker.TraceChecker` audits that
 these alternate and reference real times, and
@@ -185,8 +185,8 @@ class SLOMonitor:
 
     Call :meth:`attach` with the tracer *after* the registry attached so
     that on each record the registry folds first and the monitor reads the
-    updated snapshot; or drive :meth:`evaluate` manually from any snapshot
-    source.
+    updated state (its rules' metrics alone, :meth:`LiveRegistry.read`);
+    or drive :meth:`evaluate` manually from any snapshot source.
     """
 
     def __init__(
@@ -219,7 +219,7 @@ class SLOMonitor:
         # would recurse (open emits → subscriber fires → evaluate …).
         if record.kind in events.ALERT_KINDS:
             return
-        self.evaluate(self.registry.snapshot(record.time), record.time)
+        self._fold(record.time)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -230,8 +230,12 @@ class SLOMonitor:
 
     def evaluate(self, snapshot: dict, now: float) -> None:
         """Fold one snapshot: open/close alerts per rule with hysteresis."""
-        for rule in self.rules:
-            value = rule.read(snapshot)
+        self._fold(now, snapshot)
+
+    def _fold(self, now: float, snapshot: dict | None = None) -> None:
+        for rule in self.rules:  # no snapshot: read the rule's metric alone
+            value = (rule.read(snapshot) if snapshot is not None
+                     else self.registry.read(rule.metric, now))
             if value is None:
                 continue
             state = self._states[rule.name]
@@ -327,7 +331,7 @@ class SLOMonitor:
             if record.kind in events.ALERT_KINDS:
                 continue
             registry.observe(record)
-            monitor.evaluate(registry.snapshot(record.time), record.time)
+            monitor._fold(record.time)
         return monitor
 
 

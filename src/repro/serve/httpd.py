@@ -1,8 +1,8 @@
 """A stdlib-only asyncio HTTP/1.1 front end for :class:`QueryService`.
 
-No web framework: requests are parsed straight off the stream reader and
-answered with ``Connection: close`` semantics — one request per
-connection, which keeps the parser ~50 lines and is plenty for a
+No web framework: each connection is one :class:`asyncio.Protocol` that
+buffers its request, answered with ``Connection: close`` semantics — one
+request per connection, which keeps the parser small and is plenty for a
 reproduction-grade service (the load generator opens a connection per
 query, like the paper's per-report submissions).
 
@@ -97,31 +97,27 @@ _BUSY = _response(
     b'{"error": "too many open connections"}',
     extra_headers="Retry-After: 1\r\n",
 )
+#: The answer to a request not received within ``_READ_DEADLINE_SECONDS``.
+_LATE = _json_response(408, {"error": "request not received in time"})
 
 
-async def _read_request(
-    reader: asyncio.StreamReader,
-) -> tuple[str, str, dict[str, str], bytes]:
-    """Parse one request: ``(method, path, headers, body)``."""
-    head = await reader.readuntil(b"\r\n\r\n")
-    if len(head) > _MAX_HEAD_BYTES:
-        raise ValueError("request head too large")
+def _parse_head(head: bytes) -> tuple[str, str, int]:
+    """``(method, path, body length)`` of one request head."""
     lines = head.decode("latin-1").split("\r\n")
     try:
         method, path, _version = lines[0].split(" ", 2)
     except ValueError:
         raise ValueError(f"malformed request line {lines[0]!r}") from None
-    headers: dict[str, str] = {}
+    length = "0"
     for line in lines[1:]:
-        if not line:
-            continue
         name, _, value = line.partition(":")
-        headers[name.strip().lower()] = value.strip()
-    length = int(headers.get("content-length", "0") or "0")
-    if length > _MAX_BODY_BYTES:
+        if name.strip().lower() == "content-length":
+            length = value.strip() or "0"
+    if not (length.isascii() and length.isdigit()):  # RFC 9110: 1*DIGIT
+        raise ValueError(f"bad Content-Length {length!r}")
+    if int(length) > _MAX_BODY_BYTES:
         raise ValueError("request body too large")
-    body = await reader.readexactly(length) if length else b""
-    return method, path, headers, body
+    return method, path, int(length)
 
 
 async def _close(writer: asyncio.StreamWriter) -> None:
@@ -132,28 +128,79 @@ async def _close(writer: asyncio.StreamWriter) -> None:
         pass
 
 
-async def _refuse(
-    reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-) -> None:
-    """Answer 503 without parsing the request, then hang up.
+class _Connection(asyncio.Protocol):
+    """One client connection: buffers its request, then hands it over.
 
-    Closing a socket with unread input sends a reset, which can destroy
-    the 503 before the client reads it.  So the write side is shut first
-    and the client gets ``_LINGER_SECONDS`` to hang up, its bytes
-    discarded unparsed.
+    Its one timer is the read deadline, then the linger after an early
+    answer (503, 400, 408), which shuts only the write side and discards
+    input until the client hangs up: closing a socket with unread input
+    sends a reset that can destroy the answer before the client reads it.
     """
 
-    async def discard() -> None:
-        while await reader.read(4096):
-            pass
+    def __init__(self, server: "HTTPServer") -> None:
+        self.server = server
+        self.buffer = bytearray()
+        self.head: tuple[str, str, int] | None = None
+        self.task: asyncio.Task | None = None
+        self.admitted = self.answered = False
 
-    writer.write(_BUSY)
-    writer.write_eof()
-    try:
-        await asyncio.wait_for(discard(), _LINGER_SECONDS)
-    except (asyncio.TimeoutError, ConnectionError):
-        pass
-    await _close(writer)
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        self.transport = transport
+        self.timer = asyncio.get_running_loop().call_later(
+            _READ_DEADLINE_SECONDS, self._answer_early, _LATE
+        )
+        if self.server._connections >= _MAX_CONNECTIONS:
+            self._answer_early(_BUSY)
+            return
+        self.server._connections += 1
+        self.admitted = True
+
+    def data_received(self, data: bytes) -> None:
+        if self.answered or self.task is not None:
+            return
+        buffer = self.buffer
+        buffer += data
+        if self.head is None:
+            end = buffer.find(b"\r\n\r\n")
+            if end < 0 and len(buffer) < _MAX_HEAD_BYTES:
+                return
+            try:
+                if end < 0 or end + 4 > _MAX_HEAD_BYTES:
+                    raise ValueError("request head too large")
+                self.head = _parse_head(bytes(buffer[:end]))
+            except ValueError as error:
+                self._answer_early(_json_response(400, {"error": str(error)}))
+                return
+            del buffer[:end + 4]
+        method, path, length = self.head
+        if len(buffer) >= length:
+            self.timer.cancel()
+            self.task = asyncio.get_running_loop().create_task(self.server._handle(
+                self.transport, method, path, bytes(buffer[:length])
+            ))
+
+    def eof_received(self) -> bool:
+        if self.task is not None:
+            return True  # the response is still owed: keep the write side
+        if not self.answered:
+            self._answer_early(_json_response(
+                400, {"error": "connection closed mid-request"}
+            ))
+        return False
+
+    def _answer_early(self, response: bytes) -> None:
+        self.answered = True
+        self.timer.cancel()
+        self.transport.write(response)
+        self.transport.write_eof()
+        self.timer = asyncio.get_running_loop().call_later(
+            _LINGER_SECONDS, self.transport.close
+        )
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        self.timer.cancel()
+        if self.admitted:
+            self.server._connections -= 1
 
 
 class HTTPServer:
@@ -186,8 +233,8 @@ class HTTPServer:
         self._runner = asyncio.create_task(
             self.service.run(), name="repro-serve-loop"
         )
-        self._server = await asyncio.start_server(
-            self._handle, self.host, self.port
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: _Connection(self), self.host, self.port
         )
 
     async def serve_until_shutdown(self) -> None:
@@ -211,40 +258,19 @@ class HTTPServer:
     # -- request handling ----------------------------------------------------
 
     async def _handle(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+        self, transport: asyncio.Transport, method: str, path: str, body: bytes
     ) -> None:
-        if self._connections >= _MAX_CONNECTIONS:
-            await _refuse(reader, writer)
-            return
-        self._connections += 1
+        """Route one fully buffered request and answer it."""
         try:
-            try:
-                method, path, _headers, body = await asyncio.wait_for(
-                    _read_request(reader), _READ_DEADLINE_SECONDS
-                )
-            except asyncio.TimeoutError:
-                writer.write(_json_response(
-                    408, {"error": "request not received in time"}
-                ))
-                return
-            except (
-                ValueError,
-                asyncio.IncompleteReadError,
-                asyncio.LimitOverrunError,
-            ) as error:
-                writer.write(_json_response(400, {"error": str(error)}))
-                return
             try:
                 response = await self._route(method, path, body)
             except WorkloadError as error:
                 response = _json_response(400, {"error": str(error)})
             except Exception as error:  # pragma: no cover - defensive
                 response = _json_response(500, {"error": repr(error)})
-            writer.write(response)
-            await writer.drain()
+            transport.write(response)
         finally:
-            self._connections -= 1
-            await _close(writer)
+            transport.close()
 
     async def _route(self, method: str, path: str, body: bytes) -> bytes:
         path, _, query_string = path.partition("?")

@@ -198,10 +198,12 @@ class WallClock:
                 if delay <= 0:
                     return self._timeline.pop()
                 self._wake.clear()
+                # The deadline sets the event a push sets; both re-check.
+                timer = asyncio.get_running_loop().call_later(delay, self._wake.set)
                 try:
-                    await asyncio.wait_for(self._wake.wait(), timeout=delay)
-                except asyncio.TimeoutError:
-                    continue  # the deadline arrived
+                    await self._wake.wait()
+                finally:
+                    timer.cancel()
             else:
                 if self._stopped:
                     return None

@@ -10,6 +10,7 @@ renderer.
 
 from __future__ import annotations
 
+from collections import deque
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 
@@ -55,8 +56,8 @@ class Tracer:
         if capacity is not None and capacity < 1:
             raise SimulationError("tracer capacity must be >= 1 or None")
         self._clock = clock
-        self._capacity = capacity
-        self._records: list[TraceRecord] = []
+        # A bounded deque evicts the oldest record in O(1) as it appends.
+        self._records: deque[TraceRecord] = deque(maxlen=capacity)
         self._dropped = 0
         self._last_time: float | None = None
         self._subscribers: list[Callable[[TraceRecord], None]] = []
@@ -92,11 +93,9 @@ class Tracer:
             )
         self._last_time = now
         record = TraceRecord(now, kind, subject, dict(detail))
+        if len(self._records) == self._records.maxlen:
+            self._dropped += 1
         self._records.append(record)
-        if self._capacity is not None and len(self._records) > self._capacity:
-            overflow = len(self._records) - self._capacity
-            del self._records[:overflow]
-            self._dropped += overflow
         for callback in self._subscribers:
             callback(record)
 
@@ -150,8 +149,8 @@ class Tracer:
         long-running producer that streams records out through a
         subscriber bound its memory without faking drops.
         """
-        records = self._records
-        self._records = []
+        records = list(self._records)
+        self._records.clear()
         return records
 
     def clear(self) -> None:

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
+
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.value import DiscountRates, information_value
 from repro.obs.ledger import IVLedgerEntry, VersionProvenance
@@ -121,3 +125,65 @@ class TestSerialization:
     def test_version_provenance_round_trip(self):
         version = VersionProvenance("t", "replica", None, 1.5, 2.5, 2.5)
         assert VersionProvenance.from_dict(version.to_dict()) == version
+
+
+def asdict_reference(entry: IVLedgerEntry) -> dict:
+    """The ``dataclasses.asdict`` serialization ``to_dict`` replaced."""
+    data = dataclasses.asdict(entry)
+    data["versions"] = [dataclasses.asdict(version) for version in entry.versions]
+    return data
+
+
+_floats = st.floats(allow_nan=False)
+_versions = st.builds(
+    VersionProvenance,
+    table=st.text(max_size=4),
+    kind=st.sampled_from(["base", "replica"]),
+    site=st.none() | st.integers(-3, 9),
+    planned_freshness=_floats,
+    realized_freshness=_floats,
+    last_sync_at=st.none() | _floats,
+)
+_entries = st.builds(
+    IVLedgerEntry,
+    query=st.text(max_size=6),
+    query_id=st.integers(0, 10**6),
+    business_value=_floats,
+    lambda_cl=_floats,
+    lambda_sl=_floats,
+    submitted_at=_floats,
+    started_at=_floats,
+    remote_done_at=_floats,
+    local_granted_at=_floats,
+    local_done_at=_floats,
+    completed_at=_floats,
+    data_timestamp=_floats,
+    queue_wait=_floats,
+    remote_wait=_floats,
+    retries=st.integers(0, 5),
+    failovers=st.integers(0, 5),
+    degraded=st.booleans(),
+    failed=st.booleans(),
+    reported_iv=_floats,
+    versions=st.lists(_versions, max_size=3).map(tuple),
+)
+
+
+class TestDictMatchesAsdict:
+    """``to_dict`` builds from field names; its output is ``asdict``'s."""
+
+    @given(_entries)
+    def test_same_dict_key_order_and_json_bytes(self, entry):
+        data, reference = entry.to_dict(), asdict_reference(entry)
+        assert data == reference
+        assert list(data) == list(reference)
+        for version, expected in zip(data["versions"], reference["versions"]):
+            assert list(version.items()) == list(expected.items())
+        assert json.dumps(data) == json.dumps(reference)
+        assert IVLedgerEntry.from_dict(data) == entry
+
+    @given(_versions)
+    def test_version_dict_matches_asdict(self, version):
+        data = version.to_dict()
+        assert list(data.items()) == list(dataclasses.asdict(version).items())
+        assert VersionProvenance.from_dict(data) == version

@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.errors import SimulationError
 from repro.obs import events
@@ -18,11 +20,93 @@ from repro.obs.live import (
 from repro.baselines import ivqp_router
 from repro.core.value import DiscountRates
 from repro.federation.system import SystemConfig, TableSpec, build_system
+from repro.obs.ledger import completion_ledger
 from repro.obs.metrics import registry_from_system
+from repro.obs.slo import SLORule
 from repro.sim.trace import TraceRecord
 from repro.workload.query import DSSQuery
 
 from tests.test_obs_checker import traced_system
+
+#: The counters ``registry_from_system`` keeps that the live fold also
+#: counts: after a full clean trace both must agree exactly.
+POST_HOC_COUNTERS = (
+    "query.completed", "query.failed", "query.degraded", "query.retries",
+    "query.failovers", "sync.total", "sync.skipped", "sync.delayed",
+)
+
+_unit = st.floats(0.0, 1.0)
+
+
+@st.composite
+def live_steps(draw, max_records: int = 40) -> list:
+    """A time-ordered record stream over every kind the registry folds.
+
+    Each step is ``(time, kind, subject, detail, query)``: ``query`` is
+    ``None`` or how far past the record's time to read the registry.
+    """
+    steps, time = [], 0.0
+    for _ in range(draw(st.integers(1, max_records))):
+        time += draw(st.sampled_from([0.0, 0.25, 1.0, 3.5, 12.0]))
+        kind = draw(st.sampled_from(sorted(_DETAILS)))
+        subject, detail = _DETAILS[kind](draw, time)
+        query = draw(st.none() | st.sampled_from([0.0, 0.5, 7.0, 25.0]))
+        steps.append((time, kind, subject, detail, query))
+    return steps
+
+
+def _ledger(draw, time: float) -> tuple[str, dict]:
+    latency = draw(st.floats(0.0, 30.0))
+    entry = completion_ledger(
+        "q", draw(st.integers(0, 5)), draw(_unit), DiscountRates(0.05, 0.02),
+        submitted_at=time - latency, begin=time - latency / 2,
+        completed_at=time, data_timestamp=time - draw(st.floats(0.0, 40.0)),
+    )
+    return "q", entry.to_dict()
+
+
+_DETAILS = {
+    events.SUBMIT: lambda draw, time: (
+        "q", {"qid": draw(st.integers(0, 5))}
+    ),
+    events.PLAN: lambda draw, time: (
+        "q", {"qid": draw(st.integers(0, 5)), "est_iv": draw(_unit)}
+    ),
+    events.COMPLETE: lambda draw, time: (
+        "q", {"qid": draw(st.integers(0, 5)), "iv": draw(_unit)}
+    ),
+    events.FAILED: lambda draw, time: ("q", {"qid": draw(st.integers(0, 5))}),
+    events.LEDGER: _ledger,
+    events.SYNC_APPLY: lambda draw, time: (
+        draw(st.sampled_from(["t0", "t1"])),
+        {"gap": draw(st.floats(0.0, 40.0)), "at": time},
+    ),
+    events.SYNC_SKIP: lambda draw, time: ("t0", {"scheduled": time}),
+    events.SYNC_DELAY: lambda draw, time: ("t1", {"scheduled": time}),
+    events.FAULT_DOWN: lambda draw, time: (
+        draw(st.sampled_from(["s0", "s1"])), {}
+    ),
+    events.FAULT_UP: lambda draw, time: (
+        draw(st.sampled_from(["s0", "s1"])), {}
+    ),
+    events.MQO_ADMIT: lambda draw, time: (
+        "q", {"requeued": draw(st.booleans())}
+    ),
+    events.MQO_SHED: lambda draw, time: ("q", {}),
+    events.MQO_WINDOW: lambda draw, time: ("window", {}),
+}
+
+#: Every gauge, rate and quantile path, plus paths ``read`` must refuse:
+#: an unknown name, a histogram, a table block and an unknown section.
+_SNAPSHOT = LiveRegistry().snapshot()
+METRIC_PATHS = [
+    f"{section}.{key}"
+    for section in ("gauges", "rates", "quantiles")
+    for key in _SNAPSHOT[section]
+] + [
+    "counters.never.counted", "gauges.no.such", "histograms.query.iv.hist",
+    "tables.t0", "time.now", "nosuch.metric",
+]
 
 
 class TestEwmaRate:
@@ -124,6 +208,36 @@ class TestP2Quantile:
             P2Quantile(1.0)
 
 
+class TestReadEqualsSnapshot:
+    @given(live_steps())
+    def test_every_metric_reads_as_the_snapshot_shows_it(self, steps):
+        registry = LiveRegistry(qos_max_staleness=10.0)
+        for time, kind, subject, detail, query in steps:
+            registry.observe(TraceRecord(time, kind, subject, detail))
+            if query is None:
+                continue
+            now = time + query
+            paths = METRIC_PATHS + [
+                f"counters.{name}" for name in registry.counters
+            ]
+            read = {path: registry.read(path, now) for path in paths}
+            snapshot = registry.snapshot(now)
+            for path in paths:
+                expected = SLORule("r", path, "above", 0.0).read(snapshot)
+                assert read[path] == expected, path
+            assert read["gauges.no.such"] is None
+            assert read["histograms.query.iv.hist"] is None
+            assert read["tables.t0"] is None
+
+    def test_read_defaults_to_the_latest_record_time(self):
+        registry = LiveRegistry()
+        registry.observe(TraceRecord(3.0, events.SUBMIT, "q", {"qid": 1}))
+        assert registry.read("rates.query.arrivals.window") == (
+            registry.snapshot()["rates"]["query.arrivals.window"]
+        )
+        assert registry.read("counters.query.submitted") == 1.0
+
+
 class TestLiveRegistry:
     @pytest.fixture(scope="class")
     def run(self):
@@ -136,8 +250,8 @@ class TestLiveRegistry:
     def test_final_counters_match_post_hoc_registry(self, run):
         system, live = run
         post_hoc = registry_from_system(system)["counters"]
-        for name, value in live.final_counters().items():
-            assert value == post_hoc.get(name, 0.0), name
+        for name in POST_HOC_COUNTERS:
+            assert live.counters.get(name, 0.0) == post_hoc.get(name, 0.0), name
 
     def test_histogram_buckets_match_post_hoc_registry(self, run):
         system, live = run

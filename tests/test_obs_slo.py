@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given
 
 from repro.errors import SimulationError
 from repro.obs import events
@@ -16,6 +17,8 @@ from repro.obs.slo import (
     load_slo_rules,
 )
 from repro.sim.trace import Tracer
+
+from tests.test_obs_live import live_steps
 
 
 def snap(section: str, metric: str, value: float) -> dict:
@@ -334,3 +337,73 @@ class TestReplay:
         assert [(a.rule, a.opened_at) for a in with_alerts] == [
             (a.rule, a.opened_at) for a in without
         ]
+
+
+#: Rules over every section ``LiveRegistry.read`` serves, rates included
+#: (reading a rate decays it), one with a dwell and one that never
+#: resolves.
+READ_RULES = [
+    SLORule("in-flight", "gauges.query.in_flight", "above", 1.0, clear=0.0),
+    SLORule("arrivals", "rates.query.arrivals.ewma", "above", 0.2, clear=0.1),
+    SLORule("cl-p50", "quantiles.query.cl.p50", "above", 2.0, clear=1.0,
+            min_dwell=0.5),
+    SLORule("windows", "counters.mqo.windows", "above", 2.0),
+    SLORule("unknown", "gauges.no.such", "above", 0.0),
+    *default_slo_rules(),
+]
+
+
+def live_and_snapshot_runs(steps) -> tuple[Tracer, SLOMonitor, Tracer, SLOMonitor]:
+    """The same records through an attached monitor, which reads only its
+    rules' metrics, and through one fed a full snapshot per record."""
+    clock = [0.0]
+    live_tracer = Tracer(lambda: clock[0])
+    live = SLOMonitor(
+        READ_RULES, LiveRegistry(qos_max_staleness=10.0).attach(live_tracer)
+    ).attach(live_tracer)
+    snap_tracer = Tracer(lambda: clock[0])
+    registry = LiveRegistry(qos_max_staleness=10.0).attach(snap_tracer)
+    snapped = SLOMonitor(READ_RULES, registry, tracer=snap_tracer)
+
+    def evaluate(record) -> None:
+        if record.kind not in events.ALERT_KINDS:
+            snapped.evaluate(registry.snapshot(record.time), record.time)
+
+    snap_tracer.subscribe(evaluate)
+    for time, kind, subject, detail, _query in steps:
+        clock[0] = time
+        live_tracer.emit(kind, subject, **detail)
+        snap_tracer.emit(kind, subject, **detail)
+    return live_tracer, live, snap_tracer, snapped
+
+
+class TestAttachedMonitorReadsLikeSnapshots:
+    @given(live_steps())
+    def test_same_alerts_as_evaluating_full_snapshots(self, steps):
+        live_tracer, live, snap_tracer, snapped = live_and_snapshot_runs(steps)
+        assert live.alerts == snapped.alerts
+        assert live_tracer.records == snap_tracer.records
+
+    def test_a_breaching_stream_alerts_alike(self):
+        steps = [
+            (0.0, events.SUBMIT, "q", {"qid": qid}, None) for qid in range(3)
+        ] + [
+            (4.0 + qid, events.COMPLETE, "q", {"qid": qid, "iv": 0.5}, None)
+            for qid in range(3)
+        ] + [(9.0, events.MQO_WINDOW, "window", {}, None)] * 3
+        live_tracer, live, snap_tracer, snapped = live_and_snapshot_runs(steps)
+        assert {alert.rule for alert in live.alerts} == {
+            "in-flight", "arrivals", "windows",
+        }
+        assert live.alerts == snapped.alerts
+        assert live_tracer.records == snap_tracer.records
+
+    def test_replay_reads_like_the_live_monitor(self):
+        live_tracer, live, _snap_tracer, _snapped = live_and_snapshot_runs([
+            (float(time), events.SUBMIT, "q", {"qid": time}, None)
+            for time in range(4)
+        ])
+        replayed = SLOMonitor.replay(
+            live_tracer.records, READ_RULES, qos_max_staleness=10.0
+        )
+        assert replayed.alerts == live.alerts and live.alerts

@@ -211,6 +211,160 @@ class TestHTTPRoundTrips:
         asyncio.run(_with_server(config(), body))
 
 
+async def _exchange(
+    host: str, port: int, chunks: list[bytes], pause: float = 0.0,
+    eof: bool = False,
+) -> bytes:
+    """Send ``chunks`` (``pause`` seconds apart), maybe half-close, and
+    read the whole answer."""
+    reader, writer = await asyncio.open_connection(host, port)
+    try:
+        for chunk in chunks:
+            writer.write(chunk)
+            await writer.drain()
+            if pause:
+                await asyncio.sleep(pause)
+        if eof:
+            writer.write_eof()
+        return await asyncio.wait_for(reader.read(), timeout=5.0)
+    finally:
+        writer.close()
+        with contextlib.suppress(ConnectionError):
+            await writer.wait_closed()
+
+
+def _status(raw: bytes) -> int:
+    return int(raw.split(b" ", 2)[1])
+
+
+async def _with_http_server(cfg, body):
+    """Like :func:`_with_server`, but ``body(server, host, port)``."""
+    server = HTTPServer(QueryService(cfg), port=0)
+    await server.start()
+    try:
+        await body(server, *server.address)
+    finally:
+        await server.stop()
+
+
+class TestHostileInput:
+    """Torn, slow-drip and lying requests on the protocol transport."""
+
+    def test_a_head_dripped_one_byte_at_a_time_is_answered(self):
+        payload = b'{"template": 2}'
+        request = (
+            b"POST /submit HTTP/1.1\r\nHost: x\r\nContent-Length: "
+            + str(len(payload)).encode() + b"\r\n\r\n" + payload
+        )
+
+        async def body(service, host, port):
+            raw = await _exchange(
+                host, port, [request[i:i + 1] for i in range(len(request))],
+                pause=0.002,
+            )
+            assert _status(raw) == 200, raw
+            assert b'"ledger"' in raw
+            assert len(service.arrival_log) == 1
+
+        asyncio.run(_with_server(config(), body))
+
+    def test_a_body_shorter_than_its_content_length_is_a_400(self):
+        async def body(service, host, port):
+            raw = await _exchange(host, port, [
+                b"POST /submit HTTP/1.1\r\nContent-Length: 100\r\n\r\n",
+                b'{"template": 0}',
+            ], eof=True)
+            assert _status(raw) == 400, raw
+            assert service.arrival_log == []
+
+        asyncio.run(_with_server(config(), body))
+
+    @pytest.mark.parametrize("length", [b"-5", b"-0x10", b"abc", b"1e3", b"5 5"])
+    def test_a_negative_or_non_numeric_content_length_is_a_400(self, length):
+        async def body(service, host, port):
+            raw = await _exchange(host, port, [
+                b"POST /submit HTTP/1.1\r\nContent-Length: " + length
+                + b"\r\n\r\n" + b'{"template": 0}',
+            ])
+            assert _status(raw) == 400, raw
+            assert b'"error": "bad Content-Length' in raw
+            assert service.arrival_log == []
+
+        asyncio.run(_with_server(config(), body))
+
+    @pytest.mark.parametrize("excess, status", [(0, 200), (1, 400), (4000, 400)])
+    def test_a_head_over_16_kib_is_a_400(self, excess, status):
+        from repro.serve import httpd
+
+        start = b"GET /healthz HTTP/1.1\r\nX-Pad: "
+        pad = httpd._MAX_HEAD_BYTES - len(start) - 4 + excess
+        head = start + b"a" * pad + b"\r\n\r\n"
+
+        async def body(service, host, port):
+            raw = await _exchange(host, port, [head])
+            assert _status(raw) == status, raw[:200]
+
+        asyncio.run(_with_server(config(), body))
+
+    def test_a_body_over_the_limit_is_a_400(self):
+        async def body(service, host, port):
+            raw = await _exchange(host, port, [
+                b"POST /submit HTTP/1.1\r\nContent-Length: 65537\r\n\r\n",
+            ])
+            assert _status(raw) == 400 and b"too large" in raw
+
+        asyncio.run(_with_server(config(), body))
+
+    def test_aborted_clients_release_their_connection_slots(self, monkeypatch):
+        from repro.serve import httpd
+
+        monkeypatch.setattr(httpd, "_MAX_CONNECTIONS", 4)
+
+        async def settled(server) -> None:
+            for _ in range(200):
+                if server._connections == 0:
+                    return
+                await asyncio.sleep(0.01)
+
+        async def body(server, host, port):
+            for batch in range(5):  # 20 clients, never more than the cap
+                writers = []
+                for _ in range(4):
+                    _reader, writer = await asyncio.open_connection(host, port)
+                    writer.write(b"POST /submit HTTP/1.1\r\nContent-Le")
+                    await writer.drain()
+                    writers.append(writer)
+                await asyncio.sleep(0.05)
+                assert server._connections == 4
+                for index, writer in enumerate(writers):
+                    if (batch + index) % 2:
+                        writer.transport.abort()  # a reset
+                    else:
+                        writer.close()  # an orderly hang-up mid-request
+                await settled(server)
+                assert server._connections == 0
+            status, payload = await http_request(host, port, "GET", "/healthz")
+            assert status == 200 and payload["ok"]
+            # The cap still admits four: each is answered, none refused.
+            held = []
+            for _ in range(4):
+                reader, writer = await asyncio.open_connection(host, port)
+                writer.write(b"GET /healthz HTTP/1.1\r\n")
+                await writer.drain()
+                held.append((reader, writer))
+            await asyncio.sleep(0.05)
+            assert server._connections == 4
+            for reader, writer in held:
+                writer.write(b"Host: x\r\n\r\n")
+                raw = await asyncio.wait_for(reader.read(), timeout=5.0)
+                assert _status(raw) == 200, raw
+                writer.close()
+            await settled(server)
+            assert server._connections == 0
+
+        asyncio.run(_with_http_server(config(), body))
+
+
 class TestAdmissionOverHTTP:
     def test_absurd_iv_floor_sheds_everything(self):
         async def body(service, host, port):

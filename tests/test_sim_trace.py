@@ -156,6 +156,25 @@ class TestSubscribe:
             "0", "1", "2", "3", "4", "5",
         ]
 
+    @pytest.mark.parametrize("capacity, emits", [(1, 2), (3, 10), (64, 1000)])
+    def test_full_tracer_keeps_exactly_the_newest_capacity_records(
+        self, capacity, emits
+    ):
+        clock, tracer = self.make(capacity=capacity)
+        seen = []
+        tracer.subscribe(seen.append)
+        for index in range(emits):
+            clock[0] = float(index)
+            tracer.emit("tick", str(index))
+        assert tracer.records == seen[-capacity:]
+        assert tracer.dropped == emits - capacity
+        assert [record.subject for record in seen] == [
+            str(index) for index in range(emits)
+        ]
+        drained = tracer.drain()
+        assert type(drained) is list and drained == seen[-capacity:]
+        assert len(tracer) == 0 and tracer.dropped == emits - capacity
+
     def test_multiple_subscribers_fire_in_attach_order(self):
         _clock, tracer = self.make()
         order = []
