@@ -125,7 +125,9 @@ bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
 
 bench-mqo:
-	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_mqo_perf.py benchmarks/test_fig9_mqo.py --benchmark-only
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_mqo_perf.py \
+		"benchmarks/test_experiments.py::test_experiment[fig9a]" \
+		"benchmarks/test_experiments.py::test_experiment[fig9b]" --benchmark-only
 	PYTHONPATH=src $(PYTHON) benchmarks/mqo_snapshot.py BENCH_mqo.json
 
 bench-faults:

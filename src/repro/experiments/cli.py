@@ -646,16 +646,16 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--slo/--profile/--html require --live-metrics")
 
     if args.experiment == "check":
-        from repro.experiments.validate import render_report, validate_all
+        from repro.experiments.claims import check_all, render_report
 
-        claims = validate_all()
-        report = render_report(claims)
+        outcomes = check_all()
+        report = render_report(outcomes)
         if args.output:
             with open(args.output, "w") as handle:
                 handle.write(report + "\n")
         else:
             print(report)
-        return 0 if all(claim.passed for claim in claims) else 1
+        return 0 if all(outcome.passed for outcome in outcomes) else 1
 
     from repro.reporting.charts import grouped_bar_chart
     from repro.reporting.export import render

@@ -80,22 +80,21 @@ class EwmaRate:
         self._value = 0.0
         self._last = None
 
-    def _decay_to(self, now: float) -> None:
-        if self._last is not None and now > self._last:
-            self._value *= 2.0 ** (-(now - self._last) / self.half_life)
+    def observe(self, now: float, weight: float = 1.0) -> None:
+        """Record ``weight`` events at sim time ``now``."""
+        self._value = self.rate(now) + weight * math.log(2.0) / self.half_life
         if self._last is None or now > self._last:
             self._last = now
 
-    def observe(self, now: float, weight: float = 1.0) -> None:
-        """Record ``weight`` events at sim time ``now``."""
-        self._decay_to(now)
-        self._value += weight * math.log(2.0) / self.half_life
-
     def rate(self, now: float | None = None) -> float:
-        """The decayed rate (events/minute), optionally advanced to ``now``."""
-        if now is not None:
-            self._decay_to(now)
-        return self._value
+        """The rate (events/minute), decayed to ``now`` when given.
+
+        A pure read: only :meth:`observe` advances state, so how often a
+        rate is read cannot change its bits.
+        """
+        if now is None or self._last is None or now <= self._last:
+            return self._value
+        return self._value * 2.0 ** (-(now - self._last) / self.half_life)
 
 
 class EwmaMean:

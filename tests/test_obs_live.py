@@ -130,6 +130,25 @@ class TestEwmaRate:
         with pytest.raises(SimulationError):
             EwmaRate(half_life=0.0)
 
+    def test_reading_between_arrivals_leaves_the_rate_bit_equal(self):
+        """Only ``observe`` advances state: 0, 1 or 5 reads between
+        arrivals end on the same bits."""
+        rng = random.Random(3)
+        arrivals = [rng.expovariate(1.0)]
+        while len(arrivals) < 50:
+            arrivals.append(arrivals[-1] + rng.expovariate(1.0))
+        finals = []
+        for reads in (0, 1, 5):
+            rate, previous = EwmaRate(half_life=10.0), 0.0
+            for time in arrivals:
+                for k in range(1, reads + 1):
+                    rate.rate(previous + (time - previous) * k / (reads + 1))
+                rate.observe(time)
+                previous = time
+            finals.append(rate.rate(arrivals[-1] + 1.0))
+        assert finals[1] == finals[0]
+        assert finals[2] == finals[0]
+
 
 class TestEwmaMean:
     def test_mean_weights_recent_values_more(self):
