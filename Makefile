@@ -2,13 +2,24 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-fast fuzz-properties test-faults test-online test-live test-serve test-durable test-scale test-fleet test-memory serve-smoke serve-smoke-resume trace-check trace-check-fleet lint ci bench bench-mqo bench-faults bench-online bench-serve bench-scale bench-gate experiments check examples all
+.PHONY: install calibrate calibrate-check test test-fast fuzz-properties test-faults test-online test-live test-serve test-durable test-scale test-fleet test-memory serve-smoke serve-smoke-resume trace-check trace-check-fleet lint ci bench bench-mqo bench-faults bench-online bench-serve bench-scale bench-gate experiments check examples all
 
 install:
 	pip install -e .
 
 test:
 	$(PYTHON) -m pytest tests/
+
+# Rewrite src/repro/data/tpch_calibration.json — each calibrated TPC-H
+# instance's row counts, row widths and 22 work estimates — from generated
+# rows and the test-side mini engine.  To calibrate another (scale, seed),
+# add it to CALIBRATED in tests/tpch_calibration.py first.
+calibrate:
+	PYTHONPATH=src $(PYTHON) -m tests.tpch_calibration
+
+# Fail if the committed calibration table differs from a regeneration.
+calibrate-check:
+	PYTHONPATH=src $(PYTHON) -m tests.tpch_calibration --check
 
 # Everything except the long-running property/integration tests.
 test-fast:
@@ -108,7 +119,7 @@ lint:
 # Self-contained: sets PYTHONPATH itself, unlike the bare `test` target.
 # Runs the suite once, then the memory gates by name so a footprint
 # regression reads as one; the other test-* subsets are for developers.
-ci: lint
+ci: lint calibrate-check
 	PYTHONPATH=src $(PYTHON) -m pytest tests/ -q
 	$(MAKE) test-memory
 	$(MAKE) trace-check

@@ -3,8 +3,8 @@
 A full reproduction of Yan, Li and Xu's ICDCS 2009 paper: the information
 value model, IVQP plan selection (scatter-and-gather), GA-based multi-query
 optimization, the hybrid federation substrate with synchronized replicas,
-a discrete-event simulation kernel, a mini relational engine, TPC-H-shaped
-and synthetic data/workloads, the Federation and Data Warehouse baselines,
+a discrete-event simulation kernel, calibrated TPC-H and synthetic
+data/workloads, the Federation and Data Warehouse baselines,
 and harnesses regenerating every figure of the paper's evaluation.
 
 Quick start::
@@ -78,7 +78,9 @@ def quickstart_system(scale: float = 0.002, sync_mean_interval: float = 1.0):
 
     Returns ``(system, queries)``: a built
     :class:`~repro.federation.system.FederatedSystem` and the 22 TPC-H
-    queries, so a first experiment is three lines of code.
+    queries, so a first experiment is three lines of code.  ``scale`` must
+    be one the TPC-H calibration table lists (seed 7); any other raises
+    :class:`~repro.errors.ConfigError` naming ``make calibrate``.
     """
     from repro.baselines import ivqp_router
     from repro.core.value import DiscountRates

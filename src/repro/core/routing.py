@@ -31,7 +31,7 @@ import typing
 from dataclasses import dataclass
 
 from repro.core.enumeration import CostProvider, make_plan, split_tables
-from repro.core.optimizer import IVQPOptimizer
+from repro.core.optimizer import IVQPOptimizer, SearchDiagnostics
 from repro.core.plan import QueryPlan
 from repro.core.value import DiscountRates
 from repro.errors import OptimizationError
@@ -67,6 +67,8 @@ class RoutingStats:
     lookups: int = 0
     hits: int = 0
     fallbacks: int = 0
+    #: Plans built and costed to answer lookups, fallbacks included.
+    plans_evaluated: int = 0
 
     @property
     def hit_rate(self) -> float:
@@ -176,12 +178,16 @@ class RoutingTable:
         entry = self._entries.get(query)
         if entry is None or not self.start <= submitted_at <= self.horizon:
             self.stats.fallbacks += 1
-            return self._optimizer.choose_plan(query, submitted_at)
+            diagnostics = SearchDiagnostics()
+            plan = self._optimizer.choose_plan(query, submitted_at, diagnostics)
+            self.stats.plans_evaluated += diagnostics.plans_evaluated
+            return plan
         boundaries, shapes, distinct = entry
         index = max(bisect.bisect_right(boundaries, submitted_at) - 1, 0)
         self.stats.hits += 1
         candidates = [shapes[index]]
         candidates.extend(s for s in distinct if s != shapes[index])
+        self.stats.plans_evaluated += len(candidates)
         best: QueryPlan | None = None
         for shape in candidates:
             plan = self._materialise(query, submitted_at, shape)

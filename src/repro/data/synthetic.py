@@ -10,18 +10,14 @@ table so that multi-table queries have natural equi-join paths.
 
 from __future__ import annotations
 
-import typing
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigError
 from repro.sim.rng import RandomSource
 
-if typing.TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.engine.planner import Database
-
 __all__ = ["SyntheticInstance", "generate_synthetic"]
 
-#: Attribute column types, as :class:`~repro.engine.schema.DType` tags.
+#: Attribute column types, as the test-side engine's ``DType`` tags.
 _ATTR_TYPES = ("int", "float", "str", "date")
 
 
@@ -44,42 +40,10 @@ class SyntheticInstance:
     foreign_keys: dict[str, tuple[str, str]] = field(default_factory=dict)
     row_counts: dict[str, int] = field(default_factory=dict)
     columns: dict[str, tuple] = field(default_factory=dict)
-    _database: Database | None = field(default=None, repr=False)
-
-    @property
-    def database(self) -> Database:
-        """The tables as an engine database, built on first read."""
-        if self._database is None:
-            self._database = self._build_database(None)
-        return self._database
 
     def key_column(self, table: str) -> str:
         """Name of a table's primary key column."""
         return f"{table}_key"
-
-    def _build_database(self, source: RandomSource | None) -> Database:
-        """The engine database; rows are drawn from ``source`` if given."""
-        from repro.engine.planner import Database
-        from repro.engine.schema import Column, TableSchema
-        from repro.engine.table import Table
-
-        database = Database()
-        for name in self.table_names:
-            columns = tuple(Column(*spec) for spec in self.columns[name])
-            table = Table(TableSchema(name, columns, (self.key_column(name),)))
-            if source is not None:
-                filler = source.spawn(f"rows/{name}")
-                fk = self.foreign_keys.get(name)
-                top = self.row_counts[fk[0]] - 1 if fk else 0
-                for key in range(self.row_counts[name]):
-                    record: list = [key]
-                    if fk is not None:
-                        record.append(filler.randint(0, top))
-                    for column in columns[len(record):]:
-                        record.append(_random_value(column.dtype, filler))
-                    table.insert(record, validate=False)
-            database.add(table)
-        return database
 
 
 def generate_synthetic(
@@ -87,9 +51,10 @@ def generate_synthetic(
     rows_range: tuple[int, int] = (200, 2000),
     seed: int = 11,
     fk_probability: float = 0.9,
-    materialize_rows: bool = True,
 ) -> SyntheticInstance:
-    """Generate a deterministic synthetic instance.
+    """Generate a deterministic synthetic instance: its schema and the
+    row count of every table (the experiments need the cardinalities, not
+    the rows).
 
     Parameters
     ----------
@@ -101,11 +66,6 @@ def generate_synthetic(
         Root seed.
     fk_probability:
         Chance a table (beyond the first) references an earlier table.
-    materialize_rows:
-        When ``False``, tables are empty (and built only if ``database``
-        is read) but *reported* with the drawn row counts — the
-        large-instance experiments only need the cardinalities, not the
-        bytes.
     """
     if num_tables < 1:
         raise ConfigError(f"num_tables must be >= 1, got {num_tables}")
@@ -113,14 +73,13 @@ def generate_synthetic(
     if low < 1 or high < low:
         raise ConfigError(f"invalid rows_range {rows_range}")
 
-    source = RandomSource(seed, "synthetic")
-    structure = source.spawn("structure")
+    structure = RandomSource(seed, "synthetic").spawn("structure")
     instance = SyntheticInstance(table_names=[])
     names = instance.table_names
 
     for index in range(num_tables):
         name = f"t{index + 1:03d}"
-        columns = [(f"{name}_key", "int")]
+        columns = [(instance.key_column(name), "int")]
         if names and structure.uniform(0.0, 1.0) < fk_probability:
             fk_target = structure.choice(names)
             columns.append((f"{name}_fk_{fk_target}", "int"))
@@ -131,16 +90,4 @@ def generate_synthetic(
         instance.row_counts[name] = structure.randint(low, high)
         names.append(name)
 
-    if materialize_rows:
-        instance._database = instance._build_database(source)
     return instance
-
-
-def _random_value(dtype: str, rng: RandomSource):
-    if dtype == "int":
-        return rng.randint(0, 10_000)
-    if dtype == "float":
-        return round(rng.uniform(0.0, 10_000.0), 3)
-    if dtype == "date":
-        return rng.randint(0, 2555)
-    return f"v{rng.randint(0, 9999):04d}"

@@ -1,134 +1,37 @@
-"""TPC-H-shaped data generator.
+"""TPC-H micro-instances, read from a committed calibration table.
 
 The paper evaluates on "TPC-H benchmark data set: 6GB data and 22 queries"
 and, for the synchronization experiments, "split[s] LineItem table into 5
-partitions, therefore there are totally 12 tables".  We reproduce the schema
-shape and relative table sizes at a configurable micro scale (the absolute
-6 GB is irrelevant to the simulated latencies; only *relative* costs matter,
-and those come from row counts and join shapes).
-
-Dates are stored as integer day offsets from 1992-01-01; TPC-H's date range
-spans about 7 years (0..2555).
+partitions, therefore there are totally 12 tables".  What the simulation
+needs of such an instance is each table's row count and row width and each
+query's work units — the number Section 3.1 says is compiled "only once and
+... in advance".  So the runtime builds no rows: ``tpch_calibration.json``
+holds those numbers per ``(scale, seed)``, work units as ``float.hex``.
+The test-side mini engine (``tests/tpch_calibration.py``) computes them
+from generated rows; ``make calibrate`` rewrites the table and tier-1
+checks it hex for hex.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import json
+from dataclasses import dataclass
+from pathlib import Path
 
-from repro.engine.planner import Database
-from repro.engine.schema import Column, DType, TableSchema
-from repro.engine.table import Table
-from repro.engine.views import UnionTable
 from repro.errors import ConfigError
-from repro.sim.rng import RandomSource
 
 __all__ = [
-    "TPCH_SCHEMAS",
     "LINEITEM_PARTITIONS",
     "TpchInstance",
-    "generate_tpch",
     "lineitem_partition_names",
+    "tpch_instance",
 ]
 
 #: Number of LineItem partitions used by the paper's Section 4.2 setup.
 LINEITEM_PARTITIONS = 5
 
-#: TPC-H date domain in integer days.
-DATE_MIN, DATE_MAX = 0, 2555
-
-_SEGMENTS = ("AUTOMOBILE", "BUILDING", "FURNITURE", "MACHINERY", "HOUSEHOLD")
-_PRIORITIES = ("1-URGENT", "2-HIGH", "3-MEDIUM", "4-NOT SPECIFIED", "5-LOW")
-_BRANDS = tuple(f"Brand#{i}{j}" for i in range(1, 6) for j in range(1, 6))
-_TYPES = (
-    "STANDARD ANODIZED TIN",
-    "SMALL PLATED COPPER",
-    "MEDIUM BURNISHED NICKEL",
-    "LARGE BRUSHED STEEL",
-    "ECONOMY POLISHED BRASS",
-    "PROMO ANODIZED STEEL",
-)
-_REGIONS = ("AFRICA", "AMERICA", "ASIA", "EUROPE", "MIDDLE EAST")
-_NATIONS = (
-    ("ALGERIA", 0), ("ARGENTINA", 1), ("BRAZIL", 1), ("CANADA", 1),
-    ("EGYPT", 4), ("ETHIOPIA", 0), ("FRANCE", 3), ("GERMANY", 3),
-    ("INDIA", 2), ("INDONESIA", 2), ("IRAN", 4), ("IRAQ", 4),
-    ("JAPAN", 2), ("JORDAN", 4), ("KENYA", 0), ("MOROCCO", 0),
-    ("MOZAMBIQUE", 0), ("PERU", 1), ("CHINA", 2), ("ROMANIA", 3),
-    ("SAUDI ARABIA", 4), ("VIETNAM", 2), ("RUSSIA", 3),
-    ("UNITED KINGDOM", 3), ("UNITED STATES", 1),
-)
-
-
-def _schema(name: str, *cols: tuple[str, str], pk: tuple[str, ...] = ()) -> TableSchema:
-    return TableSchema(
-        name,
-        tuple(Column(cname, ctype) for cname, ctype in cols),
-        primary_key=pk,
-    )
-
-
-_LINEITEM_COLUMNS = (
-    ("l_orderkey", DType.INT),
-    ("l_partkey", DType.INT),
-    ("l_suppkey", DType.INT),
-    ("l_linenumber", DType.INT),
-    ("l_quantity", DType.FLOAT),
-    ("l_extendedprice", DType.FLOAT),
-    ("l_discount", DType.FLOAT),
-    ("l_tax", DType.FLOAT),
-    ("l_returnflag", DType.STR),
-    ("l_linestatus", DType.STR),
-    ("l_shipdate", DType.DATE),
-)
-
-#: The 8 logical TPC-H tables (lineitem listed once; partitions derive).
-TPCH_SCHEMAS: dict[str, TableSchema] = {
-    "region": _schema(
-        "region",
-        ("r_regionkey", DType.INT), ("r_name", DType.STR),
-        pk=("r_regionkey",),
-    ),
-    "nation": _schema(
-        "nation",
-        ("n_nationkey", DType.INT), ("n_name", DType.STR),
-        ("n_regionkey", DType.INT),
-        pk=("n_nationkey",),
-    ),
-    "supplier": _schema(
-        "supplier",
-        ("s_suppkey", DType.INT), ("s_name", DType.STR),
-        ("s_nationkey", DType.INT), ("s_acctbal", DType.FLOAT),
-        pk=("s_suppkey",),
-    ),
-    "customer": _schema(
-        "customer",
-        ("c_custkey", DType.INT), ("c_name", DType.STR),
-        ("c_nationkey", DType.INT), ("c_acctbal", DType.FLOAT),
-        ("c_mktsegment", DType.STR),
-        pk=("c_custkey",),
-    ),
-    "part": _schema(
-        "part",
-        ("p_partkey", DType.INT), ("p_name", DType.STR),
-        ("p_brand", DType.STR), ("p_type", DType.STR),
-        ("p_size", DType.INT), ("p_retailprice", DType.FLOAT),
-        pk=("p_partkey",),
-    ),
-    "partsupp": _schema(
-        "partsupp",
-        ("ps_partkey", DType.INT), ("ps_suppkey", DType.INT),
-        ("ps_availqty", DType.INT), ("ps_supplycost", DType.FLOAT),
-        pk=("ps_partkey", "ps_suppkey"),
-    ),
-    "orders": _schema(
-        "orders",
-        ("o_orderkey", DType.INT), ("o_custkey", DType.INT),
-        ("o_orderstatus", DType.STR), ("o_totalprice", DType.FLOAT),
-        ("o_orderdate", DType.DATE), ("o_orderpriority", DType.STR),
-        pk=("o_orderkey",),
-    ),
-    "lineitem": _schema("lineitem", *_LINEITEM_COLUMNS, pk=()),
-}
+#: The committed table; ``make calibrate`` regenerates it.
+CALIBRATION_PATH = Path(__file__).with_name("tpch_calibration.json")
 
 
 def lineitem_partition_names(partitions: int = LINEITEM_PARTITIONS) -> list[str]:
@@ -136,187 +39,54 @@ def lineitem_partition_names(partitions: int = LINEITEM_PARTITIONS) -> list[str]
     return [f"lineitem_p{i + 1}" for i in range(partitions)]
 
 
-@dataclass
+@dataclass(frozen=True)
 class TpchInstance:
-    """A generated TPC-H micro-instance.
+    """One calibrated TPC-H micro-instance.
 
     Attributes
     ----------
-    database:
-        All tables, with LineItem stored only as its partitions.
     table_names:
-        The 7 + ``partitions`` physical table names (the paper's "12 tables"
-        for the default 5-way split).
-    scale:
-        The micro scale factor used.
+        The 7 + ``partitions`` physical table names (the paper's "12
+        tables"), in placement order.
+    row_counts, row_bytes:
+        Rows and bytes per row of each physical table.
+    work_units:
+        ``"Q1"`` .. ``"Q22"`` → the mini engine planner's work estimate.
     """
 
-    database: Database
-    table_names: list[str]
     scale: float
+    seed: int
+    table_names: tuple[str, ...]
+    row_counts: dict[str, int]
+    row_bytes: dict[str, int]
+    work_units: dict[str, float]
     partitions: int = LINEITEM_PARTITIONS
-    row_counts: dict[str, int] = field(default_factory=dict)
-
-    @property
-    def lineitem_partitions(self) -> list[str]:
-        """Names of the LineItem partitions."""
-        return lineitem_partition_names(self.partitions)
 
 
-def _row_counts(scale: float) -> dict[str, int]:
-    """Scaled TPC-H row counts (floors keep tiny scales usable)."""
-    return {
-        "region": 5,
-        "nation": 25,
-        "supplier": max(10, int(10_000 * scale)),
-        "customer": max(30, int(150_000 * scale)),
-        "part": max(40, int(200_000 * scale)),
-        "partsupp": max(80, int(800_000 * scale)),
-        "orders": max(150, int(1_500_000 * scale)),
-        "lineitem": max(600, int(6_000_000 * scale)),
-    }
+def tpch_instance(scale: float = 0.002, seed: int = 7) -> TpchInstance:
+    """The calibrated instance for ``(scale, seed)``.
 
-
-def generate_tpch(
-    scale: float = 0.002,
-    seed: int = 7,
-    partitions: int = LINEITEM_PARTITIONS,
-) -> TpchInstance:
-    """Generate a deterministic TPC-H micro-instance.
-
-    Parameters
-    ----------
-    scale:
-        Fraction of the TPC-H SF1 row counts (0.002 → ~12k lineitem rows).
-    seed:
-        Root seed; identical seeds generate identical instances.
-    partitions:
-        How many LineItem partitions to create (the paper uses 5).
+    Raises :class:`ConfigError` for a pair the table does not list: there
+    is no estimate to fall back on that would cost queries the same way.
     """
-    if scale <= 0:
-        raise ConfigError(f"scale must be > 0, got {scale}")
-    if partitions < 1:
-        raise ConfigError(f"partitions must be >= 1, got {partitions}")
-
-    source = RandomSource(seed, "tpch")
-    counts = _row_counts(scale)
-    database = Database()
-
-    region = Table(TPCH_SCHEMAS["region"])
-    for key, name in enumerate(_REGIONS):
-        region.insert((key, name))
-    database.add(region)
-
-    nation = Table(TPCH_SCHEMAS["nation"])
-    for key, (name, regionkey) in enumerate(_NATIONS):
-        nation.insert((key, name, regionkey))
-    database.add(nation)
-
-    rng = source.spawn("supplier")
-    supplier = Table(TPCH_SCHEMAS["supplier"])
-    for key in range(counts["supplier"]):
-        supplier.insert((
-            key,
-            f"Supplier#{key:06d}",
-            rng.randint(0, len(_NATIONS) - 1),
-            round(rng.uniform(-999.0, 9999.0), 2),
-        ))
-    database.add(supplier)
-
-    rng = source.spawn("customer")
-    customer = Table(TPCH_SCHEMAS["customer"])
-    for key in range(counts["customer"]):
-        customer.insert((
-            key,
-            f"Customer#{key:06d}",
-            rng.randint(0, len(_NATIONS) - 1),
-            round(rng.uniform(-999.0, 9999.0), 2),
-            rng.choice(_SEGMENTS),
-        ))
-    database.add(customer)
-
-    rng = source.spawn("part")
-    part = Table(TPCH_SCHEMAS["part"])
-    for key in range(counts["part"]):
-        part.insert((
-            key,
-            f"Part#{key:06d}",
-            rng.choice(_BRANDS),
-            rng.choice(_TYPES),
-            rng.randint(1, 50),
-            round(900.0 + (key % 1000) + rng.uniform(0, 100.0), 2),
-        ))
-    database.add(part)
-
-    rng = source.spawn("partsupp")
-    partsupp = Table(TPCH_SCHEMAS["partsupp"])
-    per_part = max(1, counts["partsupp"] // max(counts["part"], 1))
-    for partkey in range(counts["part"]):
-        for i in range(per_part):
-            partsupp.insert((
-                partkey,
-                (partkey + i * 7) % counts["supplier"],
-                rng.randint(1, 9999),
-                round(rng.uniform(1.0, 1000.0), 2),
-            ))
-    database.add(partsupp)
-
-    rng = source.spawn("orders")
-    orders = Table(TPCH_SCHEMAS["orders"])
-    for key in range(counts["orders"]):
-        orders.insert((
-            key,
-            rng.randint(0, counts["customer"] - 1),
-            rng.choice(("O", "F", "P")),
-            round(rng.uniform(850.0, 500_000.0), 2),
-            rng.randint(DATE_MIN, DATE_MAX),
-            rng.choice(_PRIORITIES),
-        ))
-    database.add(orders)
-
-    rng = source.spawn("lineitem")
-    partition_tables = [
-        Table(TPCH_SCHEMAS["lineitem"].rename(name))
-        for name in lineitem_partition_names(partitions)
-    ]
-    lines_per_order = max(1, counts["lineitem"] // max(counts["orders"], 1))
-    for orderkey in range(counts["orders"]):
-        for line in range(rng.randint(1, 2 * lines_per_order - 1)):
-            quantity = float(rng.randint(1, 50))
-            price = round(quantity * rng.uniform(900.0, 2000.0), 2)
-            row = (
-                orderkey,
-                rng.randint(0, counts["part"] - 1),
-                rng.randint(0, counts["supplier"] - 1),
-                line + 1,
-                quantity,
-                price,
-                round(rng.uniform(0.0, 0.10), 2),
-                round(rng.uniform(0.0, 0.08), 2),
-                rng.choice(("A", "N", "R")),
-                rng.choice(("O", "F")),
-                rng.randint(DATE_MIN, DATE_MAX),
+    table = json.loads(CALIBRATION_PATH.read_text(encoding="utf-8"))
+    for entry in table["instances"]:
+        if entry["scale"] == scale and entry["seed"] == seed:
+            rows = entry["row_counts"]
+            return TpchInstance(
+                scale=scale,
+                seed=seed,
+                table_names=tuple(rows),
+                row_counts=rows,
+                row_bytes={name: table["row_bytes"][name] for name in rows},
+                work_units={
+                    name: float.fromhex(work)
+                    for name, work in entry["work_units"].items()
+                },
+                partitions=table["partitions"],
             )
-            # Hash-partition by order key so joins stay partition-local-ish.
-            partition_tables[orderkey % partitions].insert(row)
-    for table in partition_tables:
-        database.add(table)
-
-    # A combined logical "lineitem" is registered as a union-all view over
-    # the partitions (no row copies) so engine-level query definitions can
-    # reference it directly; the DSS layer always works with the physical
-    # partitions.
-    database.add(UnionTable(TPCH_SCHEMAS["lineitem"], partition_tables))
-
-    table_names = [
-        "region", "nation", "supplier", "customer",
-        "part", "partsupp", "orders",
-    ] + lineitem_partition_names(partitions)
-    row_counts = {name: database.table(name).row_count for name in table_names}
-    return TpchInstance(
-        database=database,
-        table_names=table_names,
-        scale=scale,
-        partitions=partitions,
-        row_counts=row_counts,
+    raise ConfigError(
+        f"no TPC-H calibration for scale={scale!r}, seed={seed!r}: add the "
+        f"pair to CALIBRATED in tests/tpch_calibration.py and run "
+        f"`make calibrate`"
     )

@@ -39,10 +39,6 @@ class WorkloadError(ReproError):
     """A workload or query specification is invalid."""
 
 
-class EngineError(ReproError):
-    """The mini relational engine rejected a schema, expression or query."""
-
-
 class ConfigError(ReproError):
     """An experiment or system configuration is invalid."""
 

@@ -224,7 +224,6 @@ def placement_evaluator(
     replicas (shared sync budget), running the IVQP optimizer for every
     query at each sample submission time, and averaging the plans' IVs.
     """
-    instance = setup.instance
     specs = setup.table_specs()
     workload = queries if queries is not None else setup.queries()
 
@@ -242,7 +241,7 @@ def placement_evaluator(
             )
             for name in sorted(replicas):
                 catalog.add_replica(name, schedules[name])
-        cost_model = CostModel(catalog, engine_db=instance.database)
+        cost_model = CostModel(catalog)
         optimizer = IVQPOptimizer(catalog, cost_model, rates)
         total = 0.0
         count = 0
@@ -309,7 +308,7 @@ def run_routing_ablation(config: AblationConfig | None = None) -> ResultTable:
     )
     for name in replicated:
         catalog.add_replica(name, schedules[name])
-    cost_model = CostModel(catalog, engine_db=setup.instance.database)
+    cost_model = CostModel(catalog)
     queries = setup.queries()
 
     routing_table = RoutingTable(catalog, cost_model, rates, horizon=120.0)
@@ -320,11 +319,13 @@ def run_routing_ablation(config: AblationConfig | None = None) -> ResultTable:
     optimizer = IVQPOptimizer(catalog, cost_model, rates)
     submits = [7.5 + 4.1 * index for index in range(24)]
 
+    live = SearchDiagnostics()
     t0 = time.perf_counter()
     live_total = 0.0
     for query in queries:
         for submit in submits:
-            live_total += optimizer.choose_plan(query, submit).information_value
+            plan = optimizer.choose_plan(query, submit, live)
+            live_total += plan.information_value
     live_ms = (time.perf_counter() - t0) * 1_000
 
     t0 = time.perf_counter()
@@ -339,11 +340,14 @@ def run_routing_ablation(config: AblationConfig | None = None) -> ResultTable:
         title="ABL4: precalculated routing vs live search "
         f"({len(queries)} queries x {len(submits)} submissions, "
         f"{intervals} intervals precomputed in {precompute_ms:.0f} ms)",
-        headers=["router", "mean_iv", "total_ms", "us_per_lookup"],
+        headers=["router", "mean_iv", "plans_per_lookup", "total_ms",
+                 "us_per_lookup"],
     )
-    table.add("live-search", live_total / lookups, live_ms,
+    table.add("live-search", live_total / lookups,
+              live.plans_evaluated / lookups, live_ms,
               live_ms * 1_000 / lookups)
-    table.add("routing-table", routed_total / lookups, routed_ms,
+    table.add("routing-table", routed_total / lookups,
+              routing_table.stats.plans_evaluated / lookups, routed_ms,
               routed_ms * 1_000 / lookups)
     return table
 

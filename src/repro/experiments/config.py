@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.value import DiscountRates
-from repro.data.tpch import TpchInstance, generate_tpch
+from repro.data.tpch import TpchInstance, tpch_instance
 from repro.errors import ConfigError
 from repro.federation.system import SystemConfig, TableSpec
 from repro.sim.rng import RandomSource
@@ -30,7 +30,7 @@ from repro.testbed import (
     sync_interval_for_ratio,
 )
 from repro.workload.query import DSSQuery
-from repro.workload.tpch_queries import tpch_queries
+from repro.workload.tpch import tpch_queries
 
 __all__ = [
     "QUERY_MEAN_INTERARRIVAL",
@@ -71,9 +71,9 @@ class TpchSetup:
 
     @property
     def instance(self) -> TpchInstance:
-        """The generated (cached) TPC-H micro-instance."""
+        """The calibrated (cached) TPC-H micro-instance."""
         if self._instance is None:
-            self._instance = generate_tpch(scale=self.scale, seed=self.seed)
+            self._instance = tpch_instance(self.scale, self.seed)
         return self._instance
 
     def table_specs(self) -> list[TableSpec]:
@@ -84,7 +84,7 @@ class TpchSetup:
                 name,
                 site=index % self.num_sites,
                 row_count=instance.row_counts[name],
-                row_bytes=instance.database.table(name).schema.row_width_bytes,
+                row_bytes=instance.row_bytes[name],
             )
             for index, name in enumerate(instance.table_names)
         ]
@@ -141,6 +141,5 @@ class TpchSetup:
             sync_mode=sync_mode,
             sync_mean_interval=sync_mean_interval,
             rates=rates,
-            engine_db=self.instance.database,
             seed=seed,
         )

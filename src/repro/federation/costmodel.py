@@ -5,13 +5,13 @@ configurations {R1,R2}, {R1,T2}, {T1,R2}, and {T1,T2} to generate their
 computational latencies.  And this step needs to be done only once and can
 be done in advance."  :class:`CostModel.combo_cost` is that compilation —
 it depends only on *which tables are read remotely*, never on timestamps,
-and results are memoised per query **shape** (``tables``, ``base_work``,
-``logical``): every request stamped from one report template shares one
+and results are memoised per query **shape** (``tables``, ``base_work``):
+every request stamped from one report template shares one
 compiled entry, however many :class:`DSSQuery` objects carry it.
 
-The cost of a combo decomposes the query's **base work** (calibrated from
-the mini engine's planner estimate when the query has a logical definition,
-or from explicit/row-count figures otherwise) across the tables it reads:
+The cost of a combo decomposes the query's **base work** (its explicit
+figure — for TPC-H, the committed calibration of :mod:`repro.data.tpch` —
+or else one unit per row of the tables it reads) across those tables:
 
 * work attributed to remote tables runs at the remote sites, grouped per
   site (legs run in parallel), at ``remote_throughput``, plus shipping a
@@ -31,13 +31,12 @@ from repro.federation.catalog import Catalog
 from repro.federation.network import NetworkModel
 
 if typing.TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.engine.planner import Database
     from repro.workload.query import DSSQuery
 
 __all__ = ["ComboCost", "CostParameters", "CostModel", "StaticCostProvider"]
 
-#: Work units per row for queries with neither explicit work nor a logical
-#: definition (matches repro.workload.generator.WORK_PER_ROW).
+#: Work units per row for queries without explicit work (matches
+#: repro.workload.generator.WORK_PER_ROW).
 _FALLBACK_WORK_PER_ROW = 1.0
 
 
@@ -121,16 +120,10 @@ class CostModel:
         catalog: Catalog,
         network: NetworkModel | None = None,
         params: CostParameters | None = None,
-        engine_db: Database | None = None,
     ) -> None:
         self.catalog = catalog
         self.network = network or NetworkModel()
         self.params = params or CostParameters()
-        self._planner = None
-        if engine_db is not None:
-            from repro.engine.planner import Planner
-
-            self._planner = Planner(engine_db)
         # Keyed on the query's shape, never on the query object or its id:
         # ids are only unique within one workload, and a service mints a
         # fresh object per request from a handful of templates.
@@ -149,8 +142,6 @@ class CostModel:
             return cached
         if query.base_work is not None:
             work = query.base_work
-        elif query.logical is not None and self._planner is not None:
-            work = self._planner.estimate(query.logical).work_units
         else:
             work = _FALLBACK_WORK_PER_ROW * sum(
                 self.catalog.table(name).row_count for name in query.tables

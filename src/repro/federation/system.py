@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 
 from repro.core.plan import QueryPlan
 from repro.core.value import DiscountRates
-from repro.engine.planner import Database
 from repro.errors import ConfigError
 from repro.federation.catalog import Catalog, Replica, SyncSchedule, TableDef
 from repro.federation.costmodel import CostModel, CostParameters
@@ -59,8 +58,6 @@ class Router(typing.Protocol):
 #: Factory signature used to plug in IVQP or a baseline router.
 RouterFactory = Callable[[Catalog, CostModel, DiscountRates], Router]
 
-SyncListener = Callable[[Replica, float], None]
-
 
 @dataclass(frozen=True)
 class TableSpec:
@@ -87,7 +84,6 @@ class SystemConfig:
     remote_capacity: int = 1
     qos_max_staleness: float | None = None
     seed: int = 0
-    engine_db: Database | None = None
     trace: bool = False  # record a Tracer timeline of system events
     #: Optional pre-scheduled faults; when set, a FaultInjector is wired
     #: through the replication manager, the executor and (for routers that
@@ -136,12 +132,7 @@ class ReplicationManager:
         #: signal a demand-driven sync controller reads per table.
         self.update_rate_half_life = 10.0
         self.update_rates: dict[str, EwmaRate] = {}
-        self._listeners: list[SyncListener] = []
         self._started = False
-
-    def add_listener(self, listener: SyncListener) -> None:
-        """Register a callback invoked as ``listener(replica, time)``."""
-        self._listeners.append(listener)
 
     def start(self) -> None:
         """Launch one driver process per replica (idempotent).
@@ -213,8 +204,6 @@ class ReplicationManager:
         self.update_rates[replica.name].observe(now)
         if self.tracer is not None:
             self.tracer.emit(events.SYNC_APPLY, replica.name, at=now, gap=gap)
-        for listener in self._listeners:
-            listener(replica, now)
 
     def table_gauges(self, now: float | None = None) -> dict[str, dict[str, float]]:
         """Per-table staleness/divergence/update-rate gauges at ``now``.
@@ -326,30 +315,6 @@ class FederatedSystem:
         """Submit every query of a workload at its arrival time."""
         for query in workload.sorted_by_arrival():
             self.submit(query, at=workload.arrival_of(query.query_id))
-
-    def submit_workload_mqo(self, workload, ga_config=None, seed: int = 0):
-        """Schedule a workload with MQO, then realize it in this simulation.
-
-        Runs the Section 3.2 pipeline — conflict grouping, GA ordering,
-        per-query plan selection — against this system's own catalog and
-        cost model, swaps the router for a replay of the decided plans, and
-        submits the workload.  Returns the analytic
-        :class:`~repro.mqo.online.OnlineDecision` so callers can
-        compare planned against realized outcomes after :meth:`run`.
-        """
-        from repro.mqo.scheduler import WorkloadScheduler
-
-        scheduler = WorkloadScheduler(
-            self.catalog,
-            self.cost_model,
-            self.rates,
-            ga_config=ga_config,
-            seed=seed,
-            tracer=self.tracer,
-        )
-        decision = scheduler.schedule(workload)
-        self._replay(workload, decision)
-        return decision
 
     def submit_workload_online(
         self, workload, config=None, ga_config=None, seed: int = 0
@@ -538,7 +503,6 @@ def build_system(
         catalog,
         network=config.network,
         params=config.cost_params,
-        engine_db=config.engine_db,
     )
     router = router_factory(catalog, cost_model, config.rates)
 

@@ -49,18 +49,6 @@ class ExecutionRange:
     start: float
     end: float
 
-    def overlaps(self, other: "ExecutionRange") -> bool:
-        """Whether two ranges conflict (the interval-graph edge relation).
-
-        Half-open semantics: ranges that merely touch at one instant
-        (``self.end == other.start``) do not overlap.  For positive-length
-        ranges this is exactly "the intersection has positive length"; a
-        zero-length range ``[x, x)`` conflicts with ranges *strictly*
-        straddling ``x`` (its instant is busy) but not with ones starting
-        or ending exactly there.
-        """
-        return self.start < other.end and other.start < self.end
-
     @property
     def sort_key(self) -> tuple[float, float, int]:
         """The sweep line's global ordering key."""
@@ -90,7 +78,8 @@ class IncrementalConflictGroups:
     span start (two clusters may *touch* at an endpoint — half-open ranges
     that meet at one instant do not conflict).  A zero-length range
     ``[x, x)`` conflicts exactly with ranges strictly straddling ``x``
-    (:meth:`ExecutionRange.overlaps`), so it never bridges, extends or
+    (two ranges conflict when each starts before the other ends), so it
+    never bridges, extends or
     splits a cluster; points are tracked separately and resolved only when
     :meth:`groups` materializes its answer — into the cluster whose span
     strictly contains the point (a cluster's coverage is gap-free, so

@@ -223,11 +223,6 @@ class SLOMonitor:
 
     # -- evaluation ---------------------------------------------------------
 
-    @property
-    def open_alerts(self) -> list[Alert]:
-        """Currently breaching alerts."""
-        return [alert for alert in self.alerts if alert.open]
-
     def evaluate(self, snapshot: dict, now: float) -> None:
         """Fold one snapshot: open/close alerts per rule with hysteresis."""
         self._fold(now, snapshot)

@@ -238,13 +238,9 @@ class HTTPServer:
         )
 
     async def serve_until_shutdown(self) -> None:
-        """Block until ``POST /shutdown`` (or :meth:`request_shutdown`)."""
+        """Block until ``POST /shutdown``."""
         await self._shutdown.wait()
         await self.stop()
-
-    def request_shutdown(self) -> None:
-        """Trigger the same graceful drain as ``POST /shutdown``."""
-        self._shutdown.set()
 
     async def stop(self) -> None:
         """Drain the scheduling loop and close the listener."""

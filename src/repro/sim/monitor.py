@@ -110,11 +110,6 @@ class Monitor:
         """
         return list(self._values)
 
-    @property
-    def retained(self) -> int:
-        """How many raw samples are currently buffered."""
-        return len(self._values)
-
     def percentile(self, q: float) -> float:
         """The ``q``-th percentile (0–100) of retained samples.
 

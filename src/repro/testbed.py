@@ -60,13 +60,12 @@ class SyntheticSetup:
 
     @property
     def instance(self) -> SyntheticInstance:
-        """The generated (cached) synthetic instance (schema only)."""
+        """The generated (cached) synthetic instance."""
         if self._instance is None:
             self._instance = generate_synthetic(
                 num_tables=self.num_tables,
                 rows_range=self.rows_range,
                 seed=self.seed,
-                materialize_rows=False,
             )
         return self._instance
 

@@ -2,39 +2,19 @@
 
 A :class:`DSSQuery` is what the decision-support user submits: the physical
 tables a report reads, the report's business value, and (optionally) the
-user's discount-rate preferences and an executable
-:class:`~repro.engine.query.LogicalQuery` definition for the mini engine.
+user's discount-rate preferences and the report's base work.
 """
 
 from __future__ import annotations
 
 import math
-import typing
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field, replace
 
 from repro.core.value import DiscountRates
 from repro.errors import WorkloadError
 
-if typing.TYPE_CHECKING:
-    from repro.engine.query import LogicalQuery
-
 __all__ = ["DSSQuery", "Workload"]
-
-
-class _ByIdentity:
-    """Hashes and compares a wrapped object by ``is`` (and keeps it alive)."""
-
-    __slots__ = ("target",)
-
-    def __init__(self, target: object) -> None:
-        self.target = target
-
-    def __hash__(self) -> int:
-        return id(self.target)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, _ByIdentity) and self.target is other.target
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -43,9 +23,7 @@ class DSSQuery:
 
     Queries compare (and hash) by *identity*: two distinct objects are
     different queries even with identical fields, so caches keyed on a
-    query never collide across workloads that reuse ids.  (Field-based
-    equality would also misbehave: ``logical`` holds expression trees whose
-    ``==`` is overloaded to build predicates.)
+    query never collide across workloads that reuse ids.
 
     Attributes
     ----------
@@ -60,12 +38,9 @@ class DSSQuery:
         The report's value to decision-making at zero latency.
     rates:
         Per-query discount preferences; ``None`` inherits the system default.
-    logical:
-        Optional engine-backed definition; when present the cost model
-        calibrates this query's base work from the planner's estimate.
     base_work:
-        Optional explicit work-units figure (used by synthetic workloads
-        that have no logical definition).
+        Work units to evaluate the report; ``None`` lets the cost model
+        estimate it from the row counts of the tables it reads.
     """
 
     query_id: int
@@ -73,7 +48,6 @@ class DSSQuery:
     tables: tuple[str, ...]
     business_value: float = 1.0
     rates: DiscountRates | None = None
-    logical: LogicalQuery | None = None
     base_work: float | None = None
 
     def __post_init__(self) -> None:
@@ -105,15 +79,9 @@ class DSSQuery:
 
         Requests stamped from one report template differ in id, name and
         arrival only, so caches of compiled costs key on this instead of
-        on the query object.  ``logical`` enters by identity: its ``==``
-        is overloaded to build predicates.
+        on the query object.
         """
-        logical = self.logical
-        return (
-            self.tables,
-            self.base_work,
-            None if logical is None else _ByIdentity(logical),
-        )
+        return (self.tables, self.base_work)
 
 
 @dataclass

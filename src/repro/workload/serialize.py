@@ -1,10 +1,7 @@
 """Workload serialization (JSON round-trip).
 
 Saving a workload — queries, arrival times, business values, discount
-preferences — makes experiment inputs shareable and replayable.  Engine
-definitions are not serialized structurally; TPC-H queries carry a
-``logical_ref`` (e.g. ``"tpch:Q3"``) that is re-resolved on load, and other
-queries round-trip through their explicit ``base_work``.
+preferences, base work — makes experiment inputs shareable and replayable.
 """
 
 from __future__ import annotations
@@ -15,7 +12,6 @@ from pathlib import Path
 from repro.core.value import DiscountRates
 from repro.errors import WorkloadError
 from repro.workload.query import DSSQuery, Workload
-from repro.workload.tpch_queries import TPCH_FOOTPRINTS, _build_logical
 
 __all__ = [
     "query_to_dict",
@@ -45,16 +41,6 @@ def query_to_dict(query: DSSQuery) -> dict:
         }
     if query.base_work is not None:
         payload["base_work"] = query.base_work
-    if query.logical is not None:
-        if query.name not in TPCH_FOOTPRINTS:
-            # Engine plans have no structural serialization; dropping the
-            # logical silently would make load_workload return a query
-            # that costs differently than the one saved.
-            raise WorkloadError(
-                f"query {query.name!r} carries a logical plan that is not "
-                f"a TPC-H reference and cannot be serialized"
-            )
-        payload["logical_ref"] = f"tpch:{query.name}"
     return payload
 
 
@@ -67,20 +53,19 @@ def query_from_dict(payload: dict) -> DSSQuery:
                 computational=payload["rates"]["computational"],
                 synchronization=payload["rates"]["synchronization"],
             )
-        logical = None
-        ref = payload.get("logical_ref")
-        if ref is not None:
-            scheme, _, name = ref.partition(":")
-            if scheme != "tpch" or name not in TPCH_FOOTPRINTS:
-                raise WorkloadError(f"unknown logical_ref {ref!r}")
-            logical = _build_logical(name)
+        if "logical_ref" in payload:
+            # It names an engine definition nothing resolves; dropping it
+            # would cost the query by row counts instead.
+            raise WorkloadError(
+                f"logical_ref {payload['logical_ref']!r} is no longer "
+                f"resolved: save the query with its base_work"
+            )
         return DSSQuery(
             query_id=int(payload["query_id"]),
             name=str(payload["name"]),
             tables=tuple(payload["tables"]),
             business_value=float(payload.get("business_value", 1.0)),
             rates=rates,
-            logical=logical,
             base_work=(
                 float(payload["base_work"])
                 if "base_work" in payload

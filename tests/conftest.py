@@ -10,12 +10,12 @@ from hypothesis import is_hypothesis_test, settings
 
 from repro.core.value import DiscountRates
 from repro.data.synthetic import generate_synthetic
-from repro.data.tpch import generate_tpch
 from repro.federation.catalog import Catalog, FixedSyncSchedule, TableDef
 from repro.federation.costmodel import StaticCostProvider
 from repro.sim.rng import RandomSource
 from repro.sim.scheduler import Simulator
 from repro.workload.query import DSSQuery
+from tests.tpch_oracle import generate_tpch, synthetic_database
 
 # -- Hypothesis profiles ------------------------------------------------------
 #
@@ -94,22 +94,27 @@ def rng() -> RandomSource:
 
 @pytest.fixture(scope="session")
 def tpch_tiny():
-    """A tiny TPC-H instance shared across the whole test session."""
+    """A tiny generated TPC-H instance, rows and all, shared across the
+    whole test session."""
     return generate_tpch(scale=0.0005, seed=7)
 
 
 @pytest.fixture(scope="session")
 def synthetic_small():
-    """A small synthetic instance (20 tables, materialized rows)."""
+    """A small synthetic instance (20 tables)."""
     return generate_synthetic(num_tables=20, rows_range=(30, 120), seed=11)
 
 
 @pytest.fixture(scope="session")
+def synthetic_small_rows(synthetic_small):
+    """:func:`synthetic_small`'s tables with their rows materialized."""
+    return synthetic_database(synthetic_small, seed=11)
+
+
+@pytest.fixture(scope="session")
 def synthetic_schema_only():
-    """A 60-table synthetic instance without materialized rows."""
-    return generate_synthetic(
-        num_tables=60, rows_range=(200, 2000), seed=11, materialize_rows=False
-    )
+    """A 60-table synthetic instance."""
+    return generate_synthetic(num_tables=60, rows_range=(200, 2000), seed=11)
 
 
 def build_fig4_catalog() -> Catalog:

@@ -61,12 +61,25 @@ def execution_ranges(
     return ranges
 
 
+def ranges_overlap(left: ExecutionRange, right: ExecutionRange) -> bool:
+    """Whether two ranges conflict (the interval-graph edge relation).
+
+    Half-open semantics: ranges that merely touch at one instant
+    (``left.end == right.start``) do not overlap.  For positive-length
+    ranges this is exactly "the intersection has positive length"; a
+    zero-length range ``[x, x)`` conflicts with ranges *strictly*
+    straddling ``x`` (its instant is busy) but not with ones starting or
+    ending exactly there.
+    """
+    return left.start < right.end and right.start < left.end
+
+
 def conflict_groups(ranges: list[ExecutionRange]) -> list[list[int]]:
     """Connected components of the range-overlap graph (sweep line).
 
     Returns groups of query ids; singleton groups are queries that never
     contend and can be planned individually.  Consistent with
-    :meth:`ExecutionRange.overlaps`, a range starting exactly where the
+    :func:`ranges_overlap`, a range starting exactly where the
     previous group ends opens a *new* group (half-open semantics).
 
     Groups come out in sweep order — by their first member's

@@ -94,3 +94,31 @@ class TestClaimsAndReport:
         monkeypatch.setattr(claims, "CLAIMS", (_claim(False),))
         assert cli.main(["check"]) == 1
         assert "FAIL" in capsys.readouterr().out
+
+
+def _abl4_table(table_plans: float, table_us: float):
+    from repro.reporting.tables import ResultTable
+
+    table = ResultTable(
+        title="planted ABL4",
+        headers=["router", "mean_iv", "plans_per_lookup", "total_ms",
+                 "us_per_lookup"],
+    )
+    table.add("live-search", 0.50, 11.0, 100.0, 1_000.0)
+    table.add("routing-table", 0.50, table_plans, table_us / 10, table_us)
+    return table
+
+
+class TestAbl4CountsWork:
+    """``abl4.routing_table`` states "faster than search" as plans costed
+    per lookup, so its verdict never depends on the host's clock."""
+
+    def _check(self):
+        return next(c for c in CLAIMS if c.id == "abl4.routing_table").check
+
+    def test_fewer_plans_passes_whatever_the_clock_says(self):
+        assert self._check()(_abl4_table(4.0, 1_000.0))[0]
+        assert self._check()(_abl4_table(4.0, 5_000.0))[0]
+
+    def test_a_table_costing_as_many_plans_as_search_fails(self):
+        assert not self._check()(_abl4_table(11.0, 10.0))[0]

@@ -1,7 +1,7 @@
 """Static checks on ``src/`` that need only the standard library.
 
 ``make lint`` runs ruff where it is installed and this module where it is
-not; tier-1 runs it everywhere.  Three rules:
+not; tier-1 runs it everywhere.  Four rules:
 
 * no module imports a name it never uses — a name counts as used when it
   appears as a name anywhere in the module, including inside a string
@@ -9,6 +9,11 @@ not; tier-1 runs it everywhere.  Three rules:
   entry);
 * no comment or docstring cites a ROADMAP item by number: the roadmap is
   renumbered as items land, so such a citation goes stale silently;
+* every function, class and method under ``src/`` has a referent under
+  ``src/`` — code that names it — or is public by a package's export
+  table (``_EXPORTS``, or a package ``__init__``'s ``__all__``), or is in
+  :data:`KEPT` with the reason a caller outside ``src/`` needs it; what
+  only tests reach belongs in ``tests/``;
 * ``src/`` has exactly :data:`SRC_LINES` physical lines.  A change that
   grows ``src/`` raises the number and says why in ``CHANGES.md``; one
   that shrinks it lowers the number, so the next growth starts from the
@@ -27,7 +32,37 @@ _ROADMAP_CITATION = re.compile(r"ROADMAP(?:\.md)?(?:'s)?\s+items?\b")
 
 #: Physical lines of every ``*.py`` file under ``src/`` — blank, comment
 #: and docstring lines included.
-SRC_LINES = 23281
+SRC_LINES = 20904
+
+
+#: Definitions with no referent under ``src/`` that stay there anyway,
+#: each with the caller outside ``src/`` that needs it.
+KEPT: dict[str, str] = {
+    "_Connection.connection_made": "asyncio.Protocol callback",
+    "_Connection.data_received": "asyncio.Protocol callback",
+    "_Connection.eof_received": "asyncio.Protocol callback",
+    "_Connection.connection_lost": "asyncio.Protocol callback",
+    "RouteComparison.margin_over": "examples/fraud_detection.py",
+    "RouteComparison.as_table": "examples/paper_walkthrough.py",
+    "RoutingStats.hit_rate": "examples/logistics_dispatch.py",
+    "RoutingTable.registered": "examples/logistics_dispatch.py",
+    "StalenessAudit.compliant": "examples/logistics_dispatch.py",
+    "Histogram.quantile": "benchmarks/serve_request_cost.py",
+    # Accessors of exported classes that a tier-1 test pins by name.
+    "MeanCI.overlaps": "test_reporting_charts_replication::"
+                       "test_overlap_detection",
+    "Replica.staleness_at": "test_federation_catalog::"
+                            "test_replica_freshness_and_staleness",
+    "Site.is_local": "test_federation_runtime::test_local_flag",
+    "TraceChecker.assert_clean": "test_obs_checker::"
+                                 "test_assert_clean_raises_with_listing",
+    "WallProfiler.scope": "test_obs_profile (manual timing scopes)",
+    "OutageTimeline.downtime_before": "test_faults::test_downtime_before",
+    "Process.is_alive": "test_sim_process::test_is_alive_tracks_completion",
+    "DSSQuery.with_rates": "test_workload::test_with_rates_and_value_copy",
+    "DSSQuery.table_set": "test_workload::test_table_set",
+    "Workload.tables_touched": "test_workload::test_tables_touched",
+}
 
 
 def _names_in_string(text: str) -> set[str]:
@@ -37,6 +72,94 @@ def _names_in_string(text: str) -> set[str]:
     except SyntaxError:
         return set()
     return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+def _referents(tree: ast.AST) -> set[str]:
+    """Every name a module's code mentions: names, attribute names, and
+    both inside strings that parse as an expression (a quoted annotation,
+    a ``"module.Class.method"`` boundary) — except ``__all__`` entries,
+    which name a definition without using it."""
+    listed = {
+        id(element)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign)
+        and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+        for element in ast.walk(node.value)
+    }
+    found: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and id(node) not in listed):
+            try:
+                parsed = ast.parse(node.value.strip(), mode="eval")
+            except SyntaxError:
+                continue
+            found |= {
+                getattr(sub, "id", None) or getattr(sub, "attr", None)
+                for sub in ast.walk(parsed)
+                if isinstance(sub, (ast.Name, ast.Attribute))
+            }
+    return found
+
+
+def _exported(path: Path, tree: ast.Module) -> set[str]:
+    """Names a package publishes: its ``_EXPORTS`` keys, and its
+    ``__init__``'s ``__all__``."""
+    names: set[str] = set()
+    for node in tree.body:
+        if not isinstance(node, ast.Assign):
+            continue
+        target = getattr(node.targets[0], "id", None)
+        if target == "_EXPORTS" or (
+            target == "__all__" and path.name == "__init__.py"
+        ):
+            names |= {
+                element.value for element in ast.walk(node.value)
+                if isinstance(element, ast.Constant)
+                and isinstance(element.value, str)
+            }
+    return names
+
+
+def unreferenced_definitions(
+    root: Path, kept: dict[str, str] = KEPT
+) -> list[str]:
+    """``path:line: name (lines)`` of every module-level function or class
+    and every non-dunder method under ``root`` that nothing under ``root``
+    names, no export table lists and ``kept`` does not hold."""
+    definitions = []
+    referents: set[str] = set()
+    exported: set[str] = set()
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        referents |= _referents(tree)
+        exported |= _exported(path, tree)
+        for node in tree.body:
+            if not isinstance(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            ):
+                continue
+            definitions.append((path, node, node.name))
+            if isinstance(node, ast.ClassDef):
+                definitions.extend(
+                    (path, method, f"{node.name}.{method.name}")
+                    for method in node.body
+                    if isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not (method.name.startswith("__")
+                             and method.name.endswith("__"))
+                )
+    return [
+        f"{path.relative_to(root)}:{node.lineno}: {qualified} "
+        f"({node.end_lineno - node.lineno + 1} lines)"
+        for path, node, qualified in definitions
+        if node.name not in referents
+        and node.name not in exported
+        and qualified not in kept
+    ]
 
 
 def unused_imports(source: str) -> list[tuple[int, str]]:
@@ -92,6 +215,66 @@ def physical_lines(root: Path) -> int:
 
 def test_src_is_clean():
     assert findings(SRC) == []
+
+
+def test_every_src_definition_has_a_referent():
+    assert unreferenced_definitions(SRC) == []
+
+
+def test_kept_definitions_exist_and_are_unreferenced():
+    """A :data:`KEPT` entry that gains a referent, or whose definition
+    went, is stale."""
+    unreferenced = {
+        line.split(": ")[1].split(" (")[0]
+        for line in unreferenced_definitions(SRC, kept={})
+    }
+    assert set(KEPT) <= unreferenced
+
+
+def test_the_referent_rule_names_planted_definitions(tmp_path):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "__init__.py").write_text(
+        '__all__ = ["public"]\n_EXPORTS = {"Lazy": "planted"}\n',
+        encoding="utf-8",
+    )
+    (package / "planted.py").write_text(
+        '"""Planted."""\n'
+        "\n"
+        '__all__ = ["orphan", "Lazy"]\n'
+        "\n"
+        "\n"
+        "def public():\n"
+        "    return Used().run()\n"
+        "\n"
+        "\n"
+        "def orphan():\n"
+        "    return 1\n"
+        "\n"
+        "\n"
+        "class Used:\n"
+        "    def run(self):\n"
+        "        return self._helper()\n"
+        "\n"
+        "    def _helper(self):\n"
+        "        return 'Lazy.kind'\n"
+        "\n"
+        "    def idle(self):\n"
+        "        return None\n"
+        "\n"
+        "    def __repr__(self):\n"
+        "        return 'Used()'\n"
+        "\n"
+        "\n"
+        "class Lazy:\n"
+        "    def kind(self):\n"
+        "        return 'annotated'\n",
+        encoding="utf-8",
+    )
+    assert unreferenced_definitions(tmp_path) == [
+        "pkg/planted.py:10: orphan (2 lines)",
+        "pkg/planted.py:21: Used.idle (2 lines)",
+    ]
 
 
 def test_src_has_its_pinned_line_count():

@@ -1,4 +1,5 @@
-"""Unit tests: TPC-H and synthetic data generators, placements."""
+"""Unit tests: the test-side TPC-H row generator, the synthetic generator
+(and its test-side rows), placements."""
 
 from __future__ import annotations
 
@@ -13,14 +14,11 @@ from repro.data.placement import (
     uniform_placement,
 )
 from repro.data.synthetic import generate_synthetic
-from repro.data.tpch import (
-    LINEITEM_PARTITIONS,
-    generate_tpch,
-    lineitem_partition_names,
-)
+from repro.data.tpch import LINEITEM_PARTITIONS, lineitem_partition_names
 from repro.errors import ConfigError
 from repro.sim.rng import RandomSource
 from repro.testbed import SyntheticSetup
+from tests.tpch_oracle import generate_tpch, synthetic_database
 
 
 class TestTpch:
@@ -88,9 +86,11 @@ class TestSynthetic:
         for child, (parent, _col) in synthetic_small.foreign_keys.items():
             assert order[parent] < order[child]
 
-    def test_fk_values_within_parent_range(self, synthetic_small):
+    def test_fk_values_within_parent_range(
+        self, synthetic_small, synthetic_small_rows
+    ):
         for child, (parent, column) in synthetic_small.foreign_keys.items():
-            table = synthetic_small.database.table(child)
+            table = synthetic_small_rows.table(child)
             parent_rows = synthetic_small.row_counts[parent]
             for value in table.column_values(column):
                 assert 0 <= value < max(parent_rows, 1)
@@ -100,11 +100,10 @@ class TestSynthetic:
             assert 30 <= rows <= 120
 
     def test_schema_only_mode_reports_rows_without_materializing(self):
-        instance = generate_synthetic(
-            num_tables=5, rows_range=(10, 20), seed=1, materialize_rows=False
-        )
+        instance = generate_synthetic(num_tables=5, rows_range=(10, 20), seed=1)
+        database = synthetic_database(instance)
         for name in instance.table_names:
-            assert instance.database.table(name).row_count == 0
+            assert database.table(name).row_count == 0
             assert 10 <= instance.row_counts[name] <= 20
 
     def test_determinism(self):
@@ -123,10 +122,10 @@ class TestSynthetic:
         assert synthetic_small.key_column("t001") == "t001_key"
 
 
-def synthetic_digest(instance, with_rows: bool) -> str:
+def synthetic_digest(instance, seed: int | None) -> str:
     """sha256 over an instance's names, row counts, foreign keys and every
     table schema (columns, dtypes, primary key, row width) — plus the rows
-    themselves when ``with_rows``."""
+    themselves when ``seed`` (the instance's) is given."""
     digest = hashlib.sha256()
 
     def feed(*parts) -> None:
@@ -137,8 +136,9 @@ def synthetic_digest(instance, with_rows: bool) -> str:
         sorted(instance.row_counts.items()),
         sorted(instance.foreign_keys.items()),
     )
+    database = synthetic_database(instance, seed)
     for name in instance.table_names:
-        table = instance.database.table(name)
+        table = database.table(name)
         schema = table.schema
         feed(
             name,
@@ -146,7 +146,7 @@ def synthetic_digest(instance, with_rows: bool) -> str:
             schema.primary_key,
             schema.row_width_bytes,
         )
-        if with_rows:
+        if seed is not None:
             feed([tuple(row) for row in table])
     return digest.hexdigest()
 
@@ -155,15 +155,13 @@ class TestSyntheticPin:
     """The generator's draws, schemas and rows, pinned byte-for-byte."""
 
     def test_default_setup_instance(self):
-        assert synthetic_digest(SyntheticSetup().instance, False) == (
+        assert synthetic_digest(SyntheticSetup().instance, None) == (
             "26110428041f3e060f3d9060f7f5da4b5a8c785e53b2f7629b4a6aba377a9119"
         )
 
     def test_materialized_instance_with_rows(self):
-        instance = generate_synthetic(
-            num_tables=30, seed=5, materialize_rows=True
-        )
-        assert synthetic_digest(instance, True) == (
+        instance = generate_synthetic(num_tables=30, seed=5)
+        assert synthetic_digest(instance, seed=5) == (
             "68929fdd573a946176fa6d21709510585e1a966ef5726af7a7a5d9c9a93b0f11"
         )
 

@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine.expr import Col
-from repro.engine.ops import AntiJoin, ExecutionStats, Scan, SemiJoin
-from repro.engine.planner import Database, Planner
-from repro.engine.query import QueryBuilder
-from repro.engine.schema import Column, DType, TableSchema
-from repro.engine.table import Table
-from repro.errors import EngineError
+from tests.engine.expr import Col
+from tests.engine.ops import AntiJoin, ExecutionStats, Scan, SemiJoin
+from tests.engine.planner import Database, Planner
+from tests.engine.query import QueryBuilder
+from tests.engine.schema import Column, DType, TableSchema
+from tests.engine.table import Table
+from tests.engine.errors import EngineError
 
 
 def customers() -> Table:

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.engine.expr import And, Col, Compare, Const, Not, Or
-from repro.errors import EngineError
+from tests.engine.expr import And, Col, Compare, Const, Not, Or
+from tests.engine.errors import EngineError
 
 ROW = {"o.price": 10.0, "o.qty": 3, "c.name": "acme", "o.null_col": None}
 

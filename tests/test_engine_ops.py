@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.engine.expr import Col, Const
-from repro.engine.ops import (
+from tests.engine.expr import Col, Const
+from tests.engine.ops import (
     AggSpec,
     Aggregate,
     ExecutionStats,
@@ -16,9 +16,9 @@ from repro.engine.ops import (
     Scan,
     Sort,
 )
-from repro.engine.schema import Column, DType, TableSchema
-from repro.engine.table import Table
-from repro.errors import EngineError
+from tests.engine.schema import Column, DType, TableSchema
+from tests.engine.table import Table
+from tests.engine.errors import EngineError
 
 
 def users_table() -> Table:

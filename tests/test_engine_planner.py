@@ -4,18 +4,18 @@ from __future__ import annotations
 
 import pytest
 
-from repro.engine.expr import Col, Const
-from repro.engine.planner import Database, Planner
-from repro.engine.query import QueryBuilder
-from repro.engine.schema import Column, DType, TableSchema
-from repro.engine.stats import (
+from tests.engine.expr import Col, Const
+from tests.engine.planner import Database, Planner
+from tests.engine.query import QueryBuilder
+from tests.engine.schema import Column, DType, TableSchema
+from tests.engine.stats import (
     ColumnStats,
     TableStats,
     estimate_selectivity,
     join_selectivity,
 )
-from repro.engine.table import Table
-from repro.errors import EngineError
+from tests.engine.table import Table
+from tests.engine.errors import EngineError
 
 
 def build_db() -> Database:

@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.engine.expr import Col, Const
-from repro.engine.query import LogicalQuery, QueryBuilder
-from repro.errors import EngineError
+from tests.engine.expr import Col, Const
+from tests.engine.query import LogicalQuery, QueryBuilder
+from tests.engine.errors import EngineError
 
 
 def sample_query() -> LogicalQuery:

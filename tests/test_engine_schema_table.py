@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.engine.schema import Column, DType, TableSchema
-from repro.engine.table import Table
-from repro.errors import EngineError
+from tests.engine.schema import Column, DType, TableSchema
+from tests.engine.table import Table
+from tests.engine.errors import EngineError
 
 
 def sample_schema() -> TableSchema:

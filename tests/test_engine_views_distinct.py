@@ -4,13 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.engine.ops import Distinct, ExecutionStats, Scan
-from repro.engine.planner import Database, Planner
-from repro.engine.query import QueryBuilder
-from repro.engine.schema import Column, DType, TableSchema
-from repro.engine.table import Table
-from repro.engine.views import UnionTable
-from repro.errors import EngineError
+from tests.engine.ops import Distinct, ExecutionStats, Scan
+from tests.engine.planner import Database, Planner
+from tests.engine.query import QueryBuilder
+from tests.engine.schema import Column, DType, TableSchema
+from tests.engine.table import Table
+from tests.engine.views import UnionTable
+from tests.engine.errors import EngineError
 
 
 def part_schema(name: str) -> TableSchema:
@@ -70,7 +70,7 @@ class TestUnionTable:
         db.add(p1)
         db.add(p2)
         db.add(view)
-        from repro.engine.expr import Col
+        from tests.engine.expr import Col
 
         query = (
             QueryBuilder("q")

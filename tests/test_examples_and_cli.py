@@ -40,11 +40,6 @@ class TestExamples:
         assert "MQO recovered" in out
         assert "VaR report waited" in out
 
-    def test_tpch_reports(self, capsys):
-        out = _run_example("tpch_reports", capsys)
-        assert "join order" in out
-        assert "result rows" in out
-
     def test_placement_advisor(self, capsys):
         out = _run_example("placement_advisor", capsys)
         assert "advisor 5" in out or "advisor" in out

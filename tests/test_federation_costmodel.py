@@ -119,19 +119,25 @@ class TestCostModel:
         assert model.base_work(a) == 100.0
         assert model.base_work(b) == 50_000.0
 
-    def test_engine_calibration_path(self, tpch_tiny):
-        from repro.workload.tpch_queries import tpch_query
+    def test_engine_calibration_path(self):
+        """A calibrated TPC-H query costs the engine's committed estimate,
+        not the row-count fallback."""
+        from repro.data.tpch import tpch_instance
+        from repro.workload.tpch import tpch_queries
 
+        instance = tpch_instance(scale=0.0005, seed=7)
         catalog = Catalog()
-        for index, name in enumerate(tpch_tiny.table_names):
+        for index, name in enumerate(instance.table_names):
             catalog.add_table(
                 TableDef(name, site=index % 3,
-                         row_count=tpch_tiny.row_counts[name])
+                         row_count=instance.row_counts[name])
             )
-        model = CostModel(catalog, engine_db=tpch_tiny.database)
-        query = tpch_query("Q3", query_id=3)
+        model = CostModel(catalog)
+        query = tpch_queries(instance)[2]
+        assert query.name == "Q3"
         work = model.base_work(query)
-        assert work > 100.0  # planner-estimated, not the row-count fallback
+        assert work == instance.work_units["Q3"]
+        assert work > 100.0
 
     def test_min_processing_floor(self):
         catalog = Catalog()

@@ -16,7 +16,9 @@ from repro.federation.system import (
     TableSpec,
     build_system,
 )
+from repro.obs.events import SYNC_APPLY
 from repro.sim.scheduler import Simulator
+from repro.sim.trace import Tracer
 from repro.workload.query import DSSQuery, Workload
 
 
@@ -82,15 +84,20 @@ class TestReplicationManager:
         catalog = Catalog()
         catalog.add_table(TableDef("a", site=0, row_count=10))
         catalog.add_replica("a", FixedSyncSchedule([2.0, 4.0, 6.0]))
-        manager = ReplicationManager(sim, catalog, qos_max_staleness=qos)
+        manager = ReplicationManager(
+            sim, catalog, qos_max_staleness=qos,
+            tracer=Tracer(lambda: sim.now),
+        )
         return sim, catalog, manager
 
     def test_sync_events_fire_on_schedule(self):
         sim, catalog, manager = self.make()
-        seen = []
-        manager.add_listener(lambda replica, now: seen.append(now))
         manager.start()
         sim.run(until=7.0)
+        seen = [
+            record.detail["at"] for record in manager.tracer.records
+            if record.kind == SYNC_APPLY
+        ]
         assert seen == [2.0, 4.0, 6.0]
         assert catalog.replica("a").sync_count == 3
         assert manager.total_syncs == 3

@@ -26,7 +26,9 @@ from repro.federation.executor import PlanExecutor
 from repro.federation.network import NetworkModel
 from repro.federation.site import LOCAL_SITE_ID, Site
 from repro.federation.system import ReplicationManager
+from repro.obs.events import SYNC_APPLY
 from repro.sim.scheduler import Simulator
+from repro.sim.trace import Tracer
 from repro.workload.query import DSSQuery
 
 RATES = DiscountRates(0.01, 0.01)
@@ -127,7 +129,9 @@ class TestSyncDriverStrictlyIncreasing:
         catalog.add_replica(
             "a", FixedSyncSchedule(list(times), tail_period=tail_period)
         )
-        manager = ReplicationManager(sim, catalog)
+        manager = ReplicationManager(
+            sim, catalog, tracer=Tracer(lambda: sim.now)
+        )
         return sim, catalog, manager
 
     def test_near_duplicate_completions_fire_once_each(self):
@@ -153,9 +157,11 @@ class TestSyncDriverStrictlyIncreasing:
 
     def test_listeners_see_each_completion_once(self):
         sim, _catalog, manager = self.make([3.0, 3.0 + 5e-10], tail_period=100.0)
-        seen = []
-        manager.add_listener(lambda replica, now: seen.append(now))
         manager.start()
         sim.run(until=10.0)
+        seen = [
+            record.detail["at"] for record in manager.tracer.records
+            if record.kind == SYNC_APPLY
+        ]
         assert len(seen) == 2
         assert seen[0] <= seen[1]

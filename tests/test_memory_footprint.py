@@ -1,7 +1,7 @@
 """A sim process holds only what it runs.
 
 The floor: a scale run loads neither OpenSSL's libcrypto (``_hashlib``)
-nor the mini engine, and the builtin SHA-256 that replaces OpenSSL in
+nor the TPC-H modules, and the builtin SHA-256 that replaces OpenSSL in
 :class:`~repro.sim.rng.RandomSource` derives the same seeds.  The stream:
 ``build_stream`` shares each template's tables, ``DSSQuery`` carries no
 ``__dict__``, and a gate holds the stream's bytes per query.  The draws:
@@ -76,7 +76,7 @@ class TestFloor:
             " schedules=(spec,))\n"
             "    assert scale.run_schedule(config, spec)['dispatched'] > 0\n"
             "print(sorted(m for m in sys.modules if m == '_hashlib'"
-            " or m.startswith('repro.engine')))\n"
+            " or m.endswith('.tpch')))\n"
         )
         assert out.strip() == "[]"
 

@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.engine.schema import Column, DType
 from repro.errors import ReproError, SimulationError
 from repro.sim.monitor import Monitor
 from repro.sim.rng import RandomSource
 from repro.sim.scheduler import Simulator
+from tests.engine.schema import Column, DType
 
 
 class TestMonitorWithoutRetention:
@@ -113,10 +113,10 @@ class TestErrorHierarchyMessages:
 
 class TestExecutionStatsOperators:
     def test_operator_counting(self):
-        from repro.engine.ops import ExecutionStats, Filter, Scan
-        from repro.engine.schema import TableSchema
-        from repro.engine.table import Table
-        from repro.engine.expr import Col
+        from tests.engine.expr import Col
+        from tests.engine.ops import ExecutionStats, Filter, Scan
+        from tests.engine.schema import TableSchema
+        from tests.engine.table import Table
 
         table = Table(
             TableSchema("t", (Column("x", DType.INT),)), rows=[(1,), (2,)]
@@ -128,7 +128,7 @@ class TestExecutionStatsOperators:
 
 
 class TestSelectMidCostVariants:
-    def test_smaller_selection_counts(self, tpch_tiny):
+    def test_smaller_selection_counts(self):
         from repro.experiments.config import TpchSetup
         from repro.experiments.fig6 import select_mid_cost_queries
 

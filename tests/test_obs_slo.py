@@ -21,6 +21,11 @@ from repro.sim.trace import Tracer
 from tests.test_obs_live import live_steps
 
 
+def open_alerts(monitor: SLOMonitor) -> list:
+    """The monitor's currently breaching alerts."""
+    return [alert for alert in monitor.alerts if alert.open]
+
+
 def snap(section: str, metric: str, value: float) -> dict:
     return {section: {metric: value}}
 
@@ -105,12 +110,12 @@ class TestSLOMonitorEvaluate:
     def test_open_then_close_with_hysteresis(self):
         _rule, monitor = self.make(clear=5.0)
         monitor.evaluate(snap("gauges", "x", 12.0), 1.0)
-        assert len(monitor.open_alerts) == 1
+        assert len(open_alerts(monitor)) == 1
         # Back under threshold but above the clear line: still open.
         monitor.evaluate(snap("gauges", "x", 7.0), 2.0)
-        assert len(monitor.open_alerts) == 1
+        assert len(open_alerts(monitor)) == 1
         monitor.evaluate(snap("gauges", "x", 4.0), 3.0)
-        assert monitor.open_alerts == []
+        assert open_alerts(monitor) == []
         alert = monitor.alerts[0]
         assert alert.opened_at == 1.0 and alert.closed_at == 3.0
         assert alert.value == 12.0 and alert.close_value == 4.0
@@ -210,14 +215,14 @@ class TestFinalize:
         rule = SLORule("r", "gauges.x", "above", threshold=10.0)
         monitor = SLOMonitor([rule], LiveRegistry())
         monitor.evaluate(snap("gauges", "x", 12.0), 1.0)
-        assert len(monitor.open_alerts) == 1
+        assert len(open_alerts(monitor)) == 1
         return monitor
 
     def test_finalize_closes_open_alerts_with_last_value(self):
         monitor = self.make_breaching_monitor()
         monitor.evaluate(snap("gauges", "x", 15.0), 2.0)  # still breaching
         closed = monitor.finalize(3.0)
-        assert len(closed) == 1 and monitor.open_alerts == []
+        assert len(closed) == 1 and open_alerts(monitor) == []
         alert = closed[0]
         assert alert.closed_at == 3.0
         assert alert.close_value == 15.0  # last observed, not the opener
@@ -250,7 +255,7 @@ class TestFinalize:
         tracer.emit(events.FAULT_DOWN, "site:1")
         clock[0] = 7.0
         tracer.emit(events.SYNC_APPLY, "a", gap=0.5)  # dwell 7 > 5: opens
-        assert len(monitor.open_alerts) == 1
+        assert len(open_alerts(monitor)) == 1
 
         violations = TraceChecker().check(tracer.records)
         assert any(

@@ -16,7 +16,6 @@ PACKAGES = [
     "repro.core",
     "repro.data",
     "repro.durable",
-    "repro.engine",
     "repro.experiments",
     "repro.federation",
     "repro.mqo",
@@ -53,9 +52,9 @@ def test_every_export_is_the_defining_modules_object(package):
 def test_tpch_queries_stays_the_function_after_its_module_is_imported():
     import repro
     import repro.workload
-    import repro.workload.tpch_queries
+    import repro.workload.tpch
 
-    function = sys.modules["repro.workload.tpch_queries"].tpch_queries
+    function = sys.modules["repro.workload.tpch"].tpch_queries
     assert repro.workload.tpch_queries is function
     assert repro.tpch_queries is function
     assert len(function()) == 22
@@ -109,10 +108,10 @@ def _loaded_after(code: str) -> tuple[list[str], list[str]]:
     return json.loads(out[0]), json.loads(out[1])
 
 
-#: What a serving process must not load: the mini engine, the DES kernel
-#: and DES federation, the trace checker and the batch scheduler.
+#: What a serving process must not load: TPC-H, the DES kernel and DES
+#: federation, the trace checker and the batch scheduler.
 _NOT_SERVING = (
-    "repro.engine", "repro.sim.scheduler", "repro.sim.process",
+    "repro.data.tpch", "repro.workload.tpch", "repro.sim.scheduler", "repro.sim.process",
     "repro.sim.resource", "repro.sim.event", "repro.sim.monitor",
     "repro.sim.faults", "repro.federation.system",
     "repro.federation.executor", "repro.federation.faults",
@@ -141,7 +140,6 @@ class TestImportGraph:
             "repro.sim.clocks", "repro.sim.rng",
             "repro.sim.streams", "repro.sim.timeline", "repro.workload",
             "repro.workload.arrival", "repro.workload.query",
-            "repro.workload.tpch_queries",
         ]
         assert heavy == []
 
@@ -176,7 +174,6 @@ class TestImportGraph:
             "repro.sim.streams", "repro.sim.timeline", "repro.sim.trace",
             "repro.testbed", "repro.workload", "repro.workload.generator",
             "repro.workload.query", "repro.workload.serialize",
-            "repro.workload.tpch_queries",
         ]
         assert [m for m in modules if m.startswith(_NOT_SERVING)] == []
         assert "multiprocessing" not in heavy
@@ -225,7 +222,6 @@ def test_top_level_error_hierarchy():
     from repro.errors import (
         CatalogError,
         ConfigError,
-        EngineError,
         OptimizationError,
         PlanError,
         ProcessError,
@@ -235,7 +231,7 @@ def test_top_level_error_hierarchy():
     )
 
     for error in (
-        CatalogError, ConfigError, EngineError, OptimizationError,
+        CatalogError, ConfigError, OptimizationError,
         PlanError, ProcessError, SchedulingError, SimulationError,
         WorkloadError,
     ):

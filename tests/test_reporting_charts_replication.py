@@ -125,7 +125,7 @@ class TestReplicate:
         with pytest.raises(ConfigError):
             replicate(lambda seed: 0.0, seeds=[1])
 
-    def test_experiment_level_replication(self, tpch_tiny):
+    def test_experiment_level_replication(self):
         """Replicated TPC-H streams: run-to-run spread is bounded."""
         from repro.core.value import DiscountRates
         from repro.experiments.config import TpchSetup

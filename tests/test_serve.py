@@ -412,7 +412,7 @@ class TestShutdownContracts:
 
         service = asyncio.run(_with_server(config(), body))
         assert service.monitor is not None
-        assert service.monitor.open_alerts == []
+        assert [a for a in service.monitor.alerts if a.open] == []
 
 
 class TestDurabilityOverHTTP:

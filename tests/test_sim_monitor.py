@@ -57,7 +57,7 @@ class TestMonitor:
         monitor = Monitor()
         for value in range(1_000):
             monitor.observe(float(value))
-        assert monitor.retained == 0
+        assert len(monitor.values) == 0
         assert monitor.values == []
         with pytest.raises(SimulationError):
             monitor.percentile(50)
@@ -67,7 +67,7 @@ class TestMonitor:
         for value in range(10_000):
             monitor.observe(float(value))
         assert monitor.count == 10_000
-        assert 0 < monitor.retained <= 64
+        assert 0 < len(monitor.values) <= 64
         # The subsample is evenly spaced from the start of the run.
         kept = monitor.values
         assert kept[0] == 0.0
@@ -85,8 +85,8 @@ class TestMonitor:
             sample = float(value % 97)
             bare.observe(sample)
             capped.observe(sample)
-        assert bare.retained == 0
-        assert capped.retained <= 1_024
+        assert len(bare.values) == 0
+        assert len(capped.values) <= 1_024
         assert bare.count == capped.count == 1_000_000
         assert bare.mean == pytest.approx(48.0, rel=0.01)
 

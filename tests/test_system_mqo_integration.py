@@ -1,4 +1,5 @@
-"""Integration: MQO scheduling realized inside the DES via the system API."""
+"""Integration: MQO scheduling realized inside the DES via the system's
+replaying router."""
 
 from __future__ import annotations
 
@@ -9,7 +10,21 @@ from repro.core.value import DiscountRates
 from repro.federation.costmodel import CostParameters
 from repro.federation.system import SystemConfig, TableSpec, build_system
 from repro.mqo.ga import GAConfig
+from repro.mqo.scheduler import WorkloadScheduler
 from repro.workload.query import DSSQuery, Workload
+
+
+def submit_workload_mqo(system, workload, ga_config=None, seed: int = 0):
+    """Schedule ``workload`` with batch MQO against the system's own
+    catalog and cost model, then submit it to replay the decided plans;
+    returns the analytic decision."""
+    scheduler = WorkloadScheduler(
+        system.catalog, system.cost_model, system.rates,
+        ga_config=ga_config, seed=seed, tracer=system.tracer,
+    )
+    decision = scheduler.schedule(workload)
+    system._replay(workload, decision)
+    return decision
 
 
 def build_config() -> SystemConfig:
@@ -47,8 +62,8 @@ def build_burst() -> Workload:
 class TestSubmitWorkloadMqo:
     def test_decision_realizes_in_simulation(self):
         system = build_system(build_config(), ivqp_router)
-        decision = system.submit_workload_mqo(
-            build_burst(), ga_config=GAConfig(generations=10), seed=1
+        decision = submit_workload_mqo(
+            system, build_burst(), ga_config=GAConfig(generations=10), seed=1
         )
         system.run()
         assert len(system.outcomes) == 5
@@ -69,8 +84,9 @@ class TestSubmitWorkloadMqo:
         naive.run()
 
         scheduled = build_system(build_config(), ivqp_router)
-        scheduled.submit_workload_mqo(
-            build_burst(), ga_config=GAConfig(generations=15), seed=1
+        submit_workload_mqo(
+            scheduled, build_burst(), ga_config=GAConfig(generations=15),
+            seed=1,
         )
         scheduled.run()
 
@@ -80,7 +96,7 @@ class TestSubmitWorkloadMqo:
 
     def test_decision_groups_cover_workload(self):
         system = build_system(build_config(), ivqp_router)
-        decision = system.submit_workload_mqo(build_burst())
+        decision = submit_workload_mqo(system, build_burst())
         assert sorted(decision.permutation) == [1, 2, 3, 4, 5]
         assert decision.shed == []
         system.run()

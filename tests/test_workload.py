@@ -9,8 +9,10 @@ from repro.errors import WorkloadError
 from repro.workload.arrival import ArrivalProcess, poisson_arrivals
 from repro.workload.generator import overlapping_workload, random_queries
 from repro.workload.query import DSSQuery, Workload
-from repro.workload.tpch_queries import TPCH_FOOTPRINTS, tpch_queries, tpch_query
+from repro.workload.tpch import TPCH_FOOTPRINTS, tpch_queries, tpch_query
 from repro.sim.streams import DeterministicStream
+from tests.engine.planner import Planner
+from tests.tpch_oracle import logical_query
 
 
 def make_query(query_id=1, name="q", tables=("a", "b")) -> DSSQuery:
@@ -135,7 +137,7 @@ class TestTpchQueries:
 
     def test_footprints_match_logical_definitions(self):
         for query in tpch_queries():
-            logical_tables = set(query.logical.table_names)
+            logical_tables = set(logical_query(query.name).table_names)
             if "lineitem" in logical_tables:
                 logical_tables.discard("lineitem")
                 logical_tables.update(
@@ -148,11 +150,9 @@ class TestTpchQueries:
             tpch_query("Q99", query_id=1)
 
     def test_every_query_executes_on_engine(self, tpch_tiny):
-        from repro.engine.planner import Planner
-
         planner = Planner(tpch_tiny.database)
-        for query in tpch_queries(tpch_tiny):
-            plan = planner.plan(query.logical)
+        for name in TPCH_FOOTPRINTS:
+            plan = planner.plan(logical_query(name))
             rows = plan.execute()
             assert isinstance(rows, list)
             assert plan.estimate.work_units > 0

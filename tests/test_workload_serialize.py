@@ -17,7 +17,8 @@ from repro.workload.serialize import (
     workload_from_dict,
     workload_to_dict,
 )
-from repro.workload.tpch_queries import tpch_query
+from repro.data.tpch import tpch_instance
+from repro.workload.tpch import tpch_queries, tpch_query
 
 
 def build_workload() -> Workload:
@@ -36,7 +37,8 @@ def build_workload() -> Workload:
         ),
         arrival=9.0,
     )
-    workload.add(tpch_query("Q3", query_id=3), arrival=12.0)
+    calibrated_q3 = tpch_queries(tpch_instance(scale=0.0005, seed=7))[2]
+    workload.add(calibrated_q3, arrival=12.0)
     return workload
 
 
@@ -55,17 +57,21 @@ class TestQueryRoundTrip:
         rebuilt = query_from_dict(query_to_dict(original))
         assert rebuilt.rates == DiscountRates(0.02, 0.07)
 
-    def test_tpch_logical_is_rebuilt(self):
+    def test_tpch_base_work_round_trips(self):
         original = build_workload().query(3)
-        rebuilt = query_from_dict(query_to_dict(original))
-        assert rebuilt.logical is not None
-        assert rebuilt.logical.table_names == original.logical.table_names
+        rebuilt = query_from_dict(json.loads(json.dumps(query_to_dict(original))))
+        assert original.base_work is not None
+        assert rebuilt.base_work == original.base_work  # bit-equal float
+        assert rebuilt.tables == original.tables
 
     def test_bad_logical_ref_rejected(self):
-        payload = query_to_dict(build_workload().query(1))
-        payload["logical_ref"] = "tpch:Q99"
-        with pytest.raises(WorkloadError):
-            query_from_dict(payload)
+        # A reference to an engine definition is no longer resolved on
+        # load; costing the query by row counts instead would be silent.
+        for ref in ("tpch:Q99", "tpch:Q3"):
+            payload = query_to_dict(build_workload().query(1))
+            payload["logical_ref"] = ref
+            with pytest.raises(WorkloadError, match="logical_ref"):
+                query_from_dict(payload)
 
     def test_missing_field_rejected(self):
         with pytest.raises(WorkloadError):
@@ -94,20 +100,6 @@ class TestQueryRoundTrip:
         assert rebuilt.business_value == 1.0 / 3.0  # bit-equal float
         assert rebuilt.rates == DiscountRates(0.1 + 0.2, 0.07)
         assert rebuilt.base_work == 9_876.5
-        assert rebuilt.logical is not None
-        assert rebuilt.logical.table_names == original.logical.table_names
-
-    def test_non_tpch_logical_cannot_serialize(self):
-        # An engine-built logical has no structural serialization; saving
-        # must refuse loudly rather than produce a query that costs
-        # differently on load.
-        import dataclasses
-
-        disguised = dataclasses.replace(
-            tpch_query("Q3", query_id=9), name="not-a-tpch-name"
-        )
-        with pytest.raises(WorkloadError):
-            query_to_dict(disguised)
 
 
 class TestWorkloadRoundTrip:
