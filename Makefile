@@ -66,9 +66,10 @@ test-durable:
 test-scale:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/test_mqo_conflict_incremental.py tests/test_mqo_scale.py -q -m "not slow"
 
-# The fleet telemetry stack: per-shard spools, collector merge,
-# cross-shard checker rules, the registry-is-a-fold property, and the /metrics
-# content negotiation (long configs stay behind `slow`).
+# The fleet telemetry stack: shard traces returned in shard results, the
+# collector merge, cross-shard checker rules, the registry-is-a-fold
+# property, and the /metrics content negotiation (long configs stay
+# behind `slow`).
 test-fleet:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/test_obs_fleet.py tests/test_obs_fleet_fold.py tests/test_serve_metrics_formats.py -q -m "not slow"
 
@@ -100,15 +101,16 @@ trace-check:
 	PYTHONPATH=src $(PYTHON) -m repro trace faults --check >/dev/null
 	@echo "trace-check: fig4, stream and faults scenarios clean"
 
-# Merge a reduced EXT5 steady sweep across shard spools and run the
-# cross-shard checker rules over the merged trace (non-zero on any
+# Merge the traces a reduced EXT5 steady sweep's shards return and run
+# the cross-shard checker rules over the merged trace (non-zero on any
 # violation).
 trace-check-fleet:
 	PYTHONPATH=src $(PYTHON) -m repro scale --trace --fleet-metrics --schedule steady --queries 2000 >/dev/null
 	@echo "trace-check-fleet: merged EXT5 steady trace clean"
 
 # ruff where it is installed; otherwise the stdlib-only static check
-# (unused imports, stale ROADMAP citations in src/).
+# (unused imports and locals, undefined names, stale ROADMAP citations
+# in src/).
 lint:
 	@if $(PYTHON) -m ruff --version >/dev/null 2>&1; then \
 		$(PYTHON) -m ruff check src/ tests/ benchmarks/; \

@@ -301,11 +301,12 @@ def _run_resume_verify(args: argparse.Namespace) -> int:
 def _run_scale_fleet(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     """``scale --trace/--fleet-metrics``: EXT5 with the fleet telemetry stack.
 
-    Runs the sweep with per-shard spools, merges them through the
-    :class:`~repro.obs.fleet.FleetCollector`, renders one fleet dashboard
-    per schedule (with ``--fleet-metrics``, plus the collector's registry
-    folded over the merged trace), optionally writes chrome traces / an
-    HTML report, and exits non-zero on any cross-shard checker violation.
+    Runs the sweep with per-shard tracing, merges the traces the shards
+    return through the :class:`~repro.obs.fleet.FleetCollector`, renders
+    one fleet dashboard per schedule (with ``--fleet-metrics``, plus the
+    collector's registry folded over the merged trace), optionally writes
+    chrome traces / an HTML report, and exits non-zero on any cross-shard
+    checker violation.
     """
     import json
     from dataclasses import replace
@@ -518,7 +519,7 @@ def main(argv: list[str] | None = None) -> int:
         "--trace", action="store_true",
         help=(
             "('scale' only) run the sharded sweep with per-shard tracing, "
-            "merge the spools through the fleet collector and run the "
+            "merge the shard traces through the fleet collector and run the "
             "cross-shard trace checker; non-zero exit on violations"
         ),
     )

@@ -58,7 +58,6 @@ throughput leaves may only ratchet up (within the wall tolerance),
 
 from __future__ import annotations
 
-import os
 import sys
 import time
 import typing
@@ -75,7 +74,6 @@ from repro.mqo.online import (
     LifecycleTrace,
     OnlineConfig,
     OnlineMQOScheduler,
-    SessionObserver,
     drive,
 )
 from repro.reporting.tables import ResultTable
@@ -183,9 +181,9 @@ class ScaleConfig:
     #: shard (fresh interpreters; per-shard peak RSS is each worker's own).
     executor: str = "process"
     schedules: tuple[ScheduleSpec, ...] = DEFAULT_SCHEDULES
-    #: Attach per-shard tracers + spools and merge them at join (the
-    #: ``repro.obs.fleet`` path).  Off by default: every committed number
-    #: is produced telemetry-free.
+    #: Trace each shard, return its records in the shard's result and
+    #: merge them at join (the ``repro.obs.fleet`` path).  Off by default:
+    #: every committed number is produced telemetry-free.
     trace: bool = False
     #: Accepted as implying ``trace``: shards ship records only, and the
     #: fleet registry is folded from the merged trace in the parent when a
@@ -193,12 +191,9 @@ class ScaleConfig:
     #: ``--fleet-metrics`` dashboard does).  ``benchmarks/e2e/sim_child.py``
     #: still passes it.
     fleet_metrics: bool = False
-    #: Bound on each shard tracer's retained records (``None`` =
-    #: unbounded).  The spool sees every record via subscription either
-    #: way; a bound only caps worker memory and surfaces ``dropped_events``.
-    trace_capacity: int | None = None
-    #: Directory for the shard spool files; ``None`` uses a temporary
-    #: directory removed after collection.
+    #: Accepted and ignored: shards return their records in their
+    #: results and write no file.  ``benchmarks/e2e/sim_child.py`` still
+    #: passes it.
     spool_dir: str | None = None
 
     def __post_init__(self) -> None:
@@ -220,10 +215,6 @@ class ScaleConfig:
             )
         if not self.schedules:
             raise ConfigError("a sweep needs at least one schedule")
-        if self.trace_capacity is not None and self.trace_capacity < 1:
-            raise ConfigError(
-                f"trace_capacity must be >= 1 or None, got {self.trace_capacity}"
-            )
 
     @property
     def telemetry(self) -> bool:
@@ -314,52 +305,40 @@ def shard_assignments(
     return assigned
 
 
-class _ReleaseTrace(SessionObserver):
-    """Lets the shard tracer drop its copy of each pop's records: the spool
-    subscription already has them, so worker memory stays bounded."""
-
-    def __init__(self, tracer) -> None:
-        self.tracer = tracer
-
-    def after_pop(self, session, now, tag, payload, outcome, ledger) -> None:
-        self.tracer.drain()
-
-
-def _traced_run(
-    config, spec, scheduler, workload, selections, shard, spool_path
-):
+def _traced_run(scheduler, workload, selections, shard):
     """:meth:`OnlineMQOScheduler.run` with the telemetry stack attached.
 
     The same :func:`~repro.mqo.online.drive` over the same pops, so stats,
     dispatch order and total IV are bit-equal to the untraced run; a
     :class:`~repro.mqo.online.LifecycleTrace` observer adds the serving
-    tier's per-query lifecycle, streamed onto the shard spool by
-    subscription while the tracer itself is drained after every pop.
+    tier's per-query lifecycle.  Returns ``(decision, telemetry)``: the
+    shard's :class:`~repro.obs.fleet.ShardTelemetry` holds every record
+    the tracer emitted, so the worker keeps its trace until it returns.
     """
-    from repro.obs.fleet import ShardSpoolWriter
+    from repro.obs.fleet import ShardTelemetry
     from repro.sim.clocks import SimClock
     from repro.sim.trace import Tracer
 
     clock = SimClock()
-    tracer = Tracer(lambda: clock.now, capacity=config.trace_capacity)
+    tracer = Tracer(lambda: clock.now)
     scheduler.tracer = tracer
     session = scheduler.session(workload, clock, selections)
-    with ShardSpoolWriter(
-        spool_path, shard, meta={"schedule": spec.name, "seed": config.seed},
-    ) as spool:
-        spool.attach(tracer)
-        session.push_arrivals()
-        drive(session, clock, [LifecycleTrace(tracer), _ReleaseTrace(tracer)])
-        decision = session.decision
-        spool.summary(
-            total_iv=decision.total_information_value,
-            dropped_events=tracer.dropped,
-            queries=len(workload),
-            dispatched=decision.stats.dispatched,
-            shed=decision.stats.shed,
-            deferred=decision.stats.deferred,
-        )
-    return decision
+    session.push_arrivals()
+    drive(session, clock, [LifecycleTrace(tracer)])
+    decision = session.decision
+    telemetry = ShardTelemetry(
+        shard=shard,
+        records=tracer.records,
+        summary={
+            "total_iv": decision.total_information_value,
+            "dropped_events": tracer.dropped,
+            "queries": len(workload),
+            "dispatched": decision.stats.dispatched,
+            "shed": decision.stats.shed,
+            "deferred": decision.stats.deferred,
+        },
+    )
+    return decision, telemetry
 
 
 def _peak_rss_kb() -> int:
@@ -391,11 +370,12 @@ def _run_shard(payload) -> dict:
     ids and arrival times, stream order preserved) and the candidate
     selection the range prelude made for each; catalog and cost model
     are rebuilt from the config — cheap, and start-method-agnostic.  With
-    a spool path the run goes through :func:`_traced_run` (same decisions,
-    telemetry shipped home); without one it is exactly the untraced
-    scheduler loop.
+    ``config.telemetry`` the run goes through :func:`_traced_run` (same
+    decisions) and the result's ``"telemetry"`` is the shard's
+    :class:`~repro.obs.fleet.ShardTelemetry`; without it the run is
+    exactly the untraced scheduler loop and ``"telemetry"`` is ``None``.
     """
-    config, spec, workload, selections, shard, spool_path = payload
+    config, spec, workload, selections, shard = payload
     catalog, cost_model, rates = _infrastructure(config)
     scheduler = OnlineMQOScheduler(
         catalog, cost_model, rates,
@@ -411,12 +391,13 @@ def _run_shard(payload) -> dict:
             iv_floor=spec.iv_floor,
         ),
     )
-    if spool_path is None:
-        decision = scheduler.run(workload, selections)
-    else:
-        decision = _traced_run(
-            config, spec, scheduler, workload, selections, shard, spool_path
+    telemetry = None
+    if config.telemetry:
+        decision, telemetry = _traced_run(
+            scheduler, workload, selections, shard
         )
+    else:
+        decision = scheduler.run(workload, selections)
     stats = decision.stats
     return {
         "queries": len(workload),
@@ -433,6 +414,7 @@ def _run_shard(payload) -> dict:
         ],
         "max_rss_kb": _peak_rss_kb(),
         "work": _work(cost_model, decision.evaluator_stats),
+        "telemetry": telemetry,
     }
 
 
@@ -485,9 +467,8 @@ def _shard_payloads(
     stream: Workload,
     groups: list[list[int]],
     selections: dict[int, tuple],
-    spool_dir: str | None,
-) -> tuple[list[tuple], list[str]]:
-    """One :func:`_run_shard` payload per non-empty shard (+ spool paths).
+) -> list[tuple]:
+    """One :func:`_run_shard` payload per non-empty shard.
 
     Moves each selection out of ``selections`` into its shard's payload.
     """
@@ -502,14 +483,7 @@ def _shard_payloads(
     for query in stream.queries:  # stream order within each shard
         members[shard_of[query.query_id]].append(query)
     payloads = []
-    spool_paths = []
     for shard, queries in enumerate(filter(None, members)):
-        spool_path = None
-        if config.telemetry:
-            spool_path = os.path.join(
-                spool_dir, f"{spec.name}-shard{shard}.spool"
-            )
-            spool_paths.append(spool_path)
         workload = Workload(
             queries=queries,
             arrivals={
@@ -521,8 +495,8 @@ def _shard_payloads(
             query.query_id: selections.pop(query.query_id)
             for query in queries
         }
-        payloads.append((config, spec, workload, shipped, shard, spool_path))
-    return payloads, spool_paths
+        payloads.append((config, spec, workload, shipped, shard))
+    return payloads
 
 
 def run_schedule(
@@ -533,12 +507,13 @@ def run_schedule(
     """One schedule end to end: group, shard, run, aggregate.
 
     With telemetry enabled (``config.trace`` / ``config.fleet_metrics``)
-    each worker writes a shard spool; the spools are merged at join into a
-    :class:`~repro.obs.fleet.FleetCollector`, audited by the cross-shard
-    checker, and summarized under the ``"fleet"`` metrics key.  Pass
-    ``on_fleet`` to receive ``(schedule_name, collector, violations)``
-    before the spool directory is cleaned up (the CLI renders dashboards
-    and chrome traces from it).
+    each shard returns its trace in its result; the traces are merged at
+    join into a :class:`~repro.obs.fleet.FleetCollector`, audited by the
+    cross-shard checker, and summarized under the ``"fleet"`` metrics key.
+    A worker that dies makes the pool raise before any trace is read, so
+    the collector only ever sees shards that finished.  Pass ``on_fleet``
+    to receive ``(schedule_name, collector, violations)`` (the CLI renders
+    dashboards and chrome traces from it).
     """
     stream = build_stream(config, spec)
     groups, selections, prelude_work, formation_wall = _form_groups(
@@ -551,112 +526,94 @@ def run_schedule(
         "largest_group": max(len(group) for group in groups),
     }
 
-    spool_tmp = None
-    spool_dir = config.spool_dir
+    payloads = _shard_payloads(config, spec, stream, groups, selections)
+    # The shards own every query from here on.
+    del stream, groups, selections
+    run_started = time.perf_counter()
+    if config.executor == "process":
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        context = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(
+            max_workers=len(payloads), mp_context=context
+        ) as pool:
+            shard_results = list(pool.map(_run_shard, payloads))
+    else:
+        # In-process shards share this address space: each payload is
+        # let go before the next shard runs.
+        shard_results = []
+        while payloads:
+            shard_results.append(_run_shard(payloads.pop(0)))
+    run_wall = time.perf_counter() - run_started
+
+    reopts = sorted(
+        value for result in shard_results for value in result["reopt_seconds"]
+    )
+    dispatched = sum(result["dispatched"] for result in shard_results)
+    total_wall = formation_wall + run_wall
+    rss_kbs = [result["max_rss_kb"] for result in shard_results]
+    # Compile work of the range prelude and of every shard (each owns
+    # one cost model and one evaluator).
+    works = [prelude_work, *(result["work"] for result in shard_results)]
+    metrics = {
+        "queries": spec.queries,
+        "shards": len(shard_results),
+        "group_formation": group_formation,
+        "wall_seconds": round(run_wall, 3),
+        "queries_per_sec": round(dispatched / total_wall, 1),
+        "dispatched": dispatched,
+        "shed": sum(result["shed"] for result in shard_results),
+        "deferred": sum(result["deferred"] for result in shard_results),
+        "windows": sum(result["windows"] for result in shard_results),
+        "ga_runs": sum(result["ga_runs"] for result in shard_results),
+        "reopt": {
+            "p50_ms": round(_percentile_ms(reopts, 0.50), 3),
+            "p95_ms": round(_percentile_ms(reopts, 0.95), 3),
+            "p99_ms": round(_percentile_ms(reopts, 0.99), 3),
+        },
+        "total_iv": {
+            "online": sum(result["total_iv"] for result in shard_results),
+            **{
+                f"shard{shard}": result["total_iv"]
+                for shard, result in enumerate(shard_results)
+            },
+        },
+        "work": {key: sum(work[key] for work in works) for key in works[0]},
+        "peak_rss_mb": round(max(rss_kbs) / 1024.0, 1),
+        # Peak-of-shards hides both skew and the fleet's real footprint;
+        # record each worker's peak and their sum alongside the max.
+        "rss": {
+            **{
+                f"shard{shard}_rss_mb": round(kb / 1024.0, 1)
+                for shard, kb in enumerate(rss_kbs)
+            },
+            "sum_rss_mb": round(sum(rss_kbs) / 1024.0, 1),
+        },
+    }
     if config.telemetry:
-        if spool_dir is None:
-            import tempfile
+        from repro.obs.fleet import FleetCollector
 
-            spool_tmp = tempfile.TemporaryDirectory(prefix="repro-fleet-")
-            spool_dir = spool_tmp.name
-        else:
-            os.makedirs(spool_dir, exist_ok=True)
-    try:
-        payloads, spool_paths = _shard_payloads(
-            config, spec, stream, groups, selections, spool_dir
+        collect_started = time.perf_counter()
+        collector = FleetCollector(
+            [result["telemetry"] for result in shard_results]
         )
-        # The shards own every query from here on.
-        del stream, groups, selections
-        run_started = time.perf_counter()
-        if config.executor == "process":
-            import multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
-
-            context = multiprocessing.get_context("spawn")
-            with ProcessPoolExecutor(
-                max_workers=len(payloads), mp_context=context
-            ) as pool:
-                shard_results = list(pool.map(_run_shard, payloads))
-        else:
-            # In-process shards share this address space: each payload is
-            # let go before the next shard runs.
-            shard_results = []
-            while payloads:
-                shard_results.append(_run_shard(payloads.pop(0)))
-        run_wall = time.perf_counter() - run_started
-
-        reopts = sorted(
-            value
-            for result in shard_results
-            for value in result["reopt_seconds"]
-        )
-        dispatched = sum(result["dispatched"] for result in shard_results)
-        total_wall = formation_wall + run_wall
-        rss_kbs = [result["max_rss_kb"] for result in shard_results]
-        # Compile work of the range prelude and of every shard (each owns
-        # one cost model and one evaluator).
-        works = [prelude_work, *(result["work"] for result in shard_results)]
-        metrics = {
-            "queries": spec.queries,
-            "shards": len(shard_results),
-            "group_formation": group_formation,
-            "wall_seconds": round(run_wall, 3),
-            "queries_per_sec": round(dispatched / total_wall, 1),
-            "dispatched": dispatched,
-            "shed": sum(result["shed"] for result in shard_results),
-            "deferred": sum(result["deferred"] for result in shard_results),
-            "windows": sum(result["windows"] for result in shard_results),
-            "ga_runs": sum(result["ga_runs"] for result in shard_results),
-            "reopt": {
-                "p50_ms": round(_percentile_ms(reopts, 0.50), 3),
-                "p95_ms": round(_percentile_ms(reopts, 0.95), 3),
-                "p99_ms": round(_percentile_ms(reopts, 0.99), 3),
-            },
-            "total_iv": {
-                "online": sum(
-                    result["total_iv"] for result in shard_results
-                ),
-                **{
-                    f"shard{shard}": result["total_iv"]
-                    for shard, result in enumerate(shard_results)
-                },
-            },
-            "work": {key: sum(work[key] for work in works) for key in works[0]},
-            "peak_rss_mb": round(max(rss_kbs) / 1024.0, 1),
-            # Peak-of-shards hides both skew and the fleet's real footprint;
-            # record each worker's peak and their sum alongside the max.
-            "rss": {
-                **{
-                    f"shard{shard}_rss_mb": round(kb / 1024.0, 1)
-                    for shard, kb in enumerate(rss_kbs)
-                },
-                "sum_rss_mb": round(sum(rss_kbs) / 1024.0, 1),
-            },
+        violations = collector.check()
+        snapshot = collector.snapshot()
+        collect_wall = time.perf_counter() - collect_started
+        fleet = snapshot["fleet"]
+        metrics["fleet"] = {
+            "records": fleet["records"],
+            "dropped_events": fleet["dropped_events"],
+            "ledger_entries": fleet["ledger_entries"],
+            "violations": len(violations),
+            "collect_wall_seconds": round(collect_wall, 3),
         }
-        if config.telemetry:
-            from repro.obs.fleet import FleetCollector
-
-            collect_started = time.perf_counter()
-            collector = FleetCollector.from_paths(spool_paths)
-            violations = collector.check()
-            snapshot = collector.snapshot()
-            collect_wall = time.perf_counter() - collect_started
-            fleet = snapshot["fleet"]
-            metrics["fleet"] = {
-                "records": fleet["records"],
-                "dropped_events": fleet["dropped_events"],
-                "ledger_entries": fleet["ledger_entries"],
-                "violations": len(violations),
-                "collect_wall_seconds": round(collect_wall, 3),
-            }
-            if "total_iv" in fleet:
-                metrics["fleet"]["total_iv"] = fleet["total_iv"]
-            if on_fleet is not None:
-                on_fleet(spec.name, collector, violations)
-        return metrics
-    finally:
-        if spool_tmp is not None:
-            spool_tmp.cleanup()
+        if "total_iv" in fleet:
+            metrics["fleet"]["total_iv"] = fleet["total_iv"]
+        if on_fleet is not None:
+            on_fleet(spec.name, collector, violations)
+    return metrics
 
 
 def run_scale_sweep(

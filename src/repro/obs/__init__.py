@@ -39,9 +39,7 @@ _EXPORTS = {
     "P2Quantile": "live",
     "TableSyncState": "live",
     "FleetCollector": "fleet",
-    "ShardSpoolWriter": "fleet",
     "ShardTelemetry": "fleet",
-    "read_spool": "fleet",
     "SLORule": "slo",
     "SLOMonitor": "slo",
     "Alert": "slo",

@@ -4,199 +4,67 @@ The sharded runtimes (EXT5's spawned workers, and any future multi-process
 serving tier) are observability black boxes by default: lifecycle events
 and drop counters die with the worker.  This module ships them home.
 
-Each shard worker attaches a :class:`ShardSpoolWriter` to its per-shard
-:class:`~repro.sim.trace.Tracer`: every emitted record is framed onto a
-length-prefixed, CRC-guarded JSONL *spool* file — the exact ``D1`` framing
-discipline of :mod:`repro.durable.journal`, reused so torn tails from a
-killed worker are detected rather than half-parsed.  A shard ships
-records, never derived state.  At join, the parent hands the spool paths
-to :class:`FleetCollector`, which rebuilds
+Each shard worker traces its run on its own
+:class:`~repro.sim.trace.Tracer` and returns a :class:`ShardTelemetry` —
+the records as emitted plus the shard's scheduler totals — in its result:
+in process with ``executor="serial"``, pickled through the pool's result
+with ``"process"``.  A shard ships records, never derived state.  At join,
+the parent hands those telemetries to :class:`FleetCollector`, which
+rebuilds
 
 * **one canonical trace** — per-shard streams merged into a stable global
   time order (ties broken by shard index, then per-shard emit order), every
   record tagged ``shard=k`` in its detail, exportable to chrome://tracing
   with one process group per shard (:meth:`FleetCollector.chrome_trace`);
 * **one fleet registry**, on demand — a single
-  :class:`~repro.obs.live.LiveRegistry` fed the untagged records in that
+  :class:`~repro.obs.live.LiveRegistry` fed the records as emitted in that
   same merged order, so it *is* the union fold, not an approximation of it;
 * **one fleet snapshot** — per-shard summaries (including each shard's
   ``dropped_events``) plus fleet totals whose IV/latency sums are
   *bit-exact* left-to-right sums of the per-shard values, which
   :meth:`TraceChecker.check_fleet <repro.obs.checker.TraceChecker.check_fleet>`
   re-derives from the trace and audits.
-
-Frame kinds on the spool, in order: one ``fleet.header`` (shard identity,
-schema version, metadata), any number of ``fleet.trace`` (one trace record
-each), then at most one ``fleet.summary`` (scheduler totals), which must
-be the last frame.
-
-Layering note: this is the one place ``obs`` reaches *up* to
-``durable.journal`` (ARCHITECTURE §11 documents the exception; the journal
-module itself depends only on the stdlib and ``repro.errors``).
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 import typing
 from dataclasses import dataclass, field
 
-from repro.durable.journal import JournalWriter, read_journal
 from repro.errors import SimulationError
-from repro.obs.export import record_from_dict, record_to_dict, to_chrome_trace
+from repro.obs.export import to_chrome_trace
 from repro.sim.trace import TraceRecord
 
 if typing.TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.live import LiveRegistry
-    from repro.sim.trace import Tracer
 
 __all__ = [
     "FLEET_PID_BASE",
-    "SPOOL_SCHEMA",
-    "ShardSpoolWriter",
     "ShardTelemetry",
-    "read_spool",
     "FleetCollector",
 ]
-
-#: Spool frame schema version (bump on incompatible frame changes).  A
-#: spool is read at join and never kept, so only the current one is read.
-SPOOL_SCHEMA = 2
 
 #: Chrome-trace pid of shard 0; shard *k* renders as process ``base + k``.
 #: Starts above pid 1 (the single-process simulation domain) and pid 2
 #: (the wall-clock profiler) so fleet traces never collide with either.
 FLEET_PID_BASE = 10
 
-_HEADER = "fleet.header"
-_TRACE = "fleet.trace"
-_SUMMARY = "fleet.summary"
-
-
-class ShardSpoolWriter:
-    """Stream one shard's telemetry onto a D1-framed spool file.
-
-    Write order is header first (enforced), then any number of trace
-    frames, then optionally one summary frame (enforced by the reader).
-    ``fsync_every`` defaults high: a spool is collected at *join*, not
-    replayed after a crash, so durability of the tail buys nothing — the
-    framing is reused for its torn-tail *detection*, not its recovery.
-    """
-
-    def __init__(
-        self,
-        path: str,
-        shard: int,
-        meta: dict | None = None,
-        fsync_every: int = 10_000,
-    ) -> None:
-        if shard < 0:
-            raise SimulationError(f"shard index must be >= 0, got {shard}")
-        self.path = str(path)
-        self.shard = shard
-        self._journal = JournalWriter(path, fsync_every=fsync_every)
-        self._journal.append({
-            "kind": _HEADER,
-            "schema": SPOOL_SCHEMA,
-            "shard": shard,
-            "meta": dict(meta or {}),
-        })
-
-    def attach(self, tracer: "Tracer") -> "ShardSpoolWriter":
-        """Subscribe to every future record of ``tracer``; returns self."""
-        tracer.subscribe(self.record)
-        return self
-
-    def record(self, record: TraceRecord) -> None:
-        """Frame one trace record onto the spool."""
-        self._journal.append({"kind": _TRACE, "record": record_to_dict(record)})
-
-    def summary(self, **data) -> None:
-        """Ship the shard's scheduler totals (call once, at shard end)."""
-        self._journal.append({"kind": _SUMMARY, "data": data})
-
-    def close(self) -> None:
-        """Flush and close the spool."""
-        self._journal.close()
-
-    def __enter__(self) -> "ShardSpoolWriter":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
 
 @dataclass
 class ShardTelemetry:
-    """Everything one shard shipped home: tagged trace + totals."""
+    """Everything one shard shipped home: its trace + totals."""
 
     shard: int
-    meta: dict = field(default_factory=dict)
-    #: Trace records in emit order, each detail tagged ``shard=<index>``.
+    #: Trace records in emit order, as the shard's tracer emitted them.
     records: list[TraceRecord] = field(default_factory=list)
     summary: dict = field(default_factory=dict)
 
     @property
     def dropped_events(self) -> int:
-        """Events the shard's tracer evicted before they could be spooled."""
+        """Events the shard's tracer evicted before it returned them."""
         return int(self.summary.get("dropped_events", 0))
-
-
-def read_spool(path: str) -> ShardTelemetry:
-    """Strictly read one shard spool back into :class:`ShardTelemetry`.
-
-    A torn tail or CRC mismatch raises (via the journal's strict reader):
-    a spool is written by a worker that *joined successfully*, so unlike a
-    crash journal an invalid byte here is a real bug, not an expected
-    recovery state.  So does any frame out of the documented order — a
-    second header, a second summary, or a trace frame after the summary.
-    """
-    frames = read_journal(path)
-    if not frames or frames[0][0].get("kind") != _HEADER:
-        raise SimulationError(f"spool {path} does not start with a fleet.header")
-    header = frames[0][0]
-    if header.get("schema") != SPOOL_SCHEMA:
-        raise SimulationError(
-            f"spool {path} has schema {header.get('schema')!r}, "
-            f"expected {SPOOL_SCHEMA}"
-        )
-    shard = int(header["shard"])
-    telemetry = ShardTelemetry(shard=shard, meta=dict(header.get("meta", {})))
-    summary_at = None
-    for payload, offset in frames[1:]:
-        kind = payload.get("kind")
-        if summary_at is not None and kind in (_TRACE, _SUMMARY):
-            what = "second fleet.summary" if kind == _SUMMARY else kind
-            raise SimulationError(
-                f"spool {path}: {what} at offset {offset} after the "
-                f"fleet.summary at offset {summary_at}"
-            )
-        if kind == _TRACE:
-            record = record_from_dict(payload["record"])
-            record.detail["shard"] = shard
-            telemetry.records.append(record)
-        elif kind == _SUMMARY:
-            telemetry.summary = dict(payload["data"])
-            summary_at = offset
-        elif kind == _HEADER:
-            raise SimulationError(
-                f"spool {path}: duplicate header at offset {offset}"
-            )
-        else:
-            raise SimulationError(
-                f"spool {path}: unknown frame kind {kind!r} at offset {offset}"
-            )
-    return telemetry
-
-
-def _untagged(record: TraceRecord) -> TraceRecord:
-    """``record`` as its shard emitted it, without the collector's tag."""
-    return TraceRecord(
-        time=record.time,
-        kind=record.kind,
-        subject=record.subject,
-        detail={key: value for key, value in record.detail.items() if key != "shard"},
-    )
 
 
 def _lsum(values: typing.Iterable[float]) -> float:
@@ -213,7 +81,7 @@ def _lsum(values: typing.Iterable[float]) -> float:
 
 
 class FleetCollector:
-    """Merge per-shard telemetry spools into one canonical fleet view."""
+    """Merge per-shard telemetry into one canonical fleet view."""
 
     def __init__(self, shards: typing.Sequence[ShardTelemetry]) -> None:
         if not shards:
@@ -225,29 +93,40 @@ class FleetCollector:
         self._records: list[TraceRecord] | None = None
         self._registry: LiveRegistry | None = None
 
-    @classmethod
-    def from_paths(cls, paths: typing.Sequence[str]) -> "FleetCollector":
-        """Collect spools written by joined shard workers."""
-        return cls([read_spool(path) for path in paths])
-
     # -- the canonical trace ------------------------------------------------
 
-    @property
-    def records(self) -> list[TraceRecord]:
-        """The merged fleet trace: global time order, stable within ties.
+    def _merged(self) -> typing.Iterator[tuple[int, TraceRecord]]:
+        """``(shard, record as emitted)`` in global time order.
 
         Per-shard streams are individually time-monotone (the tracer
         enforces it), so a k-way heap merge on time yields a total order;
         ties keep shard-index order, then per-shard emit order — the same
         input always merges to the same output.
         """
+        return heapq.merge(
+            *(
+                zip(itertools.repeat(telemetry.shard), telemetry.records)
+                for telemetry in self.shards
+            ),
+            key=lambda pair: pair[1].time,
+        )
+
+    @property
+    def records(self) -> list[TraceRecord]:
+        """The merged fleet trace, each record's detail tagged ``shard=k``.
+
+        The tag is added here, on copies: the shards' own records stay as
+        emitted for the registry and the chrome export, whose ledger
+        parser is strict.
+        """
         if self._records is None:
-            self._records = list(
-                heapq.merge(
-                    *(telemetry.records for telemetry in self.shards),
-                    key=lambda record: record.time,
+            self._records = [
+                TraceRecord(
+                    record.time, record.kind, record.subject,
+                    {**record.detail, "shard": shard},
                 )
-            )
+                for shard, record in self._merged()
+            ]
         return self._records
 
     # -- the fleet registry -------------------------------------------------
@@ -255,10 +134,10 @@ class FleetCollector:
     @property
     def registry(self) -> "LiveRegistry":
         """The fleet registry: one :class:`~repro.obs.live.LiveRegistry`
-        fed every shard's records, untagged, in :attr:`records` order.
+        fed every shard's records as emitted, in :attr:`records` order.
 
-        Folded on first read only.  The shard tag is stripped because the
-        registry parses ledger details through the strict
+        Folded on first read only.  It reads the untagged records because
+        the registry parses ledger details through the strict
         ``IVLedgerEntry.from_dict``, which would count a tagged ledger
         record as malformed.
         """
@@ -266,8 +145,8 @@ class FleetCollector:
             from repro.obs.live import LiveRegistry
 
             registry = LiveRegistry()
-            for record in self.records:
-                registry.observe(_untagged(record))
+            for _shard, record in self._merged():
+                registry.observe(record)
             self._registry = registry
         return self._registry
 
@@ -353,11 +232,10 @@ class FleetCollector:
         """Chrome ``trace_event`` JSON with one process group per shard."""
         trace_events: list[dict] = []
         for telemetry in self.shards:
-            # The exporter parses LEDGER details through the *strict*
-            # IVLedgerEntry.from_dict; hand it records without the shard
-            # tag (the pid carries the shard identity in this format).
+            # The pid carries the shard identity in this format, so the
+            # records go out as emitted, without the merged view's tag.
             shard_trace = to_chrome_trace(
-                [_untagged(record) for record in telemetry.records],
+                telemetry.records,
                 pid=FLEET_PID_BASE + telemetry.shard,
                 process_name=f"shard {telemetry.shard}",
             )

@@ -140,19 +140,6 @@ class Tracer:
             lines.insert(0, f"... {self._dropped} earlier records dropped ...")
         return "\n".join(lines)
 
-    def drain(self) -> list[TraceRecord]:
-        """Hand over (and release) the retained records.
-
-        Unlike :meth:`clear` this keeps the monotone-time guard and the
-        dropped counter intact: drained records were *delivered* (the
-        caller or a subscriber now owns them), not lost.  Lets a
-        long-running producer that streams records out through a
-        subscriber bound its memory without faking drops.
-        """
-        records = list(self._records)
-        self._records.clear()
-        return records
-
     def clear(self) -> None:
         """Forget everything recorded so far (and reset the time guard)."""
         self._records.clear()

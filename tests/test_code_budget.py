@@ -1,12 +1,17 @@
 """Static checks on ``src/`` that need only the standard library.
 
 ``make lint`` runs ruff where it is installed and this module where it is
-not; tier-1 runs it everywhere.  Four rules:
+not; tier-1 runs it everywhere.  Six rules:
 
 * no module imports a name it never uses — a name counts as used when it
   appears as a name anywhere in the module, including inside a string
   that parses as an expression (a quoted annotation, an ``__all__``
   entry);
+* no function binds a local it never reads — a read in any scope nested
+  in the function (a comprehension, a closure, a class body) counts;
+* no code reads a name that neither its module, a ``global`` declaration
+  nor the builtins bind.  Both scope rules come from :mod:`symtable` and
+  exempt names that start with ``_``;
 * no comment or docstring cites a ROADMAP item by number: the roadmap is
   renumbered as items land, so such a citation goes stale silently;
 * every function, class and method under ``src/`` has a referent under
@@ -23,7 +28,9 @@ not; tier-1 runs it everywhere.  Four rules:
 from __future__ import annotations
 
 import ast
+import builtins
 import re
+import symtable
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -32,7 +39,7 @@ _ROADMAP_CITATION = re.compile(r"ROADMAP(?:\.md)?(?:'s)?\s+items?\b")
 
 #: Physical lines of every ``*.py`` file under ``src/`` — blank, comment
 #: and docstring lines included.
-SRC_LINES = 20904
+SRC_LINES = 20725
 
 
 #: Definitions with no referent under ``src/`` that stay there anyway,
@@ -187,6 +194,61 @@ def unused_imports(source: str) -> list[tuple[int, str]]:
     return [(line, name) for line, name in bound if name not in used]
 
 
+#: Names every module can read without binding them.
+_ALWAYS_BOUND = frozenset(dir(builtins)) | {"__file__", "__path__"}
+
+
+def _scopes(table: symtable.SymbolTable):
+    """``table`` and every scope nested in it, depth first."""
+    yield table
+    for child in table.get_children():
+        yield from _scopes(child)
+
+
+def _read_below(table: symtable.SymbolTable, name: str) -> bool:
+    """Whether a scope nested in ``table`` reads ``table``'s ``name``."""
+    for child in table.get_children():
+        if name in child.get_identifiers():
+            symbol = child.lookup(name)
+            if symbol.is_free() and (
+                symbol.is_referenced() or _read_below(child, name)
+            ):
+                return True
+    return False
+
+
+def scope_findings(source: str, filename: str) -> list[tuple[int, str]]:
+    """``(line of the scope, message)`` for every unused local and every
+    undefined name; names that start with ``_`` are exempt."""
+    module = symtable.symtable(source, filename, "exec")
+    scopes = list(_scopes(module))
+    bound = set(_ALWAYS_BOUND)
+    for table in scopes:
+        for symbol in table.get_symbols():
+            if symbol.is_local() if table is module else (
+                symbol.is_declared_global() and symbol.is_assigned()
+            ):
+                bound.add(symbol.get_name())
+    found = []
+    for table in scopes:
+        for symbol in table.get_symbols():
+            name = symbol.get_name()
+            if name.startswith("_"):
+                continue
+            if (table.get_type() == "function" and symbol.is_local()
+                    and not symbol.is_parameter()
+                    and not symbol.is_referenced()
+                    and not _read_below(table, name)):
+                found.append((
+                    table.get_lineno(),
+                    f"{table.get_name()}() never reads local {name!r}",
+                ))
+            elif (symbol.is_referenced() and symbol.is_global()
+                  and name not in bound):
+                found.append((table.get_lineno(), f"undefined name {name!r}"))
+    return sorted(found)
+
+
 def findings(root: Path) -> list[str]:
     """``path:line: message`` for every rule broken under ``root``."""
     found = []
@@ -201,6 +263,10 @@ def findings(root: Path) -> list[str]:
             f"{where}:{source.count(chr(10), 0, match.start()) + 1}: "
             f"cites {match.group(0)!r}"
             for match in _ROADMAP_CITATION.finditer(source)
+        )
+        found.extend(
+            f"{where}:{line}: {message}"
+            for line, message in scope_findings(source, str(path))
         )
     return found
 
@@ -335,4 +401,36 @@ def test_the_check_names_a_roadmap_citation(tmp_path):
     )
     assert findings(tmp_path) == [
         "cited.py:3: cites 'ROADMAP item'"
+    ]
+
+
+def test_the_scope_check_names_a_planted_local_and_name(tmp_path):
+    (tmp_path / "scoped.py").write_text(
+        '"""Planted."""\n'
+        "\n"
+        "COUNT = 0\n"
+        "\n"
+        "\n"
+        "def bump(rows):\n"
+        "    global COUNT, TOTAL\n"
+        "    COUNT += 1\n"
+        "    TOTAL = len(rows)\n"
+        "    scale = 2\n"
+        "    offset = 1\n"
+        "    spare = 3\n"
+        "    _ignored = 4\n"
+        "    for _index, row in enumerate(rows):\n"
+        "        pass\n"
+        "    doubled = [value * scale for value in rows]\n"
+        "\n"
+        "    def shift():\n"
+        "        return offset\n"
+        "\n"
+        "    return doubled, shift, TOTAL, missing\n",
+        encoding="utf-8",
+    )
+    assert findings(tmp_path) == [
+        "scoped.py:6: bump() never reads local 'row'",
+        "scoped.py:6: bump() never reads local 'spare'",
+        "scoped.py:6: undefined name 'missing'",
     ]

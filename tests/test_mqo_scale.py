@@ -329,8 +329,10 @@ GOLDEN_FLEET_TRACE = {
 
 
 class TestFleetTraceGolden:
-    @pytest.mark.parametrize("name", sorted(GOLDEN_SPECS))
-    def test_merged_trace_is_byte_identical(self, name):
+    @staticmethod
+    def merged_trace(name: str, **overrides) -> tuple:
+        """``(records, sha256)`` of the merged fleet trace; asserts it
+        is checker-clean."""
         import hashlib
 
         from repro.obs.export import to_jsonl
@@ -346,11 +348,34 @@ class TestFleetTraceGolden:
             fleet["violations"] = violations
 
         run_schedule(
-            small_config(schedules=(spec,), trace=True, fleet_metrics=True),
+            small_config(
+                schedules=(spec,), trace=True, fleet_metrics=True,
+                **overrides,
+            ),
             spec, on_fleet=on_fleet,
         )
         assert fleet["violations"] == []
-        assert (fleet["records"], fleet["sha256"]) == GOLDEN_FLEET_TRACE[name]
+        return fleet["records"], fleet["sha256"]
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_SPECS))
+    def test_merged_trace_is_byte_identical(self, name):
+        assert self.merged_trace(name) == GOLDEN_FLEET_TRACE[name]
+
+    def test_records_pickled_through_the_pool_hash_the_same(self):
+        # Spawned workers return their records in the pool's pickled
+        # result; the merged trace must not tell the executors apart.
+        assert self.merged_trace(
+            "burst", executor="process"
+        ) == GOLDEN_FLEET_TRACE["burst"]
+
+    def test_the_spool_dir_field_is_accepted_and_inert(self, tmp_path):
+        # benchmarks/e2e/sim_child.py (frozen) still passes it; shards
+        # return their records and write no file.
+        spool_dir = tmp_path / "spool"
+        assert self.merged_trace(
+            "steady", spool_dir=str(spool_dir)
+        ) == GOLDEN_FLEET_TRACE["steady"]
+        assert not spool_dir.exists()
 
 
 class TestCacheCapsNeverDecide:
@@ -435,10 +460,9 @@ class TestCacheCapsNeverDecide:
 
 def unshipped_payloads(*args, shard_payloads=scale._shard_payloads):
     """``_shard_payloads`` with every shipped selection taken out again."""
-    payloads, spool_paths = shard_payloads(*args)
     return [
-        (*payload[:3], {}, *payload[4:]) for payload in payloads
-    ], spool_paths
+        (*payload[:3], {}, *payload[4:]) for payload in shard_payloads(*args)
+    ]
 
 
 class TestShippedSelectionsNeverDecide:

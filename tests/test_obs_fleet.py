@@ -1,17 +1,15 @@
-"""Fleet telemetry tests: spools, the collector merge, cross-shard rules.
+"""Fleet telemetry tests: the collector merge, cross-shard rules.
 
-Covers the full shard-to-fleet path: D1-framed spool round-trips (with
-strict torn-tail detection), the collector's stable global merge and
-chrome-trace export, each cross-shard checker rule firing on constructed
-bad input, and a small end-to-end sharded run that must be checker-clean,
-bit-exact in its IV conservation, and — with telemetry off — identical
-to the untraced sweep.
+Covers the full shard-to-fleet path: the collector's stable global merge
+and chrome-trace export, each cross-shard checker rule firing on
+constructed bad input, and a small end-to-end sharded run that must be
+checker-clean, bit-exact in its IV conservation, and — with telemetry
+off — identical to the untraced sweep.
 """
 
 from __future__ import annotations
 
 import json
-import os
 
 import pytest
 
@@ -20,14 +18,12 @@ from repro.obs.checker import TraceChecker
 from repro.obs.fleet import (
     FLEET_PID_BASE,
     FleetCollector,
-    ShardSpoolWriter,
     ShardTelemetry,
-    read_spool,
 )
 from repro.core.value import DiscountRates
 from repro.obs.ledger import completion_ledger
 from repro.obs.live import TableSyncState
-from repro.sim.trace import TraceRecord, Tracer
+from repro.sim.trace import TraceRecord
 
 
 def ledger_detail(qid: int, submitted: float, completed: float) -> dict:
@@ -40,11 +36,11 @@ def ledger_detail(qid: int, submitted: float, completed: float) -> dict:
     return entry.to_dict()
 
 
-def shard_records(shard: int, qid: int, base: float) -> list[TraceRecord]:
-    """A minimal checker-clean lifecycle for one query, tagged ``shard``."""
+def shard_records(qid: int, base: float) -> list[TraceRecord]:
+    """A minimal checker-clean lifecycle for one query, as a shard emits it."""
     detail = ledger_detail(qid, submitted=base, completed=base + 1.0)
     iv = detail["reported_iv"]
-    records = [
+    return [
         TraceRecord(base, "submit", f"q{qid}", {"qid": qid}),
         TraceRecord(base, "plan", f"q{qid}", {"qid": qid, "est_iv": 1.0}),
         TraceRecord(base, "exec.start", f"q{qid}", {"qid": qid, "begin": base}),
@@ -52,13 +48,10 @@ def shard_records(shard: int, qid: int, base: float) -> list[TraceRecord]:
                     {"qid": qid, "iv": iv, "cl": 1.0, "sl": 1.0}),
         TraceRecord(base + 1.0, "ledger", f"q{qid}", detail),
     ]
-    for record in records:
-        record.detail["shard"] = shard
-    return records
 
 
 def telemetry_of(shard: int, qid: int, base: float) -> ShardTelemetry:
-    records = shard_records(shard, qid, base)
+    records = shard_records(qid, base)
     ledger = [r for r in records if r.kind == "ledger"][0].detail
     return ShardTelemetry(
         shard=shard,
@@ -68,83 +61,6 @@ def telemetry_of(shard: int, qid: int, base: float) -> ShardTelemetry:
             "dropped_events": 0,
         },
     )
-
-
-class TestSpoolRoundTrip:
-    def test_header_records_registry_summary_round_trip(self, tmp_path):
-        path = str(tmp_path / "shard0.spool")
-        tracer = Tracer(lambda: 0.0)
-        with ShardSpoolWriter(path, shard=3, meta={"schedule": "t"}) as spool:
-            spool.attach(tracer)
-            tracer.emit("submit", "q0", qid=0)
-            tracer.emit("complete", "q0", qid=0, iv=0.5, cl=1.0, sl=0.0)
-            spool.summary(total_iv=0.5, dropped_events=tracer.dropped)
-
-        telemetry = read_spool(path)
-        assert telemetry.shard == 3
-        assert telemetry.meta == {"schedule": "t"}
-        assert [r.kind for r in telemetry.records] == ["submit", "complete"]
-        # Every record comes back tagged with the spool's shard index.
-        assert all(r.detail["shard"] == 3 for r in telemetry.records)
-        assert telemetry.summary["total_iv"] == 0.5
-        assert telemetry.dropped_events == 0
-
-    def test_negative_shard_index_rejected(self, tmp_path):
-        with pytest.raises(SimulationError):
-            ShardSpoolWriter(str(tmp_path / "bad.spool"), shard=-1)
-
-    def test_torn_tail_raises_instead_of_half_parsing(self, tmp_path):
-        path = str(tmp_path / "torn.spool")
-        with ShardSpoolWriter(path, shard=0) as spool:
-            for record in shard_records(0, qid=0, base=1.0):
-                spool.record(record)
-        size = os.path.getsize(path)
-        with open(path, "r+b") as handle:
-            handle.truncate(size - 3)
-        with pytest.raises(Exception):
-            read_spool(path)
-
-    def test_spool_without_header_rejected(self, tmp_path):
-        from repro.durable.journal import JournalWriter
-
-        path = str(tmp_path / "headerless.spool")
-        writer = JournalWriter(path, fsync_every=1)
-        writer.append({"kind": "fleet.trace", "record": {
-            "time": 0.0, "kind": "submit", "subject": "q0", "detail": {},
-        }})
-        writer.close()
-        with pytest.raises(SimulationError, match="fleet.header"):
-            read_spool(path)
-
-    def test_second_summary_rejected_at_its_offset(self, tmp_path):
-        # A second summary used to overwrite the first silently.
-        path = str(tmp_path / "twice.spool")
-        with ShardSpoolWriter(path, shard=0) as spool:
-            spool.summary(total_iv=0.5, dropped_events=0)
-            spool.summary(total_iv=9.0, dropped_events=0)
-        with pytest.raises(SimulationError, match=r"second fleet\.summary.*offset \d+"):
-            read_spool(path)
-
-    def test_trace_after_summary_rejected_at_its_offset(self, tmp_path):
-        # The summary closes a spool; a record behind it used to be kept.
-        path = str(tmp_path / "late.spool")
-        with ShardSpoolWriter(path, shard=0) as spool:
-            spool.summary(total_iv=0.0, dropped_events=0)
-            spool.record(TraceRecord(1.0, "submit", "q0", {"qid": 0}))
-        with pytest.raises(SimulationError, match=r"after the fleet\.summary.*offset \d+"):
-            read_spool(path)
-
-    def test_other_schema_refused_at_the_header(self, tmp_path):
-        from repro.durable.journal import JournalWriter
-        from repro.obs.fleet import SPOOL_SCHEMA
-
-        path = str(tmp_path / "old.spool")
-        writer = JournalWriter(path, fsync_every=1)
-        writer.append({"kind": "fleet.header", "schema": SPOOL_SCHEMA - 1,
-                       "shard": 0, "meta": {}})
-        writer.close()
-        with pytest.raises(SimulationError, match="schema"):
-            read_spool(path)
 
 
 class TestFleetCollector:
@@ -310,8 +226,8 @@ class TestShardedSweepEndToEnd:
         assert "fleet" not in plain
 
     def test_no_registry_is_folded_unless_read(self, monkeypatch):
-        # Shards trace and spool only; the fleet registry is folded in the
-        # parent, and only for a caller that reads it.
+        # Shards return their records only; the fleet registry is folded
+        # in the parent, and only for a caller that reads it.
         from repro.obs.live import LiveRegistry
 
         observed = []
@@ -350,25 +266,6 @@ class TestShardedSweepEndToEnd:
         assert (fleet["violations"], fleet["dropped_events"]) == (0, 0)
         assert metrics["shards"] == 2
         assert fleet["total_iv"] == metrics["total_iv"]["online"]
-
-    def test_explicit_spool_dir_keeps_readable_spools(self, tmp_path):
-        # A caller-provided spool dir survives the run (for inspection);
-        # only the auto-created temp dir is cleaned up.
-        from repro.experiments.scale import ScaleConfig, ScheduleSpec, run_schedule
-
-        spool_dir = str(tmp_path / "spools")
-        spec = ScheduleSpec("steady", queries=40, arrival="poisson",
-                            interarrival=1.0)
-        config = ScaleConfig(
-            shards=2, executor="serial", schedules=(spec,),
-            trace=True, spool_dir=spool_dir,
-        )
-        run_schedule(config, spec)
-        spools = sorted(os.listdir(spool_dir))
-        assert spools == ["steady-shard0.spool", "steady-shard1.spool"]
-        telemetry = read_spool(os.path.join(spool_dir, spools[0]))
-        assert telemetry.shard == 0
-        assert telemetry.records
 
 
 #: sha256 of the canonical JSON of what a fleet collection reports for the

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import importlib
 import json
 import subprocess
@@ -88,6 +89,18 @@ def test_batch_loop_names_are_gone():
     for name in ("MQO_GROUPS", "MQO_GA", "MQO_ORDER"):
         assert name not in events.__all__
         assert not hasattr(events, name)
+
+
+def test_fleet_spool_names_are_gone():
+    """A shard returns its trace in its result: the spool writer, its
+    reader and its frame schema are no longer part of ``repro.obs``."""
+    import repro.obs
+    from repro.obs import fleet
+
+    for name in ("ShardSpoolWriter", "read_spool", "SPOOL_SCHEMA"):
+        assert name not in repro.obs.__all__
+        assert not hasattr(repro.obs, name)
+        assert not hasattr(fleet, name)
 
 
 def _loaded_after(code: str) -> tuple[list[str], list[str]]:
@@ -193,6 +206,29 @@ class TestImportGraph:
             "repro.experiments.cli",
         ]
         assert heavy == []
+
+    def test_obs_imports_no_durable_module(self):
+        """``obs`` sits below ``durable``: no module under ``repro.obs``
+        names ``repro.durable`` in an import, at any depth."""
+        obs = Path(__file__).resolve().parents[1] / "src" / "repro" / "obs"
+        found = []
+        for path in sorted(obs.rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.module:
+                    names = [node.module] + [
+                        f"{node.module}.{alias.name}" for alias in node.names
+                    ]
+                else:
+                    continue
+                found.extend(
+                    f"{path.name}:{node.lineno}: {name}"
+                    for name in names
+                    if name.split(".")[:2] == ["repro", "durable"]
+                )
+        assert found == []
 
     def test_bare_import_loads_only_the_package(self):
         modules, heavy = _loaded_after("import repro")

@@ -171,9 +171,6 @@ class TestSubscribe:
         assert [record.subject for record in seen] == [
             str(index) for index in range(emits)
         ]
-        drained = tracer.drain()
-        assert type(drained) is list and drained == seen[-capacity:]
-        assert len(tracer) == 0 and tracer.dropped == emits - capacity
 
     def test_multiple_subscribers_fire_in_attach_order(self):
         _clock, tracer = self.make()
