@@ -68,10 +68,10 @@ test-scale:
 
 # The fleet telemetry stack: shard traces returned in shard results, the
 # collector merge, cross-shard checker rules, the registry-is-a-fold
-# property, and the /metrics content negotiation (long configs stay
-# behind `slow`).
+# property, the merged-trace goldens, and the /metrics content
+# negotiation (long configs stay behind `slow`).
 test-fleet:
-	PYTHONPATH=src $(PYTHON) -m pytest tests/test_obs_fleet.py tests/test_obs_fleet_fold.py tests/test_serve_metrics_formats.py -q -m "not slow"
+	PYTHONPATH=src $(PYTHON) -m pytest tests/test_obs_fleet.py tests/test_obs_fleet_fold.py "tests/test_mqo_scale.py::TestFleetTraceGolden" tests/test_serve_metrics_formats.py -q -m "not slow"
 
 # What a sim process holds: no libcrypto and no engine import, the
 # builtin-SHA-256 seed derivation (and its fallback), the stream's bytes

@@ -58,6 +58,7 @@ throughput leaves may only ratchet up (within the wall tolerance),
 
 from __future__ import annotations
 
+import math
 import sys
 import time
 import typing
@@ -428,11 +429,11 @@ def _work(cost_model: CostModel, stats) -> dict:
 
 
 def _percentile_ms(reopts: list[float], fraction: float) -> float:
-    """Nearest-rank percentile of re-opt times, in milliseconds."""
+    """Nearest-rank percentile of sorted re-opt times, in milliseconds."""
     if not reopts:
         return 0.0
-    rank = max(0, int(round(fraction * len(reopts))) - 1)
-    return reopts[rank] * 1000.0
+    rank = max(1, math.ceil(fraction * len(reopts)))
+    return reopts[rank - 1] * 1000.0
 
 
 def _form_groups(

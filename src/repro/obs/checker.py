@@ -21,6 +21,7 @@ property suites assert on.
 
 from __future__ import annotations
 
+import typing
 from collections import defaultdict
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -29,6 +30,9 @@ from repro.errors import SimulationError
 from repro.obs import events
 from repro.obs.ledger import CONSERVATION_TOLERANCE, IVLedgerEntry
 from repro.sim.trace import TraceRecord
+
+if typing.TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.obs.fleet import ShardTelemetry
 
 __all__ = ["Violation", "TraceChecker"]
 
@@ -148,23 +152,24 @@ class TraceChecker:
         return self.check(system.tracer.records, dropped=system.tracer.dropped)
 
     def check_fleet(
-        self, records: Sequence[TraceRecord], snapshot: dict
+        self, shards: Sequence[ShardTelemetry], snapshot: dict
     ) -> list[Violation]:
-        """Audit a merged multi-shard trace against its fleet snapshot.
+        """Audit a fleet's shard traces against its fleet snapshot.
 
-        ``records`` is the :class:`~repro.obs.fleet.FleetCollector`'s merged
-        trace (every detail tagged ``shard=k``); ``snapshot`` its fleet
-        snapshot.  On top of re-running every single-process rule per shard
-        (with that shard's ``dropped_events``), four cross-shard rules fire:
+        ``shards`` is the :class:`~repro.obs.fleet.FleetCollector`'s
+        :class:`~repro.obs.fleet.ShardTelemetry` list, each shard's records
+        as it emitted them; ``snapshot`` the collector's fleet snapshot.
+        Every single-process rule runs on each shard's records (with that
+        shard's ``dropped_events``), its subjects prefixed ``shard{k}:``.
+        A shard owns whole conflict groups, so only these rules look
+        across shards:
 
-        * ``shard-tag`` — every record carries a well-formed (non-negative
-          integer) shard tag;
         * ``shard-ownership`` — every query id appears on exactly one
           shard (conflict-group sharding must partition the stream);
-        * ``fleet-dropped-surfaced`` — every shard present in the trace has
-          a ``dropped_events`` entry in the snapshot's shard panels;
+        * ``fleet-dropped-surfaced`` — every shard has a
+          ``dropped_events`` entry in the snapshot's shard panels;
         * ``fleet-iv-conservation`` / ``fleet-cl-conservation`` — per-shard
-          ledger IV/CL sums re-derived from the trace (left-to-right, trace
+          ledger IV/CL sums re-derived from the trace (left-to-right, emit
           order) must equal the snapshot's per-shard values **bit-exactly**,
           and their shard-order sum must equal the fleet totals
           (including ``total_iv`` when the shard summaries carry it)
@@ -175,82 +180,61 @@ class TraceChecker:
         panels = {
             int(panel["shard"]): panel for panel in snapshot.get("shards", [])
         }
-        fleet = snapshot.get("fleet", {})
+        shards = sorted(shards, key=lambda telemetry: telemetry.shard)
 
-        by_shard: dict[int, list[TraceRecord]] = defaultdict(list)
-        for index, record in enumerate(records):
-            shard = record.detail.get("shard")
-            if isinstance(shard, bool) or not isinstance(shard, int) or shard < 0:
-                violations.append(Violation(
-                    "shard-tag", f"record[{index}]",
-                    f"{record.kind} at t={record.time!r} carries a malformed "
-                    f"shard tag {shard!r} (need an integer >= 0)",
-                ))
-                continue
-            # Strip the tag: per-shard rules (ledger parsing in particular)
-            # must see the record exactly as the shard emitted it.
-            by_shard[shard].append(TraceRecord(
-                time=record.time,
-                kind=record.kind,
-                subject=record.subject,
-                detail={
-                    key: value
-                    for key, value in record.detail.items()
-                    if key != "shard"
-                },
-            ))
-
-        for shard, shard_records in sorted(by_shard.items()):
-            panel = panels.get(shard)
-            dropped = int(panel.get("dropped_events", 0)) if panel else 0
-            for violation in self.check(shard_records, dropped=dropped):
+        for telemetry in shards:
+            for violation in self.check(
+                telemetry.records, dropped=telemetry.dropped_events
+            ):
                 violations.append(Violation(
                     violation.rule,
-                    f"shard{shard}:{violation.subject}",
+                    f"shard{telemetry.shard}:{violation.subject}",
                     violation.message,
                 ))
 
         owners: dict[int, set[int]] = defaultdict(set)
-        for shard, shard_records in by_shard.items():
-            for record in shard_records:
+        for telemetry in shards:
+            for record in telemetry.records:
                 qid = record.detail.get("qid")
                 if qid is None and record.kind == events.LEDGER:
                     qid = record.detail.get("query_id")
                 if qid is not None:
-                    owners[qid].add(shard)
-        for qid, shards in sorted(owners.items()):
-            if len(shards) > 1:
+                    owners[qid].add(telemetry.shard)
+        for qid, owned_by in sorted(owners.items()):
+            if len(owned_by) > 1:
                 violations.append(Violation(
                     "shard-ownership", f"query:{qid}",
-                    f"query appears on shards {sorted(shards)}; sharding "
+                    f"query appears on shards {sorted(owned_by)}; sharding "
                     f"must assign each query to exactly one worker",
                 ))
 
-        for shard in sorted(by_shard):
-            panel = panels.get(shard)
+        for telemetry in shards:
+            panel = panels.get(telemetry.shard)
             if panel is None or "dropped_events" not in panel:
                 violations.append(Violation(
-                    "fleet-dropped-surfaced", f"shard{shard}",
-                    "shard present in the trace but its dropped_events "
-                    "counter is missing from the fleet snapshot",
+                    "fleet-dropped-surfaced", f"shard{telemetry.shard}",
+                    "shard's dropped_events counter is missing from the "
+                    "fleet snapshot",
                 ))
 
-        self._check_fleet_conservation(by_shard, panels, fleet, violations)
+        self._check_fleet_conservation(
+            shards, panels, snapshot.get("fleet", {}), violations
+        )
         return violations
 
     def _check_fleet_conservation(
         self,
-        by_shard: dict[int, list[TraceRecord]],
+        shards: list[ShardTelemetry],
         panels: dict[int, dict],
         fleet: dict,
         violations: list[Violation],
     ) -> None:
         """Trace → shard sums → fleet totals, every step ``==``-exact."""
         derived: dict[int, dict[str, float]] = {}
-        for shard, shard_records in sorted(by_shard.items()):
+        for telemetry in shards:
             ledger_iv = 0.0
             ledger_cl = 0.0
-            for record in shard_records:
+            for record in telemetry.records:
                 if record.kind != events.LEDGER:
                     continue
                 detail = record.detail
@@ -258,15 +242,17 @@ class TraceChecker:
                 ledger_cl += detail.get("completed_at", 0.0) - detail.get(
                     "submitted_at", 0.0
                 )
-            derived[shard] = {"ledger_iv": ledger_iv, "ledger_cl": ledger_cl}
+            derived[telemetry.shard] = {
+                "ledger_iv": ledger_iv, "ledger_cl": ledger_cl,
+            }
 
         for key, rule in (
             ("ledger_iv", "fleet-iv-conservation"),
             ("ledger_cl", "fleet-cl-conservation"),
         ):
             total = 0.0
-            for shard in sorted(by_shard):
-                value = derived[shard][key]
+            for shard, values in derived.items():
+                value = values[key]
                 panel = panels.get(shard)
                 if panel is not None and key in panel and panel[key] != value:
                     violations.append(Violation(

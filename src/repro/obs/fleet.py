@@ -9,21 +9,23 @@ Each shard worker traces its run on its own
 the records as emitted plus the shard's scheduler totals — in its result:
 in process with ``executor="serial"``, pickled through the pool's result
 with ``"process"``.  A shard ships records, never derived state.  At join,
-the parent hands those telemetries to :class:`FleetCollector`, which
-rebuilds
+the parent hands those telemetries to :class:`FleetCollector`, which keeps
+them as emitted — no copy, no shard tag — and derives
 
-* **one canonical trace** — per-shard streams merged into a stable global
-  time order (ties broken by shard index, then per-shard emit order), every
-  record tagged ``shard=k`` in its detail, exportable to chrome://tracing
-  with one process group per shard (:meth:`FleetCollector.chrome_trace`);
+* **one canonical order** — per-shard streams merged into a stable global
+  time order (ties broken by shard index, then per-shard emit order);
 * **one fleet registry**, on demand — a single
-  :class:`~repro.obs.live.LiveRegistry` fed the records as emitted in that
-  same merged order, so it *is* the union fold, not an approximation of it;
+  :class:`~repro.obs.live.LiveRegistry` fed the records in that merged
+  order, so it *is* the union fold, not an approximation of it;
 * **one fleet snapshot** — per-shard summaries (including each shard's
   ``dropped_events``) plus fleet totals whose IV/latency sums are
-  *bit-exact* left-to-right sums of the per-shard values, which
-  :meth:`TraceChecker.check_fleet <repro.obs.checker.TraceChecker.check_fleet>`
-  re-derives from the trace and audits.
+  *bit-exact* left-to-right sums of the per-shard values;
+* **one audit** — :meth:`TraceChecker.check_fleet
+  <repro.obs.checker.TraceChecker.check_fleet>` runs the per-shard rules
+  on each shard's records and re-derives ownership and conservation from
+  the same lists;
+* **one chrome://tracing export** with one process group per shard
+  (:meth:`FleetCollector.chrome_trace`).
 """
 
 from __future__ import annotations
@@ -90,7 +92,6 @@ class FleetCollector:
         seen = [telemetry.shard for telemetry in self.shards]
         if len(set(seen)) != len(seen):
             raise SimulationError(f"duplicate shard indices in fleet: {seen}")
-        self._records: list[TraceRecord] | None = None
         self._registry: LiveRegistry | None = None
 
     # -- the canonical trace ------------------------------------------------
@@ -111,35 +112,14 @@ class FleetCollector:
             key=lambda pair: pair[1].time,
         )
 
-    @property
-    def records(self) -> list[TraceRecord]:
-        """The merged fleet trace, each record's detail tagged ``shard=k``.
-
-        The tag is added here, on copies: the shards' own records stay as
-        emitted for the registry and the chrome export, whose ledger
-        parser is strict.
-        """
-        if self._records is None:
-            self._records = [
-                TraceRecord(
-                    record.time, record.kind, record.subject,
-                    {**record.detail, "shard": shard},
-                )
-                for shard, record in self._merged()
-            ]
-        return self._records
-
     # -- the fleet registry -------------------------------------------------
 
     @property
     def registry(self) -> "LiveRegistry":
         """The fleet registry: one :class:`~repro.obs.live.LiveRegistry`
-        fed every shard's records as emitted, in :attr:`records` order.
+        fed every shard's records as emitted, in :meth:`_merged` order.
 
-        Folded on first read only.  It reads the untagged records because
-        the registry parses ledger details through the strict
-        ``IVLedgerEntry.from_dict``, which would count a tagged ledger
-        record as malformed.
+        Folded on first read only.
         """
         if self._registry is None:
             from repro.obs.live import LiveRegistry
@@ -232,8 +212,7 @@ class FleetCollector:
         """Chrome ``trace_event`` JSON with one process group per shard."""
         trace_events: list[dict] = []
         for telemetry in self.shards:
-            # The pid carries the shard identity in this format, so the
-            # records go out as emitted, without the merged view's tag.
+            # The pid carries the shard identity in this format.
             shard_trace = to_chrome_trace(
                 telemetry.records,
                 pid=FLEET_PID_BASE + telemetry.shard,
@@ -246,9 +225,10 @@ class FleetCollector:
         """Audit the fleet: per-shard invariants + cross-shard rules.
 
         Delegates to
-        :meth:`~repro.obs.checker.TraceChecker.check_fleet`; returns the
-        violation list (empty == clean).
+        :meth:`~repro.obs.checker.TraceChecker.check_fleet` with the
+        shards' records as emitted; returns the violation list (empty ==
+        clean).
         """
         from repro.obs.checker import TraceChecker
 
-        return TraceChecker().check_fleet(self.records, self.snapshot())
+        return TraceChecker().check_fleet(self.shards, self.snapshot())

@@ -75,7 +75,7 @@ class ServeBenchConfig:
 
 
 def percentile(values: list[float], fraction: float) -> float:
-    """Nearest-rank percentile (``fraction`` in [0, 1]) of ``values``."""
+    """Sorted ``values`` at index ``round(fraction * (n - 1))``, ties to even."""
     if not values:
         raise SimulationError("percentile of an empty sample")
     ordered = sorted(values)

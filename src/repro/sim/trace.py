@@ -92,7 +92,7 @@ class Tracer:
                 f"(emitting {kind!r} for {subject!r})"
             )
         self._last_time = now
-        record = TraceRecord(now, kind, subject, dict(detail))
+        record = TraceRecord(now, kind, subject, detail)
         if len(self._records) == self._records.maxlen:
             self._dropped += 1
         self._records.append(record)

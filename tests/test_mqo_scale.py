@@ -169,6 +169,17 @@ class TestRunSchedule:
         assert metrics["group_formation"]["largest_group"] >= BURST.burst_size
         assert metrics["dispatched"] == BURST.queries
 
+    def test_reopt_percentiles_are_nearest_rank(self):
+        # The value at 1-based rank ceil(q * n): the p50 of 5 is the 3rd,
+        # the p99 of 61 the 61st (rounding q * n would pick the 2nd and
+        # the 60th, half to even).
+        five = [k / 1000.0 for k in range(1, 6)]
+        sixty_one = [k / 1000.0 for k in range(1, 62)]
+        assert scale._percentile_ms(five, 0.50) == five[2] * 1000.0
+        assert scale._percentile_ms(sixty_one, 0.99) == sixty_one[60] * 1000.0
+        assert scale._percentile_ms(five, 0.0) == five[0] * 1000.0
+        assert scale._percentile_ms([], 0.50) == 0.0
+
 
 class TestSweepAndTable:
     def test_sweep_shape_matches_snapshot_contract(self):
@@ -336,14 +347,16 @@ class TestFleetTraceGolden:
         import hashlib
 
         from repro.obs.export import to_jsonl
+        from tests.test_obs_fleet import tagged_trace
 
         spec = GOLDEN_SPECS[name]
         fleet = {}
 
         def on_fleet(_name, collector, violations):
-            fleet["records"] = len(collector.records)
+            records = tagged_trace(collector)
+            fleet["records"] = len(records)
             fleet["sha256"] = hashlib.sha256(
-                to_jsonl(collector.records).encode()
+                to_jsonl(records).encode()
             ).hexdigest()
             fleet["violations"] = violations
 

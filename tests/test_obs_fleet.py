@@ -63,6 +63,18 @@ def telemetry_of(shard: int, qid: int, base: float) -> ShardTelemetry:
     )
 
 
+def tagged_trace(collector: FleetCollector) -> list[TraceRecord]:
+    """The merged fleet trace with each record's detail tagged ``shard=k``:
+    the view the fleet trace goldens hash (the collector keeps no copy)."""
+    return [
+        TraceRecord(
+            record.time, record.kind, record.subject,
+            {**record.detail, "shard": shard},
+        )
+        for shard, record in collector._merged()
+    ]
+
+
 class TestFleetCollector:
     def test_merge_is_globally_time_ordered_and_tie_stable(self):
         # Shard 1's records interleave with shard 0's; equal timestamps
@@ -70,7 +82,7 @@ class TestFleetCollector:
         a = telemetry_of(0, qid=0, base=1.0)
         b = telemetry_of(1, qid=1, base=1.0)
         collector = FleetCollector([b, a])  # construction order irrelevant
-        merged = collector.records
+        merged = tagged_trace(collector)
         times = [record.time for record in merged]
         assert times == sorted(times)
         first_at_1 = [r.detail["shard"] for r in merged if r.time == 1.0]
@@ -122,21 +134,12 @@ class TestCrossShardRules:
     def checker(self) -> TraceChecker:
         return TraceChecker()
 
-    def test_malformed_shard_tag_flagged(self):
-        collector = FleetCollector([telemetry_of(0, 0, 1.0)])
-        records = list(collector.records)
-        bad = TraceRecord(5.0, "submit", "q9", {"qid": 9, "shard": "zero"})
-        violations = self.checker().check_fleet(
-            records + [bad], collector.snapshot()
-        )
-        assert "shard-tag" in rules_of(violations)
-
     def test_query_owned_by_two_shards_flagged(self):
         a = telemetry_of(0, qid=7, base=1.0)
         b = telemetry_of(1, qid=7, base=2.0)  # same qid on both shards
         collector = FleetCollector([a, b])
         violations = self.checker().check_fleet(
-            collector.records, collector.snapshot()
+            collector.shards, collector.snapshot()
         )
         assert "shard-ownership" in rules_of(violations)
 
@@ -146,7 +149,7 @@ class TestCrossShardRules:
         )
         snapshot = collector.snapshot()
         snapshot["shards"] = snapshot["shards"][:1]  # drop shard 1's panel
-        violations = self.checker().check_fleet(collector.records, snapshot)
+        violations = self.checker().check_fleet(collector.shards, snapshot)
         assert "fleet-dropped-surfaced" in rules_of(violations)
 
     def test_tampered_iv_sum_flagged_bit_exactly(self):
@@ -156,7 +159,7 @@ class TestCrossShardRules:
         snapshot = collector.snapshot()
         # One ulp of drift must be enough to fire the conservation rule.
         snapshot["fleet"]["ledger_iv"] += 1e-12
-        violations = self.checker().check_fleet(collector.records, snapshot)
+        violations = self.checker().check_fleet(collector.shards, snapshot)
         assert "fleet-iv-conservation" in rules_of(violations)
 
     def test_tampered_cl_sum_flagged(self):
@@ -165,8 +168,58 @@ class TestCrossShardRules:
         )
         snapshot = collector.snapshot()
         snapshot["shards"][0]["ledger_cl"] *= 2.0
-        violations = self.checker().check_fleet(collector.records, snapshot)
+        violations = self.checker().check_fleet(collector.shards, snapshot)
         assert "fleet-cl-conservation" in rules_of(violations)
+
+
+    @staticmethod
+    def grant_without_start(telemetry: ShardTelemetry) -> ShardTelemetry:
+        """Plant a ``leg-order`` fault (prefix-sensitive) in the shard."""
+        start = telemetry.records[2]  # exec.start
+        stray = TraceRecord(
+            start.time, "leg.granted", start.subject,
+            {"qid": start.detail["qid"], "site": 0},
+        )
+        telemetry.records.insert(3, stray)
+        return telemetry
+
+    def test_per_shard_violation_names_its_shard(self):
+        collector = FleetCollector([
+            telemetry_of(0, 0, 1.0),
+            self.grant_without_start(telemetry_of(1, 1, 2.0)),
+        ])
+        assert [
+            (violation.rule, violation.subject)
+            for violation in collector.check()
+        ] == [("leg-order", "shard1:q1")]
+
+    def test_dropped_events_downgrade_only_their_own_shard(self):
+        lossy = self.grant_without_start(telemetry_of(0, 0, 1.0))
+        lossy.summary["dropped_events"] = 1
+        collector = FleetCollector([
+            lossy, self.grant_without_start(telemetry_of(1, 1, 2.0)),
+        ])
+        assert [
+            (violation.rule, violation.subject)
+            for violation in collector.check()
+        ] == [("leg-order", "shard1:q1")]
+
+    def test_check_constructs_no_trace_record(self, monkeypatch):
+        # The audit reads each shard's records as emitted: no tagged
+        # copy of the merged trace and no stripped copy of that.
+        collector = FleetCollector(
+            [telemetry_of(0, 0, 1.0), telemetry_of(1, 1, 2.0)]
+        )
+        built = []
+        init = TraceRecord.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(TraceRecord, "__init__", counting_init)
+        assert collector.check() == []
+        assert built == []
 
 
 class TestShardedSweepEndToEnd:
@@ -248,7 +301,7 @@ class TestShardedSweepEndToEnd:
 
     def test_documented_two_thousand_query_steady_trace(self):
         # EXPERIMENTS' fleet section: 13,618 records + 2,000 ledger entries
-        # across two shard spools, clean and bit-exact.
+        # across two shards, clean and bit-exact.
         from dataclasses import replace
 
         from repro.experiments.scale import (

@@ -156,14 +156,16 @@ def ledger_values(streams, field) -> list[float]:
 @PROPERTY
 @given(streams=fleets)
 def test_fleet_registry_is_the_fold_of_the_merged_trace(streams):
+    details = [[dict(record.detail) for record in stream] for stream in streams]
     collector = collect(streams)
     fleet = collector.registry.snapshot()
     assert fleet == union_fold(streams).snapshot()
     assert "ledger.malformed" not in fleet["counters"]
-    # Reading the registry leaves the collector's tagged trace alone.
-    assert sorted(record.detail["shard"] for record in collector.records) == [
-        shard for shard, stream in enumerate(streams) for _ in stream
-    ]
+    # Reading the registry leaves the shards' records as emitted.
+    assert [
+        [record.detail for record in telemetry.records]
+        for telemetry in collector.shards
+    ] == details
 
 
 @PROPERTY
