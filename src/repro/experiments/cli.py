@@ -184,7 +184,6 @@ def _run_live_stream(parser: argparse.ArgumentParser, args: argparse.Namespace) 
                 if result.profiler is not None
                 else None
             ),
-            metrics=result.system.metrics(),
         )
         with open(args.html, "w") as handle:
             handle.write(report + "\n")

@@ -330,23 +330,6 @@ class Replica:
         """How old the replica's data is at ``time``."""
         return max(0.0, time - self.freshness_at(time))
 
-    def realized_staleness_at(self, time: float) -> float:
-        """How old the data the replica *actually holds* is at ``time``."""
-        return max(0.0, time - self.realized_freshness_at(time))
-
-    def divergence_at(self, time: float) -> float:
-        """Published-minus-realized freshness gap at ``time``.
-
-        Zero when the replica holds exactly what the schedule promises;
-        positive when skipped or delayed syncs left its content trailing
-        the published schedule — the signal a divergence-aware replica
-        chooser (Fedra-style) weighs against raw sync age.  Always 0.0
-        without runtime tracking, where the schedule *defines* reality.
-        """
-        return max(
-            0.0, self.freshness_at(time) - self.realized_freshness_at(time)
-        )
-
     def completions_through(self, time: float) -> list[float]:
         """The schedule's materialised sorted completion array through ``time``.
 

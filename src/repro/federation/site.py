@@ -46,23 +46,6 @@ class Site:
         """Whether this is the local federation server."""
         return self.site_id == LOCAL_SITE_ID
 
-    @property
-    def utilization_hint(self) -> float:
-        """Mean queueing wait observed so far (minutes)."""
-        if self.server.total_requests == 0:
-            return 0.0
-        return self.server.total_wait / self.server.total_requests
-
-    def telemetry(self) -> dict[str, float]:
-        """The site's gauge block for metrics registries and dashboards."""
-        return {
-            "site.available": 1.0 if self.available else 0.0,
-            "site.in_use": float(self.server.in_use),
-            "site.queue_depth": float(self.server.queue_length),
-            "site.requests": float(self.server.total_requests),
-            "site.mean_wait": self.utilization_hint,
-        }
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "" if self.available else ", DOWN"
         return f"Site({self.name!r}, in_use={self.server.in_use}{state})"

@@ -7,7 +7,7 @@ run the simulation.
 
 :class:`ReplicationManager` applies each replica's published sync schedule
 (:mod:`repro.federation.sync`) as simulation events: it bumps the replica's
-sync counter, records staleness and wakes listeners.
+sync counter and traces each sync with the staleness gap it closes.
 """
 
 from __future__ import annotations
@@ -32,8 +32,6 @@ from repro.federation.network import NetworkModel
 from repro.federation.site import LOCAL_SITE_ID, Site
 from repro.federation.sync import build_schedules
 from repro.obs import events
-from repro.obs.live import EwmaRate
-from repro.sim.monitor import Monitor
 from repro.sim.rng import RandomSource
 from repro.sim.scheduler import Simulator
 from repro.sim.trace import Tracer
@@ -119,19 +117,10 @@ class ReplicationManager:
         self.qos_max_staleness = qos_max_staleness
         self.injector = injector
         self.tracer = tracer
-        # Bounded retention: long runs sync thousands of times, and the
-        # raw gap samples are only needed for percentiles/diagnostics.
-        self.staleness = Monitor(
-            "replica-staleness-at-sync", keep_values=True, cap=4096
-        )
         self.qos_violations = 0
         self.total_syncs = 0
         self.syncs_skipped = 0
         self.syncs_delayed = 0
-        #: Per-table sync-application EWMAs (events/minute) — the update-rate
-        #: signal a demand-driven sync controller reads per table.
-        self.update_rate_half_life = 10.0
-        self.update_rates: dict[str, EwmaRate] = {}
         self._started = False
 
     def start(self) -> None:
@@ -192,41 +181,14 @@ class ReplicationManager:
     def _on_sync(self, replica: Replica, now: float, previous: float) -> None:
         # Staleness *just before* this sync: the gap the new version closes.
         gap = max(0.0, now - previous)
-        self.staleness.observe(gap)
         self.total_syncs += 1
         replica.sync_count += 1
         if replica.runtime_tracking:
             replica.record_applied_sync(now)
         if self.qos_max_staleness is not None and gap > self.qos_max_staleness:
             self.qos_violations += 1
-        if replica.name not in self.update_rates:
-            self.update_rates[replica.name] = EwmaRate(self.update_rate_half_life)
-        self.update_rates[replica.name].observe(now)
         if self.tracer is not None:
             self.tracer.emit(events.SYNC_APPLY, replica.name, at=now, gap=gap)
-
-    def table_gauges(self, now: float | None = None) -> dict[str, dict[str, float]]:
-        """Per-table staleness/divergence/update-rate gauges at ``now``.
-
-        The manager-side counterpart of the trace-derived
-        :class:`~repro.obs.live.TableSyncState` block: staleness reads the
-        replica's *realized* freshness (what it actually holds), divergence
-        the published-minus-realized gap
-        (:meth:`~repro.federation.catalog.Replica.divergence_at`), and the
-        update rate the per-table sync-application EWMA — the inputs a
-        demand-driven sync controller would consume.
-        """
-        now = self.sim.now if now is None else now
-        gauges: dict[str, dict[str, float]] = {}
-        for replica in self.catalog.replicas:
-            rate = self.update_rates.get(replica.name)
-            gauges[replica.name] = {
-                "sync.table.staleness": replica.realized_staleness_at(now),
-                "sync.table.divergence": replica.divergence_at(now),
-                "sync.table.update_rate": rate.rate(now) if rate else 0.0,
-                "sync.table.syncs": float(replica.sync_count),
-            }
-        return gauges
 
 
 class FederatedSystem:
@@ -262,9 +224,6 @@ class FederatedSystem:
             cost_provider=cost_model,
             tracer=tracer,
         )
-        self.iv_monitor = Monitor("information-value")
-        self.cl_monitor = Monitor("computational-latency")
-        self.sl_monitor = Monitor("synchronization-latency")
         self.tracer = tracer
         #: The online scheduler's decision after
         #: :meth:`submit_workload_online` (``None`` for batch submission).
@@ -306,10 +265,7 @@ class FederatedSystem:
             )
         # Execution events (exec.start … complete/failed + ledger) are
         # emitted by the executor, which owns the phase timestamps.
-        outcome = yield self.executor.execute(plan)
-        self.iv_monitor.observe(outcome.information_value)
-        self.cl_monitor.observe(outcome.computational_latency)
-        self.sl_monitor.observe(outcome.synchronization_latency)
+        yield self.executor.execute(plan)
 
     def submit_workload(self, workload) -> None:
         """Submit every query of a workload at its arrival time."""
@@ -382,8 +338,8 @@ class FederatedSystem:
             guard += 1
             if guard > 50_000_000:  # pragma: no cover - runaway guard
                 raise ConfigError("simulation failed to drain the workload")
-        # Flush the remaining events of this instant (monitor observations
-        # ride on process resumptions scheduled at the completion time).
+        # Flush the remaining events of this instant (process resumptions
+        # and syncs scheduled at the completion time still trace records).
         self.sim.run(until=self.sim.now)
 
     # -- results -----------------------------------------------------------------
@@ -399,25 +355,46 @@ class FederatedSystem:
         return self.executor.ledger
 
     def metrics(self) -> dict:
-        """This system's statistics as one metrics snapshot dict."""
-        from repro.obs.metrics import registry_from_system
+        """This system's metrics: the :class:`~repro.obs.live.LiveRegistry`
+        fold of its own trace, snapshot at the current sim time.
 
-        return registry_from_system(self)
+        Needs the whole trace: an untraced system, or a tracer that
+        dropped records, raises :class:`~repro.errors.ConfigError`.
+        """
+        from repro.obs.live import LiveRegistry
+
+        if self.tracer is None or self.tracer.dropped:
+            raise ConfigError(
+                "metrics() folds the whole trace: build the system with "
+                "SystemConfig(trace=True) and an unbounded tracer"
+            )
+        registry = LiveRegistry(
+            qos_max_staleness=self.replication.qos_max_staleness
+        )
+        for record in self.tracer.records:
+            registry.observe(record)
+        return registry.snapshot(self.sim.now)
+
+    def _mean(self, attribute: str) -> float:
+        outcomes = self.outcomes
+        if not outcomes:
+            return 0.0
+        return sum(getattr(o, attribute) for o in outcomes) / len(outcomes)
 
     @property
     def mean_information_value(self) -> float:
         """Mean realized IV over completed queries."""
-        return self.iv_monitor.mean
+        return self._mean("information_value")
 
     @property
     def mean_computational_latency(self) -> float:
         """Mean realized CL over completed queries."""
-        return self.cl_monitor.mean
+        return self._mean("computational_latency")
 
     @property
     def mean_synchronization_latency(self) -> float:
         """Mean realized SL over completed queries."""
-        return self.sl_monitor.mean
+        return self._mean("synchronization_latency")
 
     # -- fault accounting --------------------------------------------------
 

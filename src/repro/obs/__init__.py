@@ -8,22 +8,21 @@ Three pillars, all built on the :mod:`repro.sim.trace` substrate:
 * the **IV audit ledger** (:mod:`repro.obs.ledger`) — the exact CL
   decomposition and SL provenance behind every reported information
   value, recomputable bit-identically;
-* the **metrics snapshot** (:mod:`repro.obs.metrics`) — one JSON-ready
-  dict of counters, gauges and histograms unifying the runtime's
-  scattered statistics.
+* the **metrics registry** (:mod:`repro.obs.live`) — every counter,
+  gauge, rate, quantile and histogram is a fold of the trace, read at
+  any instant or after the run (``FederatedSystem.metrics()``).
 
 :mod:`repro.obs.export` serializes traces (JSONL, chrome://tracing) and
 :mod:`repro.obs.checker` turns any trace into a self-audit:
 ``TraceChecker().check(records) == []`` is the system-wide invariant the
 test harness locks down.
 
-On top of the post-hoc pillars sit the **live** ones (see
-ARCHITECTURE.md §7): :mod:`repro.obs.live` folds the same event stream
-incrementally into sliding-window rates and streaming quantile sketches,
-:mod:`repro.obs.slo` evaluates declarative SLO rules against those live
-snapshots (emitting ``alert.*`` events back into the trace), and
-:mod:`repro.obs.profile` measures the *wall-clock* (not simulated) cost
-of the optimizer and executor hot paths.
+On top of the trace sit the **live** pillars (see ARCHITECTURE.md §7):
+the :mod:`repro.obs.live` fold also keeps sliding-window rates and
+streaming quantile sketches, :mod:`repro.obs.slo` evaluates declarative
+SLO rules against those live snapshots (emitting ``alert.*`` events back
+into the trace), and :mod:`repro.obs.profile` measures the *wall-clock*
+(not simulated) cost of the optimizer and executor hot paths.
 """
 
 from repro import _lazy_exports
@@ -50,7 +49,6 @@ _EXPORTS = {
     "IVLedgerEntry": "ledger",
     "VersionProvenance": "ledger",
     "Histogram": "metrics",
-    "registry_from_system": "metrics",
     "to_prometheus": "metrics",
     "Span": "spans",
     "build_query_spans": "spans",

@@ -1,11 +1,10 @@
-"""Live telemetry: streaming aggregators over the in-flight event stream.
+"""The metrics registry: one streaming fold of the trace.
 
-Everything in :mod:`repro.obs.metrics` is *post-hoc*: ``registry_from_system``
-reads a drained system.  This module watches the same run **while it is
-running** — the online scheduler admits and sheds, the executor completes
-queries, faults open and close — by subscribing to the
-:class:`~repro.sim.trace.Tracer` and folding every record into bounded-memory
-streaming state:
+Every number the runtime reports about a run is folded from its
+:class:`~repro.sim.trace.Tracer` records — while the run is running (the
+online scheduler admits and sheds, the executor completes queries, faults
+open and close) by subscribing to the tracer, or after it by feeding the
+retained records (``FederatedSystem.metrics()``).  The state is bounded:
 
 * :class:`EwmaRate` / :class:`EwmaMean` — exponentially-decayed event rates
   and means over *simulation* time (half-life, not bucket, semantics);
@@ -16,14 +15,15 @@ streaming state:
   :class:`~repro.obs.metrics.Histogram`'s fixed buckets it adapts to the
   observed scale;
 * :class:`LiveRegistry` — the fold itself: counters, gauges, rates, fixed
-  histograms (bit-compatible with the post-hoc registry) and sketches,
-  snapshotable at any simulation instant via :meth:`LiveRegistry.snapshot`.
+  histograms and sketches, snapshotable at any simulation instant via
+  :meth:`LiveRegistry.snapshot`.
 
-Equivalence contract (property-tested): feeding a checker-clean trace
-incrementally yields final counters and histogram buckets **equal** to the
-drained-system :func:`~repro.obs.metrics.registry_from_system` snapshot,
-and sketch quantiles within the sketch's error bounds — both registries
-consume the exact same ledger floats in the exact same order.
+Equivalence contract (property-tested against the tests-only oracle
+``tests/metrics_oracle.py``, which reads a drained system's outcomes and
+sync counters, never its trace): folding a checker-clean trace yields
+final counters and IV / CL / SL histogram buckets **equal** to the
+oracle's, and sketch quantiles within the sketch's error bounds — the
+ledger records carry the exact outcome floats in completion order.
 
 There is no second way to build a registry: state is never serialized
 or merged.  Across processes the records travel instead, and the fleet
@@ -57,7 +57,7 @@ __all__ = [
     "LiveRegistry",
 ]
 
-#: IV histogram bounds, matching ``registry_from_system``'s ``query.iv.hist``.
+#: IV histogram bounds of ``query.iv.hist`` (IV lies in [0, 1]).
 IV_BUCKETS = (0.1, 0.25, 0.5, 0.75, 0.9, 1.0)
 
 
@@ -435,8 +435,8 @@ class LiveRegistry:
                 self.iv_ewma.observe(record.time, detail.get("iv", 0.0))
         elif kind == events.LEDGER:
             # The ledger is the audit record: histograms and sketches read
-            # its exact floats, so final buckets match the post-hoc
-            # registry bit-for-bit (same values, same order).
+            # its exact floats, so final buckets match the outcomes'
+            # bit-for-bit (same values, same order).
             try:
                 entry = IVLedgerEntry.from_dict(detail)
             except (KeyError, TypeError):

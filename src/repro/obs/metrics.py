@@ -1,34 +1,22 @@
-"""The post-hoc metrics snapshot, and the histogram it shares with live.
+"""The fixed-bucket histogram and the Prometheus text writer.
 
-The runtime already measures plenty — :class:`~repro.sim.monitor.Monitor`
-aggregates, :class:`~repro.federation.faults.FaultStats` counters,
-:class:`~repro.mqo.online.OnlineStats`, the replication manager's sync
-tallies — but each behind its own ad-hoc attribute names.
-:func:`registry_from_system` gives a drained system's numbers one
-namespace and one JSON-ready ``{"counters", "gauges", "histograms"}``
-dict, so an experiment can dump *everything it knows* in a single call
-and dashboards/tests consume one stable format instead of five.
-:class:`Histogram` and :func:`to_prometheus` also serve the live
-registry (:mod:`repro.obs.live`) and ``/metrics``.
+:class:`Histogram` is the bucketed distribution the metrics registry
+(:class:`~repro.obs.live.LiveRegistry`, the one fold of the trace behind
+``FederatedSystem.metrics()``, the fleet registry and ``/metrics``) keeps
+for IV, CL and SL; :func:`to_prometheus` renders any snapshot of that
+registry in the Prometheus text exposition format.
 """
 
 from __future__ import annotations
 
 import math
 import re
-import typing
 from bisect import bisect_left
-from dataclasses import fields as dataclass_fields
 
 from repro.errors import SimulationError
 
-if typing.TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.federation.system import FederatedSystem
-    from repro.sim.monitor import Monitor
-
 __all__ = [
     "Histogram",
-    "registry_from_system",
     "to_prometheus",
 ]
 
@@ -124,88 +112,6 @@ class Histogram:
         }
 
 
-def registry_from_system(system: "FederatedSystem") -> dict:
-    """Snapshot everything a :class:`FederatedSystem` run measured.
-
-    Unifies the IV/CL/SL monitors, per-outcome latency histograms, the
-    replication manager's sync tallies, fault-injector and online-MQO
-    counters (when wired) and executor-level retry/failover totals.
-    Counter and gauge values are floats; names are sorted per family.
-    """
-    counters: dict[str, float] = {}
-    gauges: dict[str, float] = {}
-
-    def monitor_gauges(prefix: str, monitor: "Monitor") -> None:
-        gauges[f"{prefix}.count"] = float(monitor.count)
-        gauges[f"{prefix}.mean"] = float(monitor.mean)
-        gauges[f"{prefix}.stddev"] = float(monitor.stddev)
-        if monitor.count:
-            gauges[f"{prefix}.min"] = float(monitor.minimum)
-            gauges[f"{prefix}.max"] = float(monitor.maximum)
-
-    def stats_counters(prefix: str, stats: object) -> None:
-        # Every numeric field of a stats dataclass; dict-valued
-        # diagnostics and flags are skipped.
-        for spec in dataclass_fields(stats):
-            value = getattr(stats, spec.name)
-            if isinstance(value, (int, float)) and not isinstance(value, bool):
-                counters[f"{prefix}.{spec.name}"] = float(value)
-
-    monitor_gauges("query.iv", system.iv_monitor)
-    monitor_gauges("query.cl", system.cl_monitor)
-    monitor_gauges("query.sl", system.sl_monitor)
-
-    iv_hist = Histogram(
-        "query.iv.hist", bounds=(0.1, 0.25, 0.5, 0.75, 0.9, 1.0)
-    )
-    cl_hist = Histogram("query.cl.hist")
-    sl_hist = Histogram("query.sl.hist")
-    for outcome in system.outcomes:
-        iv_hist.observe(outcome.information_value)
-        cl_hist.observe(outcome.computational_latency)
-        sl_hist.observe(outcome.synchronization_latency)
-
-    counters["query.completed"] = float(len(system.outcomes))
-    counters["query.failed"] = float(system.failed_count)
-    counters["query.degraded"] = float(system.degraded_count)
-    counters["query.retries"] = float(system.total_retries)
-    counters["query.failovers"] = float(system.total_failovers)
-
-    replication = system.replication
-    counters["sync.total"] = float(replication.total_syncs)
-    counters["sync.skipped"] = float(replication.syncs_skipped)
-    counters["sync.delayed"] = float(replication.syncs_delayed)
-    counters["sync.qos_violations"] = float(replication.qos_violations)
-    monitor_gauges("sync.staleness", replication.staleness)
-    for table, values in replication.table_gauges(system.sim.now).items():
-        for name, value in values.items():
-            gauges[f"{name}.{table}"] = float(value)
-
-    for site in system.sites.values():
-        for name, value in site.telemetry().items():
-            gauges[f"{name}.{site.name}"] = float(value)
-
-    if system.fault_stats is not None:
-        stats_counters("faults", system.fault_stats)
-
-    online = getattr(system, "online", None)
-    if online is not None:
-        stats_counters("mqo.online", online.stats)
-
-    if system.tracer is not None:
-        counters["trace.records"] = float(len(system.tracer))
-        counters["tracer.dropped_events"] = float(system.tracer.dropped)
-
-    return {
-        "counters": dict(sorted(counters.items())),
-        "gauges": dict(sorted(gauges.items())),
-        "histograms": {
-            histogram.name: histogram.snapshot()
-            for histogram in (cl_hist, iv_hist, sl_hist)
-        },
-    }
-
-
 # -- Prometheus text exposition ------------------------------------------------
 
 _PROM_NAME = re.compile(r"[^a-zA-Z0-9_:]")
@@ -243,10 +149,9 @@ def _prom_histogram(lines: list[str], name: str, data: dict) -> None:
 def to_prometheus(snapshot: dict, prefix: str = "repro") -> str:
     """Render a metrics snapshot in Prometheus text exposition format 0.0.4.
 
-    Accepts both snapshot shapes the repo produces —
-    :func:`registry_from_system` (``counters``/``gauges``/``histograms``)
-    and :meth:`~repro.obs.live.LiveRegistry.snapshot` (which adds ``rates``,
-    ``quantiles``, ``time`` and per-table ``tables``).  Counters export as
+    Reads a :meth:`~repro.obs.live.LiveRegistry.snapshot` (``time``,
+    ``counters``, ``gauges``, ``rates``, ``quantiles``, ``histograms`` and
+    per-table ``tables``); absent sections are skipped.  Counters export as
     ``counter``; gauges, rates and quantiles as ``gauge``; histograms as
     cumulative ``_bucket``/``_sum``/``_count`` series; per-table gauges get a
     ``table`` label.  Metric names are sanitized (``.`` → ``_``) and prefixed.

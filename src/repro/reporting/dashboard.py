@@ -10,7 +10,6 @@ render a finished run or a mid-run snapshot equally well.
 from __future__ import annotations
 
 import html
-import json
 import typing
 
 if typing.TYPE_CHECKING:  # pragma: no cover - typing only
@@ -192,15 +191,13 @@ def live_report_html(
     snapshots: list[dict],
     alerts: "list[Alert]",
     profile: dict[str, dict[str, float]] | None = None,
-    metrics: dict | None = None,
     title: str = "Live telemetry report",
 ) -> str:
     """A self-contained HTML report of one live run.
 
     ``snapshots`` is the sampled snapshot time series (last = final
-    state), ``profile`` a wall-clock attribution table
-    (:meth:`~repro.obs.profile.WallProfiler.attribution`), ``metrics``
-    the post-hoc registry snapshot for cross-checking.  Everything is
+    state) and ``profile`` a wall-clock attribution table
+    (:meth:`~repro.obs.profile.WallProfiler.attribution`).  Everything is
     inlined — no external assets — so the file can be archived with a CI
     run.
     """
@@ -285,13 +282,6 @@ def live_report_html(
                 )
             ],
         ))
-
-    if metrics is not None:
-        parts.append("<h2>Post-hoc metrics registry</h2>")
-        parts.append(
-            "<pre>" + html.escape(json.dumps(metrics, indent=2, sort_keys=True))
-            + "</pre>"
-        )
 
     parts.append("</body></html>")
     return "\n".join(parts)

@@ -5,8 +5,8 @@ with JavaSim's process/stream abstractions.  This subpackage reimplements
 the part of them the models run: a :class:`Simulator` on the one event
 heap (:class:`Timeline`, which the online scheduler's clocks share),
 generator-based :class:`Process`es, FIFO :class:`Resource`s, exponential
-and deterministic :mod:`streams <repro.sim.streams>` and a statistics
-:class:`Monitor`.
+and deterministic :mod:`streams <repro.sim.streams>` and a :class:`Tracer`
+whose records every metric is folded from.
 """
 
 from repro import _lazy_exports
@@ -17,7 +17,6 @@ _EXPORTS = {
     "DeterministicStream": "streams",
     "Event": "event",
     "ExponentialStream": "streams",
-    "Monitor": "monitor",
     "Process": "process",
     "RandomSource": "rng",
     "RandomStream": "streams",

@@ -4,37 +4,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import ReproError, SimulationError
-from repro.sim.monitor import Monitor
+from repro.errors import ReproError
 from repro.sim.rng import RandomSource
 from repro.sim.scheduler import Simulator
 from tests.engine.schema import Column, DType
-
-
-class TestMonitorWithoutRetention:
-    def test_statistics_work_without_values(self):
-        monitor = Monitor()
-        monitor.keep_values = False
-        for value in (1.0, 2.0, 3.0):
-            monitor.observe(value)
-        assert monitor.mean == pytest.approx(2.0)
-        assert monitor.values == []
-
-    def test_percentile_requires_retention(self):
-        monitor = Monitor()
-        monitor.keep_values = False
-        monitor.observe(1.0)
-        with pytest.raises(SimulationError):
-            monitor.percentile(50)
-
-    def test_merge_without_retention_keeps_aggregates(self):
-        a, b = Monitor(), Monitor()
-        b.keep_values = False
-        a.observe(1.0)
-        b.observe(3.0)
-        a.merge(b)
-        assert a.count == 2
-        assert a.mean == pytest.approx(2.0)
 
 
 class TestDTypeWidths:
@@ -64,21 +37,6 @@ class TestRandomSourceConvenience:
     def test_gauss_and_randint(self):
         source = RandomSource(5, "x")
         assert 1 <= source.randint(1, 3) <= 3
-
-
-class TestSiteUtilizationHint:
-    def test_hint_reflects_mean_wait(self, sim):
-        from repro.federation.site import Site
-
-        site = Site(sim, 0)
-        assert site.utilization_hint == 0.0
-        first = site.server.request()
-        second = site.server.request()
-        sim.run()
-        sim.call_at(4.0, lambda: site.server.release(first))
-        sim.run()
-        assert second.ok
-        assert site.utilization_hint == pytest.approx(2.0)  # (0 + 4) / 2
 
 
 class TestOutcomeDescribe:

@@ -152,6 +152,25 @@ class TestGeneticAlgorithm:
         result = ga.run(seed_chromosomes=[optimal])
         assert result.best_fitness == 1.0
 
+    def test_a_tie_with_the_seed_keeps_the_seed(self):
+        """The first strict maximum wins: an order that only ties the
+        seed never replaces it.  Kills a ``>=`` planted in either of
+        ``run``'s ``> best_fitness`` comparisons (the generation loop's
+        or the final ranking's): each then returns the twin for some of
+        these RNG seeds."""
+        seed_order = [0, 1, 2, 3]
+        twin = [1, 0, 2, 3]  # one swap away, so children hit it often
+
+        def fitness(permutation: list[int]) -> float:
+            return 1.0 if permutation in (seed_order, twin) else 0.0
+
+        config = GAConfig(population_size=6, generations=3, elitism=0)
+        for rng_seed in range(20):
+            result = GeneticAlgorithm(
+                seed_order, fitness, config, seed=rng_seed
+            ).run(seed_chromosomes=[seed_order])
+            assert result.best == seed_order, rng_seed
+
     def test_reproducible_given_seed(self):
         genes = list(range(7))
 

@@ -8,6 +8,8 @@ and the checker's online invariant rules.
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.core.value import DiscountRates
@@ -152,6 +154,36 @@ class TestOnlineScheduling:
             a.query.query_id != 2 for a in decision.result.assignments
         )
 
+    def test_a_floor_equal_to_the_bound_admits(self):
+        """Shedding is ``bound < iv_floor``: a query whose upper bound
+        equals the floor is admitted, one ulp above it is shed.  Kills the
+        mutant ``bound <= iv_floor``, which sheds at the boundary."""
+        workload = Workload()
+        workload.add(
+            DSSQuery(query_id=1, name="edge", tables=("t0",),
+                     base_work=2_000.0),
+            arrival=1.0,
+        )
+
+        def run(iv_floor: float):
+            tracer = Tracer(lambda: 0.0)
+            scheduler = build_online(
+                OnlineConfig(window=2.0, max_pending=16, iv_floor=iv_floor),
+                tracer=tracer,
+            )
+            return scheduler.run(workload), tracer
+
+        # A floor above any IV sheds the query and traces its bound.
+        decision, tracer = run(2.0)
+        (shed,) = tracer.filter(kind=events.MQO_SHED)
+        bound = shed.detail["bound"]
+        assert decision.shed == [1] and 0.0 < bound < 1.0
+
+        at_bound, _ = run(bound)
+        assert at_bound.shed == [] and at_bound.permutation == [1]
+        above, _ = run(math.nextafter(bound, math.inf))
+        assert above.shed == [1] and above.permutation == []
+
     def test_bounded_queue_defers_and_requeues(self):
         scheduler = build_online(
             OnlineConfig(window=1.0, max_pending=2, eager_start=False)
@@ -282,17 +314,21 @@ class TestSystemIntegration:
             "ivqp", DiscountRates.symmetric(0.05),
             sync_interval_for_ratio(10.0), seed=1,
         )
+        config.trace = True
         result = run_stream(
             config, "ivqp", setup.queries()[:4], mean_interarrival=6.0,
             online=True,
             online_config=OnlineConfig(window=10.0, max_pending=8),
         )
         counters = result.system.metrics()["counters"]
-        assert counters["mqo.online.submitted"] == 4.0
-        assert counters["mqo.online.dispatched"] == float(
-            result.online.stats.dispatched
-        )
-        assert "mqo.online.reopt_seconds" in counters
+        stats = result.online.stats
+        assert stats.admitted == 4 and stats.windows > 0
+        for counter, value in (
+            ("mqo.admitted", stats.admitted),
+            ("mqo.shed", stats.shed),
+            ("mqo.windows", stats.windows),
+        ):
+            assert counters.get(counter, 0.0) == value, counter
 
 
 class TestCheckerOnlineRules:

@@ -416,13 +416,17 @@ class TestPerTableGauges:
         assert gauges["sync.table.syncs"] == 1
         assert gauges["sync.table.last_gap"] == pytest.approx(1.0)
 
-    def test_registry_from_system_exports_table_and_site_gauges(self):
-        from repro.obs.metrics import registry_from_system
+    def test_system_metrics_export_a_block_per_replica(self):
         from tests.test_obs_checker import traced_system
 
         system = traced_system(num_queries=3)
-        gauges = registry_from_system(system)["gauges"]
-        table_keys = [k for k in gauges if k.startswith("sync.table.staleness.")]
-        assert table_keys, sorted(gauges)
-        site_keys = [k for k in gauges if k.startswith("site.available.")]
-        assert site_keys, sorted(gauges)
+        tables = system.metrics()["tables"]
+        assert sorted(tables) == sorted(
+            replica.name for replica in system.catalog.replicas
+        )
+        for name, gauges in tables.items():
+            replica = system.catalog.replica(name)
+            assert gauges["sync.table.syncs"] == replica.sync_count
+            assert gauges["sync.table.staleness"] == system.sim.now - (
+                replica.realized_freshness_at(system.sim.now)
+            )

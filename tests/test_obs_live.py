@@ -21,19 +21,12 @@ from repro.baselines import ivqp_router
 from repro.core.value import DiscountRates
 from repro.federation.system import SystemConfig, TableSpec, build_system
 from repro.obs.ledger import completion_ledger
-from repro.obs.metrics import registry_from_system
 from repro.obs.slo import SLORule
 from repro.sim.trace import TraceRecord
 from repro.workload.query import DSSQuery
 
+from tests.metrics_oracle import registry_from_system
 from tests.test_obs_checker import traced_system
-
-#: The counters ``registry_from_system`` keeps that the live fold also
-#: counts: after a full clean trace both must agree exactly.
-POST_HOC_COUNTERS = (
-    "query.completed", "query.failed", "query.degraded", "query.retries",
-    "query.failovers", "sync.total", "sync.skipped", "sync.delayed",
-)
 
 _unit = st.floats(0.0, 1.0)
 
@@ -269,8 +262,8 @@ class TestLiveRegistry:
     def test_final_counters_match_post_hoc_registry(self, run):
         system, live = run
         post_hoc = registry_from_system(system)["counters"]
-        for name in POST_HOC_COUNTERS:
-            assert live.counters.get(name, 0.0) == post_hoc.get(name, 0.0), name
+        for name, value in post_hoc.items():
+            assert live.counters.get(name, 0.0) == value, name
 
     def test_histogram_buckets_match_post_hoc_registry(self, run):
         system, live = run

@@ -3,8 +3,9 @@
 Hypothesis drives the same randomized federations (and fault plans) as
 ``test_obs_properties.py``; every checker-clean trace, fed incrementally
 to a :class:`~repro.obs.live.LiveRegistry` one record at a time, must end
-in the same place as the drained-system
-:func:`~repro.obs.metrics.registry_from_system` snapshot:
+in the same place as the tests-only oracle
+:func:`tests.metrics_oracle.registry_from_system`, which counts the
+drained system's outcomes and sync counters without reading its trace:
 
 * final counters are **equal** (same floats — both sides count the same
   events),
@@ -25,9 +26,8 @@ from hypothesis import HealthCheck, given, settings
 
 from repro.obs import TraceChecker
 from repro.obs.live import LiveRegistry
-from repro.obs.metrics import registry_from_system
 
-from tests.test_obs_live import POST_HOC_COUNTERS
+from tests.metrics_oracle import registry_from_system
 from tests.test_obs_properties import faulty_federations, federations, run
 
 pytestmark = pytest.mark.slow
@@ -54,8 +54,8 @@ class TestLiveEqualsPostHoc:
         TraceChecker().assert_clean(system.tracer.records)
         live = fold_incrementally(system)
         post_hoc = registry_from_system(system)["counters"]
-        for name in POST_HOC_COUNTERS:
-            assert live.counters.get(name, 0.0) == post_hoc.get(name, 0.0), name
+        for name, value in post_hoc.items():
+            assert live.counters.get(name, 0.0) == value, name
 
     @SETTINGS
     @given(federations())
@@ -74,11 +74,8 @@ class TestLiveEqualsPostHoc:
         TraceChecker().assert_clean(system.tracer.records)
         live = fold_incrementally(system)
         registry = registry_from_system(system)
-        post_counters = registry["counters"]
-        for name in POST_HOC_COUNTERS:
-            assert live.counters.get(name, 0.0) == (
-                post_counters.get(name, 0.0)
-            ), name
+        for name, value in registry["counters"].items():
+            assert live.counters.get(name, 0.0) == value, name
         for name in ("query.iv.hist", "query.cl.hist", "query.sl.hist"):
             assert live.snapshot()["histograms"][name] == (
                 registry["histograms"][name]

@@ -1,18 +1,18 @@
-"""Unit tests: the histogram and the post-hoc metrics snapshot."""
+"""Unit tests: the histogram and a system's metrics, the fold of its trace."""
 
 from __future__ import annotations
 
-import dataclasses
 import json
 
 import pytest
 
-from repro.errors import SimulationError
-from repro.obs.metrics import Histogram, registry_from_system
+from repro.errors import ConfigError, SimulationError
+from repro.obs.metrics import Histogram
 
 
-def drained_system():
-    """Three queries through a small traced federation, drained."""
+def drained_system(trace: bool = True):
+    """Three queries through a small federation (traced by default),
+    drained."""
     from repro.baselines import ivqp_router
     from repro.core.value import DiscountRates
     from repro.federation.system import SystemConfig, TableSpec, build_system
@@ -27,7 +27,7 @@ def drained_system():
         sync_mode="periodic",
         sync_mean_interval=4.0,
         rates=DiscountRates(0.02, 0.02),
-        trace=True,
+        trace=trace,
         seed=2,
     )
     system = build_system(config, ivqp_router)
@@ -104,42 +104,61 @@ class TestRegistry:
         from repro.experiments.trace_scenarios import trace_faults
 
         system = trace_faults()
-        counters = registry_from_system(system)["counters"]
-        for spec in dataclasses.fields(system.fault_stats):
-            value = getattr(system.fault_stats, spec.name)
-            assert counters[f"faults.{spec.name}"] == value
-            assert type(counters[f"faults.{spec.name}"]) is float
+        counters = system.metrics()["counters"]
+        stats = system.fault_stats
+        # The fold counts the injector's sync dispositions from the trace.
+        assert counters["sync.skipped"] == stats.syncs_skipped > 0
+        assert counters["sync.delayed"] == stats.syncs_delayed > 0
+        assert counters["faults.outages"] == sum(
+            1 for _ in system.tracer.filter(kind="fault.down")
+        )
 
-    def test_observe_monitor_publishes_aggregates(self):
+    def test_histograms_publish_aggregates(self):
         system = drained_system()
-        gauges = registry_from_system(system)["gauges"]
-        monitor = system.iv_monitor
-        assert gauges["query.iv.count"] == monitor.count == 3
-        assert gauges["query.iv.mean"] == monitor.mean
-        assert gauges["query.iv.stddev"] == monitor.stddev
-        assert gauges["query.iv.min"] == monitor.minimum
-        assert gauges["query.iv.max"] == monitor.maximum
+        histogram = system.metrics()["histograms"]["query.iv.hist"]
+        values = [o.information_value for o in system.outcomes]
+        assert histogram["count"] == len(values) == 3
+        assert histogram["mean"] == system.mean_information_value
+        assert histogram["min"] == min(values)
+        assert histogram["max"] == max(values)
 
     def test_to_json_is_valid_and_sorted(self):
-        snapshot = registry_from_system(drained_system())
+        snapshot = drained_system().metrics()
         assert json.loads(json.dumps(snapshot)) == snapshot
-        assert list(snapshot) == ["counters", "gauges", "histograms"]
-        for family in snapshot.values():
+        assert set(snapshot) == {
+            "time", "counters", "gauges", "rates", "quantiles", "histograms",
+            "tables",
+        }
+        for family in (snapshot["counters"], snapshot["tables"]):
             assert list(family) == sorted(family)
 
 
 class TestSystemRegistry:
     def test_registry_from_traced_system(self):
         system = drained_system()
-        snapshot = registry_from_system(system)
+        snapshot = system.metrics()
+        assert snapshot["time"] == system.sim.now
         assert snapshot["counters"]["query.completed"] == 3
+        assert snapshot["counters"]["ledger.entries"] == len(system.ledger)
         assert snapshot["counters"]["sync.total"] == system.replication.total_syncs
-        assert snapshot["counters"]["trace.records"] == len(system.tracer)
-        # Nothing was evicted in this run; the drop counter is exposed so
-        # dashboards (and the checker) can see when a capacity-bounded
-        # tracer lost its prefix.
-        assert snapshot["counters"]["tracer.dropped_events"] == 0
-        assert snapshot["gauges"]["query.iv.count"] == 3
         assert snapshot["histograms"]["query.cl.hist"]["count"] == 3
-        # system.metrics() is the same snapshot behind a method.
-        assert system.metrics() == snapshot
+        assert snapshot["tables"]["a"]["sync.table.syncs"] == (
+            system.catalog.replica("a").sync_count
+        )
+
+    def test_untraced_system_is_refused(self):
+        system = drained_system(trace=False)
+        with pytest.raises(ConfigError, match=r"SystemConfig\(trace=True\)"):
+            system.metrics()
+
+    def test_tracer_that_dropped_records_is_refused(self):
+        from repro.sim.trace import Tracer
+
+        system = drained_system()
+        tracer = Tracer(lambda: 0.0, capacity=1)
+        tracer.emit("submit", "q0", qid=0)
+        tracer.emit("submit", "q1", qid=1)
+        assert tracer.dropped == 1
+        system.tracer = tracer
+        with pytest.raises(ConfigError, match=r"SystemConfig\(trace=True\)"):
+            system.metrics()

@@ -103,6 +103,22 @@ def test_fleet_spool_names_are_gone():
         assert not hasattr(fleet, name)
 
 
+def test_post_hoc_metrics_names_are_gone():
+    """A system's metrics are the fold of its trace: the post-hoc registry
+    and the Welford ``Monitor`` it read are no longer part of the package."""
+    import repro.obs
+    import repro.sim
+    from repro.obs import metrics
+
+    assert "registry_from_system" not in repro.obs.__all__
+    assert not hasattr(repro.obs, "registry_from_system")
+    assert not hasattr(metrics, "registry_from_system")
+    assert "Monitor" not in repro.sim.__all__
+    assert not hasattr(repro.sim, "Monitor")
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.sim.monitor")
+
+
 def _loaded_after(code: str) -> tuple[list[str], list[str]]:
     """``(repro modules, heavy stdlib modules)`` loaded by ``code`` in a
     fresh interpreter (``-B``: the probe writes no bytecode into ``src/``)."""
@@ -125,9 +141,8 @@ def _loaded_after(code: str) -> tuple[list[str], list[str]]:
 #: federation, the trace checker and the batch scheduler.
 _NOT_SERVING = (
     "repro.data.tpch", "repro.workload.tpch", "repro.sim.scheduler", "repro.sim.process",
-    "repro.sim.resource", "repro.sim.event", "repro.sim.monitor",
-    "repro.sim.faults", "repro.federation.system",
-    "repro.federation.executor", "repro.federation.faults",
+    "repro.sim.resource", "repro.sim.event", "repro.sim.faults",
+    "repro.federation.system", "repro.federation.executor", "repro.federation.faults",
     "repro.federation.site", "repro.obs.checker", "repro.mqo.scheduler",
     "repro.core.aging",
 )
