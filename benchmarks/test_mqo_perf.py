@@ -88,7 +88,6 @@ def run_ga(evaluator: WorkloadEvaluator, naive: bool = False):
         fitness,
         config=GAConfig(generations=50, population_size=32),
         seed=5,
-        evaluator_stats=evaluator.stats,
     )
     return ga.run()
 

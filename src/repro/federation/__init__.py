@@ -10,7 +10,6 @@ _EXPORTS = {
     "ExecutionPolicy": "executor",
     "FaultInjector": "faults",
     "FaultPlan": "faults",
-    "FaultStats": "faults",
     "FederatedSystem": "system",
     "FixedSyncSchedule": "catalog",
     "LinkDegradation": "faults",

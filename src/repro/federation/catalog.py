@@ -180,7 +180,6 @@ class FixedSyncSchedule(SyncSchedule):
         ordered = sorted(set(times))  # same-instant syncs collapse to one
         if ordered[0] < 0:
             raise CatalogError("sync times must be >= 0")
-        self._fixed = ordered
         if tail_period is not None and tail_period <= 0:
             raise CatalogError("tail_period must be > 0")
         if tail_period is None:

@@ -219,7 +219,6 @@ class PlanExecutor:
                     return
                 attempts += 1
                 record["retries"] += 1
-                faults.stats.legs_stalled_on_outage += 1
                 up = faults.site_up_after(site_id, sim.now)
                 self._emit(
                     events.LEG_BLOCKED, plan, site=site_id, until=up,
@@ -262,7 +261,6 @@ class PlanExecutor:
                 if outage < granted + service:
                     # The site fails under us: work until the outage hits,
                     # then the partial work is lost.
-                    faults.stats.legs_interrupted += 1
                     if outage > granted:
                         yield sim.timeout(outage - granted)
                     site.server.release(request)

@@ -18,12 +18,11 @@ hashed substreams, never from shared mutable RNG state), identical seeds
 give identical fault timelines — the property tests assert exactly that —
 and planners may inspect it: :class:`FaultPlan` satisfies
 :class:`AvailabilityView`, the read-only interface the IVQP optimizer and
-the MQO evaluator use for degraded-mode planning.
+its plan enumeration use for degraded-mode planning.
 
 The :class:`FaultInjector` is the runtime half: it binds a plan to one
 simulation, answers the executor's and replication manager's questions,
-counts what actually happened (:class:`FaultStats`), and flips
-``Site.available`` at window edges for observability.
+and flips ``Site.available`` at window edges for observability.
 """
 
 from __future__ import annotations
@@ -51,7 +50,6 @@ __all__ = [
     "LinkDegradation",
     "AvailabilityView",
     "FaultPlan",
-    "FaultStats",
     "FaultInjector",
 ]
 
@@ -251,54 +249,12 @@ class FaultPlan:
         )
 
 
-@dataclass
-class FaultStats:
-    """Counters of what the injector actually did during one run."""
-
-    outages_scheduled: int = 0
-    outage_minutes: float = 0.0
-    syncs_applied: int = 0
-    syncs_skipped: int = 0
-    syncs_delayed: int = 0
-    sync_delay_minutes: float = 0.0
-    legs_interrupted: int = 0
-    legs_stalled_on_outage: int = 0
-    legs_degraded: int = 0
-    degraded_leg_minutes: float = 0.0
-
-    def merge(self, other: "FaultStats") -> None:
-        """Accumulate another stats struct into this one (for reporting)."""
-        self.outages_scheduled += other.outages_scheduled
-        self.outage_minutes += other.outage_minutes
-        self.syncs_applied += other.syncs_applied
-        self.syncs_skipped += other.syncs_skipped
-        self.syncs_delayed += other.syncs_delayed
-        self.sync_delay_minutes += other.sync_delay_minutes
-        self.legs_interrupted += other.legs_interrupted
-        self.legs_stalled_on_outage += other.legs_stalled_on_outage
-        self.legs_degraded += other.legs_degraded
-        self.degraded_leg_minutes += other.degraded_leg_minutes
-
-    def summary(self) -> str:
-        """One-line digest for experiment output."""
-        return (
-            f"outages={self.outages_scheduled} "
-            f"({self.outage_minutes:.1f}min) "
-            f"syncs ok/skip/delay={self.syncs_applied}"
-            f"/{self.syncs_skipped}/{self.syncs_delayed} "
-            f"legs interrupted={self.legs_interrupted} "
-            f"stalled={self.legs_stalled_on_outage} "
-            f"degraded={self.legs_degraded}"
-        )
-
-
 class FaultInjector:
     """Binds a :class:`FaultPlan` to one running simulation.
 
     The plan is the source of truth (timelines are queried, never raced);
-    the injector adds runtime bookkeeping — fault counters, ``Site.available``
-    toggling at window edges, and the sync dispositions the replication
-    manager consumes.
+    the injector adds ``Site.available`` toggling at window edges and the
+    sync dispositions the replication manager consumes.
     """
 
     def __init__(
@@ -314,7 +270,6 @@ class FaultInjector:
         self.sites = dict(sites or {})
         self.network = network
         self.tracer = tracer
-        self.stats = FaultStats()
         self._started = False
 
     def _flip(self, site: "Site", available: bool, window: Window) -> None:
@@ -336,8 +291,6 @@ class FaultInjector:
         for site_id, timeline in self.plan.site_outages.items():
             site = self.sites.get(site_id)
             for window in timeline.windows:
-                self.stats.outages_scheduled += 1
-                self.stats.outage_minutes += window.duration
                 if site is None:
                     continue
                 if window.start >= now:
@@ -384,21 +337,10 @@ class FaultInjector:
         )
         penalty = minutes * (degradation.bandwidth_multiplier - 1.0)
         penalty += base_latency * (degradation.latency_multiplier - 1.0)
-        if penalty > 0.0:
-            self.stats.legs_degraded += 1
-            self.stats.degraded_leg_minutes += penalty
         return penalty
 
     # -- replication-manager-facing ---------------------------------------
 
     def sync_disposition(self, replica: "Replica", time: float) -> tuple[str, float]:
-        """Disposition of one scheduled sync completion, with counting."""
-        kind, delay = self.plan.sync_disposition(replica.name, time)
-        if kind == SYNC_SKIP:
-            self.stats.syncs_skipped += 1
-        elif kind == SYNC_DELAY:
-            self.stats.syncs_delayed += 1
-            self.stats.sync_delay_minutes += delay
-        else:
-            self.stats.syncs_applied += 1
-        return kind, delay
+        """Disposition of one scheduled sync completion."""
+        return self.plan.sync_disposition(replica.name, time)

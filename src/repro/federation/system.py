@@ -418,11 +418,6 @@ class FederatedSystem:
         """Queries that produced no result (IV 0)."""
         return sum(1 for outcome in self.outcomes if outcome.failed)
 
-    @property
-    def fault_stats(self):
-        """The injector's counters, or ``None`` without fault injection."""
-        return self.injector.stats if self.injector is not None else None
-
 
 def build_system(
     config: SystemConfig,

@@ -89,7 +89,6 @@ if typing.TYPE_CHECKING:  # pragma: no cover - typing only
     from collections.abc import Sequence
 
     from repro.federation.costmodel import ComboCost
-    from repro.federation.faults import AvailabilityView
     from repro.workload.query import DSSQuery, Workload
 
 __all__ = [
@@ -265,7 +264,6 @@ class EvaluatorStats:
     trie_evictions: int = 0
     horizon_capped: int = 0
     candidate_plans_dropped: int = 0
-    candidates_unavailable: int = 0
     #: Shape skeletons built / arrivals selected (:meth:`_select` runs) —
     #: the work counters that catch an O(queries) compile regression.
     shapes: int = 0
@@ -303,8 +301,7 @@ class EvaluatorStats:
             f"choice_hits={self.choice_hits} "
             f"pruned={self.candidates_pruned} "
             f"horizon_capped={self.horizon_capped} "
-            f"plans_dropped={self.candidate_plans_dropped} "
-            f"unavailable={self.candidates_unavailable}"
+            f"plans_dropped={self.candidate_plans_dropped}"
         )
 
 
@@ -317,12 +314,11 @@ class _CompiledTimeline:
     watermark keeps the rare schedule-extension call out of the hot loop.
     """
 
-    __slots__ = ("replica", "name", "site", "times", "initial", "covered")
+    __slots__ = ("replica", "name", "times", "initial", "covered")
 
     def __init__(self, replica) -> None:
         self.replica = replica
         self.name = replica.name
-        self.site = replica.table.site
         self.initial = replica.initial_timestamp
         self.cover(0.0)
 
@@ -469,29 +465,18 @@ class WorkloadEvaluator:
         workload: "Workload",
         max_candidates: int = 64,
         max_prefix_entries: int = 65_536,
-        availability: "AvailabilityView | None" = None,
         selections: "dict[int, tuple] | None" = None,
     ) -> None:
         if max_candidates < 1:
             raise OptimizationError("max_candidates must be >= 1")
         if max_prefix_entries < 0:
             raise OptimizationError("max_prefix_entries must be >= 0")
-        if selections and availability is not None:
-            raise OptimizationError(
-                "selections are shipped availability-free: an evaluator "
-                "with an availability view selects for itself"
-            )
         self.catalog = catalog
         #: Must be a function of a query's shape (``DSSQuery.cost_shape``):
         #: each combo is costed once per shape, not once per query.
         self.cost_provider = cost_provider
         self.default_rates = default_rates
         self.workload = workload
-        #: Scheduled-fault view: candidate enumeration avoids down sites
-        #: and unreliable sync points, and compiled candidates whose remote
-        #: legs land on a down site are filtered (never to empty — a query
-        #: whose only plans touch down sites keeps them as a last resort).
-        self.availability = availability
         self.max_candidates = max_candidates
         self.max_prefix_entries = max_prefix_entries
         self.stats = EvaluatorStats()
@@ -629,27 +614,19 @@ class WorkloadEvaluator:
         """The arrival plus every sync completion worth delaying for.
 
         That is each completion, inside ``(arrival, arrival + tolerable]``,
-        of a replica the query reads — minus, under an availability view,
-        the ones scheduled to skip or slip.
+        of a replica the query reads.
         """
         starts = [arrival]
         if shape.replicated:
             horizon = arrival + shape.tolerable
-            availability = self.availability
             points: set[float] = set()
             for timeline in shape.replicated:
                 if horizon > timeline.covered:
                     timeline.cover(horizon)
                 times = timeline.times
-                due = times[
-                    bisect_right(times, arrival):bisect_right(times, horizon)
-                ]
-                if availability is not None:
-                    due = [
-                        time for time in due
-                        if not availability.unreliable_sync(timeline.name, time)
-                    ]
-                points.update(due)
+                points.update(
+                    times[bisect_right(times, arrival):bisect_right(times, horizon)]
+                )
             starts.extend(sorted(points))
         return starts
 
@@ -669,7 +646,6 @@ class WorkloadEvaluator:
         stats.lowerings += 1
         if shape.horizon_capped:
             stats.horizon_capped += 1
-        availability = self.availability
         replicated = shape.replicated
 
         # Estimated IV per (start, combo), with exactly
@@ -679,20 +655,9 @@ class WorkloadEvaluator:
         sync_base = shape.sync_base
         entries = []
         for start in self._start_instants(shape, arrival):
-            live = replicated
-            # Freshness floor from replicas whose base site is down at
-            # `start`: never substituted, so read stale in every combo.
-            floor = inf
-            if availability is not None:
-                live = []
-                for timeline in replicated:
-                    if availability.is_site_down(timeline.site, start):
-                        floor = min(floor, timeline.freshness(start))
-                    else:
-                        live.append(timeline)
             ranked = sorted(
                 [(timeline.freshness(start), timeline.name)
-                 for timeline in live]
+                 for timeline in replicated]
             )
             order = tuple([name for _fresh, name in ranked])
             combos = shape.combos.get(order)
@@ -702,8 +667,6 @@ class WorkloadEvaluator:
                 # Stalest version read: replicas ranked[k:] stay
                 # replicas; a base read is as fresh as `start`.
                 oldest = ranked[k][0] if k < len(ranked) else inf
-                if floor < oldest:
-                    oldest = floor
                 if combo.has_base and start < oldest:
                     oldest = start
                 completed = start + combo.processing + combo.transmission
@@ -717,17 +680,6 @@ class WorkloadEvaluator:
                     estimate *= sync_base ** sync_latency
                 entries.append((estimate, start, combo, completed))
 
-        if availability is not None:
-            available = [
-                entry for entry in entries
-                if not any(
-                    availability.is_site_down(site, entry[1])
-                    for site in entry[2].cost.remote_sites
-                )
-            ]
-            if available:
-                stats.candidates_unavailable += len(entries) - len(available)
-                entries = available
         entries.sort(key=_ESTIMATE, reverse=True)
         dropped = len(entries) - self.max_candidates
         if dropped > 0:
@@ -844,10 +796,6 @@ class WorkloadEvaluator:
         picklable — for that evaluator's ``selections``.
         """
         if ship is not None:
-            if self.availability is not None:
-                raise OptimizationError(
-                    "selections are shipped availability-free"
-                )
             query = self.workload.query(query_id)
             arrival = self.workload.arrival_of(query_id)
             selection = self._select(self._shape_of(query), query, arrival)
@@ -929,11 +877,12 @@ class WorkloadEvaluator:
         )
 
     def _commit(self, assignment: Assignment, free_at: dict[int, float]) -> None:
+        # A choice begins once every server it commits is free, so each
+        # leg simply holds its server until begin + minutes.
         begin = assignment.begin
         site_ids = self._site_ids
         for slot, minutes in assignment.candidate[_COMMIT_LEGS]:
-            site = site_ids[slot]
-            free_at[site] = max(free_at.get(site, 0.0), begin + minutes)
+            free_at[site_ids[slot]] = begin + minutes
 
     def choose_best(
         self, query_id: int, free_at: dict[int, float]

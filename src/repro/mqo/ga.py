@@ -17,7 +17,6 @@ the config and the seed.
 
 from __future__ import annotations
 
-import typing
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from math import factorial
@@ -30,9 +29,6 @@ from repro.mqo.chromosome import (
     validate_permutation,
 )
 from repro.sim.rng import RandomSource
-
-if typing.TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.mqo.evaluator import EvaluatorStats
 
 __all__ = ["Fitness", "GAConfig", "GAResult", "GeneticAlgorithm"]
 
@@ -80,7 +76,6 @@ class GAResult:
     history: list[float] = field(default_factory=list)
     fitness_calls: int = 0
     cache_hits: int = 0
-    evaluator_stats: "EvaluatorStats | None" = None
 
 
 class GeneticAlgorithm:
@@ -92,7 +87,6 @@ class GeneticAlgorithm:
         fitness: Fitness,
         config: GAConfig | None = None,
         seed: int = 0,
-        evaluator_stats: "EvaluatorStats | None" = None,
     ) -> None:
         if not genes:
             raise OptimizationError("GA needs at least one gene")
@@ -101,7 +95,6 @@ class GeneticAlgorithm:
         self.fitness = fitness
         self.config = config or GAConfig()
         self.rng = RandomSource(seed, "ga")
-        self.evaluator_stats = evaluator_stats
         self._cache: dict[tuple[int, ...], float] = {}
         self._fitness_calls = 0
         self._cache_hits = 0
@@ -206,5 +199,4 @@ class GeneticAlgorithm:
             history=history,
             fitness_calls=self._fitness_calls,
             cache_hits=self._cache_hits,
-            evaluator_stats=self.evaluator_stats,
         )

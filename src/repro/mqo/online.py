@@ -582,7 +582,6 @@ class OnlineSession:
                     + self.pass_serial * _PASS_SEED_STRIDE
                     + index
                 ),
-                evaluator_stats=evaluator.stats,
             )
             outcome = ga.run(seed_chromosomes=seeds)
             group_orders[index] = outcome.best

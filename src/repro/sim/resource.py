@@ -55,8 +55,6 @@ class Resource:
         self.name = name or "resource"
         self._users: set[Request] = set()
         self._queue: deque[Request] = deque()
-        self.total_requests = 0
-        self.total_wait = 0.0
 
     @property
     def in_use(self) -> int:
@@ -71,7 +69,6 @@ class Resource:
     def request(self) -> Request:
         """Claim one unit; the returned event fires when granted."""
         req = Request(self)
-        self.total_requests += 1
         self._queue.append(req)
         self._dispatch()
         return req
@@ -95,7 +92,6 @@ class Resource:
         while self._queue and len(self._users) < self.capacity:
             req = self._queue.popleft()
             req.granted_at = self.sim.now
-            self.total_wait += req.wait_time
             self._users.add(req)
             req.succeed(req)
 

@@ -169,7 +169,6 @@ class BatchScheduler:
                 fitness=evaluator.sequence_fitness,
                 config=self.ga_config,
                 seed=self.seed + index,
-                evaluator_stats=evaluator.stats,
             )
             outcome = ga.run(seed_chromosomes=[seed_order])
             ga_results.append(outcome)

@@ -239,7 +239,6 @@ class TestExecutorFaultHandling:
         (outcome,) = executor.outcomes
         assert outcome.retries == 1
         assert outcome.degraded and not outcome.failed
-        assert injector.stats.legs_stalled_on_outage == 1
         # Recovery at 2.0 + one backoff 0.1, leg 3.0, local 1.0.
         assert outcome.completed_at == pytest.approx(6.1)
         # Base data is as-of the retried leg's actual start.
@@ -253,8 +252,8 @@ class TestExecutorFaultHandling:
         executor.execute(remote_plan(catalog, provider))
         sim.run(until=50.0)
         (outcome,) = executor.outcomes
-        assert injector.stats.legs_interrupted == 1
         assert outcome.retries == 1
+        assert outcome.degraded and not outcome.failed
         # Work from 0.0-1.0 is lost; rerun starts 2.1, leg 3.0, local 1.0.
         assert outcome.completed_at == pytest.approx(6.1)
 
@@ -345,8 +344,8 @@ class TestExecutorFaultHandling:
         (outcome,) = executor.outcomes
         # Leg doubles from 3.0 to 6.0 under the saturated link.
         assert outcome.completed_at == pytest.approx(7.0)
-        assert injector.stats.legs_degraded == 1
-        assert injector.stats.degraded_leg_minutes == pytest.approx(3.0)
+        assert outcome.retries == 0 and not outcome.failed
+        assert injector.leg_penalty(0, 0.0, 3.0) == pytest.approx(3.0)
 
     def test_injector_start_toggles_site_availability(self):
         sim, _catalog, _provider, injector, executor = fault_world(
@@ -360,8 +359,8 @@ class TestExecutorFaultHandling:
         sim.call_at(2.5, lambda: flips.append((2.5, site.available)))
         sim.run(until=5.0)
         assert flips == [(0.5, True), (1.5, False), (2.5, True)]
-        assert injector.stats.outages_scheduled == 1
-        assert injector.stats.outage_minutes == pytest.approx(1.0)
+        (window,) = injector.plan.site_outages[0].windows
+        assert window.duration == pytest.approx(1.0)
 
 
 class TestReplicationUnderFaults:
@@ -384,7 +383,7 @@ class TestReplicationUnderFaults:
         sim.run(until=10.0)
         assert manager.total_syncs == 0
         assert manager.syncs_skipped == 3
-        assert injector.stats.syncs_skipped == 3
+        assert manager.syncs_delayed == 0
         replica = catalog.replica("a")
         # The schedule promises freshness 6.0 at t=10; reality delivered
         # nothing past the initial load.
@@ -398,9 +397,12 @@ class TestReplicationUnderFaults:
         manager.start()
         sim.run(until=200.0)
         assert manager.total_syncs == 3
+        # The manager counts a sync as delayed only when it slips > 0.
         assert manager.syncs_delayed == 3
-        assert injector.stats.sync_delay_minutes > 0.0
+        assert manager.syncs_skipped == 0
         replica = catalog.replica("a")
+        # The first sync was due at 2.0 and had not landed by then.
+        assert replica.realized_freshness_at(2.0) < replica.freshness_at(2.0)
         # At every probe instant reality trails (or matches) the promise.
         for probe in (2.5, 4.5, 6.5, 9.0):
             assert (

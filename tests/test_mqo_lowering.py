@@ -2,7 +2,7 @@
 
 ``WorkloadEvaluator`` builds one skeleton per query shape and lowers each
 arrival straight to compiled candidate records.  The pipeline it replaced
-— ``enumerate_plans`` → availability filter → estimated-IV sort →
+— ``enumerate_plans`` → estimated-IV sort →
 ``max_candidates`` cut → compile each :class:`QueryPlan` — lives on here as
 the oracle (:func:`oracle_compile`): every lowered candidate must match it
 field by field, floats compared with ``==``, and the silent-cap counters
@@ -16,7 +16,7 @@ import pickle
 from dataclasses import dataclass, replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.enumeration import enumerate_plans
@@ -42,6 +42,7 @@ from repro.federation.costmodel import (
 from repro.federation.site import LOCAL_SITE_ID
 from repro.mqo.evaluator import (
     _BOUND_SLACK,
+    _COMMIT_LEGS,
     _PLAN_CELL,
     _START,
     CANDIDATE_HORIZON_CAP,
@@ -86,14 +87,13 @@ class OracleQuery:
     latest_completion: float
     horizon_capped: int = 0
     candidate_plans_dropped: int = 0
-    candidates_unavailable: int = 0
 
 
 def oracle_candidates(
     query, arrival, catalog, cost_provider, rates, max_candidates,
-    availability, counters: OracleQuery,
+    counters: OracleQuery,
 ) -> list[QueryPlan]:
-    """The old ``WorkloadEvaluator.candidates``: enumerate, filter, sort, cut."""
+    """The old ``WorkloadEvaluator.candidates``: enumerate, sort, cut."""
     all_base_cost = cost_provider.combo_cost(query, frozenset(query.tables))
     incumbent = information_value(
         query.business_value, all_base_cost.total, all_base_cost.total, rates
@@ -107,19 +107,7 @@ def oracle_candidates(
     plans = enumerate_plans(
         query, catalog, cost_provider, rates,
         submitted_at=arrival, horizon=arrival + tolerable, exhaustive=False,
-        availability=availability,
     )
-    if availability is not None:
-        available = [
-            plan for plan in plans
-            if not any(
-                availability.is_site_down(site, plan.start_time)
-                for site in plan.cost.remote_sites
-            )
-        ]
-        if available:
-            counters.candidates_unavailable += len(plans) - len(available)
-            plans = available
     plans.sort(key=lambda plan: plan.information_value, reverse=True)
     dropped = len(plans) - max_candidates
     if dropped > 0:
@@ -164,13 +152,12 @@ def oracle_compile_plan(plan: QueryPlan, arrival: float, catalog) -> OracleCandi
 
 
 def oracle_compile(
-    query, arrival, catalog, cost_provider, rates, max_candidates, availability,
+    query, arrival, catalog, cost_provider, rates, max_candidates,
 ) -> OracleQuery:
     """The old ``WorkloadEvaluator._compiled_query`` for one query."""
     compiled = OracleQuery([], [], (), 0.0)
     plans = oracle_candidates(
-        query, arrival, catalog, cost_provider, rates, max_candidates,
-        availability, compiled,
+        query, arrival, catalog, cost_provider, rates, max_candidates, compiled,
     )
     compiled.candidates = [
         oracle_compile_plan(plan, arrival, catalog) for plan in plans
@@ -222,20 +209,6 @@ def build_catalog(kind: str, seed: int, initial: list[float]) -> Catalog:
     return catalog
 
 
-class StubAvailability:
-    """A deterministic :class:`AvailabilityView`: windows + a sync rule."""
-
-    def __init__(self, outages: dict[int, list[tuple[float, float]]], modulus: int):
-        self.outages = outages
-        self.modulus = modulus
-
-    def is_site_down(self, site: int, time: float) -> bool:
-        return any(lo <= time < hi for lo, hi in self.outages.get(site, ()))
-
-    def unreliable_sync(self, table: str, time: float) -> bool:
-        return (int(time * 16) + len(table) + int(table[1:])) % self.modulus == 0
-
-
 rate = st.sampled_from([0.0, 1e-4, 0.01, 0.05, 0.1, 0.15])
 query_spec = st.tuples(
     st.integers(min_value=0, max_value=NUM_TABLES - 1),   # first table
@@ -244,11 +217,6 @@ query_spec = st.tuples(
     st.sampled_from([400.0, 2_000.0, 8_000.0, 20_000.0]),  # base work
     st.sampled_from([0.5, 1.0, 3.0]),                     # business value
     st.one_of(st.none(), st.tuples(rate, rate)),          # per-query rates
-)
-outage = st.tuples(
-    st.integers(min_value=0, max_value=NUM_SITES - 1),
-    st.floats(min_value=0.0, max_value=60.0),
-    st.floats(min_value=0.5, max_value=20.0),
 )
 
 
@@ -284,11 +252,10 @@ def assert_lowering_matches_oracle(
         rates = evaluator.rates_for(query)
         oracle = oracle_compile(
             query, arrival, oracle_catalog, oracle_costs, rates,
-            evaluator.max_candidates, evaluator.availability,
+            evaluator.max_candidates,
         )
         expected_stats.horizon_capped += oracle.horizon_capped
         expected_stats.candidate_plans_dropped += oracle.candidate_plans_dropped
-        expected_stats.candidates_unavailable += oracle.candidates_unavailable
 
         compiled = evaluator._compiled_query(query.query_id)
         plans = evaluator.candidates(query)
@@ -346,7 +313,6 @@ def assert_lowering_matches_oracle(
     stats = (selected_by or evaluator).stats
     assert stats.horizon_capped == expected_stats.horizon_capped
     assert stats.candidate_plans_dropped == expected_stats.candidate_plans_dropped
-    assert stats.candidates_unavailable == expected_stats.candidates_unavailable
     assert stats.lowerings == len(evaluator.workload)
 
 
@@ -362,20 +328,11 @@ class TestLoweringMatchesOracle:
         specs=st.lists(query_spec, min_size=1, max_size=6),
         default_rates=st.tuples(rate, rate),
         max_candidates=st.sampled_from([1, 2, 4, 64]),
-        outages=st.one_of(st.none(), st.lists(outage, max_size=4)),
-        modulus=st.integers(min_value=2, max_value=7),
         slow=st.booleans(),
     )
     def test_field_by_field(
-        self, kind, seed, initial, specs, default_rates, max_candidates,
-        outages, modulus, slow,
+        self, kind, seed, initial, specs, default_rates, max_candidates, slow,
     ):
-        availability = None
-        if outages is not None:
-            windows: dict[int, list[tuple[float, float]]] = {}
-            for site, start, length in outages:
-                windows.setdefault(site, []).append((start, start + length))
-            availability = StubAvailability(windows, modulus)
         # Slow servers stretch plans to hours, so low rates hit the
         # 24-hour horizon clamp.
         params = (
@@ -389,7 +346,7 @@ class TestLoweringMatchesOracle:
         evaluator = WorkloadEvaluator(
             catalog, CostModel(catalog, params=params),
             DiscountRates(*default_rates), build_workload(specs),
-            max_candidates=max_candidates, availability=availability,
+            max_candidates=max_candidates,
         )
         assert_lowering_matches_oracle(
             evaluator, oracle_catalog, CostModel(oracle_catalog, params=params)
@@ -574,17 +531,6 @@ class TestShippedSelectionsFailLoudly:
         with pytest.raises(OptimizationError, match="not a remote set"):
             evaluator.upper_bound(qid)
 
-    def test_an_evaluator_with_an_availability_view_selects_for_itself(self):
-        shipped: dict[int, tuple] = {}
-        self.build().range_of(1, shipped)
-        view = StubAvailability({}, 5)
-        with pytest.raises(OptimizationError, match="availability"):
-            self.build(availability=view, selections=shipped)
-        with pytest.raises(OptimizationError, match="availability"):
-            self.build(availability=view).range_of(1, {})
-        # No selections to refuse: an empty mapping is not an error.
-        assert self.build(availability=view, selections={}).range_of(1)
-
 
 class TestShapeKeyedCostModel:
     """Regression: cost-model caches grew by one entry set per query object."""
@@ -644,3 +590,133 @@ def test_evaluation_equals_naive_on_every_schedule_kind(kind):
                 b.begin, b.completed, b.data_timestamp
             )
         assert fast.total_information_value == naive.total_information_value
+
+
+class TestUpperBoundAdmissible:
+    """``upper_bound`` is what admission control sheds on: no candidate may
+    ever realize more, whatever the committed clocks, and at idle clocks a
+    query without sync discounting realizes its bound (so a bound scaled
+    down or up fails here, not only in the bit-equality oracles)."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        kind=st.sampled_from(SCHEDULE_KINDS),
+        seed=st.integers(min_value=0, max_value=2**16),
+        initial=st.lists(
+            st.sampled_from([0.0, 0.0, 3.0, 25.0, 90.0]),
+            min_size=NUM_TABLES, max_size=NUM_TABLES,
+        ),
+        specs=st.lists(query_spec, min_size=1, max_size=4),
+        default_rates=st.tuples(rate, rate),
+        clocks=st.lists(
+            st.floats(min_value=0.0, max_value=120.0),
+            min_size=NUM_SITES + 1, max_size=NUM_SITES + 1,
+        ),
+    )
+    @example(
+        kind="fixed", seed=0, initial=[0.0] * NUM_TABLES,
+        specs=[(0, 2, 1.0, 2_000.0, 1.0, None)], default_rates=(0.1, 0.1),
+        clocks=[0.0] * (NUM_SITES + 1),
+    )
+    def test_no_candidate_realizes_more_than_the_bound(
+        self, kind, seed, initial, specs, default_rates, clocks
+    ):
+        def evaluator(specs, default_rates) -> WorkloadEvaluator:
+            catalog = build_catalog(kind, seed, initial)
+            return WorkloadEvaluator(
+                catalog, CostModel(catalog), DiscountRates(*default_rates),
+                build_workload(specs),
+            )
+
+        def realized(evaluator, qid, free_at) -> list[float]:
+            compiled = evaluator._compiled_query(qid)
+            return [
+                evaluator._realize(compiled, candidate, free_at)
+                .information_value
+                for candidate in compiled.candidates
+            ]
+
+        busy = evaluator(specs, default_rates)
+        free_at = dict(zip(busy._site_ids, clocks))
+        for qid in range(1, len(specs) + 1):
+            bound = busy.upper_bound(qid)
+            assert max(realized(busy, qid, free_at)) <= bound
+            assert max(realized(busy, qid, {})) <= bound
+        # Without the sync discount an idle server realizes CL at its
+        # minimum, so the best-bounded candidate reaches its bound.
+        tight = evaluator(
+            [(*spec[:5], None) for spec in specs], (default_rates[0], 0.0)
+        )
+        for qid in range(1, len(specs) + 1):
+            bound = tight.upper_bound(qid)
+            best = max(realized(tight, qid, {}))
+            assert best <= bound <= best * _BOUND_SLACK**2
+
+
+class TestCommitClocks:
+    """Every commit holds each leg's server until exactly ``begin +
+    minutes`` and never turns a clock back: ``begin`` already waited for
+    every server the choice commits (FIFO, greedy and online dispatch)."""
+
+    @staticmethod
+    def checked(commits: list) -> object:
+        original = WorkloadEvaluator._commit
+
+        def commit(self, assignment, free_at):
+            before = dict(free_at)
+            original(self, assignment, free_at)
+            legs = {
+                self._site_ids[slot]: minutes
+                for slot, minutes in assignment.candidate[_COMMIT_LEGS]
+            }
+            assert set(free_at) == set(before) | set(legs)
+            for site, clock in free_at.items():
+                if site in legs:
+                    assert clock == assignment.begin + legs[site]
+                    assert clock >= before.get(site, 0.0)
+                else:
+                    assert clock == before[site]
+            commits.append(assignment.query.query_id)
+
+        return commit
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        kind=st.sampled_from(SCHEDULE_KINDS),
+        seed=st.integers(min_value=0, max_value=2**16),
+        specs=st.lists(query_spec, min_size=1, max_size=5),
+        default_rates=st.tuples(rate, rate),
+    )
+    @example(
+        kind="fixed", seed=0, specs=[(0, 2, 1.0, 2_000.0, 1.0, None)],
+        default_rates=(0.1, 0.1),
+    )
+    def test_each_commit_sets_begin_plus_minutes(
+        self, kind, seed, specs, default_rates
+    ):
+        from unittest import mock
+
+        from repro.mqo.ga import GAConfig
+        from repro.mqo.online import OnlineConfig, OnlineMQOScheduler
+        from repro.mqo.scheduler import WorkloadScheduler
+
+        def world():
+            catalog = build_catalog(kind, seed, [0.0] * NUM_TABLES)
+            return catalog, CostModel(catalog), DiscountRates(*default_rates)
+
+        ga = GAConfig(population_size=6, generations=3)
+        runs = [
+            lambda w: WorkloadScheduler(*world(), ga_config=ga).fifo(w),
+            lambda w: WorkloadScheduler(*world(), ga_config=ga)
+            .greedy_dispatch(w),
+            lambda w: OnlineMQOScheduler(
+                *world(), ga_config=ga, config=OnlineConfig(window=2.0)
+            ).run(w),
+        ]
+        for run in runs:
+            commits: list[int] = []
+            with mock.patch.object(
+                WorkloadEvaluator, "_commit", self.checked(commits)
+            ):
+                run(build_workload(specs))
+            assert sorted(commits) == list(range(1, len(specs) + 1))

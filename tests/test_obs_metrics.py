@@ -100,15 +100,15 @@ class TestHistogram:
 
 
 class TestRegistry:
-    def test_ingest_counters_from_fault_stats(self):
+    def test_sync_counters_match_the_replication_manager(self):
         from repro.experiments.trace_scenarios import trace_faults
 
         system = trace_faults()
         counters = system.metrics()["counters"]
-        stats = system.fault_stats
-        # The fold counts the injector's sync dispositions from the trace.
-        assert counters["sync.skipped"] == stats.syncs_skipped > 0
-        assert counters["sync.delayed"] == stats.syncs_delayed > 0
+        manager = system.replication
+        # The fold counts from the trace what the manager counted live.
+        assert counters["sync.skipped"] == manager.syncs_skipped > 0
+        assert counters["sync.delayed"] == manager.syncs_delayed > 0
         assert counters["faults.outages"] == sum(
             1 for _ in system.tracer.filter(kind="fault.down")
         )

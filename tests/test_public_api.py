@@ -119,6 +119,37 @@ def test_post_hoc_metrics_names_are_gone():
         importlib.import_module("repro.sim.monitor")
 
 
+def test_unread_state_names_are_gone():
+    """State and options nothing in the package read back: the MQO
+    evaluator's availability view, the injector's ``FaultStats``, the GA's
+    stats pass-through and a resource's running totals."""
+    import dataclasses
+    import inspect
+
+    import repro.federation
+    from repro.federation import faults
+    from repro.mqo.evaluator import EvaluatorStats, WorkloadEvaluator
+    from repro.mqo.ga import GAResult, GeneticAlgorithm
+    from repro.sim.resource import Resource
+    from repro.sim.scheduler import Simulator
+
+    assert "FaultStats" not in repro.federation.__all__
+    assert not hasattr(repro.federation, "FaultStats")
+    assert not hasattr(faults, "FaultStats")
+    assert "availability" not in inspect.signature(WorkloadEvaluator).parameters
+    assert "evaluator_stats" not in inspect.signature(
+        GeneticAlgorithm
+    ).parameters
+    assert "evaluator_stats" not in {f.name for f in dataclasses.fields(GAResult)}
+    assert "candidates_unavailable" not in {
+        f.name for f in dataclasses.fields(EvaluatorStats)
+    }
+    resource = Resource(Simulator())
+    resource.request()
+    assert not hasattr(resource, "total_requests")
+    assert not hasattr(resource, "total_wait")
+
+
 def _loaded_after(code: str) -> tuple[list[str], list[str]]:
     """``(repro modules, heavy stdlib modules)`` loaded by ``code`` in a
     fresh interpreter (``-B``: the probe writes no bytecode into ``src/``)."""

@@ -67,12 +67,13 @@ class TestResourceBasics:
 
     def test_wait_time_accounting(self, sim):
         resource = Resource(sim, capacity=1)
-        log = []
-        sim.process(hold(sim, resource, 3.0, log, "a"))
-        sim.process(hold(sim, resource, 1.0, log, "b"))
+        a = resource.request()
+        b = resource.request()
+        sim.call_at(3.0, lambda: resource.release(a))
+        assert b.wait_time == 0.0  # pending: waited 0 so far
         sim.run()
-        assert resource.total_requests == 2
-        assert resource.total_wait == pytest.approx(3.0)  # b waited 3
+        assert a.wait_time == 0.0
+        assert b.wait_time == pytest.approx(3.0)  # b waited 3
 
 
 class TestCancel:
