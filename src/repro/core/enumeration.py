@@ -29,7 +29,7 @@ from repro.errors import PlanError
 from repro.federation.catalog import Catalog
 
 if typing.TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.federation.faults import AvailabilityView
+    from repro.federation.faults import FaultPlan
     from repro.workload.query import DSSQuery
 
 
@@ -117,7 +117,7 @@ def gather_combos(
     query: "DSSQuery",
     catalog: Catalog,
     at_time: float,
-    availability: "AvailabilityView | None" = None,
+    availability: "FaultPlan | None" = None,
 ) -> list[frozenset[str]]:
     """Non-dominated remote-table sets at one start time (the gather step).
 
@@ -125,8 +125,8 @@ def gather_combos(
     ``k`` stalest replicas with base-table reads, ``k = 0..m``.  Tables
     without replicas are always read remotely.
 
-    With an ``availability`` view, replicated tables whose base site is
-    inside a scheduled outage at ``at_time`` are never substituted — their
+    With an ``availability`` fault plan, replicated tables whose base site
+    is inside a scheduled outage at ``at_time`` are never substituted — their
     replica is the only reachable copy, so combos that would read them
     remotely are excluded up front (degraded-mode planning).
     """
@@ -159,12 +159,12 @@ def sync_points_between(
     catalog: Catalog,
     start: float,
     end: float,
-    availability: "AvailabilityView | None" = None,
+    availability: "FaultPlan | None" = None,
 ) -> list[float]:
     """Sync completion instants of the query's replicas in ``(start, end]``.
 
-    With an ``availability`` view, completions that are scheduled to skip
-    or slip are not worth delaying for and are filtered out per replica.
+    With an ``availability`` fault plan, completions that are scheduled to
+    skip or slip are not worth delaying for and are filtered out per replica.
     """
     if end < start:
         return []
@@ -174,10 +174,11 @@ def sync_points_between(
         replica = catalog.replica(name)
         completions = replica.schedule.completions_between(start, end)
         if availability is not None:
+            site = replica.table.site
             completions = [
                 time
                 for time in completions
-                if not availability.unreliable_sync(name, time)
+                if not availability.unreliable_sync(name, site, time)
             ]
         points.update(completions)
     return sorted(points)
@@ -191,14 +192,14 @@ def enumerate_plans(
     submitted_at: float,
     horizon: float,
     exhaustive: bool = False,
-    availability: "AvailabilityView | None" = None,
+    availability: "FaultPlan | None" = None,
 ) -> list[QueryPlan]:
     """All candidate plans with start times in ``[submitted_at, horizon]``.
 
     With ``exhaustive=True`` every base/replica combination is considered at
     every start time — the oracle the property tests compare the bounded
     scatter-and-gather search against.  Otherwise only the non-dominated
-    gather combos are produced.  With an ``availability`` view, combos
+    gather combos are produced.  With an ``availability`` fault plan, combos
     reading a down site's replicated table remotely and unreliable sync
     points are excluded (see :func:`gather_combos` /
     :func:`sync_points_between`).

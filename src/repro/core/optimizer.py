@@ -38,7 +38,7 @@ from repro.errors import OptimizationError
 from repro.federation.catalog import Catalog
 
 if typing.TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.federation.faults import AvailabilityView
+    from repro.federation.faults import FaultPlan
     from repro.workload.query import DSSQuery
 
 __all__ = ["SearchDiagnostics", "IVQPOptimizer"]
@@ -68,7 +68,7 @@ class IVQPOptimizer:
         cost_provider: CostProvider,
         default_rates: DiscountRates,
         max_time_lines: int = 10_000,
-        availability: "AvailabilityView | None" = None,
+        availability: "FaultPlan | None" = None,
     ) -> None:
         if max_time_lines < 1:
             raise OptimizationError("max_time_lines must be >= 1")
@@ -76,7 +76,7 @@ class IVQPOptimizer:
         self.cost_provider = cost_provider
         self.default_rates = default_rates
         self.max_time_lines = max_time_lines
-        #: Scheduled-fault view for degraded-mode planning: down sites'
+        #: Scheduled faults for degraded-mode planning: down sites'
         #: replicated tables are kept on their replicas and sync points
         #: that will skip or slip are not worth delaying for.
         self.availability = availability
@@ -101,7 +101,7 @@ class IVQPOptimizer:
         # Scatter: the all-base immediate plan always exists and seeds the
         # bound.  (If only base tables are involved, executing immediately
         # dominates any delay — the paper's parenthetical observation.)
-        # Under an availability view, replicated tables whose base site is
+        # Under a fault plan, replicated tables whose base site is
         # down at submission fall back to their replicas in the seed too.
         all_base = frozenset(query.tables)
         seed_combo = all_base
@@ -192,7 +192,7 @@ class IVQPOptimizer:
     ) -> float:
         """Earliest next synchronization completion among the replicas.
 
-        Sync points that the availability view says will skip or slip are
+        Sync points that the fault plan says will skip or slip are
         not worth delaying for; the walk advances past them (bounded per
         replica so a fully-unreliable schedule cannot loop forever).
         """
@@ -202,7 +202,9 @@ class IVQPOptimizer:
             point = replica.next_sync_after(after)
             if self.availability is not None:
                 for _attempt in range(self._UNRELIABLE_LOOKAHEAD):
-                    if not self.availability.unreliable_sync(name, point):
+                    if not self.availability.unreliable_sync(
+                        name, replica.table.site, point
+                    ):
                         break
                     point = replica.next_sync_after(point)
                 else:

@@ -37,7 +37,6 @@ _EXPORTS = {
     "journaled_run": "harness",
     "resume_run": "harness",
     "crash_and_resume": "harness",
-    "runs_equivalent": "harness",
 }
 __all__ = list(_EXPORTS)
 __getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)

@@ -7,7 +7,8 @@ arbitrary *byte* offset (torn write included).  :func:`resume_run`
 recovers the journal and finishes the run.  :func:`crash_and_resume`
 composes the two and, together with an uninterrupted reference run,
 backs the acceptance criterion: the resumed run's decision log and IV
-ledger are **bit-equal** to the uninterrupted one, at every crash point.
+ledger are **bit-equal** to the uninterrupted one, at every crash point —
+:func:`~repro.durable.recovery.run_differences` of the two is empty.
 
 The reference and the resumed run are the *same driver* —
 :func:`~repro.mqo.online.drive` with one
@@ -31,7 +32,6 @@ from repro.durable.recovery import (
     arrival_record,
     header_record,
     recover,
-    run_differences,
 )
 from repro.errors import OptimizationError
 from repro.mqo.online import drive
@@ -49,7 +49,6 @@ __all__ = [
     "journaled_run",
     "resume_run",
     "crash_and_resume",
-    "runs_equivalent",
 ]
 
 
@@ -186,18 +185,3 @@ def crash_and_resume(
             )
         recovered.clock.push(arrival, "arrival", query.query_id)
     return resume_run(recovered, writer)
-
-
-def runs_equivalent(reference: JournaledRun, other: JournaledRun) -> dict:
-    """Bit-level comparison of two runs; the harness's pass condition.
-
-    Returns a report dict whose ``"equal"`` is the verdict and whose
-    ``"differences"`` are :func:`~repro.durable.recovery.run_differences`.
-    """
-    differences = run_differences(reference, other)
-    return {
-        "equal": not differences,
-        "differences": differences,
-        "decisions": len(reference.session.decisions),
-        "ledgers": len(reference.ledgers),
-    }

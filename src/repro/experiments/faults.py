@@ -88,22 +88,20 @@ def run_fault_sweep(config: FaultSweepConfig | None = None) -> ResultTable:
         ],
     )
     for outage_rate in config.outage_rates:
+        fault_plan = FaultPlan.generate(
+            seed=config.fault_seed,
+            horizon=config.fault_horizon,
+            site_ids=site_ids,
+            outage_rate=outage_rate,
+            outage_mean_duration=config.outage_mean_duration,
+            sync_skip_prob=config.sync_skip_prob,
+            sync_delay_prob=config.sync_delay_prob,
+            sync_delay_mean=config.sync_delay_mean,
+        )
         for approach in config.approaches:
             if approach not in APPROACHES:
                 raise ValueError(f"unknown approach {approach!r}")
             for policy_name in config.policies:
-                # A fresh plan per run keeps runs independent; identical
-                # seeds guarantee identical fault timelines across cells.
-                fault_plan = FaultPlan.generate(
-                    seed=config.fault_seed,
-                    horizon=config.fault_horizon,
-                    site_ids=site_ids,
-                    outage_rate=outage_rate,
-                    outage_mean_duration=config.outage_mean_duration,
-                    sync_skip_prob=config.sync_skip_prob,
-                    sync_delay_prob=config.sync_delay_prob,
-                    sync_delay_mean=config.sync_delay_mean,
-                )
                 system_config = config.setup.system_config(
                     approach=approach,
                     rates=rates,

@@ -8,7 +8,6 @@ _EXPORTS = {
     "CostModel": "costmodel",
     "CostParameters": "costmodel",
     "ExecutionPolicy": "executor",
-    "FaultInjector": "faults",
     "FaultPlan": "faults",
     "FederatedSystem": "system",
     "FixedSyncSchedule": "catalog",

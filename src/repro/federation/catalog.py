@@ -265,7 +265,7 @@ class Replica:
         # Runtime-applied sync record (fault injection).  ``None`` means the
         # published schedule *is* reality — the default, bit-identical to
         # the pre-fault-injection behaviour.  A replication manager running
-        # under a fault injector enables tracking and records the syncs
+        # under a fault plan enables tracking and records the syncs
         # that actually land, which may skip or trail the schedule.
         self._applied: list[float] | None = None
 

@@ -13,7 +13,7 @@ synchronization landed while the query sat in queue, the result is fresher
 than planned.
 
 Fault tolerance (only active when a
-:class:`~repro.federation.faults.FaultInjector` is attached) follows an
+:class:`~repro.federation.faults.FaultPlan` is attached) follows an
 :class:`ExecutionPolicy`: a remote leg that finds its site down waits for
 recovery and retries with exponential backoff; a leg stuck in a remote
 queue past ``leg_timeout`` withdraws and retries; a leg interrupted
@@ -41,7 +41,8 @@ from repro.sim.scheduler import Simulator
 
 if typing.TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.enumeration import CostProvider
-    from repro.federation.faults import FaultInjector
+    from repro.federation.faults import FaultPlan
+    from repro.federation.network import NetworkModel
     from repro.sim.trace import Tracer
 
 __all__ = ["ExecutionPolicy", "QueryOutcome", "PlanExecutor"]
@@ -162,17 +163,13 @@ class PlanExecutor:
         catalog: Catalog,
         sites: dict[int, Site],
         policy: ExecutionPolicy | None = None,
-        faults: "FaultInjector | None" = None,
+        faults: "FaultPlan | None" = None,
         cost_provider: "CostProvider | None" = None,
         tracer: "Tracer | None" = None,
-        audit: bool | None = None,
+        network: "NetworkModel | None" = None,
     ) -> None:
-        """``tracer`` enables span events; ``audit`` the IV ledger.
-
-        ``audit`` defaults to "whenever a tracer is attached" — the ledger
-        rides the trace.  Both off (the default) leaves the hot path
-        bit-identical to an uninstrumented executor.
-        """
+        """``tracer`` enables span events and the IV ledger; ``network``
+        gives the base latency a degraded link multiplies (0.0 without)."""
         self.sim = sim
         self.catalog = catalog
         self.sites = sites
@@ -180,9 +177,9 @@ class PlanExecutor:
         self.faults = faults
         self.cost_provider = cost_provider
         self.tracer = tracer
-        self.audit = (tracer is not None) if audit is None else audit
+        self.network = network
         self.outcomes: list[QueryOutcome] = []
-        #: IV audit ledger (one entry per outcome) when ``audit`` is on.
+        #: IV audit ledger (one entry per outcome) when a tracer is attached.
         self.ledger: list[IVLedgerEntry] = []
 
     def site(self, site_id: int) -> Site:
@@ -202,30 +199,36 @@ class PlanExecutor:
 
     # -- simulation processes ----------------------------------------------
 
+    def _retries_spent(self, plan: QueryPlan, site_id: int, record: dict) -> bool:
+        """Count one more retry of a failed leg, or, once the policy's
+        retries are spent, mark the leg for failover and report it."""
+        if record["retries"] >= self.policy.max_retries:
+            record["status"] = "failover"
+            self._emit(events.LEG_EXHAUSTED, plan, site=site_id)
+            return True
+        record["retries"] += 1
+        return False
+
     def _remote_leg(self, plan: QueryPlan, site_id: int, minutes: float, record: dict):
         """One remote leg; ``record`` reports wait/retries/freshness/status."""
         sim = self.sim
         site = self.site(site_id)
         faults = self.faults
         policy = self.policy
-        attempts = 0
         self._emit(events.LEG_START, plan, site=site_id)
         while True:
-            if faults is not None and faults.site_down(site_id, sim.now):
+            if faults is not None and faults.is_site_down(site_id, sim.now):
                 # Down before we even connect: wait out the outage, back off.
-                if attempts >= policy.max_retries:
-                    record["status"] = "failover"
-                    self._emit(events.LEG_EXHAUSTED, plan, site=site_id)
+                if self._retries_spent(plan, site_id, record):
                     return
-                attempts += 1
-                record["retries"] += 1
-                up = faults.site_up_after(site_id, sim.now)
+                up = faults.site_up_at(site_id, sim.now)
                 self._emit(
                     events.LEG_BLOCKED, plan, site=site_id, until=up,
-                    attempt=attempts,
+                    attempt=record["retries"],
                 )
                 yield sim.timeout(
-                    max(0.0, up - sim.now) + policy.retry_backoff * attempts
+                    max(0.0, up - sim.now)
+                    + policy.retry_backoff * record["retries"]
                 )
                 continue
             request = site.server.request()
@@ -235,17 +238,13 @@ class PlanExecutor:
                 if request.granted_at is None:
                     # Timed out in queue: withdraw, back off, try again.
                     request.cancel()
-                    if attempts >= policy.max_retries:
-                        record["status"] = "failover"
-                        self._emit(events.LEG_EXHAUSTED, plan, site=site_id)
+                    if self._retries_spent(plan, site_id, record):
                         return
-                    attempts += 1
-                    record["retries"] += 1
                     self._emit(
                         events.LEG_RETRY, plan, site=site_id,
-                        reason="queue-timeout", attempt=attempts,
+                        reason="queue-timeout", attempt=record["retries"],
                     )
-                    yield sim.timeout(policy.retry_backoff * attempts)
+                    yield sim.timeout(policy.retry_backoff * record["retries"])
                     continue
             else:
                 yield request
@@ -256,7 +255,14 @@ class PlanExecutor:
             )
             service = minutes
             if faults is not None:
-                service += faults.leg_penalty(site_id, granted, minutes)
+                base_latency = (
+                    self.network.link(site_id).base_latency
+                    if self.network is not None
+                    else 0.0
+                )
+                service += faults.leg_penalty(
+                    site_id, granted, minutes, base_latency
+                )
                 outage = faults.next_outage_after(site_id, granted)
                 if outage < granted + service:
                     # The site fails under us: work until the outage hits,
@@ -264,19 +270,16 @@ class PlanExecutor:
                     if outage > granted:
                         yield sim.timeout(outage - granted)
                     site.server.release(request)
-                    if attempts >= policy.max_retries:
-                        record["status"] = "failover"
-                        self._emit(events.LEG_EXHAUSTED, plan, site=site_id)
+                    if self._retries_spent(plan, site_id, record):
                         return
-                    attempts += 1
-                    record["retries"] += 1
                     self._emit(
                         events.LEG_RETRY, plan, site=site_id,
-                        reason="interrupted", attempt=attempts,
+                        reason="interrupted", attempt=record["retries"],
                     )
-                    up = faults.site_up_after(site_id, sim.now)
+                    up = faults.site_up_at(site_id, sim.now)
                     yield sim.timeout(
-                        max(0.0, up - sim.now) + policy.retry_backoff * attempts
+                        max(0.0, up - sim.now)
+                        + policy.retry_backoff * record["retries"]
                     )
                     continue
             try:
@@ -323,9 +326,9 @@ class PlanExecutor:
     def _finish(
         self, outcome: QueryOutcome, versions: tuple[VersionProvenance, ...]
     ) -> QueryOutcome:
-        """Record the outcome and, when auditing, its ledger entry."""
+        """Record the outcome and, when traced, its ledger entry."""
         self.outcomes.append(outcome)
-        if self.audit:
+        if self.tracer is not None:
             plan = outcome.plan
             entry = IVLedgerEntry(
                 query=plan.query.name,
@@ -350,10 +353,9 @@ class PlanExecutor:
                 versions=versions,
             )
             self.ledger.append(entry)
-            if self.tracer is not None:
-                # The ledger detail is exactly ``entry.to_dict()`` (no qid
-                # key) so the checker can round-trip it via ``from_dict``.
-                self.tracer.emit(events.LEDGER, plan.query.name, **entry.to_dict())
+            # The ledger detail is exactly ``entry.to_dict()`` (no qid key)
+            # so the checker can round-trip it via ``from_dict``.
+            self.tracer.emit(events.LEDGER, plan.query.name, **entry.to_dict())
         return outcome
 
     def _run(self, plan: QueryPlan):
@@ -471,7 +473,7 @@ class PlanExecutor:
                     record["freshness"] if record is not None else version.freshness
                 )
                 freshness.append(realized)
-                if self.audit:
+                if self.tracer is not None:
                     provenance.append(VersionProvenance(
                         table=version.table,
                         kind="base",
@@ -484,7 +486,7 @@ class PlanExecutor:
                 replica = self.catalog.replica(version.table)
                 realized = replica.realized_freshness_at(local_start)
                 freshness.append(realized)
-                if self.audit:
+                if self.tracer is not None:
                     provenance.append(VersionProvenance(
                         table=version.table,
                         kind="replica",

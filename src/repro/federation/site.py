@@ -32,14 +32,6 @@ class Site:
             "local-dss" if site_id == LOCAL_SITE_ID else f"site-{site_id}"
         )
         self.server = Resource(sim, capacity=capacity, name=self.name)
-        #: Availability flag maintained by a fault injector; outage
-        #: *decisions* derive from the pre-scheduled fault timelines, this
-        #: flag mirrors them for observability (dashboards, repr, traces).
-        self.available = True
-
-    def set_available(self, up: bool) -> None:
-        """Flip the availability flag (fault injector callback)."""
-        self.available = bool(up)
 
     @property
     def is_local(self) -> bool:
@@ -47,5 +39,4 @@ class Site:
         return self.site_id == LOCAL_SITE_ID
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        state = "" if self.available else ", DOWN"
-        return f"Site({self.name!r}, in_use={self.server.in_use}{state})"
+        return f"Site({self.name!r}, in_use={self.server.in_use})"

@@ -15,6 +15,7 @@ from __future__ import annotations
 import typing
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
+from functools import partial
 
 from repro.core.plan import QueryPlan
 from repro.core.value import DiscountRates
@@ -22,16 +23,12 @@ from repro.errors import ConfigError
 from repro.federation.catalog import Catalog, Replica, SyncSchedule, TableDef
 from repro.federation.costmodel import CostModel, CostParameters
 from repro.federation.executor import ExecutionPolicy, PlanExecutor, QueryOutcome
-from repro.federation.faults import (
-    SYNC_DELAY,
-    SYNC_SKIP,
-    FaultInjector,
-    FaultPlan,
-)
+from repro.federation.faults import SYNC_DELAY, SYNC_SKIP, FaultPlan
 from repro.federation.network import NetworkModel
 from repro.federation.site import LOCAL_SITE_ID, Site
 from repro.federation.sync import build_schedules
 from repro.obs import events
+from repro.sim.faults import Window
 from repro.sim.rng import RandomSource
 from repro.sim.scheduler import Simulator
 from repro.sim.trace import Tracer
@@ -83,9 +80,9 @@ class SystemConfig:
     qos_max_staleness: float | None = None
     seed: int = 0
     trace: bool = False  # record a Tracer timeline of system events
-    #: Optional pre-scheduled faults; when set, a FaultInjector is wired
-    #: through the replication manager, the executor and (for routers that
-    #: support it) degraded-mode planning.
+    #: Optional pre-scheduled faults, read by the replication manager, the
+    #: executor and (for routers that support it) degraded-mode planning.
+    #: The plan holds no per-system state, so systems may share one.
     fault_plan: FaultPlan | None = None
     #: Retry/timeout/failover behaviour of the executor under faults.
     execution_policy: ExecutionPolicy | None = None
@@ -107,7 +104,7 @@ class ReplicationManager:
         sim: Simulator,
         catalog: Catalog,
         qos_max_staleness: float | None = None,
-        injector: FaultInjector | None = None,
+        faults: FaultPlan | None = None,
         tracer: Tracer | None = None,
     ) -> None:
         if qos_max_staleness is not None and qos_max_staleness <= 0:
@@ -115,7 +112,7 @@ class ReplicationManager:
         self.sim = sim
         self.catalog = catalog
         self.qos_max_staleness = qos_max_staleness
-        self.injector = injector
+        self.faults = faults
         self.tracer = tracer
         self.qos_violations = 0
         self.total_syncs = 0
@@ -126,19 +123,46 @@ class ReplicationManager:
     def start(self) -> None:
         """Launch one driver process per replica (idempotent).
 
-        Under a fault injector the replicas switch to runtime freshness
+        Under a fault plan the replicas switch to runtime freshness
         tracking: only syncs that actually land count towards
-        :meth:`~repro.federation.catalog.Replica.realized_freshness_at`.
+        :meth:`~repro.federation.catalog.Replica.realized_freshness_at`,
+        and a traced run records each outage edge of the catalog's sites.
         """
         if self._started:
             return
         self._started = True
-        if self.injector is not None:
-            self.injector.start()
+        if self.faults is not None:
+            if self.tracer is not None:
+                self._trace_outages()
             for replica in self.catalog.replicas:
                 replica.enable_runtime_tracking()
         for replica in self.catalog.replicas:
             self.sim.process(self._drive(replica), name=f"sync:{replica.name}")
+
+    def _trace_outages(self) -> None:
+        """Schedule a ``fault.down``/``fault.up`` record at each outage edge
+        still ahead (a window already open traces its start now)."""
+        now = self.sim.now
+        sites = self.catalog.sites_of(self.catalog.table_names)
+        for site, timeline in self.faults.site_outages.items():
+            if site not in sites:
+                continue
+            for window in timeline.windows:
+                down = partial(self._trace_edge, events.FAULT_DOWN, site, window)
+                if window.start >= now:
+                    self.sim.call_at(window.start, down)
+                elif window.contains(now):
+                    down()
+                if window.end >= now:
+                    self.sim.call_at(
+                        window.end,
+                        partial(self._trace_edge, events.FAULT_UP, site, window),
+                    )
+
+    def _trace_edge(self, kind: str, site: int, window: Window) -> None:
+        self.tracer.emit(
+            kind, f"site:{site}", window_start=window.start, window_end=window.end
+        )
 
     def _drive(self, replica: Replica):
         # Consume the published schedule's completions *strictly in order*:
@@ -157,8 +181,10 @@ class ReplicationManager:
             cursor = completion
             if completion > self.sim.now:
                 yield self.sim.timeout(completion - self.sim.now)
-            if self.injector is not None:
-                kind, delay = self.injector.sync_disposition(replica, completion)
+            if self.faults is not None:
+                kind, delay = self.faults.sync_disposition(
+                    replica.name, replica.table.site, completion
+                )
                 if kind == SYNC_SKIP:
                     self.syncs_skipped += 1
                     if self.tracer is not None:
@@ -204,8 +230,9 @@ class FederatedSystem:
         replication: ReplicationManager,
         rates: DiscountRates,
         tracer: Tracer | None = None,
-        injector: FaultInjector | None = None,
+        faults: FaultPlan | None = None,
         policy: ExecutionPolicy | None = None,
+        network: NetworkModel | None = None,
     ) -> None:
         self.sim = sim
         self.catalog = catalog
@@ -214,15 +241,15 @@ class FederatedSystem:
         self.router = router
         self.replication = replication
         self.rates = rates
-        self.injector = injector
         self.executor = PlanExecutor(
             sim,
             catalog,
             sites,
             policy=policy,
-            faults=injector,
+            faults=faults,
             cost_provider=cost_model,
             tracer=tracer,
+            network=network,
         )
         self.tracer = tracer
         #: The online scheduler's decision after
@@ -231,8 +258,6 @@ class FederatedSystem:
         self._submitted = 0
         if tracer is not None:
             replication.tracer = tracer
-            if injector is not None:
-                injector.tracer = tracer
 
     # -- operations ----------------------------------------------------------
 
@@ -478,29 +503,16 @@ def build_system(
     )
     router = router_factory(catalog, cost_model, config.rates)
 
-    injector = None
-    if config.fault_plan is not None:
-        # The sync-failure model needs to know which site sources each
-        # replicated table; fill it in from the catalog when unset.
-        if not config.fault_plan.table_sites:
-            config.fault_plan.table_sites = {
-                spec.name: spec.site
-                for spec in config.tables
-                if spec.name in set(config.replicated)
-            }
-        injector = FaultInjector(
-            sim, config.fault_plan, sites=sites, network=config.network
-        )
-        # Routers that support degraded-mode planning (the IVQP optimizer)
-        # get the scheduled-fault view; baselines simply ignore it.
-        if hasattr(router, "availability"):
-            router.availability = config.fault_plan
+    # Routers that support degraded-mode planning (the IVQP optimizer) get
+    # the scheduled faults; baselines simply ignore them.
+    if config.fault_plan is not None and hasattr(router, "availability"):
+        router.availability = config.fault_plan
 
     replication = ReplicationManager(
         sim,
         catalog,
         qos_max_staleness=config.qos_max_staleness,
-        injector=injector,
+        faults=config.fault_plan,
     )
     tracer = Tracer(lambda: sim.now) if config.trace else None
     return FederatedSystem(
@@ -512,6 +524,7 @@ def build_system(
         replication=replication,
         rates=config.rates,
         tracer=tracer,
-        injector=injector,
+        faults=config.fault_plan,
         policy=config.execution_policy,
+        network=config.network,
     )

@@ -8,7 +8,7 @@ steady/burst/pressure schedules, random crash offsets, and both recovery
 paths (scratch replay and snapshot + tail):
 
 * the resumed decision log, window records, stats and IV ledger match
-  the reference run bit-for-bit (``runs_equivalent``),
+  the reference run bit-for-bit (``run_differences`` is empty),
 * every resumed ledger entry still satisfies
   ``recompute_iv() == reported_iv`` exactly,
 * the resumed journal itself audits clean through ``verify_journal``
@@ -31,7 +31,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.value import DiscountRates
-from repro.durable import crash_and_resume, journaled_run, runs_equivalent, verify_journal
+from repro.durable import crash_and_resume, journaled_run, verify_journal
+from repro.durable.recovery import run_differences
 from repro.federation.costmodel import CostModel, CostParameters
 from repro.mqo.ga import GAConfig
 from repro.mqo.online import OnlineConfig, OnlineMQOScheduler
@@ -155,8 +156,7 @@ class TestCrashResumeEquivalenceProperty:
                 snapshot_every=snapshot_every,
             )
 
-            report = runs_equivalent(reference, resumed)
-            assert report["equal"], report["differences"]
+            assert run_differences(reference, resumed) == []
             for entry in resumed.ledgers:
                 assert entry.recompute_iv() == entry.reported_iv
 
@@ -197,5 +197,5 @@ class TestCrashResumeEquivalenceProperty:
                 crash_after_bytes=max(1, int(size * fraction)),
                 snapshot_every=snapshot_every,
             )
-            assert runs_equivalent(reference, plain)["equal"]
-            assert runs_equivalent(plain, traced)["equal"]
+            assert run_differences(reference, plain) == []
+            assert run_differences(plain, traced) == []

@@ -34,10 +34,10 @@ from repro.durable import (
     journaled_run,
     read_journal,
     recover,
-    runs_equivalent,
     verify_journal,
 )
 from repro.durable.journal import JournalWriter, encode_record
+from repro.durable.recovery import run_differences
 from repro.errors import DurabilityError
 from repro.federation.costmodel import CostModel, CostParameters
 from repro.mqo.ga import GAConfig
@@ -133,8 +133,7 @@ class TestCrashAndResume:
             crash_after_bytes=int(size * fraction),
             snapshot_every=snapshot_every,
         )
-        report = runs_equivalent(run, resumed)
-        assert report["equal"], report["differences"]
+        assert run_differences(run, resumed) == []
         assert resumed.resumed_at_pops is not None
 
     def test_kill_at_every_record_boundary_resumes_bit_equal(self, tmp_path):
@@ -158,8 +157,7 @@ class TestCrashAndResume:
                 golden_scheduler, golden_workload(), crash_path,
                 crash_after_bytes=cut, snapshot_every=4,
             )
-            report = runs_equivalent(run, resumed)
-            assert report["equal"], (cut, report["differences"])
+            assert run_differences(run, resumed) == [], cut
             assert verify_journal(crash_path, golden_scheduler)["ok"], cut
 
     def test_crash_beyond_the_journal_runs_uninterrupted(
@@ -173,7 +171,7 @@ class TestCrashAndResume:
             crash_after_bytes=path.stat().st_size * 3,
         )
         assert resumed.resumed_at_pops is None
-        assert runs_equivalent(run, resumed)["equal"]
+        assert run_differences(run, resumed) == []
 
     def test_resumed_journal_is_itself_verifiable(self, reference, tmp_path):
         # Crash-during-resume composes by induction: the continuation
@@ -205,7 +203,7 @@ class TestCrashAndResume:
         from repro.durable import resume_run
 
         second = resume_run(recovered, writer)
-        assert runs_equivalent(run, second)["equal"]
+        assert run_differences(run, second) == []
 
 
 class TestRecoveryAudit:

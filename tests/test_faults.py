@@ -1,17 +1,21 @@
 """Fault injection, fault-tolerant execution and degraded-mode planning.
 
 Covers the failure-semantics subsystem end to end: the kernel-level
-outage timelines (``repro.sim.faults``), the seeded fault plans and the
-runtime injector (``repro.federation.faults``), the executor's
-retry/failover machinery, the replication manager's skip/delay handling,
-availability-aware plan enumeration, and a reduced run of the EXT3
-graceful-degradation sweep.
+outage timelines (``repro.sim.faults``), the seeded fault plans
+(``repro.federation.faults``), the executor's retry/failover machinery,
+the replication manager's skip/delay handling and outage tracing,
+availability-aware plan enumeration, a reduced run of the EXT3
+graceful-degradation sweep and the full sweep against
+``results/faults.txt``.
 """
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
+from repro.baselines import ivqp_router
 from repro.core.enumeration import (
     gather_combos,
     make_plan,
@@ -27,15 +31,21 @@ from repro.federation.faults import (
     SYNC_DELAY,
     SYNC_OK,
     SYNC_SKIP,
-    FaultInjector,
     FaultPlan,
     LinkDegradation,
 )
+from repro.federation.network import NetworkModel
 from repro.federation.site import LOCAL_SITE_ID, Site
-from repro.federation.system import ReplicationManager
+from repro.federation.system import (
+    ReplicationManager,
+    SystemConfig,
+    TableSpec,
+    build_system,
+)
 from repro.sim.faults import OutageTimeline, Window, generate_outage_windows
 from repro.sim.rng import RandomSource
 from repro.sim.scheduler import Simulator
+from repro.sim.trace import Tracer
 from repro.workload.query import DSSQuery
 
 RATES = DiscountRates(0.01, 0.01)
@@ -147,9 +157,9 @@ class TestFaultPlan:
         plan_a = FaultPlan(sync_skip_prob=0.3, sync_delay_prob=0.3, seed=9)
         plan_b = FaultPlan(sync_skip_prob=0.3, sync_delay_prob=0.3, seed=9)
         times = [1.0, 2.5, 7.0, 11.25]
-        forward = [plan_a.sync_disposition("t", time) for time in times]
+        forward = [plan_a.sync_disposition("t", 0, time) for time in times]
         backward = [
-            plan_b.sync_disposition("t", time) for time in reversed(times)
+            plan_b.sync_disposition("t", 0, time) for time in reversed(times)
         ]
         assert forward == list(reversed(backward))
         kinds = {kind for kind, _delay in forward}
@@ -158,12 +168,14 @@ class TestFaultPlan:
     def test_sync_from_down_site_always_skips(self):
         plan = FaultPlan(
             site_outages={0: OutageTimeline([Window(4.0, 8.0)])},
-            table_sites={"t": 0},
             seed=3,
         )
-        assert plan.sync_disposition("t", 5.0) == (SYNC_SKIP, 0.0)
-        assert plan.unreliable_sync("t", 5.0)
-        assert plan.sync_disposition("t", 9.0) == (SYNC_OK, 0.0)
+        assert plan.sync_disposition("t", 0, 5.0) == (SYNC_SKIP, 0.0)
+        assert plan.unreliable_sync("t", 0, 5.0)
+        assert plan.sync_disposition("t", 0, 9.0) == (SYNC_OK, 0.0)
+        # The caller names the table's site: the same table based at an
+        # up site syncs on time.
+        assert plan.sync_disposition("t", 1, 5.0) == (SYNC_OK, 0.0)
 
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -181,6 +193,7 @@ def fault_world(
     policy=None,
     with_replica=False,
     local_capacity=2,
+    network=None,
 ):
     """One remote table at site 0 with an optional outage timeline there."""
     sim = Simulator()
@@ -198,17 +211,15 @@ def fault_world(
             if windows
             else None
         ),
-        table_sites={"t": 0},
     )
-    injector = FaultInjector(sim, plan, sites=sites)
     provider = StaticCostProvider(
         catalog, by_remote_count={0: 1.0, 1: 4.0}, remote_leg_fraction=0.75
     )
     executor = PlanExecutor(
         sim, catalog, sites,
-        policy=policy, faults=injector, cost_provider=provider,
+        policy=policy, faults=plan, cost_provider=provider, network=network,
     )
-    return sim, catalog, provider, injector, executor
+    return sim, catalog, provider, plan, executor
 
 
 def remote_plan(catalog, provider, qid=1):
@@ -220,7 +231,7 @@ def remote_plan(catalog, provider, qid=1):
 
 class TestExecutorFaultHandling:
     def test_fault_free_run_is_clean(self):
-        sim, catalog, provider, injector, executor = fault_world()
+        sim, catalog, provider, plan, executor = fault_world()
         executor.execute(remote_plan(catalog, provider))
         sim.run(until=50.0)
         (outcome,) = executor.outcomes
@@ -231,7 +242,7 @@ class TestExecutorFaultHandling:
 
     def test_down_at_request_waits_out_outage_and_retries(self):
         policy = ExecutionPolicy(max_retries=3, retry_backoff=0.1)
-        sim, catalog, provider, injector, executor = fault_world(
+        sim, catalog, provider, plan, executor = fault_world(
             windows=[(0.0, 2.0)], policy=policy
         )
         executor.execute(remote_plan(catalog, provider))
@@ -246,7 +257,7 @@ class TestExecutorFaultHandling:
 
     def test_mid_leg_outage_loses_the_work_and_retries(self):
         policy = ExecutionPolicy(max_retries=3, retry_backoff=0.1)
-        sim, catalog, provider, injector, executor = fault_world(
+        sim, catalog, provider, plan, executor = fault_world(
             windows=[(1.0, 2.0)], policy=policy
         )
         executor.execute(remote_plan(catalog, provider))
@@ -259,7 +270,7 @@ class TestExecutorFaultHandling:
 
     def test_exhausted_retries_fail_over_to_replica(self):
         policy = ExecutionPolicy(max_retries=0, failover=True)
-        sim, catalog, provider, injector, executor = fault_world(
+        sim, catalog, provider, plan, executor = fault_world(
             windows=[(0.0, 900.0)], policy=policy, with_replica=True
         )
         executor.execute(remote_plan(catalog, provider))
@@ -274,7 +285,7 @@ class TestExecutorFaultHandling:
 
     def test_no_replica_means_recorded_failure_not_a_lost_query(self):
         policy = ExecutionPolicy(max_retries=0, failover=True)
-        sim, catalog, provider, injector, executor = fault_world(
+        sim, catalog, provider, plan, executor = fault_world(
             windows=[(0.0, 900.0)], policy=policy, with_replica=False
         )
         executor.execute(remote_plan(catalog, provider))
@@ -286,7 +297,7 @@ class TestExecutorFaultHandling:
 
     def test_failover_disabled_fails_the_query(self):
         policy = ExecutionPolicy(max_retries=0, failover=False)
-        sim, catalog, provider, injector, executor = fault_world(
+        sim, catalog, provider, plan, executor = fault_world(
             windows=[(0.0, 900.0)], policy=policy, with_replica=True
         )
         executor.execute(remote_plan(catalog, provider))
@@ -302,7 +313,7 @@ class TestExecutorFaultHandling:
         policy = ExecutionPolicy(
             max_retries=3, retry_backoff=0.1, leg_timeout=1.0
         )
-        sim, catalog, provider, injector, executor = fault_world(policy=policy)
+        sim, catalog, provider, plan, executor = fault_world(policy=policy)
         executor.execute(remote_plan(catalog, provider, qid=1))
         executor.execute(remote_plan(catalog, provider, qid=2))
         sim.run(until=50.0)
@@ -329,8 +340,8 @@ class TestExecutorFaultHandling:
         assert ExecutionPolicy(leg_timeout=None).leg_timeout is None
 
     def test_degradation_penalty_slows_the_leg(self):
-        sim, catalog, provider, injector, executor = fault_world()
-        injector.plan.degradations = {
+        sim, catalog, provider, plan, executor = fault_world()
+        plan.degradations = {
             0: (
                 LinkDegradation(
                     Window(0.0, 100.0),
@@ -345,22 +356,26 @@ class TestExecutorFaultHandling:
         # Leg doubles from 3.0 to 6.0 under the saturated link.
         assert outcome.completed_at == pytest.approx(7.0)
         assert outcome.retries == 0 and not outcome.failed
-        assert injector.leg_penalty(0, 0.0, 3.0) == pytest.approx(3.0)
+        assert plan.leg_penalty(0, 0.0, 3.0, 0.0) == pytest.approx(3.0)
 
-    def test_injector_start_toggles_site_availability(self):
-        sim, _catalog, _provider, injector, executor = fault_world(
-            windows=[(1.0, 2.0)]
+    def test_degraded_link_multiplies_the_networks_base_latency(self):
+        sim, catalog, provider, plan, executor = fault_world(
+            network=NetworkModel(base_latency=0.5)
         )
-        injector.start()
-        site = executor.site(0)
-        flips = []
-        sim.call_at(0.5, lambda: flips.append((0.5, site.available)))
-        sim.call_at(1.5, lambda: flips.append((1.5, site.available)))
-        sim.call_at(2.5, lambda: flips.append((2.5, site.available)))
-        sim.run(until=5.0)
-        assert flips == [(0.5, True), (1.5, False), (2.5, True)]
-        (window,) = injector.plan.site_outages[0].windows
-        assert window.duration == pytest.approx(1.0)
+        plan.degradations = {
+            0: (
+                LinkDegradation(
+                    Window(0.0, 100.0),
+                    latency_multiplier=3.0,
+                    bandwidth_multiplier=1.0,
+                ),
+            )
+        }
+        executor.execute(remote_plan(catalog, provider))
+        sim.run(until=50.0)
+        (outcome,) = executor.outcomes
+        # The 3.0 leg pays 0.5 x (3 - 1) of extra latency, then local 1.0.
+        assert outcome.completed_at == pytest.approx(5.0)
 
 
 class TestReplicationUnderFaults:
@@ -371,12 +386,11 @@ class TestReplicationUnderFaults:
         catalog.add_replica(
             "a", FixedSyncSchedule(list(times), tail_period=1_000.0)
         )
-        injector = FaultInjector(sim, plan)
-        manager = ReplicationManager(sim, catalog, injector=injector)
-        return sim, catalog, injector, manager
+        manager = ReplicationManager(sim, catalog, faults=plan)
+        return sim, catalog, manager
 
     def test_skipped_syncs_never_touch_the_replica(self):
-        sim, catalog, injector, manager = self.make(
+        sim, catalog, manager = self.make(
             FaultPlan(sync_skip_prob=1.0, seed=2)
         )
         manager.start()
@@ -391,7 +405,7 @@ class TestReplicationUnderFaults:
         assert replica.realized_freshness_at(10.0) == replica.initial_timestamp
 
     def test_delayed_syncs_land_late(self):
-        sim, catalog, injector, manager = self.make(
+        sim, catalog, manager = self.make(
             FaultPlan(sync_delay_prob=1.0, sync_delay_mean=2.0, seed=2)
         )
         manager.start()
@@ -411,7 +425,7 @@ class TestReplicationUnderFaults:
             )
 
     def test_fault_free_manager_matches_published_schedule(self):
-        sim, catalog, injector, manager = self.make(FaultPlan())
+        sim, catalog, manager = self.make(FaultPlan())
         manager.start()
         sim.run(until=10.0)
         assert manager.total_syncs == 3
@@ -420,6 +434,53 @@ class TestReplicationUnderFaults:
         assert replica.realized_freshness_at(10.0) == pytest.approx(
             replica.freshness_at(10.0)
         )
+
+    @pytest.mark.parametrize(
+        "start, edges",
+        [
+            (0.0, [(1.0, "fault.down"), (2.0, "fault.up")]),
+            # Started inside the window: its start is traced at once.
+            (1.5, [(1.5, "fault.down"), (2.0, "fault.up")]),
+        ],
+        ids=["before-window", "inside-window"],
+    )
+    def test_traced_run_records_outage_edges(self, start, edges):
+        sim = Simulator(start=start)
+        catalog = Catalog()
+        catalog.add_table(TableDef("a", site=0, row_count=10))
+        plan = FaultPlan(site_outages={
+            0: OutageTimeline([Window(1.0, 2.0)]),
+            # Site 5 hosts no table of this catalog: nothing to trace.
+            5: OutageTimeline([Window(1.0, 2.0)]),
+        })
+        tracer = Tracer(lambda: sim.now)
+        ReplicationManager(sim, catalog, faults=plan, tracer=tracer).start()
+        sim.run(until=5.0)
+        records = [r for r in tracer.records if r.kind.startswith("fault.")]
+        assert [(r.time, r.kind) for r in records] == edges
+        assert {r.subject for r in records} == {"site:0"}
+
+    def test_a_shared_plan_reads_each_systems_table_sites(self):
+        # One plan, site 0 down over [0, 10): a system whose replica "a"
+        # is based at site 0 skips all three syncs, and a later system
+        # built from the same plan with "a" at site 1 skips none.
+        plan = FaultPlan(site_outages={0: OutageTimeline([Window(0.0, 10.0)])})
+
+        def skipped(site):
+            config = SystemConfig(
+                tables=[TableSpec("a", site=site, row_count=10)],
+                replicated=["a"],
+                fault_plan=plan,
+            )
+            schedules = {
+                "a": FixedSyncSchedule([2.0, 4.0, 6.0], tail_period=1_000.0)
+            }
+            system = build_system(config, ivqp_router, schedules=schedules)
+            system.run(until=10.0)
+            return system.replication.syncs_skipped
+
+        assert skipped(0) == 3
+        assert skipped(1) == 0
 
 
 def planning_catalog():
@@ -541,3 +602,21 @@ class TestGracefulDegradationSweep:
             by_key[(0.02, "none")]["failed"]
             >= by_key[(0.02, "retry")]["failed"]
         )
+
+
+FAULTS_TXT = Path(__file__).resolve().parents[1] / "results" / "faults.txt"
+
+
+def test_ext3_table_matches_committed_faults_txt():
+    """The default EXT3 sweep renders exactly ``results/faults.txt`` (less
+    its wall-clock ``[faults done in …]`` line).  Re-capture it with
+    ``PYTHONPATH=src python -m repro faults --output results/faults.txt``."""
+    from repro.experiments.faults import run_fault_sweep
+    from repro.reporting.export import render
+
+    committed = "".join(
+        line
+        for line in FAULTS_TXT.read_text(encoding="utf-8").splitlines(True)
+        if not line.startswith("[faults done in ")
+    )
+    assert committed == f"== faults ==\n{render(run_fault_sweep(), 'text')}\n\n"

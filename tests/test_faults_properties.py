@@ -49,8 +49,8 @@ def test_identical_seeds_identical_fault_timelines(
         assert timeline.windows == second.site_outages[site].windows
     # Dispositions agree point-for-point, not just distributionally.
     for time in (1.0, 17.5, 123.0):
-        assert first.sync_disposition("a", time) == second.sync_disposition(
-            "a", time
+        assert first.sync_disposition("a", 0, time) == second.sync_disposition(
+            "a", 0, time
         )
 
 

@@ -150,6 +150,42 @@ def test_unread_state_names_are_gone():
     assert not hasattr(resource, "total_wait")
 
 
+def test_fault_binding_names_are_gone():
+    """Every reader of scheduled faults reads the ``FaultPlan`` itself: no
+    injector, no one-implementer protocol, no table→site map inside the
+    plan, no site availability flag, no ledger switch apart from the tracer
+    and no report wrapper around ``run_differences``."""
+    import inspect
+
+    import repro.durable
+    import repro.federation
+    from repro.durable import harness
+    from repro.federation import faults
+    from repro.federation.executor import PlanExecutor
+    from repro.federation.site import Site
+    from repro.federation.system import FederatedSystem, ReplicationManager
+    from repro.sim.scheduler import Simulator
+
+    for name in ("FaultInjector", "AvailabilityView"):
+        assert name not in repro.federation.__all__
+        assert not hasattr(repro.federation, name)
+        assert not hasattr(faults, name)
+    assert "table_sites" not in inspect.signature(faults.FaultPlan).parameters
+    assert "table_sites" not in inspect.signature(
+        faults.FaultPlan.generate
+    ).parameters
+    assert not hasattr(faults.FaultPlan(), "table_sites")
+    site = Site(Simulator(), 0)
+    assert not hasattr(site, "available")
+    assert not hasattr(site, "set_available")
+    assert "audit" not in inspect.signature(PlanExecutor).parameters
+    assert "injector" not in inspect.signature(ReplicationManager).parameters
+    assert "injector" not in inspect.signature(FederatedSystem).parameters
+    assert "runs_equivalent" not in repro.durable.__all__
+    assert not hasattr(repro.durable, "runs_equivalent")
+    assert not hasattr(harness, "runs_equivalent")
+
+
 def _loaded_after(code: str) -> tuple[list[str], list[str]]:
     """``(repro modules, heavy stdlib modules)`` loaded by ``code`` in a
     fresh interpreter (``-B``: the probe writes no bytecode into ``src/``)."""
