@@ -61,8 +61,8 @@ test-durable:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/test_durable_journal.py tests/test_durable_resume.py tests/test_durable_properties.py -q
 
 # The scale arc: incremental conflict groups and the EXT5 sharded sweep,
-# including the shipped-selection and cache-cap differentials (long
-# configs stay behind `slow`).
+# including the shipped-selection differentials and the caps on the
+# staleness-order and cost-model caches (long configs stay behind `slow`).
 test-scale:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/test_mqo_conflict_incremental.py tests/test_mqo_scale.py -q -m "not slow"
 
@@ -121,8 +121,11 @@ lint:
 # Self-contained: sets PYTHONPATH itself, unlike the bare `test` target.
 # Runs the suite once, then the memory gates by name so a footprint
 # regression reads as one; the other test-* subsets are for developers.
+# The GA microbenchmark runs too: bound pruning must save >= 3x of a
+# naive replay's realizations, and fast == naive at the paper's budget.
 ci: lint calibrate-check
 	PYTHONPATH=src $(PYTHON) -m pytest tests/ -q
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_mqo_perf.py -q
 	$(MAKE) test-memory
 	$(MAKE) trace-check
 	$(MAKE) trace-check-fleet

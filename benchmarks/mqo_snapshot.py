@@ -53,8 +53,6 @@ def snapshot() -> dict:
             "realize_reduction_factor": round(
                 stats.realize_reduction_factor, 2
             ),
-            "prefix_hits": stats.prefix_hits,
-            "choice_hits": stats.choice_hits,
             "candidates_pruned": stats.candidates_pruned,
         },
         "naive": {

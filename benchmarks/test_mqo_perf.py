@@ -1,4 +1,4 @@
-"""MQO fast-path benchmark — prefix cache + compiled plans under a GA run.
+"""MQO fast-path benchmark — compiled plans + bound pruning under a GA run.
 
 A 16-query bursty workload scored by a 50-generation GA exercises the
 evaluator the way each GA run of an MQO window does — batch MQO
@@ -7,10 +7,10 @@ whole workload — minus the grouping: the GA here orders every query
 directly.  The benchmark asserts the two properties the fast path
 promises:
 
-* **Work reduction** — crossover/mutation children share long prefixes
-  with their parents, so the prefix cache plus upper-bound pruning must
-  cut the number of candidate realizations at least 3× versus a naive
-  replay of every evaluated permutation.
+* **Work reduction** — each candidate record's IV upper bound lets the
+  scan skip candidates that cannot beat the incumbent, and that pruning
+  alone must cut the number of candidate realizations at least 3× versus
+  a naive replay of every evaluated permutation.
 * **Bit-identical results** — the GA winner scored through the fast path
   must realize the exact schedule (plans, begins, completions, IV) the
   naive replay (``tests/mqo_naive_oracle.py``) produces.
@@ -82,7 +82,7 @@ def run_ga(evaluator: WorkloadEvaluator, naive: bool = False):
         def fitness(order):
             return evaluate_naive(evaluator, order).total_information_value
     else:
-        fitness = evaluator.fitness
+        fitness = evaluator.sequence_fitness
     ga = GeneticAlgorithm(
         genes,
         fitness,
@@ -107,7 +107,6 @@ def test_mqo_fastpath_realize_reduction(benchmark, show):
 
     # The fast path must realize at most a third of what naive replay would.
     assert stats.naive_realize_calls >= 3 * stats.realize_calls
-    assert stats.prefix_hits > 0
     assert stats.candidates_pruned > 0
 
     # The winner replays bit-identically through the naive path.

@@ -47,28 +47,23 @@ test oracle:
   :meth:`~WorkloadEvaluator.upper_bound` serve.
 * **Score, don't realize, in one frame** — the GA needs a number per
   chromosome, so one private walk serves both entry points and scores
-  every fresh position inside its own loop (``_advance``, the one copy of
+  every position inside its own loop (``_advance``, the one copy of
   the candidate arithmetic, which ``choose_best`` also calls) on plain
   choice records ``(candidate, begin, completed, data timestamp)``:
   :meth:`WorkloadEvaluator.sequence_fitness` returns the running total
   and builds nothing; ``evaluate_sequence`` and ``choose_best`` turn
   choice records into :class:`Assignment` objects.
-* **Dense clocks, prefix memoization** — every server has a slot (the
-  local one slot 0, then each catalog table's site) and "when is each
-  server free" is a flat list of clocks indexed by slot; a dict keyed by
-  site id is the interchange format at the boundary only.  Order
-  crossover and swap mutation produce children sharing long prefixes with
-  their parents, so each walk caches its fresh positions as one
-  path-compressed :class:`_Segment` (ids, flat clocks, totals, choice
-  records) and resumes from the longest cached prefix.  A second memo,
-  keyed on ``(query, clocks of that query's candidate slots)`` — all a
-  choice depends on — serves dispatch only, which re-asks about one plan
-  head under unchanged clocks.  Both caches are bounded: exceeding the
-  entry cap resets them (a generational clear), so memory stays flat.
-* **Observability** — an :class:`EvaluatorStats` struct counts prefix
-  hits, resume depths, realize calls (actual vs. what a naive replay would
-  have cost), pruned candidates, and the silent caps applied while
-  enumerating candidates (24-hour horizon clamp, ``max_candidates`` cut).
+* **Dense clocks, no cache** — every server has a slot (the local one
+  slot 0, then each catalog table's site) and "when is each server free"
+  is a flat list of clocks indexed by slot; a dict keyed by site id is the
+  interchange format at the boundary only.  Every walk scores every
+  position from the base clocks: bound pruning is the only realization
+  saving, and no scored prefix or dispatch choice is kept between calls
+  (docs/ARCHITECTURE.md §5 records why).
+* **Observability** — an :class:`EvaluatorStats` struct counts realize
+  calls (actual vs. what a naive replay would have cost), pruned
+  candidates, and the silent caps applied while enumerating candidates
+  (24-hour horizon clamp, ``max_candidates`` cut).
 """
 
 from __future__ import annotations
@@ -246,33 +241,25 @@ class EvaluatorStats:
     ``naive_realize_calls`` is what a from-scratch replay of every
     evaluated sequence would have cost (one realization per candidate per
     position); ``realize_calls`` is what the fast path actually performed.
-    The gap decomposes into positions resumed from the prefix cache and
-    candidates pruned by their IV upper bound.  ``choice_hits`` counts the
-    dispatch probes :meth:`WorkloadEvaluator.choose_best`'s memo answered.
+    The gap is ``candidates_pruned``, the candidates skipped by their IV
+    upper bound.
     """
 
     evaluations: int = 0
     realize_calls: int = 0
     naive_realize_calls: int = 0
     candidates_pruned: int = 0
+    #: Always zero: the evaluator keeps no prefix cache or dispatch memo,
+    #: but the frozen ``benchmarks/e2e/layers.py`` still reads both.
+    #: Remove once a benchmark change may edit that file.
     prefix_hits: int = 0
-    prefix_queries_skipped: int = 0
     choice_hits: int = 0
-    choice_evictions: int = 0
-    resume_depths: dict[int, int] = field(default_factory=dict)
-    trie_entries: int = 0
-    trie_evictions: int = 0
     horizon_capped: int = 0
     candidate_plans_dropped: int = 0
     #: Shape skeletons built / arrivals selected (:meth:`_select` runs) —
     #: the work counters that catch an O(queries) compile regression.
     shapes: int = 0
     lowerings: int = 0
-
-    @property
-    def realize_calls_avoided(self) -> int:
-        """Realizations a naive replay would have done but the fast path skipped."""
-        return self.naive_realize_calls - self.realize_calls
 
     @property
     def realize_reduction_factor(self) -> float:
@@ -285,20 +272,14 @@ class EvaluatorStats:
         """Accumulate another stats struct into this one (for reporting)."""
         for counter in fields(self):
             name = counter.name
-            if name != "resume_depths":
-                setattr(self, name, getattr(self, name) + getattr(other, name))
-        for depth, count in other.resume_depths.items():
-            self.resume_depths[depth] = self.resume_depths.get(depth, 0) + count
+            setattr(self, name, getattr(self, name) + getattr(other, name))
 
     def summary(self) -> str:
         """One-line digest for experiment output."""
         return (
             f"evaluations={self.evaluations} "
             f"realize_calls={self.realize_calls} "
-            f"avoided={self.realize_calls_avoided} "
             f"(x{self.realize_reduction_factor:.1f}) "
-            f"prefix_hits={self.prefix_hits} "
-            f"choice_hits={self.choice_hits} "
             f"pruned={self.candidates_pruned} "
             f"horizon_capped={self.horizon_capped} "
             f"plans_dropped={self.candidate_plans_dropped}"
@@ -418,13 +399,12 @@ class _Shape:
 
 @dataclass(slots=True)
 class _CompiledQuery:
-    """All of one query's candidate records plus what a choice depends on."""
+    """All of one query's candidate records."""
 
     query: "DSSQuery"
     shape: _Shape
     arrival: float
     candidates: list[tuple]  # best estimated IV first
-    sites: tuple[int, ...]  # slots any candidate reads — the choice's inputs
     latest_completion: float  # slowest candidate's uncontended completion
 
 
@@ -438,22 +418,6 @@ def _assignment(compiled: _CompiledQuery, choice: "Sequence") -> Assignment:
     )
 
 
-class _Segment:
-    """One walk's fresh positions in the prefix cache: position ``i`` is
-    ``ids[i]``, with the clocks (``slots`` floats at ``i * slots``), total
-    and choice record (4 fields at ``4 * i``) after it; a walk diverging
-    after ``offset`` positions continues at ``branches[(offset, id)]``."""
-
-    __slots__ = ("ids", "clocks", "totals", "choices", "branches")
-
-    def __init__(self, ids: "Sequence[int]") -> None:
-        self.ids = ids
-        self.clocks: list[float] = []
-        self.totals: list[float] = []
-        self.choices: list = []
-        self.branches: dict[tuple[int, int], _Segment] = {}
-
-
 class WorkloadEvaluator:
     """Scores execution orders of a workload deterministically."""
 
@@ -464,13 +428,10 @@ class WorkloadEvaluator:
         default_rates: DiscountRates,
         workload: "Workload",
         max_candidates: int = 64,
-        max_prefix_entries: int = 65_536,
         selections: "dict[int, tuple] | None" = None,
     ) -> None:
         if max_candidates < 1:
             raise OptimizationError("max_candidates must be >= 1")
-        if max_prefix_entries < 0:
-            raise OptimizationError("max_prefix_entries must be >= 0")
         self.catalog = catalog
         #: Must be a function of a query's shape (``DSSQuery.cost_shape``):
         #: each combo is costed once per shape, not once per query.
@@ -478,7 +439,6 @@ class WorkloadEvaluator:
         self.default_rates = default_rates
         self.workload = workload
         self.max_candidates = max_candidates
-        self.max_prefix_entries = max_prefix_entries
         self.stats = EvaluatorStats()
         self._shapes: dict[tuple, _Shape] = {}
         #: Query id → ``((start, remote tables), …)``, best estimated IV
@@ -498,10 +458,6 @@ class WorkloadEvaluator:
         #: Per-slot clocks every evaluation starts from: idle servers, or
         #: the committed mid-stream state handed to :meth:`rebase`.
         self._base = [0.0] * len(self._site_ids)
-        self._root = _Segment(())  # the prefix cache, at the base clocks
-        # choose_best's memo, (query id, clocks of its candidate slots) →
-        # choice: all that a scan reads, so exact; capped like the prefixes.
-        self._choices: dict[tuple, tuple] = {}
 
     # -- candidate plans ---------------------------------------------------
 
@@ -699,7 +655,6 @@ class WorkloadEvaluator:
         # itself to the end of the list.
         candidates = []
         suffix_bound = -inf
-        slot_union: set[int] = set()
         latest = -inf
         for start, combo, completed in reversed(selection):
             # Realized CL ≥ start - arrival + total.  The data timestamp is
@@ -726,12 +681,11 @@ class WorkloadEvaluator:
                 combo.transmission, combo.timelines, combo.has_base,
                 combo.commit_legs, combo, [None],
             ))
-            slot_union.update(combo.sites)
             if completed > latest:
                 latest = completed
         candidates.reverse()
         compiled = self._compiled[query_id] = _CompiledQuery(
-            query, shape, arrival, candidates, (0, *sorted(slot_union)), latest
+            query, shape, arrival, candidates, latest
         )
         self._summaries[query_id] = (arrival, latest, suffix_bound)
         return compiled
@@ -823,22 +777,9 @@ class WorkloadEvaluator:
         replay) starts from ``free_at`` instead of idle servers, so GA
         fitness scores candidate orders *given what has already been
         dispatched*.
-        ``free_at`` is flattened to per-slot clocks once, here.  The prefix
-        cache is emptied (its cached prefixes assumed the old base); the
-        dispatch memo survives, keyed as it is on the exact clocks.
-
-        Rebasing onto the base already in force is a no-op: cached
-        prefixes are a pure function of the base, the immutable candidate
-        sets and the sync timelines, so they stay exact — clearing them
-        would only cost the next pass its warm cache (regression
-        ``tests/test_mqo_online.py::TestHotPathFixes``).
+        ``free_at`` is flattened to per-slot clocks once, here.
         """
-        state = self._flatten(free_at)
-        if state == self._base:
-            return
-        self._base = state
-        self._root = _Segment(())
-        self.stats.trie_entries = 0
+        self._base = self._flatten(free_at)
 
     def _flatten(self, free_at: dict[int, float]) -> list[float]:
         """A caller's ``site id → free at`` dict as per-slot clocks."""
@@ -890,98 +831,44 @@ class WorkloadEvaluator:
         """IV-best assignment for one query under ``free_at``.
 
         The single-query building block of :meth:`evaluate_sequence`,
-        exposed for the online dispatcher, which re-asks about the same
-        plan head until some clock moves: :meth:`_advance` over the
-        flattened ``free_at`` for a one-query order, served from a memo —
-        here and only here — when the query's clocks match an earlier
-        probe.  Bit-identical to the naive test oracle, which realizes
-        every candidate with :meth:`_realize` and keeps the first strict IV
-        maximum (``tests/test_mqo_online.py::TestHotPathFixes``).
+        exposed for the online dispatcher: :meth:`_advance` over the
+        flattened ``free_at`` for a one-query order.  Bit-identical to the
+        naive test oracle, which realizes every candidate with
+        :meth:`_realize` and keeps the first strict IV maximum
+        (``tests/test_mqo_online.py::TestHotPathFixes``).
         ``free_at`` is read, never written; it is the caller's job to
         :meth:`_commit` the returned assignment.
         """
-        compiled = self._compiled_query(query_id)
-        state = self._flatten(free_at)
-        key = (query_id, *[state[slot] for slot in compiled.sites])
-        choices = self._choices
-        choice = choices.get(key)
-        if choice is None:
-            self._advance((query_id,), 0, state, 0.0, chosen := [], None)
-            choice = chosen[0][1]
-            if len(choices) >= self.max_prefix_entries > 0:
-                choices.clear()
-                self.stats.choice_evictions += 1
-            choices[key] = choice
-        else:
-            self.stats.choice_hits += 1
-            self.stats.naive_realize_calls += len(compiled.candidates)
-        return _assignment(compiled, choice)
+        chosen: list[tuple] = []
+        self._advance((query_id,), self._flatten(free_at), chosen)
+        return _assignment(*chosen[0])
 
     # -- evaluation entry points -------------------------------------------
 
     def _walk(
         self, order: "Sequence[int]", chosen: list[tuple] | None = None
     ) -> float:
-        """Total realized IV of a sequence of distinct workload query ids:
-        resumed from the longest cached prefix, the rest scored by
-        :meth:`_advance` (no memo: past the prefix the clocks are new) into
-        one new segment.  ``chosen`` receives every position's ``(compiled
-        query, choice record)``."""
+        """Total realized IV of a sequence of distinct workload query ids,
+        scored by :meth:`_advance` from the base clocks.  ``chosen``
+        receives every position's ``(compiled query, choice record)``."""
         if len(set(order)) != len(order):
             raise OptimizationError("sequence must not repeat query ids")
-        stats = self.stats
-        stats.evaluations += 1
-        lowered = self._compiled
-        naive = offset = depth = end = 0
-        segment, ids, length = self._root, (), len(order)
-        while depth < length:
-            query_id = order[depth]
-            if offset == end or ids[offset] != query_id:
-                child = segment.branches.get((offset, query_id))
-                if child is None:
-                    break
-                segment, ids, offset, end = child, child.ids, 0, len(child.ids)
-            offset += 1
-            depth += 1
-            compiled = lowered.get(query_id) or self._lower(query_id)
-            naive += len(compiled.candidates)
-            if chosen is not None:
-                record = segment.choices[4 * offset - 4:4 * offset]
-                chosen.append((compiled, record))
-        stats.naive_realize_calls += naive
-        if depth:
-            stats.prefix_hits += 1
-            stats.prefix_queries_skipped += depth
-        stats.resume_depths[depth] = stats.resume_depths.get(depth, 0) + 1
-        total_iv = segment.totals[offset - 1] if offset else 0.0
-        if depth == length:
-            return total_iv
-        slots = len(self._base)
-        state = (
-            segment.clocks[(offset - 1) * slots:offset * slots]
-            if offset else self._base[:]
-        )
-        tail = _Segment(order[depth:]) if self.max_prefix_entries else None
-        total_iv = self._advance(order, depth, state, total_iv, chosen, tail)
-        if tail is not None:
-            # Hung once complete; after a generational clear inside the
-            # walk, `segment` and the tail belong to the discarded cache.
-            segment.branches[(offset, order[depth])] = tail
-        return total_iv
+        self.stats.evaluations += 1
+        return self._advance(order, self._base[:], chosen)
 
     def _advance(
-        self, order: "Sequence[int]", position: int, state: list[float],
-        total_iv: float, chosen: list[tuple] | None, tail: _Segment | None,
+        self, order: "Sequence[int]", state: list[float],
+        chosen: list[tuple] | None,
     ) -> float:
-        """Score ``order[position:]`` from clocks ``state`` (committed in
-        place) and ``total_iv``: the one copy of the candidate scan.  Each
-        choice also goes to ``chosen`` and, counted by the cap, ``tail``."""
+        """Total realized IV of ``order`` from clocks ``state`` (committed
+        in place): the one copy of the candidate scan.  Each choice also
+        goes to ``chosen``."""
         stats = self.stats
         lowered = self._compiled
-        cap, entries = self.max_prefix_entries, stats.trie_entries
+        total_iv = 0.0
         naive = realized = 0
-        for index in range(position, len(order)):
-            compiled = lowered.get(order[index]) or self._lower(order[index])
+        for query_id in order:
+            compiled = lowered.get(query_id) or self._lower(query_id)
             arrival = compiled.arrival
             candidates = compiled.candidates
             shape = compiled.shape
@@ -1050,20 +937,6 @@ class WorkloadEvaluator:
             total_iv += best_iv
             if chosen is not None:
                 chosen.append((compiled, best))
-            if tail is None:
-                continue
-            if entries < cap:
-                entries += 1
-            else:
-                # Generational clear at the base in force: bounded memory
-                # beats a perfect LRU, as the GA repopulates hot prefixes.
-                self._root = _Segment(())
-                entries = 0
-                stats.trie_evictions += 1
-            tail.clocks += state
-            tail.totals.append(total_iv)
-            tail.choices += best
-        stats.trie_entries = entries
         stats.realize_calls += realized
         # Every candidate was either realized or pruned by a bound.
         stats.candidates_pruned += naive - realized
@@ -1073,10 +946,9 @@ class WorkloadEvaluator:
     def evaluate_sequence(self, order: "Sequence[int]") -> EvaluationResult:
         """Realize an arbitrary sequence of distinct workload query ids.
 
-        Resume from the longest cached prefix, then realize remaining
-        positions with compiled candidates.  Results are bit-identical to
-        the naive test oracle's replay of the same sequence
-        (``tests/mqo_naive_oracle.py``).
+        Every position is realized with compiled candidates.  Results are
+        bit-identical to the naive test oracle's replay of the same
+        sequence (``tests/mqo_naive_oracle.py``).
         """
         chosen: list[tuple] = []
         self._walk(order, chosen)
@@ -1098,10 +970,6 @@ class WorkloadEvaluator:
                 "permutation must contain each workload query id exactly once"
             )
         return self.evaluate_sequence(permutation)
-
-    def fitness(self, permutation: list[int]) -> float:
-        """GA fitness: the permutation's total realized information value."""
-        return self.evaluate(permutation).total_information_value
 
     def sequence_fitness(self, order: "Sequence[int]") -> float:
         """Fitness of a partial order (e.g. one conflict group's permutation).

@@ -625,21 +625,13 @@ class OnlineSession:
             order=list(record.order),
         )
 
-    def _best_assignment(self, qid: int) -> Assignment:
-        # Compiled fast path with the choice memo: dispatch probes the
-        # plan head on *every* event, and between dispatches the site
-        # clocks rarely move, so the memo turns repeated probes into one
-        # lookup.  Bit-identical to realizing every candidate naively
-        # (the pre-fix per-event loop).
-        return self.evaluator.choose_best(qid, self.free_at)
-
     def dispatch(self, now: float) -> None:
         # Start plan heads whose begin precedes every event that could
         # still change the plan; realization is a pure function of the
         # order and committed state, so *when* we commit is irrelevant
         # to the schedule — only re-optimization opportunities matter.
         while self.plan:
-            assignment = self._best_assignment(self.plan[0])
+            assignment = self.evaluator.choose_best(self.plan[0], self.free_at)
             if self.clock and assignment.begin > self.clock.peek_time():
                 break
             qid = self.plan.popleft()

@@ -1,8 +1,8 @@
 """The test oracle for the workload evaluator: the naive replay.
 
 Production scoring is :class:`repro.mqo.evaluator.WorkloadEvaluator`'s
-compiled walk (prefix cache, upper-bound pruning, dense clocks, dispatch
-memo).  This module keeps the straightforward replay that walk must
+compiled walk (compiled candidate records, upper-bound pruning, dense
+clocks).  This module keeps the straightforward replay that walk must
 equal bit for bit: per query in order, realize every candidate against
 the catalog (``_realize``), keep the first strict IV maximum and commit
 it (``_commit``) — no caches, no bounds.  The fast-path properties and

@@ -1,10 +1,9 @@
 """Fast-path equivalence and bookkeeping of the workload evaluator.
 
-The layered fast path (compiled plans, upper-bound pruning, prefix cache,
-choice memo) must be invisible: bit-identical assignments and totals to
-the naive replay (``tests/mqo_naive_oracle.py``) on every workload and
-permutation, under any cache pressure.  These tests drive randomized
-workloads through both and poke at the caps and counters.
+The layered fast path (compiled plans, upper-bound pruning) must be
+invisible: bit-identical assignments and totals to the naive replay
+(``tests/mqo_naive_oracle.py``) on every workload and permutation.  These
+tests drive randomized workloads through both and poke at the counters.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from repro.federation.costmodel import CostModel, CostParameters
 from repro.federation.site import LOCAL_SITE_ID
 from repro.mqo import evaluator as evaluator_module
 from repro.mqo.evaluator import WorkloadEvaluator
-from repro.mqo.ga import GAConfig, GeneticAlgorithm
 from repro.workload.query import DSSQuery, Workload
 
 from tests.mqo_naive_oracle import best_naive, evaluate_naive
@@ -120,54 +118,6 @@ class TestFastPathEquivalence:
             perm = data.draw(st.permutations(qids))
             assert_identical(evaluator, list(perm))
 
-    def test_shared_prefix_reuses_trie(self):
-        workload = build_workload(
-            [(0, 1.0, 8_000.0), (1, 1.2, 8_000.0),
-             (2, 1.4, 8_000.0), (3, 1.6, 8_000.0)]
-        )
-        evaluator = build_evaluator(workload)
-        assert_identical(evaluator, [1, 2, 3, 4])
-        # Same prefix, different tail: resume depth 2 at least.
-        assert_identical(evaluator, [1, 2, 4, 3])
-        assert evaluator.stats.prefix_hits >= 1
-        assert evaluator.stats.prefix_queries_skipped >= 2
-
-    def test_tiny_trie_cap_still_correct(self):
-        workload = build_workload(
-            [(0, 1.0, 8_000.0), (1, 1.1, 8_000.0), (2, 1.2, 8_000.0)]
-        )
-        evaluator = build_evaluator(workload, max_prefix_entries=2)
-        perms = [[1, 2, 3], [2, 1, 3], [3, 2, 1], [1, 3, 2], [2, 3, 1]]
-        for perm in perms:
-            assert_identical(evaluator, perm)
-        assert evaluator.stats.trie_evictions > 0
-        assert evaluator.stats.trie_entries <= 2
-
-    def test_evicted_trie_re_roots_at_the_rebased_clocks(self):
-        # Regression: the generational clear re-rooted the trie at idle
-        # servers, so after one eviction every order scored as if nothing
-        # had been committed (1.84 against the reference's 0.029 here).
-        workload = build_workload(
-            [(0, 1.0, 8_000.0), (0, 1.1, 8_000.0),
-             (0, 1.2, 8_000.0), (0, 1.3, 8_000.0)]
-        )
-        evaluator = build_evaluator(workload, max_prefix_entries=3)
-        evaluator.rebase({LOCAL_SITE_ID: 40.0})
-        for order in ([1, 2, 3, 4], [2, 1, 3, 4], [1, 2, 3, 4]):
-            assert (
-                evaluator.sequence_fitness(order)
-                == evaluate_naive(evaluator, order).total_information_value
-            )
-        assert evaluator.stats.trie_evictions > 0
-
-    def test_zero_cap_disables_memoization(self):
-        workload = build_workload([(0, 1.0, 8_000.0), (1, 1.1, 8_000.0)])
-        evaluator = build_evaluator(workload, max_prefix_entries=0)
-        assert_identical(evaluator, [1, 2])
-        assert_identical(evaluator, [1, 2])
-        assert evaluator.stats.trie_entries == 0
-        assert evaluator.stats.prefix_hits == 0
-
     def test_repeated_ids_rejected(self):
         workload = build_workload([(0, 1.0, 8_000.0), (1, 1.1, 8_000.0)])
         evaluator = build_evaluator(workload)
@@ -206,24 +156,22 @@ class TestFitnessIsTheResultsTotal:
     """``sequence_fitness`` returns the walk's running total and builds
     nothing; it must equal the realized result's total with ``==``."""
 
-    # The trie re-root bug: a cap-3 trie evicts on the fourth position of
-    # the cold walk, and the warm walk after it started from idle servers.
+    # Every query scored from a rebased, busy local server: the walk must
+    # start from the committed clocks, not from idle servers.
     @example(
         specs=[(0, 1.0, 8_000.0), (0, 1.1, 8_000.0),
                (0, 1.2, 8_000.0), (0, 1.3, 8_000.0)],
         steps=[("rebase", {LOCAL_SITE_ID: 40.0}),
                ("score", _EveryQueryInOrder())],
-        cap=3,
     )
     @settings(max_examples=60, deadline=None)
     @given(
         specs=st.lists(query_spec, min_size=2, max_size=6),
         steps=st.lists(session_step, min_size=1, max_size=12),
-        cap=st.sampled_from([0, 3, 65_536]),
     )
-    def test_over_random_orders_rebases_and_evictions(self, specs, steps, cap):
+    def test_over_random_orders_rebases_and_evictions(self, specs, steps):
         workload = build_workload(specs)
-        evaluator = build_evaluator(workload, max_prefix_entries=cap)
+        evaluator = build_evaluator(workload)
         qids = [q.query_id for q in workload.queries]
         for kind, argument in steps:
             if kind == "rebase":
@@ -233,8 +181,8 @@ class TestFitnessIsTheResultsTotal:
                 evaluator.evict(qids[argument % len(qids)])
                 continue
             order = argument.sample(qids, argument.randint(0, len(qids)))
-            # Scored cold, then realized (now trie-warm), then the
-            # catalog-walking reference: three routes to one total.
+            # Scored, realized, scored again, then the catalog-walking
+            # reference: four routes to one total.
             fitness = evaluator.sequence_fitness(order)
             result = evaluator.evaluate_sequence(order)
             assert fitness == result.total_information_value
@@ -264,19 +212,6 @@ class TestFitnessIsTheResultsTotal:
         assert evaluator.evaluate_sequence([1, 2, 3]).total_information_value == total
         assert len(built) == 3  # one per position, only when a result is asked for
 
-    def test_scoring_leaves_the_dispatch_memo_alone(self):
-        # The choice memo serves choose_best only: inside the walk it
-        # missed seven probes in eight and cost more to ask than it saved.
-        workload = build_workload(
-            [(0, 1.0, 8_000.0), (1, 1.2, 8_000.0), (2, 1.4, 8_000.0)]
-        )
-        evaluator = build_evaluator(workload)
-        for _ in range(2):
-            for order in ([1, 2, 3], [2, 1, 3], [3, 1]):
-                evaluator.sequence_fitness(order)
-        assert evaluator.stats.choice_hits == 0
-        assert evaluator._choices == {}
-
     def test_total_is_a_plain_left_to_right_sum(self):
         # Built-in sum() is compensated from Python 3.12 on; the total
         # must not depend on the interpreter.
@@ -289,169 +224,6 @@ class TestFitnessIsTheResultsTotal:
         for assignment in result.assignments:
             expected += assignment.information_value
         assert result.total_information_value.hex() == expected.hex()
-
-    def test_memoised_choice_outlives_eviction(self):
-        # A choice memo entry can be served after its query's records were
-        # evicted and re-lowered; the assignment must still carry a plan.
-        workload = build_workload([(0, 1.0, 8_000.0), (1, 1.2, 8_000.0)])
-        evaluator = build_evaluator(workload)
-        first = evaluator.choose_best(1, {})
-        evaluator.evict(1)
-        again = evaluator.choose_best(1, {})
-        assert evaluator.stats.choice_hits == 1
-        assert again.plan is first.plan
-        assert (again.begin, again.completed) == (first.begin, first.completed)
-
-
-class ReferencePrefixCache:
-    """The prefix cache as a set of cached id prefixes, with the same
-    generational clear: what the segment cache must count like."""
-
-    def __init__(self, cap: int) -> None:
-        self.cap = cap
-        self.prefixes: set[tuple[int, ...]] = set()
-        self.entries = self.evictions = self.hits = 0
-        self.depths: dict[int, int] = {}
-
-    def rebase(self, changed: bool) -> None:
-        if changed:
-            self.prefixes = set()
-            self.entries = 0
-
-    def walk(self, order: list[int]) -> None:
-        order = tuple(order)
-        depth = 0
-        while depth < len(order) and order[:depth + 1] in self.prefixes:
-            depth += 1
-        self.hits += depth > 0
-        self.depths[depth] = self.depths.get(depth, 0) + 1
-        reachable = True
-        for end in range(depth + 1, len(order) + 1 if self.cap else 0):
-            if self.entries < self.cap:
-                self.entries += 1
-                if reachable:
-                    self.prefixes.add(order[:end])
-            else:
-                # Cleared mid-walk: the rest of the walk still counts, but
-                # the new root cannot reach it.
-                self.prefixes = set()
-                self.entries = 0
-                self.evictions += 1
-                reachable = False
-
-
-def cached_segments(evaluator: WorkloadEvaluator) -> list:
-    """Every segment reachable from the prefix cache's root."""
-    found = []
-    stack = [evaluator._root]
-    while stack:
-        children = list(stack.pop().branches.values())
-        found.extend(children)
-        stack.extend(children)
-    return found
-
-
-#: Every site id of ``build_catalog``'s evaluators, local first.
-ALL_SITES = (LOCAL_SITE_ID, *range(NUM_SITES))
-
-
-class TestSegmentCacheIsATrie:
-    """One segment per walk must cache, resume and evict exactly like the
-    one-node-per-position trie it replaced, modelled as a prefix set."""
-
-    @settings(max_examples=80, deadline=None)
-    @given(
-        specs=st.lists(query_spec, min_size=2, max_size=8),
-        cap=st.sampled_from([0, 1, 3, 64]),
-        data=st.data(),
-    )
-    def test_counts_like_a_set_of_prefixes(self, specs, cap, data):
-        workload = build_workload(specs)
-        evaluator = build_evaluator(workload, max_prefix_entries=cap)
-        reference = ReferencePrefixCache(cap)
-        qids = [query.query_id for query in workload.queries]
-        orders = [qids]
-        base = (0.0,) * len(ALL_SITES)
-        for _ in range(data.draw(st.integers(min_value=1, max_value=16))):
-            step = data.draw(st.sampled_from(
-                ["score", "score", "score", "realize", "same base",
-                 "new base"]
-            ))
-            if step.endswith("base"):
-                if step == "new base":
-                    drawn = data.draw(st.dictionaries(
-                        st.sampled_from(ALL_SITES), site_clock
-                    ))
-                    clocks = tuple(drawn.get(site, 0.0) for site in ALL_SITES)
-                    reference.rebase(changed=clocks != base)
-                    base = clocks
-                evaluator.rebase(dict(zip(ALL_SITES, base)))
-                continue
-            # A drawn order shares a drawn prefix with an earlier one.
-            source = data.draw(st.sampled_from(orders))
-            prefix = source[:data.draw(
-                st.integers(min_value=0, max_value=len(source))
-            )]
-            rest = data.draw(st.permutations(
-                [qid for qid in qids if qid not in prefix]
-            ))
-            order = [*prefix, *rest[:data.draw(
-                st.integers(min_value=0, max_value=len(rest))
-            )]]
-            orders.append(order)
-            naive = evaluate_naive(evaluator, order)
-            if step == "realize":
-                result = evaluator.evaluate_sequence(order)
-                assert_same_result(result, naive)
-                total = result.total_information_value
-            else:
-                total = evaluator.sequence_fitness(order)
-            reference.walk(order)
-            assert total == naive.total_information_value
-            stats = evaluator.stats
-            assert stats.resume_depths == reference.depths
-            assert (
-                stats.prefix_hits, stats.trie_entries, stats.trie_evictions
-            ) == (reference.hits, reference.entries, reference.evictions)
-
-    @pytest.mark.parametrize("cap", [65_536, 16])
-    def test_a_ga_run_leaves_one_segment_per_fresh_walk(self, cap):
-        workload = build_workload(
-            [(index % NUM_TABLES, 1.0 + 0.1 * index, 4_000.0 + 500.0 * index)
-             for index in range(10)]
-        )
-        evaluator = build_evaluator(workload, max_prefix_entries=cap)
-        stats = evaluator.stats
-        fresh_walks = 0
-
-        def fitness(order: list[int]) -> float:
-            nonlocal fresh_walks
-            skipped = stats.prefix_queries_skipped
-            total = evaluator.sequence_fitness(order)
-            fresh_walks += stats.prefix_queries_skipped - skipped < len(order)
-            return total
-
-        GeneticAlgorithm(
-            genes=[query.query_id for query in workload.queries],
-            fitness=fitness,
-            config=GAConfig(population_size=16, generations=10),
-            seed=3,
-        ).run()
-        segments = cached_segments(evaluator)
-        assert 0 < len(segments) <= fresh_walks
-        slots = len(ALL_SITES)
-        for segment in segments:
-            positions = len(segment.ids)
-            assert positions > 0
-            assert len(segment.clocks) == slots * positions
-            assert len(segment.totals) == positions
-            assert len(segment.choices) == 4 * positions
-        if stats.trie_evictions == 0:
-            assert cap == 65_536
-            assert len(segments) == fresh_walks
-            assert sum(len(segment.ids) for segment in segments) == (
-                stats.trie_entries
-            )
 
 
 def decay_prunes(
@@ -482,48 +254,39 @@ def decay_prunes(
 
 class TestScanEdgeBranches:
     """The one candidate scan against the naive oracle on branches random
-    workloads reach rarely: ``choose_best`` on a memo miss and on a hit,
-    and ``evaluate_sequence`` from the same clocks, with the prefix cache
-    on and off."""
+    workloads reach rarely: ``choose_best`` and ``evaluate_sequence`` from
+    the same clocks."""
 
     def check(self, evaluator, free_at):
         expected = best_naive(evaluator, 1, free_at)
-        stats = evaluator.stats
-        missed = evaluator.choose_best(1, free_at)
-        assert stats.choice_hits == 0
-        hit = evaluator.choose_best(1, dict(free_at))
-        assert stats.choice_hits == 1
+        chosen = evaluator.choose_best(1, free_at)
         evaluator.rebase(free_at)
         order = [query.query_id for query in evaluator.workload.queries]
         result = evaluator.evaluate_sequence(order)
-        for fast in (missed, hit, result.assignments[0]):
+        for fast in (chosen, result.assignments[0]):
             assert_same_assignment(fast, expected)
         assert_same_result(result, evaluate_naive(evaluator, order))
         return expected
 
-    @pytest.mark.parametrize("cap", [65_536, 0])
-    def test_bound_decayed_by_the_local_wait_prunes(self, cap):
+    def test_bound_decayed_by_the_local_wait_prunes(self):
         workload = build_workload([(1, 1.0, 8_000.0), (2, 1.1, 2_000.0)])
-        evaluator = build_evaluator(workload, max_prefix_entries=cap)
+        evaluator = build_evaluator(workload)
         free_at = {LOCAL_SITE_ID: 5.0}
         assert decay_prunes(evaluator, 1, free_at) > 0
         self.check(evaluator, free_at)
 
-    @pytest.mark.parametrize("cap", [65_536, 0])
-    def test_begin_waits_on_a_remote_slot(self, cap):
+    def test_begin_waits_on_a_remote_slot(self):
         workload = build_workload([(1, 5.6, 2_000.0), (4, 5.7, 2_000.0)])
-        evaluator = build_evaluator(workload, max_prefix_entries=cap)
+        evaluator = build_evaluator(workload)
         expected = self.check(evaluator, {1: 6.1})
         assert 1 in expected.plan.cost.remote_sites
         assert expected.plan.start_time < expected.begin == 6.1
 
-    @pytest.mark.parametrize("cap", [65_536, 0])
-    def test_pure_replica_data_stamped_after_begin(self, cap):
+    def test_pure_replica_data_stamped_after_begin(self):
         workload = build_workload([(0, 1.0, 2_000.0), (3, 1.2, 2_000.0)])
         evaluator = build_evaluator(
             workload,
             catalog=build_catalog(first_sync=20.0, initial_timestamp=10.0),
-            max_prefix_entries=cap,
         )
         expected = self.check(evaluator, {})
         assert not expected.plan.cost.remote_sites
@@ -569,4 +332,4 @@ class TestCandidateTruncationStats:
         assert totals.realize_calls == 2 * evaluator.stats.realize_calls
         summary = totals.summary()
         assert "realize_calls=" in summary
-        assert "prefix_hits=" in summary
+        assert "pruned=" in summary

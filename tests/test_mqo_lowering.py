@@ -83,7 +83,6 @@ class OracleCandidate:
 class OracleQuery:
     candidates: list[OracleCandidate]
     suffix_bounds: list[float]
-    sites: tuple[int, ...]
     latest_completion: float
     horizon_capped: int = 0
     candidate_plans_dropped: int = 0
@@ -155,7 +154,7 @@ def oracle_compile(
     query, arrival, catalog, cost_provider, rates, max_candidates,
 ) -> OracleQuery:
     """The old ``WorkloadEvaluator._compiled_query`` for one query."""
-    compiled = OracleQuery([], [], (), 0.0)
+    compiled = OracleQuery([], [], 0.0)
     plans = oracle_candidates(
         query, arrival, catalog, cost_provider, rates, max_candidates, compiled,
     )
@@ -167,10 +166,6 @@ def oracle_compile(
     for index in range(len(plans) - 1, -1, -1):
         running = max(running, compiled.candidates[index].upper_bound)
         compiled.suffix_bounds[index] = running
-    site_union: set[int] = set()
-    for candidate in compiled.candidates:
-        site_union.update(candidate.sites)
-    compiled.sites = tuple(sorted(site_union))
     compiled.latest_completion = max(plan.completion_time for plan in plans)
     return compiled
 
@@ -244,7 +239,7 @@ def assert_lowering_matches_oracle(
     ``selected_by`` is the evaluator whose shipped selections ``evaluator``
     builds its records from: the select step's counters are that one's.
     """
-    expected_stats = OracleQuery([], [], (), 0.0)
+    expected_stats = OracleQuery([], [], 0.0)
     site_ids = evaluator._site_ids  # slot → site id, local first
     assert site_ids == [LOCAL_SITE_ID, *range(NUM_SITES)]
     for query in evaluator.workload.queries:
@@ -302,9 +297,6 @@ def assert_lowering_matches_oracle(
             (1.0 - rates.synchronization) if rates.synchronization else 0.0
         )
         assert compiled.arrival == arrival
-        assert tuple(
-            [site_ids[slot] for slot in compiled.sites]
-        ) == oracle.sites
         assert compiled.latest_completion == oracle.latest_completion
         assert evaluator.range_of(query.query_id) == (
             arrival, oracle.latest_completion

@@ -567,31 +567,6 @@ class TestHotPathFixes:
                 assert a.completed == b.completed
                 assert a.data_timestamp == b.data_timestamp
                 assert a.information_value == b.information_value
-        # Repeated probes under unchanged clocks hit the choice memo.
-        before = evaluator.stats.choice_hits
-        evaluator.choose_best(1, {0: 3.0})
-        evaluator.choose_best(1, {0: 3.0})
-        assert evaluator.stats.choice_hits >= before + 1
-
-    def test_rebase_noop_preserves_prefix_trie(self):
-        from repro.mqo.evaluator import WorkloadEvaluator
-
-        catalog = build_catalog()
-        cost_model = CostModel(catalog, params=CostParameters())
-        workload = burst_workload(count=4)
-        evaluator = WorkloadEvaluator(
-            catalog, cost_model, DiscountRates.symmetric(0.1), workload
-        )
-        evaluator.rebase({0: 2.0})
-        evaluator.evaluate_sequence([1, 2, 3])
-        warm = evaluator.stats.trie_entries
-        assert warm > 0
-        # Same base: the trie (a pure function of the base) must survive.
-        evaluator.rebase({0: 2.0})
-        assert evaluator.stats.trie_entries == warm
-        # Different base: cached prefixes are stale and must go.
-        evaluator.rebase({0: 5.0})
-        assert evaluator.stats.trie_entries == 0
 
     def test_deferred_requeue_preserves_fifo_order(self):
         scheduler = build_online(

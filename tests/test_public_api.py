@@ -186,6 +186,36 @@ def test_fault_binding_names_are_gone():
     assert not hasattr(harness, "runs_equivalent")
 
 
+def test_prefix_cache_and_dispatch_memo_names_are_gone():
+    """The evaluator keeps nothing between calls: no prefix trie, no
+    dispatch memo, no cap on either, none of their counters, and no
+    whole-permutation ``fitness`` beside ``sequence_fitness``."""
+    import dataclasses
+
+    from repro.core.value import DiscountRates
+    from repro.federation.catalog import Catalog
+    from repro.federation.costmodel import CostModel
+    from repro.mqo import evaluator
+    from repro.mqo.online import OnlineSession
+    from repro.workload.query import Workload
+
+    catalog = Catalog()
+    with pytest.raises(TypeError, match="max_prefix_entries"):
+        evaluator.WorkloadEvaluator(
+            catalog, CostModel(catalog), DiscountRates.symmetric(0.1),
+            Workload(), max_prefix_entries=0,
+        )
+    assert not hasattr(evaluator, "_Segment")
+    counters = {f.name for f in dataclasses.fields(evaluator.EvaluatorStats)}
+    for name in (
+        "prefix_queries_skipped", "resume_depths", "trie_entries",
+        "trie_evictions", "choice_evictions",
+    ):
+        assert name not in counters
+    assert not hasattr(evaluator.WorkloadEvaluator, "fitness")
+    assert not hasattr(OnlineSession, "_best_assignment")
+
+
 def _loaded_after(code: str) -> tuple[list[str], list[str]]:
     """``(repro modules, heavy stdlib modules)`` loaded by ``code`` in a
     fresh interpreter (``-B``: the probe writes no bytecode into ``src/``)."""
