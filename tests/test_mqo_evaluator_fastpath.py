@@ -255,7 +255,8 @@ def decay_prunes(
 class TestScanEdgeBranches:
     """The one candidate scan against the naive oracle on branches random
     workloads reach rarely: ``choose_best`` and ``evaluate_sequence`` from
-    the same clocks."""
+    the same clocks, with every clock near zero and shifted by ``origin``
+    minutes (catalog syncs, arrivals and server clocks alike)."""
 
     def check(self, evaluator, free_at):
         expected = best_naive(evaluator, 1, free_at)
@@ -268,25 +269,42 @@ class TestScanEdgeBranches:
         assert_same_result(result, evaluate_naive(evaluator, order))
         return expected
 
-    def test_bound_decayed_by_the_local_wait_prunes(self):
-        workload = build_workload([(1, 1.0, 8_000.0), (2, 1.1, 2_000.0)])
-        evaluator = build_evaluator(workload)
-        free_at = {LOCAL_SITE_ID: 5.0}
+    @pytest.mark.parametrize("origin", [65_536, 0])
+    def test_bound_decayed_by_the_local_wait_prunes(self, origin):
+        workload = build_workload(
+            [(1, origin + 1.0, 8_000.0), (2, origin + 1.1, 2_000.0)]
+        )
+        evaluator = build_evaluator(
+            workload, catalog=build_catalog(first_sync=origin + 1.0,
+                                            initial_timestamp=origin)
+        )
+        free_at = {LOCAL_SITE_ID: origin + 5.0}
         assert decay_prunes(evaluator, 1, free_at) > 0
         self.check(evaluator, free_at)
 
-    def test_begin_waits_on_a_remote_slot(self):
-        workload = build_workload([(1, 5.6, 2_000.0), (4, 5.7, 2_000.0)])
-        evaluator = build_evaluator(workload)
-        expected = self.check(evaluator, {1: 6.1})
+    @pytest.mark.parametrize("origin", [65_536, 0])
+    def test_begin_waits_on_a_remote_slot(self, origin):
+        workload = build_workload(
+            [(1, origin + 5.6, 2_000.0), (4, origin + 5.7, 2_000.0)]
+        )
+        evaluator = build_evaluator(
+            workload, catalog=build_catalog(first_sync=origin + 1.0,
+                                            initial_timestamp=origin)
+        )
+        expected = self.check(evaluator, {1: origin + 6.1})
         assert 1 in expected.plan.cost.remote_sites
-        assert expected.plan.start_time < expected.begin == 6.1
+        assert expected.plan.start_time < expected.begin == origin + 6.1
 
-    def test_pure_replica_data_stamped_after_begin(self):
-        workload = build_workload([(0, 1.0, 2_000.0), (3, 1.2, 2_000.0)])
+    @pytest.mark.parametrize("origin", [65_536, 0])
+    def test_pure_replica_data_stamped_after_begin(self, origin):
+        workload = build_workload(
+            [(0, origin + 1.0, 2_000.0), (3, origin + 1.2, 2_000.0)]
+        )
         evaluator = build_evaluator(
             workload,
-            catalog=build_catalog(first_sync=20.0, initial_timestamp=10.0),
+            catalog=build_catalog(
+                first_sync=origin + 20.0, initial_timestamp=origin + 10.0
+            ),
         )
         expected = self.check(evaluator, {})
         assert not expected.plan.cost.remote_sites
