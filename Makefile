@@ -71,7 +71,7 @@ test-scale:
 # property, the merged-trace goldens, and the /metrics content
 # negotiation (long configs stay behind `slow`).
 test-fleet:
-	PYTHONPATH=src $(PYTHON) -m pytest tests/test_obs_fleet.py tests/test_obs_fleet_fold.py "tests/test_mqo_scale.py::TestFleetTraceGolden" tests/test_serve_metrics_formats.py -q -m "not slow"
+	PYTHONPATH=src $(PYTHON) -m pytest tests/test_obs_fleet.py tests/test_obs_fleet_fold.py tests/test_obs_checker.py tests/test_obs_checker_fold.py "tests/test_mqo_scale.py::TestFleetTraceGolden" tests/test_serve_metrics_formats.py -q -m "not slow"
 
 # What a sim process holds: no libcrypto and no engine import, the
 # builtin-SHA-256 seed derivation (and its fallback), the stream's bytes
@@ -101,9 +101,9 @@ trace-check:
 	PYTHONPATH=src $(PYTHON) -m repro trace faults --check >/dev/null
 	@echo "trace-check: fig4, stream and faults scenarios clean"
 
-# Merge the traces a reduced EXT5 steady sweep's shards return and run
-# the cross-shard checker rules over the merged trace (non-zero on any
-# violation).
+# A reduced EXT5 steady sweep with each shard's checker fold attached:
+# report every shard's verdict and run the cross-shard rules over the
+# shards' audits (non-zero on any violation).
 trace-check-fleet:
 	PYTHONPATH=src $(PYTHON) -m repro scale --trace --fleet-metrics --schedule steady --queries 2000 >/dev/null
 	@echo "trace-check-fleet: merged EXT5 steady trace clean"

@@ -312,16 +312,19 @@ def _traced_run(scheduler, workload, selections, shard):
     The same :func:`~repro.mqo.online.drive` over the same pops, so stats,
     dispatch order and total IV are bit-equal to the untraced run; a
     :class:`~repro.mqo.online.LifecycleTrace` observer adds the serving
-    tier's per-query lifecycle.  Returns ``(decision, telemetry)``: the
-    shard's :class:`~repro.obs.fleet.ShardTelemetry` holds every record
-    the tracer emitted, so the worker keeps its trace until it returns.
+    tier's per-query lifecycle.  A :class:`~repro.obs.checker.TraceChecker`
+    fold audits each record as it is emitted.  Returns ``(decision,
+    telemetry)``: the shard's :class:`~repro.obs.fleet.ShardTelemetry`
+    holds every record the tracer emitted and the fold's audit.
     """
+    from repro.obs.checker import TraceChecker
     from repro.obs.fleet import ShardTelemetry
     from repro.sim.clocks import SimClock
     from repro.sim.trace import Tracer
 
     clock = SimClock()
     tracer = Tracer(lambda: clock.now)
+    checker = TraceChecker().attach(tracer)
     scheduler.tracer = tracer
     session = scheduler.session(workload, clock, selections)
     session.push_arrivals()
@@ -338,6 +341,7 @@ def _traced_run(scheduler, workload, selections, shard):
             "shed": decision.stats.shed,
             "deferred": decision.stats.deferred,
         },
+        audit=checker.audit(),
     )
     return decision, telemetry
 
@@ -508,9 +512,10 @@ def run_schedule(
     """One schedule end to end: group, shard, run, aggregate.
 
     With telemetry enabled (``config.trace`` / ``config.fleet_metrics``)
-    each shard returns its trace in its result; the traces are merged at
-    join into a :class:`~repro.obs.fleet.FleetCollector`, audited by the
-    cross-shard checker, and summarized under the ``"fleet"`` metrics key.
+    each shard returns its trace and the audit its checker fold made of
+    it; they are joined into a :class:`~repro.obs.fleet.FleetCollector`,
+    audited by the cross-shard checker rules, and summarized under the
+    ``"fleet"`` metrics key.
     A worker that dies makes the pool raise before any trace is read, so
     the collector only ever sees shards that finished.  Pass ``on_fleet``
     to receive ``(schedule_name, collector, violations)`` (the CLI renders

@@ -13,7 +13,7 @@ Three pillars, all built on the :mod:`repro.sim.trace` substrate:
   any instant or after the run (``FederatedSystem.metrics()``).
 
 :mod:`repro.obs.export` serializes traces (JSONL, chrome://tracing) and
-:mod:`repro.obs.checker` turns any trace into a self-audit:
+:mod:`repro.obs.checker` folds any trace into a self-audit:
 ``TraceChecker().check(records) == []`` is the system-wide invariant the
 test harness locks down.
 

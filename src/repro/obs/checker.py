@@ -1,7 +1,9 @@
-"""Trace invariant checking: replay any emitted trace and audit it.
+"""Trace invariant checking: one fold over the trace, a record at a time.
 
-:class:`TraceChecker` consumes a list of :class:`~repro.sim.trace.TraceRecord`
-(live from a tracer or re-read from JSONL) and verifies, per query:
+:class:`TraceChecker` observes :class:`~repro.sim.trace.TraceRecord`\\ s in
+emit order — live, subscribed to a tracer (:meth:`TraceChecker.attach`),
+or from a list (:meth:`TraceChecker.check` folds a fresh checker over it)
+— and verifies, per query:
 
 * **causal ordering** — lifecycle events appear in the only legal order
   (submit → plan → exec.start → leg events → remote.done → local.granted →
@@ -13,6 +15,13 @@
 * **IV-ledger consistency** — recomputing IV from the audit ledger
   reproduces the reported IV **bit-identically**, SL equals the gap to the
   stalest realized version, and failed queries report IV 0.
+
+Fault edges, online admission, SLO alerts and checkpoint/resume have
+their own rules.  Each is a handler keyed by record kind; none walks the
+trace.  A query's ledger is checked on arrival and dropped: per query id
+the fold keeps only a fixed-size summary, what a later record for that id
+needs to be judged as the whole trace would judge it.
+:meth:`TraceChecker.finish` adds the end-of-trace rules.
 
 Every failure is a :class:`Violation` naming the rule, the subject and
 what went wrong; an empty list is the pass condition the regression and
@@ -33,8 +42,9 @@ from repro.sim.trace import TraceRecord
 
 if typing.TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.fleet import ShardTelemetry
+    from repro.sim.trace import Tracer
 
-__all__ = ["Violation", "TraceChecker"]
+__all__ = ["Violation", "ShardAudit", "TraceChecker"]
 
 #: Causal rank of each lifecycle kind; equal ranks may interleave freely.
 _RANK = {
@@ -55,6 +65,10 @@ _RANK = {
     events.FAILED: 7,
     events.LEDGER: 8,
 }
+
+
+#: Leg stages a site reached, as bits of ``_Query.legs``.
+_STARTED, _GRANTED = 1, 2
 
 
 @dataclass(frozen=True)
@@ -83,8 +97,58 @@ PREFIX_SENSITIVE_RULES = frozenset({
 })
 
 
+def _downgrade(
+    violations: Sequence[Violation], dropped: int
+) -> list[Violation]:
+    """``violations`` without :data:`PREFIX_SENSITIVE_RULES` when records
+    were dropped."""
+    return [
+        violation for violation in violations
+        if dropped <= 0 or violation.rule not in PREFIX_SENSITIVE_RULES
+    ]
+
+
+@dataclass(frozen=True)
+class ShardAudit:
+    """One shard's finished fold: all that
+    :meth:`TraceChecker.check_fleet` reads of the shard's trace."""
+
+    #: Violations before the shard's ``dropped_events`` downgrade.
+    violations: tuple[Violation, ...]
+    records: int
+    ledger_entries: int
+    #: Left-to-right sums over the ledger records, in emit order.
+    ledger_iv: float
+    ledger_cl: float
+    #: Every query id a record named (``qid``, or a ledger's ``query_id``).
+    qids: frozenset
+
+
+class _Query:
+    """What the fold keeps of one query id until :meth:`TraceChecker.finish`."""
+
+    __slots__ = (
+        "subject", "rank", "kind", "counts", "legs", "submitted_at",
+        "complete", "findings", "stamp",
+    )
+
+    def __init__(self, subject: str) -> None:
+        self.subject = subject  # the first record's
+        self.rank = -1  # highest causal rank so far
+        self.kind: str | None = None  # the previous record's kind
+        self.counts: dict[str, int] = {}  # records per lifecycle kind
+        self.legs: dict = {}  # site -> _STARTED | _GRANTED bits seen
+        self.submitted_at: float | None = None  # the last submit's time
+        self.complete: tuple | None = None  # the last complete's (t, iv, cl, sl)
+        # The last ledger's entry-only violations (None: no ledger yet) and
+        # its (subject, submitted_at, completed_at, iv, cl, sl), which the
+        # submit and complete events must agree with.
+        self.findings: list[Violation] | None = None
+        self.stamp: tuple | None = None
+
+
 class TraceChecker:
-    """Replays a trace and reports every invariant violation.
+    """Folds a trace and reports every invariant violation.
 
     Parameters
     ----------
@@ -106,38 +170,50 @@ class TraceChecker:
             raise SimulationError("tolerance must be >= 0")
         self.tolerance = tolerance
         self.require_complete = require_complete
+        self._violations: list[Violation] = []
+        self._queries: dict[int, _Query] = {}
+        #: Records observed, ledger records and their IV/CL sums, query ids.
+        self.observed = 0
+        self.ledger_entries = 0
+        self.ledger_iv = 0.0
+        self.ledger_cl = 0.0
+        self.qids: set = set()
+        self._span_start: float | None = None
+        self._last_time: float | None = None
+        self._last_fault: dict[str, str] = {}
+        self._last_window = -1
+        self._admitted: set = set()
+        self._shed: set = set()
+        self._executed: set = set()
+        self._open_alerts: dict[str, float | None] = {}
+        self._last_checkpoint_pops = -1
+        self._last_resume_pops = -1
+        self._completed: set = set()
 
     # -- entry points ----------------------------------------------------------
+
+    def attach(self, tracer: "Tracer") -> "TraceChecker":
+        """Subscribe to every future record of ``tracer``; returns self."""
+        tracer.subscribe(self.observe)
+        return self
 
     def check(
         self, records: Sequence[TraceRecord], dropped: int = 0
     ) -> list[Violation]:
         """Audit a trace; returns all violations (empty = clean).
 
-        ``dropped`` is the number of records a bounded tracer evicted
-        before this trace was read (``tracer.dropped``).  When positive,
-        :data:`PREFIX_SENSITIVE_RULES` are downgraded: the missing prefix
-        makes them unverifiable, not violated.  Queries whose submit fell
-        off the front are likewise excused from completeness rules.
+        A fresh fold over ``records``; this checker's own state is left
+        alone.  ``dropped`` is the number of records a bounded tracer
+        evicted before this trace was read (``tracer.dropped``).  When
+        positive, :data:`PREFIX_SENSITIVE_RULES` are downgraded: the
+        missing prefix makes them unverifiable, not violated.  Queries
+        whose submit fell off the front are likewise excused from
+        completeness rules.
         """
-        violations: list[Violation] = []
-        self._check_global_order(records, violations)
-        lifecycles, ledgers = self._group(records, violations)
-        for qid, query_records in sorted(lifecycles.items()):
-            self._check_lifecycle(qid, query_records, violations)
-        for qid, entry in sorted(ledgers.items()):
-            self._check_ledger(entry, lifecycles.get(qid, []), violations)
-        self._check_completeness(lifecycles, ledgers, violations)
-        self._check_faults(records, violations)
-        self._check_online(records, violations)
-        self._check_alerts(records, violations)
-        self._check_durability(records, violations)
-        if dropped > 0:
-            violations = [
-                violation for violation in violations
-                if violation.rule not in PREFIX_SENSITIVE_RULES
-            ]
-        return violations
+        fold = TraceChecker(self.tolerance, self.require_complete)
+        for record in records:
+            fold.observe(record)
+        return _downgrade(fold.finish(), dropped)
 
     def check_system(self, system) -> list[Violation]:
         """Audit a live :class:`~repro.federation.system.FederatedSystem`.
@@ -151,30 +227,41 @@ class TraceChecker:
             )
         return self.check(system.tracer.records, dropped=system.tracer.dropped)
 
+    def assert_clean(
+        self, records: Sequence[TraceRecord], dropped: int = 0
+    ) -> None:
+        """Raise :class:`SimulationError` listing violations, if any."""
+        violations = self.check(records, dropped=dropped)
+        if violations:
+            listing = "\n".join(str(violation) for violation in violations)
+            raise SimulationError(
+                f"trace failed {len(violations)} invariant check(s):\n{listing}"
+            )
+
     def check_fleet(
         self, shards: Sequence[ShardTelemetry], snapshot: dict
     ) -> list[Violation]:
-        """Audit a fleet's shard traces against its fleet snapshot.
+        """Audit a fleet's shard verdicts against its fleet snapshot.
 
         ``shards`` is the :class:`~repro.obs.fleet.FleetCollector`'s
-        :class:`~repro.obs.fleet.ShardTelemetry` list, each shard's records
-        as it emitted them; ``snapshot`` the collector's fleet snapshot.
-        Every single-process rule runs on each shard's records (with that
-        shard's ``dropped_events``), its subjects prefixed ``shard{k}:``.
-        A shard owns whole conflict groups, so only these rules look
-        across shards:
+        :class:`~repro.obs.fleet.ShardTelemetry` list, each carrying the
+        :class:`ShardAudit` its shard's fold returned; ``snapshot`` the
+        collector's fleet snapshot.  Each shard's violations, downgraded by
+        its ``dropped_events``, are reported with subjects prefixed
+        ``shard{k}:``.  A shard owns whole conflict groups, so only these
+        rules look across shards:
 
         * ``shard-ownership`` — every query id appears on exactly one
           shard (conflict-group sharding must partition the stream);
         * ``fleet-dropped-surfaced`` — every shard has a
           ``dropped_events`` entry in the snapshot's shard panels;
-        * ``fleet-iv-conservation`` / ``fleet-cl-conservation`` — per-shard
-          ledger IV/CL sums re-derived from the trace (left-to-right, emit
-          order) must equal the snapshot's per-shard values **bit-exactly**,
-          and their shard-order sum must equal the fleet totals
-          (including ``total_iv`` when the shard summaries carry it)
-          bit-exactly — the fleet aggregation may not lose or invent a
-          single ulp.
+        * ``fleet-iv-conservation`` / ``fleet-cl-conservation`` — each
+          shard's ledger IV/CL sums, as its fold derived them from the
+          trace (left-to-right, emit order), must equal the snapshot's
+          per-shard values **bit-exactly**, and their shard-order sum must
+          equal the fleet totals (including ``total_iv`` when the shard
+          summaries carry it) bit-exactly — the fleet aggregation may not
+          lose or invent a single ulp.
         """
         violations: list[Violation] = []
         panels = {
@@ -182,24 +269,19 @@ class TraceChecker:
         }
         shards = sorted(shards, key=lambda telemetry: telemetry.shard)
 
+        owners: dict[int, set[int]] = defaultdict(set)
         for telemetry in shards:
-            for violation in self.check(
-                telemetry.records, dropped=telemetry.dropped_events
+            audit = telemetry.audit
+            for violation in _downgrade(
+                audit.violations, telemetry.dropped_events
             ):
                 violations.append(Violation(
                     violation.rule,
                     f"shard{telemetry.shard}:{violation.subject}",
                     violation.message,
                 ))
-
-        owners: dict[int, set[int]] = defaultdict(set)
-        for telemetry in shards:
-            for record in telemetry.records:
-                qid = record.detail.get("qid")
-                if qid is None and record.kind == events.LEDGER:
-                    qid = record.detail.get("query_id")
-                if qid is not None:
-                    owners[qid].add(telemetry.shard)
+            for qid in audit.qids:
+                owners[qid].add(telemetry.shard)
         for qid, owned_by in sorted(owners.items()):
             if len(owned_by) > 1:
                 violations.append(Violation(
@@ -217,46 +299,18 @@ class TraceChecker:
                     "fleet snapshot",
                 ))
 
-        self._check_fleet_conservation(
-            shards, panels, snapshot.get("fleet", {}), violations
-        )
-        return violations
-
-    def _check_fleet_conservation(
-        self,
-        shards: list[ShardTelemetry],
-        panels: dict[int, dict],
-        fleet: dict,
-        violations: list[Violation],
-    ) -> None:
-        """Trace → shard sums → fleet totals, every step ``==``-exact."""
-        derived: dict[int, dict[str, float]] = {}
-        for telemetry in shards:
-            ledger_iv = 0.0
-            ledger_cl = 0.0
-            for record in telemetry.records:
-                if record.kind != events.LEDGER:
-                    continue
-                detail = record.detail
-                ledger_iv += detail.get("reported_iv", 0.0)
-                ledger_cl += detail.get("completed_at", 0.0) - detail.get(
-                    "submitted_at", 0.0
-                )
-            derived[telemetry.shard] = {
-                "ledger_iv": ledger_iv, "ledger_cl": ledger_cl,
-            }
-
+        fleet = snapshot.get("fleet", {})
         for key, rule in (
             ("ledger_iv", "fleet-iv-conservation"),
             ("ledger_cl", "fleet-cl-conservation"),
         ):
             total = 0.0
-            for shard, values in derived.items():
-                value = values[key]
-                panel = panels.get(shard)
+            for telemetry in shards:
+                value = getattr(telemetry.audit, key)
+                panel = panels.get(telemetry.shard)
                 if panel is not None and key in panel and panel[key] != value:
                     violations.append(Violation(
-                        rule, f"shard{shard}",
+                        rule, f"shard{telemetry.shard}",
                         f"snapshot reports {key}={panel[key]!r} but the "
                         f"shard's trace sums to {value!r} (must be bit-exact)",
                     ))
@@ -284,17 +338,7 @@ class TraceChecker:
                     f"shard-order sum of per-shard totals is {total!r} "
                     f"(must be bit-exact)",
                 ))
-
-    def assert_clean(
-        self, records: Sequence[TraceRecord], dropped: int = 0
-    ) -> None:
-        """Raise :class:`SimulationError` listing violations, if any."""
-        violations = self.check(records, dropped=dropped)
-        if violations:
-            listing = "\n".join(str(violation) for violation in violations)
-            raise SimulationError(
-                f"trace failed {len(violations)} invariant check(s):\n{listing}"
-            )
+        return violations
 
     def check_slo(
         self,
@@ -339,128 +383,177 @@ class TraceChecker:
                 ))
         return violations
 
-    # -- grouping -----------------------------------------------------------
+    # -- the fold -------------------------------------------------------------
 
-    def _group(
-        self, records: Sequence[TraceRecord], violations: list[Violation]
-    ) -> tuple[dict[int, list[TraceRecord]], dict[int, IVLedgerEntry]]:
-        lifecycles: dict[int, list[TraceRecord]] = defaultdict(list)
-        ledgers: dict[int, IVLedgerEntry] = {}
-        for record in records:
-            if record.kind not in events.QUERY_LIFECYCLE_KINDS:
-                continue
-            if record.kind == events.LEDGER:
-                try:
-                    entry = IVLedgerEntry.from_dict(record.detail)
-                except (KeyError, TypeError):
-                    violations.append(Violation(
-                        "ledger-well-formed", record.subject,
-                        "ledger record is missing required fields",
-                    ))
-                    continue
-                if entry.query_id in ledgers:
-                    violations.append(Violation(
-                        "ledger-unique", record.subject,
-                        f"duplicate ledger entry for qid {entry.query_id}",
-                    ))
-                ledgers[entry.query_id] = entry
-                lifecycles[entry.query_id].append(record)
-                continue
-            qid = record.detail.get("qid")
-            if qid is None:
-                violations.append(Violation(
-                    "qid-present", record.subject,
-                    f"lifecycle event {record.kind!r} lacks a qid",
-                ))
-                continue
-            lifecycles[qid].append(record)
-        return dict(lifecycles), ledgers
+    def observe(self, record: TraceRecord) -> None:
+        """Fold one record: every rule that can judge it now does."""
+        self.observed += 1
+        if self._last_time is None:
+            self._span_start = record.time
+        elif record.time < self._last_time:
+            self._flag(
+                "time-monotonic", record.subject,
+                f"record at {record.time} after {self._last_time}",
+            )
+        self._last_time = record.time
+        qid = record.detail.get("qid")
+        if qid is None and record.kind == events.LEDGER:
+            qid = record.detail.get("query_id")
+        if qid is not None:
+            self.qids.add(qid)
+        handler = self._HANDLERS.get(record.kind)
+        if handler is not None:
+            handler(self, record)
 
-    # -- rules ------------------------------------------------------------------
+    def finish(self) -> list[Violation]:
+        """Every violation so far, plus the end-of-trace rules.
 
-    def _check_global_order(
-        self, records: Sequence[TraceRecord], violations: list[Violation]
-    ) -> None:
-        last = None
-        for record in records:
-            if last is not None and record.time < last:
-                violations.append(Violation(
-                    "time-monotonic", record.subject,
-                    f"record at {record.time} after {last}",
-                ))
-            last = record.time
-
-    def _check_lifecycle(
-        self,
-        qid: int,
-        records: list[TraceRecord],
-        violations: list[Violation],
-    ) -> None:
-        subject = records[0].subject if records else f"qid:{qid}"
-        last_rank = -1
-        last_kind = None
-        counts: dict[str, int] = defaultdict(int)
-        site_granted: dict[int, int] = defaultdict(int)
-        site_started: dict[int, int] = defaultdict(int)
-        for record in records:
-            rank = _RANK[record.kind]
-            counts[record.kind] += 1
-            if rank < last_rank:
-                violations.append(Violation(
-                    "causal-order", subject,
-                    f"{record.kind!r} (qid {qid}) after {last_kind!r}",
-                ))
-            last_rank = max(last_rank, rank)
-            last_kind = record.kind
-            site = record.detail.get("site")
-            if record.kind == events.LEG_START and site is not None:
-                site_started[site] += 1
-            elif record.kind == events.LEG_GRANTED and site is not None:
-                if site_started[site] == 0:
-                    violations.append(Violation(
-                        "leg-order", subject,
-                        f"leg granted at site {site} before any leg.start",
-                    ))
-                site_granted[site] += 1
-            elif record.kind == events.LEG_DONE and site is not None:
-                if site_granted[site] == 0:
-                    violations.append(Violation(
-                        "leg-order", subject,
-                        f"leg done at site {site} before any grant",
-                    ))
-        for kind in (events.SUBMIT, events.PLAN, events.COMPLETE, events.FAILED):
-            if counts[kind] > 1:
-                violations.append(Violation(
-                    "event-unique", subject,
-                    f"{counts[kind]} {kind!r} events for qid {qid}",
-                ))
-        if counts[events.COMPLETE] and counts[events.FAILED]:
+        Reads the fold without changing it.  Stream rules come first, in
+        record order, then each query's, by query id.
+        """
+        violations = list(self._violations)
+        for qid, query in sorted(self._queries.items()):
+            self._judge(qid, query, violations)
+        for qid in sorted(self._shed & self._executed):
             violations.append(Violation(
-                "event-unique", subject,
-                f"qid {qid} both completed and failed",
+                "shed-no-exec", f"qid:{qid}",
+                f"qid {qid} was shed by admission control but executed",
             ))
+        # A run must not end mid-breach: every open needs a matching close
+        # (SLOMonitor.finalize emits audited final closes at shutdown).
+        for subject, opened in sorted(self._open_alerts.items()):
+            if opened is not None:
+                violations.append(Violation(
+                    "alert-alternation", subject,
+                    f"alert opened at {opened} is still open at end of "
+                    f"trace (missing alert.close — finalize() not called?)",
+                ))
+        return violations
 
-    def _check_ledger(
-        self,
-        entry: IVLedgerEntry,
-        records: list[TraceRecord],
-        violations: list[Violation],
-    ) -> None:
+    def audit(self) -> ShardAudit:
+        """:meth:`finish` with the fold's counts, sums and query ids."""
+        return ShardAudit(
+            tuple(self.finish()), self.observed, self.ledger_entries,
+            self.ledger_iv, self.ledger_cl, frozenset(self.qids),
+        )
+
+    def _flag(self, rule: str, subject: str, message: str) -> None:
+        self._violations.append(Violation(rule, subject, message))
+
+    # -- per-query rules --------------------------------------------------------
+
+    def _query(self, qid: int, subject: str, kind: str) -> _Query:
+        """``qid``'s summary, advanced by a record of ``kind``: no
+        lifecycle kind may rank below an earlier one (causal order)."""
+        query = self._queries.get(qid)
+        if query is None:
+            query = self._queries[qid] = _Query(subject)
+        rank = _RANK[kind]
+        if rank < query.rank:
+            self._flag(
+                "causal-order", query.subject,
+                f"{kind!r} (qid {qid}) after {query.kind!r}",
+            )
+        query.rank = max(query.rank, rank)
+        query.kind = kind
+        return query
+
+    def _on_lifecycle(self, record: TraceRecord) -> None:
+        detail = record.detail
+        kind = record.kind
+        qid = detail.get("qid")
+        if qid is None:
+            self._flag(
+                "qid-present", record.subject,
+                f"lifecycle event {kind!r} lacks a qid",
+            )
+            return
+        query = self._query(qid, record.subject, kind)
+        query.counts[kind] = query.counts.get(kind, 0) + 1
+        if kind in (events.SUBMIT, events.EXEC_START):
+            # Recovery replays history; it does not re-execute it.
+            if self._last_resume_pops >= 0 and qid in self._completed:
+                self._flag(
+                    "resume-no-resurrection", record.subject,
+                    f"qid {qid} completed before the resume boundary "
+                    f"but {kind!r} reappears after it",
+                )
+        if kind in (events.EXEC_START, events.COMPLETE):
+            self._executed.add(qid)
+        if kind in (events.COMPLETE, events.FAILED):
+            self._completed.add(qid)
+        site = detail.get("site")
+        if kind == events.SUBMIT:
+            query.submitted_at = record.time
+        elif kind == events.COMPLETE:
+            query.complete = (
+                record.time, detail.get("iv"), detail.get("cl"),
+                detail.get("sl"),
+            )
+        elif kind == events.LEG_START and site is not None:
+            query.legs[site] = query.legs.get(site, 0) | _STARTED
+        elif kind == events.LEG_GRANTED and site is not None:
+            if not query.legs.get(site, 0) & _STARTED:
+                self._flag(
+                    "leg-order", query.subject,
+                    f"leg granted at site {site} before any leg.start",
+                )
+            query.legs[site] = query.legs.get(site, 0) | _GRANTED
+        elif kind == events.LEG_DONE and site is not None:
+            if not query.legs.get(site, 0) & _GRANTED:
+                self._flag(
+                    "leg-order", query.subject,
+                    f"leg done at site {site} before any grant",
+                )
+
+    def _on_ledger(self, record: TraceRecord) -> None:
+        detail = record.detail
+        self.ledger_entries += 1
+        self.ledger_iv += detail.get("reported_iv", 0.0)
+        # CL exactly as IVLedgerEntry.computational_latency defines it.
+        self.ledger_cl += detail.get("completed_at", 0.0) - detail.get(
+            "submitted_at", 0.0
+        )
+        try:
+            entry = IVLedgerEntry.from_dict(detail)
+        except (KeyError, TypeError):
+            self._flag(
+                "ledger-well-formed", record.subject,
+                "ledger record is missing required fields",
+            )
+            return
+        query = self._query(entry.query_id, record.subject, events.LEDGER)
+        if query.findings is not None:
+            self._flag(
+                "ledger-unique", record.subject,
+                f"duplicate ledger entry for qid {entry.query_id}",
+            )
+        # The last ledger for a query id is the one its events must match.
         subject = f"{entry.query}#{entry.query_id}"
+        query.findings = self._ledger_findings(entry, subject)
+        query.stamp = (
+            subject, entry.submitted_at, entry.completed_at,
+            entry.reported_iv, entry.computational_latency,
+            entry.synchronization_latency,
+        )
+
+    def _ledger_findings(
+        self, entry: IVLedgerEntry, subject: str
+    ) -> list[Violation]:
+        """The rules one ledger entry answers on its own."""
+        findings: list[Violation] = []
+
+        def flag(rule: str, message: str) -> None:
+            findings.append(Violation(rule, subject, message))
 
         # IV-ledger consistency: the headline bit-identity invariant.
         recomputed = entry.recompute_iv()
         if recomputed != entry.reported_iv:
-            violations.append(Violation(
-                "iv-recompute", subject,
-                f"ledger recomputes IV {recomputed!r} but the run reported "
-                f"{entry.reported_iv!r}",
-            ))
+            flag("iv-recompute", f"ledger recomputes IV {recomputed!r} but "
+                 f"the run reported {entry.reported_iv!r}")
         if entry.failed and entry.reported_iv != 0.0:
-            violations.append(Violation(
-                "iv-failed-zero", subject,
-                f"failed query reported IV {entry.reported_iv!r}",
-            ))
+            flag("iv-failed-zero",
+                 f"failed query reported IV {entry.reported_iv!r}")
 
         # Timestamps delimit the phases in order.
         stamps = [
@@ -473,29 +566,21 @@ class TraceChecker:
         ]
         for (earlier, t0), (later, t1) in zip(stamps, stamps[1:]):
             if t1 < t0:
-                violations.append(Violation(
-                    "phase-order", subject, f"{later} {t1} before {earlier} {t0}",
-                ))
+                flag("phase-order", f"{later} {t1} before {earlier} {t0}")
 
         cl = entry.computational_latency
         if not entry.failed:
             # Latency conservation: phases must sum back to CL.
             drift = abs(cl - entry.phase_sum)
             if drift > self.tolerance * max(1.0, abs(cl)):
-                violations.append(Violation(
-                    "cl-conservation", subject,
-                    f"CL {cl!r} != phase sum {entry.phase_sum!r} "
-                    f"(drift {drift:.3e})",
-                ))
+                flag("cl-conservation", f"CL {cl!r} != phase sum "
+                     f"{entry.phase_sum!r} (drift {drift:.3e})")
             queue_span = entry.local_granted_at - entry.remote_done_at
             if abs(entry.queue_wait - queue_span) > self.tolerance * max(
                 1.0, abs(queue_span)
             ):
-                violations.append(Violation(
-                    "queue-wait", subject,
-                    f"queue_wait {entry.queue_wait!r} but timestamps span "
-                    f"{queue_span!r}",
-                ))
+                flag("queue-wait", f"queue_wait {entry.queue_wait!r} but "
+                     f"timestamps span {queue_span!r}")
 
         # SL provenance: the stalest realized version decides SL.
         if entry.versions:
@@ -503,298 +588,211 @@ class TraceChecker:
                 version.realized_freshness for version in entry.versions
             )
             if entry.data_timestamp != stalest:
-                violations.append(Violation(
-                    "sl-provenance", subject,
-                    f"data_timestamp {entry.data_timestamp!r} != stalest "
-                    f"realized freshness {stalest!r}",
-                ))
+                flag("sl-provenance", f"data_timestamp {entry.data_timestamp!r}"
+                     f" != stalest realized freshness {stalest!r}")
             for version in entry.versions:
                 if version.kind not in ("base", "replica"):
-                    violations.append(Violation(
-                        "sl-provenance", subject,
-                        f"{version.table}: unknown version kind {version.kind!r}",
-                    ))
+                    flag("sl-provenance", f"{version.table}: unknown version "
+                         f"kind {version.kind!r}")
                 if version.realized_freshness > entry.completed_at:
-                    violations.append(Violation(
-                        "sl-provenance", subject,
-                        f"{version.table}: realized freshness "
-                        f"{version.realized_freshness!r} after completion",
-                    ))
+                    flag("sl-provenance", f"{version.table}: realized "
+                         f"freshness {version.realized_freshness!r} after "
+                         f"completion")
                 if (
                     version.kind == "replica"
                     and version.last_sync_at is not None
                     and version.last_sync_at != version.realized_freshness
                 ):
-                    violations.append(Violation(
-                        "sl-provenance", subject,
-                        f"{version.table}: last_sync_at disagrees with "
-                        f"realized freshness",
-                    ))
+                    flag("sl-provenance", f"{version.table}: last_sync_at "
+                         f"disagrees with realized freshness")
+        return findings
 
-        # The event stream and the ledger must tell the same story.
-        by_kind = {record.kind: record for record in records}
-        submit = by_kind.get(events.SUBMIT)
-        if submit is not None and submit.time != entry.submitted_at:
-            violations.append(Violation(
-                "event-ledger-agree", subject,
-                f"submit event at {submit.time!r} but ledger says "
-                f"{entry.submitted_at!r}",
-            ))
-        complete = by_kind.get(events.COMPLETE)
-        if complete is not None:
-            if complete.time != entry.completed_at:
-                violations.append(Violation(
-                    "event-ledger-agree", subject,
-                    f"complete event at {complete.time!r} but ledger says "
-                    f"{entry.completed_at!r}",
-                ))
-            for key, expected in (
-                ("iv", entry.reported_iv),
-                ("cl", cl),
-                ("sl", entry.synchronization_latency),
-            ):
-                observed = complete.detail.get(key)
-                if observed is not None and observed != expected:
-                    violations.append(Violation(
-                        "event-ledger-agree", subject,
-                        f"complete event {key}={observed!r} but ledger "
-                        f"implies {expected!r}",
-                    ))
-
-    def _check_completeness(
-        self,
-        lifecycles: dict[int, list[TraceRecord]],
-        ledgers: dict[int, IVLedgerEntry],
-        violations: list[Violation],
+    def _judge(
+        self, qid: int, query: _Query, violations: list[Violation]
     ) -> None:
+        """The rules that need a query's whole history."""
+
+        def flag(rule: str, subject: str, message: str) -> None:
+            violations.append(Violation(rule, subject, message))
+
+        count = query.counts.get
+        for kind in (events.SUBMIT, events.PLAN, events.COMPLETE, events.FAILED):
+            if count(kind, 0) > 1:
+                flag("event-unique", query.subject,
+                     f"{count(kind)} {kind!r} events for qid {qid}")
+        if count(events.COMPLETE) and count(events.FAILED):
+            flag("event-unique", query.subject,
+                 f"qid {qid} both completed and failed")
+        if query.findings is not None:
+            violations.extend(query.findings)
+            # The event stream and the ledger must tell the same story.
+            subject, submitted_at, completed_at, *implied = query.stamp
+            submit = query.submitted_at
+            if submit is not None and submit != submitted_at:
+                flag("event-ledger-agree", subject, f"submit event at "
+                     f"{submit!r} but ledger says {submitted_at!r}")
+            if query.complete is not None:
+                completed, *observed = query.complete
+                if completed != completed_at:
+                    flag("event-ledger-agree", subject, f"complete event at "
+                         f"{completed!r} but ledger says {completed_at!r}")
+                for key, seen, expected in zip(
+                    ("iv", "cl", "sl"), observed, implied
+                ):
+                    if seen is not None and seen != expected:
+                        flag("event-ledger-agree", subject, f"complete event "
+                             f"{key}={seen!r} but ledger implies {expected!r}")
         if not self.require_complete:
             return
-        for qid, records in sorted(lifecycles.items()):
-            kinds = {record.kind for record in records}
-            subject = records[0].subject
-            if events.SUBMIT in kinds and not (
-                {events.COMPLETE, events.FAILED} & kinds
+        finished = count(events.COMPLETE) or count(events.FAILED)
+        if count(events.SUBMIT) and not finished:
+            flag("query-completes", query.subject,
+                 f"qid {qid} was submitted but never completed or failed")
+        if count(events.EXEC_START) and query.findings is None:
+            flag("ledger-present", query.subject,
+                 f"qid {qid} executed without an audit ledger entry")
+
+    # -- stream rules -----------------------------------------------------------
+
+    def _on_fault(self, record: TraceRecord) -> None:
+        """Outage edges must alternate down/up per site."""
+        if self._last_fault.get(record.subject) == record.kind:
+            self._flag(
+                "fault-alternation", record.subject,
+                f"consecutive {record.kind!r} events",
+            )
+        self._last_fault[record.subject] = record.kind
+
+    def _on_window(self, record: TraceRecord) -> None:
+        """``mqo.window`` indices strictly increase (**window-monotonic**),
+        and a window orders only admitted queries."""
+        index = record.detail.get("index", -1)
+        if index <= self._last_window:
+            self._flag(
+                "window-monotonic", record.subject,
+                f"window index {index} after {self._last_window}",
+            )
+        self._last_window = max(self._last_window, index)
+        for qid in record.detail.get("order", []):
+            if qid not in self._admitted:
+                self._flag(
+                    "window-order-admitted", record.subject,
+                    f"window orders qid {qid} before its admission",
+                )
+
+    def _on_admit(self, record: TraceRecord) -> None:
+        """Admitted once per admission (re-queues carry ``requeued``),
+        never after being shed."""
+        qid = record.detail.get("qid")
+        if qid in self._shed:
+            self._flag(
+                "admit-shed-exclusive", record.subject,
+                f"qid {qid} admitted after being shed",
+            )
+        if qid in self._admitted and not record.detail.get("requeued"):
+            self._flag(
+                "admit-unique", record.subject, f"qid {qid} admitted twice",
+            )
+        self._admitted.add(qid)
+
+    def _on_shed(self, record: TraceRecord) -> None:
+        """Shed at most once, never after admission."""
+        qid = record.detail.get("qid")
+        if qid in self._shed:
+            self._flag("shed-unique", record.subject, f"qid {qid} shed twice")
+        if qid in self._admitted:
+            self._flag(
+                "admit-shed-exclusive", record.subject,
+                f"qid {qid} shed after being admitted",
+            )
+        self._shed.add(qid)
+
+    def _on_alert(self, record: TraceRecord) -> None:
+        """SLO alerts: every event names its rule, metric, value and
+        thresholds (**alert-well-formed**); per subject, opens and closes
+        alternate, starting with an open (**alert-alternation**); an open's
+        ``since`` lies in the trace span and before the open, and a close's
+        ``opened_at`` is its open's time (**alert-window**)."""
+        for key in ("rule", "metric", "value", "threshold", "clear"):
+            if key not in record.detail:
+                self._flag(
+                    "alert-well-formed", record.subject,
+                    f"{record.kind!r} event lacks {key!r}",
+                )
+        previous = self._open_alerts.get(record.subject)
+        if record.kind == events.ALERT_OPEN:
+            if previous is not None:
+                self._flag(
+                    "alert-alternation", record.subject,
+                    f"alert opened at {record.time} while already open "
+                    f"since {previous}",
+                )
+            self._open_alerts[record.subject] = record.time
+            since = record.detail.get("since")
+            if since is not None and not (
+                self._span_start <= since <= record.time
             ):
-                violations.append(Violation(
-                    "query-completes", subject,
-                    f"qid {qid} was submitted but never completed or failed",
-                ))
-            if events.EXEC_START in kinds and qid not in ledgers:
-                violations.append(Violation(
-                    "ledger-present", subject,
-                    f"qid {qid} executed without an audit ledger entry",
-                ))
+                self._flag(
+                    "alert-window", record.subject,
+                    f"open at {record.time} references breach start "
+                    f"{since} outside the trace window",
+                )
+            return
+        if previous is None:
+            self._flag(
+                "alert-alternation", record.subject,
+                f"alert closed at {record.time} without being open",
+            )
+        else:
+            opened_at = record.detail.get("opened_at")
+            if opened_at is not None and opened_at != previous:
+                self._flag(
+                    "alert-window", record.subject,
+                    f"close references open at {opened_at} but the "
+                    f"open event was at {previous}",
+                )
+        self._open_alerts[record.subject] = None
 
-    def _check_online(
-        self, records: Sequence[TraceRecord], violations: list[Violation]
-    ) -> None:
-        """Online-MQO invariants: window ordering and admission consistency.
+    def _on_checkpoint(self, record: TraceRecord) -> None:
+        """Journaled checkpoints never go back (**resume-pops-monotonic**)."""
+        pops = record.detail.get("pops", -1)
+        if pops < self._last_checkpoint_pops:
+            self._flag(
+                "resume-pops-monotonic", record.subject,
+                f"checkpoint at pop {pops} after one at "
+                f"{self._last_checkpoint_pops}",
+            )
+        self._last_checkpoint_pops = max(self._last_checkpoint_pops, pops)
 
-        * **window-monotonic** — ``mqo.window`` indices strictly increase;
-        * **admit-unique** / **shed-unique** — a query is admitted at most
-          once per admission (re-queues are flagged ``requeued``) and shed
-          at most once, never both;
-        * **window-order-admitted** — every query a window orders was
-          admitted before that window record;
-        * **shed-no-exec** — a shed query never starts executing.
-        """
-        last_window = -1
-        admitted: set[int] = set()
-        shed: set[int] = set()
-        executed: set[int] = set()
-        for record in records:
-            if record.kind == events.MQO_WINDOW:
-                index = record.detail.get("index", -1)
-                if index <= last_window:
-                    violations.append(Violation(
-                        "window-monotonic", record.subject,
-                        f"window index {index} after {last_window}",
-                    ))
-                last_window = max(last_window, index)
-                for qid in record.detail.get("order", []):
-                    if qid not in admitted:
-                        violations.append(Violation(
-                            "window-order-admitted", record.subject,
-                            f"window orders qid {qid} before its admission",
-                        ))
-            elif record.kind == events.MQO_ADMIT:
-                qid = record.detail.get("qid")
-                if qid in shed:
-                    violations.append(Violation(
-                        "admit-shed-exclusive", record.subject,
-                        f"qid {qid} admitted after being shed",
-                    ))
-                if qid in admitted and not record.detail.get("requeued"):
-                    violations.append(Violation(
-                        "admit-unique", record.subject,
-                        f"qid {qid} admitted twice",
-                    ))
-                admitted.add(qid)
-            elif record.kind == events.MQO_SHED:
-                qid = record.detail.get("qid")
-                if qid in shed:
-                    violations.append(Violation(
-                        "shed-unique", record.subject,
-                        f"qid {qid} shed twice",
-                    ))
-                if qid in admitted:
-                    violations.append(Violation(
-                        "admit-shed-exclusive", record.subject,
-                        f"qid {qid} shed after being admitted",
-                    ))
-                shed.add(qid)
-            elif record.kind in (events.EXEC_START, events.COMPLETE):
-                qid = record.detail.get("qid")
-                if qid is not None:
-                    executed.add(qid)
-        for qid in sorted(shed & executed):
-            violations.append(Violation(
-                "shed-no-exec", f"qid:{qid}",
-                f"qid {qid} was shed by admission control but executed",
-            ))
+    def _on_resume(self, record: TraceRecord) -> None:
+        """Resumes advance strictly (**resume-pops-monotonic**), each at
+        least to the last checkpoint (**resume-covers-checkpoint**)."""
+        pops = record.detail.get("pops", -1)
+        if pops <= self._last_resume_pops:
+            self._flag(
+                "resume-pops-monotonic", record.subject,
+                f"resume at pop {pops} after a resume at "
+                f"{self._last_resume_pops}",
+            )
+        if pops < self._last_checkpoint_pops:
+            self._flag(
+                "resume-covers-checkpoint", record.subject,
+                f"resume replayed to pop {pops} but a checkpoint "
+                f"was journaled at pop {self._last_checkpoint_pops}",
+            )
+        self._last_resume_pops = max(self._last_resume_pops, pops)
 
-    def _check_alerts(
-        self, records: Sequence[TraceRecord], violations: list[Violation]
-    ) -> None:
-        """SLO alert invariants.
-
-        * **alert-alternation** — per rule subject, ``alert.open`` and
-          ``alert.close`` strictly alternate starting with an open, and
-          no alert is left open at end of trace (prefix-sensitive: a
-          close whose open was evicted is excused when drops occurred);
-        * **alert-well-formed** — every alert event names its rule,
-          metric, value and thresholds;
-        * **alert-window** — the windows reference real times inside the
-          trace: an open's ``since`` is when the breach began (≤ the open
-          time, within the trace span) and a close's ``opened_at`` equals
-          the matching open event's time.
-        """
-        open_at: dict[str, float | None] = {}
-        span_start = records[0].time if records else 0.0
-        for record in records:
-            if record.kind not in events.ALERT_KINDS:
-                continue
-            for key in ("rule", "metric", "value", "threshold", "clear"):
-                if key not in record.detail:
-                    violations.append(Violation(
-                        "alert-well-formed", record.subject,
-                        f"{record.kind!r} event lacks {key!r}",
-                    ))
-            previous = open_at.get(record.subject)
-            if record.kind == events.ALERT_OPEN:
-                if previous is not None:
-                    violations.append(Violation(
-                        "alert-alternation", record.subject,
-                        f"alert opened at {record.time} while already open "
-                        f"since {previous}",
-                    ))
-                open_at[record.subject] = record.time
-                since = record.detail.get("since")
-                if since is not None and not (
-                    span_start <= since <= record.time
-                ):
-                    violations.append(Violation(
-                        "alert-window", record.subject,
-                        f"open at {record.time} references breach start "
-                        f"{since} outside the trace window",
-                    ))
-            else:  # ALERT_CLOSE
-                if previous is None:
-                    violations.append(Violation(
-                        "alert-alternation", record.subject,
-                        f"alert closed at {record.time} without being open",
-                    ))
-                else:
-                    opened_at = record.detail.get("opened_at")
-                    if opened_at is not None and opened_at != previous:
-                        violations.append(Violation(
-                            "alert-window", record.subject,
-                            f"close references open at {opened_at} but the "
-                            f"open event was at {previous}",
-                        ))
-                open_at[record.subject] = None
-        # A run must not end mid-breach: every open needs a matching close
-        # (SLOMonitor.finalize emits audited final closes at shutdown).
-        for subject in sorted(open_at):
-            opened = open_at[subject]
-            if opened is not None:
-                violations.append(Violation(
-                    "alert-alternation", subject,
-                    f"alert opened at {opened} is still open at end of "
-                    f"trace (missing alert.close — finalize() not called?)",
-                ))
-
-    def _check_durability(
-        self, records: Sequence[TraceRecord], violations: list[Violation]
-    ) -> None:
-        """Checkpoint/resume invariants across a crash boundary.
-
-        * **resume-pops-monotonic** — every ``durable.resume`` carries the
-          pop count it recovered to; successive resumes (and the
-          checkpoints between them) must advance strictly, or a resume
-          silently rewound history;
-        * **resume-covers-checkpoint** — a resume must have replayed at
-          least to the last checkpoint journaled before the crash;
-        * **resume-no-resurrection** — a query that completed before a
-          crash boundary must not start, complete or re-enter the system
-          after it: recovery replays history, it does not re-execute it.
-        """
-        last_resume_pops = -1
-        last_checkpoint_pops = -1
-        completed: set[int] = set()
-        for record in records:
-            if record.kind == events.CHECKPOINT:
-                pops = record.detail.get("pops", -1)
-                if pops < last_checkpoint_pops:
-                    violations.append(Violation(
-                        "resume-pops-monotonic", record.subject,
-                        f"checkpoint at pop {pops} after one at "
-                        f"{last_checkpoint_pops}",
-                    ))
-                last_checkpoint_pops = max(last_checkpoint_pops, pops)
-            elif record.kind == events.RESUME:
-                pops = record.detail.get("pops", -1)
-                if pops <= last_resume_pops:
-                    violations.append(Violation(
-                        "resume-pops-monotonic", record.subject,
-                        f"resume at pop {pops} after a resume at "
-                        f"{last_resume_pops}",
-                    ))
-                if pops < last_checkpoint_pops:
-                    violations.append(Violation(
-                        "resume-covers-checkpoint", record.subject,
-                        f"resume replayed to pop {pops} but a checkpoint "
-                        f"was journaled at pop {last_checkpoint_pops}",
-                    ))
-                last_resume_pops = max(last_resume_pops, pops)
-            elif record.kind in (events.COMPLETE, events.FAILED):
-                qid = record.detail.get("qid")
-                if qid is not None:
-                    completed.add(qid)
-            elif (
-                record.kind in (events.SUBMIT, events.EXEC_START)
-                and last_resume_pops >= 0
-            ):
-                qid = record.detail.get("qid")
-                if qid is not None and qid in completed:
-                    violations.append(Violation(
-                        "resume-no-resurrection", record.subject,
-                        f"qid {qid} completed before the resume boundary "
-                        f"but {record.kind!r} reappears after it",
-                    ))
-
-    def _check_faults(
-        self, records: Sequence[TraceRecord], violations: list[Violation]
-    ) -> None:
-        # Outage edges must alternate down/up per site.
-        state: dict[str, str] = {}
-        for record in records:
-            if record.kind not in (events.FAULT_DOWN, events.FAULT_UP):
-                continue
-            previous = state.get(record.subject)
-            if previous == record.kind:
-                violations.append(Violation(
-                    "fault-alternation", record.subject,
-                    f"consecutive {record.kind!r} events",
-                ))
-            state[record.subject] = record.kind
+    #: The handler of each record kind.
+    _HANDLERS = {
+        **dict.fromkeys(events.QUERY_LIFECYCLE_KINDS, _on_lifecycle),
+        events.LEDGER: _on_ledger,
+        events.FAULT_DOWN: _on_fault,
+        events.FAULT_UP: _on_fault,
+        events.MQO_WINDOW: _on_window,
+        events.MQO_ADMIT: _on_admit,
+        events.MQO_SHED: _on_shed,
+        events.ALERT_OPEN: _on_alert,
+        events.ALERT_CLOSE: _on_alert,
+        events.CHECKPOINT: _on_checkpoint,
+        events.RESUME: _on_resume,
+    }

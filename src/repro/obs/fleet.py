@@ -5,25 +5,30 @@ serving tier) are observability black boxes by default: lifecycle events
 and drop counters die with the worker.  This module ships them home.
 
 Each shard worker traces its run on its own
-:class:`~repro.sim.trace.Tracer` and returns a :class:`ShardTelemetry` —
-the records as emitted plus the shard's scheduler totals — in its result:
-in process with ``executor="serial"``, pickled through the pool's result
-with ``"process"``.  A shard ships records, never derived state.  At join,
-the parent hands those telemetries to :class:`FleetCollector`, which keeps
-them as emitted — no copy, no shard tag — and derives
+:class:`~repro.sim.trace.Tracer` with a
+:class:`~repro.obs.checker.TraceChecker` fold attached, and returns a
+:class:`ShardTelemetry` in its result: the records as emitted, the shard's
+scheduler totals and the fold's :class:`~repro.obs.checker.ShardAudit`
+(violations, record and ledger counts, left-to-right ledger IV/CL sums,
+query ids) — in process with ``executor="serial"``, pickled through the
+pool's result with ``"process"``.  The shard audits its own trace where
+it is made, so nothing in the parent walks the records to audit them.  At
+join, the parent hands those telemetries to :class:`FleetCollector`, which
+keeps them as emitted — no copy, no shard tag — and derives
 
 * **one canonical order** — per-shard streams merged into a stable global
   time order (ties broken by shard index, then per-shard emit order);
 * **one fleet registry**, on demand — a single
   :class:`~repro.obs.live.LiveRegistry` fed the records in that merged
   order, so it *is* the union fold, not an approximation of it;
-* **one fleet snapshot** — per-shard summaries (including each shard's
-  ``dropped_events``) plus fleet totals whose IV/latency sums are
-  *bit-exact* left-to-right sums of the per-shard values;
+* **one fleet snapshot** — per-shard panels built from the summaries and
+  audits (including each shard's ``dropped_events``) plus fleet totals
+  whose IV/latency sums are *bit-exact* left-to-right sums of the
+  per-shard values;
 * **one audit** — :meth:`TraceChecker.check_fleet
-  <repro.obs.checker.TraceChecker.check_fleet>` runs the per-shard rules
-  on each shard's records and re-derives ownership and conservation from
-  the same lists;
+  <repro.obs.checker.TraceChecker.check_fleet>` reports each shard's
+  verdict and applies the cross-shard rules (ownership, conservation) to
+  the audits;
 * **one chrome://tracing export** with one process group per shard
   (:meth:`FleetCollector.chrome_trace`).
 """
@@ -33,13 +38,14 @@ from __future__ import annotations
 import heapq
 import itertools
 import typing
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import SimulationError
 from repro.obs.export import to_chrome_trace
 from repro.sim.trace import TraceRecord
 
 if typing.TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.obs.checker import ShardAudit
     from repro.obs.live import LiveRegistry
 
 __all__ = [
@@ -56,12 +62,14 @@ FLEET_PID_BASE = 10
 
 @dataclass
 class ShardTelemetry:
-    """Everything one shard shipped home: its trace + totals."""
+    """Everything one shard shipped home: its trace, totals and audit."""
 
     shard: int
     #: Trace records in emit order, as the shard's tracer emitted them.
-    records: list[TraceRecord] = field(default_factory=list)
-    summary: dict = field(default_factory=dict)
+    records: list[TraceRecord]
+    summary: dict
+    #: The shard's checker fold over those records, finished.
+    audit: ShardAudit
 
     @property
     def dropped_events(self) -> int:
@@ -130,75 +138,41 @@ class FleetCollector:
             self._registry = registry
         return self._registry
 
-    # -- conservation inputs ------------------------------------------------
-
-    def shard_ledger_totals(self) -> list[dict[str, float]]:
-        """Per-shard ledger sums (reported IV, computational latency).
-
-        Summed in trace order within each shard — the same order the
-        checker re-derives them in, so the fleet totals below are
-        reproducible bit-for-bit from the trace alone.
-        """
-        from repro.obs import events
-
-        totals = []
-        for telemetry in self.shards:
-            ledger_iv = 0.0
-            ledger_cl = 0.0
-            entries = 0
-            for record in telemetry.records:
-                if record.kind != events.LEDGER:
-                    continue
-                detail = record.detail
-                ledger_iv += detail.get("reported_iv", 0.0)
-                # CL exactly as IVLedgerEntry.computational_latency defines it.
-                ledger_cl += detail.get("completed_at", 0.0) - detail.get(
-                    "submitted_at", 0.0
-                )
-                entries += 1
-            totals.append({
-                "ledger_entries": entries,
-                "ledger_iv": ledger_iv,
-                "ledger_cl": ledger_cl,
-            })
-        return totals
-
     # -- the fleet snapshot -------------------------------------------------
 
     def snapshot(self) -> dict:
         """One JSON-ready fleet view: per-shard panels + bit-exact totals.
 
         ``shards`` keeps every per-shard summary (scheduler totals,
-        ``dropped_events``, ledger sums); ``fleet`` holds the totals, each
-        a left-to-right sum over shards in shard order (:func:`_lsum`),
-        which ``check_fleet`` audits bit-exactly against the trace.  The
-        fleet registry is not part of it: a caller that wants it reads
-        :attr:`registry`.
+        ``dropped_events``) with the record count and ledger sums of the
+        shard's audit; ``fleet`` holds the totals, each a left-to-right sum
+        over shards in shard order (:func:`_lsum`), which ``check_fleet``
+        audits bit-exactly.  No record is read.  The fleet registry is not
+        part of it: a caller that wants it reads :attr:`registry`.
         """
-        ledger_totals = self.shard_ledger_totals()
         shards = []
-        for telemetry, ledger in zip(self.shards, ledger_totals):
-            panel = {
+        for telemetry in self.shards:
+            audit = telemetry.audit
+            shards.append({
                 "shard": telemetry.shard,
-                "records": len(telemetry.records),
+                "records": audit.records,
                 "dropped_events": telemetry.dropped_events,
                 **{
                     key: value
                     for key, value in telemetry.summary.items()
                     if key != "dropped_events"
                 },
-                **ledger,
-            }
-            shards.append(panel)
+                "ledger_entries": audit.ledger_entries,
+                "ledger_iv": audit.ledger_iv,
+                "ledger_cl": audit.ledger_cl,
+            })
         fleet = {
             "shards": len(self.shards),
             "records": sum(panel["records"] for panel in shards),
             "dropped_events": sum(panel["dropped_events"] for panel in shards),
-            "ledger_entries": sum(
-                ledger["ledger_entries"] for ledger in ledger_totals
-            ),
-            "ledger_iv": _lsum(ledger["ledger_iv"] for ledger in ledger_totals),
-            "ledger_cl": _lsum(ledger["ledger_cl"] for ledger in ledger_totals),
+            "ledger_entries": sum(panel["ledger_entries"] for panel in shards),
+            "ledger_iv": _lsum(panel["ledger_iv"] for panel in shards),
+            "ledger_cl": _lsum(panel["ledger_cl"] for panel in shards),
         }
         if all("total_iv" in telemetry.summary for telemetry in self.shards):
             fleet["total_iv"] = _lsum(
@@ -226,8 +200,8 @@ class FleetCollector:
 
         Delegates to
         :meth:`~repro.obs.checker.TraceChecker.check_fleet` with the
-        shards' records as emitted; returns the violation list (empty ==
-        clean).
+        shards' audits and the snapshot; returns the violation list (empty
+        == clean).  No record is read.
         """
         from repro.obs.checker import TraceChecker
 

@@ -514,7 +514,7 @@ class QueryService(SessionObserver):
         """Run the TraceChecker over everything traced so far."""
         from repro.obs.checker import TraceChecker
 
-        return TraceChecker().check(self.tracer.records)
+        return TraceChecker().check(self.tracer.records, self.tracer.dropped)
 
     def replay(self) -> OnlineSession:
         """Re-run the recorded arrival trace under a :class:`SimClock`.

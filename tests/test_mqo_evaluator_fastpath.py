@@ -311,6 +311,31 @@ class TestScanEdgeBranches:
         assert expected.begin < expected.completed < expected.data_timestamp
 
 
+class TestPlannedStartIsHonoured:
+    """A plan may wait for a replica sync: its start is later than the
+    arrival.  When that start is also later than every server clock, both
+    realizations must begin exactly there; one that ignores the start
+    begins at the arrival or a clock and reads staler data."""
+
+    def test_choose_best_and_realize_begin_at_a_late_start(self):
+        # t0's replica syncs at 1.0; the query arrives at 0.9, and waiting
+        # 0.1 minute for the sync beats reading the initial snapshot.
+        evaluator = build_evaluator(build_workload([(0, 0.9, 2_000.0)]))
+        free_at = {LOCAL_SITE_ID: 0.5, 0: 0.95, 1: 0.7, 2: 0.2}
+        chosen = evaluator.choose_best(1, free_at)
+        start = chosen.plan.start_time
+        assert start == 1.0
+        assert start > chosen.arrival
+        assert start > max(free_at.values())
+        assert chosen.begin == start
+        realized = evaluator._realize(
+            evaluator._compiled_query(1), chosen.candidate, free_at
+        )
+        assert realized.begin == start
+        assert_same_assignment(chosen, realized)
+        assert_same_assignment(chosen, best_naive(evaluator, 1, free_at))
+
+
 class TestCandidateTruncationStats:
     def test_max_candidates_cut_is_recorded(self):
         workload = build_workload([(2, 1.0, 8_000.0)])

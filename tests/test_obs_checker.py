@@ -1,4 +1,9 @@
-"""Unit tests: the trace invariant checker catches exactly what it should."""
+"""Unit tests: the trace invariant checker catches exactly what it should.
+
+Every planted trace goes through :func:`check`, which also asserts that
+the fold's violations equal the batch oracle's
+(``tests/checker_oracle.py``), sorted.
+"""
 
 from __future__ import annotations
 
@@ -15,6 +20,9 @@ from repro.obs.checker import PREFIX_SENSITIVE_RULES
 from repro.obs.ledger import IVLedgerEntry
 from repro.sim.trace import TraceRecord, Tracer
 from repro.workload.query import DSSQuery
+
+from tests.checker_oracle import TraceChecker as OracleChecker
+from tests.checker_oracle import sorted_violations
 
 
 def traced_system(num_queries: int = 2):
@@ -40,6 +48,15 @@ def traced_system(num_queries: int = 2):
     return system
 
 
+def check(records, dropped: int = 0, **options):
+    """The fold's violations, asserted equal (sorted) to the oracle's."""
+    found = TraceChecker(**options).check(records, dropped=dropped)
+    assert sorted_violations(found) == sorted_violations(
+        OracleChecker(**options).check(records, dropped=dropped)
+    )
+    return found
+
+
 def rules_of(violations) -> set[str]:
     return {violation.rule for violation in violations}
 
@@ -47,9 +64,8 @@ def rules_of(violations) -> set[str]:
 class TestCleanTraces:
     def test_real_run_is_clean(self):
         system = traced_system()
-        checker = TraceChecker()
-        assert checker.check(system.tracer.records) == []
-        checker.assert_clean(system.tracer.records)  # must not raise
+        assert check(system.tracer.records) == []
+        TraceChecker().assert_clean(system.tracer.records)  # must not raise
 
     def test_check_system_entry_point(self):
         system = traced_system()
@@ -64,7 +80,7 @@ class TestCleanTraces:
             TraceChecker().check_system(system)
 
     def test_empty_trace_is_clean(self):
-        assert TraceChecker().check([]) == []
+        assert check([]) == []
 
 
 class TestTamperedTraces:
@@ -75,7 +91,7 @@ class TestTamperedTraces:
         for record in records:
             if record.kind == events.LEDGER:
                 record.detail["reported_iv"] = record.detail["reported_iv"] + 0.1
-        violations = TraceChecker().check(records)
+        violations = check(records)
         assert "iv-recompute" in rules_of(violations)
         assert "event-ledger-agree" in rules_of(violations)
 
@@ -86,7 +102,7 @@ class TestTamperedTraces:
                 record.detail["local_done_at"] = (
                     record.detail["local_done_at"] + 0.5
                 )
-        violations = TraceChecker().check(records)
+        violations = check(records)
         # Shifting one boundary changes two phases in opposite directions —
         # conservation survives — but the IV and the phase ordering cannot
         # all stay consistent with the event stream.
@@ -99,19 +115,19 @@ class TestTamperedTraces:
         for record in records:
             if record.kind == events.LEDGER:
                 record.detail["queue_wait"] = record.detail["queue_wait"] + 1.0
-        assert "queue-wait" in rules_of(TraceChecker().check(records))
+        assert "queue-wait" in rules_of(check(records))
 
     def test_tampered_provenance_caught(self):
         records = traced_system().tracer.records
         for record in records:
             if record.kind == events.LEDGER and record.detail["versions"]:
                 record.detail["versions"][0]["realized_freshness"] = -999.0
-        assert "sl-provenance" in rules_of(TraceChecker().check(records))
+        assert "sl-provenance" in rules_of(check(records))
 
     def test_time_going_backwards_caught(self):
         records = traced_system().tracer.records
         shuffled = [records[-1]] + records[:-1]
-        assert "time-monotonic" in rules_of(TraceChecker().check(shuffled))
+        assert "time-monotonic" in rules_of(check(shuffled))
 
     def test_causal_disorder_caught(self):
         records = traced_system().tracer.records
@@ -129,20 +145,32 @@ class TestTamperedTraces:
             if index == submit_index else record
             for index, record in enumerate(records)
         ]
-        assert "causal-order" in rules_of(TraceChecker().check(tampered))
+        assert "causal-order" in rules_of(check(tampered))
 
     def test_duplicate_ledger_caught(self):
         records = traced_system().tracer.records
         ledger = next(r for r in records if r.kind == events.LEDGER)
-        assert "ledger-unique" in rules_of(TraceChecker().check(records + [ledger]))
+        assert "ledger-unique" in rules_of(check(records + [ledger]))
+
+    def test_late_resubmit_caught(self):
+        # A submit after the query's ledger: the ledger must agree with the
+        # last submit, so the fold keeps its time past the ledger.
+        records = traced_system().tracer.records
+        submit = [r for r in records if r.kind == events.SUBMIT][-1]
+        late = TraceRecord(
+            records[-1].time + 1.0, submit.kind, submit.subject,
+            dict(submit.detail),
+        )
+        rules = rules_of(check(records + [late]))
+        assert {"causal-order", "event-unique", "event-ledger-agree"} <= rules
 
     def test_malformed_ledger_caught(self):
         record = TraceRecord(1.0, events.LEDGER, "q", {"query": "q"})
-        assert "ledger-well-formed" in rules_of(TraceChecker().check([record]))
+        assert "ledger-well-formed" in rules_of(check([record]))
 
     def test_missing_qid_caught(self):
         record = TraceRecord(1.0, events.SUBMIT, "q", {})
-        assert "qid-present" in rules_of(TraceChecker().check([record]))
+        assert "qid-present" in rules_of(check([record]))
 
     def test_assert_clean_raises_with_listing(self):
         record = TraceRecord(1.0, events.SUBMIT, "q", {})
@@ -156,7 +184,7 @@ class TestCompletenessAndFaults:
             record for record in traced_system().tracer.records
             if record.kind not in (events.COMPLETE, events.FAILED, events.LEDGER)
         ]
-        rules = rules_of(TraceChecker().check(records))
+        rules = rules_of(check(records))
         assert "query-completes" in rules
         assert "ledger-present" in rules
 
@@ -165,16 +193,15 @@ class TestCompletenessAndFaults:
             record for record in traced_system().tracer.records
             if record.kind not in (events.COMPLETE, events.FAILED, events.LEDGER)
         ]
-        checker = TraceChecker(require_complete=False)
-        assert checker.check(records) == []
+        assert check(records, require_complete=False) == []
 
     def test_fault_alternation_enforced(self):
         down = TraceRecord(1.0, events.FAULT_DOWN, "site:1", {})
         up = TraceRecord(2.0, events.FAULT_UP, "site:1", {})
-        assert TraceChecker().check([down, up]) == []
+        assert check([down, up]) == []
         again = TraceRecord(3.0, events.FAULT_DOWN, "site:1", {})
         assert "fault-alternation" in rules_of(
-            TraceChecker().check([down, down, up, again])
+            check([down, down, up, again])
         )
 
     def test_tolerance_validation(self):
@@ -201,7 +228,7 @@ class TestDropsDowngrade:
             if record.kind == events.LEG_GRANTED
         )
         truncated = records[granted:]
-        assert "leg-order" in rules_of(TraceChecker().check(truncated))
+        assert "leg-order" in rules_of(check(truncated))
 
     def test_drop_count_downgrades_prefix_sensitive_rules(self):
         records = traced_system().tracer.records
@@ -210,9 +237,8 @@ class TestDropsDowngrade:
             if record.kind == events.LEG_GRANTED
         )
         truncated = records[granted:]
-        checker = TraceChecker()
-        assert checker.check(truncated, dropped=granted) == []
-        checker.assert_clean(truncated, dropped=granted)  # must not raise
+        assert check(truncated, dropped=granted) == []
+        TraceChecker().assert_clean(truncated, dropped=granted)  # must not raise
 
     def test_check_system_passes_the_tracer_drop_counter(self):
         # Re-emit a clean run through a capacity-bounded tracer: the
@@ -232,7 +258,7 @@ class TestDropsDowngrade:
         system = SimpleNamespace(tracer=bounded)
         assert TraceChecker().check_system(system) == []
         # Without the drop counter the same window is (spuriously) dirty.
-        assert "leg-order" in rules_of(TraceChecker().check(bounded.records))
+        assert "leg-order" in rules_of(check(bounded.records))
 
     def test_drops_do_not_excuse_suffix_anchored_rules(self):
         # Tampering the retained window must still be caught: the ledger
@@ -241,7 +267,7 @@ class TestDropsDowngrade:
         for record in records:
             if record.kind == events.LEDGER:
                 record.detail["reported_iv"] = record.detail["reported_iv"] + 0.1
-        rules = rules_of(TraceChecker().check(records, dropped=5))
+        rules = rules_of(check(records, dropped=5))
         assert "iv-recompute" in rules
         assert not rules & PREFIX_SENSITIVE_RULES
 
@@ -267,7 +293,7 @@ class TestAlertRules:
             alert_record(1.0, events.ALERT_OPEN, since=0.5),
             alert_record(2.0, events.ALERT_CLOSE, opened_at=1.0),
         ]
-        assert TraceChecker().check(records) == []
+        assert check(records) == []
 
     def test_double_open_caught(self):
         records = [
@@ -275,16 +301,16 @@ class TestAlertRules:
             alert_record(1.0, events.ALERT_OPEN, since=0.5),
             alert_record(2.0, events.ALERT_OPEN, since=0.5),
         ]
-        assert "alert-alternation" in rules_of(TraceChecker().check(records))
+        assert "alert-alternation" in rules_of(check(records))
 
     def test_close_without_open_caught_then_excused_by_drops(self):
         records = [
             self.base,
             alert_record(2.0, events.ALERT_CLOSE, opened_at=1.0),
         ]
-        assert "alert-alternation" in rules_of(TraceChecker().check(records))
+        assert "alert-alternation" in rules_of(check(records))
         # The open may simply have been evicted from a bounded tracer.
-        assert TraceChecker().check(records, dropped=1) == []
+        assert check(records, dropped=1) == []
 
     def test_open_since_outside_trace_span_caught(self):
         records = [
@@ -292,7 +318,7 @@ class TestAlertRules:
             alert_record(1.0, events.ALERT_OPEN, since=-5.0),
             alert_record(2.0, events.ALERT_CLOSE, opened_at=1.0),
         ]
-        assert "alert-window" in rules_of(TraceChecker().check(records))
+        assert "alert-window" in rules_of(check(records))
 
     def test_close_opened_at_mismatch_caught(self):
         records = [
@@ -300,7 +326,7 @@ class TestAlertRules:
             alert_record(1.0, events.ALERT_OPEN, since=0.5),
             alert_record(2.0, events.ALERT_CLOSE, opened_at=0.25),
         ]
-        assert "alert-window" in rules_of(TraceChecker().check(records))
+        assert "alert-window" in rules_of(check(records))
 
     def test_open_still_dangling_at_end_of_trace_caught(self):
         # Regression: a run that stopped mid-breach used to pass the
@@ -310,22 +336,22 @@ class TestAlertRules:
             self.base,
             alert_record(1.0, events.ALERT_OPEN, since=0.5),
         ]
-        violations = TraceChecker().check(records)
+        violations = check(records)
         assert "alert-alternation" in rules_of(violations)
         assert any("still open" in v.message for v in violations)
         # With the close appended (what finalize produces) the pair is clean.
         records.append(
             alert_record(2.0, events.ALERT_CLOSE, opened_at=1.0, final=True)
         )
-        assert TraceChecker().check(records) == []
+        assert check(records) == []
         # A bounded tracer that evicted records downgrades the rule, like
         # every other prefix-sensitive alternation failure.
-        assert TraceChecker().check(records[:2], dropped=1) == []
+        assert check(records[:2], dropped=1) == []
 
     def test_alert_missing_detail_keys_caught(self):
         record = TraceRecord(1.0, events.ALERT_OPEN, "slo:r", {"rule": "r"})
         assert "alert-well-formed" in rules_of(
-            TraceChecker().check([self.base, record])
+            check([self.base, record])
         )
 
 

@@ -2,9 +2,10 @@
 
 Covers the full shard-to-fleet path: the collector's stable global merge
 and chrome-trace export, each cross-shard checker rule firing on
-constructed bad input, and a small end-to-end sharded run that must be
-checker-clean, bit-exact in its IV conservation, and — with telemetry
-off — identical to the untraced sweep.
+constructed bad input (and agreeing with the batch oracle in
+``tests/checker_oracle.py``), and a small end-to-end sharded run that
+must be checker-clean, bit-exact in its IV conservation, and — with
+telemetry off — identical to the untraced sweep.
 """
 
 from __future__ import annotations
@@ -24,6 +25,21 @@ from repro.core.value import DiscountRates
 from repro.obs.ledger import completion_ledger
 from repro.obs.live import TableSyncState
 from repro.sim.trace import TraceRecord
+
+from tests.checker_oracle import TraceChecker as OracleChecker
+from tests.checker_oracle import sorted_violations
+
+
+def audited(shard: int, records: list, summary: dict | None = None):
+    """A shard's telemetry as a traced shard ships it: its records and the
+    audit of a checker fold fed them in emit order."""
+    fold = TraceChecker()
+    for record in records:
+        fold.observe(record)
+    return ShardTelemetry(
+        shard=shard, records=records, summary=summary or {},
+        audit=fold.audit(),
+    )
 
 
 def ledger_detail(qid: int, submitted: float, completed: float) -> dict:
@@ -53,14 +69,10 @@ def shard_records(qid: int, base: float) -> list[TraceRecord]:
 def telemetry_of(shard: int, qid: int, base: float) -> ShardTelemetry:
     records = shard_records(qid, base)
     ledger = [r for r in records if r.kind == "ledger"][0].detail
-    return ShardTelemetry(
-        shard=shard,
-        records=records,
-        summary={
-            "total_iv": ledger["reported_iv"],
-            "dropped_events": 0,
-        },
-    )
+    return audited(shard, records, {
+        "total_iv": ledger["reported_iv"],
+        "dropped_events": 0,
+    })
 
 
 def tagged_trace(collector: FleetCollector) -> list[TraceRecord]:
@@ -130,17 +142,23 @@ def rules_of(violations) -> set[str]:
     return {violation.rule for violation in violations}
 
 
-class TestCrossShardRules:
-    def checker(self) -> TraceChecker:
-        return TraceChecker()
+def check_fleet(collector: FleetCollector, snapshot: dict | None = None):
+    """The fleet verdict from the shards' audits, asserted equal (sorted)
+    to the oracle's, which re-reads every shard's records."""
+    snapshot = collector.snapshot() if snapshot is None else snapshot
+    found = TraceChecker().check_fleet(collector.shards, snapshot)
+    assert sorted_violations(found) == sorted_violations(
+        OracleChecker().check_fleet(collector.shards, snapshot)
+    )
+    return found
 
+
+class TestCrossShardRules:
     def test_query_owned_by_two_shards_flagged(self):
         a = telemetry_of(0, qid=7, base=1.0)
         b = telemetry_of(1, qid=7, base=2.0)  # same qid on both shards
         collector = FleetCollector([a, b])
-        violations = self.checker().check_fleet(
-            collector.shards, collector.snapshot()
-        )
+        violations = check_fleet(collector)
         assert "shard-ownership" in rules_of(violations)
 
     def test_missing_dropped_counter_flagged(self):
@@ -149,7 +167,7 @@ class TestCrossShardRules:
         )
         snapshot = collector.snapshot()
         snapshot["shards"] = snapshot["shards"][:1]  # drop shard 1's panel
-        violations = self.checker().check_fleet(collector.shards, snapshot)
+        violations = check_fleet(collector, snapshot)
         assert "fleet-dropped-surfaced" in rules_of(violations)
 
     def test_tampered_iv_sum_flagged_bit_exactly(self):
@@ -159,7 +177,7 @@ class TestCrossShardRules:
         snapshot = collector.snapshot()
         # One ulp of drift must be enough to fire the conservation rule.
         snapshot["fleet"]["ledger_iv"] += 1e-12
-        violations = self.checker().check_fleet(collector.shards, snapshot)
+        violations = check_fleet(collector, snapshot)
         assert "fleet-iv-conservation" in rules_of(violations)
 
     def test_tampered_cl_sum_flagged(self):
@@ -168,26 +186,27 @@ class TestCrossShardRules:
         )
         snapshot = collector.snapshot()
         snapshot["shards"][0]["ledger_cl"] *= 2.0
-        violations = self.checker().check_fleet(collector.shards, snapshot)
+        violations = check_fleet(collector, snapshot)
         assert "fleet-cl-conservation" in rules_of(violations)
 
 
     @staticmethod
     def grant_without_start(telemetry: ShardTelemetry) -> ShardTelemetry:
-        """Plant a ``leg-order`` fault (prefix-sensitive) in the shard."""
-        start = telemetry.records[2]  # exec.start
-        stray = TraceRecord(
+        """The shard with a ``leg-order`` fault (prefix-sensitive) planted."""
+        records = list(telemetry.records)
+        start = records[2]  # exec.start
+        records.insert(3, TraceRecord(
             start.time, "leg.granted", start.subject,
             {"qid": start.detail["qid"], "site": 0},
-        )
-        telemetry.records.insert(3, stray)
-        return telemetry
+        ))
+        return audited(telemetry.shard, records, telemetry.summary)
 
     def test_per_shard_violation_names_its_shard(self):
         collector = FleetCollector([
             telemetry_of(0, 0, 1.0),
             self.grant_without_start(telemetry_of(1, 1, 2.0)),
         ])
+        assert collector.check() == check_fleet(collector)
         assert [
             (violation.rule, violation.subject)
             for violation in collector.check()
@@ -199,14 +218,16 @@ class TestCrossShardRules:
         collector = FleetCollector([
             lossy, self.grant_without_start(telemetry_of(1, 1, 2.0)),
         ])
+        assert collector.check() == check_fleet(collector)
         assert [
             (violation.rule, violation.subject)
             for violation in collector.check()
         ] == [("leg-order", "shard1:q1")]
 
     def test_check_constructs_no_trace_record(self, monkeypatch):
-        # The audit reads each shard's records as emitted: no tagged
-        # copy of the merged trace and no stripped copy of that.
+        # The audit reads each shard's audit, never its records: no tagged
+        # copy of the merged trace, no stripped copy of that, and no read
+        # of a record list by check() or snapshot().
         collector = FleetCollector(
             [telemetry_of(0, 0, 1.0), telemetry_of(1, 1, 2.0)]
         )
@@ -217,24 +238,60 @@ class TestCrossShardRules:
             built.append(args)
             init(self, *args, **kwargs)
 
+        reads = []
+
+        class Watched(list):
+            def __iter__(self):
+                reads.append("iter")
+                return super().__iter__()
+
+            def __getitem__(self, index):
+                reads.append("getitem")
+                return super().__getitem__(index)
+
+            def __len__(self):
+                reads.append("len")
+                return super().__len__()
+
+        for telemetry in collector.shards:
+            telemetry.records = Watched(telemetry.records)
         monkeypatch.setattr(TraceRecord, "__init__", counting_init)
         assert collector.check() == []
+        assert collector.snapshot()["fleet"]["records"] == 10
         assert built == []
+        assert reads == []
+        # The watch itself works: the chrome export does read the records.
+        collector.chrome_trace()
+        assert reads
 
 
 class TestShardedSweepEndToEnd:
     """The real EXT5 path: run_schedule with telemetry on, serial shards."""
 
-    def run_traced(self, on_fleet=None):
+    def run_traced(self, on_fleet=None, executor="serial"):
         from repro.experiments.scale import ScaleConfig, ScheduleSpec, run_schedule
 
         spec = ScheduleSpec("steady", queries=160, arrival="poisson",
                             interarrival=1.0)
         config = ScaleConfig(
-            shards=2, executor="serial", schedules=(spec,),
+            shards=2, executor=executor, schedules=(spec,),
             trace=True, fleet_metrics=True,
         )
         return run_schedule(config, spec, on_fleet=on_fleet)
+
+    def test_process_executor_reports_the_serial_verdict(self):
+        # Each spawned worker folds its own trace; the audits come back
+        # pickled with the records and must tell the executors apart in
+        # nothing, and agree with the oracle's re-read of the records.
+        reports = {}
+        for executor in ("serial", "process"):
+            def on_fleet(_name, collector, violations, executor=executor):
+                reports[executor] = (collector.snapshot(), violations)
+                assert violations == check_fleet(collector)
+
+            self.run_traced(on_fleet, executor=executor)
+        assert reports["process"] == reports["serial"]
+        assert reports["serial"][1] == []
 
     def test_traced_run_is_checker_clean_and_bit_exact(self):
         captured = {}

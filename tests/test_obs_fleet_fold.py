@@ -27,10 +27,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.value import DiscountRates
 from repro.obs import events
-from repro.obs.fleet import FleetCollector, ShardTelemetry
+from repro.obs.fleet import FleetCollector
 from repro.obs.ledger import completion_ledger
 from repro.obs.live import LiveRegistry
 from repro.sim.trace import TraceRecord
+
+from tests.test_obs_fleet import audited
 
 _RATES = DiscountRates(0.05, 0.02)
 _TABLES = ("t0", "t1", "t2")
@@ -119,8 +121,7 @@ PROPERTY = settings(max_examples=40, deadline=None)
 
 def collect(streams) -> FleetCollector:
     return FleetCollector([
-        ShardTelemetry(shard=shard, records=list(stream))
-        for shard, stream in enumerate(streams)
+        audited(shard, list(stream)) for shard, stream in enumerate(streams)
     ])
 
 

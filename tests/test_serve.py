@@ -415,6 +415,32 @@ class TestShutdownContracts:
         assert [a for a in service.monitor.alerts if a.open] == []
 
 
+class TestBoundedTrace:
+    def test_a_bounded_service_drains_checker_clean(self):
+        # A long-lived service bounds its tracer; the audit must read the
+        # drop counter or it flags the rules the evicted prefix decides.
+        async def drive():
+            service = QueryService(config(trace_capacity=40))
+            runner = asyncio.create_task(service.run())
+            results = []
+            for index in range(12):
+                _qid, _decision, result = service.submit(index % 6)
+                results.append(result)
+                await asyncio.sleep(0)
+            await asyncio.gather(*results)
+            service.begin_shutdown()
+            await runner
+            return service
+
+        from repro.obs.checker import TraceChecker
+
+        service = asyncio.run(drive())
+        assert service.tracer.dropped > 0
+        assert service.check_trace() == []
+        # Without the counter the same window is (spuriously) dirty.
+        assert TraceChecker().check(service.tracer.records) != []
+
+
 class TestDurabilityOverHTTP:
     async def _with_journaled_server(self, journal, body):
         service = QueryService(config(), journal=journal)
